@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-fault restore-gate bench sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build test race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gates: it measures wall time, and the
 # race suites leave the machine hot enough to skew it.
-check: fmt vet build trace-guard perf-trend trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
+check: fmt vet build trace-guard perf-trend bench-e2e-quick trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -46,6 +46,18 @@ restore-gate:
 # Sync hot-path microbenchmark (BenchmarkSyncHotPath) straight from go test.
 bench:
 	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/gluon/
+
+# The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# four workloads, setup_s and run_s untraced plus the per-layer traced run.
+# benchmark/ is a Go module of its own, so neither `build` nor `test` above
+# reaches it. Takes ~15 minutes.
+bench-e2e:
+	bash benchmark/run.sh
+
+# The benchmark's unit tests and its -quick smoke run of all four workloads
+# at toy scale (< 10 s): proves every API the benchmark calls still works.
+bench-e2e-quick:
+	$(GO) test -C benchmark ./...
 
 # Run the sync microbenchmark at the pinned parameters and append it to the
 # perfdb history (no snapshot write; use bench-pin to refresh BENCH_sync.json).

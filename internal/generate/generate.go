@@ -251,7 +251,7 @@ func random(c Config) []graph.Edge {
 // road-network stand-in for sssp experiments.
 func grid(c Config) []graph.Edge {
 	side := uint64(1) << (c.Scale / 2)
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, 4*side*(side-1))
 	for y := uint64(0); y < side; y++ {
 		for x := uint64(0); x < side; x++ {
 			u := y*side + x

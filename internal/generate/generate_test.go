@@ -1,6 +1,8 @@
 package generate
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"gluon/internal/graph"
@@ -141,6 +143,48 @@ func TestGridIsSymmetricMesh(t *testing.T) {
 	for _, e := range edges {
 		if !set[graph.Edge{Src: e.Dst, Dst: e.Src}] {
 			t.Fatalf("grid missing reverse of %v", e)
+		}
+	}
+}
+
+// edgeHash is the FNV-1a hash the repository's benchmark records as
+// edge_hash: (src, dst u64, weight u32) little-endian per edge, in order.
+func edgeHash(edges []graph.Edge) uint64 {
+	h := fnv.New64a()
+	var buf [20]byte
+	for _, e := range edges {
+		binary.LittleEndian.PutUint64(buf[0:], e.Src)
+		binary.LittleEndian.PutUint64(buf[8:], e.Dst)
+		binary.LittleEndian.PutUint32(buf[16:], e.Weight)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestSizedGeneratorsKeepOrder: the generators that know their edge count
+// preallocate exactly it, and their output — order included — is pinned by
+// hash (grid, chain and star are independent of the seed and core count).
+func TestSizedGeneratorsKeepOrder(t *testing.T) {
+	for _, c := range []struct {
+		kind  string
+		scale uint
+		edges int
+		hash  uint64
+	}{
+		{"grid", 8, 4 * 16 * 15, 0x891ced8380954425},
+		{"grid", 10, 4 * 32 * 31, 0x86b4195dcc051525},
+		{"chain", 8, 255, 0x6eb916051e48e2ea},
+		{"star", 8, 255, 0x0e1ff08b429fba15},
+	} {
+		edges, err := Edges(Config{Kind: c.kind, Scale: c.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(edges) != c.edges || cap(edges) != c.edges {
+			t.Errorf("%s scale %d: len %d cap %d, want exactly %d", c.kind, c.scale, len(edges), cap(edges), c.edges)
+		}
+		if got := edgeHash(edges); got != c.hash {
+			t.Errorf("%s scale %d: edge hash %#016x, want %#016x", c.kind, c.scale, got, c.hash)
 		}
 	}
 }

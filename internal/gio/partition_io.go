@@ -25,10 +25,7 @@ const PartitionMagic uint32 = 0x54504c47
 
 // WritePartition serializes one host's partition.
 func WritePartition(w io.Writer, p *partition.Partition) error {
-	bounds, ok := partition.Bounds(p.Policy)
-	if !ok {
-		return fmt.Errorf("gio: policy %s has no serializable owner bounds", p.Policy.Name())
-	}
+	bounds := p.Policy.Bounds()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	for _, v := range []uint32{PartitionMagic, Version, uint32(p.HostID), uint32(p.NumHosts), p.NumMasters} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {

@@ -250,35 +250,31 @@ func (g *Gluon) memoize() error {
 	me := p.HostID
 	n := p.NumHosts
 
-	byOwner, mirrors, mirrorsIn, mirrorsOut, err := g.localMirrors()
-	if err != nil {
-		return err
-	}
+	mirrors, mirrorsIn, mirrorsOut := g.localMirrors()
 	masters := make([][]uint32, n)
 	mastersIn := make([][]uint32, n)
 	mastersOut := make([][]uint32, n)
 
-	// Send to each peer: count, gids, then per-mirror in/out flag bytes.
+	// Send to each peer: count, then per mirror its gid and in/out flag byte.
 	for h := 0; h < n; h++ {
 		if h == me {
 			continue
 		}
-		gids := byOwner[h]
 		lids := mirrors[h]
-		payload := comm.GetBuf(4 + len(gids)*9)
-		binary.LittleEndian.PutUint32(payload, uint32(len(gids)))
+		payload := comm.GetBuf(4 + len(lids)*memoEntry)
+		binary.LittleEndian.PutUint32(payload, uint32(len(lids)))
 		off := 4
-		for i, gid := range gids {
-			binary.LittleEndian.PutUint64(payload[off:], gid)
+		for _, lid := range lids {
+			binary.LittleEndian.PutUint64(payload[off:], p.GIDs[lid])
 			var flags byte
-			if p.HasIn.Test(lids[i]) {
-				flags |= 1
+			if p.HasIn.Test(lid) {
+				flags |= memoHasIn
 			}
-			if p.HasOut.Test(lids[i]) {
-				flags |= 2
+			if p.HasOut.Test(lid) {
+				flags |= memoHasOut
 			}
 			payload[off+8] = flags
-			off += 9
+			off += memoEntry
 		}
 		if err := g.T.Send(h, comm.TagMemo, payload); err != nil {
 			return err
@@ -293,22 +289,39 @@ func (g *Gluon) memoize() error {
 		if err != nil {
 			return err
 		}
-		cnt := binary.LittleEndian.Uint32(payload)
-		off := 4
-		masters[h] = make([]uint32, cnt)
-		for i := uint32(0); i < cnt; i++ {
-			gid := binary.LittleEndian.Uint64(payload[off:])
-			flags := payload[off+8]
-			off += 9
+		if len(payload) < 4 || len(payload) != 4+int(binary.LittleEndian.Uint32(payload))*memoEntry {
+			return fmt.Errorf("gluon: host %d: malformed memoization message from peer %d (%d bytes)", me, h, len(payload))
+		}
+		entries := payload[4:]
+		var numIn, numOut int
+		for off := 8; off < len(entries); off += memoEntry {
+			if entries[off]&memoHasIn != 0 {
+				numIn++
+			}
+			if entries[off]&memoHasOut != 0 {
+				numOut++
+			}
+		}
+		masters[h] = make([]uint32, 0, len(entries)/memoEntry)
+		if numIn > 0 {
+			mastersIn[h] = make([]uint32, 0, numIn)
+		}
+		if numOut > 0 {
+			mastersOut[h] = make([]uint32, 0, numOut)
+		}
+		for off := 0; off < len(entries); off += memoEntry {
+			gid := binary.LittleEndian.Uint64(entries[off:])
+			flags := entries[off+8]
+			// For a master LID is offset arithmetic in my owned range.
 			lid, ok := p.LID(gid)
 			if !ok || !p.IsMaster(lid) {
 				return fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, h, gid)
 			}
-			masters[h][i] = lid
-			if flags&1 != 0 {
+			masters[h] = append(masters[h], lid)
+			if flags&memoHasIn != 0 {
 				mastersIn[h] = append(mastersIn[h], lid)
 			}
-			if flags&2 != 0 {
+			if flags&memoHasOut != 0 {
 				mastersOut[h] = append(mastersOut[h], lid)
 			}
 		}
@@ -324,6 +337,14 @@ func (g *Gluon) memoize() error {
 	return nil
 }
 
+// TagMemo wire format: a u32 count, then per mirror its u64 global ID and a
+// flag byte.
+const (
+	memoEntry       = 9
+	memoHasIn  byte = 1
+	memoHasOut byte = 2
+)
+
 func countAll(lists [][]uint32) uint64 {
 	var c uint64
 	for _, l := range lists {
@@ -337,37 +358,42 @@ func countAll(lists [][]uint32) uint64 {
 // structural In/Out subsets. Pure local computation over the partition; the
 // master-side orders are the part that requires either the memoization
 // exchange (New) or a checkpointed import (NewRestored).
-func (g *Gluon) localMirrors() (byOwner [][]uint64, mirrors, mirrorsIn, mirrorsOut [][]uint32, err error) {
+//
+// Mirrors are numbered in ascending GID and every peer owns one contiguous
+// GID range, so a peer's mirrors are one contiguous local-ID range: no
+// per-GID translation happens here.
+func (g *Gluon) localMirrors() (mirrors, mirrorsIn, mirrorsOut [][]uint32) {
 	p := g.Part
 	n := p.NumHosts
-	byOwner = p.MirrorGIDsByOwner()
 	mirrors = make([][]uint32, n)
 	mirrorsIn = make([][]uint32, n)
 	mirrorsOut = make([][]uint32, n)
 	for h := 0; h < n; h++ {
-		if h == p.HostID {
+		lo, hi := p.MirrorRange(h) // empty for h == me: no mirror is in my own range
+		if lo == hi {
 			continue
 		}
-		gids := byOwner[h]
-		lids := make([]uint32, len(gids))
-		for i, gid := range gids {
-			lid, ok := p.LID(gid)
-			if !ok {
-				return nil, nil, nil, nil, fmt.Errorf("gluon: host %d: mirror gid %d has no local ID", p.HostID, gid)
-			}
-			lids[i] = lid
+		mirrors[h] = make([]uint32, hi-lo)
+		for i := range mirrors[h] {
+			mirrors[h][i] = lo + uint32(i)
 		}
-		mirrors[h] = lids
-		for _, lid := range lids {
-			if p.HasIn.Test(lid) {
-				mirrorsIn[h] = append(mirrorsIn[h], lid)
-			}
-			if p.HasOut.Test(lid) {
-				mirrorsOut[h] = append(mirrorsOut[h], lid)
-			}
-		}
+		mirrorsIn[h] = setBitsIn(p.HasIn, lo, hi)
+		mirrorsOut[h] = setBitsIn(p.HasOut, lo, hi)
 	}
-	return byOwner, mirrors, mirrorsIn, mirrorsOut, nil
+	return mirrors, mirrorsIn, mirrorsOut
+}
+
+// setBitsIn lists the set bits of b in [lo, hi), nil when there are none.
+func setBitsIn(b *bitset.Bitset, lo, hi uint32) []uint32 {
+	c := b.CountRange(lo, hi)
+	if c == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, c)
+	for i := b.NextSet(lo); i < hi; i = b.NextSet(i + 1) {
+		out = append(out, i)
+	}
+	return out
 }
 
 // ExportMemo serializes the master-side memoized orders (masters,
@@ -459,10 +485,7 @@ func NewRestored(p *partition.Partition, t comm.Transport, opt Options, memo []b
 			p.HostID, p.NumHosts, t.HostID(), t.NumHosts())
 	}
 	g := &Gluon{Part: p, T: t, Opt: opt}
-	_, mirrors, mirrorsIn, mirrorsOut, err := g.localMirrors()
-	if err != nil {
-		return nil, err
-	}
+	mirrors, mirrorsIn, mirrorsOut := g.localMirrors()
 	g.mirrors = newOrderSet(mirrors)
 	g.mirrorsIn = newOrderSet(mirrorsIn)
 	g.mirrorsOut = newOrderSet(mirrorsOut)

@@ -1,0 +1,143 @@
+package gluon
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"slices"
+	"testing"
+
+	"gluon/internal/comm"
+	"gluon/internal/partition"
+)
+
+// perGIDOrders is the memoization this package used before mirrors became
+// contiguous LID ranges: group mirror GIDs by Owner(), translate each one
+// through Partition.LID, and look each peer's claimed GID up on the master
+// side. The range-based memoize must produce the same six order families.
+func perGIDOrders(gs []*Gluon, me int) (mirrors, mirrorsIn, mirrorsOut, masters, mastersIn, mastersOut [][]uint32) {
+	n := len(gs)
+	lists := func() [][]uint32 { return make([][]uint32, n) }
+	mirrors, mirrorsIn, mirrorsOut = lists(), lists(), lists()
+	masters, mastersIn, mastersOut = lists(), lists(), lists()
+	add := func(all, in, out [][]uint32, h int, lid uint32, hasIn, hasOut bool) {
+		all[h] = append(all[h], lid)
+		if hasIn {
+			in[h] = append(in[h], lid)
+		}
+		if hasOut {
+			out[h] = append(out[h], lid)
+		}
+	}
+	p := gs[me].Part
+	for lid := p.NumMasters; lid < p.NumProxies(); lid++ {
+		add(mirrors, mirrorsIn, mirrorsOut, p.Policy.Owner(p.GID(lid)), lid, p.HasIn.Test(lid), p.HasOut.Test(lid))
+	}
+	for h := range gs {
+		q := gs[h].Part // the flags that travel are the mirror's, not the master's
+		for mlid := q.NumMasters; h != me && mlid < q.NumProxies(); mlid++ {
+			if q.Policy.Owner(q.GID(mlid)) != me {
+				continue
+			}
+			lid, ok := p.LID(q.GID(mlid))
+			if !ok {
+				panic("peer mirrors a node this host has no master for")
+			}
+			add(masters, mastersIn, mastersOut, h, lid, q.HasIn.Test(mlid), q.HasOut.Test(mlid))
+		}
+	}
+	return
+}
+
+// sameLists compares per-peer orders, an absent order equal to an empty one.
+func sameLists(a, b [][]uint32) bool {
+	return slices.EqualFunc(a, b, func(x, y []uint32) bool { return slices.Equal(x, y) })
+}
+
+// TestMemoizeMatchesPerGIDTranslation: every memoized order equals the
+// per-GID reference, for every policy and a host count that leaves some
+// pairs without shared proxies.
+func TestMemoizeMatchesPerGIDTranslation(t *testing.T) {
+	for _, kind := range partition.AllKinds() {
+		for _, hosts := range []int{2, 4, 7} {
+			gs := buildCluster(t, kind, hosts, Opt())
+			for me, g := range gs {
+				mirrors, mirrorsIn, mirrorsOut, masters, mastersIn, mastersOut := perGIDOrders(gs, me)
+				for _, c := range []struct {
+					name      string
+					got, want [][]uint32
+				}{
+					{"mirrors", g.mirrors.lists, mirrors},
+					{"mirrorsIn", g.mirrorsIn.lists, mirrorsIn},
+					{"mirrorsOut", g.mirrorsOut.lists, mirrorsOut},
+					{"masters", g.masters.lists, masters},
+					{"mastersIn", g.mastersIn.lists, mastersIn},
+					{"mastersOut", g.mastersOut.lists, mastersOut},
+				} {
+					if !sameLists(c.got, c.want) {
+						t.Fatalf("%s/%d hosts: host %d %s:\n got %v\nwant %v", kind, hosts, me, c.name, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewRestoredRoundTripsExportMemo: a substrate rebuilt from its own
+// exported memo section has the same exchange orders and re-exports the
+// same bytes.
+func TestNewRestoredRoundTripsExportMemo(t *testing.T) {
+	for _, kind := range partition.AllKinds() {
+		for _, g := range buildCluster(t, kind, 4, Opt()) {
+			memo := g.ExportMemo()
+			r, err := NewRestored(g.Part, g.T, g.Opt, memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want orderSet
+			}{
+				{"mirrors", r.mirrors, g.mirrors}, {"mirrorsIn", r.mirrorsIn, g.mirrorsIn}, {"mirrorsOut", r.mirrorsOut, g.mirrorsOut},
+				{"masters", r.masters, g.masters}, {"mastersIn", r.mastersIn, g.mastersIn}, {"mastersOut", r.mastersOut, g.mastersOut},
+			} {
+				if !sameLists(c.got.lists, c.want.lists) || !reflect.DeepEqual(c.got.masks, c.want.masks) {
+					t.Fatalf("%s host %d: restored %s differs", kind, g.HostID(), c.name)
+				}
+			}
+			if !bytes.Equal(r.ExportMemo(), memo) {
+				t.Fatalf("%s host %d: re-exported memo differs", kind, g.HostID())
+			}
+			if r.Stats().MemoProxies != g.Stats().MemoProxies {
+				t.Fatalf("%s host %d: MemoProxies %d, want %d", kind, g.HostID(), r.Stats().MemoProxies, g.Stats().MemoProxies)
+			}
+		}
+	}
+}
+
+// TestMemoizeRejectsBadPeerMessage: the master side's range check (which
+// replaced a map lookup) rejects a GID this host does not own, and a count
+// that disagrees with the message length is an error, not a panic.
+func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
+	part := buildCluster(t, partition.OEC, 2, Opt())[0].Part
+	foreign := part.Policy.Bounds()[1] // first node of host 1's range
+	entry := func(count uint32, gid uint64) []byte {
+		msg := binary.LittleEndian.AppendUint32(nil, count)
+		return append(binary.LittleEndian.AppendUint64(msg, gid), 0)
+	}
+	for name, msg := range map[string][]byte{
+		"foreign gid":    entry(1, foreign),
+		"gid past graph": entry(1, part.GlobalNodes+3),
+		"count too big":  entry(5, 0),
+		"no count":       {1, 0},
+	} {
+		hub := comm.NewHub(2)
+		if err := hub.Endpoint(1).Send(0, comm.TagMemo, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(part, hub.Endpoint(0), Opt()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		hub.Close()
+	}
+}

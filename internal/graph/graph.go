@@ -82,30 +82,30 @@ type LocalEdge struct {
 // input order after a stable counting-sort by source. Set weighted when
 // edge weights are meaningful.
 func Build(numNodes uint32, edges []LocalEdge, weighted bool) *CSR {
-	g := &CSR{
-		Offsets:    make([]uint64, numNodes+1),
-		Dst:        make([]uint32, len(edges)),
-		HasWeights: weighted,
-	}
+	g := &CSR{Dst: make([]uint32, len(edges)), HasWeights: weighted}
 	if weighted {
 		g.Weights = make([]uint32, len(edges))
 	}
+	// Counting sort with the offset array doubling as the write cursor:
+	// degrees are counted two slots up so that, after the prefix sum, slot
+	// u+1 holds where u's edges start; scattering advances it to where they
+	// end — which is where u+1's start, the final offset.
+	offsets := make([]uint64, uint64(numNodes)+2)
 	for _, e := range edges {
-		g.Offsets[e.Src+1]++
+		offsets[uint64(e.Src)+2]++
 	}
-	for i := uint32(0); i < numNodes; i++ {
-		g.Offsets[i+1] += g.Offsets[i]
+	for i := 2; i < len(offsets); i++ {
+		offsets[i] += offsets[i-1]
 	}
-	cursor := make([]uint64, numNodes)
-	copy(cursor, g.Offsets[:numNodes])
 	for _, e := range edges {
-		p := cursor[e.Src]
-		cursor[e.Src]++
+		p := offsets[e.Src+1]
+		offsets[e.Src+1]++
 		g.Dst[p] = e.Dst
 		if weighted {
 			g.Weights[p] = e.Weight
 		}
 	}
+	g.Offsets = offsets[: numNodes+1 : numNodes+1]
 	return g
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -96,10 +97,7 @@ func TestFrozenPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, ok := Bounds(orig)
-	if !ok {
-		t.Fatal("no bounds from chunked policy")
-	}
+	bounds := orig.Bounds()
 	frozen, err := Frozen("oec", bounds)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,7 @@ func TestFrozenPolicy(t *testing.T) {
 			t.Fatalf("owner of %d differs", gid)
 		}
 	}
-	if fb, ok := Bounds(frozen); !ok || len(fb) != len(bounds) {
+	if !reflect.DeepEqual(frozen.Bounds(), bounds) {
 		t.Fatal("frozen bounds not recoverable")
 	}
 	defer func() {
@@ -126,24 +124,39 @@ func TestFrozenRejectsBadBounds(t *testing.T) {
 	}
 }
 
-// TestReassembleValidation: corrupted inputs are rejected.
+// TestReassembleValidation: corrupted inputs are rejected — in particular
+// every GID vector that breaks the layout LID's arithmetic relies on.
 func TestReassembleValidation(t *testing.T) {
-	pol, _ := NewPolicy(OEC, 4, 2, Options{})
-	g := graph.Build(3, []graph.LocalEdge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, false)
-	if _, err := Reassemble(0, pol, g, []uint64{1, 2}, 1, 4); err == nil {
-		t.Fatal("short GID vector accepted")
+	pol, _ := NewPolicy(OEC, 8, 2, Options{}) // host 0 owns [0, 4)
+	g := graph.Build(6, []graph.LocalEdge{{Src: 0, Dst: 4}, {Src: 1, Dst: 5}}, false)
+	for name, c := range map[string]struct {
+		host       int
+		gids       []uint64
+		numMasters uint32
+	}{
+		"short GID vector":          {0, []uint64{0, 1, 2, 3, 5}, 4},
+		"masters > proxies":         {0, []uint64{0, 1, 2, 3, 5, 7}, 9},
+		"masters not the range":     {0, []uint64{0, 1, 2, 3, 5, 7}, 3},
+		"unsorted masters":          {0, []uint64{0, 2, 1, 3, 5, 7}, 4},
+		"duplicate master":          {0, []uint64{0, 1, 1, 3, 5, 7}, 4},
+		"unsorted mirrors":          {0, []uint64{0, 1, 2, 3, 7, 5}, 4},
+		"duplicate mirror":          {0, []uint64{0, 1, 2, 3, 5, 5}, 4},
+		"mirror of an owned node":   {1, []uint64{4, 5, 6, 7, 2, 6}, 4},
+		"mirror beyond the graph":   {0, []uint64{0, 1, 2, 3, 5, 8}, 4},
+		"host beyond the policy":    {2, []uint64{0, 1, 2, 3, 5, 7}, 4},
+		"negative host":             {-1, []uint64{0, 1, 2, 3, 5, 7}, 4},
+		"masters of the wrong host": {1, []uint64{0, 1, 2, 3, 5, 7}, 4},
+	} {
+		if _, err := Reassemble(c.host, pol, g, c.gids, c.numMasters, 8); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := Reassemble(0, pol, g, []uint64{1, 2, 2}, 1, 4); err == nil {
-		t.Fatal("duplicate GIDs accepted")
-	}
-	if _, err := Reassemble(0, pol, g, []uint64{1, 2, 3}, 9, 4); err == nil {
-		t.Fatal("masters > proxies accepted")
-	}
-	p, err := Reassemble(0, pol, g, []uint64{0, 1, 3}, 2, 4)
+	p, err := Reassemble(0, pol, g, []uint64{0, 1, 2, 3, 5, 7}, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.HasOut.Test(0) || !p.HasIn.Test(1) || p.HasIn.Test(0) {
+	if !p.HasOut.Test(0) || !p.HasIn.Test(4) || p.HasIn.Test(0) || p.HasOut.Test(2) {
 		t.Fatal("structural flags wrong after reassembly")
 	}
+	checkTranslation(t, p)
 }

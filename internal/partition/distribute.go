@@ -10,7 +10,9 @@ package partition
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"gluon/internal/comm"
 	"gluon/internal/graph"
@@ -35,33 +37,58 @@ func Distribute(numNodes uint64, shard []graph.Edge, pol Policy, t comm.Transpor
 	}
 	me := t.HostID()
 
-	// Route local shard edges into per-destination buffers.
-	outbound := make([][]graph.Edge, hosts)
-	var mine []graph.Edge
-	for _, e := range shard {
+	// Route the shard count → scatter: one pass validates the endpoints and
+	// computes each edge's host once, the second fills exactly-sized
+	// per-destination buffers.
+	hostOf := make([]uint16, len(shard))
+	counts := make([]int, hosts)
+	var bad error
+	for i, e := range shard {
+		if e.Src >= numNodes || e.Dst >= numNodes {
+			bad = &EdgeRangeError{Index: i, Src: e.Src, Dst: e.Dst, NumNodes: numNodes}
+			break
+		}
 		h := pol.EdgeHost(e.Src, e.Dst)
-		if h == me {
-			mine = append(mine, e)
-		} else {
-			outbound[h] = append(outbound[h], e)
+		hostOf[i] = uint16(h)
+		counts[h]++
+	}
+	outbound := make([][]graph.Edge, hosts)
+	if bad == nil {
+		for h := range outbound {
+			outbound[h] = make([]graph.Edge, 0, counts[h])
+		}
+		for i, e := range shard {
+			outbound[hostOf[i]] = append(outbound[hostOf[i]], e)
 		}
 	}
 
 	// Exchange: one message per peer (possibly empty), sends overlapped
-	// with receives.
+	// with receives. A host whose shard is invalid still sends every peer a
+	// message — the abort marker — so the collective fails everywhere
+	// instead of leaving the peers blocked in Recv.
 	sendErr := make(chan error, 1)
 	go func() {
 		for h := 0; h < hosts; h++ {
 			if h == me {
 				continue
 			}
-			if err := t.Send(h, tagEdges, encodeEdges(outbound[h])); err != nil {
+			batch := binary.LittleEndian.AppendUint32(nil, abortCount)
+			if bad == nil {
+				batch = encodeEdges(outbound[h])
+			}
+			if err := t.Send(h, tagEdges, batch); err != nil {
 				sendErr <- fmt.Errorf("partition: shipping edges to host %d: %w", h, err)
 				return
 			}
 		}
 		sendErr <- nil
 	}()
+	if bad != nil {
+		<-sendErr // the typed error outranks a failure to announce it
+		return nil, bad
+	}
+	received := make([][]graph.Edge, hosts) // by sender; nothing from myself
+	total := len(outbound[me])
 	for h := 0; h < hosts; h++ {
 		if h == me {
 			continue
@@ -70,14 +97,19 @@ func Distribute(numNodes uint64, shard []graph.Edge, pol Policy, t comm.Transpor
 		if err != nil {
 			return nil, fmt.Errorf("partition: receiving edges from host %d: %w", h, err)
 		}
-		got, err := decodeEdges(payload)
-		if err != nil {
+		if received[h], err = decodeEdges(payload); err != nil {
 			return nil, fmt.Errorf("partition: edges from host %d: %w", h, err)
 		}
-		mine = append(mine, got...)
+		total += len(received[h])
 	}
 	if err := <-sendErr; err != nil {
 		return nil, err
+	}
+	// Own edges first, then each peer's in host order.
+	mine := make([]graph.Edge, 0, total)
+	mine = append(mine, outbound[me]...)
+	for _, got := range received {
+		mine = append(mine, got...)
 	}
 	return buildLocal(me, numNodes, mine, pol, weighted)
 }
@@ -108,10 +140,16 @@ func DistributeAll(numNodes uint64, edges []graph.Edge, pol Policy, hub *comm.Hu
 	for i := 0; i < hosts; i++ {
 		<-done
 	}
+	// Report the cause, not a peer's view of it: a host that aborted over
+	// an invalid shard makes every other host fail with errSenderAborted.
+	var first error
 	for h, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("partition: host %d: %w", h, err)
+		if err != nil && (first == nil || errors.Is(first, errSenderAborted) && !errors.Is(err, errSenderAborted)) {
+			first = fmt.Errorf("partition: host %d: %w", h, err)
 		}
+	}
+	if first != nil {
+		return nil, first
 	}
 	return parts, nil
 }
@@ -129,11 +167,22 @@ func encodeEdges(edges []graph.Edge) []byte {
 	return buf
 }
 
+// abortCount in a batch's count field marks a sender that found an invalid
+// edge in its shard and ships nothing; the receiver fails with
+// errSenderAborted.
+const abortCount = math.MaxUint32
+
+var errSenderAborted = errors.New("sender aborted: its shard holds an invalid edge")
+
 func decodeEdges(payload []byte) ([]graph.Edge, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("short edge batch")
 	}
-	n := int(binary.LittleEndian.Uint32(payload))
+	count := binary.LittleEndian.Uint32(payload)
+	if count == abortCount && len(payload) == 4 {
+		return nil, errSenderAborted
+	}
+	n := int(count)
 	if len(payload) != 4+n*edgeWire {
 		return nil, fmt.Errorf("edge batch: %d bytes for %d edges", len(payload), n)
 	}

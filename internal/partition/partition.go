@@ -2,12 +2,14 @@ package partition
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"gluon/internal/bitset"
 	"gluon/internal/graph"
+	"gluon/internal/par"
 )
 
 // Partition is one host's view of the partitioned graph: invariant (b) of
@@ -21,7 +23,9 @@ type Partition struct {
 	// Graph is the local out-CSR over local IDs. Local IDs number masters
 	// first ([0, NumMasters)) then mirrors, each group sorted by global ID.
 	Graph *graph.CSR
-	// GIDs maps local ID → global ID.
+	// GIDs maps local ID → global ID. The masters are exactly the host's
+	// owned range Policy.Bounds()[HostID:HostID+2] in order, and the mirrors
+	// ascend strictly, so translation back (LID) needs no table.
 	GIDs []uint64
 	// NumMasters is the count of master proxies; lid < NumMasters ⇔ master.
 	NumMasters uint32
@@ -35,16 +39,21 @@ type Partition struct {
 	// GlobalNodes is the node count of the original graph.
 	GlobalNodes uint64
 
-	lidMap map[uint64]uint32
-
 	inGraphOnce sync.Once
 	inGraph     *graph.CSR
 }
 
-// LID translates a global ID to this host's local ID.
+// LID translates a global ID to this host's local ID: offset arithmetic in
+// the owned range for masters, a binary search of the sorted mirror GIDs
+// otherwise.
 func (p *Partition) LID(gid uint64) (uint32, bool) {
-	lid, ok := p.lidMap[gid]
-	return lid, ok
+	if p.NumMasters > 0 {
+		if d := gid - p.GIDs[0]; d < uint64(p.NumMasters) {
+			return uint32(d), true
+		}
+	}
+	i, ok := slices.BinarySearch(p.GIDs[p.NumMasters:], gid)
+	return p.NumMasters + uint32(i), ok
 }
 
 // GID translates a local ID to the global ID.
@@ -63,20 +72,27 @@ func (p *Partition) InGraph() *graph.CSR {
 	return p.inGraph
 }
 
+// MirrorRange returns the local-ID range [lo, hi) of this host's mirrors
+// whose master is on owner. Mirrors ascend by GID and owner's nodes are one
+// contiguous GID range, so they are contiguous here: two searches find them.
+func (p *Partition) MirrorRange(owner int) (lo, hi uint32) {
+	b := p.Policy.Bounds()
+	mirrors := p.GIDs[p.NumMasters:]
+	first, _ := slices.BinarySearch(mirrors, b[owner])
+	n, _ := slices.BinarySearch(mirrors[first:], b[owner+1])
+	lo = p.NumMasters + uint32(first)
+	return lo, lo + uint32(n)
+}
+
 // MirrorGIDsByOwner groups this host's mirror global IDs by their master's
 // host, each group sorted ascending. This is the "mirrors" array each host
-// sends during Gluon's memoization exchange (§4.1).
+// sends during Gluon's memoization exchange (§4.1). The groups alias GIDs;
+// callers must not modify them.
 func (p *Partition) MirrorGIDsByOwner() [][]uint64 {
 	out := make([][]uint64, p.NumHosts)
-	for lid := p.NumMasters; lid < p.NumProxies(); lid++ {
-		g := p.GIDs[lid]
-		h := p.Policy.Owner(g)
-		out[h] = append(out[h], g)
-	}
-	// Mirrors are already sorted by GID within the local ID order, but be
-	// explicit: the wire order is part of the memoization contract.
-	for _, s := range out {
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
+	for h := range out {
+		lo, hi := p.MirrorRange(h)
+		out[h] = p.GIDs[lo:hi:hi]
 	}
 	return out
 }
@@ -127,198 +143,270 @@ func ComputeStats(parts []*Partition) Stats {
 	return s
 }
 
+// EdgeRangeError reports an edge with an endpoint outside [0, NumNodes).
+// Index is the edge's position in the list handed to PartitionAll (or in
+// the shard handed to Distribute).
+type EdgeRangeError struct {
+	Index    int
+	Src, Dst uint64
+	NumNodes uint64
+}
+
+func (e *EdgeRangeError) Error() string {
+	return fmt.Sprintf("partition: edge %d (%d→%d) has an endpoint outside the %d-node graph",
+		e.Index, e.Src, e.Dst, e.NumNodes)
+}
+
 // PartitionAll partitions the edge list for every host of the policy and
 // builds all local partitions. numNodes is the global node count (IDs in
-// [0, numNodes)). Every node gets a master proxy on its owner host even if
-// no edge assigned there mentions it, so isolated nodes and remote-only
-// nodes still have a canonical location.
+// [0, numNodes)); an edge outside that range yields an *EdgeRangeError.
+// Every node gets a master proxy on its owner host even if no edge assigned
+// there mentions it, so isolated nodes and remote-only nodes still have a
+// canonical location.
 func PartitionAll(numNodes uint64, edges []graph.Edge, pol Policy) ([]*Partition, error) {
-	hosts := pol.NumHosts()
-	buckets, err := bucketEdges(edges, pol)
+	hosts := make([]int, pol.NumHosts())
+	for h := range hosts {
+		hosts[h] = h
+	}
+	r, err := routeEdges(numNodes, edges, pol, hosts, pol.EdgeHost)
 	if err != nil {
 		return nil, err
 	}
-	// Decide weightedness globally so every host builds the same schema.
-	weighted := hasAnyWeight(edges)
-	parts := make([]*Partition, hosts)
-	var wg sync.WaitGroup
-	errs := make([]error, hosts)
-	for h := 0; h < hosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			parts[h], errs[h] = buildLocal(h, numNodes, buckets[h], pol, weighted)
-		}(h)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
-}
-
-// bucketEdges routes every edge to its assigned host's bucket, in parallel
-// over edge chunks with per-worker sub-buckets merged at the end.
-func bucketEdges(edges []graph.Edge, pol Policy) ([][]graph.Edge, error) {
-	hosts := pol.NumHosts()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(edges)/1024+1 {
-		workers = len(edges)/1024 + 1
-	}
-	sub := make([][][]graph.Edge, workers)
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			mine := make([][]graph.Edge, hosts)
-			for _, e := range edges[lo:hi] {
-				h := pol.EdgeHost(e.Src, e.Dst)
-				mine[h] = append(mine[h], e)
-			}
-			sub[w] = mine
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	buckets := make([][]graph.Edge, hosts)
-	for h := 0; h < hosts; h++ {
-		var total int
-		for w := range sub {
-			if sub[w] != nil {
-				total += len(sub[w][h])
-			}
-		}
-		buckets[h] = make([]graph.Edge, 0, total)
-		for w := range sub {
-			if sub[w] != nil {
-				buckets[h] = append(buckets[h], sub[w][h]...)
-			}
-		}
-	}
-	return buckets, nil
+	// Weightedness is decided globally so every host builds the same schema.
+	return r.build(edges, r.anyWeight)
 }
 
 // buildLocal constructs host h's Partition from the edges assigned to it.
 func buildLocal(h int, numNodes uint64, edges []graph.Edge, pol Policy, weighted bool) (*Partition, error) {
-	// Masters: every node this host owns. With chunked owners this is a
-	// contiguous global-ID range, but we only rely on Owner().
-	var masters []uint64
-	lo, hi := ownedRange(numNodes, pol, h)
-	for g := lo; g < hi; g++ {
-		if pol.Owner(g) == h {
-			masters = append(masters, g)
-		}
+	r, err := routeEdges(numNodes, edges, pol, []int{h}, func(_, _ uint64) int { return h })
+	if err != nil {
+		return nil, err
 	}
-	// Mirrors: endpoints of local edges owned elsewhere.
-	mirrorSet := make(map[uint64]struct{})
-	for _, e := range edges {
-		if pol.Owner(e.Src) != h {
-			mirrorSet[e.Src] = struct{}{}
-		}
-		if pol.Owner(e.Dst) != h {
-			mirrorSet[e.Dst] = struct{}{}
-		}
+	parts, err := r.build(edges, weighted)
+	if err != nil {
+		return nil, err
 	}
-	mirrors := make([]uint64, 0, len(mirrorSet))
-	for g := range mirrorSet {
-		mirrors = append(mirrors, g)
-	}
-	sort.Slice(mirrors, func(a, b int) bool { return mirrors[a] < mirrors[b] })
+	return parts[h], nil
+}
 
-	numProxies := uint64(len(masters) + len(mirrors))
-	if numProxies > 1<<32-1 {
-		return nil, fmt.Errorf("partition: host %d has %d proxies, exceeding 32-bit local IDs", h, numProxies)
+// routing is the state between the two passes of partition construction:
+// count → prefix scan → scatter, so every edge is written exactly once into
+// exactly-sized storage and no hash map or growing slice is involved.
+type routing struct {
+	numNodes uint64
+	pol      Policy
+	hosts    []int        // the partitions being built
+	tables   []proxyTable // by host; only the entries named in hosts are live
+	hostOf   []uint16     // hostOf[i] is edge i's host, computed once in pass 1
+	workers  int
+	// cursor[w*NumHosts+h] is where worker w's first edge for host h lands
+	// in the host-major scatter array; start[h] is where host h's edges
+	// begin in it. Worker chunks are laid out in worker order, so each
+	// host's edges keep the order of the global edge list.
+	cursor    []int
+	start     []int
+	anyWeight bool // some edge carries a non-zero weight
+}
+
+// routeEdges is pass 1, parallel over chunks of the edge list: validate the
+// endpoints, ask assign for the edge's host once, count edges per (worker,
+// host), mark non-owned endpoints as mirrors of that host, and note whether
+// any edge carries a weight. The closing prefix scan fixes every worker's
+// write cursor for pass 2.
+func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy, hosts []int, assign func(src, dst uint64) int) (*routing, error) {
+	nh := pol.NumHosts()
+	r := &routing{
+		numNodes: numNodes,
+		pol:      pol,
+		hosts:    hosts,
+		tables:   make([]proxyTable, nh),
+		hostOf:   make([]uint16, len(edges)),
+		workers:  min(par.DefaultWorkers(), len(edges)/1024+1),
+		start:    make([]int, nh+1),
 	}
-	gids := make([]uint64, 0, numProxies)
-	gids = append(gids, masters...)
-	gids = append(gids, mirrors...)
-	lidMap := make(map[uint64]uint32, len(gids))
-	for lid, g := range gids {
-		lidMap[g] = uint32(lid)
+	r.cursor = make([]int, r.workers*nh) // per-(worker, host) counts until the scan
+	bounds := pol.Bounds()
+	words := int((numNodes + 63) / 64)
+	slab := make([]uint64, len(hosts)*words)
+	for i, h := range hosts {
+		r.tables[h] = proxyTable{lo: bounds[h], masters: bounds[h+1] - bounds[h], mirror: slab[i*words : (i+1)*words]}
+	}
+	weights := make([]bool, r.workers)
+	hostOf, tables := r.hostOf, r.tables
+	err := par.RangeWorkers(len(edges), r.workers, func(w, lo, hi int) error {
+		mine := make([]int, nh) // private until the end: no false sharing per edge
+		var weighted bool
+		for i := lo; i < hi; i++ {
+			e := edges[i]
+			if e.Src >= numNodes || e.Dst >= numNodes {
+				return &EdgeRangeError{Index: i, Src: e.Src, Dst: e.Dst, NumNodes: numNodes}
+			}
+			h := assign(e.Src, e.Dst)
+			hostOf[i] = uint16(h)
+			mine[h]++
+			t := &tables[h]
+			t.mark(e.Src)
+			t.mark(e.Dst)
+			weighted = weighted || e.Weight != 0
+		}
+		copy(r.cursor[w*nh:], mine)
+		weights[w] = weighted
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pos := 0
+	for h := 0; h < nh; h++ {
+		r.start[h] = pos
+		for w := 0; w < r.workers; w++ {
+			pos, r.cursor[w*nh+h] = pos+r.cursor[w*nh+h], pos
+		}
+	}
+	r.start[nh] = pos
+	for _, w := range weights {
+		r.anyWeight = r.anyWeight || w
+	}
+	return r, nil
+}
+
+// build is pass 2 and the per-host finish: number every host's proxies,
+// scatter the edges — already translated to local IDs — to their host's
+// region of one exactly-sized array, then assemble each host's CSR and
+// structural flags. All scratch (host array, proxy tables, local edges) is
+// garbage on return. The result is indexed by host; hosts not being built
+// stay nil.
+func (r *routing) build(edges []graph.Edge, weighted bool) ([]*Partition, error) {
+	nh := r.pol.NumHosts()
+	parts := make([]*Partition, nh)
+	for _, h := range r.hosts {
+		parts[h] = &Partition{HostID: h, NumHosts: nh, Policy: r.pol, GlobalNodes: r.numNodes}
+	}
+	err := par.RangeWorkers(len(r.hosts), 0, func(_, lo, hi int) error {
+		for _, h := range r.hosts[lo:hi] {
+			gids, err := r.tables[h].seal()
+			if err != nil {
+				return fmt.Errorf("partition: host %d: %w", h, err)
+			}
+			parts[h].GIDs = gids
+			parts[h].NumMasters = uint32(r.tables[h].masters)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	local := make([]graph.LocalEdge, len(edges))
-	hasOut := bitset.New(uint32(numProxies))
-	hasIn := bitset.New(uint32(numProxies))
-	for i, e := range edges {
-		s, ok := lidMap[e.Src]
-		if !ok {
-			return nil, fmt.Errorf("partition: host %d: no proxy for source %d", h, e.Src)
+	hostOf, tables := r.hostOf, r.tables
+	_ = par.RangeWorkers(len(edges), r.workers, func(w, lo, hi int) error { // same chunks as pass 1; cannot fail
+		cursor := make([]int, nh)
+		copy(cursor, r.cursor[w*nh:])
+		for i := lo; i < hi; i++ {
+			e := edges[i]
+			h := hostOf[i]
+			t := &tables[h]
+			local[cursor[h]] = graph.LocalEdge{Src: t.lid(e.Src), Dst: t.lid(e.Dst), Weight: e.Weight}
+			cursor[h]++
 		}
-		d, ok := lidMap[e.Dst]
-		if !ok {
-			return nil, fmt.Errorf("partition: host %d: no proxy for destination %d", h, e.Dst)
+		return nil
+	})
+
+	par.For(len(r.hosts), 0, func(i int) {
+		p := parts[r.hosts[i]]
+		p.Graph = graph.Build(p.NumProxies(), local[r.start[p.HostID]:r.start[p.HostID+1]], weighted)
+		p.HasOut, p.HasIn = structuralFlags(p.Graph)
+	})
+	return parts, nil
+}
+
+// proxyTable discovers one host's proxies while its edges are routed and
+// then translates their endpoints. Masters are the owned range
+// [lo, lo+masters), so lid = gid − lo; mirrors are marked in a bitset over
+// global IDs (GlobalNodes/8 bytes per host being built, freed with the
+// table) and numbered by ascending GID after the masters, so a mirror's lid
+// is masters plus its rank in the bitset.
+type proxyTable struct {
+	lo, masters uint64
+	mirror      []uint64 // bit g set ⇔ g is a mirror here
+	rank        []uint32 // rank[w] = mirrors in words before w; set by seal
+}
+
+// mark records gid as a proxy of this host. Safe for concurrent use: pass 1
+// workers share the table. Most endpoints are masters or already marked, so
+// the common case is one load.
+func (t *proxyTable) mark(gid uint64) {
+	if gid-t.lo < t.masters {
+		return
+	}
+	word, bit := &t.mirror[gid/64], uint64(1)<<(gid%64)
+	for {
+		old := atomic.LoadUint64(word)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(word, old, old|bit) {
+			return
 		}
-		local[i] = graph.LocalEdge{Src: s, Dst: d, Weight: e.Weight}
-		hasOut.SetUnsync(s)
+	}
+}
+
+// seal ends discovery: it fixes the local-ID numbering and returns the
+// local→global vector (masters in GID order, then mirrors in GID order).
+func (t *proxyTable) seal() ([]uint64, error) {
+	t.rank = make([]uint32, len(t.mirror))
+	var mirrors uint64
+	for w, word := range t.mirror {
+		t.rank[w] = uint32(mirrors)
+		mirrors += uint64(bits.OnesCount64(word))
+	}
+	if t.masters+mirrors > 1<<32-1 {
+		return nil, fmt.Errorf("%d proxies exceed 32-bit local IDs", t.masters+mirrors)
+	}
+	gids := make([]uint64, t.masters+mirrors)
+	for i := range gids[:t.masters] {
+		gids[i] = t.lo + uint64(i)
+	}
+	next := gids[t.masters:]
+	for w, word := range t.mirror {
+		for ; word != 0; word &= word - 1 {
+			next[0] = uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+			next = next[1:]
+		}
+	}
+	return gids, nil
+}
+
+// lid translates a marked global ID after seal.
+func (t *proxyTable) lid(gid uint64) uint32 {
+	if d := gid - t.lo; d < t.masters {
+		return uint32(d)
+	}
+	w := gid / 64
+	return uint32(t.masters) + t.rank[w] + uint32(bits.OnesCount64(t.mirror[w]&(1<<(gid%64)-1)))
+}
+
+// structuralFlags derives the §3.2 per-proxy flags from a local graph.
+func structuralFlags(g *graph.CSR) (hasOut, hasIn *bitset.Bitset) {
+	n := g.NumNodes()
+	hasOut, hasIn = bitset.New(n), bitset.New(n)
+	for u := uint32(0); u < n; u++ {
+		if g.OutDegree(u) > 0 {
+			hasOut.SetUnsync(u)
+		}
+	}
+	for _, d := range g.Dst {
 		hasIn.SetUnsync(d)
 	}
-	g := graph.Build(uint32(numProxies), local, weighted)
-
-	return &Partition{
-		HostID:      h,
-		NumHosts:    pol.NumHosts(),
-		Policy:      pol,
-		Graph:       g,
-		GIDs:        gids,
-		NumMasters:  uint32(len(masters)),
-		HasOut:      hasOut,
-		HasIn:       hasIn,
-		GlobalNodes: numNodes,
-		lidMap:      lidMap,
-	}, nil
-}
-
-// ownedRange returns a conservative [lo, hi) global-ID range containing all
-// nodes host h owns. Block owners make this a tight range; the fallback is
-// the full ID space.
-func ownedRange(numNodes uint64, pol Policy, h int) (uint64, uint64) {
-	if b, ok := Bounds(pol); ok {
-		return b[h], b[h+1]
-	}
-	return 0, numNodes
-}
-
-type boundsProvider interface{ ownerBounds() []uint64 }
-
-func (b *base) ownerBounds() []uint64 { return b.own.bounds }
-
-// Bounds extracts the chunk boundaries of a chunk-based policy's node
-// owner map (bounds[h]..bounds[h+1] is host h's owned ID range). The
-// second result is false for policies without chunked owners.
-func Bounds(pol Policy) ([]uint64, bool) {
-	if bp, ok := pol.(boundsProvider); ok {
-		return bp.ownerBounds(), true
-	}
-	if fp, ok := pol.(*frozenPolicy); ok {
-		return fp.own.bounds, true
-	}
-	return nil, false
+	return hasOut, hasIn
 }
 
 // frozenPolicy is a policy reconstructed from serialized chunk bounds: it
-// answers Owner queries (all a loaded partition needs) but cannot assign
-// new edges.
+// answers Owner and Bounds queries (all a loaded partition needs) but
+// cannot assign new edges.
 type frozenPolicy struct {
-	name  string
-	hosts int
-	own   blockOwner
+	base
+	name string
 }
 
-func (p *frozenPolicy) Name() string         { return p.name }
-func (p *frozenPolicy) NumHosts() int        { return p.hosts }
-func (p *frozenPolicy) Owner(gid uint64) int { return p.own.owner(gid) }
+func (p *frozenPolicy) Name() string { return p.name }
 
 // EdgeHost panics: frozen policies describe an existing partitioning; use
 // NewPolicy to partition fresh edges.
@@ -328,39 +416,51 @@ func (p *frozenPolicy) EdgeHost(src, dst uint64) int {
 
 // Frozen reconstructs a Policy from a serialized name and chunk bounds.
 func Frozen(name string, bounds []uint64) (Policy, error) {
-	if len(bounds) < 2 {
-		return nil, fmt.Errorf("partition: frozen policy needs at least 2 bounds, got %d", len(bounds))
+	if len(bounds) < 2 || len(bounds)-1 > maxHosts {
+		return nil, fmt.Errorf("partition: frozen policy needs 2 to %d bounds, got %d", maxHosts+1, len(bounds))
 	}
-	return &frozenPolicy{name: name, hosts: len(bounds) - 1, own: blockOwner{bounds: bounds}}, nil
+	for h := 1; h < len(bounds); h++ {
+		if bounds[h] < bounds[h-1] {
+			return nil, fmt.Errorf("partition: frozen policy bounds decrease at host %d", h-1)
+		}
+	}
+	return &frozenPolicy{base: base{own: blockOwner{bounds: bounds}, hosts: len(bounds) - 1}, name: name}, nil
 }
 
-// Reassemble rebuilds a Partition from its serialized parts, recomputing
-// the global→local map and the structural flags from the local graph.
+// Reassemble rebuilds a Partition from its serialized parts, checking the
+// local-ID layout LID relies on — masters are exactly the owned range in
+// GID order, mirrors follow strictly ascending — and recomputing the
+// structural flags from the local graph.
 func Reassemble(hostID int, pol Policy, g *graph.CSR, gids []uint64, numMasters uint32, globalNodes uint64) (*Partition, error) {
+	if hostID < 0 || hostID >= pol.NumHosts() {
+		return nil, fmt.Errorf("partition: host %d of %d", hostID, pol.NumHosts())
+	}
 	if uint32(len(gids)) != g.NumNodes() {
 		return nil, fmt.Errorf("partition: %d GIDs for %d local nodes", len(gids), g.NumNodes())
 	}
 	if numMasters > uint32(len(gids)) {
 		return nil, fmt.Errorf("partition: %d masters among %d proxies", numMasters, len(gids))
 	}
-	lidMap := make(map[uint64]uint32, len(gids))
-	for lid, gid := range gids {
-		if _, dup := lidMap[gid]; dup {
-			return nil, fmt.Errorf("partition: duplicate GID %d", gid)
-		}
-		lidMap[gid] = uint32(lid)
+	lo, hi := pol.Bounds()[hostID], pol.Bounds()[hostID+1]
+	if uint64(numMasters) != hi-lo {
+		return nil, fmt.Errorf("partition: %d masters for owned range [%d, %d)", numMasters, lo, hi)
 	}
-	n := uint32(len(gids))
-	hasOut := bitset.New(n)
-	hasIn := bitset.New(n)
-	for u := uint32(0); u < n; u++ {
-		if g.OutDegree(u) > 0 {
-			hasOut.SetUnsync(u)
+	for lid, gid := range gids[:numMasters] {
+		if gid != lo+uint64(lid) {
+			return nil, fmt.Errorf("partition: master %d is GID %d, want %d", lid, gid, lo+uint64(lid))
 		}
 	}
-	for _, d := range g.Dst {
-		hasIn.SetUnsync(d)
+	for i, gid := range gids[numMasters:] {
+		switch {
+		case i > 0 && gid <= gids[int(numMasters)+i-1]:
+			return nil, fmt.Errorf("partition: unsorted or duplicate mirror GID %d", gid)
+		case gid-lo < hi-lo:
+			return nil, fmt.Errorf("partition: mirror GID %d is owned by this host", gid)
+		case gid >= globalNodes:
+			return nil, fmt.Errorf("partition: mirror GID %d outside the %d-node graph", gid, globalNodes)
+		}
 	}
+	hasOut, hasIn := structuralFlags(g)
 	return &Partition{
 		HostID:      hostID,
 		NumHosts:    pol.NumHosts(),
@@ -371,15 +471,5 @@ func Reassemble(hostID int, pol Policy, g *graph.CSR, gids []uint64, numMasters 
 		HasOut:      hasOut,
 		HasIn:       hasIn,
 		GlobalNodes: globalNodes,
-		lidMap:      lidMap,
 	}, nil
-}
-
-func hasAnyWeight(edges []graph.Edge) bool {
-	for _, e := range edges {
-		if e.Weight != 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 
+	"gluon/internal/comm"
 	"gluon/internal/generate"
 	"gluon/internal/graph"
 )
@@ -155,28 +157,141 @@ func TestStructuralInvariants(t *testing.T) {
 	}
 }
 
+// checkTranslation: LID and GID are inverse on every proxy, and LID misses
+// every global ID without a proxy here, in or beyond the graph.
+func checkTranslation(t testing.TB, p *Partition) {
+	t.Helper()
+	present := make(map[uint64]uint32, len(p.GIDs))
+	for lid := uint32(0); lid < p.NumProxies(); lid++ {
+		back, ok := p.LID(p.GID(lid))
+		if !ok || back != lid {
+			t.Fatalf("host %d: LID(GID(%d)) = %d, %v", p.HostID, lid, back, ok)
+		}
+		if p.IsMaster(lid) != (lid < p.NumMasters) {
+			t.Fatalf("host %d: IsMaster(%d) inconsistent", p.HostID, lid)
+		}
+		present[p.GID(lid)] = lid
+	}
+	for gid := uint64(0); gid < p.GlobalNodes+70; gid++ {
+		if _, has := present[gid]; has {
+			continue
+		}
+		if lid, ok := p.LID(gid); ok {
+			t.Fatalf("host %d: LID(%d) = %d for a GID with no proxy", p.HostID, gid, lid)
+		}
+	}
+	for _, gid := range []uint64{1 << 32, 1<<63 + 5, ^uint64(0)} {
+		if lid, ok := p.LID(gid); ok {
+			t.Fatalf("host %d: LID(%d) = %d beyond the graph", p.HostID, gid, lid)
+		}
+	}
+}
+
 // TestLocalIDLayout: masters occupy [0, NumMasters) and LID/GID are
-// inverse bijections.
+// inverse bijections under every policy, including hosts with an empty
+// owned range or no mirrors.
 func TestLocalIDLayout(t *testing.T) {
 	numNodes, edges, g := genEdges(t, 8)
 	opt := options(g, numNodes)
-	pol, err := NewPolicy(CVC, numNodes, 4, opt)
+	for _, kind := range AllKinds() {
+		for _, hosts := range []int{1, 4, 7} {
+			pol, err := NewPolicy(kind, numNodes, hosts, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := PartitionAll(numNodes, edges, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range parts {
+				checkTranslation(t, p)
+			}
+		}
+	}
+	// A star under degree-balanced OEC: host 0 owns only the hub, later
+	// hosts own empty ranges.
+	star := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 0, Dst: 5}}
+	pol, err := NewPolicy(OEC, 6, 3, Options{OutDegrees: []uint32{4, 0, 0, 0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := PartitionAll(numNodes, edges, pol)
+	parts, err := PartitionAll(6, star, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		for lid := uint32(0); lid < p.NumProxies(); lid++ {
-			back, ok := p.LID(p.GID(lid))
-			if !ok || back != lid {
-				t.Fatalf("LID(GID(%d)) = %d, %v", lid, back, ok)
+		checkTranslation(t, p)
+	}
+}
+
+// FuzzLID: for arbitrary edge lists, policies and probes, LID agrees with a
+// linear scan of GIDs.
+func FuzzLID(f *testing.F) {
+	f.Add(uint64(7), uint8(0), uint8(3), uint64(12))
+	f.Add(uint64(1), uint8(2), uint8(4), uint64(0))
+	f.Add(uint64(99), uint8(3), uint8(8), uint64(1<<40))
+	f.Fuzz(func(t *testing.T, seed uint64, kind, hosts uint8, probe uint64) {
+		cfg := generate.Config{Kind: "random", Scale: 6, EdgeFactor: 2, Seed: seed}
+		edges, err := generate.Edges(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]uint32, cfg.NumNodes())
+		for _, e := range edges {
+			in[e.Dst]++
+		}
+		pol, err := NewPolicy(AllKinds()[int(kind)%4], cfg.NumNodes(), int(hosts)%8+1, Options{InDegrees: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := PartitionAll(cfg.NumNodes(), edges, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			want, found := uint32(0), false
+			for lid, gid := range p.GIDs {
+				if gid == probe%(2*cfg.NumNodes()) {
+					want, found = uint32(lid), true
+				}
 			}
-			if p.IsMaster(lid) != (lid < p.NumMasters) {
-				t.Fatalf("IsMaster(%d) inconsistent", lid)
+			got, ok := p.LID(probe % (2 * cfg.NumNodes()))
+			if ok != found || (ok && got != want) {
+				t.Fatalf("host %d: LID(%d) = %d,%v; scan says %d,%v", p.HostID, probe, got, ok, want, found)
 			}
+			if _, ok := p.LID(probe | 1<<50); ok {
+				t.Fatalf("host %d: LID hit beyond the graph", p.HostID)
+			}
+		}
+	})
+}
+
+// TestEdgeRangeError: an endpoint outside [0, numNodes) is a typed error
+// from PartitionAll and from Distribute — not a panic in a worker goroutine
+// (source) or a mirror owned by a host that does not exist (destination).
+func TestEdgeRangeError(t *testing.T) {
+	pol, err := NewPolicy(OEC, 8, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []graph.Edge{{Src: 9, Dst: 1}, {Src: 1, Dst: 9}} {
+		edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 6, Dst: 2}, bad, {Src: 11, Dst: 11}}
+		want := EdgeRangeError{Index: 2, Src: bad.Src, Dst: bad.Dst, NumNodes: 8}
+
+		_, err := PartitionAll(8, edges, pol)
+		var rangeErr *EdgeRangeError
+		if !errors.As(err, &rangeErr) || *rangeErr != want {
+			t.Fatalf("PartitionAll(%v): error %v, want %v", bad, err, &want)
+		}
+
+		// DistributeAll shards contiguously: the bad edge is host 1's
+		// first. Host 0 must fail too (abort marker), not hang.
+		hub := comm.NewHub(2)
+		_, err = DistributeAll(8, edges, pol, hub, false)
+		hub.Close()
+		want.Index = 0
+		if !errors.As(err, &rangeErr) || *rangeErr != want {
+			t.Fatalf("DistributeAll(%v): error %v, want %v", bad, err, &want)
 		}
 	}
 }

@@ -18,7 +18,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Policy assigns nodes (masters) and edges to hosts.
@@ -29,6 +28,12 @@ type Policy interface {
 	NumHosts() int
 	// Owner returns the host owning the master proxy of gid.
 	Owner(gid uint64) int
+	// Bounds returns the NumHosts()+1 chunk boundaries of the node-owner
+	// map: host h owns exactly the contiguous global-ID range
+	// [Bounds()[h], Bounds()[h+1]). Contiguous ownership is part of the
+	// contract — local-ID layout, GID→LID translation and memoization are
+	// range arithmetic over these bounds. Callers must not modify the slice.
+	Bounds() []uint64
 	// EdgeHost returns the host an edge is assigned to.
 	EdgeHost(src, dst uint64) int
 }
@@ -43,6 +48,10 @@ const (
 	CVC Kind = "cvc"
 	HVC Kind = "hvc"
 )
+
+// maxHosts bounds a policy's host count: edge routing records each edge's
+// host in 16 bits.
+const maxHosts = 1 << 16
 
 // AllKinds lists every supported strategy.
 func AllKinds() []Kind { return []Kind{OEC, IEC, CVC, HVC} }
@@ -88,9 +97,19 @@ func newDegreeBalancedOwner(degrees []uint32, hosts int) blockOwner {
 	return blockOwner{bounds: b}
 }
 
+// owner binary-searches the chunk containing gid: the first host whose
+// upper bound exceeds it.
 func (o blockOwner) owner(gid uint64) int {
-	// Binary search the chunk containing gid.
-	return sort.Search(len(o.bounds)-1, func(h int) bool { return o.bounds[h+1] > gid })
+	lo, hi := 0, len(o.bounds)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.bounds[mid+1] > gid {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // oecPolicy assigns each edge to its source's owner.
@@ -113,6 +132,7 @@ type base struct {
 
 func (b *base) NumHosts() int        { return b.hosts }
 func (b *base) Owner(gid uint64) int { return b.own.owner(gid) }
+func (b *base) Bounds() []uint64     { return b.own.bounds }
 
 // cvcPolicy is the Cartesian vertex-cut: hosts form an R×C grid
 // (host h sits at row h/C, column h%C); edge (u,v) goes to the host at
@@ -178,8 +198,8 @@ type Options struct {
 
 // NewPolicy constructs the named policy for a graph of numNodes nodes.
 func NewPolicy(kind Kind, numNodes uint64, hosts int, opt Options) (Policy, error) {
-	if hosts < 1 {
-		return nil, fmt.Errorf("partition: need at least 1 host, got %d", hosts)
+	if hosts < 1 || hosts > maxHosts {
+		return nil, fmt.Errorf("partition: need 1 to %d hosts, got %d", maxHosts, hosts)
 	}
 	nodeOwner := func(deg []uint32) blockOwner {
 		if deg != nil {
