@@ -47,12 +47,10 @@ func main() {
 		syncRecord = flag.Bool("sync-record", false, "run the sync hot-path microbenchmark and append it to the -perfdb history without writing a report file, then exit")
 		perfDB     = flag.String("perfdb", "", "append sync measurements to this perfdb history file (JSONL; \"\" disables recording)")
 
-		syncGuard     = flag.String("sync-guard", "", "compare the sync hot path (tracing disabled) against this baseline JSON and exit non-zero on regression")
-		guardTol      = flag.Float64("guard-tol", 0.10, "fractional tolerance for -sync-guard before noise widening (allocs/op may never regress)")
-		guardMode     = flag.String("guard-mode", "ratio", "sync-guard comparison: \"ratio\" (opt/unopt, machine-independent) or \"abs\" (absolute ns/op, same machine only)")
-		forceBaseline = flag.Bool("force-baseline", false, "gate absolute ns/op against a baseline pinned on a different machine anyway")
-		syncTiers     = flag.String("sync-tiers", "", "with -sync-json/-sync-record: measure only these comma-separated encodings (default: all)")
-		syncHosts     = flag.String("sync-hosts", "2,8", "with -sync-json/-sync-record: comma-separated host counts to measure")
+		syncGuard = flag.String("sync-guard", "", "compare the sync hot path (tracing disabled) against this baseline JSON and exit non-zero on regression")
+		guardTol  = flag.Float64("guard-tol", 0.10, "fractional tolerance for -sync-guard before noise widening (allocs/op may never regress)")
+		syncTiers = flag.String("sync-tiers", "", "with -sync-json/-sync-record: measure only these comma-separated encodings (default: all)")
+		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-json/-sync-record: comma-separated host counts to measure")
 
 		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON; .jsonl suffix = JSONL)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters as JSON over HTTP at this address")
@@ -87,12 +85,7 @@ func main() {
 	}
 
 	if *syncGuard != "" {
-		mode := bench.GuardMode(*guardMode)
-		if mode != bench.GuardRatio && mode != bench.GuardAbs {
-			fatal(fmt.Errorf("unknown -guard-mode %q (want ratio or abs)", *guardMode))
-		}
-		opts := bench.GuardOptions{Mode: mode, ForceBaseline: *forceBaseline, PerfDB: *perfDB}
-		if err := bench.GuardSyncBench(os.Stdout, p, *syncGuard, *guardTol, opts); err != nil {
+		if err := bench.GuardSyncBench(os.Stdout, p, *syncGuard, *guardTol, *perfDB); err != nil {
 			fatal(err)
 		}
 		fmt.Println("sync hot path within tolerance of baseline ✓")

@@ -188,11 +188,9 @@ func main() {
 	switch *compress {
 	case "off":
 	case "static":
-		opt.Compress = true
-		opt.CompressThreshold = 512
+		opt.Compress = gluon.CompressAbove(512)
 	case "adaptive":
-		opt.Compress = true
-		opt.CompressPolicy = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
+		opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
 	default:
 		fatal(fmt.Errorf("unknown -compress mode %q (off | static | adaptive)", *compress))
 	}

@@ -96,8 +96,8 @@ func New(source uint64, workers int) dsys.ProgramFactory {
 			// them and refuse stale claims.
 			Write:     gluon.AtDestination,
 			Read:      gluon.Anywhere,
-			Reduce:    fields.MinU32{Labels: prog.level},
-			Broadcast: fields.SetU32{Labels: prog.level},
+			Reduce:    fields.Min[uint32](prog.level),
+			Broadcast: fields.Set[uint32](prog.level),
 		}
 		prog.sigmaField = gluon.Field[float64]{
 			ID:        FieldIDSigma,

@@ -39,8 +39,8 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, source uint64) *common {
 		Name:      "bfs-dist",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Reduce:    fields.MinU32{Labels: c.dist},
-		Broadcast: fields.SetU32{Labels: c.dist},
+		Reduce:    fields.Min[uint32](c.dist),
+		Broadcast: fields.Set[uint32](c.dist),
 	}
 	return c
 }
@@ -184,8 +184,8 @@ func NewIrGL(source uint64, workers int) dsys.ProgramFactory {
 		// provide the bulk extract variant and account every host/device
 		// staging copy.
 		prog.dist = prog.dbuf.Data()
-		prog.field.Reduce = irgl.MinU32Buf{B: prog.dbuf}
-		prog.field.Broadcast = irgl.SetU32Buf{B: prog.dbuf}
+		prog.field.Reduce = irgl.MinBuf(prog.dbuf)
+		prog.field.Broadcast = irgl.SetBuf(prog.dbuf)
 		return prog, nil
 	}
 }

@@ -43,8 +43,8 @@ func newCommon(p *partition.Partition, g *gluon.Gluon) (*common, error) {
 		Name:      "cc-comp",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Reduce:    fields.MinU32{Labels: c.comp},
-		Broadcast: fields.SetU32{Labels: c.comp},
+		Reduce:    fields.Min[uint32](c.comp),
+		Broadcast: fields.Set[uint32](c.comp),
 	}
 	return c, nil
 }
@@ -176,8 +176,8 @@ func NewIrGL(workers int) dsys.ProgramFactory {
 		prog := &irglProgram{common: c, dev: dev}
 		prog.dbuf = irgl.NewBuffer[uint32](dev, p.NumProxies())
 		prog.comp = prog.dbuf.Data()
-		prog.field.Reduce = irgl.MinU32Buf{B: prog.dbuf}
-		prog.field.Broadcast = irgl.SetU32Buf{B: prog.dbuf}
+		prog.field.Reduce = irgl.MinBuf(prog.dbuf)
+		prog.field.Broadcast = irgl.SetBuf(prog.dbuf)
 		return prog, nil
 	}
 }

@@ -62,22 +62,22 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, k uint64) *common {
 		Name:   "kcore-trims",
 		Write:  gluon.AtDestination,
 		Read:   gluon.AtDestination,
-		Reduce: fields.SumU64{Vals: c.trims},
+		Reduce: fields.Sum[uint64](c.trims),
 	}
 	c.deadField = gluon.Field[uint32]{
 		ID:        FieldIDDead,
 		Name:      "kcore-dead",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Broadcast: fields.SetU32{Labels: c.dead},
+		Broadcast: fields.Set[uint32](c.dead),
 	}
 	c.degField = gluon.Field[uint64]{
 		ID:        FieldIDTrims + 100,
 		Name:      "kcore-deg",
 		Write:     gluon.AtSource,
 		Read:      gluon.AtDestination,
-		Reduce:    fields.SumU64{Vals: c.deg},
-		Broadcast: fields.SetU64{Vals: c.deg},
+		Reduce:    fields.Sum[uint64](c.deg),
+		Broadcast: fields.Set[uint64](c.deg),
 	}
 	return c
 }

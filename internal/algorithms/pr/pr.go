@@ -77,22 +77,22 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, tol float64) *common {
 		Name:   "pr-contrib",
 		Write:  gluon.AtDestination,
 		Read:   gluon.AtDestination,
-		Reduce: fields.SumF64{Vals: c.contrib},
+		Reduce: fields.Sum[float64](c.contrib),
 	}
 	c.rankField = gluon.Field[float64]{
 		ID:        FieldIDRank,
 		Name:      "pr-rank",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Broadcast: fields.SetF64{Vals: c.rank},
+		Broadcast: fields.Set[float64](c.rank),
 	}
 	c.outdegField = gluon.Field[uint64]{
 		ID:        FieldIDOutDeg,
 		Name:      "pr-outdeg",
 		Write:     gluon.AtSource,
 		Read:      gluon.AtSource,
-		Reduce:    fields.SumU64{Vals: c.outdeg},
-		Broadcast: fields.SetU64{Vals: c.outdeg},
+		Reduce:    fields.Sum[uint64](c.outdeg),
+		Broadcast: fields.Set[uint64](c.outdeg),
 	}
 	return c
 }
@@ -111,9 +111,9 @@ const (
 // arrays, so the checkpoint writer can drain them while rounds continue.
 func (c *common) ExportState() ([]ckpt.Section, error) {
 	return []ckpt.Section{
-		{Name: secRank, Data: fields.EncodeF64s(nil, c.rank)},
-		{Name: secContrib, Data: fields.EncodeF64s(nil, c.contrib)},
-		{Name: secOutdeg, Data: fields.EncodeU64s(nil, c.outdeg)},
+		{Name: secRank, Data: fields.EncodeVals(nil, c.rank)},
+		{Name: secContrib, Data: fields.EncodeVals(nil, c.contrib)},
+		{Name: secOutdeg, Data: fields.EncodeVals(nil, c.outdeg)},
 	}, nil
 }
 
@@ -126,9 +126,9 @@ func (c *common) ImportState(secs []ckpt.Section) error {
 		name string
 		dec  func([]byte) error
 	}{
-		{secRank, func(b []byte) error { return fields.DecodeF64s(b, c.rank) }},
-		{secContrib, func(b []byte) error { return fields.DecodeF64s(b, c.contrib) }},
-		{secOutdeg, func(b []byte) error { return fields.DecodeU64s(b, c.outdeg) }},
+		{secRank, func(b []byte) error { return fields.DecodeVals(b, c.rank) }},
+		{secContrib, func(b []byte) error { return fields.DecodeVals(b, c.contrib) }},
+		{secOutdeg, func(b []byte) error { return fields.DecodeVals(b, c.outdeg) }},
 	} {
 		data := snap.Section(s.name)
 		if data == nil {
@@ -280,8 +280,8 @@ func NewIrGL(tol float64, workers int) dsys.ProgramFactory {
 		prog.contribBuf = irgl.NewBuffer[float64](dev, p.NumProxies())
 		prog.rank = prog.rankBuf.Data()
 		prog.contrib = prog.contribBuf.Data()
-		prog.contribField.Reduce = irgl.SumF64Buf{B: prog.contribBuf}
-		prog.rankField.Broadcast = irgl.SetF64Buf{B: prog.rankBuf}
+		prog.contribField.Reduce = irgl.SumBuf(prog.contribBuf)
+		prog.rankField.Broadcast = irgl.SetBuf(prog.rankBuf)
 		return prog, nil
 	}
 }

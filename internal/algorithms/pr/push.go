@@ -87,8 +87,8 @@ func NewGaloisPush(tol float64, workers int) dsys.ProgramFactory {
 			Name:      "pr-outdeg",
 			Write:     gluon.AtSource,
 			Read:      gluon.AtSource,
-			Reduce:    fields.SumU64{Vals: prog.outdeg},
-			Broadcast: fields.SetU64{Vals: prog.outdeg},
+			Reduce:    fields.Sum[uint64](prog.outdeg),
+			Broadcast: fields.Set[uint64](prog.outdeg),
 		}
 		return prog, nil
 	}

@@ -47,8 +47,8 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, source uint64) (*common, 
 		Name:      "sssp-dist",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Reduce:    fields.MinU32{Labels: c.dist},
-		Broadcast: fields.SetU32{Labels: c.dist},
+		Reduce:    fields.Min[uint32](c.dist),
+		Broadcast: fields.Set[uint32](c.dist),
 	}
 	return c, nil
 }
@@ -63,7 +63,7 @@ const secDist = "sssp-dist"
 // program's entire round-boundary state (worklists are rebuilt from the
 // runner's checkpointed frontier).
 func (c *common) ExportState() ([]ckpt.Section, error) {
-	return []ckpt.Section{{Name: secDist, Data: fields.EncodeU32s(nil, c.dist)}}, nil
+	return []ckpt.Section{{Name: secDist, Data: fields.EncodeVals(nil, c.dist)}}, nil
 }
 
 // ImportState implements dsys.Checkpointable, decoding in place so the
@@ -75,7 +75,7 @@ func (c *common) ImportState(secs []ckpt.Section) error {
 	if data == nil {
 		return fmt.Errorf("sssp: checkpoint has no %s section", secDist)
 	}
-	if err := fields.DecodeU32s(data, c.dist); err != nil {
+	if err := fields.DecodeVals(data, c.dist); err != nil {
 		return fmt.Errorf("sssp: restore %s: %w", secDist, err)
 	}
 	return nil
@@ -212,8 +212,8 @@ func NewIrGL(source uint64, workers int) dsys.ProgramFactory {
 		prog := &irglProgram{common: c, dev: dev}
 		prog.dbuf = irgl.NewBuffer[uint32](dev, p.NumProxies())
 		prog.dist = prog.dbuf.Data()
-		prog.field.Reduce = irgl.MinU32Buf{B: prog.dbuf}
-		prog.field.Broadcast = irgl.SetU32Buf{B: prog.dbuf}
+		prog.field.Reduce = irgl.MinBuf(prog.dbuf)
+		prog.field.Broadcast = irgl.SetBuf(prog.dbuf)
 		return prog, nil
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // CompressTuner is an adaptive per-field compression policy implementing
-// gluon.CompressPolicy. Instead of the substrate's single static
-// CompressThreshold, it learns — per synchronized field — whether DEFLATE
+// gluon.CompressPolicy. Instead of a single static size threshold
+// (gluon.CompressAbove), it learns — per synchronized field — whether DEFLATE
 // actually pays on that field's traffic, from two observed signals:
 //
 //   - the compression ratio (wire bytes / raw bytes) as an EWMA over the
@@ -101,7 +101,7 @@ type fieldComp struct {
 }
 
 // NewCompressTuner returns a tuner with the given configuration; pass it
-// via gluon.Options.CompressPolicy.
+// via gluon.Options.Compress.
 func NewCompressTuner(cfg CompressConfig) *CompressTuner {
 	return &CompressTuner{cfg: cfg.withDefaults(), fields: make(map[uint32]*fieldComp)}
 }

@@ -78,14 +78,12 @@ func AblationCompression(w io.Writer, p Params) error {
 		{"plain", gluon.Opt},
 		{"deflate", func() gluon.Options {
 			opt := gluon.Opt()
-			opt.Compress = true
-			opt.CompressThreshold = 512
+			opt.Compress = gluon.CompressAbove(512)
 			return opt
 		}},
 		{"adaptive", func() gluon.Options {
 			opt := gluon.Opt()
-			opt.Compress = true
-			opt.CompressPolicy = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
+			opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
 			return opt
 		}},
 	}

@@ -226,8 +226,8 @@ func (c *syncBenchCluster) syncAll() error {
 				Name:      "syncbench",
 				Write:     gluon.AtDestination,
 				Read:      gluon.AtSource,
-				Reduce:    fields.MinU32{Labels: c.labels[h]},
-				Broadcast: fields.SetU32{Labels: c.labels[h]},
+				Reduce:    fields.Min[uint32](c.labels[h]),
+				Broadcast: fields.Set[uint32](c.labels[h]),
 			}
 			errs[h] = gluon.Sync(c.gs[h], f, c.upds[h])
 		}(h)
@@ -263,12 +263,10 @@ func allEncodings() []encSpec {
 }
 
 // compStatic is the static-threshold compression tier: every payload at or
-// above CompressThreshold gets the DEFLATE attempt, the pre-policy
-// behaviour.
+// above the threshold gets the DEFLATE attempt.
 func compStatic() gluon.Options {
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressThreshold = 256
+	opt.Compress = gluon.CompressAbove(256)
 	return opt
 }
 
@@ -277,8 +275,7 @@ func compStatic() gluon.Options {
 // tier's threshold so the two rows differ only in the adaptive decision.
 func compAdaptive() gluon.Options {
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressPolicy = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 256})
+	opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 256})
 	return opt
 }
 
@@ -455,48 +452,6 @@ func WriteReportJSON(w io.Writer, rep *SyncBenchReport) error {
 	return enc.Encode(rep)
 }
 
-// CompareSyncBench checks cur against base row by row (matched on
-// hosts × encoding) on ABSOLUTE numbers: time per op may regress by at
-// most tol (fractional, e.g. 0.05), allocations per op may not regress at
-// all (they are machine-independent, so any increase is a real hot-path
-// change). Rows present in only one report are ignored. All violations are
-// reported. Only meaningful when base and cur come from the same machine —
-// GuardSyncBench enforces that with the fingerprint check.
-func CompareSyncBench(base, cur *SyncBenchReport, tol float64) error {
-	type key struct {
-		hosts    int
-		encoding string
-	}
-	baseRows := make(map[key]SyncBenchResult, len(base.Results))
-	for _, r := range base.Results {
-		baseRows[key{r.Hosts, r.Encoding}] = r
-	}
-	var violations []string
-	for _, c := range cur.Results {
-		b, ok := baseRows[key{c.Hosts, c.Encoding}]
-		if !ok {
-			continue
-		}
-		if c.AllocsPerOp > b.AllocsPerOp {
-			violations = append(violations, fmt.Sprintf(
-				"hosts=%d %s: allocs/op regressed %d -> %d", c.Hosts, c.Encoding, b.AllocsPerOp, c.AllocsPerOp))
-		}
-		if limit := float64(b.NsPerOp) * (1 + tol); float64(c.NsPerOp) > limit {
-			violations = append(violations, fmt.Sprintf(
-				"hosts=%d %s: ns/op regressed %d -> %d (>%.0f%% over baseline)",
-				c.Hosts, c.Encoding, b.NsPerOp, c.NsPerOp, tol*100))
-		}
-	}
-	if len(violations) > 0 {
-		msg := "sync hot-path regression vs baseline:"
-		for _, v := range violations {
-			msg += "\n  " + v
-		}
-		return errors.New(msg)
-	}
-	return nil
-}
-
 // ratioNoiseCap bounds how far recorded rep noise may widen the ratio
 // band, so one chaotic measurement cannot disable the gate.
 const ratioNoiseCap = 0.25
@@ -607,29 +562,6 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 	return out
 }
 
-// GuardMode selects which comparison GuardSyncBench runs.
-type GuardMode string
-
-const (
-	// GuardRatio is the default self-calibrating gate: opt/unopt ratios,
-	// valid on any machine.
-	GuardRatio GuardMode = "ratio"
-	// GuardAbs is the legacy absolute-ns/op gate. It refuses to compare
-	// against a baseline fingerprinted on different hardware.
-	GuardAbs GuardMode = "abs"
-)
-
-// GuardOptions parameterizes GuardSyncBench beyond the tolerance.
-type GuardOptions struct {
-	Mode GuardMode
-	// ForceBaseline overrides the fingerprint refusal in GuardAbs mode.
-	ForceBaseline bool
-	// PerfDB, when non-empty, appends the guard's measurements (absolute
-	// numbers, noise, comm counters) to this history file regardless of
-	// gate outcome — the trajectory must record regressions too.
-	PerfDB string
-}
-
 // GuardSyncBench is the hot-path regression guard behind `make check`: it
 // re-measures the sync hot path with tracing disabled (the default — no
 // recorder attached) across the three compression tiers — auto
@@ -639,12 +571,12 @@ type GuardOptions struct {
 // formats, the whole compression decision surface, and all instrumented
 // paths; the forced-encoding rows only vary payload layout.
 //
-// In GuardRatio mode (the default) it gates on opt/unopt ratios with a
-// noise-aware band — machine-independent, so BENCH_sync.json never needs
-// re-pinning for hardware churn. In GuardAbs mode it gates absolute ns/op
-// like the pre-PR-10 guard, but refuses a baseline fingerprinted on a
-// different machine instead of silently failing against it. Allocation
-// regressions hard-fail in both modes.
+// It gates on opt/unopt ratios with a noise-aware band —
+// machine-independent, so BENCH_sync.json never needs re-pinning for
+// hardware churn — and hard-fails on any allocation regression. perfDB,
+// when non-empty, is the history file the guard's measurements (absolute
+// numbers, noise, comm counters) are appended to regardless of gate
+// outcome: the trajectory must record regressions too.
 //
 // Both the baseline and the guard measurement are min-over-reps (see
 // measureReps), so a tight tol stays meaningful on a noisy machine. Rows
@@ -652,10 +584,7 @@ type GuardOptions struct {
 // the guard fails: a transient load spike clears on a later measurement, a
 // real hot-path regression does not. Allocation regressions are
 // deterministic, so retries never mask one.
-func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opts GuardOptions) error {
-	if opts.Mode == "" {
-		opts.Mode = GuardRatio
-	}
+func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, perfDB string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench: reading baseline: %w", err)
@@ -671,17 +600,6 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opt
 		fmt.Fprintf(w, "baseline fingerprint: %s\n", *base.Fingerprint)
 	default:
 		fmt.Fprintf(w, "baseline fingerprint: unrecorded (schema v1 baseline — run `make bench-pin`)\n")
-	}
-	sameMachine := base.Fingerprint != nil && base.Fingerprint.ID() == host.ID()
-	if opts.Mode == GuardAbs && !sameMachine && !opts.ForceBaseline {
-		baseFP := "unrecorded"
-		if base.Fingerprint != nil {
-			baseFP = base.Fingerprint.String()
-		}
-		return fmt.Errorf("bench: refusing to gate absolute ns/op against a baseline pinned on a different machine:\n"+
-			"  baseline: %s\n  this host: %s\n"+
-			"absolute timings do not transfer across hardware — use the ratio gate (default), re-pin with `make bench-pin`, or override with -force-baseline",
-			baseFP, host)
 	}
 
 	guardOpts := map[string]func() gluon.Options{
@@ -707,12 +625,12 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opt
 	// Five re-measure rounds: the DEFLATE tiers' floors take longer to
 	// surface on a small machine, and a retry only ever lowers the
 	// estimate, so extra rounds trade guard latency for gate stability
-	// without ever masking a real regression. In ratio mode the unopt
-	// reference of an offending host count is re-measured alongside the
-	// tier — both ends of the ratio deserve the transient-load benefit.
+	// without ever masking a real regression. The unopt reference of an
+	// offending host count is re-measured alongside the tier — both ends of
+	// the ratio deserve the transient-load benefit.
 	const guardRetries = 5
 	for retry := 0; retry < guardRetries; retry++ {
-		bad := violatingRows(&base, cur, tol, opts.Mode)
+		bad := violatingRows(&base, cur, tol)
 		if len(bad) == 0 {
 			break
 		}
@@ -721,7 +639,7 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opt
 		for _, i := range bad {
 			row := cur.Results[i]
 			names := []string{row.Encoding}
-			if opts.Mode == GuardRatio && row.Encoding != refEncoding {
+			if row.Encoding != refEncoding {
 				names = append(names, refEncoding)
 			}
 			for _, name := range names {
@@ -741,49 +659,28 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opt
 			}
 		}
 	}
-	if opts.PerfDB != "" {
+	if perfDB != "" {
 		if comm, err := CommProbe(p, 2); err == nil {
 			cur.Comm = comm
 		} else {
 			fmt.Fprintf(w, "comm probe failed (history record carries timings only): %v\n", err)
 		}
-		if err := perfdb.Append(opts.PerfDB, cur.Record("sync-guard")); err != nil {
+		if err := perfdb.Append(perfDB, cur.Record("sync-guard")); err != nil {
 			return fmt.Errorf("bench: recording guard measurement: %w", err)
 		}
-		fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", opts.PerfDB)
+		fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", perfDB)
 	}
-	writeGuardTable(w, &base, cur, opts.Mode)
-	if opts.Mode == GuardAbs {
-		return CompareSyncBench(&base, cur, tol)
-	}
+	writeGuardTable(w, &base, cur)
 	return CompareSyncRatios(&base, cur, tol)
 }
 
 // writeGuardTable prints the comparison the guard just gated on.
-func writeGuardTable(w io.Writer, base, cur *SyncBenchReport, mode GuardMode) {
+func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
 	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
-	if mode == GuardRatio {
-		fmt.Fprintf(w, "%-6s %-14s %11s %11s %8s %7s %10s %10s\n",
-			"hosts", "tier", "base ratio", "cur ratio", "delta", "noise", "base a/op", "cur a/op")
-	} else {
-		fmt.Fprintf(w, "%-6s %-14s %12s %12s %8s %10s %10s\n",
-			"hosts", "tier", "base ns/op", "cur ns/op", "delta", "base a/op", "cur a/op")
-	}
+	fmt.Fprintf(w, "%-6s %-14s %11s %11s %8s %7s %10s %10s\n",
+		"hosts", "tier", "base ratio", "cur ratio", "delta", "noise", "base a/op", "cur a/op")
 	for _, c := range cur.Results {
 		b := baseIdx[c.Name()]
-		if mode == GuardAbs {
-			delta := "n/a"
-			var bNs, bAllocs int64
-			if b != nil {
-				bNs, bAllocs = b.NsPerOp, b.AllocsPerOp
-				if b.NsPerOp > 0 {
-					delta = fmt.Sprintf("%+.1f%%", 100*(float64(c.NsPerOp)/float64(b.NsPerOp)-1))
-				}
-			}
-			fmt.Fprintf(w, "%-6d %-14s %12d %12d %8s %10d %10d\n",
-				c.Hosts, c.Encoding, bNs, c.NsPerOp, delta, bAllocs, c.AllocsPerOp)
-			continue
-		}
 		if c.Encoding == refEncoding {
 			var bAllocs int64
 			if b != nil {
@@ -817,22 +714,9 @@ func writeGuardTable(w io.Writer, base, cur *SyncBenchReport, mode GuardMode) {
 }
 
 // violatingRows returns indices into cur.Results whose row regresses
-// versus its baseline counterpart under the given mode.
-func violatingRows(base, cur *SyncBenchReport, tol float64, mode GuardMode) []int {
+// versus its baseline counterpart.
+func violatingRows(base, cur *SyncBenchReport, tol float64) []int {
 	var bad []int
-	if mode == GuardAbs {
-		baseIdx := rowIndex(base)
-		for i, c := range cur.Results {
-			b, ok := baseIdx[c.Name()]
-			if !ok {
-				continue
-			}
-			if c.AllocsPerOp > b.AllocsPerOp || float64(c.NsPerOp) > float64(b.NsPerOp)*(1+tol) {
-				bad = append(bad, i)
-			}
-		}
-		return bad
-	}
 	for _, v := range ratioViolations(base, cur, tol) {
 		for i, c := range cur.Results {
 			if c.Hosts == v.Hosts && c.Encoding == v.Encoding {

@@ -79,13 +79,6 @@ func TestCompareSyncRatiosMachineDrift(t *testing.T) {
 		if err := CompareSyncRatios(base, cur, 0.10); err != nil {
 			t.Fatalf("%s machine flagged by ratio gate: %v", scale.name, err)
 		}
-		// The absolute gate, by contrast, trips on the slower machine —
-		// exactly why it must not run across fingerprints.
-		if scale.name == "2x slower" {
-			if err := CompareSyncBench(base, cur, 0.10); err == nil {
-				t.Fatal("absolute gate unexpectedly passed on a 2x slower machine")
-			}
-		}
 	}
 }
 
@@ -114,7 +107,7 @@ func TestCompareSyncRatiosOptRegression(t *testing.T) {
 	}
 }
 
-// TestCompareSyncRatiosAllocsHardFail: allocation growth fails every mode,
+// TestCompareSyncRatiosAllocsHardFail: allocation growth fails the gate,
 // reference row included, regardless of tolerance or noise.
 func TestCompareSyncRatiosAllocsHardFail(t *testing.T) {
 	fp := perfdb.Fingerprint{CPUModel: "Old Xeon", Cores: 8, GOMAXPROCS: 8, GoVersion: "go1.24.0", OS: "linux", Arch: "amd64"}

@@ -46,7 +46,7 @@ type Checkpointable interface {
 
 // Reserved section names the runner adds next to the program's own.
 const (
-	// secFrontier holds the BSP frontier bitset's words (fields.EncodeU64s).
+	// secFrontier holds the BSP frontier bitset's words (fields.EncodeVals).
 	secFrontier = "dsys-frontier"
 	// secGluonMemo holds the substrate's memoized master-side exchange
 	// orders (gluon.ExportMemo), so a replacement host can rebuild its
@@ -76,7 +76,7 @@ func captureSnapshot(p *partition.Partition, g *gluon.Gluon, cp Checkpointable,
 		return nil, fmt.Errorf("dsys: checkpoint export: %w", err)
 	}
 	secs = append(secs,
-		ckpt.Section{Name: secFrontier, Data: fields.EncodeU64s(nil, frontier.Words())},
+		ckpt.Section{Name: secFrontier, Data: fields.EncodeVals(nil, frontier.Words())},
 		ckpt.Section{Name: secGluonMemo, Data: g.ExportMemo()},
 	)
 	return &ckpt.Snapshot{
@@ -97,7 +97,7 @@ func restoreSnapshot(p *partition.Partition, cp Checkpointable, snap *ckpt.Snaps
 	}
 	n := p.NumProxies()
 	words := make([]uint64, (int(n)+63)/64)
-	if err := fields.DecodeU64s(fd, words); err != nil {
+	if err := fields.DecodeVals(fd, words); err != nil {
 		return nil, fmt.Errorf("dsys: checkpoint frontier: %w", err)
 	}
 	frontier, err := bitset.FromWords(words, n)

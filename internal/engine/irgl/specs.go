@@ -1,103 +1,74 @@
 package irgl
 
-// Gluon synchronization structures over device Buffers. They satisfy the
-// substrate's ReduceSpec/BroadcastSpec interfaces structurally and
-// additionally provide the bulk extract variant (§3.3 "bulk-variants for
+// Gluon synchronization structures over device Buffers; they satisfy the
+// substrate's ReduceSpec/BroadcastSpec/BulkExtractor interfaces
+// structurally. The reductions themselves live in internal/fields (the one
+// copy of the paper's Figure 5 structs); this file only decorates them with
+// what a device adds: the bulk extract variant (§3.3 "bulk-variants for
 // GPUs"), so a whole memoized order crosses the simulated device boundary
-// in one accounted staging copy instead of per-node callbacks.
-//
-// Scatter-side operations (Reduce, Set, Reset) are accounted as host→device
-// traffic per element, modeling the staging buffer a GPU plugin scatters
-// after receiving a message.
+// in one accounted staging copy instead of per-node callbacks, and
+// per-element host→device accounting for the scatter side (Reduce, Set),
+// modeling the staging buffer a GPU plugin scatters after receiving a
+// message.
 
-// MinU32Buf is the min-reduce structure over a uint32 device buffer
-// (bfs levels, sssp distances, cc labels).
-type MinU32Buf struct{ B *Buffer[uint32] }
+import "gluon/internal/fields"
+
+// bufSpec is what every spec over a device Buffer shares: the extract half
+// and the scatter-side accounting.
+type bufSpec[V fields.Value] struct{ b *Buffer[V] }
 
 // Extract reads one element (accounted single-element transfer).
-func (m MinU32Buf) Extract(lid uint32) uint32 { return m.B.Get(lid) }
+func (d bufSpec[V]) Extract(lid uint32) V { return d.b.Get(lid) }
 
 // ExtractBulk stages one device→host copy of the given order.
-func (m MinU32Buf) ExtractBulk(lids []uint32, dst []uint32) []uint32 {
-	return m.B.BulkGather(lids, dst)
-}
+func (d bufSpec[V]) ExtractBulk(lids []uint32, dst []V) []V { return d.b.BulkGather(lids, dst) }
 
-// Reduce folds v into the device element with a min.
-func (m MinU32Buf) Reduce(lid uint32, v uint32) bool {
-	m.B.dev.bytesToDevice.Add(4)
-	if v < m.B.data[lid] {
-		m.B.data[lid] = v
-		return true
+// scattered accounts one element crossing to the device.
+func (d bufSpec[V]) scattered() { d.b.dev.bytesToDevice.Add(uint64(elemSize[V]())) }
+
+// ReduceBuf is a reduce structure over a device buffer: host is the
+// reduction over the buffer's device memory.
+type ReduceBuf[V fields.Value] struct {
+	bufSpec[V]
+	host interface {
+		Reduce(lid uint32, v V) bool
+		Reset(lid uint32)
 	}
-	return false
 }
 
-// Reset is a no-op: min is idempotent, mirrors keep their labels.
-func (m MinU32Buf) Reset(lid uint32) {}
+// Reduce folds v into the device element.
+func (r ReduceBuf[V]) Reduce(lid uint32, v V) bool {
+	r.scattered()
+	return r.host.Reduce(lid, v)
+}
 
-// SetU32Buf is the broadcast structure over a uint32 device buffer.
-type SetU32Buf struct{ B *Buffer[uint32] }
+// Reset returns the device element to the reduction identity.
+func (r ReduceBuf[V]) Reset(lid uint32) { r.host.Reset(lid) }
 
-// Extract reads one element.
-func (s SetU32Buf) Extract(lid uint32) uint32 { return s.B.Get(lid) }
-
-// ExtractBulk stages one device→host copy.
-func (s SetU32Buf) ExtractBulk(lids []uint32, dst []uint32) []uint32 {
-	return s.B.BulkGather(lids, dst)
+// BroadcastBuf is the broadcast structure over a device buffer.
+type BroadcastBuf[V fields.Value] struct {
+	bufSpec[V]
+	host fields.Set[V]
 }
 
 // Set overwrites the device element, reporting change.
-func (s SetU32Buf) Set(lid uint32, v uint32) bool {
-	s.B.dev.bytesToDevice.Add(4)
-	if s.B.data[lid] == v {
-		return false
-	}
-	s.B.data[lid] = v
-	return true
+func (s BroadcastBuf[V]) Set(lid uint32, v V) bool {
+	s.scattered()
+	return s.host.Set(lid, v)
 }
 
-// SumF64Buf is the add-reduce structure over a float64 device buffer
-// (pagerank contributions).
-type SumF64Buf struct{ B *Buffer[float64] }
-
-// Extract reads one element.
-func (a SumF64Buf) Extract(lid uint32) float64 { return a.B.Get(lid) }
-
-// ExtractBulk stages one device→host copy.
-func (a SumF64Buf) ExtractBulk(lids []uint32, dst []float64) []float64 {
-	return a.B.BulkGather(lids, dst)
+// MinBuf is the min-reduce structure over b (bfs levels, sssp distances,
+// cc labels).
+func MinBuf[V fields.Value](b *Buffer[V]) ReduceBuf[V] {
+	return ReduceBuf[V]{bufSpec[V]{b}, fields.Min[V](b.data)}
 }
 
-// Reduce adds v into the device element.
-func (a SumF64Buf) Reduce(lid uint32, v float64) bool {
-	a.B.dev.bytesToDevice.Add(8)
-	if v == 0 {
-		return false
-	}
-	a.B.data[lid] += v
-	return true
+// SumBuf is the add-reduce structure over b (pagerank contributions).
+func SumBuf[V fields.Value](b *Buffer[V]) ReduceBuf[V] {
+	return ReduceBuf[V]{bufSpec[V]{b}, fields.Sum[V](b.data)}
 }
 
-// Reset zeroes the device element.
-func (a SumF64Buf) Reset(lid uint32) { a.B.data[lid] = 0 }
-
-// SetF64Buf is the broadcast structure over a float64 device buffer.
-type SetF64Buf struct{ B *Buffer[float64] }
-
-// Extract reads one element.
-func (s SetF64Buf) Extract(lid uint32) float64 { return s.B.Get(lid) }
-
-// ExtractBulk stages one device→host copy.
-func (s SetF64Buf) ExtractBulk(lids []uint32, dst []float64) []float64 {
-	return s.B.BulkGather(lids, dst)
-}
-
-// Set overwrites the device element.
-func (s SetF64Buf) Set(lid uint32, v float64) bool {
-	s.B.dev.bytesToDevice.Add(8)
-	if s.B.data[lid] == v {
-		return false
-	}
-	s.B.data[lid] = v
-	return true
+// SetBuf is the broadcast structure over b.
+func SetBuf[V fields.Value](b *Buffer[V]) BroadcastBuf[V] {
+	return BroadcastBuf[V]{bufSpec[V]{b}, fields.Set[V](b.data)}
 }

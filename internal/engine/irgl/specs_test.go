@@ -21,54 +21,60 @@ func TestBufferSpecsSatisfyGluonInterfaces(t *testing.T) {
 	d := irgl.New(g, 1)
 	u32 := irgl.NewBuffer[uint32](d, 4)
 	f64 := irgl.NewBuffer[float64](d, 4)
-	var _ gluon.ReduceSpec[uint32] = irgl.MinU32Buf{B: u32}
-	var _ gluon.BroadcastSpec[uint32] = irgl.SetU32Buf{B: u32}
-	var _ gluon.BulkExtractor[uint32] = irgl.MinU32Buf{B: u32}
-	var _ gluon.ReduceSpec[float64] = irgl.SumF64Buf{B: f64}
-	var _ gluon.BroadcastSpec[float64] = irgl.SetF64Buf{B: f64}
-	var _ gluon.BulkExtractor[float64] = irgl.SetF64Buf{B: f64}
+	var _ gluon.ReduceSpec[uint32] = irgl.MinBuf(u32)
+	var _ gluon.BroadcastSpec[uint32] = irgl.SetBuf(u32)
+	var _ gluon.BulkExtractor[uint32] = irgl.MinBuf(u32)
+	var _ gluon.ReduceSpec[float64] = irgl.SumBuf(f64)
+	var _ gluon.BroadcastSpec[float64] = irgl.SetBuf(f64)
+	var _ gluon.BulkExtractor[float64] = irgl.SetBuf(f64)
 }
 
-func TestBufferSpecSemantics(t *testing.T) {
+// TestBufferSpecsDecorateHostSpecs: each device structure applies the
+// fields reduction it wraps to device memory (the reductions themselves are
+// tested in internal/fields) and accounts every crossing of the boundary —
+// one element per Reduce/Set, one staged copy per bulk extract, nothing for
+// a Reset.
+func TestBufferSpecsDecorateHostSpecs(t *testing.T) {
 	g := graph.Build(4, []graph.LocalEdge{{Src: 0, Dst: 1}}, false)
 	d := irgl.New(g, 1)
 	buf := irgl.NewBuffer[uint32](d, 4)
-	for i := uint32(0); i < 4; i++ {
+	for i := range buf.Data() {
 		buf.Data()[i] = 100
 	}
-	min := irgl.MinU32Buf{B: buf}
-	if !min.Reduce(1, 50) || buf.Data()[1] != 50 {
-		t.Fatal("reduce lower")
-	}
-	if min.Reduce(1, 60) {
-		t.Fatal("reduce higher changed")
-	}
-	min.Reset(1)
-	if buf.Data()[1] != 50 {
-		t.Fatal("min reset must keep value")
-	}
-	set := irgl.SetU32Buf{B: buf}
-	if !set.Set(2, 5) || set.Set(2, 5) {
-		t.Fatal("set semantics")
-	}
-	out := min.ExtractBulk([]uint32{0, 1}, make([]uint32, 2))
-	if out[0] != 100 || out[1] != 50 {
-		t.Fatalf("bulk extract %v", out)
-	}
-
 	fbuf := irgl.NewBuffer[float64](d, 4)
-	sum := irgl.SumF64Buf{B: fbuf}
-	if sum.Reduce(0, 0) {
-		t.Fatal("sum of zero changed")
-	}
-	sum.Reduce(0, 1.5)
-	sum.Reduce(0, 2.5)
-	if fbuf.Data()[0] != 4.0 {
-		t.Fatal("sum")
-	}
-	sum.Reset(0)
-	if fbuf.Data()[0] != 0 {
-		t.Fatal("sum reset must zero")
+	min, set, sum := irgl.MinBuf(buf), irgl.SetBuf(buf), irgl.SumBuf(fbuf)
+	for _, c := range []struct {
+		name           string
+		do             func() bool
+		want           bool
+		toDev, fromDev uint64 // bytes this step moves
+		state          func() bool
+	}{
+		{"min lower", func() bool { return min.Reduce(1, 50) }, true, 4, 0, func() bool { return buf.Data()[1] == 50 }},
+		{"min higher", func() bool { return min.Reduce(1, 60) }, false, 4, 0, func() bool { return buf.Data()[1] == 50 }},
+		{"min reset keeps", func() bool { min.Reset(1); return false }, false, 0, 0, func() bool { return buf.Data()[1] == 50 }},
+		{"set new", func() bool { return set.Set(2, 5) }, true, 4, 0, func() bool { return buf.Data()[2] == 5 }},
+		{"set same", func() bool { return set.Set(2, 5) }, false, 4, 0, func() bool { return buf.Data()[2] == 5 }},
+		{"extract one", func() bool { return set.Extract(2) == 5 }, true, 0, 4, nil},
+		{"extract bulk", func() bool {
+			out := min.ExtractBulk([]uint32{0, 1}, make([]uint32, 2))
+			return out[0] == 100 && out[1] == 50
+		}, true, 0, 8, nil},
+		{"sum zero", func() bool { return sum.Reduce(0, 0) }, false, 8, 0, func() bool { return fbuf.Data()[0] == 0 }},
+		{"sum add", func() bool { return sum.Reduce(0, 1.5) && sum.Reduce(0, 2.5) }, true, 16, 0, func() bool { return fbuf.Data()[0] == 4 }},
+		{"sum reset zeroes", func() bool { sum.Reset(0); return false }, false, 0, 0, func() bool { return fbuf.Data()[0] == 0 }},
+	} {
+		before := d.Stats()
+		if got := c.do(); got != c.want {
+			t.Errorf("%s: returned %v, want %v", c.name, got, c.want)
+		}
+		if c.state != nil && !c.state() {
+			t.Errorf("%s: device memory not as expected", c.name)
+		}
+		after := d.Stats()
+		if to, from := after.BytesToDevice-before.BytesToDevice, after.BytesFromDevice-before.BytesFromDevice; to != c.toDev || from != c.fromDev {
+			t.Errorf("%s: moved %d B to / %d B from the device, want %d / %d", c.name, to, from, c.toDev, c.fromDev)
+		}
 	}
 }
 
@@ -151,8 +157,8 @@ func TestBulkExtractUsedBySync(t *testing.T) {
 			defer wg.Done()
 			field := gluon.Field[uint32]{
 				ID: 31, Name: "dev", Write: gluon.AtDestination, Read: gluon.AtSource,
-				Reduce:    irgl.MinU32Buf{B: hosts[h].buf},
-				Broadcast: irgl.SetU32Buf{B: hosts[h].buf},
+				Reduce:    irgl.MinBuf(hosts[h].buf),
+				Broadcast: irgl.SetBuf(hosts[h].buf),
 			}
 			upd := bitset.New(parts[h].NumProxies())
 			// Mark every mirror updated so every host ships something.

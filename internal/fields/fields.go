@@ -1,8 +1,10 @@
 // Package fields provides the label-array primitives shared by the vertex
-// programs: atomic update helpers for engine-side operators and ready-made
-// Gluon reduce/broadcast synchronization structures over label slices
-// (the Figure 5 structs of the paper, written once instead of per
-// application).
+// programs: atomic update helpers for engine-side operators and the Gluon
+// reduce/broadcast synchronization structures over label slices — the
+// Figure 5 structs of the paper. This is their one copy: Min, Sum and Set
+// are generic over the element type, the device engine decorates them
+// (irgl.MinBuf and friends) and the vprog generator emits wiring that
+// refers to them, so neither restates a reduction.
 package fields
 
 import (
@@ -91,109 +93,68 @@ func (s SetF64Bits) Set(lid uint32, v float64) bool {
 	return math.Float64frombits(old) != v
 }
 
-// MinU32 is a Gluon reduce structure for a min-combined uint32 label slice
-// (bfs levels, sssp distances, cc component labels). Reset keeps the label:
-// for an idempotent min reduction, a mirror's current label is already
+// Value is the set of element types a synchronized label slice can hold;
+// it mirrors gluon.Value, which this package cannot import (the substrate's
+// tests use these structures).
+type Value interface {
+	uint32 | uint64 | int32 | int64 | float32 | float64
+}
+
+// Min is the Gluon reduce structure for a min-combined label slice (bfs
+// levels, sssp distances, cc component labels). Reset keeps the label: for
+// an idempotent min reduction, a mirror's current label is already
 // incorporated at the master, so re-sending it is a no-op — exactly the
 // paper's sssp example where "keeping labels of mirror nodes unchanged is
 // sufficient".
-type MinU32 struct{ Labels []uint32 }
+type Min[V Value] []V
 
 // Extract returns the label of lid.
-func (m MinU32) Extract(lid uint32) uint32 { return m.Labels[lid] }
+func (m Min[V]) Extract(lid uint32) V { return m[lid] }
 
 // Reduce lowers lid's label to v if smaller.
-func (m MinU32) Reduce(lid uint32, v uint32) bool {
-	if v < m.Labels[lid] {
-		m.Labels[lid] = v
+func (m Min[V]) Reduce(lid uint32, v V) bool {
+	if v < m[lid] {
+		m[lid] = v
 		return true
 	}
 	return false
 }
 
 // Reset is a no-op (min is idempotent).
-func (m MinU32) Reset(lid uint32) {}
+func (m Min[V]) Reset(lid uint32) {}
 
-// SetU32 is the matching Gluon broadcast structure for a uint32 label slice.
-type SetU32 struct{ Labels []uint32 }
-
-// Extract returns the label of lid.
-func (s SetU32) Extract(lid uint32) uint32 { return s.Labels[lid] }
-
-// Set overwrites lid's label, reporting whether it changed.
-func (s SetU32) Set(lid uint32, v uint32) bool {
-	if s.Labels[lid] == v {
-		return false
-	}
-	s.Labels[lid] = v
-	return true
-}
-
-// SumF64 is a Gluon reduce structure for an additively-combined float64
-// slice (pagerank contributions). Reset returns mirrors to the additive
-// identity 0, the paper's push-style pagerank example.
-type SumF64 struct{ Vals []float64 }
+// Sum is the Gluon reduce structure for an additively-combined slice
+// (pagerank contributions, degree accumulation). Reset returns mirrors to
+// the additive identity 0, the paper's push-style pagerank example.
+type Sum[V Value] []V
 
 // Extract returns the partial value at lid.
-func (a SumF64) Extract(lid uint32) float64 { return a.Vals[lid] }
+func (a Sum[V]) Extract(lid uint32) V { return a[lid] }
 
-// Reduce adds v into lid's value.
-func (a SumF64) Reduce(lid uint32, v float64) bool {
+// Reduce adds v into lid's value; adding the identity is not a change.
+func (a Sum[V]) Reduce(lid uint32, v V) bool {
 	if v == 0 {
 		return false
 	}
-	a.Vals[lid] += v
+	a[lid] += v
 	return true
 }
 
 // Reset zeroes lid's value (the + identity).
-func (a SumF64) Reset(lid uint32) { a.Vals[lid] = 0 }
+func (a Sum[V]) Reset(lid uint32) { a[lid] = 0 }
 
-// SetF64 is the broadcast structure for a float64 slice.
-type SetF64 struct{ Vals []float64 }
-
-// Extract returns the value at lid.
-func (s SetF64) Extract(lid uint32) float64 { return s.Vals[lid] }
-
-// Set overwrites lid's value, reporting whether it changed.
-func (s SetF64) Set(lid uint32, v float64) bool {
-	if s.Vals[lid] == v {
-		return false
-	}
-	s.Vals[lid] = v
-	return true
-}
-
-// SumU64 is a reduce structure for additively-combined uint64 fields
-// (global out-degree accumulation for pull pagerank).
-type SumU64 struct{ Vals []uint64 }
-
-// Extract returns the partial value at lid.
-func (a SumU64) Extract(lid uint32) uint64 { return a.Vals[lid] }
-
-// Reduce adds v into lid's value.
-func (a SumU64) Reduce(lid uint32, v uint64) bool {
-	if v == 0 {
-		return false
-	}
-	a.Vals[lid] += v
-	return true
-}
-
-// Reset zeroes lid's value.
-func (a SumU64) Reset(lid uint32) { a.Vals[lid] = 0 }
-
-// SetU64 is the broadcast structure for a uint64 slice.
-type SetU64 struct{ Vals []uint64 }
+// Set is the Gluon broadcast structure for a label slice, whatever its
+// reduction.
+type Set[V Value] []V
 
 // Extract returns the value at lid.
-func (s SetU64) Extract(lid uint32) uint64 { return s.Vals[lid] }
+func (s Set[V]) Extract(lid uint32) V { return s[lid] }
 
 // Set overwrites lid's value, reporting whether it changed.
-func (s SetU64) Set(lid uint32, v uint64) bool {
-	if s.Vals[lid] == v {
+func (s Set[V]) Set(lid uint32, v V) bool {
+	if s[lid] == v {
 		return false
 	}
-	s.Vals[lid] = v
+	s[lid] = v
 	return true
 }

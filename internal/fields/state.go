@@ -1,70 +1,29 @@
-// Checkpoint codecs for label arrays. A program's ExportState snapshots its
+// Checkpoint codec for label arrays. A program's ExportState snapshots its
 // per-host field slices into byte sections and ImportState restores them;
 // the encoding is the raw little-endian element stream, so a round-trip is
 // bit-exact (required for the byte-identical restore guarantee, DESIGN.md
-// §4.6). Encoders copy — the caller may keep mutating the source slice
+// §4.6). EncodeVals copies — the caller may keep mutating the source slice
 // while the checkpoint writer drains the section to disk.
 package fields
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
-// EncodeF64s appends the little-endian bits of vals to dst.
-func EncodeF64s(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+// EncodeVals appends the little-endian bytes of vals to dst.
+func EncodeVals[V Value](dst []byte, vals []V) []byte {
+	buf := bytes.NewBuffer(dst)
+	// Cannot fail: a bytes.Buffer accepts every write and []V is fixed-size.
+	_ = binary.Write(buf, binary.LittleEndian, vals)
+	return buf.Bytes()
 }
 
-// DecodeF64s fills dst from data; data must hold exactly len(dst) values.
-func DecodeF64s(data []byte, dst []float64) error {
-	if len(data) != 8*len(dst) {
-		return fmt.Errorf("fields: f64 section is %d bytes, want %d", len(data), 8*len(dst))
+// DecodeVals fills dst from data; data must hold exactly len(dst) values.
+func DecodeVals[V Value](data []byte, dst []V) error {
+	if want := binary.Size(dst); len(data) != want {
+		return fmt.Errorf("fields: %T section is %d bytes, want %d", dst, len(data), want)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return nil
-}
-
-// EncodeU64s appends the little-endian bytes of vals to dst.
-func EncodeU64s(dst []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// DecodeU64s fills dst from data; data must hold exactly len(dst) values.
-func DecodeU64s(data []byte, dst []uint64) error {
-	if len(data) != 8*len(dst) {
-		return fmt.Errorf("fields: u64 section is %d bytes, want %d", len(data), 8*len(dst))
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	return nil
-}
-
-// EncodeU32s appends the little-endian bytes of vals to dst.
-func EncodeU32s(dst []byte, vals []uint32) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	return dst
-}
-
-// DecodeU32s fills dst from data; data must hold exactly len(dst) values.
-func DecodeU32s(data []byte, dst []uint32) error {
-	if len(data) != 4*len(dst) {
-		return fmt.Errorf("fields: u32 section is %d bytes, want %d", len(data), 4*len(dst))
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(data[4*i:])
-	}
-	return nil
+	return binary.Read(bytes.NewReader(data), binary.LittleEndian, dst)
 }

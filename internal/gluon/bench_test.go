@@ -5,6 +5,7 @@ import (
 
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
+	"gluon/internal/fields"
 	"gluon/internal/graph"
 	"gluon/internal/partition"
 )
@@ -52,20 +53,13 @@ func benchGluon(b *testing.B) (*Gluon, []uint32, *bitset.Bitset, []uint32) {
 
 func BenchmarkEncodeSparse(b *testing.B) {
 	g, order, upd, vals := benchGluon(b)
-	extract := func(lids []uint32, dst []uint32) []uint32 {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = vals[lid]
-		}
-		return dst
-	}
+	extract := fields.Set[uint32](vals) // a real spec: one interface call per value, as in a sync
 	mask := bitset.NewOrderMask(order)
 	sc := &encodeScratch{}
-	var st Stats
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload, _ := encodeMsg(g, order, mask, upd, extract, sc, &st)
+		payload, _, _ := encodeMsg(g, order, mask, upd, extract, sc)
 		b.SetBytes(int64(len(payload)))
 		comm.PutBuf(payload)
 	}
@@ -73,20 +67,13 @@ func BenchmarkEncodeSparse(b *testing.B) {
 
 func BenchmarkEncodeDense(b *testing.B) {
 	g, order, _, vals := benchGluon(b)
-	extract := func(lids []uint32, dst []uint32) []uint32 {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = vals[lid]
-		}
-		return dst
-	}
+	extract := fields.Set[uint32](vals) // a real spec: one interface call per value, as in a sync
 	mask := bitset.NewOrderMask(order)
 	sc := &encodeScratch{}
-	var st Stats
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload, _ := encodeMsg(g, order, mask, nil, extract, sc, &st)
+		payload, _, _ := encodeMsg(g, order, mask, nil, extract, sc)
 		b.SetBytes(int64(len(payload)))
 		comm.PutBuf(payload)
 	}
@@ -94,15 +81,8 @@ func BenchmarkEncodeDense(b *testing.B) {
 
 func BenchmarkDecode(b *testing.B) {
 	g, order, upd, vals := benchGluon(b)
-	extract := func(lids []uint32, dst []uint32) []uint32 {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = vals[lid]
-		}
-		return dst
-	}
-	var st Stats
-	payload, _ := encodeMsg(g, order, bitset.NewOrderMask(order), upd, extract, &encodeScratch{}, &st)
+	extract := fields.Set[uint32](vals) // a real spec: one interface call per value, as in a sync
+	payload, _, _ := encodeMsg(g, order, bitset.NewOrderMask(order), upd, extract, &encodeScratch{})
 	b.ResetTimer()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))

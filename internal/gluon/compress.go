@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"gluon/internal/comm"
+	"gluon/internal/trace"
 )
 
 // modeCompressed wraps any other mode's payload in a deflate stream.
@@ -32,18 +33,18 @@ const modeCompressed byte = 5
 // [modeCompressed][uncompressed length uint32].
 const compHdrLen = 5
 
-const defaultCompressThreshold = 1024
-
 // CompressPolicy decides, per message, whether the DEFLATE wrapper should
-// run, replacing the fixed CompressThreshold comparison with a measured
-// choice. Implementations must be safe for concurrent use: parallel encode
-// workers consult one shared policy, and several fields interleave.
+// run, and receives the observed outcome of every candidate so it can
+// adapt. Options.Compress holds the one policy of an instance (nil = no
+// compression). Implementations must be safe for concurrent use: parallel
+// encode workers consult one shared policy, and several fields interleave.
 //
-// The autotune package provides the adaptive implementation
-// (autotune.NewCompressTuner), which probes each field, tracks the observed
-// compression ratio and encode-side cost, and skips fields that stopped
-// paying for themselves — re-probing periodically so a field whose value
-// distribution shifts (frontier collapse, convergence) is re-evaluated.
+// CompressAbove is the static policy. The autotune package provides the
+// adaptive one (autotune.NewCompressTuner), which probes each field, tracks
+// the observed compression ratio and encode-side cost, and skips fields
+// that stopped paying for themselves — re-probing periodically so a field
+// whose value distribution shifts (frontier collapse, convergence) is
+// re-evaluated.
 type CompressPolicy interface {
 	// ShouldCompress reports whether a size-byte encoded payload of field
 	// fieldID should attempt the DEFLATE wrapper.
@@ -56,57 +57,49 @@ type CompressPolicy interface {
 	Observe(fieldID uint32, rawBytes, wireBytes int, compressNs int64, shipped bool)
 }
 
+// CompressAbove is the static CompressPolicy: every message of at least
+// that many bytes attempts compression, whatever earlier attempts yielded.
+type CompressAbove int
+
+// ShouldCompress implements CompressPolicy.
+func (n CompressAbove) ShouldCompress(_ uint32, size int) bool { return size >= int(n) }
+
+// Observe implements CompressPolicy; a fixed threshold has nothing to learn.
+func (CompressAbove) Observe(uint32, int, int, int64, bool) {}
+
 // maybeCompress wraps payload if the options ask for it and it helps. On
 // success the returned hdr is the 5-byte compressed wrapper (stored in sc,
 // caller-owned per the SendVec contract), body is a fresh pooled buffer
 // holding only the deflate stream, and the input payload has been released;
 // the caller ships them with Transport.SendVec(to, tag, hdr, body). When
 // compression is off, skipped, or unhelpful, hdr is nil and body is the
-// untouched input payload for a plain Send. Stats are adjusted on st by the
-// bytes saved (attributed to metadata first, since values and metadata are
-// interleaved post-compression); skipped candidates count in
-// st.CompressSkipped.
-func (g *Gluon) maybeCompress(fieldID uint32, payload []byte, sc *encodeScratch, st *Stats) (hdr, body []byte) {
-	if !g.Opt.Compress || !g.Opt.TemporalInvariance {
+// untouched input payload for a plain Send. The outcome lands in ms: the
+// bytes saved leave the message's split (metadata first, since values and
+// metadata are interleaved post-compression), and a candidate that went
+// out raw is tagged skipped.
+func (g *Gluon) maybeCompress(fieldID uint32, payload []byte, sc *encodeScratch, ms *msgStats) (hdr, body []byte) {
+	pol := g.Opt.Compress
+	if pol == nil || !g.Opt.TemporalInvariance {
 		return nil, payload
 	}
-	pol := g.Opt.CompressPolicy
+	ms.comp = trace.CompSkipped // until the compressed form ships
 	raw := len(payload)
-	if pol != nil {
-		if !pol.ShouldCompress(fieldID, raw) {
-			st.CompressSkipped++
-			pol.Observe(fieldID, raw, raw, 0, false)
-			return nil, payload
-		}
-	} else {
-		threshold := g.Opt.CompressThreshold
-		if threshold <= 0 {
-			threshold = defaultCompressThreshold
-		}
-		if raw < threshold {
-			st.CompressSkipped++
-			return nil, payload
-		}
+	if !pol.ShouldCompress(fieldID, raw) {
+		pol.Observe(fieldID, raw, raw, 0, false)
+		return nil, payload
 	}
-
-	var t0 time.Time
-	if pol != nil {
-		t0 = time.Now()
-	}
-	c := compressorPool.Get().(*compressor)
-	defer compressorPool.Put(c)
+	t0 := time.Now()
 	// The deflate stream must beat raw by more than the wrapper header to be
 	// worth shipping; bounding the output buffer at that margin makes an
 	// incompressible message fail the Write instead of finishing a useless
 	// stream.
 	bound := raw - compHdrLen - 1
 	if bound <= 0 {
-		st.CompressSkipped++
-		if pol != nil {
-			pol.Observe(fieldID, raw, raw, time.Since(t0).Nanoseconds(), false)
-		}
+		pol.Observe(fieldID, raw, raw, time.Since(t0).Nanoseconds(), false)
 		return nil, payload
 	}
+	c := compressorPool.Get().(*compressor)
+	defer compressorPool.Put(c)
 	out := comm.GetBuf(bound)
 	c.out = poolBuf{buf: out}
 	if c.w == nil {
@@ -128,36 +121,21 @@ func (g *Gluon) maybeCompress(fieldID uint32, payload []byte, sc *encodeScratch,
 	if err != nil {
 		// Incompressible (bound overflow) or a writer fault: ship raw.
 		comm.PutBuf(out)
-		st.CompressSkipped++
-		if pol != nil {
-			pol.Observe(fieldID, raw, raw, time.Since(t0).Nanoseconds(), false)
-		}
+		pol.Observe(fieldID, raw, raw, time.Since(t0).Nanoseconds(), false)
 		return nil, payload
 	}
 	n := c.out.n
 	wire := compHdrLen + n
-	saved := uint64(raw - wire)
-	st.CompressedMessages++
-	st.CompressionSaved += saved
+	ms.comp, ms.saved = trace.CompShipped, uint64(raw-wire)
 	// The wire carries fewer bytes than the encoder accounted; correct the
 	// split by shrinking metadata first, then values.
-	if st.MetadataBytes >= saved {
-		st.MetadataBytes -= saved
-	} else {
-		rem := saved - st.MetadataBytes
-		st.MetadataBytes = 0
-		if st.ValueBytes >= rem {
-			st.ValueBytes -= rem
-		} else {
-			st.ValueBytes = 0
-		}
-	}
+	fromMeta := min(ms.meta, ms.saved)
+	ms.meta -= fromMeta
+	ms.value -= min(ms.value, ms.saved-fromMeta)
 	sc.compHdr[0] = modeCompressed
 	binary.LittleEndian.PutUint32(sc.compHdr[1:], uint32(raw))
 	comm.PutBuf(payload)
-	if pol != nil {
-		pol.Observe(fieldID, raw, wire, time.Since(t0).Nanoseconds(), true)
-	}
+	pol.Observe(fieldID, raw, wire, time.Since(t0).Nanoseconds(), true)
 	return sc.compHdr[:], out[:n]
 }
 
@@ -172,8 +150,10 @@ func maybeDecompress(payload []byte) (out []byte, pooled bool, err error) {
 		return nil, false, fmt.Errorf("short compressed message")
 	}
 	want := binary.LittleEndian.Uint32(payload[1:])
-	if want > 1<<30 {
-		return nil, false, fmt.Errorf("implausible decompressed size %d", want)
+	// DEFLATE expands at most 1032:1, so a larger claim is corrupt — refuse
+	// it before allocating the output it asks for.
+	if uint64(want) > 1032*uint64(len(payload)) {
+		return nil, false, fmt.Errorf("implausible decompressed size %d for a %d-byte message", want, len(payload))
 	}
 	inf := inflatorPool.Get().(*inflator)
 	defer inflatorPool.Put(inf)

@@ -28,8 +28,7 @@ func TestCompressionPreservesResults(t *testing.T) {
 	want := ref.PageRank(g, pr.Alpha, 1e-9, 100)
 
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressThreshold = 256
+	opt.Compress = gluon.CompressAbove(256)
 	res, err := dsys.Run(cfg.NumNodes(), edges, dsys.RunConfig{
 		Hosts: 4, Policy: partition.CVC, Opt: opt,
 		CollectValues: true, MaxRounds: 100,
@@ -61,10 +60,9 @@ func TestCompressionReducesVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(compress bool) uint64 {
+	run := func(compress gluon.CompressPolicy) uint64 {
 		opt := gluon.Opt()
 		opt.Compress = compress
-		opt.CompressThreshold = 256
 		res, err := dsys.Run(cfg.NumNodes(), edges, dsys.RunConfig{
 			Hosts: 4, Policy: partition.CVC, Opt: opt, MaxRounds: 30,
 		}, pr.NewGalois(1e-9, 2))
@@ -73,8 +71,8 @@ func TestCompressionReducesVolume(t *testing.T) {
 		}
 		return res.TotalCommBytes
 	}
-	plain := run(false)
-	packed := run(true)
+	plain := run(nil)
+	packed := run(gluon.CompressAbove(256))
 	if packed >= plain {
 		t.Fatalf("compression did not reduce volume: %d vs %d", packed, plain)
 	}

@@ -62,23 +62,15 @@ type Options struct {
 	// per-message choice (ablation of §4.2; ignored when
 	// TemporalInvariance is off). Empty messages are always sent as such.
 	ForceEncoding Encoding
-	// Compress applies deterministic DEFLATE compression to messages
-	// larger than CompressThreshold — the paper's §4.2 notes "other
-	// compression or encoding techniques could be used to represent the
-	// bit-vector as long as they are deterministic". Compression trades
-	// CPU for volume; worthwhile on slow links.
-	Compress bool
-	// CompressThreshold is the minimum payload size to compress
-	// (0 = 1 KiB). Ignored when CompressPolicy is set.
-	CompressThreshold int
-	// CompressPolicy, when non-nil (and Compress is on), makes the
-	// compress-or-ship-raw choice per message instead of the fixed
-	// CompressThreshold comparison, and receives the observed outcome
-	// (raw/wire sizes, compression time) of every send so it can adapt.
-	// Implementations must be safe for concurrent use — parallel encode
-	// workers consult one shared policy. autotune.NewCompressTuner provides
-	// the adaptive per-field implementation.
-	CompressPolicy CompressPolicy
+	// Compress, when non-nil, is the policy that decides per message
+	// whether to wrap it in deterministic DEFLATE compression — the paper's
+	// §4.2 notes "other compression or encoding techniques could be used to
+	// represent the bit-vector as long as they are deterministic".
+	// Compression trades CPU for volume; worthwhile on slow links.
+	// CompressAbove(n) is the static size threshold,
+	// autotune.NewCompressTuner the adaptive per-field policy. Ignored when
+	// TemporalInvariance is off.
+	Compress CompressPolicy
 	// SyncWorkers caps how many goroutines encode per-peer sync messages
 	// in parallel (0 = one per CPU, 1 = serial encoding). Message bytes
 	// are identical at any setting; only time changes.
@@ -94,8 +86,8 @@ func Opt() Options {
 }
 
 // orderSet is a family of per-peer memoized exchange orders together with
-// their word-level masks: masks[h], when non-nil, is the bitset.OrderMask
-// of lists[h], computed once at memoization time so the sync hot path can
+// their word-level masks: masks[h] is the bitset.OrderMask of the non-empty
+// lists[h], computed once at memoization time so the sync hot path can
 // intersect an order against the updated bitset a word at a time.
 type orderSet struct {
 	lists [][]uint32
@@ -103,9 +95,10 @@ type orderSet struct {
 }
 
 // newOrderSet wraps per-peer order lists, building a mask for every
-// non-empty list. Orders that are not strictly lid-ascending (possible
-// only if a partition ever broke the GID-sorted layout) get a nil mask and
-// fall back to per-lid scans.
+// non-empty list. Every list must be strictly lid-ascending: mirror-side
+// lists are by construction (localMirrors), master-side lists come from a
+// peer or a checkpoint and are checked where they enter (memoize,
+// importMemo).
 func newOrderSet(lists [][]uint32) orderSet {
 	masks := make([]*bitset.OrderMask, len(lists))
 	for h, l := range lists {
@@ -317,6 +310,11 @@ func (g *Gluon) memoize() error {
 			if !ok || !p.IsMaster(lid) {
 				return fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, h, gid)
 			}
+			// Master lids ascend with their gids, so this is the agreed
+			// GID-ascending order — and what the order masks are built on.
+			if k := len(masters[h]); k > 0 && lid <= masters[h][k-1] {
+				return fmt.Errorf("gluon: host %d: peer %d lists its mirrors out of order (gid %d not above its predecessor)", me, h, gid)
+			}
 			masters[h] = append(masters[h], lid)
 			if flags&memoHasIn != 0 {
 				mastersIn[h] = append(mastersIn[h], lid)
@@ -425,8 +423,9 @@ func (g *Gluon) ExportMemo() []byte {
 }
 
 // importMemo inverts ExportMemo, validating every local ID against the
-// partition (it must name a master proxy) so a stale or foreign checkpoint
-// fails loudly instead of corrupting the exchange orders.
+// partition (it must name a master proxy) and every order as strictly
+// ascending, so a stale or foreign checkpoint fails loudly instead of
+// corrupting the exchange orders.
 func (g *Gluon) importMemo(data []byte) error {
 	p := g.Part
 	n := p.NumHosts
@@ -458,6 +457,9 @@ func (g *Gluon) importMemo(data []byte) error {
 				off += 4
 				if lid >= p.NumProxies() || !p.IsMaster(lid) {
 					return fmt.Errorf("gluon: memo section names lid %d which is not a master here", lid)
+				}
+				if i > 0 && lid <= lids[i-1] {
+					return fmt.Errorf("gluon: memo section order for host %d is not strictly ascending (lid %d after %d)", h, lid, lids[i-1])
 				}
 				lids[i] = lid
 			}
@@ -537,34 +539,34 @@ func (g *Gluon) MirrorCount() uint32 { return g.Part.NumProxies() - g.Part.NumMa
 // it receives into, honoring or ignoring structural invariants per the
 // explicit flag (callers pass g.Opt.StructuralInvariants except for full
 // reconciliations like BroadcastAll).
-func (g *Gluon) peersForReduce(write Location, structural bool) (sendMirrors, recvMasters orderSet) {
+func (g *Gluon) peersForReduce(write Location, structural bool) (sendMirrors, recvMasters *orderSet) {
 	if !structural {
-		return g.mirrors, g.masters
+		return &g.mirrors, &g.masters
 	}
 	switch write {
 	case AtDestination:
-		return g.mirrorsIn, g.mastersIn
+		return &g.mirrorsIn, &g.mastersIn
 	case AtSource:
-		return g.mirrorsOut, g.mastersOut
+		return &g.mirrorsOut, &g.mastersOut
 	default:
-		return g.mirrors, g.masters
+		return &g.mirrors, &g.masters
 	}
 }
 
 // peersForBroadcast returns, for the given read location, the per-peer
 // master orders this host sends during a broadcast and the mirror orders it
 // receives into.
-func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, recvMirrors orderSet) {
+func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, recvMirrors *orderSet) {
 	if !structural {
-		return g.masters, g.mirrors
+		return &g.masters, &g.mirrors
 	}
 	switch read {
 	case AtSource:
-		return g.mastersOut, g.mirrorsOut
+		return &g.mastersOut, &g.mirrorsOut
 	case AtDestination:
-		return g.mastersIn, g.mirrorsIn
+		return &g.mastersIn, &g.mirrorsIn
 	default:
-		return g.masters, g.mirrors
+		return &g.masters, &g.mirrors
 	}
 }
 

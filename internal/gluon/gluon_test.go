@@ -1,6 +1,7 @@
 package gluon
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -255,7 +256,7 @@ func TestEncodeDecodeRoundTripModes(t *testing.T) {
 					want[uint32(i)] = v
 				}
 			}
-			payload, sent := encodeForTest(g, order, upd, gatherU32(func(lid uint32) uint32 { return vals[lid] }))
+			payload, sent := encodeForTest(g, order, upd, func(lid uint32) uint32 { return vals[lid] })
 			if c.updated != nil && len(sent) < len(c.updated) {
 				t.Fatalf("sent %d lids, want at least %d", len(sent), len(c.updated))
 			}
@@ -284,50 +285,40 @@ func TestEncodeDecodeRoundTripModes(t *testing.T) {
 	}
 }
 
-// TestEncodeModeSelection: the encoder picks the expected mode by density.
+// TestEncodeModeSelection: the encoder picks the expected mode by density
+// of updates over a 1024-proxy order.
 func TestEncodeModeSelection(t *testing.T) {
-	g := fakeGluon(t, Opt())
-	const n = 1024
-	order := make([]uint32, n)
+	g := mustSingleGluon(t)
+	order := make([]uint32, 1024)
 	for i := range order {
-		order[i] = uint32(i % 4) // lids just need to be valid
+		order[i] = uint32(2 * i) // strictly ascending, as every memoized order is
 	}
-	extract := gatherU32(func(lid uint32) uint32 { return lid })
-
-	mk := func(k int) *bitset.Bitset {
-		b := bitset.New(uint32(g.Part.NumProxies()))
-		// Mark k of the 4 distinct lids as updated: we need density over the
-		// order, so instead mark via positions — use a fresh order of unique
-		// lids for this test.
-		_ = k
+	extract := extractFunc[uint32](func(lid uint32) uint32 { return lid })
+	updated := func(k int) *bitset.Bitset {
+		b := bitset.New(g.Part.NumProxies())
+		for _, lid := range order[:k] {
+			b.SetUnsync(lid)
+		}
 		return b
 	}
-	_ = mk
-
-	// Unique-lid order over a larger fake proxy space is not available on
-	// this tiny partition, so test mode selection through payload size
-	// directly with the 4-proxy order repeated: updated=nil forces dense.
-	payload, _ := encodeForTest(g, order, nil, extract)
-	if payload[0] != modeDense {
-		t.Fatalf("nil updated: mode %d, want dense", payload[0])
-	}
-	// No updates: empty.
-	empty := bitset.New(uint32(g.Part.NumProxies()))
-	payload, _ = encodeForTest(g, order[:16], empty, extract)
-	if payload[0] != modeEmpty || len(payload) != 1 {
-		t.Fatalf("no updates: mode %d len %d", payload[0], len(payload))
-	}
-	// One update out of many: indices beat bitvec and dense.
-	one := bitset.New(uint32(g.Part.NumProxies()))
-	one.SetUnsync(1)
-	uniq := []uint32{0, 1, 2, 3}
-	bigOrder := make([]uint32, 0, 256)
-	for len(bigOrder) < 256 {
-		bigOrder = append(bigOrder, uniq...)
-	}
-	payload, _ = encodeForTest(g, bigOrder, one, extract)
-	if payload[0] != modeBitvec && payload[0] != modeIndices {
-		t.Fatalf("sparse updates: mode %d, want bitvec or indices", payload[0])
+	for _, c := range []struct {
+		name string
+		upd  *bitset.Bitset
+		want byte
+	}{
+		{"nil updated", nil, modeDense},
+		{"no updates", updated(0), modeEmpty},
+		{"one update", updated(1), modeIndices}, // 13 B beats the 128 B bit-vector
+		{"a tenth updated", updated(100), modeBitvec},
+		{"all updated", updated(len(order)), modeDense},
+	} {
+		payload, _ := encodeForTest(g, order, c.upd, extract)
+		if payload[0] != c.want {
+			t.Errorf("%s: mode %d, want %d", c.name, payload[0], c.want)
+		}
+		if c.want == modeEmpty && len(payload) != 1 {
+			t.Errorf("%s: empty message is %d bytes", c.name, len(payload))
+		}
 	}
 }
 
@@ -339,7 +330,7 @@ func TestUnoptUsesGIDPairs(t *testing.T) {
 	upd := bitset.New(g.Part.NumProxies())
 	upd.SetUnsync(1)
 	upd.SetUnsync(3)
-	payload, sent := encodeForTest(g, order, upd, gatherU32(func(lid uint32) uint32 { return lid * 10 }))
+	payload, sent := encodeForTest(g, order, upd, func(lid uint32) uint32 { return lid * 10 })
 	if payload[0] != modeGIDs {
 		t.Fatalf("mode %d, want gid-pairs", payload[0])
 	}
@@ -352,6 +343,11 @@ func TestUnoptUsesGIDPairs(t *testing.T) {
 	}
 	if got[1] != 10 || got[3] != 30 || len(got) != 2 {
 		t.Fatalf("got %v", got)
+	}
+	// No updates: a count of zero and no pairs.
+	payload, sent = encodeForTest(g, order, bitset.New(g.Part.NumProxies()), func(lid uint32) uint32 { return 0 })
+	if len(payload) != 5 || len(sent) != 0 {
+		t.Fatalf("empty gid-pairs message: %d bytes, %d sent", len(payload), len(sent))
 	}
 }
 
@@ -379,13 +375,66 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 		b := bitset.New(g.Part.NumProxies())
 		b.SetUnsync(0)
 		return b
-	}(), gatherU32(func(lid uint32) uint32 { return 0 }))
+	}(), func(lid uint32) uint32 { return 0 })
 	if payload[0] == modeIndices {
 		payload[5] = 200 // out-of-range position
 		if err := decodeMsg[uint32](g, payload, order, apply); err == nil {
 			t.Error("out-of-range index accepted")
 		}
 	}
+}
+
+// FuzzDecodeBody: whatever bytes a peer sends, decoding them against a
+// fixed memoized order either fails or applies values only to lids of that
+// order (to local proxies, for the order-free gid-pairs format) — it never
+// panics. Seeds: one valid message per mode, and a compressed wrapper.
+func FuzzDecodeBody(f *testing.F) {
+	g := mustSingleGluon(f)
+	order := make([]uint32, 512) // big enough for DEFLATE to win on a dense message
+	inOrder := map[uint32]bool{}
+	for i := range order {
+		order[i] = uint32(3 * i)
+		inOrder[order[i]] = true
+	}
+	some := bitset.New(g.Part.NumProxies())
+	some.SetUnsync(21)
+	some.SetUnsync(300)
+	src := extractFunc[uint32](func(lid uint32) uint32 { return lid * 7 })
+	seed := func(opt Options, upd *bitset.Bitset) (compressed bool) {
+		g.Opt = opt
+		payload, _, ms := encodeMsg(g, order, bitset.NewOrderMask(order), upd, src, &encodeScratch{})
+		hdr, body := g.maybeCompress(1, payload, &encodeScratch{}, &ms)
+		f.Add(append(bytes.Clone(hdr), body...))
+		return hdr != nil
+	}
+	forced := func(e Encoding) Options { o := Opt(); o.ForceEncoding = e; return o }
+	seed(Opt(), bitset.New(g.Part.NumProxies())) // empty
+	seed(forced(EncodingDense), some)
+	seed(forced(EncodingBitvec), some)
+	seed(forced(EncodingIndices), some)
+	seed(Unopt(), some) // gid pairs
+	wrapped := Opt()
+	wrapped.Compress = CompressAbove(0)
+	if !seed(wrapped, nil) {
+		f.Fatal("fixture: the dense seed did not compress")
+	}
+	g.Opt = Opt()
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, pooled, err := maybeDecompress(data)
+		if err != nil {
+			return
+		}
+		gidPairs := len(body) > 0 && body[0] == modeGIDs
+		_ = decodeBody(g, body, order, func(lid uint32, v uint32) {
+			if !inOrder[lid] && !(gidPairs && lid < g.Part.NumProxies()) {
+				t.Fatalf("applied lid %d, which is not in the order", lid)
+			}
+		})
+		if pooled {
+			comm.PutBuf(body)
+		}
+	})
 }
 
 // TestQuickEncodeDecodeRoundTrip: arbitrary update subsets and uint64
@@ -403,7 +452,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 				want[i] = vals[i]
 			}
 		}
-		payload, _ := encodeForTest(g, order, upd, gatherU64(func(lid uint32) uint64 { return vals[lid] }))
+		payload, _ := encodeForTest(g, order, upd, func(lid uint32) uint64 { return vals[lid] })
 		got := map[uint32]uint64{}
 		if err := decodeMsg(g, payload, order, func(lid uint32, v uint64) { got[lid] = v }); err != nil {
 			return false
@@ -424,7 +473,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	g := fakeGluon(t, Opt())
 	order := []uint32{0, 1, 2, 3}
-	encodeForTest(g, order, nil, gatherU32(func(lid uint32) uint32 { return 0 }))
+	encodeForTest(g, order, nil, func(lid uint32) uint32 { return 0 })
 	s := g.Stats()
 	if s.MessagesSent != 1 || s.ModeCounts[modeDense] != 1 {
 		t.Fatalf("stats %+v", s)
@@ -438,35 +487,24 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestValueCodec: every Value type round-trips through the wire helpers.
+// TestValueCodec: every Value type round-trips through its wire codec at
+// its wire size.
 func TestValueCodec(t *testing.T) {
+	checkCodec[uint32](t, 0xdeadbeef, 4)
+	checkCodec[int32](t, -7, 4)
+	checkCodec[float32](t, 1.5, 4)
+	checkCodec[uint64](t, 1<<60, 8)
+	checkCodec[int64](t, -1<<40, 8)
+	checkCodec[float64](t, 3.14159, 8)
+}
+
+func checkCodec[V Value](t *testing.T, v V, size int) {
+	t.Helper()
+	c := codecOf[V]()
 	buf := make([]byte, 8)
-	putVal(buf, uint32(0xdeadbeef))
-	if getVal[uint32](buf) != 0xdeadbeef {
-		t.Fatal("uint32")
-	}
-	putVal(buf, int32(-7))
-	if getVal[int32](buf) != -7 {
-		t.Fatal("int32")
-	}
-	putVal(buf, float32(1.5))
-	if getVal[float32](buf) != 1.5 {
-		t.Fatal("float32")
-	}
-	putVal(buf, uint64(1<<60))
-	if getVal[uint64](buf) != 1<<60 {
-		t.Fatal("uint64")
-	}
-	putVal(buf, int64(-1<<40))
-	if getVal[int64](buf) != -1<<40 {
-		t.Fatal("int64")
-	}
-	putVal(buf, 3.14159)
-	if getVal[float64](buf) != 3.14159 {
-		t.Fatal("float64")
-	}
-	if valSize[uint32]() != 4 || valSize[float64]() != 8 {
-		t.Fatal("valSize")
+	putVals(buf, 0, c.size, []V{v})
+	if got := c.get(buf); got != v || c.size != size {
+		t.Errorf("%T: put %v, got %v back; wire size %d, want %d", v, v, got, c.size, size)
 	}
 }
 
@@ -488,34 +526,19 @@ func TestNewRejectsMismatchedTransport(t *testing.T) {
 // encodeForTest drives encodeMsg the way the sync path does — order mask,
 // fresh scratch, worker-local stats folded into the instance — so codec
 // tests exercise the production configuration without pooling.
-func encodeForTest[V Value](g *Gluon, order []uint32, upd *bitset.Bitset, gather func([]uint32, []V) []V) ([]byte, []uint32) {
+func encodeForTest[V Value](g *Gluon, order []uint32, upd *bitset.Bitset, src extractFunc[V]) ([]byte, []uint32) {
+	payload, sent, ms := encodeMsg(g, order, bitset.NewOrderMask(order), upd, src, &encodeScratch{})
 	var st Stats
-	payload, sent := encodeMsg(g, order, bitset.NewOrderMask(order), upd, gather, &encodeScratch{}, &st)
+	st.addMsg(&ms)
 	g.foldStats(&st)
 	return payload, sent
 }
 
-// gatherU32 adapts a per-lid extractor into the bulk gather form encodeMsg
-// takes.
-func gatherU32(extract func(uint32) uint32) func([]uint32, []uint32) []uint32 {
-	return func(lids []uint32, dst []uint32) []uint32 {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = extract(lid)
-		}
-		return dst
-	}
-}
+// extractFunc adapts a per-lid function into the extractor encodeMsg reads
+// values through.
+type extractFunc[V Value] func(lid uint32) V
 
-func gatherU64(extract func(uint32) uint64) func([]uint32, []uint64) []uint64 {
-	return func(lids []uint32, dst []uint64) []uint64 {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = extract(lid)
-		}
-		return dst
-	}
-}
+func (f extractFunc[V]) Extract(lid uint32) V { return f(lid) }
 
 func ExampleOpt() {
 	o := Opt()

@@ -108,8 +108,8 @@ func (c *hotPathCluster) syncAll(tb testing.TB, fieldID uint32) {
 				Name:      "hotpath",
 				Write:     gluon.AtDestination,
 				Read:      gluon.AtSource,
-				Reduce:    fields.MinU32{Labels: c.labels[h]},
-				Broadcast: fields.SetU32{Labels: c.labels[h]},
+				Reduce:    fields.Min[uint32](c.labels[h]),
+				Broadcast: fields.Set[uint32](c.labels[h]),
 			}
 			if err := gluon.Sync(c.gs[h], f, c.upds[h]); err != nil {
 				tb.Errorf("host %d: %v", h, err)

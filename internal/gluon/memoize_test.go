@@ -85,7 +85,8 @@ func TestMemoizeMatchesPerGIDTranslation(t *testing.T) {
 
 // TestNewRestoredRoundTripsExportMemo: a substrate rebuilt from its own
 // exported memo section has the same exchange orders and re-exports the
-// same bytes.
+// same bytes — and a section that was tampered with is refused, not turned
+// into exchange orders the masks cannot represent.
 func TestNewRestoredRoundTripsExportMemo(t *testing.T) {
 	for _, kind := range partition.AllKinds() {
 		for _, g := range buildCluster(t, kind, 4, Opt()) {
@@ -113,23 +114,57 @@ func TestNewRestoredRoundTripsExportMemo(t *testing.T) {
 			}
 		}
 	}
+
+	g := buildCluster(t, partition.OEC, 2, Opt())[1]
+	memo := g.ExportMemo()
+	// Layout: u32 hosts, then host 0's masters order: u32 count, u32 lids.
+	const first = 4 + 4
+	if binary.LittleEndian.Uint32(memo[4:]) < 2 {
+		t.Fatal("fixture: host 1 has fewer than two masters mirrored on host 0")
+	}
+	edit := func(f func(m []byte) []byte) []byte { return f(bytes.Clone(memo)) }
+	for name, bad := range map[string][]byte{
+		"unsorted order": edit(func(m []byte) []byte {
+			copy(m[first:], memo[first+4:first+8])
+			copy(m[first+4:], memo[first:first+4])
+			return m
+		}),
+		"duplicate lid": edit(func(m []byte) []byte { copy(m[first+4:], memo[first:first+4]); return m }),
+		"mirror lid": edit(func(m []byte) []byte {
+			binary.LittleEndian.PutUint32(m[first:], g.Part.NumMasters)
+			return m
+		}),
+		"wrong host count": edit(func(m []byte) []byte { m[0]++; return m }),
+		"truncated":        memo[:len(memo)-2],
+		"trailing bytes":   append(bytes.Clone(memo), 0),
+	} {
+		if _, err := NewRestored(g.Part, g.T, g.Opt, bad); err == nil {
+			t.Errorf("tampered memo section (%s) accepted", name)
+		}
+	}
 }
 
 // TestMemoizeRejectsBadPeerMessage: the master side's range check (which
-// replaced a map lookup) rejects a GID this host does not own, and a count
-// that disagrees with the message length is an error, not a panic.
+// replaced a map lookup) rejects a GID this host does not own, GIDs that do
+// not strictly ascend (the agreed order every mask is built on), and a
+// count that disagrees with the message length is an error, not a panic.
 func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
 	part := buildCluster(t, partition.OEC, 2, Opt())[0].Part
 	foreign := part.Policy.Bounds()[1] // first node of host 1's range
-	entry := func(count uint32, gid uint64) []byte {
+	entry := func(count uint32, gids ...uint64) []byte {
 		msg := binary.LittleEndian.AppendUint32(nil, count)
-		return append(binary.LittleEndian.AppendUint64(msg, gid), 0)
+		for _, gid := range gids {
+			msg = append(binary.LittleEndian.AppendUint64(msg, gid), 0)
+		}
+		return msg
 	}
 	for name, msg := range map[string][]byte{
-		"foreign gid":    entry(1, foreign),
-		"gid past graph": entry(1, part.GlobalNodes+3),
-		"count too big":  entry(5, 0),
-		"no count":       {1, 0},
+		"foreign gid":     entry(1, foreign),
+		"gid past graph":  entry(1, part.GlobalNodes+3),
+		"count too big":   entry(5, 0),
+		"no count":        {1, 0},
+		"descending gids": entry(2, 1, 0),
+		"duplicate gid":   entry(2, 1, 1),
 	} {
 		hub := comm.NewHub(2)
 		if err := hub.Endpoint(1).Send(0, comm.TagMemo, msg); err != nil {

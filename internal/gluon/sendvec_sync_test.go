@@ -135,8 +135,7 @@ func TestCompressedWireBytesMatchAcrossTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressThreshold = 128
+	opt.Compress = gluon.CompressAbove(128)
 
 	var inprocHash, tcpHash atomic.Uint64
 
@@ -204,8 +203,7 @@ func TestCompressedSyncOverTCP(t *testing.T) {
 	}
 
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressThreshold = 128
+	opt.Compress = gluon.CompressAbove(128)
 	res, err := dsys.RunWithTransports(parts, tcpMesh(t, hosts, 41410), dsys.RunConfig{
 		Hosts: hosts, Policy: partition.CVC, Opt: opt,
 		CollectValues: true, MaxRounds: 100,
@@ -244,8 +242,7 @@ func TestAdaptiveCompressionPreservesResults(t *testing.T) {
 	want := ref.PageRank(g, pr.Alpha, 1e-9, 100)
 
 	opt := gluon.Opt()
-	opt.Compress = true
-	opt.CompressPolicy = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 128})
+	opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 128})
 	res, err := dsys.Run(cfg.NumNodes(), edges, dsys.RunConfig{
 		Hosts: 4, Policy: partition.CVC, Opt: opt,
 		CollectValues: true, MaxRounds: 100,

@@ -1,6 +1,10 @@
 package gluon
 
-import "time"
+import (
+	"time"
+
+	"gluon/internal/trace"
+)
 
 // Stats counts this host's substrate traffic, split the way the paper's
 // Figure 10 reports it: value payload versus metadata (bit-vectors, index
@@ -38,9 +42,37 @@ type Stats struct {
 	CompressedMessages uint64
 	CompressionSaved   uint64
 	// CompressSkipped counts messages that went uncompressed while
-	// compression was enabled: below the static threshold, declined by the
-	// CompressPolicy, or attempted but incompressible.
+	// compression was enabled: declined by the CompressPolicy, or attempted
+	// but incompressible.
 	CompressSkipped uint64
+}
+
+// msgStats is the accounting record of one encoded message: encodeMsg fills
+// the mode and byte split, maybeCompress then moves the bytes DEFLATE saved
+// out of the split and sets the compression outcome. It is the only source
+// of both the Stats counters (addMsg) and the encode trace span's tags, so
+// trace sums reproduce Stats exactly.
+type msgStats struct {
+	mode             byte
+	value, meta, gid uint64 // wire bytes by kind, post-compression
+	comp             int8   // trace.CompNone / CompShipped / CompSkipped
+	saved            uint64 // bytes DEFLATE removed from the wire
+}
+
+// addMsg counts one sent message.
+func (s *Stats) addMsg(m *msgStats) {
+	s.MessagesSent++
+	s.ModeCounts[m.mode]++
+	s.ValueBytes += m.value
+	s.MetadataBytes += m.meta
+	s.GIDBytes += m.gid
+	switch m.comp {
+	case trace.CompShipped:
+		s.CompressedMessages++
+		s.CompressionSaved += m.saved
+	case trace.CompSkipped:
+		s.CompressSkipped++
+	}
 }
 
 // BytesSent returns total field-sync payload bytes.

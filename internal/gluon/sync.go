@@ -1,7 +1,6 @@
 package gluon
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -66,19 +65,20 @@ type BulkExtractor[V Value] interface {
 	ExtractBulk(lids []uint32, dst []V) []V
 }
 
-// gatherFor builds the value-gather function for a spec, preferring the
-// bulk variant when the spec provides one.
-func gatherFor[V Value](spec interface{ Extract(lid uint32) V }) func(lids []uint32, dst []V) []V {
+// extractor is the read half that both kinds of spec share.
+type extractor[V Value] interface{ Extract(lid uint32) V }
+
+// gather reads the values at lids into dst (which has the required
+// capacity), through the spec's bulk variant when it provides one.
+func gather[V Value](spec extractor[V], lids []uint32, dst []V) []V {
 	if be, ok := spec.(BulkExtractor[V]); ok {
-		return be.ExtractBulk
+		return be.ExtractBulk(lids, dst)
 	}
-	return func(lids []uint32, dst []V) []V {
-		dst = dst[:len(lids)]
-		for i, lid := range lids {
-			dst[i] = spec.Extract(lid)
-		}
-		return dst
+	dst = dst[:len(lids)]
+	for i, lid := range lids {
+		dst[i] = spec.Extract(lid)
 	}
+	return dst
 }
 
 // Field describes one synchronizable node field: where the operator writes
@@ -145,42 +145,90 @@ func Sync[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 	return nil
 }
 
-// modeDelta returns the wire encoding mode of the one message encoded
-// between the st0 snapshot and st (the ModeCounts slot that advanced).
-func modeDelta(st, st0 *Stats) int8 {
-	for i := range st.ModeCounts {
-		if st.ModeCounts[i] != st0.ModeCounts[i] {
-			return int8(i)
-		}
-	}
-	return -1
-}
-
-// compDelta returns the trace compression tag of the one message encoded
-// between the st0 snapshot and st: shipped compressed, considered but
-// skipped, or not a candidate (compression off).
-func compDelta(st, st0 *Stats) int8 {
-	switch {
-	case st.CompressedMessages != st0.CompressedMessages:
-		return trace.CompShipped
-	case st.CompressSkipped != st0.CompressSkipped:
-		return trace.CompSkipped
-	default:
-		return trace.CompNone
-	}
-}
-
-// sendMsg ships one encoded message: the vectored transport path when
-// compression produced a separate wrapper header, the plain path otherwise.
-func sendMsg(g *Gluon, h int, tag comm.Tag, hdr, payload []byte) error {
-	if hdr == nil {
-		return g.T.Send(h, tag, payload)
-	}
-	return g.T.SendVec(h, tag, hdr, payload)
+// phase is what differs between the two halves of a sync (§3.3): which
+// memoized orders are sent and received into, how values are read out, and
+// which function meets a value on arrival. runPhase is everything else.
+//
+// It travels by value into runPhase's goroutine closures; keeping it under
+// the compiler's 128-byte limit for by-value capture (orders by pointer)
+// is what keeps a sync from allocating its descriptor.
+type phase[V Value] struct {
+	field      uint32   // Field.ID, for spans
+	name       string   // Field.Name, for spans and errors
+	word       string   // "reduce" / "broadcast", for errors
+	tag        comm.Tag // namespaces this field and direction on the wire
+	send, recv *orderSet
+	src        extractor[V] // where sent values are read from
+	// reset, set only for reduce, returns each mirror whose value was
+	// shipped to the reduction identity; its "changed" bit migrates to the
+	// master with the value.
+	reset interface{ Reset(lid uint32) }
+	apply func(lid uint32, v V)
+	// ordered makes arrivals fold in ascending host order instead of on
+	// arrival. Reduce needs it: a master receives contributions from several
+	// peers, and order-sensitive reductions (floating-point sums) must fold
+	// them in the same sequence every run to keep later rounds' payload
+	// bytes deterministic. A broadcast value has exactly one sender — the
+	// owner — so arrival order cannot show and nothing is ever parked.
+	ordered bool
+	applied trace.Phase // PhaseFold / PhaseApply: the span of one applied message
 }
 
 // SyncReduce runs only the reduce pattern for f.
 func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
+	send, recv := g.peersForReduce(f.Write, g.Opt.StructuralInvariants)
+	spec := f.Reduce
+	return runPhase(g, updated, phase[V]{
+		field: f.ID, name: f.Name, word: "reduce", tag: g.reduceTag(f.ID),
+		send: send, recv: recv, src: spec, reset: spec,
+		apply: func(lid uint32, v V) {
+			if spec.Reduce(lid, v) && updated != nil {
+				updated.Set(lid)
+			}
+		},
+		ordered: true, applied: trace.PhaseFold,
+	})
+}
+
+// SyncBroadcast runs only the broadcast pattern for f.
+func SyncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
+	return syncBroadcast(g, f, updated, g.Opt.StructuralInvariants)
+}
+
+// BroadcastAll pushes masters' canonical values to every mirror regardless
+// of structural pattern or update tracking: a full reconciliation, used to
+// finalize results before output or verification.
+func BroadcastAll[V Value](g *Gluon, f Field[V]) error {
+	return syncBroadcast(g, f, nil, false)
+}
+
+// syncBroadcast builds the broadcast phase with the structural-invariant
+// choice made explicit, so BroadcastAll can run unconstrained without
+// mutating shared options.
+func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, structural bool) error {
+	send, recv := g.peersForBroadcast(f.Read, structural)
+	spec := f.Broadcast
+	return runPhase(g, updated, phase[V]{
+		field: f.ID, name: f.Name, word: "broadcast", tag: g.broadcastTag(f.ID),
+		send: send, recv: recv, src: spec,
+		apply: func(lid uint32, v V) {
+			spec.Set(lid, v)
+			// Delivery activates the mirror even when the value is
+			// unchanged: the mirror that originated this round's best value
+			// has the value already, but its outgoing edges have not been
+			// processed with it yet (matters for unconstrained vertex cuts,
+			// where a mirror can have both incoming and outgoing edges).
+			if updated != nil {
+				updated.Set(lid)
+			}
+		},
+		applied: trace.PhaseApply,
+	})
+}
+
+// runPhase is the one sync pipeline: peer lists → parallel encode → send →
+// any-order receive → decode → apply, for whichever direction ph describes.
+func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	g.syncBegin()
 	rec := g.rec
 	tr := rec.Enabled()
@@ -191,24 +239,20 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 	defer func() {
 		if tr {
 			rec.Emit(trace.Event{Phase: trace.PhaseSync, Start: syncT0, Dur: rec.Now() - syncT0,
-				Field: f.ID, Peer: -1, Detail: f.Name})
+				Field: ph.field, Peer: -1, Detail: ph.name})
 		}
 		g.syncEnd()
 	}()
 
-	send, recv := g.peersForReduce(f.Write, g.Opt.StructuralInvariants)
-	tag := g.reduceTag(f.ID)
-	me := g.HostID()
-	gatherReduce := gatherFor[V](f.Reduce)
-
 	ps := getPeerScratch()
-	sendPeers, recvPeers := ps.peerLists(g.NumHosts(), me, send, recv)
+	sendPeers, recvPeers := ps.peerLists(g.NumHosts(), g.HostID(), ph.send, ph.recv)
 
-	// Ship mirror values to owners. Encoding fans out across workers — the
-	// per-peer mirror sets are disjoint, so encode, Reset, and Clear for
-	// different peers touch disjoint lids and words are read atomically.
-	// Sends still run off the receive path so that large bidirectional
-	// exchanges cannot deadlock on transport buffering.
+	// Encoding fans out across workers. Reduce sends per-peer mirror sets,
+	// which are disjoint, so encode, Reset and Clear for different peers
+	// touch disjoint lids and words are read atomically; broadcast's master
+	// orders overlap, but it only reads them. Sends run off the receive path
+	// so that large bidirectional exchanges cannot deadlock on transport
+	// buffering.
 	sendErr := ps.errChan()
 	g.sendWG.Add(1)
 	go func() {
@@ -221,66 +265,65 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 			defer g.foldStats(&st)
 			lane := int32(1 + w)
 			for _, h := range sendPeers[lo:hi] {
-				order := send.lists[h]
 				var t0 int64
-				var st0 Stats
 				if tr {
-					t0, st0 = rec.Now(), st
+					t0 = rec.Now()
 				}
-				payload, sent := encodeMsg(g, order, send.masks[h], updated, gatherReduce, sc, &st)
-				hdr, payload := g.maybeCompress(f.ID, payload, sc, &st)
+				payload, sent, ms := encodeMsg(g, ph.send.lists[h], ph.send.masks[h], updated, ph.src, sc)
+				hdr, payload := g.maybeCompress(ph.field, payload, sc, &ms)
+				st.addMsg(&ms)
 				if tr {
-					// Byte tags are the post-compression stats deltas of this
-					// one message, so trace sums reproduce Stats exactly.
 					rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: f.ID, Lane: lane, Mode: modeDelta(&st, &st0),
-						Value: st.ValueBytes - st0.ValueBytes, Meta: st.MetadataBytes - st0.MetadataBytes,
-						GID:  st.GIDBytes - st0.GIDBytes,
-						Comp: compDelta(&st, &st0), Saved: st.CompressionSaved - st0.CompressionSaved})
+						Peer: int32(h), Field: ph.field, Lane: lane, Mode: int8(ms.mode),
+						Value: ms.value, Meta: ms.meta, GID: ms.gid, Comp: ms.comp, Saved: ms.saved})
 				}
-				// Mirrors whose value was shipped return to the reduction
-				// identity, and their "changed" bit migrates to the master.
-				for _, lid := range sent {
-					f.Reduce.Reset(lid)
-					if updated != nil {
-						updated.Clear(lid)
+				if ph.reset != nil {
+					for _, lid := range sent {
+						ph.reset.Reset(lid)
+						if updated != nil {
+							updated.Clear(lid)
+						}
 					}
 				}
 				if tr {
 					t0 = rec.Now()
 				}
-				if err := sendMsg(g, h, tag, hdr, payload); err != nil {
-					return fmt.Errorf("gluon: reduce %s to host %d: %w", f.Name, h, err)
+				// The vectored path when compression produced a separate
+				// wrapper header, the plain path otherwise.
+				var err error
+				if hdr == nil {
+					err = g.T.Send(h, ph.tag, payload)
+				} else {
+					err = g.T.SendVec(h, ph.tag, hdr, payload)
+				}
+				if err != nil {
+					return fmt.Errorf("gluon: %s %s to host %d: %w", ph.word, ph.name, h, err)
 				}
 				if tr {
 					rec.Emit(trace.Event{Phase: trace.PhaseSend, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: f.ID, Lane: lane})
+						Peer: int32(h), Field: ph.field, Lane: lane})
 				}
 			}
 			return nil
 		})
 	}()
 
-	// Fold received mirror values into masters. Messages are received in
-	// arrival order but folds run in ascending host order: a master receives
-	// contributions from several peers, and order-sensitive reductions
-	// (floating-point sums) must fold them in the same sequence every run to
-	// keep later rounds' payload bytes deterministic. A message whose turn
-	// has come folds straight out of its receive buffer — wire parsing and
-	// apply are one pass, with no intermediate (lids, values) staging. A
-	// message that arrives ahead of its turn is decompressed (so the CPU
-	// work overlaps waiting on slower links) and parked as raw wire bytes;
-	// its single decode-and-fold pass runs once its predecessors are in.
-	apply := func(lid uint32, v V) {
-		if f.Reduce.Reduce(lid, v) && updated != nil {
-			updated.Set(lid)
-		}
-	}
+	// Messages are received in arrival order. One whose turn has come (any
+	// message, unless ph.ordered) is applied straight out of its receive
+	// buffer — wire parsing and apply are one pass, with no intermediate
+	// (lids, values) staging. One that arrives ahead of its turn is
+	// decompressed (so the CPU work overlaps waiting on slower links) and
+	// parked as raw wire bytes; its single decode-and-apply pass runs once
+	// its predecessors are in.
 	remaining := append(ps.rem[:0], recvPeers...)
 	ps.rem = remaining
 	stages := ps.hostStages(g.NumHosts())
-	applyIdx := 0
-	defer trace.LabelPhase(trace.PhaseFold)()
+	fail := func(h int, err error) error {
+		releaseStages(stages)
+		return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
+	}
+	next := 0 // index into recvPeers of the next host to fold, when ordered
+	defer trace.LabelPhase(ph.applied)()
 	for len(remaining) > 0 {
 		var t0 int64
 		if tr {
@@ -290,192 +333,60 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 		// alloc-free); they let the watchdog tell a host blocked waiting on a
 		// peer (a victim) from one still producing (a suspect).
 		rec.SetLivePhase(trace.PhaseRecvWait)
-		h, payload, err := g.T.RecvAny(tag, remaining)
-		rec.SetLivePhase(trace.PhaseFold)
+		h, payload, err := g.T.RecvAny(ph.tag, remaining)
+		rec.SetLivePhase(ph.applied)
 		if err != nil {
-			releaseStages(stages)
-			return fmt.Errorf("gluon: reduce %s from host %d: %w", f.Name, h, err)
+			return fail(h, err)
 		}
 		if tr {
 			rec.Emit(trace.Event{Phase: trace.PhaseRecvWait, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: f.ID, Value: uint64(len(payload))})
+				Peer: int32(h), Field: ph.field, Value: uint64(len(payload))})
 			t0 = rec.Now()
 		}
 		remaining = removePeer(remaining, h)
-		if applyIdx < len(recvPeers) && h == recvPeers[applyIdx] {
-			err = decodeMsg(g, payload, recv.lists[h], apply)
+		detail := ""
+		if !ph.ordered || h == recvPeers[next] {
+			err = decodeMsg(g, payload, ph.recv.lists[h], ph.apply)
 			comm.PutBuf(payload)
-			if err != nil {
-				releaseStages(stages)
-				g.dumpInvariant(h, err)
-				return fmt.Errorf("gluon: reduce %s from host %d: %w", f.Name, h, err)
-			}
-			applyIdx++
-			if tr {
-				rec.Emit(trace.Event{Phase: trace.PhaseFold, Start: t0, Dur: rec.Now() - t0,
-					Peer: int32(h), Field: f.ID})
-			}
+			next++
 		} else {
-			// Out of turn: pay decompression now, park the raw wire bytes in
-			// their pooled buffer, and decode-and-fold in one pass later.
-			body, pooled, derr := maybeDecompress(payload)
-			if derr != nil {
-				comm.PutBuf(payload)
-				releaseStages(stages)
-				g.dumpInvariant(h, derr)
-				return fmt.Errorf("gluon: reduce %s from host %d: %w", f.Name, h, derr)
-			}
-			if pooled {
+			var pooled bool
+			stages[h], pooled, err = maybeDecompress(payload)
+			if pooled || err != nil {
 				comm.PutBuf(payload)
 			}
-			stages[h] = body
-			if tr {
-				rec.Emit(trace.Event{Phase: trace.PhaseFold, Start: t0, Dur: rec.Now() - t0,
-					Peer: int32(h), Field: f.ID, Detail: "stage"})
-			}
+			detail = "stage"
+		}
+		if err != nil {
+			g.dumpInvariant(h, err)
+			return fail(h, err)
+		}
+		if tr {
+			rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
+				Peer: int32(h), Field: ph.field, Detail: detail})
 		}
 		// Whatever is now unblocked folds while later messages are in flight.
-		for applyIdx < len(recvPeers) && stages[recvPeers[applyIdx]] != nil {
-			hp := recvPeers[applyIdx]
+		for ; next < len(recvPeers) && stages[recvPeers[next]] != nil; next++ {
+			hp := recvPeers[next]
 			body := stages[hp]
 			stages[hp] = nil
 			if tr {
 				t0 = rec.Now()
 			}
-			derr := decodeBody(g, body, recv.lists[hp], apply)
+			err := decodeBody(g, body, ph.recv.lists[hp], ph.apply)
 			comm.PutBuf(body)
-			if derr != nil {
-				releaseStages(stages)
-				g.dumpInvariant(hp, derr)
-				return fmt.Errorf("gluon: reduce %s from host %d: %w", f.Name, hp, derr)
+			if err != nil {
+				g.dumpInvariant(hp, err)
+				return fail(hp, err)
 			}
-			applyIdx++
 			if tr {
-				rec.Emit(trace.Event{Phase: trace.PhaseFold, Start: t0, Dur: rec.Now() - t0,
-					Peer: int32(hp), Field: f.ID, Detail: "unstage"})
+				rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
+					Peer: int32(hp), Field: ph.field, Detail: "unstage"})
 			}
 		}
 	}
 	err := <-sendErr
 	putPeerScratch(ps) // not pooled on the error returns above: senders may still hold the lists
-	return err
-}
-
-// SyncBroadcast runs only the broadcast pattern for f.
-func SyncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
-	return syncBroadcast(g, f, updated, g.Opt.StructuralInvariants)
-}
-
-// syncBroadcast is SyncBroadcast with the structural-invariant choice made
-// explicit, so BroadcastAll can run unconstrained without mutating shared
-// options.
-func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, structural bool) error {
-	g.syncBegin()
-	rec := g.rec
-	tr := rec.Enabled()
-	var syncT0 int64
-	if tr {
-		syncT0 = rec.Now()
-	}
-	defer func() {
-		if tr {
-			rec.Emit(trace.Event{Phase: trace.PhaseSync, Start: syncT0, Dur: rec.Now() - syncT0,
-				Field: f.ID, Peer: -1, Detail: f.Name})
-		}
-		g.syncEnd()
-	}()
-
-	send, recv := g.peersForBroadcast(f.Read, structural)
-	tag := g.broadcastTag(f.ID)
-	me := g.HostID()
-	gatherBcast := gatherFor[V](f.Broadcast)
-
-	ps := getPeerScratch()
-	sendPeers, recvPeers := ps.peerLists(g.NumHosts(), me, send, recv)
-
-	// Master orders for different peers overlap, but broadcast encoding
-	// only reads them, so the worker fan-out is safe.
-	sendErr := ps.errChan()
-	g.sendWG.Add(1)
-	go func() {
-		defer g.sendWG.Done()
-		sendErr <- par.RangeWorkers(len(sendPeers), g.Opt.SyncWorkers, func(w, lo, hi int) error {
-			defer trace.LabelPhase(trace.PhaseEncode)()
-			sc := getEncodeScratch()
-			defer putEncodeScratch(sc)
-			var st Stats
-			defer g.foldStats(&st)
-			lane := int32(1 + w)
-			for _, h := range sendPeers[lo:hi] {
-				order := send.lists[h]
-				var t0 int64
-				var st0 Stats
-				if tr {
-					t0, st0 = rec.Now(), st
-				}
-				payload, _ := encodeMsg(g, order, send.masks[h], updated, gatherBcast, sc, &st)
-				hdr, payload := g.maybeCompress(f.ID, payload, sc, &st)
-				if tr {
-					rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: f.ID, Lane: lane, Mode: modeDelta(&st, &st0),
-						Value: st.ValueBytes - st0.ValueBytes, Meta: st.MetadataBytes - st0.MetadataBytes,
-						GID:  st.GIDBytes - st0.GIDBytes,
-						Comp: compDelta(&st, &st0), Saved: st.CompressionSaved - st0.CompressionSaved})
-					t0 = rec.Now()
-				}
-				if err := sendMsg(g, h, tag, hdr, payload); err != nil {
-					return fmt.Errorf("gluon: broadcast %s to host %d: %w", f.Name, h, err)
-				}
-				if tr {
-					rec.Emit(trace.Event{Phase: trace.PhaseSend, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: f.ID, Lane: lane})
-				}
-			}
-			return nil
-		})
-	}()
-
-	defer trace.LabelPhase(trace.PhaseApply)()
-	for len(recvPeers) > 0 {
-		var t0 int64
-		if tr {
-			t0 = rec.Now()
-		}
-		rec.SetLivePhase(trace.PhaseRecvWait)
-		h, payload, err := g.T.RecvAny(tag, recvPeers)
-		rec.SetLivePhase(trace.PhaseApply)
-		if err != nil {
-			return fmt.Errorf("gluon: broadcast %s from host %d: %w", f.Name, h, err)
-		}
-		if tr {
-			rec.Emit(trace.Event{Phase: trace.PhaseRecvWait, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: f.ID, Value: uint64(len(payload))})
-			t0 = rec.Now()
-		}
-		recvPeers = removePeer(recvPeers, h)
-		err = decodeMsg(g, payload, recv.lists[h], func(lid uint32, v V) {
-			f.Broadcast.Set(lid, v)
-			// Delivery activates the mirror even when the value is
-			// unchanged: the mirror that originated this round's best value
-			// has the value already, but its outgoing edges have not been
-			// processed with it yet (matters for unconstrained vertex cuts,
-			// where a mirror can have both incoming and outgoing edges).
-			if updated != nil {
-				updated.Set(lid)
-			}
-		})
-		comm.PutBuf(payload)
-		if err != nil {
-			g.dumpInvariant(h, err)
-			return fmt.Errorf("gluon: broadcast %s from host %d: %w", f.Name, h, err)
-		}
-		if tr {
-			rec.Emit(trace.Event{Phase: trace.PhaseApply, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: f.ID})
-		}
-	}
-	err := <-sendErr
-	putPeerScratch(ps)
 	return err
 }
 
@@ -494,7 +405,7 @@ func releaseStages(stages [][]byte) {
 
 // peerLists fills the scratch with the peers this sync sends to and
 // receives from, skipping self and empty orders.
-func (ps *peerScratch) peerLists(hosts, me int, send, recv orderSet) (sendPeers, recvPeers []int) {
+func (ps *peerScratch) peerLists(hosts, me int, send, recv *orderSet) (sendPeers, recvPeers []int) {
 	sendPeers, recvPeers = ps.send[:0], ps.recv[:0]
 	for h := 0; h < hosts; h++ {
 		if h == me {
@@ -523,99 +434,60 @@ func removePeer(peers []int, h int) []int {
 	return peers
 }
 
-// BroadcastAll pushes masters' canonical values to every mirror regardless
-// of structural pattern or update tracking: a full reconciliation, used to
-// finalize results before output or verification.
-func BroadcastAll[V Value](g *Gluon, f Field[V]) error {
-	full := Field[V]{ID: f.ID, Name: f.Name, Write: Anywhere, Read: Anywhere, Broadcast: f.Broadcast}
-	return syncBroadcast(g, full, nil, false)
+// updatedIn lists the positions of a memoized order that carry an update
+// this round and the local IDs at those positions: every position when
+// updated is nil, otherwise the word-level intersection of the order's mask
+// with updated. Both slices alias sc or order and are only valid until the
+// next call on the same scratch.
+func (sc *encodeScratch) updatedIn(order []uint32, mask *bitset.OrderMask, updated *bitset.Bitset) (positions, lids []uint32) {
+	positions = sc.positions[:0]
+	if updated == nil {
+		for i := range order {
+			positions = append(positions, uint32(i))
+		}
+		sc.positions = positions
+		return positions, order
+	}
+	sc.positions, sc.sent = mask.IntersectAppend(updated, positions, sc.sent[:0])
+	return sc.positions, sc.sent
 }
 
-// encodeMsg builds one field-sync message for the given memoized order,
-// selecting the cheapest of the §4.2 encodings (or (GID, value) pairs when
-// temporal invariance is off). Values are obtained through gather — one
-// bulk call per message, matching the GPU plugin's staged transfers. The
-// payload comes from the comm buffer pool and is released per the
-// Transport contract once sent; index and value staging live in sc, and
-// stats are accumulated into st for a race-free fold after the worker
-// joins. mask, when non-nil, must be the OrderMask of order; it replaces
-// the per-lid updated probes with word-level intersection.
+// encodeMsg builds one field-sync message for the given memoized order and
+// its OrderMask, selecting the cheapest of the §4.2 encodings (or (GID,
+// value) pairs when temporal invariance is off). Values are read from src
+// with one gather per message, matching the GPU plugin's staged transfers. The payload comes from the comm buffer pool and is
+// released per the Transport contract once sent; index and value staging
+// live in sc.
 //
-// It returns the payload and the slice of local IDs whose values were
-// shipped; sent aliases either sc or order and is only valid until the
-// next encode on the same scratch.
-func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, updated *bitset.Bitset, gather func(lids []uint32, dst []V) []V, sc *encodeScratch, st *Stats) (payload []byte, sent []uint32) {
-	vs := valSize[V]()
+// It returns the payload, the local IDs whose values were shipped (sent
+// aliases either sc or order and is only valid until the next encode on the
+// same scratch), and the message's accounting record.
+func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, updated *bitset.Bitset, src extractor[V], sc *encodeScratch) (payload []byte, sent []uint32, ms msgStats) {
+	vs := codecOf[V]().size
 	n := len(order)
+	positions, sent := sc.updatedIn(order, mask, updated)
+	k := len(sent)
 
 	if !g.Opt.TemporalInvariance {
 		// Pre-Gluon wire format: (global-ID, value) pairs for every updated
 		// proxy. No memoized ordering is assumed by the receiver.
-		sent = sc.sent[:0]
-		switch {
-		case updated == nil:
-			sent = append(sent, order...)
-		case mask != nil:
-			sc.positions, sent = mask.IntersectAppend(updated, sc.positions[:0], sent)
-		default:
-			for _, lid := range order {
-				if updated.Test(lid) {
-					sent = append(sent, lid)
-				}
-			}
-		}
-		sc.sent = sent
-		vals := gather(sent, scratchVals[V](sc, len(sent)))
-		payload = comm.GetBuf(5 + len(sent)*(8+vs))
+		vals := gather(src, sent, scratchVals[V](sc, k))
+		payload = comm.GetBuf(5 + k*(8+vs))
 		payload[0] = modeGIDs
-		binary.LittleEndian.PutUint32(payload[1:], uint32(len(sent)))
-		off := 5
+		le.PutUint32(payload[1:], uint32(k))
 		for i, lid := range sent {
-			binary.LittleEndian.PutUint64(payload[off:], g.Part.GID(lid))
-			putVal(payload[off+8:], vals[i])
-			off += 8 + vs
+			le.PutUint64(payload[5+i*(8+vs):], g.Part.GID(lid))
 		}
-		st.MessagesSent++
-		st.ModeCounts[modeGIDs]++
-		st.MetadataBytes += 5
-		st.GIDBytes += uint64(len(sent)) * 8
-		st.ValueBytes += uint64(len(sent)) * uint64(vs)
-		return payload, sent
+		putVals(payload, 5+8, 8+vs, vals)
+		return payload, sent, msgStats{mode: modeGIDs, meta: 5, gid: uint64(k) * 8, value: uint64(k * vs)}
 	}
-
-	// Positions (into the memoized order) carrying an update this round.
-	positions := sc.positions[:0]
-	switch {
-	case updated == nil:
-		for i := 0; i < n; i++ {
-			positions = append(positions, uint32(i))
-		}
-		sent = order
-	case mask != nil:
-		positions, sent = mask.IntersectAppend(updated, positions, sc.sent[:0])
-		sc.sent = sent
-	default:
-		sent = sc.sent[:0]
-		for i, lid := range order {
-			if updated.Test(lid) {
-				positions = append(positions, uint32(i))
-				sent = append(sent, lid)
-			}
-		}
-		sc.sent = sent
-	}
-	sc.positions = positions
-	k := len(positions)
-
-	// Size each §4.2 encoding and pick the smallest.
 	if k == 0 {
-		st.MessagesSent++
-		st.ModeCounts[modeEmpty]++
-		st.MetadataBytes++
 		payload = comm.GetBuf(1)
 		payload[0] = modeEmpty
-		return payload, nil
+		return payload, nil, msgStats{mode: modeEmpty, meta: 1}
 	}
+
+	// Size each §4.2 encoding and pick the smallest.
 	bvWords := (n + 63) / 64
 	denseSize := 1 + n*vs
 	bitvecSize := 1 + 4 + bvWords*8 + k*vs
@@ -630,63 +502,38 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 		denseSize, bitvecSize = 1<<30, 1<<30
 	}
 
+	// Lay down the mode's metadata; the packed values follow it.
+	var off int
 	switch {
 	case denseSize <= bitvecSize && denseSize <= idxSize:
 		// Dense messages ship every proxy in the order.
 		sent = order
-		vals := gather(order, scratchVals[V](sc, n))
 		payload = comm.GetBuf(denseSize)
-		payload[0] = modeDense
-		off := 1
-		for _, v := range vals {
-			putVal(payload[off:], v)
-			off += vs
-		}
-		st.ModeCounts[modeDense]++
-		st.MetadataBytes++
-		st.ValueBytes += uint64(n) * uint64(vs)
+		ms.mode, off = modeDense, 1
 	case bitvecSize <= idxSize:
-		vals := gather(sent, scratchVals[V](sc, k))
 		payload = comm.GetBuf(bitvecSize)
-		payload[0] = modeBitvec
-		binary.LittleEndian.PutUint32(payload[1:], uint32(k))
+		ms.mode, off = modeBitvec, 5+bvWords*8
+		le.PutUint32(payload[1:], uint32(k))
 		// Write the bit-vector straight into the payload: bit p of the
 		// little-endian word stream is byte p/8, bit p%8.
-		bv := payload[5 : 5+bvWords*8]
-		for i := range bv {
-			bv[i] = 0
-		}
+		bv := payload[5:off]
+		clear(bv)
 		for _, pos := range positions {
 			bv[pos>>3] |= 1 << (pos & 7)
 		}
-		off := 5 + bvWords*8
-		for _, v := range vals {
-			putVal(payload[off:], v)
-			off += vs
-		}
-		st.ModeCounts[modeBitvec]++
-		st.MetadataBytes += uint64(5 + bvWords*8)
-		st.ValueBytes += uint64(k) * uint64(vs)
 	default:
-		vals := gather(sent, scratchVals[V](sc, k))
 		payload = comm.GetBuf(idxSize)
-		payload[0] = modeIndices
-		binary.LittleEndian.PutUint32(payload[1:], uint32(k))
-		off := 5
-		for _, pos := range positions {
-			binary.LittleEndian.PutUint32(payload[off:], pos)
-			off += 4
+		ms.mode, off = modeIndices, 5+k*4
+		le.PutUint32(payload[1:], uint32(k))
+		for i, pos := range positions {
+			le.PutUint32(payload[5+i*4:], pos)
 		}
-		for _, v := range vals {
-			putVal(payload[off:], v)
-			off += vs
-		}
-		st.ModeCounts[modeIndices]++
-		st.MetadataBytes += uint64(5 + k*4)
-		st.ValueBytes += uint64(k) * uint64(vs)
 	}
-	st.MessagesSent++
-	return payload, sent
+	payload[0] = ms.mode
+	ms.meta = uint64(off)
+	ms.value = uint64(len(sent) * vs)
+	putVals(payload, off, vs, gather(src, sent, scratchVals[V](sc, len(sent))))
+	return payload, sent, ms
 }
 
 // decodeMsg applies one received field-sync message: apply is called with
@@ -710,7 +557,8 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 	if len(payload) == 0 {
 		return fmt.Errorf("empty payload")
 	}
-	vs := valSize[V]()
+	c := codecOf[V]()
+	vs := c.size
 	mode := payload[0]
 	body := payload[1:]
 	switch mode {
@@ -722,14 +570,14 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 		}
 		off := 0
 		for _, lid := range order {
-			apply(lid, getVal[V](body[off:]))
+			apply(lid, c.get(body[off:]))
 			off += vs
 		}
 	case modeBitvec:
 		if len(body) < 4 {
 			return fmt.Errorf("short bitvec message")
 		}
-		k := binary.LittleEndian.Uint32(body)
+		k := le.Uint32(body)
 		n := len(order)
 		bvWords := (n + 63) / 64
 		if len(body) != 4+bvWords*8+int(k)*vs {
@@ -738,7 +586,7 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 		valOff := 4 + bvWords*8
 		applied := uint32(0)
 		for wi := 0; wi < bvWords; wi++ {
-			w := binary.LittleEndian.Uint64(body[4+wi*8:])
+			w := le.Uint64(body[4+wi*8:])
 			base := wi * wordBits
 			for w != 0 {
 				pos := base + bits.TrailingZeros64(w)
@@ -748,7 +596,7 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 				if pos >= n {
 					return fmt.Errorf("bitvec message: position %d out of %d", pos, n)
 				}
-				apply(order[pos], getVal[V](body[valOff:]))
+				apply(order[pos], c.get(body[valOff:]))
 				valOff += vs
 				applied++
 				w &= w - 1
@@ -761,17 +609,17 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 		if len(body) < 4 {
 			return fmt.Errorf("short indices message")
 		}
-		k := int(binary.LittleEndian.Uint32(body))
+		k := int(le.Uint32(body))
 		if len(body) != 4+k*4+k*vs {
 			return fmt.Errorf("indices message: %d bytes, want %d", len(body), 4+k*4+k*vs)
 		}
 		idxOff, valOff := 4, 4+k*4
 		for i := 0; i < k; i++ {
-			pos := binary.LittleEndian.Uint32(body[idxOff:])
+			pos := le.Uint32(body[idxOff:])
 			if int(pos) >= len(order) {
 				return fmt.Errorf("indices message: position %d out of %d", pos, len(order))
 			}
-			apply(order[pos], getVal[V](body[valOff:]))
+			apply(order[pos], c.get(body[valOff:]))
 			idxOff += 4
 			valOff += vs
 		}
@@ -779,14 +627,14 @@ func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(li
 		if len(body) < 4 {
 			return fmt.Errorf("short gid-pairs message")
 		}
-		k := int(binary.LittleEndian.Uint32(body))
+		k := int(le.Uint32(body))
 		if len(body) != 4+k*(8+vs) {
 			return fmt.Errorf("gid-pairs message: %d bytes, want %d", len(body), 4+k*(8+vs))
 		}
 		off := 4
 		for i := 0; i < k; i++ {
-			gid := binary.LittleEndian.Uint64(body[off:])
-			v := getVal[V](body[off+8:])
+			gid := le.Uint64(body[off:])
+			v := c.get(body[off+8:])
 			off += 8 + vs
 			lid, ok := g.Part.LID(gid)
 			if !ok {

@@ -78,8 +78,8 @@ func mkField(id uint32, labels []uint32) gluon.Field[uint32] {
 		Name:      "test",
 		Write:     gluon.AtDestination,
 		Read:      gluon.AtSource,
-		Reduce:    fields.MinU32{Labels: labels},
-		Broadcast: fields.SetU32{Labels: labels},
+		Reduce:    fields.Min[uint32](labels),
+		Broadcast: fields.Set[uint32](labels),
 	}
 }
 

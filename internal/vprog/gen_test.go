@@ -2,8 +2,11 @@ package vprog
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,78 +27,58 @@ func ssspGenSpec() GenSpec {
 	}
 }
 
-// TestGenerateParses: the generated source is syntactically valid Go with
-// the expected declarations.
-func TestGenerateParses(t *testing.T) {
-	src, err := Generate(ssspGenSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestGenerateCompilesAgainstFields: the generated source type-checks
+// against the real internal/fields and internal/gluon packages, declares
+// only the state type and the wiring function — no Extract/Reduce/Reset/Set
+// method bodies, those live once in internal/fields — and refers to
+// fields.Min or fields.Sum according to Op.
+func TestGenerateCompilesAgainstFields(t *testing.T) {
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "gen.go", src, 0)
-	if err != nil {
-		t.Fatalf("generated code does not parse: %v\n%s", err, src)
-	}
-	if file.Name.Name != "ssspgen" {
-		t.Fatalf("package %s", file.Name.Name)
-	}
-	wantDecls := map[string]bool{
-		"DistState": false, "DistReduce": false, "DistBroadcast": false,
-	}
-	wantFuncs := map[string]bool{
-		"Extract": false, "Reduce": false, "Reset": false, "Set": false,
-		"NewDistField": false,
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.TypeSpec:
-			if _, ok := wantDecls[d.Name.Name]; ok {
-				wantDecls[d.Name.Name] = true
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)} // shared: caches the imports
+	for _, c := range []struct {
+		op       Reduction
+		goType   string
+		want, no string
+	}{
+		{ReduceMin, "uint32", "fields.Min[uint32](s.Vals)", "fields.Sum["},
+		{ReduceAdd, "float64", "fields.Sum[float64](s.Vals)", "fields.Min["},
+	} {
+		spec := ssspGenSpec()
+		spec.Fields[0].Op, spec.Fields[0].GoType = c.op, c.goType
+		src, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := parser.ParseFile(fset, "gen.go", src, 0)
+		if err != nil {
+			t.Fatalf("generated code does not parse: %v\n%s", err, src)
+		}
+		if file.Name.Name != "ssspgen" {
+			t.Errorf("package %s", file.Name.Name)
+		}
+		if _, err := conf.Check("ssspgen", fset, []*ast.File{file}, nil); err != nil {
+			t.Fatalf("%s: generated code does not type-check: %v\n%s", c.op, err, src)
+		}
+		var decls []string
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decls = append(decls, d.Name.Name)
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					if ts, ok := sp.(*ast.TypeSpec); ok {
+						decls = append(decls, ts.Name.Name)
+					}
+				}
 			}
-		case *ast.FuncDecl:
-			if _, ok := wantFuncs[d.Name.Name]; ok {
-				wantFuncs[d.Name.Name] = true
-			}
 		}
-		return true
-	})
-	for name, seen := range wantDecls {
-		if !seen {
-			t.Errorf("generated code missing type %s", name)
+		if want := []string{"DistState", "NewDistField"}; !slices.Equal(decls, want) {
+			t.Errorf("%s: generated declarations %v, want exactly %v", c.op, decls, want)
 		}
-	}
-	for name, seen := range wantFuncs {
-		if !seen {
-			t.Errorf("generated code missing func %s", name)
+		if s := string(src); !strings.Contains(s, c.want) || strings.Contains(s, c.no) ||
+			!strings.Contains(s, "fields.Set["+c.goType+"](s.Vals)") {
+			t.Errorf("%s: wiring does not pick the %s reduction:\n%s", c.op, c.op, s)
 		}
-	}
-}
-
-// TestGenerateMinVsAddSemantics: the reduction choice shapes Reduce/Reset.
-func TestGenerateMinVsAddSemantics(t *testing.T) {
-	spec := ssspGenSpec()
-	src, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "if v < r.S.Vals[lid]") {
-		t.Error("min reduce body missing")
-	}
-	if strings.Contains(string(src), "r.S.Vals[lid] += v") {
-		t.Error("min code contains add body")
-	}
-
-	spec.Fields[0].Op = ReduceAdd
-	spec.Fields[0].GoType = "float64"
-	src, err = Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "r.S.Vals[lid] += v") {
-		t.Error("add reduce body missing")
-	}
-	if !strings.Contains(string(src), "r.S.Vals[lid] = 0") {
-		t.Error("add reset body missing")
 	}
 }
 
