@@ -2,11 +2,11 @@
 # changes: formatting, vet, a full build, the race detector over every
 # package (the sync pipeline overlaps encode workers with the receive loop,
 # so gluon and comm must always pass under -race), the trace-overhead guard,
-# and a traced smoke run analyzed by gluon-trace.
+# and a traced smoke run analyzed by gluon-trace (tables and critical).
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build test race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gate: it measures wall time, and the
 # race suites leave the machine hot enough to skew it. `race` (through
@@ -104,25 +104,38 @@ perf:
 # Watchdog smoke: a host deliberately stalled with FaultTransport delay
 # injection must be named — host ID and phase — by the watchdog and
 # escalated into a typed cluster failure before the BSP deadline fires
-# (DESIGN.md §4.4).
+# (DESIGN.md §4.4); `gluon-trace top` shows the same heartbeats live.
 watchdog-smoke:
 	$(GO) test -count=1 -run 'TestWatchdog' ./internal/dsys/ ./internal/trace/
 
 # Doctor smoke: a fault-injected 3-host run with the flight recorder armed
-# must leave postmortem bundles that diagnose into the killed rank, the
-# trigger, and the round — under the race detector (DESIGN.md §4.7).
+# must leave postmortem bundles that diagnose (the `gluon-trace doctor`
+# library path) into the killed rank, the trigger, and the round — under the
+# race detector (DESIGN.md §4.7).
 doctor-smoke:
 	$(GO) test -race -count=1 -run 'TestDoctorSmoke' ./internal/dsys/
 
 # Top smoke: a traced in-process cluster shipped over the sideband with a
-# programmatic live subscription attached (the gluon-top path) must observe
+# programmatic live subscription attached (the `gluon-trace top` path) must observe
 # nonzero round progress and emit a critical-path verdict, under the race
 # detector (DESIGN.md §4.8).
 top-smoke:
 	$(GO) test -race -count=1 -run 'TestTopSmoke' ./internal/dsys/
 
-# Trace smoke: record a 4-host BFS run, then run the analyzer over the
-# export — proves the end-to-end trace path (emit, export, parse, tables).
+# Trace smoke: record a 4-host BFS run, then run both analyzer views over the
+# export — proves the end-to-end trace path (emit, export, parse, the one
+# fold, tables and critical-path attribution).
 trace-smoke:
 	$(GO) run ./cmd/gluon-run -bench bfs -hosts 4 -scale 10 -edgefactor 8 -trace /tmp/gluon-trace-smoke.json
-	$(GO) run ./cmd/gluon-trace /tmp/gluon-trace-smoke.json
+	$(GO) run ./cmd/gluon-trace tables /tmp/gluon-trace-smoke.json
+	$(GO) run ./cmd/gluon-trace critical /tmp/gluon-trace-smoke.json
+
+# Fuzz smoke: ten seconds on each decoder that reads bytes from a peer or a
+# file, plus the fold those bytes end up in. Not part of `check`: fuzzing
+# never finishes, it only stops. (-fuzzminimizetime keeps a new input from
+# stalling the run at "0/sec" while it is minimized.)
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzRollupAdd -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/

@@ -53,7 +53,7 @@ func main() {
 		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-json/-sync-record: comma-separated host counts to measure")
 
 		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON; .jsonl suffix = JSONL)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters as JSON over HTTP at this address")
+		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) over HTTP at this address")
 		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
 		pprofAddr    = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
 	)
@@ -193,7 +193,7 @@ func main() {
 		if err := tr.WriteFile(*traceOut); err != nil {
 			fatal(err)
 		}
-		logger.Info("wrote trace", "events", tr.Live().Events, "path", *traceOut, "analyze", "gluon-trace "+*traceOut)
+		logger.Info("wrote trace", "events", tr.Live().Events, "path", *traceOut, "analyze", "gluon-trace tables "+*traceOut)
 		trace.LogDropped(logger, tr.Dropped())
 	}
 }

@@ -48,14 +48,14 @@ func main() {
 		check    = flag.Bool("validate", false, "property-check the result (graph500-style, no reference recomputation)")
 
 		traceOut     = flag.String("trace", "", "write a trace of the run (Chrome trace_event JSON; .jsonl suffix = JSONL)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (JSON + Prometheus) and pprof capture over HTTP at this address")
+		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) and pprof capture over HTTP at this address")
 		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
-		traceShip    = flag.String("trace-ship", "", "stream the trace to a collector at this address (gluon-trace -serve)")
-		topAddr      = flag.String("top-addr", "", "embed a live collector at this address so gluon-top can attach to this run")
+		traceShip    = flag.String("trace-ship", "", "stream the trace to a collector at this address (gluon-trace serve)")
+		topAddr      = flag.String("top-addr", "", "embed a live collector at this address so gluon-trace top can attach to this run")
 		pprofAddr    = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
 		watchdog     = flag.Bool("watchdog", false, "run the straggler/stall watchdog (reports to stderr)")
 		wdStall      = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long (0 = warn only)")
-		pmDir        = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-doctor input) under this directory")
+		pmDir        = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
 
 		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (requires a checkpointable benchmark)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N rounds (0 = ckpt package default)")
@@ -94,15 +94,15 @@ func main() {
 		}
 		if *topAddr != "" {
 			// An embedded collector makes this single process watchable: the
-			// local trace feeds the critical-path engine directly, and any
-			// gluon-top (or remote shipper) can attach at this address.
+			// local trace feeds the collector's fold directly, and any
+			// gluon-trace top (or remote shipper) can attach at this address.
 			col, err := trace.ListenAndCollect(*topAddr)
 			if err != nil {
 				fatal(err)
 			}
 			col.SetLocal(tr)
 			defer col.Close()
-			logger.Info("live dashboard collector listening", "addr", col.Addr(), "watch", "gluon-top "+col.Addr())
+			logger.Info("live dashboard collector listening", "addr", col.Addr(), "watch", "gluon-trace top "+col.Addr())
 		}
 		if *traceShip != "" {
 			sh, err := trace.StartShipper(trace.ShipperConfig{Addr: *traceShip, Trace: tr})
@@ -325,7 +325,7 @@ func writeTrace(tr *trace.Trace, path string) {
 		fatal(err)
 	}
 	events := tr.Live().Events
-	logger.Info("wrote trace", "events", events, "path", path, "analyze", "gluon-trace "+path)
+	logger.Info("wrote trace", "events", events, "path", path, "analyze", "gluon-trace tables "+path)
 	trace.LogDropped(logger, tr.Dropped())
 }
 

@@ -1,12 +1,30 @@
-// Command gluon-top is a live terminal dashboard for a running gluon
-// cluster. It attaches to any trace collector's sideband address — the
-// standalone `gluon-trace -serve` process or a collector embedded with
-// `gluon-run -top-addr` / `examples/tcp-cluster -collect` — subscribes to
-// the live update stream, and refreshes a top(1)-style view:
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+	"time"
+
+	"gluon/internal/trace"
+)
+
+// staleAfter is when a host's heartbeat is flagged as stale on the board.
+const staleAfter = 3 * time.Second
+
+// topCmd is a live terminal dashboard for a running gluon cluster. It
+// attaches to any trace collector's sideband address — a standalone
+// `gluon-trace serve` process or a collector embedded with `gluon-run
+// -top-addr` / `examples/tcp-cluster -collect` — subscribes to the live
+// update stream, and refreshes a top(1)-style view:
 //
 //   - per-host round cursor, current phase, heartbeat staleness, and a
 //     proportional path-breakdown bar (compute/encode/wire/recv-wait/fold/
-//     apply/straggler-wait) from the critical-path engine
+//     apply/straggler-wait) from the critical-path attribution
 //   - shipper session states, so a host that died shows as DISCONNECTED
 //     with the reason instead of silently freezing
 //   - the rolling critical-path verdict and the last few per-round gating
@@ -15,98 +33,54 @@
 //
 // With -o jsonl it prints each update as one JSON line instead of drawing,
 // for scripting; -once exits after the first update (the snapshot).
-//
-// Usage:
-//
-//	gluon-top [-refresh 1s] [-rounds 8] [-o jsonl] [-once] collector-addr
-package main
-
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"sort"
-	"strings"
-	"syscall"
-	"time"
-
-	"gluon/internal/trace"
-)
-
-var logger = trace.NewLogger("gluon-top")
-
-// staleAfter is when a host's heartbeat is flagged as stale on the board.
-const staleAfter = 3 * time.Second
-
-func main() {
-	refresh := flag.Duration("refresh", time.Second, "minimum redraw interval")
-	rounds := flag.Int("rounds", 8, "trailing critical-path rounds to show")
-	output := flag.String("o", "", `"jsonl" streams updates as JSON lines instead of drawing`)
-	once := flag.Bool("once", false, "print one update and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gluon-top [-refresh d] [-rounds n] [-o jsonl] [-once] collector-addr\n\n")
-		fmt.Fprintf(os.Stderr, "Attaches to a gluon trace collector (gluon-trace -serve, gluon-run -top-addr,\nor examples/tcp-cluster -collect) and renders a live cluster dashboard.\n\n")
-		flag.PrintDefaults()
+func topCmd(ctx context.Context, fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	refresh := fs.Duration("refresh", time.Second, "minimum redraw interval")
+	rounds := fs.Int("rounds", 8, "trailing critical-path rounds to show")
+	output := fs.String("o", "", `"jsonl" streams updates as JSON lines instead of drawing`)
+	once := fs.Bool("once", false, "print one update and exit")
+	addr, err := parseOne(fs, args)
+	if err != nil {
+		return err
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	addr := flag.Arg(0)
-
 	w, err := trace.AttachWatcher(addr, 5*time.Second)
 	if err != nil {
-		logger.Error(err.Error())
-		os.Exit(1)
+		return err
 	}
 	defer w.Close()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
 	jsonl := *output == "jsonl"
-	board := newBoard(*rounds, addr)
+	b := &board{rounds: *rounds, addr: addr}
 	if !jsonl {
-		fmt.Print("\x1b[?25l\x1b[2J") // hide cursor, clear once
-		defer fmt.Print("\x1b[?25h\n")
+		fmt.Fprint(stdout, "\x1b[?25l\x1b[2J") // hide cursor, clear once
+		defer fmt.Fprint(stdout, "\x1b[?25h\n")
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	lastDraw := time.Time{}
 	for {
 		select {
-		case <-sig:
-			return
+		case <-ctx.Done():
+			return nil
 		case u, ok := <-w.Updates():
 			if !ok {
 				if err := w.Err(); err != nil {
-					if !jsonl {
-						fmt.Print("\x1b[?25h\n")
-					}
-					logger.Error("subscription ended", "err", err)
-					os.Exit(1)
+					return fmt.Errorf("subscription ended: %w", err)
 				}
-				return
+				return nil
 			}
-			board.observe(&u)
+			b.observe(&u)
 			if jsonl {
 				if err := enc.Encode(&u); err != nil {
-					logger.Error(err.Error())
-					os.Exit(1)
+					return err
 				}
-			} else {
+			} else if time.Since(lastDraw) >= *refresh || lastDraw.IsZero() || *once {
 				// Updates can arrive faster than a terminal is worth
 				// redrawing; coalesce to the refresh interval (but never
 				// skip the first frame or a final -once frame).
-				if time.Since(lastDraw) >= *refresh || lastDraw.IsZero() || *once {
-					board.draw(os.Stdout, &u)
-					lastDraw = time.Now()
-				}
+				b.draw(stdout, &u)
+				lastDraw = time.Now()
 			}
 			if *once {
-				return
+				return nil
 			}
 		}
 	}
@@ -122,10 +96,6 @@ type board struct {
 	rates     []float64 // bytes/sec samples, newest last
 }
 
-func newBoard(rounds int, addr string) *board {
-	return &board{rounds: rounds, addr: addr}
-}
-
 // observe folds an update into the rate history.
 func (b *board) observe(u *trace.ViewUpdate) {
 	total := u.Stats.ValueBytes + u.Stats.MetaBytes + u.Stats.GIDBytes
@@ -139,7 +109,7 @@ func (b *board) observe(u *trace.ViewUpdate) {
 	b.lastBytes, b.lastNs = total, u.NowNs
 }
 
-func (b *board) draw(out *os.File, u *trace.ViewUpdate) {
+func (b *board) draw(out io.Writer, u *trace.ViewUpdate) {
 	var s strings.Builder
 	s.WriteString("\x1b[H") // home; \x1b[K per line, \x1b[J at end
 	line := func(format string, args ...any) {
@@ -151,7 +121,7 @@ func (b *board) draw(out *os.File, u *trace.ViewUpdate) {
 	if label == "" {
 		label = "gluon"
 	}
-	line("gluon-top — %s @ %s    round %d    seq %d    %s",
+	line("gluon-trace top — %s @ %s    round %d    seq %d    %s",
 		label, b.addr, u.Stats.MaxRound, u.Seq, time.Now().Format("15:04:05"))
 	line("")
 
@@ -205,7 +175,7 @@ func (b *board) draw(out *os.File, u *trace.ViewUpdate) {
 	// Comm-volume sparkline.
 	if len(b.rates) > 0 {
 		cur := b.rates[len(b.rates)-1]
-		line("comm  %s  %s/s", sparkline(b.rates, 48), fmtBytes(uint64(cur)))
+		line("comm  %s  %s/s", sparkline(b.rates, 48), trace.FmtBytes(uint64(cur)))
 		line("")
 	}
 
@@ -226,12 +196,12 @@ func (b *board) draw(out *os.File, u *trace.ViewUpdate) {
 	line("verdict: %s", u.Verdict.String())
 	if u.Ledger.BaselineBytes > 0 {
 		line("ledger: shipped %s vs naive %s — sparsity %s · invariants %s · compression %s",
-			fmtBytes(u.Ledger.ShippedBytes), fmtBytes(u.Ledger.BaselineBytes),
-			fmtBytes(u.Ledger.SparsitySavedBytes), fmtBytes(u.Ledger.InvariantSavedBytes),
-			fmtBytes(u.Ledger.CompressionSavedBytes))
+			trace.FmtBytes(u.Ledger.ShippedBytes), trace.FmtBytes(u.Ledger.BaselineBytes),
+			trace.FmtBytes(u.Ledger.SparsitySavedBytes), trace.FmtBytes(u.Ledger.InvariantSavedBytes),
+			trace.FmtBytes(u.Ledger.CompressionSavedBytes))
 	}
 	s.WriteString("\x1b[J") // clear whatever an earlier, taller frame left
-	out.WriteString(s.String())
+	io.WriteString(out, s.String())
 }
 
 // hostRow is one rendered host line.
@@ -266,14 +236,14 @@ func hostRows(u *trace.ViewUpdate) []hostRow {
 		if r.stale < 0 {
 			r.stale = 0
 		}
-		r.bytes = fmtBytes(hb.Bytes)
+		r.bytes = trace.FmtBytes(hb.Bytes)
 	}
 	for i := range u.Hosts {
 		hp := &u.Hosts[i]
 		r := get(hp.Host)
 		r.bar = phaseBar(hp, 34)
 		if r.bytes == "-" {
-			r.bytes = fmtBytes(hp.Bytes)
+			r.bytes = trace.FmtBytes(hp.Bytes)
 		}
 	}
 	out := make([]hostRow, 0, len(rows))
@@ -329,17 +299,4 @@ func sparkline(vals []float64, width int) string {
 		s.WriteRune(sparkGlyphs[i])
 	}
 	return s.String()
-}
-
-func fmtBytes(b uint64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
 }

@@ -20,9 +20,9 @@
 //     go run ./examples/tcp-cluster -host 1 -addrs 127.0.0.1:39200,127.0.0.1:39201
 //
 // With -collect, each process streams its trace to a gluon-trace collector
-// (`gluon-trace -serve :9123 -sessions N -o cluster.json`), which aligns
+// (`gluon-trace serve -sessions N -o cluster.json :9123`), which aligns
 // the per-process clocks and merges everything onto one timeline — and,
-// while the run is live, `gluon-top :9123` attaches to the same collector
+// while the run is live, `gluon-trace top :9123` attaches to the same collector
 // and shows per-host round progress, the barrier-gating verdict, and any
 // disconnected rank. See README.md in this directory for the full recipe.
 package main
@@ -52,7 +52,7 @@ func main() {
 	var (
 		host     = flag.Int("host", -1, "drive only this rank (multi-process mode; requires -addrs)")
 		addrsCSV = flag.String("addrs", "", "comma-separated host:port list, one per rank (its length is the cluster size)")
-		collect  = flag.String("collect", "", "stream this process's trace to a gluon-trace -serve collector at this address")
+		collect  = flag.String("collect", "", "stream this process's trace to a `gluon-trace serve` collector at this address")
 		traceOut = flag.String("trace", "", "write this process's trace to a file")
 		watchdog = flag.Bool("watchdog", false, "run the straggler watchdog over heartbeat gossip")
 		wdStall  = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long")
@@ -65,7 +65,7 @@ func main() {
 		cold      = flag.Bool("cold-restore", false, "with -restore: the whole cluster is restarting together, so form a fresh mesh instead of dialing into a live one")
 		rejoin    = flag.Bool("rejoin", false, "survive peer death: roll back to the newest checkpoint and wait for a replacement instead of failing")
 		delay     = flag.Duration("round-delay", 0, "sleep this long per round (demo aid: widens the window for killing a rank mid-run)")
-		pmDir     = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-doctor input) under this directory")
+		pmDir     = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
 	)
 	flag.Parse()
 
@@ -143,7 +143,7 @@ func armRecorder(dir string, tr *trace.Trace, host int, runDesc string) {
 	fr.SetRunConfig(runDesc)
 	fr.SetPoolCounters(comm.PoolCounters)
 	trace.Arm(fr)
-	log.Printf("flight recorder armed: bundles will land in %s (diagnose with: gluon-doctor %s)", dir, dir)
+	log.Printf("flight recorder armed: bundles will land in %s (diagnose with: gluon-trace doctor %s)", dir, dir)
 }
 
 // slowProgram wraps a checkpointable program with a fixed per-round sleep,
@@ -204,7 +204,7 @@ func runOneHost(host int, addrs []string, parts []*partition.Partition, csr *glu
 		if err != nil {
 			log.Fatal(prefix, err)
 		}
-		log.Printf("%sshipping trace to %s (%v); watch live: gluon-top %s", prefix, collect, sh.Clock(), collect)
+		log.Printf("%sshipping trace to %s (%v); watch live: gluon-trace top %s", prefix, collect, sh.Clock(), collect)
 		trace.Armed().SetClock(sh.Clock())
 		defer func() {
 			if err := sh.Close(); err != nil {
@@ -232,7 +232,7 @@ func runOneHost(host int, addrs []string, parts []*partition.Partition, csr *glu
 	})
 	if err != nil {
 		if pmDir != "" {
-			log.Printf("%spostmortem bundles are under %s — diagnose with: gluon-doctor %s", prefix, pmDir, pmDir)
+			log.Printf("%spostmortem bundles are under %s — diagnose with: gluon-trace doctor %s", prefix, pmDir, pmDir)
 		}
 		var pe *comm.PeerError
 		if errors.As(err, &pe) {
@@ -309,7 +309,7 @@ func runDemo(addrs []string, parts []*partition.Partition, csr *gluon.CSR, sourc
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("shipping trace to %s (%v); watch live: gluon-top %s", collect, sh.Clock(), collect)
+		log.Printf("shipping trace to %s (%v); watch live: gluon-trace top %s", collect, sh.Clock(), collect)
 		defer func() {
 			if err := sh.Close(); err != nil {
 				log.Printf("trace shipper: %v", err)

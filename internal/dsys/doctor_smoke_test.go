@@ -13,7 +13,7 @@ import (
 // TestDoctorSmoke is the end-to-end flight-recorder acceptance run (the
 // `make doctor-smoke` gate): a 3-host BSP job over a fault-injected
 // transport dies mid-run with the recorder armed; the surviving process
-// must leave postmortem bundles that gluon-doctor's library loads into a
+// must leave postmortem bundles that gluon-trace doctor's library loads into a
 // diagnosis naming the rank carrying the injected fault, the trigger, and
 // the round.
 func TestDoctorSmoke(t *testing.T) {

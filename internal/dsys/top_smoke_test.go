@@ -1,8 +1,8 @@
 package dsys_test
 
-// Top smoke: the `make check` gate behind gluon-top. A traced in-process
+// Top smoke: the `make check` gate behind gluon-trace top. A traced in-process
 // cluster ships its trace over the sideband while a programmatic live
-// subscription (the same trace.AttachWatcher gluon-top uses) watches the
+// subscription (the same trace.AttachWatcher gluon-trace top uses) watches the
 // collector. The gate asserts the dashboard's two load-bearing signals
 // actually flow: nonzero round progress observed live, and a critical-path
 // verdict emitted by the incremental attribution engine.

@@ -112,7 +112,7 @@ func TestTraceMatchesGoldenVolumes(t *testing.T) {
 	}
 
 	// The analyzer must agree with the raw fold.
-	s := trace.Summarize("golden", events, dropped)
+	s := trace.SummarizeMeta(trace.Meta{Label: "golden", Dropped: dropped}, events)
 	if s.Messages != row.msgs {
 		t.Errorf("Summarize messages = %d, golden %d", s.Messages, row.msgs)
 	}

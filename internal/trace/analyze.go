@@ -3,14 +3,14 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
 // Summary is the offline rollup of a trace: the paper-style tables —
 // per-round communication volume, per-peer skew, phase time breakdown, and
 // the encoding-mode histogram — that otherwise require hand-instrumenting a
-// run. Build one with Summarize; print it with WriteTables.
+// run. It is a view of the one fold (Rollup.Summary, rollup.go); print it with
+// WriteTables.
 type Summary struct {
 	Label   string `json:"label,omitempty"`
 	Events  int    `json:"events"`
@@ -78,139 +78,6 @@ type PeerStat struct {
 	Bytes    uint64 `json:"bytes"`
 }
 
-// Summarize rolls events up into a Summary. The dropped count is carried
-// through for display.
-func Summarize(label string, events []Event, dropped uint64) *Summary {
-	return SummarizeMeta(Meta{Label: label, Dropped: dropped}, events)
-}
-
-// SummarizeMeta rolls events up into a Summary, carrying the export metadata
-// (label, dropped count, clock table) through for display.
-func SummarizeMeta(meta Meta, events []Event) *Summary {
-	s := &Summary{Label: meta.Label, Events: len(events), Dropped: meta.Dropped, Clocks: meta.Clocks, Sessions: meta.Sessions}
-	if len(events) == 0 {
-		return s
-	}
-	type hostRound struct {
-		host  int32
-		round int32
-	}
-	rounds := map[int32]*RoundStat{}
-	perHostRound := map[hostRound]*[3]int64{} // sync, compute, barrier sums
-	peers := map[[2]int32]*PeerStat{}
-	hosts := map[int32]bool{}
-	var phases [NumPhases]PhaseStat
-	minStart, maxEnd := events[0].Start, events[0].Start
-	for i := range events {
-		e := &events[i]
-		hosts[e.Host] = true
-		if e.Start < minStart {
-			minStart = e.Start
-		}
-		if end := e.Start + e.Dur; end > maxEnd {
-			maxEnd = end
-		}
-		if e.Phase < NumPhases {
-			phases[e.Phase].Count++
-			phases[e.Phase].TotalNs += e.Dur
-		}
-		r := rounds[e.Round]
-		if r == nil {
-			r = &RoundStat{Round: e.Round}
-			rounds[e.Round] = r
-		}
-		switch e.Phase {
-		case PhaseEncode:
-			r.Messages++
-			r.Value += e.Value
-			r.Meta += e.Meta
-			r.GID += e.GID
-			s.Messages++
-			s.ValueBytes += e.Value
-			s.MetaBytes += e.Meta
-			s.GIDBytes += e.GID
-			if e.Mode >= 0 && e.Mode < NumModes {
-				s.Modes[e.Mode]++
-			}
-			switch e.Comp {
-			case CompShipped:
-				s.Compressed++
-				s.CompressionSaved += e.Saved
-			case CompSkipped:
-				s.CompressSkipped++
-			}
-			p := peers[[2]int32{e.Host, e.Peer}]
-			if p == nil {
-				p = &PeerStat{Host: e.Host, Peer: e.Peer}
-				peers[[2]int32{e.Host, e.Peer}] = p
-			}
-			p.Messages++
-			p.Bytes += e.Bytes()
-		case PhaseSync, PhaseCompute, PhaseBarrier:
-			hr := perHostRound[hostRound{e.Host, e.Round}]
-			if hr == nil {
-				hr = &[3]int64{}
-				perHostRound[hostRound{e.Host, e.Round}] = hr
-			}
-			switch e.Phase {
-			case PhaseSync:
-				hr[0] += e.Dur
-			case PhaseCompute:
-				hr[1] += e.Dur
-			case PhaseBarrier:
-				hr[2] += e.Dur
-			}
-		case PhaseFault:
-			s.Faults = append(s.Faults, *e)
-		}
-	}
-	// Max across hosts per round.
-	for hr, sums := range perHostRound {
-		r := rounds[hr.round]
-		if r == nil {
-			continue
-		}
-		if sums[0] > r.SyncNs {
-			r.SyncNs = sums[0]
-		}
-		if sums[1] > r.ComputeNs {
-			r.ComputeNs = sums[1]
-		}
-		if sums[2] > r.BarrierNs {
-			r.BarrierNs = sums[2]
-		}
-	}
-	s.Hosts = len(hosts)
-	s.WallNs = maxEnd - minStart
-	for _, r := range rounds {
-		s.Rounds = append(s.Rounds, *r)
-	}
-	sort.Slice(s.Rounds, func(i, j int) bool { return s.Rounds[i].Round < s.Rounds[j].Round })
-	for p := Phase(0); p < NumPhases; p++ {
-		if phases[p].Count > 0 {
-			phases[p].Phase = p
-			s.Phases = append(s.Phases, phases[p])
-		}
-	}
-	for _, p := range peers {
-		s.Peers = append(s.Peers, *p)
-	}
-	// The peer table is a skew table: the point is the heaviest channels, so
-	// sort by volume descending (rank order buries the outliers on wide
-	// clusters); ties fall back to (host, peer) for determinism.
-	sort.Slice(s.Peers, func(i, j int) bool {
-		if s.Peers[i].Bytes != s.Peers[j].Bytes {
-			return s.Peers[i].Bytes > s.Peers[j].Bytes
-		}
-		if s.Peers[i].Host != s.Peers[j].Host {
-			return s.Peers[i].Host < s.Peers[j].Host
-		}
-		return s.Peers[i].Peer < s.Peers[j].Peer
-	})
-	sort.Slice(s.Faults, func(i, j int) bool { return s.Faults[i].Start < s.Faults[j].Start })
-	return s
-}
-
 // TotalBytes is the summed payload volume over all messages.
 func (s *Summary) TotalBytes() uint64 { return s.ValueBytes + s.MetaBytes + s.GIDBytes }
 
@@ -225,10 +92,10 @@ func (s *Summary) WriteTables(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "totals: %d messages, %s (value %s / metadata %s / gids %s)\n",
-		s.Messages, fmtBytes(s.TotalBytes()), fmtBytes(s.ValueBytes), fmtBytes(s.MetaBytes), fmtBytes(s.GIDBytes))
+		s.Messages, FmtBytes(s.TotalBytes()), FmtBytes(s.ValueBytes), FmtBytes(s.MetaBytes), FmtBytes(s.GIDBytes))
 	if s.Compressed > 0 || s.CompressSkipped > 0 {
 		fmt.Fprintf(w, "compression: %d shipped compressed / %d raw, %s saved on the wire\n",
-			s.Compressed, s.CompressSkipped, fmtBytes(s.CompressionSaved))
+			s.Compressed, s.CompressSkipped, FmtBytes(s.CompressionSaved))
 	}
 	if len(s.Clocks) > 0 {
 		fmt.Fprint(w, "clock offsets (applied at merge):")
@@ -266,7 +133,7 @@ func (s *Summary) WriteTables(w io.Writer) error {
 				name = "init"
 			}
 			fmt.Fprintf(w, "%6s %8d %10s %10s %10s %12v %12v %12v\n",
-				name, r.Messages, fmtBytes(r.Value), fmtBytes(r.Meta), fmtBytes(r.GID),
+				name, r.Messages, FmtBytes(r.Value), FmtBytes(r.Meta), FmtBytes(r.GID),
 				round3(time.Duration(r.SyncNs)), round3(time.Duration(r.ComputeNs)), round3(time.Duration(r.BarrierNs)))
 		}
 		fmt.Fprintln(w)
@@ -280,7 +147,7 @@ func (s *Summary) WriteTables(w io.Writer) error {
 		fmt.Fprintln(w, "per-peer volume (sender -> receiver, heaviest first):")
 		fmt.Fprintf(w, "%6s %6s %8s %10s\n", "host", "peer", "msgs", "bytes")
 		for _, p := range rows {
-			fmt.Fprintf(w, "%6d %6d %8d %10s\n", p.Host, p.Peer, p.Messages, fmtBytes(p.Bytes))
+			fmt.Fprintf(w, "%6d %6d %8d %10s\n", p.Host, p.Peer, p.Messages, FmtBytes(p.Bytes))
 		}
 		if n := len(s.Peers) - len(rows); n > 0 {
 			fmt.Fprintf(w, "  … %d lighter pairs elided (-top to adjust)\n", n)
@@ -335,8 +202,8 @@ func round3(d time.Duration) time.Duration {
 	}
 }
 
-// fmtBytes renders byte counts with binary-prefix units.
-func fmtBytes(b uint64) string {
+// FmtBytes renders byte counts with binary-prefix units.
+func FmtBytes(b uint64) string {
 	switch {
 	case b >= 1<<30:
 		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))

@@ -95,3 +95,33 @@ func AlignEvents(events []Event, offsets map[int32]int64) {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
 }
+
+// clockedEvents is one clock domain's contribution to a merged timeline: the
+// events one process recorded and the offset that maps its clock onto the
+// reference axis.
+type clockedEvents struct {
+	events   []Event
+	offsetNs int64
+}
+
+// mergeAligned copies every source's events onto the reference axis and
+// returns them as one start-sorted timeline; the sources are left untouched.
+// Each source is rebased on its own, so a host that appears in two sources
+// (a replaced rank) keeps each incarnation's offset.
+func mergeAligned(srcs []clockedEvents) []Event {
+	var out []Event
+	for _, s := range srcs {
+		out = append(out, s.events...)
+		part := out[len(out)-len(s.events):]
+		if s.offsetNs == 0 {
+			continue
+		}
+		offsets := make(map[int32]int64)
+		for i := range part {
+			offsets[part[i].Host] = s.offsetNs
+		}
+		AlignEvents(part, offsets)
+	}
+	sortEventsByStart(out)
+	return out
+}

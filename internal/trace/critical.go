@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -200,7 +199,7 @@ type Verdict struct {
 	Gates  []GateCount `json:"gates,omitempty"` // descending by Count
 }
 
-// String renders the one-line verdict gluon-top shows.
+// String renders the one-line verdict gluon-trace top shows.
 func (v Verdict) String() string {
 	if v.Rounds == 0 || len(v.Gates) == 0 {
 		return "no rounds attributed yet"
@@ -216,7 +215,7 @@ func (v Verdict) String() string {
 }
 
 // HostPhaseSum is one host's cumulative taxonomy time over attributed
-// rounds — the phase-breakdown bar gluon-top renders per host.
+// rounds — the phase-breakdown bar gluon-trace top renders per host.
 type HostPhaseSum struct {
 	Host   int32                `json:"host"`
 	Rounds int                  `json:"rounds"`
@@ -267,22 +266,6 @@ func (l *Ledger) SavedNs(bytes uint64) int64 {
 	return int64(l.WireNsPerByte * float64(bytes))
 }
 
-// chanStat accumulates one directed (sender, peer, field) channel.
-type chanStat struct {
-	msgs      uint64
-	shipped   uint64
-	raw       uint64
-	saved     uint64
-	capacity  uint64 // largest single pre-compression message
-	present   int    // distinct rounds with >= 1 message
-	lastRound int32
-}
-
-type chanKey struct {
-	host, peer int32
-	field      uint32
-}
-
 // CriticalPath is the full offline attribution of a trace.
 type CriticalPath struct {
 	Label string `json:"label,omitempty"`
@@ -294,385 +277,7 @@ type CriticalPath struct {
 	Ledger        Ledger         `json:"ledger"`
 }
 
-// CriticalBuilder folds aligned events into per-round attributions
-// incrementally: the collector feeds it batch by batch and reads the
-// trailing verdicts for live viewers; offline callers feed everything and
-// FinalizeAll. Safe for concurrent use.
-type CriticalBuilder struct {
-	mu       sync.Mutex
-	open     map[int32]map[int32]*HostRound // round -> host -> accounting
-	maxSeen  map[int32]int32                // host -> newest round observed
-	unc      map[int32]int64                // host -> clock uncertainty, ns
-	channels map[chanKey]*chanStat
-	totals   map[int32]*HostPhaseSum
-	done     []RoundPath
-	gates    map[int32]*GateCount
-	sendNs   int64
-	// floor is the lowest round not yet finalized: events for earlier rounds
-	// arriving late (a host's ring drained on a different cadence) must not
-	// re-open a closed round and double-attribute it.
-	floor int32
-}
-
-// NewCriticalBuilder returns an empty builder.
-func NewCriticalBuilder() *CriticalBuilder {
-	return &CriticalBuilder{
-		open:     make(map[int32]map[int32]*HostRound),
-		maxSeen:  make(map[int32]int32),
-		unc:      make(map[int32]int64),
-		channels: make(map[chanKey]*chanStat),
-		totals:   make(map[int32]*HostPhaseSum),
-		gates:    make(map[int32]*GateCount),
-	}
-}
-
-// SetHostClock declares a host's clock-offset uncertainty (the ±bound the
-// sideband measured). Hosts never declared count as exact (local hosts).
-func (b *CriticalBuilder) SetHostClock(host int32, uncertaintyNs int64) {
-	b.mu.Lock()
-	b.unc[host] = uncertaintyNs
-	b.mu.Unlock()
-}
-
-// Ingest folds a batch of one or more hosts' events, rebasing each start
-// time by offsetNs onto the reference axis. Events of a given host must
-// arrive in emission order (which rings, batches, and Snapshot all
-// preserve); rounds already finalized are ignored.
-func (b *CriticalBuilder) Ingest(events []Event, offsetNs int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range events {
-		e := &events[i]
-		cp, ok := critOf(e.Phase)
-		if !ok && e.Phase != PhaseSync {
-			continue // instants and ckpt spans don't attribute round time
-		}
-		start := e.Start + offsetNs
-		if ms, seen := b.maxSeen[e.Host]; !seen || e.Round > ms {
-			b.maxSeen[e.Host] = e.Round
-		}
-		if e.Phase == PhaseSend {
-			b.sendNs += e.Dur
-		}
-		if e.Phase == PhaseEncode && e.Round >= 0 {
-			b.channel(e).add(e)
-		}
-		if e.Round < 0 {
-			continue // init/memoization time is not a BSP round
-		}
-		if e.Round < b.floor {
-			continue // round already finalized; too late to attribute
-		}
-		hosts := b.open[e.Round]
-		if hosts == nil {
-			hosts = make(map[int32]*HostRound)
-			b.open[e.Round] = hosts
-		}
-		hr := hosts[e.Host]
-		if hr == nil {
-			hr = &HostRound{Host: e.Host, StartNs: start, EndNs: start}
-			hosts[e.Host] = hr
-		}
-		if start < hr.StartNs {
-			hr.StartNs = start
-		}
-		if end := start + e.Dur; end > hr.EndNs {
-			hr.EndNs = end
-		}
-		if ok {
-			// PhaseSync has no taxonomy bucket of its own — its interior
-			// (encode/wire/recvwait/fold/apply) is what attributes.
-			hr.SubNs[cp] += e.Dur
-		}
-		switch e.Phase {
-		case PhaseCompute:
-			hr.ComputeNs += e.Dur
-		case PhaseSync:
-			hr.SyncNs += e.Dur
-		case PhaseBarrier:
-			hr.BarrierNs += e.Dur
-			if !hr.arrived || start < hr.ArriveNs {
-				hr.ArriveNs = start
-			}
-			hr.arrived = true
-		case PhaseEncode:
-			hr.Bytes += e.Bytes()
-		}
-	}
-	b.finalizeReady()
-}
-
-func (b *CriticalBuilder) channel(e *Event) *chanStat {
-	k := chanKey{host: e.Host, peer: e.Peer, field: e.Field}
-	cs := b.channels[k]
-	if cs == nil {
-		cs = &chanStat{lastRound: -1}
-		b.channels[k] = cs
-	}
-	return cs
-}
-
-func (cs *chanStat) add(e *Event) {
-	shipped := e.Bytes()
-	raw := shipped + e.Saved
-	cs.msgs++
-	cs.shipped += shipped
-	cs.raw += raw
-	cs.saved += e.Saved
-	if raw > cs.capacity {
-		cs.capacity = raw
-	}
-	if e.Round != cs.lastRound {
-		cs.present++
-		cs.lastRound = e.Round
-	}
-}
-
-// finalizeReady closes every open round all known hosts have moved past.
-// Caller holds b.mu.
-func (b *CriticalBuilder) finalizeReady() {
-	if len(b.maxSeen) == 0 {
-		return
-	}
-	frontier := int32(1<<31 - 1)
-	for _, r := range b.maxSeen {
-		if r < frontier {
-			frontier = r
-		}
-	}
-	b.finalizeBelow(frontier)
-}
-
-// FinalizeAll closes every open round — end of trace, nothing more coming.
-func (b *CriticalBuilder) FinalizeAll() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.finalizeBelow(int32(1<<31 - 1))
-}
-
-func (b *CriticalBuilder) finalizeBelow(frontier int32) {
-	var ready []int32
-	for r := range b.open {
-		if r < frontier {
-			ready = append(ready, r)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	for _, r := range ready {
-		b.finalizeRound(r, b.open[r])
-		delete(b.open, r)
-		if r+1 > b.floor {
-			b.floor = r + 1
-		}
-	}
-}
-
-func (b *CriticalBuilder) finalizeRound(round int32, hosts map[int32]*HostRound) {
-	if len(hosts) == 0 {
-		return
-	}
-	rp := RoundPath{Round: round, Gate: -1}
-	var minStart, maxEnd int64
-	first := true
-	// Uncertainty bound: comparing two aligned stamps is off by at most the
-	// sum of the two clocks' uncertainties; take the two largest.
-	var u1, u2 int64
-	for h, hr := range hosts {
-		rp.Hosts = append(rp.Hosts, *hr)
-		if first || hr.StartNs < minStart {
-			minStart = hr.StartNs
-		}
-		if first || hr.EndNs > maxEnd {
-			maxEnd = hr.EndNs
-		}
-		first = false
-		if u := b.unc[h]; u >= u1 {
-			u1, u2 = u, u1
-		} else if u > u2 {
-			u2 = u
-		}
-	}
-	sort.Slice(rp.Hosts, func(i, j int) bool { return rp.Hosts[i].Host < rp.Hosts[j].Host })
-	rp.WallNs = maxEnd - minStart
-	rp.UncertaintyNs = u1 + u2
-	// Gate: last barrier arrival (latest recorded activity when no host
-	// recorded a barrier — a truncated tail round).
-	arrive := func(hr *HostRound) int64 {
-		if hr.arrived {
-			return hr.ArriveNs
-		}
-		return hr.EndNs
-	}
-	var gate *HostRound
-	var runnerUp int64
-	for i := range rp.Hosts {
-		hr := &rp.Hosts[i]
-		a := arrive(hr)
-		if gate == nil || a > arrive(gate) {
-			if gate != nil {
-				runnerUp = arrive(gate)
-			}
-			gate = hr
-		} else if a > runnerUp {
-			runnerUp = a
-		}
-	}
-	rp.Gate = gate.Host
-	if len(rp.Hosts) > 1 {
-		rp.MarginNs = arrive(gate) - runnerUp
-	}
-	// Gating phase: the gate's largest taxonomy bucket.
-	best := CritCompute
-	for cp := CritPhase(0); cp < NumCritPhases; cp++ {
-		if gate.SubNs[cp] > gate.SubNs[best] {
-			best = cp
-		}
-	}
-	rp.GatePhase = best
-	b.done = append(b.done, rp)
-	gc := b.gates[gate.Host]
-	if gc == nil {
-		gc = &GateCount{Host: gate.Host, Phases: make(map[string]int)}
-		b.gates[gate.Host] = gc
-	}
-	gc.Count++
-	gc.Phases[best.String()]++
-	for i := range rp.Hosts {
-		hr := &rp.Hosts[i]
-		tot := b.totals[hr.Host]
-		if tot == nil {
-			tot = &HostPhaseSum{Host: hr.Host}
-			b.totals[hr.Host] = tot
-		}
-		tot.Rounds++
-		tot.Bytes += hr.Bytes
-		for cp := CritPhase(0); cp < NumCritPhases; cp++ {
-			tot.SubNs[cp] += hr.SubNs[cp]
-		}
-	}
-}
-
-// Rounds returns every finalized round, ascending.
-func (b *CriticalBuilder) Rounds() []RoundPath {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]RoundPath(nil), b.done...)
-}
-
-// Tail returns the newest k finalized rounds, ascending.
-func (b *CriticalBuilder) Tail(k int) []RoundPath {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if k <= 0 || k > len(b.done) {
-		k = len(b.done)
-	}
-	return append([]RoundPath(nil), b.done[len(b.done)-k:]...)
-}
-
-// Verdict summarizes the gating counts over all finalized rounds.
-func (b *CriticalBuilder) Verdict() Verdict {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v := Verdict{Rounds: len(b.done)}
-	for _, gc := range b.gates {
-		c := *gc
-		c.Phases = make(map[string]int, len(gc.Phases))
-		for k, n := range gc.Phases {
-			c.Phases[k] = n
-		}
-		v.Gates = append(v.Gates, c)
-	}
-	sort.Slice(v.Gates, func(i, j int) bool {
-		if v.Gates[i].Count != v.Gates[j].Count {
-			return v.Gates[i].Count > v.Gates[j].Count
-		}
-		return v.Gates[i].Host < v.Gates[j].Host
-	})
-	return v
-}
-
-// HostTotals returns the cumulative per-host taxonomy sums, by host.
-func (b *CriticalBuilder) HostTotals() []HostPhaseSum {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]HostPhaseSum, 0, len(b.totals))
-	for _, t := range b.totals {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out
-}
-
-// Ledger computes the effectiveness model over the rounds finalized so far.
-// In live use the channel capacities are still evolving, so early snapshots
-// under-estimate the baseline; the offline path (FinalizeAll first) is exact
-// for the model.
-func (b *CriticalBuilder) Ledger() Ledger {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	l := Ledger{Rounds: len(b.done), Channels: len(b.channels)}
-	rounds := uint64(len(b.done))
-	for _, cs := range b.channels {
-		l.Messages += cs.msgs
-		l.ShippedBytes += cs.shipped
-		l.RawBytes += cs.raw
-		l.CompressionSavedBytes += cs.saved
-		if cs.capacity*cs.msgs > cs.raw {
-			l.SparsitySavedBytes += cs.capacity*cs.msgs - cs.raw
-		}
-		present := uint64(cs.present)
-		if present > rounds {
-			present = rounds // messages of rounds not yet finalized
-		}
-		silent := rounds - present
-		l.SilentChannelRounds += silent
-		l.InvariantSavedBytes += silent * cs.capacity
-	}
-	l.BaselineBytes = l.ShippedBytes + l.CompressionSavedBytes +
-		l.SparsitySavedBytes + l.InvariantSavedBytes
-	if l.ShippedBytes > 0 && b.sendNs > 0 {
-		l.WireNsPerByte = float64(b.sendNs) / float64(l.ShippedBytes)
-	}
-	return l
-}
-
-// uncertaintyBound returns the worst cross-host comparison bound declared.
-func (b *CriticalBuilder) uncertaintyBound() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var u1, u2 int64
-	for _, u := range b.unc {
-		if u >= u1 {
-			u1, u2 = u, u1
-		} else if u > u2 {
-			u2 = u
-		}
-	}
-	return u1 + u2
-}
-
-// ComputeCriticalPath attributes a full trace offline. The events must share
-// one time axis already — which both single-process exports and collector-
-// merged exports do (the merge applies the sideband offsets); meta's clock
-// table supplies the uncertainty bounds stamped on the verdicts.
-func ComputeCriticalPath(meta Meta, events []Event) *CriticalPath {
-	b := NewCriticalBuilder()
-	for _, ci := range meta.Clocks {
-		b.SetHostClock(ci.Host, ci.UncertaintyNs)
-	}
-	b.Ingest(events, 0)
-	b.FinalizeAll()
-	return &CriticalPath{
-		Label:         meta.Label,
-		UncertaintyNs: b.uncertaintyBound(),
-		Rounds:        b.Rounds(),
-		Hosts:         b.HostTotals(),
-		Verdict:       b.Verdict(),
-		Ledger:        b.Ledger(),
-	}
-}
-
-// WriteTables prints the attribution the way gluon-trace -critical shows it.
+// WriteTables prints the attribution the way gluon-trace critical shows it.
 func (cp *CriticalPath) WriteTables(w io.Writer) error {
 	label := cp.Label
 	if label != "" {
@@ -708,7 +313,7 @@ func (cp *CriticalPath) WriteTables(w io.Writer) error {
 		fmt.Fprintln(w)
 		for i := range cp.Hosts {
 			h := &cp.Hosts[i]
-			fmt.Fprintf(w, "%6d %10s", h.Host, fmtBytes(h.Bytes))
+			fmt.Fprintf(w, "%6d %10s", h.Host, FmtBytes(h.Bytes))
 			for cpx := CritPhase(0); cpx < NumCritPhases; cpx++ {
 				fmt.Fprintf(w, " %14v", round3(time.Duration(h.SubNs[cpx])))
 			}
@@ -763,14 +368,14 @@ func (l *Ledger) WriteTable(w io.Writer) error {
 	if l.WireNsPerByte > 0 {
 		rate = fmt.Sprintf("   (wire observed at %.1fns/B)", l.WireNsPerByte)
 	}
-	fmt.Fprintf(w, "  %-28s %10s%s\n", "shipped on the wire", fmtBytes(l.ShippedBytes), rate)
-	fmt.Fprintf(w, "  %-28s %10s\n", "naive-broadcast baseline", fmtBytes(l.BaselineBytes))
+	fmt.Fprintf(w, "  %-28s %10s%s\n", "shipped on the wire", FmtBytes(l.ShippedBytes), rate)
+	fmt.Fprintf(w, "  %-28s %10s\n", "naive-broadcast baseline", FmtBytes(l.BaselineBytes))
 	row := func(name string, bytes uint64, extra string) {
 		saved := ""
 		if l.WireNsPerByte > 0 {
 			saved = fmt.Sprintf("   (~%v sync time)", round3(time.Duration(l.SavedNs(bytes))))
 		}
-		fmt.Fprintf(w, "  %-28s %10s%s%s\n", name, fmtBytes(bytes), saved, extra)
+		fmt.Fprintf(w, "  %-28s %10s%s%s\n", name, FmtBytes(bytes), saved, extra)
 	}
 	row("saved by update sparsity", l.SparsitySavedBytes, "")
 	row("saved by invariant skips", l.InvariantSavedBytes,
@@ -807,15 +412,4 @@ func (l *Ledger) Counters() CommCounters {
 		c.InvariantSkipShare = float64(l.SilentChannelRounds) / float64(cr)
 	}
 	return c
-}
-
-// LedgerOf attributes a live single-process session offline and returns
-// its effectiveness ledger — the plumbing from an instrumented probe run
-// to a perf-history record.
-func LedgerOf(t *Trace) Ledger {
-	events, _ := t.Snapshot()
-	b := NewCriticalBuilder()
-	b.Ingest(events, 0)
-	b.FinalizeAll()
-	return b.Ledger()
 }

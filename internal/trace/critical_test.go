@@ -193,99 +193,36 @@ func TestCriticalLedgerInvariantSkips(t *testing.T) {
 	}
 }
 
-// TestCriticalIncrementalMatchesOffline: feeding the same events through the
-// incremental builder in ragged per-host batches (with per-host clock
-// offsets applied at ingest) finalizes the same rounds, gates, and phases as
-// the offline one-shot path.
-func TestCriticalIncrementalMatchesOffline(t *testing.T) {
-	events := goldenTimeline()
-	offline := ComputeCriticalPath(Meta{}, events)
-
-	// Skew each host's raw timestamps by a fixed offset, then hand the
-	// builder the inverse — the attribution must land identically.
-	offsets := map[int32]int64{0: 0, 1: -5_000, 2: 9_999}
-	byHost := map[int32][]Event{}
-	for _, e := range events {
-		e.Start -= offsets[e.Host] // skewed local clock
-		byHost[e.Host] = append(byHost[e.Host], e)
-	}
-	b := NewCriticalBuilder()
-	for h := range byHost {
-		b.SetHostClock(h, 0)
-	}
-	// Ragged interleave: hosts advance in different-sized chunks, like
-	// shipper flushes landing in arbitrary order.
-	chunk := map[int32]int{0: 1, 1: 3, 2: 2}
-	pos := map[int32]int{}
-	for {
-		progressed := false
-		for _, h := range []int32{2, 0, 1} {
-			evs := byHost[h]
-			if pos[h] >= len(evs) {
-				continue
-			}
-			end := pos[h] + chunk[h]
-			if end > len(evs) {
-				end = len(evs)
-			}
-			b.Ingest(evs[pos[h]:end], offsets[h])
-			pos[h] = end
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-	b.FinalizeAll()
-
-	rounds := b.Rounds()
-	if len(rounds) != len(offline.Rounds) {
-		t.Fatalf("incremental finalized %d rounds, offline %d", len(rounds), len(offline.Rounds))
-	}
-	for i := range rounds {
-		got, want := rounds[i], offline.Rounds[i]
-		if got.Round != want.Round || got.Gate != want.Gate || got.GatePhase != want.GatePhase ||
-			got.WallNs != want.WallNs || got.MarginNs != want.MarginNs {
-			t.Errorf("round %d: incremental %+v != offline %+v", want.Round,
-				[]any{got.Gate, got.GatePhase, got.WallNs, got.MarginNs},
-				[]any{want.Gate, want.GatePhase, want.WallNs, want.MarginNs})
-		}
-	}
-	if lv, lo := b.Ledger(), offline.Ledger; lv.BaselineBytes != lo.BaselineBytes || lv.ShippedBytes != lo.ShippedBytes {
-		t.Fatalf("incremental ledger %+v != offline %+v", lv, lo)
-	}
-}
-
 // TestCriticalFinalizeFrontier: a round only finalizes once every known host
 // has moved past it, and late events for a finalized round are dropped
 // rather than double-attributed.
 func TestCriticalFinalizeFrontier(t *testing.T) {
-	b := NewCriticalBuilder()
+	b := NewRollup()
 	mk := func(h, r int32, start int64) []Event {
 		return synthRound{host: h, round: r, start: start, compute: 10, barrier: 10, peer: 1 - h}.events()
 	}
 	// Two hosts in round 0: nothing can finalize yet.
-	b.Ingest(mk(0, 0, 0), 0)
-	b.Ingest(mk(1, 0, 5), 0)
-	if n := len(b.Rounds()); n != 0 {
+	b.Add(mk(0, 0, 0), 0)
+	b.Add(mk(1, 0, 5), 0)
+	if n := len(b.CriticalPath("", 0).Rounds); n != 0 {
 		t.Fatalf("finalized %d rounds before any host left round 0", n)
 	}
 	// Host 0 advances alone: host 1 still holds round 0 open.
-	b.Ingest(mk(0, 1, 100), 0)
-	if n := len(b.Rounds()); n != 0 {
+	b.Add(mk(0, 1, 100), 0)
+	if n := len(b.CriticalPath("", 0).Rounds); n != 0 {
 		t.Fatalf("finalized %d rounds while host 1 is still in round 0", n)
 	}
 	// Host 1 advances too: round 0 closes, both hosts attributed.
-	b.Ingest(mk(1, 1, 105), 0)
-	rounds := b.Rounds()
+	b.Add(mk(1, 1, 105), 0)
+	rounds := b.CriticalPath("", 0).Rounds
 	if len(rounds) != 1 || rounds[0].Round != 0 || len(rounds[0].Hosts) != 2 {
 		t.Fatalf("after both hosts advanced: %d rounds %+v", len(rounds), rounds)
 	}
 	// A late host appearing with round-0 events cannot re-open the closed
 	// round or double-attribute it.
-	b.Ingest(mk(2, 0, 0), 0)
-	b.FinalizeAll()
-	rounds = b.Rounds()
+	b.Add(mk(2, 0, 0), 0)
+	b.Finish()
+	rounds = b.CriticalPath("", 0).Rounds
 	seen := map[int32]int{}
 	for _, r := range rounds {
 		seen[r.Round]++
@@ -301,7 +238,7 @@ func TestCriticalFinalizeFrontier(t *testing.T) {
 }
 
 // TestCriticalPathJSONRoundTrip: the attribution (with its CritPhase names)
-// survives JSON, which gluon-trace -critical -json and gluon-top -o jsonl
+// survives JSON, which gluon-trace critical -json and gluon-trace top -o jsonl
 // both rely on.
 func TestCriticalPathJSONRoundTrip(t *testing.T) {
 	cp := ComputeCriticalPath(Meta{Label: "rt"}, goldenTimeline())

@@ -4,7 +4,7 @@ package trace
 // cluster left behind, place them on one time axis, and explain the death
 // causally — which rank failed first, how the poison propagated, what the
 // survivors were doing when they gave up, and how much work a restore
-// would lose. cmd/gluon-doctor is a thin CLI over this.
+// would lose. `gluon-trace doctor` is a thin CLI over this.
 //
 // Time axes. Every process's session clock is unrelated to every other's.
 // Two alignment sources, best first:
@@ -118,7 +118,9 @@ type Diagnosis struct {
 
 	// Merged is the union of ring events across sessions, aligned and
 	// Start-ordered on the chosen axis; MergedDropped sums ring overwrites.
-	Merged        []Event
+	// The events can run to megabytes, so the JSON verdict — which is for
+	// scripting — leaves them out (the doctor's -o exports the timeline).
+	Merged        []Event `json:"-"`
 	MergedDropped uint64
 	MergedClocks  []ClockInfo
 }
@@ -181,23 +183,23 @@ func Diagnose(bundles []*Bundle) *Diagnosis {
 		d.ClockNote = "wall-clock alignment (no measured offsets in every session; trust to NTP drift)"
 	}
 
-	// Merge events: one source bundle per session, host offsets fed through
-	// AlignEvents so merged timelines stay ordered.
-	var merged []Event
-	offsets := map[int32]int64{}
-	for id, b := range bySession {
-		off := sessionOffset[id]
-		for _, e := range b.Events {
-			offsets[e.Host] = off
-		}
-		merged = append(merged, b.Events...)
+	// Merge events: one source bundle per session, each rebased by its
+	// session's offset (session order fixed so ties sort reproducibly).
+	ids := make([]string, 0, len(bySession))
+	for id := range bySession {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	srcs := make([]clockedEvents, 0, len(ids))
+	for _, id := range ids {
+		b := bySession[id]
+		srcs = append(srcs, clockedEvents{events: b.Events, offsetNs: sessionOffset[id]})
 		d.MergedDropped += b.Dropped
 		if b.Clock.Samples > 0 {
 			d.MergedClocks = append(d.MergedClocks, b.Clock)
 		}
 	}
-	AlignEvents(merged, offsets)
-	d.Merged = merged
+	d.Merged = mergeAligned(srcs)
 
 	// Build the cascade: one entry per bundle at its aligned dump moment.
 	for _, b := range bundles {

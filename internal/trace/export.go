@@ -74,20 +74,9 @@ type jsonlHeader struct {
 
 const formatVersion = 1
 
-// WriteJSONL writes the session's merged events as JSONL.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	events, dropped := t.Snapshot()
-	return WriteJSONL(w, t.Label(), events, dropped)
-}
-
-// WriteJSONL writes a header line followed by one event per line.
-func WriteJSONL(w io.Writer, label string, events []Event, dropped uint64) error {
-	return WriteJSONLMeta(w, Meta{Label: label, Dropped: dropped}, events)
-}
-
-// WriteJSONLMeta writes a header line carrying meta followed by one event
-// per line.
-func WriteJSONLMeta(w io.Writer, meta Meta, events []Event) error {
+// WriteJSONL writes a header line carrying meta followed by one event per
+// line.
+func WriteJSONL(w io.Writer, meta Meta, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	hdr := jsonlHeader{Trace: "gluon", Version: formatVersion, Label: meta.Label, Events: len(events), Dropped: meta.Dropped, Clocks: meta.Clocks, Sessions: meta.Sessions}
@@ -146,22 +135,10 @@ type chromeDoc struct {
 	OtherData       *chromeOther  `json:"otherData,omitempty"`
 }
 
-// WriteChrome writes the session's merged events in Chrome trace_event
-// format.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	events, dropped := t.Snapshot()
-	return WriteChrome(w, t.Label(), events, dropped)
-}
-
-// WriteChrome writes events as a trace_event JSON document.
-func WriteChrome(w io.Writer, label string, events []Event, dropped uint64) error {
-	return WriteChromeMeta(w, Meta{Label: label, Dropped: dropped}, events)
-}
-
-// WriteChromeMeta writes events as a trace_event JSON document, streaming
+// WriteChrome writes events as a trace_event JSON document, streaming
 // one record per line so multi-million-event traces don't need a second copy
 // in memory. meta lands in otherData, where Perfetto surfaces it.
-func WriteChromeMeta(w io.Writer, meta Meta, events []Event) error {
+func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 	bw := bufio.NewWriter(w)
 	other, err := json.Marshal(&chromeOther{Trace: "gluon", Version: formatVersion, Label: meta.Label, Dropped: meta.Dropped, Clocks: meta.Clocks, Sessions: meta.Sessions})
 	if err != nil {
@@ -242,9 +219,9 @@ func WriteFileMeta(path string, meta Meta, events []Event) error {
 	}
 	var werr error
 	if strings.HasSuffix(path, ".jsonl") {
-		werr = WriteJSONLMeta(f, meta, events)
+		werr = WriteJSONL(f, meta, events)
 	} else {
-		werr = WriteChromeMeta(f, meta, events)
+		werr = WriteChrome(f, meta, events)
 	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
@@ -252,16 +229,9 @@ func WriteFileMeta(path string, meta Meta, events []Event) error {
 	return werr
 }
 
-// ReadEvents parses either export format, auto-detected, and returns the
-// events in file order plus the recorded dropped count.
-func ReadEvents(r io.Reader) ([]Event, uint64, error) {
-	events, meta, err := ReadEventsMeta(r)
-	return events, meta.Dropped, err
-}
-
-// ReadEventsMeta parses either export format, auto-detected, returning the
+// ReadEvents parses either export format, auto-detected, returning the
 // events in file order plus the full recorded metadata.
-func ReadEventsMeta(r io.Reader) ([]Event, Meta, error) {
+func ReadEvents(r io.Reader) ([]Event, Meta, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, Meta{}, err
@@ -276,19 +246,13 @@ func ReadEventsMeta(r io.Reader) ([]Event, Meta, error) {
 }
 
 // ReadFile parses a trace export from disk.
-func ReadFile(path string) ([]Event, uint64, error) {
-	events, meta, err := ReadFileMeta(path)
-	return events, meta.Dropped, err
-}
-
-// ReadFileMeta parses a trace export from disk, metadata included.
-func ReadFileMeta(path string) ([]Event, Meta, error) {
+func ReadFile(path string) ([]Event, Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	defer f.Close()
-	return ReadEventsMeta(f)
+	return ReadEvents(f)
 }
 
 // sortEventsByStart orders events on the (shared or aligned) time axis.

@@ -2,7 +2,7 @@ package trace
 
 // Live subscription plane. The sideband already streams every host's spans
 // to one collector; this file lets viewers tap that stream while the run is
-// still going. A viewer (gluon-top, or AttachWatcher programmatically) dials
+// still going. A viewer (gluon-trace top, or AttachWatcher programmatically) dials
 // the collector's sideband port, sends one sbWatch frame, and receives a
 // stream of sbUpdate frames — each a self-contained ViewUpdate snapshot of
 // the cluster: merged rollup counters, per-host heartbeats, shipper session
@@ -60,10 +60,12 @@ type ViewUpdate struct {
 	// Hearts is the latest heartbeat per host, on the collector clock.
 	Hearts []Heartbeat `json:"heartbeats,omitempty"`
 	// Stats merges the collector-local rollup with every session's last
-	// shipped rollup (histograms omitted; counters summed, MaxRound maxed).
+	// shipped rollup (histograms omitted; counters summed, MaxRound maxed) —
+	// the shippers' own totals, so they stay exact when a ring wrapped
+	// before its events could be shipped.
 	Stats LiveStats `json:"stats"`
-	// Hosts / Rounds / Verdict / Ledger come from the incremental
-	// critical-path engine (critical.go).
+	// Hosts / Rounds / Verdict / Ledger are views of the collector's fold
+	// (rollup.go), fed incrementally as batches arrive.
 	Hosts   []HostPhaseSum `json:"hosts,omitempty"`
 	Rounds  []RoundPath    `json:"rounds,omitempty"`
 	Verdict Verdict        `json:"verdict"`
@@ -174,7 +176,7 @@ func (c *Collector) dropAllViewers() {
 	}
 }
 
-// updateLoop drains the local trace into the attribution engine and fans
+// updateLoop drains the local trace into the fold and fans
 // updates out to viewers until the collector closes. It runs for the whole
 // listener lifetime (started by Serve) so local rounds are attributed even
 // before the first viewer attaches.
@@ -221,23 +223,18 @@ func (c *Collector) updateLoop() {
 	}
 }
 
-// drainLocal feeds the collector-local trace (if any) into the attribution
-// engine and the health table. Local events are already on the reference
-// clock, so the offset is zero and the uncertainty exact.
+// drainLocal feeds the collector-local trace (if any) into the fold and the
+// health table. Local events are already on the reference clock, so the
+// offset is zero and the uncertainty the undeclared hosts' default: exact.
 func (c *Collector) drainLocal() {
 	c.mu.Lock()
 	local := c.local
-	c.mu.Unlock()
-	if local == nil {
-		return
+	if local != nil {
+		for _, b := range local.SnapshotNew(&c.localCur) {
+			c.rollup.Add(b.Events, 0)
+		}
 	}
-	c.mu.Lock()
-	batches := local.SnapshotNew(&c.localCur)
 	c.mu.Unlock()
-	for _, b := range batches {
-		c.builder.SetHostClock(b.Host, 0)
-		c.builder.Ingest(b.Events, 0)
-	}
 	for _, hb := range local.Heartbeats() {
 		c.health.Update(hb)
 	}
@@ -245,14 +242,23 @@ func (c *Collector) drainLocal() {
 
 // buildUpdate assembles the current dashboard state.
 func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
+	tail := tailRounds
+	if snapshot {
+		tail = snapshotRounds
+	}
 	c.mu.Lock()
 	c.seq++
+	cp := c.rollup.CriticalPath("", tail)
 	u := &ViewUpdate{
 		Seq:      c.seq,
 		Snapshot: snapshot,
 		Label:    c.label,
 		Sessions: c.sessionInfosLocked(),
-		Stats:    c.mergedStatsLocked(),
+		Stats:    c.liveLocked(),
+		Hosts:    cp.Hosts,
+		Rounds:   cp.Rounds,
+		Verdict:  cp.Verdict,
+		Ledger:   cp.Ledger,
 	}
 	local := c.local
 	c.mu.Unlock()
@@ -261,67 +267,39 @@ func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
 	}
 	u.NowNs = c.now()
 	u.Hearts = c.health.Snapshot()
-	u.Hosts = c.builder.HostTotals()
-	if snapshot {
-		u.Rounds = c.builder.Tail(snapshotRounds)
-	} else {
-		u.Rounds = c.builder.Tail(tailRounds)
-	}
-	u.Verdict = c.builder.Verdict()
-	u.Ledger = c.builder.Ledger()
 	return u
 }
 
-// mergedStatsLocked sums the local rollup with every session's last shipped
-// rollup. Counters add, MaxRound takes the max, histograms are omitted
-// (their bucket layouts are per-process). Caller holds c.mu.
-func (c *Collector) mergedStatsLocked() LiveStats {
-	var out LiveStats
-	out.Label = c.label
-	add := func(s LiveStats) {
-		out.Events += s.Events
-		out.Dropped += s.Dropped
-		if s.MaxRound > out.MaxRound {
-			out.MaxRound = s.MaxRound
-		}
-		out.Messages += s.Messages
-		out.ValueBytes += s.ValueBytes
-		out.MetaBytes += s.MetaBytes
-		out.GIDBytes += s.GIDBytes
-		out.Compressed += s.Compressed
-		out.CompressSkipped += s.CompressSkipped
-		out.CompressionSaved += s.CompressionSaved
-		out.CkptWrites += s.CkptWrites
-		out.CkptBytes += s.CkptBytes
-		out.CkptErrors += s.CkptErrors
-		out.CkptRestores += s.CkptRestores
-		for name, pl := range s.Phases {
-			if out.Phases == nil {
-				out.Phases = make(map[string]PhaseLive)
-			}
-			agg := out.Phases[name]
-			agg.Count += pl.Count
-			agg.DurNs += pl.DurNs
-			out.Phases[name] = agg
-		}
-		for name, n := range s.Modes {
-			if out.Modes == nil {
-				out.Modes = make(map[string]uint64)
-			}
-			out.Modes[name] += n
-		}
-	}
+// liveLocked merges the local rollup with every session's last shipped
+// rollup, the way Trace.Live merges recorders. Histograms are omitted (their
+// bucket layouts belong to the build that filled them). Caller holds c.mu.
+func (c *Collector) liveLocked() LiveStats {
+	parts := make([]LiveStats, 0, len(c.sess)+1)
 	if c.local != nil {
-		add(c.local.Live())
+		parts = append(parts, c.local.Live())
 	}
 	for _, s := range c.sess {
-		add(s.stats)
+		parts = append(parts, s.stats)
 	}
-	out.Dropped += c.missed
+	tot := noEvents
+	for i := range parts {
+		t := parts[i].totals()
+		tot.merge(&t)
+	}
+	out := tot.LiveStats()
+	out.Label, out.Dropped, out.SyncMsgBytes = c.label, c.missed, nil
+	// The counters no event carries add up the same way.
+	for i := range parts {
+		out.Dropped += parts[i].Dropped
+		out.CkptWrites += parts[i].CkptWrites
+		out.CkptBytes += parts[i].CkptBytes
+		out.CkptErrors += parts[i].CkptErrors
+		out.CkptRestores += parts[i].CkptRestores
+	}
 	return out
 }
 
-// Watcher is a live subscription to a collector, as used by gluon-top.
+// Watcher is a live subscription to a collector, as used by gluon-trace top.
 type Watcher struct {
 	conn net.Conn
 	ch   chan ViewUpdate

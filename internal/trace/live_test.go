@@ -268,7 +268,7 @@ func TestLiveShipperDisconnect(t *testing.T) {
 	}
 
 	// A viewer attaching now sees the disconnected session in its snapshot —
-	// what gluon-top renders as DISCONNECTED.
+	// what gluon-trace top renders as DISCONNECTED.
 	w, err := AttachWatcher(col.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -1,20 +1,18 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Live metrics exposure: an expvar-style HTTP endpoint serving the running
-// rollup counters as flat JSON, and a periodic one-line stderr summary.
-// Both read only the atomic counters, never the event rings, so they are
-// safe to poll at any rate while a run is in flight.
+// Live metrics exposure: an HTTP endpoint serving the running rollup in the
+// Prometheus text exposition format, and a periodic one-line stderr summary.
+// Both read only the recorders' running Totals, never the event rings, so
+// they are safe to poll at any rate while a run is in flight.
 
 // MetricsServer serves a Trace's live counters over HTTP.
 type MetricsServer struct {
@@ -23,52 +21,24 @@ type MetricsServer struct {
 }
 
 // ServeMetrics starts an HTTP server on addr (e.g. "localhost:6060" or
-// ":0") exposing the session's live counters at "/", "/metrics", and
-// "/debug/vars" — JSON by default, Prometheus text exposition when the
-// request asks for it (?format=prometheus, or a text/plain / openmetrics
-// Accept header, i.e. a standard Prometheus scrape) — plus the
-// net/http/pprof capture tree under /debug/pprof/ for on-demand CPU and
-// heap profiles. The server runs until Close.
+// ":0") exposing the session's live counters at "/metrics" as Prometheus
+// text exposition, plus the net/http/pprof capture tree under /debug/pprof/
+// for on-demand CPU and heap profiles. The server runs until Close.
 func ServeMetrics(addr string, t *Trace) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("trace: metrics listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	handler := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		live := t.Live()
-		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			WritePrometheus(w, &live)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(live)
-	}
-	mux.HandleFunc("/", handler)
-	mux.HandleFunc("/metrics", handler)
-	mux.HandleFunc("/debug/vars", handler)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WritePrometheus(w, &live)
+	})
 	registerPprof(mux)
 	ms := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go ms.srv.Serve(ln)
 	return ms, nil
-}
-
-// wantsPrometheus decides the exposition format: an explicit
-// ?format=prometheus|json wins, then a scrape-style Accept header
-// (text/plain or OpenMetrics). JSON stays the default for browsers and
-// curl-without-headers.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
 
 // Addr returns the bound address (resolves ":0" requests).
@@ -115,6 +85,6 @@ func writeSummaryLine(w io.Writer, t *Trace) {
 	enc := s.Phases[PhaseEncode.String()]
 	fmt.Fprintf(w, "trace: round=%d events=%d dropped=%d msgs=%d bytes=%s (val %s / meta %s / gid %s) sync=%v encode=%v\n",
 		s.MaxRound, s.Events, s.Dropped, s.Messages,
-		fmtBytes(s.TotalBytes()), fmtBytes(s.ValueBytes), fmtBytes(s.MetaBytes), fmtBytes(s.GIDBytes),
+		FmtBytes(s.TotalBytes()), FmtBytes(s.ValueBytes), FmtBytes(s.MetaBytes), FmtBytes(s.GIDBytes),
 		round3(time.Duration(sync.DurNs)), round3(time.Duration(enc.DurNs)))
 }

@@ -10,7 +10,7 @@ package trace
 // The FlightRecorder closes that gap: trigger sites call Dump, which
 // freezes everything a postmortem needs into one JSON bundle written
 // with ckpt's tmp+fsync+rename discipline, so surviving hosts of a
-// crashed cluster each leave an artifact `gluon-doctor` can align and
+// crashed cluster each leave an artifact `gluon-trace doctor` can align and
 // explain.
 //
 // Arming is process-global (Arm/Armed): failure paths live deep in comm
@@ -129,7 +129,7 @@ type Bundle struct {
 	// Heartbeats is the watchdog Health table (cluster view) when one is
 	// wired, else the local session's liveness snapshot.
 	Heartbeats []Heartbeat `json:"heartbeats,omitempty"`
-	// Live is the atomic rollup at dump time.
+	// Live is the live rollup at dump time.
 	Live LiveStats `json:"live"`
 	// PoolGets/PoolPuts are the bufpool accounting counters (equal in a
 	// leak-free run; only meaningful when accounting was enabled).

@@ -9,10 +9,10 @@ import (
 	"sort"
 )
 
-// Prometheus text exposition of the live rollup, served by the metrics
-// endpoint next to the JSON view so a standard scraper can chart a run
-// without a sidecar translator. Only counters and gauges derived from the
-// atomic rollup — nothing here touches the event rings.
+// Prometheus text exposition of the live rollup — the one format the metrics
+// endpoint serves, so a standard scraper can chart a run without a sidecar
+// translator. Only counters and gauges derived from the fold's Totals —
+// nothing here touches the event rings.
 
 // WritePrometheus renders s in the Prometheus text exposition format
 // (version 0.0.4).

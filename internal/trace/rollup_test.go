@@ -1,0 +1,191 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"testing"
+)
+
+// fixtureTrace loads a committed export: bfs4 is a 4-host bfs run with two
+// injected-delay fault instants, pr4z a 4-host pagerank run with DEFLATE
+// compression on.
+func fixtureTrace(t testing.TB, name string) ([]Event, Meta) {
+	t.Helper()
+	events, meta, err := ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, meta
+}
+
+// renderViews renders every report the fold backs, keyed by name.
+func renderViews(t *testing.T, r *Rollup, meta Meta) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	text := func(name string, write func(*bytes.Buffer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = buf.String()
+	}
+	asJSON := func(name string, v any) {
+		text(name, func(b *bytes.Buffer) error { return json.NewEncoder(b).Encode(v) })
+	}
+	s, cp := r.Summary(meta), r.CriticalPath(meta.Label, 0)
+	live := r.Totals().LiveStats()
+	text("tables", func(b *bytes.Buffer) error { return s.WriteTables(b) })
+	asJSON("tables.json", s)
+	text("critical", func(b *bytes.Buffer) error { return cp.WriteTables(b) })
+	asJSON("critical.json", cp)
+	asJSON("live.json", live)
+	text("prometheus", func(b *bytes.Buffer) error { return WritePrometheus(b, &live) })
+	tail := r.CriticalPath("", 3)
+	asJSON("view-update", ViewUpdate{Stats: live, Hosts: tail.Hosts, Rounds: tail.Rounds, Verdict: tail.Verdict, Ledger: tail.Ledger})
+	asJSON("comm-counters", cp.Ledger.Counters())
+	return out
+}
+
+// TestRollupBatchesMatchWhole pins "views cannot disagree" across feeding
+// patterns: folding a stream as ragged per-host batches — hosts advancing
+// round-robin in different-sized chunks, each on a skewed private clock whose
+// inverse offset Add applies, the way shipper flushes reach a collector —
+// renders every view exactly as folding the stream whole does.
+func TestRollupBatchesMatchWhole(t *testing.T) {
+	streams := map[string][]Event{"synthetic": goldenTimeline()}
+	metas := map[string]Meta{"synthetic": {Label: "synthetic"}}
+	for _, f := range []string{"bfs4.jsonl", "pr4z.json"} {
+		streams[f], metas[f] = fixtureTrace(t, f)
+	}
+	skew := func(h int32) int64 { return int64(h)*7919 - 5000 }
+	for name, events := range streams {
+		want := renderViews(t, rollupOf(metas[name], events), metas[name])
+		byHost := map[int32][]Event{}
+		var hosts []int32
+		for _, e := range events {
+			if _, seen := byHost[e.Host]; !seen {
+				hosts = append(hosts, e.Host)
+			}
+			e.Start -= skew(e.Host)
+			byHost[e.Host] = append(byHost[e.Host], e)
+		}
+		for _, chunks := range [][]int{{1}, {1, 3, 2}, {5, 1, 2, 4}, {2, 6}} {
+			r := NewRollup()
+			pos := map[int32]int{}
+			for progressed := true; progressed; {
+				progressed = false
+				for i, h := range hosts {
+					lo := pos[h]
+					hi := min(lo+chunks[i%len(chunks)], len(byHost[h]))
+					if lo == hi {
+						continue
+					}
+					r.Add(byHost[h][lo:hi], skew(h))
+					pos[h], progressed = hi, true
+				}
+			}
+			r.Finish()
+			for view, got := range renderViews(t, r, metas[name]) {
+				if got != want[view] {
+					t.Errorf("%s in chunks of %v: %s differs from the whole-stream fold:\n%s\nwant:\n%s", name, chunks, view, got, want[view])
+				}
+			}
+		}
+	}
+}
+
+// TestLiveMatchesRollup: the totals Emit keeps per recorder, merged by Live,
+// equal the totals of folding the session's own snapshot.
+func TestLiveMatchesRollup(t *testing.T) {
+	for _, f := range []string{"bfs4.json", "pr4z.jsonl"} {
+		events, meta := fixtureTrace(t, f)
+		tr := New(Config{Label: meta.Label, Capacity: len(events)})
+		for _, e := range events {
+			rec := tr.Recorder(int(e.Host))
+			rec.SetRound(e.Round)
+			rec.Emit(e)
+		}
+		snap, dropped := tr.Snapshot()
+		if dropped != 0 {
+			t.Fatalf("%s: dropped %d events; the comparison needs all of them", f, dropped)
+		}
+		want := rollupOf(Meta{}, snap).Totals().LiveStats()
+		want.Label = meta.Label
+		if got := tr.Live(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Live() = %+v\nrollup over Snapshot() = %+v", f, got, want)
+		}
+	}
+}
+
+// TestPrometheusGolden pins the exposition of the fixtures byte for byte:
+// series names and label sets are an interface scrapers depend on.
+func TestPrometheusGolden(t *testing.T) {
+	build := regexp.MustCompile(`(?m)^gluon_build_info\{.*$`)
+	for _, f := range []string{"bfs4", "pr4z"} {
+		events, meta := fixtureTrace(t, f+".jsonl")
+		live := rollupOf(meta, events).Totals().LiveStats()
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, &live); err != nil {
+			t.Fatal(err)
+		}
+		// The build line names the toolchain that compiled the test.
+		got := build.ReplaceAll(buf.Bytes(), []byte(`gluon_build_info{version="X",goversion="X"} 1`))
+		want, err := os.ReadFile(filepath.Join("testdata", f+".prom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: exposition drifted from testdata/%s.prom:\n%s", f, f, got)
+		}
+	}
+}
+
+// FuzzRollupAdd: the fold takes events from files and sideband peers, so no
+// field value may panic it, and the three places a byte total is reported
+// must agree whatever went in.
+func FuzzRollupAdd(f *testing.F) {
+	f.Add(int64(100), int64(40), uint64(64), uint64(8), uint64(0), uint64(0), uint32(90), int32(1), int32(3), int32(2), uint8(PhaseEncode), int8(1), int8(0))
+	f.Add(int64(0), int64(-5), uint64(1)<<63, uint64(1)<<63, uint64(7), uint64(9), uint32(0), int32(-1), int32(-1), int32(-1), uint8(200), int8(-3), int8(9))
+	f.Add(int64(-1), int64(1), uint64(5), uint64(0), uint64(0), uint64(3), uint32(1), int32(0), int32(1<<31-1), int32(0), uint8(PhaseBarrier), int8(NumModes), int8(CompShipped))
+	f.Fuzz(func(t *testing.T, start, dur int64, value, meta, gid, saved uint64, field uint32, host, round, peer int32, phase uint8, mode, comp int8) {
+		e := Event{Start: start, Dur: dur, Value: value, Meta: meta, GID: gid, Saved: saved, Field: field,
+			Host: host, Round: round, Peer: peer, Phase: Phase(phase), Mode: mode, Comp: comp}
+		// The same tags again as a sync message of the init round, of the next
+		// round, and from a second host, so the channel, peer and frontier
+		// paths all see the values.
+		memo, next, other := e, e, e
+		memo.Phase, memo.Round = PhaseEncode, -1
+		next.Phase, next.Round = PhaseEncode, round+1
+		other.Host, other.Phase = host+1, PhaseCompute
+		r := NewRollup()
+		r.Add([]Event{e, memo}, start)
+		r.Add([]Event{other, next}, -start)
+		r.Finish()
+
+		live, s, cp := r.Totals().LiveStats(), r.Summary(Meta{}), r.CriticalPath("", 0)
+		var initBytes uint64
+		for _, row := range s.Rounds {
+			if row.Round < 0 {
+				initBytes += row.Value + row.Meta + row.GID
+			}
+		}
+		if live.TotalBytes() != s.TotalBytes() || s.TotalBytes() != cp.Ledger.ShippedBytes+initBytes {
+			t.Fatalf("byte totals disagree: live %d, summary %d, ledger %d + init %d",
+				live.TotalBytes(), s.TotalBytes(), cp.Ledger.ShippedBytes, initBytes)
+		}
+		var buf bytes.Buffer
+		if err := s.WriteTables(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.WriteTables(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePrometheus(&buf, &live); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -7,7 +7,7 @@ package trace
 // fixes that: every process runs a Shipper that drains its Trace
 // incrementally (ring cursors, so a flush only carries what's new) to a
 // Collector — embedded in the host-0 process or standalone behind
-// `gluon-trace -serve` — over a dedicated length-prefixed TCP stream,
+// `gluon-trace serve` — over a dedicated length-prefixed TCP stream,
 // separate from the substrate's data plane so observability never competes
 // with sync traffic for a transport mailbox.
 //
@@ -32,7 +32,7 @@ package trace
 // (clock.go) and declares it in the hello; the collector rebases that
 // session's event timestamps and heartbeats by the declared offset when
 // merging, so spans from different processes land on one time axis within
-// ±uncertainty. A viewer session (gluon-top) is one sbWatch frame, then
+// ±uncertainty. A viewer session (gluon-trace top) is one sbWatch frame, then
 // sbUpdate pushes from the collector until either side closes (live.go).
 //
 // Every shipper session ends in a terminal state: "done" after an orderly
@@ -42,6 +42,7 @@ package trace
 // and the analyzer header.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -79,7 +80,9 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its type and payload.
+// readFrame reads one frame, returning its type and payload. The buffer
+// grows as bytes arrive, so a header claiming a huge frame cannot reserve
+// memory its sender never fills.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -89,11 +92,15 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n == 0 || n > maxSidebandFrame {
 		return 0, nil, fmt.Errorf("trace: sideband frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	var body bytes.Buffer
+	body.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised n bytes
+		}
 		return 0, nil, err
 	}
-	return body[0], body[1:], nil
+	return body.Bytes()[0], body.Bytes()[1:], nil
 }
 
 // shipperHello opens a session after the clock probes.
@@ -290,16 +297,15 @@ type Collector struct {
 	wg sync.WaitGroup
 
 	mu     sync.Mutex
-	events []Event
-	clocks map[int32]ClockInfo // by host, offset applied at merge
-	sess   []*sbSession        // shipper sessions in hello order
+	sess   []*sbSession // shipper sessions in hello order
 	health *Health
 	label  string
 	missed uint64
 	errs   []error
 
-	// Live plane (live.go): incremental attribution + viewer fan-out.
-	builder   *CriticalBuilder
+	// Live plane (live.go): the one fold, fed under mu as batches arrive, +
+	// viewer fan-out.
+	rollup    *Rollup
 	localCur  Cursor
 	viewers   map[*sbViewer]struct{}
 	viewerCap int
@@ -318,12 +324,17 @@ type sbSession struct {
 	hosts  map[int32]struct{}
 	state  string // "active", "done", "error"
 	errMsg string
+	// clock is the session's measured collector-minus-client offset, fixed
+	// at hello; events holds its shipped batches untouched, on the client's
+	// clock, until a merge rebases them (clock.go).
+	clock  ClockInfo
+	events []Event
 	stats  LiveStats
 	lastNs int64 // collector clock at the last frame received
 }
 
 // SessionInfo is the exported view of a shipper session's state; it rides in
-// Meta.Sessions and in live ViewUpdates so the analyzer and gluon-top can
+// Meta.Sessions and in live ViewUpdates so the analyzer and gluon-trace top can
 // tell a finished host from a disconnected one.
 type SessionInfo struct {
 	ID    int     `json:"id"`
@@ -343,8 +354,7 @@ type SessionInfo struct {
 func NewCollector() *Collector {
 	c := &Collector{
 		epoch:     time.Now(),
-		clocks:    make(map[int32]ClockInfo),
-		builder:   NewCriticalBuilder(),
+		rollup:    NewRollup(),
 		viewers:   make(map[*sbViewer]struct{}),
 		viewerCap: defaultViewerQueue,
 		stop:      make(chan struct{}),
@@ -437,13 +447,11 @@ func (c *Collector) Serve(ln net.Listener) {
 // a viewer's subscription once it sends sbWatch.
 func (c *Collector) serveSession(conn net.Conn) {
 	defer conn.Close()
-	var clock ClockInfo
 	var sess *sbSession
-	haveClock := false
 	sawBye := false
 	var viewer *sbViewer
 	// fail marks the session errored with a reason; the record is the
-	// terminal state gluon-top renders as "disconnected" and the analyzer
+	// terminal state gluon-trace top renders as "disconnected" and the analyzer
 	// surfaces in its header.
 	fail := func(reason string) {
 		if sess == nil {
@@ -477,6 +485,11 @@ func (c *Collector) serveSession(conn net.Conn) {
 			c.mu.Lock()
 			sess.lastNs = now
 			c.mu.Unlock()
+		} else if typ == sbBatch || typ == sbStats {
+			// Batches and rollups are stored per session, under the clock its
+			// hello declared.
+			c.addErr(fmt.Errorf("trace: sideband session %s sent frame type %d before hello", conn.RemoteAddr(), typ))
+			return
 		}
 		switch typ {
 		case sbPing:
@@ -501,20 +514,21 @@ func (c *Collector) serveSession(conn net.Conn) {
 				c.addErr(fmt.Errorf("trace: bad hello: %w", err))
 				return
 			}
-			// The client measured collector-minus-client; adding that offset
-			// to client timestamps rebases them onto the collector clock.
-			clock, haveClock = h.Clock, true
 			now := c.now()
 			c.mu.Lock()
 			if c.label == "" {
 				c.label = h.Label
 			}
 			sess = &sbSession{
-				id:     len(c.sess),
-				addr:   conn.RemoteAddr().String(),
-				label:  h.Label,
-				hosts:  make(map[int32]struct{}),
-				state:  "active",
+				id:    len(c.sess),
+				addr:  conn.RemoteAddr().String(),
+				label: h.Label,
+				hosts: make(map[int32]struct{}),
+				state: "active",
+				// The client measured collector-minus-client; adding that
+				// offset to client timestamps rebases them onto the collector
+				// clock.
+				clock:  h.Clock,
 				lastNs: now,
 			}
 			c.sess = append(c.sess, sess)
@@ -527,22 +541,14 @@ func (c *Collector) serveSession(conn net.Conn) {
 				return
 			}
 			c.mu.Lock()
-			c.events = append(c.events, b.Events...)
+			sess.events = append(sess.events, b.Events...)
 			c.missed += b.Missed
-			if haveClock {
-				ci := clock
-				ci.Host = b.Host
-				c.clocks[b.Host] = ci
-			}
-			if sess != nil {
-				sess.hosts[b.Host] = struct{}{}
-			}
+			sess.hosts[b.Host] = struct{}{}
+			// Fold on the collector's time axis; Add rebases without mutating,
+			// so the raw copy kept for Merged() is untouched.
+			c.rollup.SetHostClock(b.Host, sess.clock.UncertaintyNs)
+			c.rollup.Add(b.Events, sess.clock.OffsetNs)
 			c.mu.Unlock()
-			// Feed the live attribution engine on the collector's time axis.
-			// Ingest reads e.Start+offset without mutating, so the raw copy
-			// kept for Merged() is untouched.
-			c.builder.SetHostClock(b.Host, clock.UncertaintyNs)
-			c.builder.Ingest(b.Events, clock.OffsetNs)
 		case sbStats:
 			var f statsFrame
 			if err := json.Unmarshal(body, &f); err != nil {
@@ -551,21 +557,13 @@ func (c *Collector) serveSession(conn net.Conn) {
 				return
 			}
 			c.mu.Lock()
-			if sess != nil {
-				sess.stats = f.Stats
+			sess.stats = f.Stats
+			for _, hb := range f.Heartbeats {
+				sess.hosts[hb.Host] = struct{}{}
 			}
 			c.mu.Unlock()
 			for _, hb := range f.Heartbeats {
-				if haveClock {
-					hb.BeatNs += clock.OffsetNs
-					if ci, ok := c.clocks[hb.Host]; !ok || ci.Samples == 0 {
-						ci = clock
-						ci.Host = hb.Host
-						c.mu.Lock()
-						c.clocks[hb.Host] = ci
-						c.mu.Unlock()
-					}
-				}
+				hb.BeatNs += sess.clock.OffsetNs
 				c.health.Update(hb)
 			}
 			c.kickLive()
@@ -613,7 +611,7 @@ func (c *Collector) Errs() []error {
 
 // Sessions returns (announced, cleanly completed) shipper session counts.
 // A session is counted when its hello arrives — viewer subscriptions
-// (gluon-top) never count — and completes on an orderly bye.
+// (gluon-trace top) never count — and completes on an orderly bye.
 func (c *Collector) Sessions() (accepted, completed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -679,35 +677,29 @@ func (c *Collector) Merged() ([]Event, Meta) {
 	c.mu.Lock()
 	local := c.local
 	c.mu.Unlock()
-	var localEvents []Event
-	var localDropped uint64
-	if local != nil {
-		localEvents, localDropped = local.Snapshot()
-	}
+	// Local events are already on the reference axis: offset zero.
+	localEvents, dropped := local.Snapshot()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	events := make([]Event, 0, len(localEvents)+len(c.events))
-	events = append(events, c.events...)
-	offsets := make(map[int32]int64, len(c.clocks))
-	clocks := make([]ClockInfo, 0, len(c.clocks))
-	for h, ci := range c.clocks {
-		offsets[h] = ci.OffsetNs
-		clocks = append(clocks, ci)
-	}
-	AlignEvents(events, offsets)
-	// Local events are already on the reference axis; merge after alignment.
-	events = append(events, localEvents...)
-	sortEventsByStart(events)
-	for i := 1; i < len(clocks); i++ {
-		for j := i; j > 0 && clocks[j-1].Host > clocks[j].Host; j-- {
-			clocks[j-1], clocks[j] = clocks[j], clocks[j-1]
+	srcs := make([]clockedEvents, 0, len(c.sess)+1)
+	// The clock table is per host: every host a session shipped for runs on
+	// that session's clock (a replaced rank keeps its newest).
+	byHost := make(map[int32]ClockInfo)
+	for _, s := range c.sess {
+		srcs = append(srcs, clockedEvents{events: s.events, offsetNs: s.clock.OffsetNs})
+		dropped += s.stats.Dropped
+		for h := range s.hosts {
+			byHost[h] = s.clock
 		}
 	}
-	dropped := localDropped + c.missed
-	for _, s := range c.sess {
-		dropped += s.stats.Dropped
+	srcs = append(srcs, clockedEvents{events: localEvents})
+	clocks := make([]ClockInfo, 0, len(byHost))
+	for h, ci := range byHost {
+		ci.Host = h
+		clocks = append(clocks, ci)
 	}
-	return events, Meta{Label: c.label, Dropped: dropped, Clocks: clocks, Sessions: c.sessionInfosLocked()}
+	sort.Slice(clocks, func(i, j int) bool { return clocks[i].Host < clocks[j].Host })
+	return mergeAligned(srcs), Meta{Label: c.label, Dropped: dropped + c.missed, Clocks: clocks, Sessions: c.sessionInfosLocked()}
 }
 
 // WriteFile exports the merged cluster timeline, format by extension as in

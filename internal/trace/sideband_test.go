@@ -2,14 +2,20 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestSidebandRoundTrip ships a two-host trace to a collector and checks the
-// merged timeline carries every event, the exact byte tags, the declared
-// clock table, and the shipped heartbeats.
+// TestSidebandRoundTrip ships two single-host processes' traces to a
+// collector through two concurrent sessions — their stats and batch frames
+// interleave on the collector's shared clock table (run under -race) — and
+// checks the merged timeline carries every event, the exact byte tags, the
+// declared clock table, and the shipped heartbeats.
 func TestSidebandRoundTrip(t *testing.T) {
 	col, err := ListenAndCollect("127.0.0.1:0")
 	if err != nil {
@@ -17,29 +23,50 @@ func TestSidebandRoundTrip(t *testing.T) {
 	}
 	defer col.Close()
 
-	tr := New(Config{Capacity: 1 << 10, Label: "sideband-rt"})
-	for host := 0; host < 2; host++ {
+	const filler = 200 // untagged events per host, each flushed as its own batch
+	var traces [2]*Trace
+	var shippers [2]*Shipper
+	for host := range traces {
+		tr := New(Config{Capacity: 1 << 10, Label: "sideband-rt"})
 		r := tr.Recorder(host)
 		r.SetRound(0)
 		r.Emit(Event{Start: r.Now(), Dur: 10, Phase: PhaseEncode, Peer: int32(1 - host), Value: 100, Meta: 7, Mode: 1})
+		// The test drives the flushes itself; the ticker never fires.
+		sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Clock().Samples == 0 {
+			t.Fatal("shipper measured no clock samples")
+		}
+		traces[host], shippers[host] = tr, sh
 	}
-	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	// Emit more after the handshakes, from both processes at once, flushing
+	// after every event so batch and stats frames of the two sessions
+	// interleave as densely as the wire allows.
+	var wg sync.WaitGroup
+	for host, tr := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := tr.Recorder(host)
+			r.SetRound(1)
+			r.SetLivePhase(PhaseCompute)
+			r.Emit(Event{Start: r.Now(), Dur: 10, Phase: PhaseEncode, Peer: int32(1 - host), Value: 50, GID: 3, Mode: 3})
+			for i := 0; i < filler; i++ {
+				r.Emit(Event{Start: r.Now(), Dur: 1, Phase: PhaseCompute, Peer: -1})
+				if err := shippers[host].flush(); err != nil {
+					t.Errorf("host %d flush: %v", host, err)
+					return
+				}
+			}
+		}()
 	}
-	if sh.Clock().Samples == 0 {
-		t.Fatal("shipper measured no clock samples")
-	}
-	// Emit more after the handshake so the periodic flush path runs too.
-	for host := 0; host < 2; host++ {
-		r := tr.Recorder(host)
-		r.SetRound(1)
-		r.SetLivePhase(PhaseCompute)
-		r.Emit(Event{Start: r.Now(), Dur: 10, Phase: PhaseEncode, Peer: int32(1 - host), Value: 50, GID: 3, Mode: 3})
-	}
-	time.Sleep(25 * time.Millisecond) // let at least one ticker flush happen
-	if err := sh.Close(); err != nil {
-		t.Fatalf("shipper close: %v", err)
+	wg.Wait()
+	for _, sh := range shippers {
+		if err := sh.Close(); err != nil {
+			t.Fatalf("shipper close: %v", err)
+		}
 	}
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
@@ -47,13 +74,13 @@ func TestSidebandRoundTrip(t *testing.T) {
 	if errs := col.Errs(); len(errs) != 0 {
 		t.Fatalf("collector errors: %v", errs)
 	}
-	if acc, done := col.Sessions(); acc != 1 || done != 1 {
-		t.Fatalf("sessions = (%d accepted, %d completed), want (1, 1)", acc, done)
+	if acc, done := col.Sessions(); acc != 2 || done != 2 {
+		t.Fatalf("sessions = (%d accepted, %d completed), want (2, 2)", acc, done)
 	}
 
 	events, meta := col.Merged()
-	if len(events) != 4 {
-		t.Fatalf("merged %d events, want 4", len(events))
+	if want := 2 * (2 + filler); len(events) != want {
+		t.Fatalf("merged %d events, want %d", len(events), want)
 	}
 	var value, metaB, gid uint64
 	for _, e := range events {
@@ -180,6 +207,76 @@ func TestSidebandFraming(t *testing.T) {
 	if _, _, err := readFrame(strings.NewReader("\x05\x00\x00\x00\x04ab")); err == nil {
 		t.Fatal("truncated frame should error")
 	}
+}
+
+// TestSidebandHeaderOnlyFrame: a session that says hello and then sends only
+// a header claiming the largest legal frame must cost the collector the bytes
+// that arrived, not the bytes that were promised, and end as a disconnect.
+func TestSidebandHeaderOnlyFrame(t *testing.T) {
+	col, err := ListenAndCollect("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	conn, err := net.Dial("tcp", col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, sbHello, []byte(`{"clock":{"host":-1,"samples":1}}`)); err != nil {
+		t.Fatal(err)
+	}
+	waitState := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if si := col.SessionInfos(); len(si) == 1 && si[0].State == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("session never reached state %q: %+v", want, col.SessionInfos())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitState("active")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxSidebandFrame)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitState("error")
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 4-byte header made the collector allocate %d bytes", grew)
+	}
+}
+
+// FuzzReadFrame: the sideband port is open to the network, so no byte string
+// may panic the framing, and a frame it accepts must be the frame writeFrame
+// would have written.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte("\x0b\x00\x00\x00\x04{\"host\":3}"))
+	f.Add([]byte("\x00\x00\x00\x00"))
+	f.Add([]byte("\xff\xff\xff\xff"))
+	f.Add([]byte("\x05\x00\x00\x00\x04ab"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typ, body, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, typ, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatalf("accepted frame (type %d, %d bytes) does not re-encode to its input", typ, len(body))
+		}
+	})
 }
 
 // TestShipperMissedCounts: a ring smaller than the emission burst reports

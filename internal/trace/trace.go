@@ -26,7 +26,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,9 +164,6 @@ func CompName(c int8) string {
 	}
 }
 
-// Bytes returns the event's total payload byte tag.
-func (e *Event) Bytes() uint64 { return e.Value + e.Meta + e.GID }
-
 // ModeName names a wire encoding mode for tables and exports.
 func ModeName(m int8) string {
 	switch m {
@@ -203,9 +199,9 @@ type Config struct {
 }
 
 // Trace is one tracing session shared by all hosts of a run (or several
-// runs back to back). It hands out per-host Recorders, maintains the live
-// rollup counters behind the metrics endpoint, and merges recorded events
-// for export. A nil *Trace is valid and permanently disabled.
+// runs back to back). It hands out per-host Recorders, merges their running
+// Totals into the live rollup behind the metrics endpoint, and merges
+// recorded events for export. A nil *Trace is valid and permanently disabled.
 type Trace struct {
 	cfg     Config
 	epoch   time.Time
@@ -214,35 +210,19 @@ type Trace struct {
 	mu   sync.Mutex
 	recs []*Recorder // indexed by host, grown lazily
 
-	// Live rollup counters, updated by Emit; see Live().
-	events     atomic.Uint64
-	value      atomic.Uint64
-	meta       atomic.Uint64
-	gid        atomic.Uint64
-	maxRound   atomic.Int32
-	phaseCount [NumPhases]atomic.Uint64
-	phaseDur   [NumPhases]atomic.Int64
-	modeCount  [NumModes]atomic.Uint64
-	compressed atomic.Uint64
-	compSkip   atomic.Uint64
-	compSaved  atomic.Uint64
-
 	// Checkpoint plane counters (gluon_ckpt_* in the Prometheus export).
 	ckptWrites   atomic.Uint64
 	ckptBytes    atomic.Uint64
 	ckptErrors   atomic.Uint64
 	ckptRestores atomic.Uint64
 
-	// Histograms rendered by the Prometheus exposition: BSP round latency
-	// (observed by dsys once per round) and per-message sync payload bytes
-	// (observed in Emit on encode spans). Fixed exponential buckets, one
-	// atomic add per observation; the last slot is the overflow (+Inf).
+	// BSP round latency histogram, observed by dsys once per round: fixed
+	// exponential buckets, one atomic add per observation; the last slot is
+	// the overflow (+Inf). Nothing here is bumped per event — the
+	// event-derived counters are each Recorder's Totals (rollup.go).
 	roundHist  [numRoundBuckets + 1]atomic.Uint64
 	roundSumNs atomic.Int64
 	roundCount atomic.Uint64
-	msgHist    [numMsgBuckets + 1]atomic.Uint64
-	msgSum     atomic.Uint64
-	msgCount   atomic.Uint64
 }
 
 // Round-latency buckets: 1ms·2^i for i in [0,16) — 1ms up to ~33s, then
@@ -273,17 +253,6 @@ func (t *Trace) ObserveRound(d time.Duration) {
 	t.roundHist[i].Add(1)
 	t.roundSumNs.Add(int64(d))
 	t.roundCount.Add(1)
-}
-
-// observeMsgBytes records one encode span's payload bytes.
-func (t *Trace) observeMsgBytes(n uint64) {
-	i := 0
-	for i < numMsgBuckets && n > MsgBucketBytes(i) {
-		i++
-	}
-	t.msgHist[i].Add(1)
-	t.msgSum.Add(n)
-	t.msgCount.Add(1)
 }
 
 // HistLive is one histogram's live snapshot: per-bucket counts (not
@@ -326,7 +295,6 @@ func New(cfg Config) *Trace {
 	}
 	t := &Trace{cfg: cfg, epoch: time.Now()}
 	t.enabled.Store(true)
-	t.maxRound.Store(-1)
 	return t
 }
 
@@ -362,50 +330,48 @@ func (t *Trace) Recorder(host int) *Recorder {
 		t.recs = append(t.recs, nil)
 	}
 	if t.recs[host] == nil {
-		t.recs[host] = &Recorder{t: t, host: int32(host), buf: make([]Event, 0, t.cfg.Capacity)}
+		t.recs[host] = &Recorder{t: t, host: int32(host), buf: make([]Event, 0, t.cfg.Capacity), totals: noEvents}
 		t.recs[host].round.Store(-1)
 		t.recs[host].phase.Store(int32(NumPhases))
 	}
 	return t.recs[host]
 }
 
+// recorders returns the recorders handed out so far. Safe on a nil Trace.
+func (t *Trace) recorders() []*Recorder {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*Recorder, 0, len(t.recs))
+	for _, r := range t.recs {
+		if r != nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Snapshot merges all hosts' rings into one slice ordered by Start, plus
 // the total number of events dropped to ring overwrites. It does not stop
 // recording; events emitted during the merge may or may not be included.
 func (t *Trace) Snapshot() ([]Event, uint64) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	recs := append([]*Recorder(nil), t.recs...)
-	t.mu.Unlock()
 	var out []Event
 	var dropped uint64
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
+	for _, r := range t.recorders() {
 		ev, d := r.snapshot()
 		out = append(out, ev...)
 		dropped += d
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	sortEventsByStart(out)
 	return out, dropped
 }
 
 // Dropped returns the total events lost to ring overwrites so far.
 func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	recs := append([]*Recorder(nil), t.recs...)
-	t.mu.Unlock()
 	var dropped uint64
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
+	for _, r := range t.recorders() {
 		r.mu.Lock()
 		dropped += r.dropped
 		r.mu.Unlock()
@@ -435,6 +401,7 @@ type Recorder struct {
 	next    int     // overwrite cursor once len(buf) == cap(buf)
 	seq     uint64  // total events ever emitted (ring-independent cursor)
 	dropped uint64
+	totals  Totals // fold of every event ever emitted, ring-independent
 }
 
 // Host returns the rank this recorder stamps onto events.
@@ -532,38 +499,14 @@ func (r *Recorder) Emit(e Event) {
 		r.dropped++
 	}
 	r.seq++
+	// The fold rides the lock the ring already needs: plain adds on memory
+	// only this host's goroutines touch, not atomics on lines shared by
+	// every host of the session.
+	r.totals.add(&e)
 	r.mu.Unlock()
 	r.beat.Store(e.Start + e.Dur)
-
-	t := r.t
-	t.events.Add(1)
-	t.phaseCount[e.Phase].Add(1)
-	t.phaseDur[e.Phase].Add(e.Dur)
-	// Byte and mode rollups count encode spans only: their tags are Stats
-	// deltas, so the live totals match the run's volume accounting. Other
-	// phases reuse Value for wire lengths, which would double-count.
 	if e.Phase == PhaseEncode {
-		r.bytes.Add(e.Value + e.Meta + e.GID)
-		t.value.Add(e.Value)
-		t.meta.Add(e.Meta)
-		t.gid.Add(e.GID)
-		t.observeMsgBytes(e.Value + e.Meta + e.GID)
-		if e.Mode >= 0 && e.Mode < NumModes {
-			t.modeCount[e.Mode].Add(1)
-		}
-		switch e.Comp {
-		case CompShipped:
-			t.compressed.Add(1)
-			t.compSaved.Add(e.Saved)
-		case CompSkipped:
-			t.compSkip.Add(1)
-		}
-	}
-	for {
-		cur := t.maxRound.Load()
-		if e.Round <= cur || t.maxRound.CompareAndSwap(cur, e.Round) {
-			break
-		}
+		r.bytes.Add(e.Bytes())
 	}
 }
 
@@ -637,20 +580,11 @@ type HostBatch struct {
 // omitted. Safe concurrently with Emit; events emitted during the call land
 // in this batch or the next.
 func (t *Trace) SnapshotNew(c *Cursor) []HostBatch {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	recs := append([]*Recorder(nil), t.recs...)
-	t.mu.Unlock()
 	if c.seq == nil {
 		c.seq = make(map[int32]uint64)
 	}
 	var out []HostBatch
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
+	for _, r := range t.recorders() {
 		ev, seq, missed := r.snapshotSince(c.seq[r.host])
 		c.seq[r.host] = seq
 		if len(ev) > 0 || missed > 0 {
@@ -672,17 +606,8 @@ func (t *Trace) Now() int64 {
 // Heartbeats snapshots every host's liveness atomics — the local view the
 // watchdog and the sideband gossip publish.
 func (t *Trace) Heartbeats() []Heartbeat {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	recs := append([]*Recorder(nil), t.recs...)
-	t.mu.Unlock()
-	out := make([]Heartbeat, 0, len(recs))
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
+	var out []Heartbeat
+	for _, r := range t.recorders() {
 		out = append(out, HeartbeatOf(r))
 	}
 	return out
@@ -695,8 +620,8 @@ type PhaseLive struct {
 }
 
 // LiveStats is the running rollup behind the metrics endpoint and the
-// periodic stderr summary: cheap atomic counters updated on every Emit,
-// readable without touching the rings.
+// periodic stderr summary: the fold's Totals in their external, name-keyed
+// shape, plus the counters no event carries. Reading it never copies a ring.
 type LiveStats struct {
 	Label      string `json:"label,omitempty"`
 	Events     uint64 `json:"events"`
@@ -729,69 +654,33 @@ type LiveStats struct {
 // TotalBytes returns the live payload byte total.
 func (s *LiveStats) TotalBytes() uint64 { return s.ValueBytes + s.MetaBytes + s.GIDBytes }
 
-// Live snapshots the rollup counters.
+// Live merges every recorder's running Totals into one rollup.
 func (t *Trace) Live() LiveStats {
 	if t == nil {
-		return LiveStats{Phases: map[string]PhaseLive{}, Modes: map[string]uint64{}}
+		return Totals{}.LiveStats()
 	}
-	s := LiveStats{
-		Label:            t.cfg.Label,
-		Events:           t.events.Load(),
-		Dropped:          t.Dropped(),
-		MaxRound:         t.maxRound.Load(),
-		Messages:         t.phaseCount[PhaseEncode].Load(),
-		ValueBytes:       t.value.Load(),
-		MetaBytes:        t.meta.Load(),
-		GIDBytes:         t.gid.Load(),
-		Compressed:       t.compressed.Load(),
-		CompressSkipped:  t.compSkip.Load(),
-		CompressionSaved: t.compSaved.Load(),
-		CkptWrites:       t.ckptWrites.Load(),
-		CkptBytes:        t.ckptBytes.Load(),
-		CkptErrors:       t.ckptErrors.Load(),
-		CkptRestores:     t.ckptRestores.Load(),
-		Phases:           make(map[string]PhaseLive, NumPhases),
-		Modes:            make(map[string]uint64, NumModes),
+	tot := noEvents
+	var dropped uint64
+	for _, r := range t.recorders() {
+		r.mu.Lock()
+		tot.merge(&r.totals)
+		dropped += r.dropped
+		r.mu.Unlock()
 	}
-	for p := Phase(0); p < NumPhases; p++ {
-		if c := t.phaseCount[p].Load(); c > 0 {
-			s.Phases[p.String()] = PhaseLive{Count: c, DurNs: t.phaseDur[p].Load()}
+	s := tot.LiveStats()
+	s.Label = t.cfg.Label
+	s.Dropped = dropped
+	s.CkptWrites = t.ckptWrites.Load()
+	s.CkptBytes = t.ckptBytes.Load()
+	s.CkptErrors = t.ckptErrors.Load()
+	s.CkptRestores = t.ckptRestores.Load()
+	if n := t.roundCount.Load(); n > 0 {
+		var counts [numRoundBuckets + 1]uint64
+		for i := range counts {
+			counts[i] = t.roundHist[i].Load()
 		}
-	}
-	for m := 0; m < NumModes; m++ {
-		if c := t.modeCount[m].Load(); c > 0 {
-			s.Modes[ModeName(int8(m))] = c
-		}
-	}
-	if t.roundCount.Load() > 0 {
-		h := &HistLive{
-			Bounds: make([]float64, numRoundBuckets),
-			Counts: make([]uint64, numRoundBuckets+1),
-			Sum:    float64(t.roundSumNs.Load()) / 1e9,
-			Count:  t.roundCount.Load(),
-		}
-		for i := 0; i < numRoundBuckets; i++ {
-			h.Bounds[i] = float64(RoundBucketNs(i)) / 1e9
-		}
-		for i := range h.Counts {
-			h.Counts[i] = t.roundHist[i].Load()
-		}
-		s.RoundLatency = h
-	}
-	if t.msgCount.Load() > 0 {
-		h := &HistLive{
-			Bounds: make([]float64, numMsgBuckets),
-			Counts: make([]uint64, numMsgBuckets+1),
-			Sum:    float64(t.msgSum.Load()),
-			Count:  t.msgCount.Load(),
-		}
-		for i := 0; i < numMsgBuckets; i++ {
-			h.Bounds[i] = float64(MsgBucketBytes(i))
-		}
-		for i := range h.Counts {
-			h.Counts[i] = t.msgHist[i].Load()
-		}
-		s.SyncMsgBytes = h
+		s.RoundLatency = histLive(counts[:], float64(t.roundSumNs.Load())/1e9, n,
+			func(i int) float64 { return float64(RoundBucketNs(i)) / 1e9 })
 	}
 	return s
 }

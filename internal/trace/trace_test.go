@@ -129,7 +129,7 @@ func TestSnapshotMergeOrder(t *testing.T) {
 	}
 }
 
-// TestLiveRollup: the atomic counters behind the metrics endpoint track
+// TestLiveRollup: the per-recorder totals behind the metrics endpoint track
 // emits, byte tags, phase durations, and the encode-only mode histogram.
 func TestLiveRollup(t *testing.T) {
 	tr := New(Config{Label: "roll"})
@@ -216,15 +216,15 @@ func testEvents() []Event {
 func TestJSONLRoundTrip(t *testing.T) {
 	events := testEvents()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, "rt", events, 7); err != nil {
+	if err := WriteJSONL(&buf, Meta{Label: "rt", Dropped: 7}, events); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	got, meta, err := ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 7 {
-		t.Errorf("dropped = %d, want 7", dropped)
+	if meta.Dropped != 7 {
+		t.Errorf("dropped = %d, want 7", meta.Dropped)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("got %d events, want %d", len(got), len(events))
@@ -239,7 +239,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestChromeRoundTrip(t *testing.T) {
 	events := testEvents()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, "rt", events, 3); err != nil {
+	if err := WriteChrome(&buf, Meta{Label: "rt", Dropped: 3}, events); err != nil {
 		t.Fatal(err)
 	}
 	// The document must be valid JSON with the trace_event shape.
@@ -250,12 +250,12 @@ func TestChromeRoundTrip(t *testing.T) {
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Fatal("chrome export missing traceEvents")
 	}
-	got, dropped, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	got, meta, err := ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
+	if meta.Dropped != 3 {
+		t.Errorf("dropped = %d, want 3", meta.Dropped)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("got %d events, want %d (metadata records must be skipped)", len(got), len(events))
@@ -304,8 +304,40 @@ func TestReadEventsErrors(t *testing.T) {
 	}
 }
 
+// FuzzReadEvents drives both export formats through the auto-detector: no
+// input may panic the readers, and whatever they accept must fold and
+// re-export.
+func FuzzReadEvents(f *testing.F) {
+	var chrome, jsonl bytes.Buffer
+	if err := WriteChrome(&chrome, Meta{Label: "seed", Dropped: 1}, testEvents()); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteJSONL(&jsonl, Meta{Label: "seed", Dropped: 1}, testEvents()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chrome.Bytes())
+	f.Add(jsonl.Bytes())
+	f.Add([]byte("{\"host\":1,\"phase\":\"encode\"}\n")) // JSONL without its header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, meta, err := ReadEvents(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		SummarizeMeta(meta, events).WriteTables(io.Discard)
+		ComputeCriticalPath(meta, events).WriteTables(io.Discard)
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, meta, events); err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := ReadEvents(&buf)
+		if err != nil || len(again) != len(events) {
+			t.Fatalf("re-export of %d accepted events read back as %d (%v)", len(events), len(again), err)
+		}
+	})
+}
+
 func TestSummarize(t *testing.T) {
-	s := Summarize("sum", testEvents(), 2)
+	s := SummarizeMeta(Meta{Label: "sum", Dropped: 2}, testEvents())
 	if s.Events != 8 || s.Dropped != 2 || s.Hosts != 2 {
 		t.Errorf("header wrong: %+v", s)
 	}
@@ -352,43 +384,17 @@ func TestSummarize(t *testing.T) {
 // TestSummarizeMaxAcrossHosts: round time columns take the max of per-host
 // sums, not the global sum.
 func TestSummarizeMaxAcrossHosts(t *testing.T) {
-	s := Summarize("", []Event{
+	s := SummarizeMeta(Meta{}, []Event{
 		{Phase: PhaseSync, Host: 0, Round: 0, Dur: 10},
 		{Phase: PhaseSync, Host: 0, Round: 0, Dur: 15}, // host 0 sums to 25
 		{Phase: PhaseSync, Host: 1, Round: 0, Dur: 40}, // host 1 is the max
-	}, 0)
+	})
 	if len(s.Rounds) != 1 || s.Rounds[0].SyncNs != 40 {
 		t.Errorf("sync max = %+v, want 40", s.Rounds)
 	}
 }
 
-func TestMetricsServer(t *testing.T) {
-	tr := New(Config{Label: "http"})
-	tr.Recorder(0).Emit(Event{Phase: PhaseEncode, Value: 42, Mode: 1, Dur: 9})
-	ms, err := ServeMetrics("127.0.0.1:0", tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	for _, path := range []string{"/", "/metrics", "/debug/vars"} {
-		resp, err := http.Get("http://" + ms.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var s LiveStats
-		if err := json.Unmarshal(body, &s); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v", path, err)
-		}
-		if s.Label != "http" || s.Events != 1 || s.ValueBytes != 42 {
-			t.Errorf("GET %s: rollup wrong: %+v", path, s)
-		}
-	}
-}
-
-// TestMetricsPrometheus: /metrics content-negotiates the Prometheus text
-// exposition alongside the JSON default — via ?format= and via Accept.
+// TestMetricsPrometheus: /metrics serves the Prometheus text exposition.
 func TestMetricsPrometheus(t *testing.T) {
 	tr := New(Config{Label: "prom"})
 	tr.Recorder(0).SetRound(3)
@@ -400,52 +406,29 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	defer ms.Close()
 
-	get := func(path string, accept string) (string, string) {
-		req, _ := http.NewRequest("GET", "http://"+ms.Addr()+path, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return string(body), resp.Header.Get("Content-Type")
+	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
 	}
-
-	for _, req := range []struct{ path, accept string }{
-		{"/metrics?format=prometheus", ""},
-		{"/metrics", "text/plain"},
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	body, ctype := string(raw), resp.Header.Get("Content-Type")
+	if !strings.Contains(ctype, "version=0.0.4") {
+		t.Errorf("content type %q, want Prometheus text exposition", ctype)
+	}
+	for _, want := range []string{
+		`gluon_sync_bytes_total{kind="value"} 42`,
+		`gluon_sync_bytes_total{kind="metadata"} 7`,
+		"gluon_round 3",
+		"gluon_sync_messages_total 1",
+		"gluon_faults_total 1",
+		"gluon_trace_dropped_total 0",
+		`gluon_encode_mode_total{mode=`,
+		"# TYPE gluon_round gauge",
 	} {
-		body, ctype := get(req.path, req.accept)
-		if !strings.Contains(ctype, "version=0.0.4") {
-			t.Errorf("%s Accept=%q: content type %q, want Prometheus text exposition", req.path, req.accept, ctype)
+		if !strings.Contains(body, want) {
+			t.Errorf("missing %q in:\n%s", want, body)
 		}
-		for _, want := range []string{
-			`gluon_sync_bytes_total{kind="value"} 42`,
-			`gluon_sync_bytes_total{kind="metadata"} 7`,
-			"gluon_round 3",
-			"gluon_sync_messages_total 1",
-			"gluon_faults_total 1",
-			"gluon_trace_dropped_total 0",
-			`gluon_encode_mode_total{mode=`,
-			"# TYPE gluon_round gauge",
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("%s Accept=%q: missing %q in:\n%s", req.path, req.accept, want, body)
-			}
-		}
-	}
-
-	// JSON stays the default and is forceable even with a text Accept.
-	body, _ := get("/metrics?format=json", "text/plain")
-	var s LiveStats
-	if err := json.Unmarshal([]byte(body), &s); err != nil {
-		t.Fatalf("?format=json: bad JSON: %v", err)
-	}
-	if s.ValueBytes != 42 {
-		t.Errorf("?format=json rollup wrong: %+v", s)
 	}
 }
 
@@ -545,9 +528,9 @@ func TestModeNames(t *testing.T) {
 }
 
 func ExampleSummary_WriteTables() {
-	s := Summarize("example", []Event{
+	s := SummarizeMeta(Meta{Label: "example"}, []Event{
 		{Phase: PhaseEncode, Host: 0, Round: 0, Peer: 1, Value: 100, Mode: 1, Dur: 10},
-	}, 0)
+	})
 	fmt.Println(s.Messages, s.TotalBytes())
 	// Output: 1 100
 }
