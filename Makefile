@@ -2,18 +2,19 @@
 # changes: formatting, vet, a full build, the race detector over every
 # package (the sync pipeline overlaps encode workers with the receive loop,
 # so gluon and comm must always pass under -race), the trace-overhead guard,
-# and a traced smoke run analyzed by gluon-trace (tables and critical).
+# a traced smoke run analyzed by gluon-trace (tables and critical), and the
+# whole test suite at GOMAXPROCS=1, 2 and 4 (test-matrix).
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build test test-matrix race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gate: it measures wall time, and the
 # race suites leave the machine hot enough to skew it. `race` (through
 # race-fault) runs every suite under the race detector exactly once, so the
 # named dsys subsets below (watchdog-smoke, doctor-smoke, top-smoke,
 # restore-gate) are for running one scenario by hand, not part of the chain.
-check: fmt vet build trace-guard perf-trend bench-e2e-quick trace-smoke race
+check: fmt vet build trace-guard perf-trend bench-e2e-quick trace-smoke test-matrix race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +28,21 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 at every core count, uncached: the test cache does not key on
+# GOMAXPROCS, so without -count=1 the second and third passes would replay
+# the first. MATRIX_SKIP is exactly the set of cases whose expectations were
+# captured on the graph seed 42 produces at GOMAXPROCS=1 — the rmat and
+# webcrawl generators still key their RNG streams by worker index, so the
+# same seed is a different graph at 2 and 4 (ROADMAP item 1a). It is applied
+# only there; at 1 everything runs. The change that makes the generators
+# core-count independent re-pins those goldens and deletes this variable.
+MATRIX_SKIP = ^(ExampleRun|TestGoldenCommVolumes|TestTraceMatchesGoldenVolumes|TestSidebandMergedMatchesGoldenVolumes)$$
+
+test-matrix:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 -skip '$(MATRIX_SKIP)' ./...
+	GOMAXPROCS=4 $(GO) test -count=1 -skip '$(MATRIX_SKIP)' ./...
 
 # Every package under the race detector, each once: the fault-tolerance
 # packages uncached via race-fault, the rest cacheable.

@@ -57,7 +57,7 @@ func main() {
 		wdStall      = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long (0 = warn only)")
 		pmDir        = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
 
-		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (requires a checkpointable benchmark)")
+		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (bfs, cc, sssp, sssp-delta and pr checkpoint; pr-push, kcore and bc do not)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N rounds (0 = ckpt package default)")
 		ckptKeep  = flag.Int("ckpt-keep", 0, "retain the last K checkpoint epochs per host (0 = ckpt package default)")
 		restore   = flag.Bool("restore", false, "resume from the newest complete checkpoint in -ckpt-dir instead of starting fresh")

@@ -1,8 +1,11 @@
-// Heterogeneous cluster: the Figure 1 scenario — some hosts run a CPU
-// engine (Galois worklists), others run the device engine (IrGL-style bulk
-// kernels), all coupled through the same Gluon substrate. The program
-// factory picks an engine per host ID; Gluon neither knows nor cares which
-// engine produced the field updates it synchronizes.
+// Heterogeneous cluster: the Figure 1 scenario — one host runs the
+// level-synchronous Ligra engine, one the asynchronous Galois worklists,
+// two the device engine (IrGL-style bulk kernels), all coupled through the
+// same Gluon substrate. The program factory picks an engine per host ID;
+// Gluon neither knows nor cares which engine produced the field updates it
+// synchronizes, and the one relaxation operator the three schedules share
+// is label-correcting, so a level-synchronous host next to an asynchronous
+// one still converges to the sequential answer.
 //
 //	go run ./examples/heterogeneous
 package main
@@ -32,20 +35,24 @@ func main() {
 	}
 	source := uint64(csr.MaxOutDegreeNode())
 
-	// Hosts 0-1 are "CPU hosts" running the Galois engine; hosts 2-3 are
-	// "GPU hosts" running the IrGL-style device engine. The factory closes
-	// over both constructors and dispatches on the partition's host ID.
-	cpuFactory := bfs.NewGalois(source, 0)
-	gpuFactory := bfs.NewIrGL(source, 0)
+	// Host 0 is a CPU host running Ligra, host 1 a CPU host running Galois;
+	// hosts 2-3 are "GPU hosts" running the IrGL-style device engine. The
+	// factory dispatches on the partition's host ID.
+	engines := []struct {
+		name    string
+		factory dsys.ProgramFactory
+	}{
+		{"ligra (CPU)", bfs.NewLigra(source, 0)},
+		{"galois (CPU)", bfs.NewGalois(source, 0)},
+		{"irgl (device)", bfs.NewIrGL(source, 0)},
+		{"irgl (device)", bfs.NewIrGL(source, 0)},
+	}
 	mixed := func(p *partition.Partition, g *coregluon.Gluon) (dsys.Program, error) {
-		if p.HostID < 2 {
-			return cpuFactory(p, g)
-		}
-		return gpuFactory(p, g)
+		return engines[p.HostID].factory(p, g)
 	}
 
 	res, err := gluon.Run(numNodes, edges, gluon.RunConfig{
-		Hosts:         4,
+		Hosts:         len(engines),
 		Policy:        gluon.CVC,
 		Opt:           gluon.Opt(),
 		CollectValues: true,
@@ -61,15 +68,11 @@ func main() {
 			log.Fatalf("node %d: heterogeneous run got %v, sequential got %d", i, res.Values[i], w)
 		}
 	}
-	fmt.Printf("heterogeneous bfs on %d nodes: 2 Galois hosts + 2 IrGL device hosts\n", numNodes)
+	fmt.Printf("heterogeneous bfs on %d nodes: 1 Ligra host + 1 Galois host + 2 IrGL device hosts\n", numNodes)
 	fmt.Printf("time=%v rounds=%d comm=%d bytes\n", res.Time, res.Rounds, res.TotalCommBytes)
 	fmt.Println("results verified identical to sequential BFS ✓")
 	for _, h := range res.Hosts {
-		engine := "galois (CPU)"
-		if h.Host >= 2 {
-			engine = "irgl (device)"
-		}
 		fmt.Printf("  host %d [%s]: compute=%v sync=%v sent=%d bytes\n",
-			h.Host, engine, h.ComputeTime, h.SyncTime, h.Gluon.BytesSent())
+			h.Host, engines[h.Host].name, h.ComputeTime, h.SyncTime, h.Gluon.BytesSent())
 	}
 }

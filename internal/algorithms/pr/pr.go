@@ -183,8 +183,11 @@ func (c *common) Finalize() error { return gluon.BroadcastAll(c.g, c.rankField) 
 // MasterValue implements dsys.Program.
 func (c *common) MasterValue(lid uint32) float64 { return c.rank[lid] }
 
-// gather recomputes contrib over the in-graph rows [lo, hi), marking
-// nonzero rows in updated. Single writer per destination: no atomics.
+// gather is the operator, over the in-graph rows [lo, hi): recompute each
+// row's contrib from its in-neighbours' rank/out-degree, marking nonzero
+// rows in updated. Single writer per destination: no atomics. Engines that
+// schedule by chunk pass the chunk; the device kernel, one thread per
+// vertex, passes [v, v+1).
 func (c *common) gather(in *graph.CSR, lo, hi uint32, updated *bitset.Bitset) {
 	for v := lo; v < hi; v++ {
 		var sum float64
@@ -289,16 +292,6 @@ func NewIrGL(tol float64, workers int) dsys.ProgramFactory {
 // Round implements dsys.Program: one topology-driven gather kernel.
 func (pr *irglProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
 	updated := bitset.New(pr.p.NumProxies())
-	in := pr.in
-	pr.dev.Kernel(func(v uint32) {
-		var sum float64
-		for _, u := range in.Neighbors(v) {
-			sum += pr.rank[u] / float64(pr.outdeg[u])
-		}
-		pr.contrib[v] = sum
-		if sum != 0 {
-			updated.Set(v)
-		}
-	})
+	pr.dev.Kernel(func(v uint32) { pr.gather(pr.in, v, v+1, updated) })
 	return updated, nil
 }

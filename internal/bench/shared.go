@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"time"
 
+	"gluon/internal/algorithms/relax"
 	"gluon/internal/bitset"
-	"gluon/internal/engine/galois"
-	"gluon/internal/engine/ligra"
-	"gluon/internal/fields"
 	"gluon/internal/graph"
 )
 
 // Shared-memory (single-host, no partitioning, no Gluon) runs of the
 // engines, used by Table 4 to measure the overhead the distributed layer
 // adds on one host — the paper's Ligra-vs-D-Ligra / Galois-vs-D-Galois
-// comparison.
+// comparison. The label benchmarks run the very schedules the distributed
+// programs run (internal/algorithms/relax), on the raw CSR.
 
 // RunShared runs the benchmark on the raw engine and returns the elapsed
 // time. engine is "ligra" or "galois".
@@ -25,189 +24,49 @@ func RunShared(engine, benchmark string, w *Workload, p Params) (time.Duration, 
 	}
 	start := time.Now()
 	var err error
-	switch engine {
-	case "ligra":
-		err = runSharedLigra(benchmark, g, w, p)
-	case "galois":
-		err = runSharedGalois(benchmark, g, w, p)
+	switch {
+	case benchmark != "pr":
+		_, err = sharedLabels(engine, benchmark, g, w.Source, p.Workers)
+	case engine == "ligra" || engine == "galois":
+		sharedPR(g, p.PRTolerance, p.PRMaxIters, p.Workers)
 	default:
 		err = fmt.Errorf("bench: unknown shared engine %q", engine)
 	}
 	return time.Since(start), err
 }
 
-func runSharedLigra(benchmark string, g *graph.CSR, w *Workload, p Params) error {
-	switch benchmark {
-	case "bfs":
-		sharedLigraBFS(g, w.Source, p.Workers)
-	case "sssp":
-		sharedLigraSSSP(g, w.Source, p.Workers)
-	case "cc":
-		sharedLigraCC(g, p.Workers)
-	case "pr":
-		sharedPR(g, p.PRTolerance, p.PRMaxIters, p.Workers)
-	default:
-		return fmt.Errorf("bench: unknown benchmark %q", benchmark)
-	}
-	return nil
-}
-
-func runSharedGalois(benchmark string, g *graph.CSR, w *Workload, p Params) error {
-	switch benchmark {
-	case "bfs":
-		sharedGaloisLabelProp(g, initSourceLabels(g, w.Source), p.Workers, stepHop)
-	case "sssp":
-		sharedGaloisLabelProp(g, initSourceLabels(g, w.Source), p.Workers, stepWeight)
-	case "cc":
-		sharedGaloisLabelProp(g, initGIDLabels(g), p.Workers, stepNone)
-	case "pr":
-		sharedPR(g, p.PRTolerance, p.PRMaxIters, p.Workers)
-	default:
-		return fmt.Errorf("bench: unknown benchmark %q", benchmark)
-	}
-	return nil
-}
-
-func initSourceLabels(g *graph.CSR, source uint32) []uint32 {
+// sharedLabels runs bfs, sssp or cc to convergence on one CSR and returns
+// the labels. Ligra loops until the frontier empties; Galois needs no
+// rounds at all on shared memory — one do_all drains to quiescence.
+func sharedLabels(engine, benchmark string, g *graph.CSR, source uint32, workers int) ([]uint32, error) {
 	labels := make([]uint32, g.NumNodes())
-	for i := range labels {
-		labels[i] = fields.InfinityU32
-	}
-	labels[source] = 0
-	return labels
-}
-
-func initGIDLabels(g *graph.CSR) []uint32 {
-	labels := make([]uint32, g.NumNodes())
-	for i := range labels {
-		labels[i] = uint32(i)
-	}
-	return labels
-}
-
-func sharedLigraBFS(g *graph.CSR, source uint32, workers int) []uint32 {
-	lg := ligra.NewGraph(g, true)
-	dist := initSourceLabels(g, source)
-	frontier := bitset.New(g.NumNodes())
-	frontier.Set(source)
-	for frontier.Any() {
-		frontier = ligra.EdgeMap(lg, frontier, ligra.EdgeMapConfig{
-			Workers: workers,
-			Cond:    func(d uint32) bool { return fields.AtomicLoadU32(&dist[d]) == fields.InfinityU32 },
-			Push: func(s, d, wt uint32) bool {
-				ds := fields.AtomicLoadU32(&dist[s])
-				if ds == fields.InfinityU32 {
-					return false
-				}
-				return fields.AtomicMinU32(&dist[d], ds+1)
-			},
-			Pull: func(d, s, wt uint32) bool {
-				if dist[s] != fields.InfinityU32 && dist[d] > dist[s]+1 {
-					dist[d] = dist[s] + 1
-					return true
-				}
-				return false
-			},
-		})
-	}
-	return dist
-}
-
-func sharedLigraSSSP(g *graph.CSR, source uint32, workers int) []uint32 {
-	lg := ligra.NewGraph(g, false)
-	dist := initSourceLabels(g, source)
-	frontier := bitset.New(g.NumNodes())
-	frontier.Set(source)
-	for frontier.Any() {
-		frontier = ligra.EdgeMap(lg, frontier, ligra.EdgeMapConfig{
-			Workers: workers,
-			Push: func(s, d, wt uint32) bool {
-				ds := fields.AtomicLoadU32(&dist[s])
-				if ds == fields.InfinityU32 {
-					return false
-				}
-				nd := ds + wt
-				if nd < ds {
-					nd = fields.InfinityU32 - 1
-				}
-				return fields.AtomicMinU32(&dist[d], nd)
-			},
-		})
-	}
-	return dist
-}
-
-func sharedLigraCC(g *graph.CSR, workers int) []uint32 {
-	lg := ligra.NewGraph(g, true)
-	comp := initGIDLabels(g)
-	frontier := bitset.New(g.NumNodes())
-	frontier.SetAll()
-	for frontier.Any() {
-		frontier = ligra.EdgeMap(lg, frontier, ligra.EdgeMapConfig{
-			Workers: workers,
-			Push: func(s, d, wt uint32) bool {
-				return fields.AtomicMinU32(&comp[d], fields.AtomicLoadU32(&comp[s]))
-			},
-			Pull: func(d, s, wt uint32) bool {
-				cs := fields.AtomicLoadU32(&comp[s])
-				if cs < comp[d] {
-					fields.AtomicStoreU32(&comp[d], cs)
-					return true
-				}
-				return false
-			},
-		})
-	}
-	return comp
-}
-
-// stepKind selects how a label advances across an edge.
-type stepKind int
-
-const (
-	stepHop    stepKind = iota // bfs: label+1
-	stepWeight                 // sssp: label+weight
-	stepNone                   // cc: label unchanged
-)
-
-// sharedGaloisLabelProp runs the asynchronous worklist engine to full
-// quiescence in one do_all (no rounds at all on shared memory), with
-// duplicate scheduling suppressed by a scheduled-bit set.
-func sharedGaloisLabelProp(g *graph.CSR, labels []uint32, workers int, step stepKind) []uint32 {
-	e := galois.New(g, workers)
-	initial := make([]uint32, 0, 64)
-	inWL := bitset.New(g.NumNodes())
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		if labels[u] != fields.InfinityU32 {
-			initial = append(initial, u)
-			inWL.SetUnsync(u)
+	var step relax.Step
+	var frontier *bitset.Bitset
+	switch benchmark {
+	case "bfs", "sssp":
+		step = relax.Hop
+		if benchmark == "sssp" {
+			step = relax.Weight
 		}
+		frontier = relax.SeedSource(labels, source, true)
+	case "cc":
+		step = relax.Same
+		frontier = relax.SeedIDs(labels, func(u uint32) uint64 { return uint64(u) })
+	default:
+		return nil, fmt.Errorf("bench: unknown benchmark %q", benchmark)
 	}
-	e.DoAll(initial, func(e *galois.Engine, u uint32, push func(uint32)) {
-		inWL.Clear(u)
-		lu := fields.AtomicLoadU32(&labels[u])
-		if lu == fields.InfinityU32 {
-			return
+	switch engine {
+	case "ligra":
+		round := relax.Ligra(g, labels, step, workers)
+		for frontier.Any() {
+			frontier = round(frontier)
 		}
-		nbrs := e.Graph.Neighbors(u)
-		ws := e.Graph.EdgeWeights(u)
-		for i, d := range nbrs {
-			nl := lu
-			switch step {
-			case stepHop:
-				nl = lu + 1
-			case stepWeight:
-				nl = lu + ws[i]
-				if nl < lu {
-					nl = fields.InfinityU32 - 1
-				}
-			}
-			if fields.AtomicMinU32(&labels[d], nl) && inWL.TestAndSet(d) {
-				push(d)
-			}
-		}
-	})
-	return labels
+	case "galois":
+		relax.Galois(g, labels, step, workers)(frontier)
+	default:
+		return nil, fmt.Errorf("bench: unknown shared engine %q", engine)
+	}
+	return labels, nil
 }
 
 // sharedPR is the engine-independent pull pagerank on one CSR.

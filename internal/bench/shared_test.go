@@ -3,51 +3,45 @@ package bench
 import (
 	"testing"
 
-	"gluon/internal/fields"
+	"gluon/internal/graph"
 	"gluon/internal/ref"
+	"gluon/internal/validate"
 )
 
 // TestSharedEnginesCorrect: the Table 4 shared-memory baselines compute
 // the same answers as the sequential references (they feed a comparison
-// table, so silent wrongness would poison it).
+// table, so silent wrongness would poison it), and pass the O(|E|)
+// property oracles.
 func TestSharedEnginesCorrect(t *testing.T) {
 	p := TestParams()
 	wl, err := NewWorkload("rmat", p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// bfs via both engines.
-	wantBFS := ref.BFS(wl.CSR, wl.Source)
-	gotL := sharedLigraBFS(wl.CSR, wl.Source, 2)
-	gotG := sharedGaloisLabelProp(wl.CSR, initSourceLabels(wl.CSR, wl.Source), 2, stepHop)
-	for u := range wantBFS {
-		if gotL[u] != wantBFS[u] {
-			t.Fatalf("ligra bfs node %d: %d, want %d", u, gotL[u], wantBFS[u])
-		}
-		if gotG[u] != wantBFS[u] {
-			t.Fatalf("galois bfs node %d: %d, want %d", u, gotG[u], wantBFS[u])
-		}
-	}
-
-	// sssp via both engines (weighted workload).
-	wantSSSP := ref.SSSP(wl.CSR, wl.Source)
-	gotL = sharedLigraSSSP(wl.CSR, wl.Source, 2)
-	gotG = sharedGaloisLabelProp(wl.CSR, initSourceLabels(wl.CSR, wl.Source), 2, stepWeight)
-	for u := range wantSSSP {
-		if gotL[u] != wantSSSP[u] || gotG[u] != wantSSSP[u] {
-			t.Fatalf("sssp node %d: ligra %d galois %d want %d", u, gotL[u], gotG[u], wantSSSP[u])
-		}
-	}
-
-	// cc on the symmetrized graph.
 	_, symCSR := wl.Symmetrized()
-	wantCC := ref.CC(symCSR)
-	gotL = sharedLigraCC(symCSR, 2)
-	gotG = sharedGaloisLabelProp(symCSR, initGIDLabels(symCSR), 2, stepNone)
-	for u := range wantCC {
-		if gotL[u] != wantCC[u] || gotG[u] != wantCC[u] {
-			t.Fatalf("cc node %d: ligra %d galois %d want %d", u, gotL[u], gotG[u], wantCC[u])
+	for _, c := range []struct {
+		bench string
+		g     *graph.CSR
+		want  []uint32
+		check func(got []uint32) error
+	}{
+		{"bfs", wl.CSR, ref.BFS(wl.CSR, wl.Source), func(got []uint32) error { return validate.BFS(wl.CSR, wl.Source, got) }},
+		{"sssp", wl.CSR, ref.SSSP(wl.CSR, wl.Source), func(got []uint32) error { return validate.SSSP(wl.CSR, wl.Source, got) }},
+		{"cc", symCSR, ref.CC(symCSR), func(got []uint32) error { return validate.CC(symCSR, got) }},
+	} {
+		for _, engine := range []string{"ligra", "galois"} {
+			got, err := sharedLabels(engine, c.bench, c.g, wl.Source, 2)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", engine, c.bench, err)
+			}
+			for u := range c.want {
+				if got[u] != c.want[u] {
+					t.Fatalf("%s/%s node %d: %d, want %d", engine, c.bench, u, got[u], c.want[u])
+				}
+			}
+			if err := c.check(got); err != nil {
+				t.Fatalf("%s/%s: %v", engine, c.bench, err)
+			}
 		}
 	}
 
@@ -60,7 +54,6 @@ func TestSharedEnginesCorrect(t *testing.T) {
 			t.Fatalf("pr node %d: %g, want %g", u, gotPR[u], wantPR[u])
 		}
 	}
-	_ = fields.InfinityU32
 }
 
 // TestRunSharedDispatch covers the string-dispatch wrapper.

@@ -4,6 +4,8 @@ package dsys_test
 // A 3-host PageRank run is killed at every round boundary — and mid-sync
 // through FaultTransport — then restored from checkpoint; the restored
 // run's converged values must be byte-identical to the fault-free golden.
+// The label family (bfs, cc, sssp — one Checkpointable program) rides the
+// same harness as further rows, one per engine.
 // A TCP variant kills one rank for real (transport close, like kill -9 as
 // seen from the peers) and rejoins a replacement process into the held
 // survivors. The buffer-accounting test pins gets == puts across the
@@ -17,13 +19,17 @@ import (
 	"testing"
 	"time"
 
+	"gluon/internal/algorithms/bfs"
+	"gluon/internal/algorithms/cc"
 	"gluon/internal/algorithms/pr"
+	"gluon/internal/algorithms/sssp"
 	"gluon/internal/bitset"
 	"gluon/internal/ckpt"
 	"gluon/internal/comm"
 	"gluon/internal/dsys"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
+	"gluon/internal/ref"
 )
 
 const (
@@ -69,10 +75,40 @@ func crashFactory(inner dsys.ProgramFactory, host, at int) dsys.ProgramFactory {
 	}
 }
 
-// cmParts partitions the crash-matrix graph.
-func cmParts(t *testing.T) (uint64, []*partition.Partition) {
+// cmJob is one row of the crash matrix: a program, the variant of the
+// crash-matrix graph it runs on, and the round boundaries it is killed at
+// (the label programs converge on this graph within three rounds at some
+// core counts, and a kill after that would never fire).
+type cmJob struct {
+	name       string
+	weighted   bool // sssp needs edge weights
+	symmetrize bool // cc needs an undirected graph
+	killAt     []int
+	program    func(source uint64) dsys.ProgramFactory
+}
+
+var cmPR = cmJob{
+	name: "pr", killAt: []int{0, 1, 2, 3, 4, 5, 6, 7},
+	program: func(uint64) dsys.ProgramFactory { return pr.NewGalois(cmTol, 2) },
+}
+
+var cmJobs = []cmJob{
+	cmPR,
+	{name: "bfs", killAt: []int{1, 2},
+		program: func(s uint64) dsys.ProgramFactory { return bfs.NewLigra(s, 2) }},
+	{name: "cc", symmetrize: true, killAt: []int{1, 2},
+		program: func(uint64) dsys.ProgramFactory { return cc.NewIrGL(2) }},
+	{name: "sssp", weighted: true, killAt: []int{1, 2},
+		program: func(s uint64) dsys.ProgramFactory { return sssp.NewGalois(s, 2) }},
+}
+
+// parts partitions the job's graph and builds its program.
+func (j cmJob) parts(t *testing.T) ([]*partition.Partition, dsys.ProgramFactory) {
 	t.Helper()
-	numNodes, edges, g := testGraph(t, 6, false)
+	numNodes, edges, g := testGraph(t, 6, j.weighted)
+	if j.symmetrize {
+		edges = ref.Symmetrize(edges)
+	}
 	pol, err := partition.NewPolicy(partition.CVC, numNodes, cmHosts, policyOptions(numNodes, g))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +117,7 @@ func cmParts(t *testing.T) (uint64, []*partition.Partition) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return numNodes, parts
+	return parts, j.program(uint64(g.MaxOutDegreeNode()))
 }
 
 func cmConfig(dir string) dsys.RunConfig {
@@ -94,12 +130,12 @@ func cmConfig(dir string) dsys.RunConfig {
 
 // cmGolden computes the fault-free reference values (checkpointing on, so
 // the golden also proves checkpointing itself does not perturb results).
-func cmGolden(t *testing.T) []float64 {
+func cmGolden(t *testing.T, job cmJob) []float64 {
 	t.Helper()
-	_, parts := cmParts(t)
+	parts, prog := job.parts(t)
 	hub := comm.NewHub(cmHosts)
 	defer hub.Close()
-	res, err := dsys.RunWithTransports(parts, hub.Endpoints(), cmConfig(t.TempDir()), pr.NewGalois(cmTol, 2))
+	res, err := dsys.RunWithTransports(parts, hub.Endpoints(), cmConfig(t.TempDir()), prog)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
@@ -121,12 +157,17 @@ func mustMatchGolden(t *testing.T, got, want []float64) {
 	}
 }
 
-// crashThenRestore runs the job with the given fault injection until it
-// fails, then cold-restores the cluster from the shared checkpoint
+// crashThenRestore runs the job until it fails — host 1's program dies at
+// round boundary killAt, or, with killAt < 0, mkTransports injects the
+// fault — then cold-restores the cluster from the shared checkpoint
 // directory and returns the recovered values.
-func crashThenRestore(t *testing.T, dir string, mkTransports func() []comm.Transport, faulty dsys.ProgramFactory) []float64 {
+func crashThenRestore(t *testing.T, job cmJob, dir string, mkTransports func() []comm.Transport, killAt int) []float64 {
 	t.Helper()
-	_, parts := cmParts(t)
+	parts, prog := job.parts(t)
+	faulty := prog
+	if killAt >= 0 {
+		faulty = crashFactory(prog, 1, killAt)
+	}
 	ts := mkTransports()
 	_, err := dsys.RunWithTransports(parts, ts, cmConfig(dir), faulty)
 	if err == nil {
@@ -136,7 +177,7 @@ func crashThenRestore(t *testing.T, dir string, mkTransports func() []comm.Trans
 		tr.Close()
 	}
 
-	_, parts = cmParts(t)
+	parts, prog = job.parts(t)
 	cfg := cmConfig(dir)
 	cfg.Restore = true
 	ts = mkTransports()
@@ -145,7 +186,7 @@ func crashThenRestore(t *testing.T, dir string, mkTransports func() []comm.Trans
 			tr.Close()
 		}
 	}()
-	res, rerr := dsys.RunWithTransports(parts, ts, cfg, pr.NewGalois(cmTol, 2))
+	res, rerr := dsys.RunWithTransports(parts, ts, cfg, prog)
 	if rerr != nil {
 		t.Fatalf("restore run: %v", rerr)
 	}
@@ -156,26 +197,27 @@ func crashThenRestore(t *testing.T, dir string, mkTransports func() []comm.Trans
 // several mid-sync points (FaultTransport severs the wire while field data
 // is in flight), restoring from checkpoint each time.
 func TestCrashMatrix(t *testing.T) {
-	golden := cmGolden(t)
-	inner := pr.NewGalois(cmTol, 2)
-
-	for at := 0; at < cmMaxRounds; at++ {
-		t.Run(fmt.Sprintf("round-%d", at), func(t *testing.T) {
-			var hubs []*comm.Hub
-			mk := func() []comm.Transport {
-				h := comm.NewHub(cmHosts)
-				hubs = append(hubs, h)
-				return h.Endpoints()
-			}
-			defer func() {
-				for _, h := range hubs {
-					h.Close()
+	for _, job := range cmJobs {
+		golden := cmGolden(t, job)
+		for _, at := range job.killAt {
+			t.Run(fmt.Sprintf("%s/round-%d", job.name, at), func(t *testing.T) {
+				var hubs []*comm.Hub
+				mk := func() []comm.Transport {
+					h := comm.NewHub(cmHosts)
+					hubs = append(hubs, h)
+					return h.Endpoints()
 				}
-			}()
-			got := crashThenRestore(t, t.TempDir(), mk, crashFactory(inner, 1, at))
-			mustMatchGolden(t, got, golden)
-		})
+				defer func() {
+					for _, h := range hubs {
+						h.Close()
+					}
+				}()
+				got := crashThenRestore(t, job, t.TempDir(), mk, at)
+				mustMatchGolden(t, got, golden)
+			})
+		}
 	}
+	golden := cmGolden(t, cmPR)
 
 	// Mid-sync: the wire from host 1 to host 0 dies after N frames, well
 	// inside a field sync (after the mesh, barrier, Init sync, and the
@@ -199,7 +241,7 @@ func TestCrashMatrix(t *testing.T) {
 					h.Close()
 				}
 			}()
-			got := crashThenRestore(t, t.TempDir(), mk, inner)
+			got := crashThenRestore(t, cmPR, t.TempDir(), mk, -1)
 			mustMatchGolden(t, got, golden)
 		})
 	}
@@ -208,11 +250,10 @@ func TestCrashMatrix(t *testing.T) {
 // TestRestoreRequiresCheckpointable: enabling checkpointing for a program
 // that cannot export state must fail up front, not at the first epoch.
 func TestRestoreRequiresCheckpointable(t *testing.T) {
-	_, parts := cmParts(t)
+	parts, _ := cmPR.parts(t)
 	hub := comm.NewHub(cmHosts)
 	defer hub.Close()
 	cfg := cmConfig(t.TempDir())
-	// bfs programs predate the Checkpointable interface.
 	_, err := dsys.RunWithTransports(parts, hub.Endpoints(), cfg, func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		prog, err := pr.NewGalois(cmTol, 2)(p, g)
 		if err != nil {
@@ -231,8 +272,8 @@ func TestRestoreRequiresCheckpointable(t *testing.T) {
 // process dials back into the mesh, restores from the dead rank's
 // checkpoints, and the cluster finishes with byte-identical results.
 func TestRejoinTCP(t *testing.T) {
-	golden := cmGolden(t)
-	_, parts := cmParts(t)
+	golden := cmGolden(t, cmPR)
+	parts, _ := cmPR.parts(t)
 	dir := t.TempDir()
 
 	const basePort = 43550
@@ -340,7 +381,7 @@ func TestPoolBalanceUnderFaults(t *testing.T) {
 	comm.SetPoolAccounting(true)
 	defer comm.SetPoolAccounting(false)
 
-	_, parts := cmParts(t)
+	parts, _ := cmPR.parts(t)
 	for name, fcfg := range map[string]comm.FaultConfig{
 		"kill-conn":       {KillAfterSends: 5, KillPeer: 0},
 		"truncated-frame": {TruncateRecvAfter: 5},
@@ -360,7 +401,7 @@ func TestPoolBalanceUnderFaults(t *testing.T) {
 		hubs = append(hubs, h)
 		return h.Endpoints()
 	}
-	crashThenRestore(t, t.TempDir(), mk, crashFactory(pr.NewGalois(cmTol, 2), 1, 2))
+	crashThenRestore(t, cmPR, t.TempDir(), mk, 2)
 	for _, h := range hubs {
 		h.Close()
 	}
@@ -385,7 +426,7 @@ func TestPoolBalanceUnderFaults(t *testing.T) {
 // the runner, so helper goroutines parked in Recv/RecvAny on that
 // transport fail fast instead of blocking until process teardown.
 func TestFailingHostPoisonsOwnTransport(t *testing.T) {
-	_, parts := cmParts(t)
+	parts, _ := cmPR.parts(t)
 	hub := comm.NewHub(cmHosts)
 	defer hub.Close()
 	ts := hub.Endpoints()

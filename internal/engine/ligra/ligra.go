@@ -30,22 +30,25 @@ func NewGraph(out *graph.CSR, buildIn bool) *Graph {
 	return g
 }
 
-// EdgeMapConfig configures one edgeMap application.
+// EdgeMapConfig configures one edgeMap application. Both traversals hand
+// the operator a whole vertex: the operator walks that vertex's edges
+// itself, so the per-edge work is a loop the compiler sees rather than an
+// indirect call per edge, and a smarter advance (edge-balanced, say) has one
+// loop to replace.
 type EdgeMapConfig struct {
-	// Push is invoked in sparse (push) mode for each edge (s, d, weight)
-	// with s in the frontier. It must be thread-safe across destinations
-	// (use CAS on the destination field) and return true when d became
-	// active for the next frontier.
-	Push func(s, d uint32, w uint32) bool
-	// Pull is invoked in dense (pull) mode for each edge (d, s, weight)
-	// with d any vertex passing Cond; only one goroutine touches a given d,
-	// so no atomics are needed on d's field. It returns true when d became
-	// active.
-	// Nil disables direction optimization (always push).
-	Pull func(d, s uint32, w uint32) bool
-	// Cond filters destinations; nil means all pass. In pull mode,
-	// scanning d's in-edges stops early once Cond(d) is false.
-	Cond func(d uint32) bool
+	// Push is invoked in sparse (push) mode for each frontier vertex s. It
+	// applies the operator along s's out-edges and calls activate(d) for
+	// every destination that became active for the next frontier. It must
+	// be thread-safe across destinations (use CAS on the destination
+	// field).
+	Push func(s uint32, activate func(d uint32))
+	// Dense enables direction optimization when the graph has a transpose.
+	// It is called once per dense pass with that pass's frontier — the
+	// place for whatever the pass precomputes, such as an early-exit bound
+	// — and returns the pull applied to every vertex d: scan d's in-edges
+	// whose source is in the frontier and report whether d became active.
+	// Only one goroutine touches a given d. Nil means always push.
+	Dense func(frontier *bitset.Bitset) (pull func(d uint32) bool)
 	// DenseThreshold is the fraction of |E| above which the frontier's
 	// outgoing edge count triggers dense mode. 0 means Ligra's 1/20.
 	DenseThreshold float64
@@ -54,28 +57,32 @@ type EdgeMapConfig struct {
 }
 
 // EdgeMap applies cfg over the frontier and returns the next frontier.
-// It implements Ligra's direction optimization when cfg.Pull is available.
+// It implements Ligra's direction optimization when cfg.Dense is available.
 func EdgeMap(g *Graph, frontier *bitset.Bitset, cfg EdgeMapConfig) *bitset.Bitset {
 	n := g.Out.NumNodes()
 	next := bitset.New(n)
 	if frontier == nil || !frontier.Any() {
 		return next
 	}
-	useDense := false
-	if cfg.Pull != nil && g.In != nil {
+	if cfg.Dense != nil && g.In != nil {
 		threshold := cfg.DenseThreshold
 		if threshold == 0 {
 			threshold = 1.0 / 20.0
 		}
 		if float64(frontierEdges(g, frontier, cfg.Workers)) > threshold*float64(g.Out.NumEdges()) {
-			useDense = true
+			pull := cfg.Dense(frontier)
+			par.Range(int(n), cfg.Workers, func(lo, hi int) {
+				for d := uint32(lo); d < uint32(hi); d++ {
+					if pull(d) {
+						next.Set(d)
+					}
+				}
+			})
+			return next
 		}
 	}
-	if useDense {
-		edgeMapDense(g, frontier, next, cfg)
-	} else {
-		edgeMapSparse(g, frontier, next, cfg)
-	}
+	activate := next.Set
+	VertexMap(frontier, cfg.Workers, func(s uint32) { cfg.Push(s, activate) })
 	return next
 }
 
@@ -89,60 +96,6 @@ func frontierEdges(g *Graph, frontier *bitset.Bitset, workers int) uint64 {
 			sum += uint64(g.Out.OutDegree(u))
 		}
 		return sum
-	})
-}
-
-func edgeMapSparse(g *Graph, frontier, next *bitset.Bitset, cfg EdgeMapConfig) {
-	n := int(g.Out.NumNodes())
-	par.Range(n, cfg.Workers, func(lo, hi int) {
-		for s := frontier.NextSet(uint32(lo)); s < uint32(hi); s = frontier.NextSet(s + 1) {
-			nbrs := g.Out.Neighbors(s)
-			ws := g.Out.EdgeWeights(s)
-			for i, d := range nbrs {
-				if cfg.Cond != nil && !cfg.Cond(d) {
-					continue
-				}
-				w := uint32(1)
-				if ws != nil {
-					w = ws[i]
-				}
-				if cfg.Push(s, d, w) {
-					next.Set(d)
-				}
-			}
-		}
-	})
-}
-
-func edgeMapDense(g *Graph, frontier, next *bitset.Bitset, cfg EdgeMapConfig) {
-	n := int(g.In.NumNodes())
-	par.Range(n, cfg.Workers, func(lo, hi int) {
-		for d := uint32(lo); d < uint32(hi); d++ {
-			if cfg.Cond != nil && !cfg.Cond(d) {
-				continue
-			}
-			nbrs := g.In.Neighbors(d)
-			ws := g.In.EdgeWeights(d)
-			became := false
-			for i, s := range nbrs {
-				if !frontier.Test(s) {
-					continue
-				}
-				w := uint32(1)
-				if ws != nil {
-					w = ws[i]
-				}
-				if cfg.Pull(d, s, w) {
-					became = true
-				}
-				if cfg.Cond != nil && !cfg.Cond(d) {
-					break // early exit once d no longer accepts updates
-				}
-			}
-			if became {
-				next.Set(d)
-			}
-		}
 	})
 }
 

@@ -24,8 +24,8 @@ func rmatCSR(t testing.TB, scale uint) *graph.CSR {
 	return g
 }
 
-// bfsWith runs a full BFS through EdgeMap with the given dense threshold
-// (negative forces pure push by disabling Pull).
+// bfsWith runs a full BFS through EdgeMap with the given dense threshold;
+// pull false leaves Dense nil, forcing pure push.
 func bfsWith(g *Graph, source uint32, threshold float64, pull bool) []uint32 {
 	dist := make([]uint32, g.Out.NumNodes())
 	for i := range dist {
@@ -37,18 +37,29 @@ func bfsWith(g *Graph, source uint32, threshold float64, pull bool) []uint32 {
 	cfg := EdgeMapConfig{
 		Workers:        4,
 		DenseThreshold: threshold,
-		Cond:           func(d uint32) bool { return fields.AtomicLoadU32(&dist[d]) == fields.InfinityU32 },
-		Push: func(s, d, w uint32) bool {
-			return fields.AtomicMinU32(&dist[d], fields.AtomicLoadU32(&dist[s])+1)
+		Push: func(s uint32, activate func(uint32)) {
+			ds := fields.AtomicLoadU32(&dist[s])
+			for _, d := range g.Out.Neighbors(s) {
+				if fields.AtomicMinU32(&dist[d], ds+1) {
+					activate(d)
+				}
+			}
 		},
 	}
 	if pull {
-		cfg.Pull = func(d, s, w uint32) bool {
-			if dist[s] != fields.InfinityU32 && dist[d] > dist[s]+1 {
-				dist[d] = dist[s] + 1
-				return true
+		cfg.Dense = func(frontier *bitset.Bitset) func(uint32) bool {
+			return func(d uint32) bool {
+				if fields.AtomicLoadU32(&dist[d]) != fields.InfinityU32 {
+					return false
+				}
+				for _, s := range g.In.Neighbors(d) {
+					if frontier.Test(s) {
+						fields.AtomicStoreU32(&dist[d], fields.AtomicLoadU32(&dist[s])+1)
+						return true
+					}
+				}
+				return false
 			}
-			return false
 		}
 	}
 	for frontier.Any() {
@@ -88,7 +99,7 @@ func TestPushPullEquivalence(t *testing.T) {
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := NewGraph(rmatCSR(t, 8), false)
 	next := EdgeMap(g, bitset.New(g.Out.NumNodes()), EdgeMapConfig{
-		Push: func(s, d, w uint32) bool { t.Fatal("push called"); return false },
+		Push: func(s uint32, activate func(uint32)) { t.Fatal("push called") },
 	})
 	if next.Any() {
 		t.Fatal("empty frontier produced output")
@@ -120,46 +131,53 @@ func TestVertexFilter(t *testing.T) {
 	}
 }
 
-// TestCondEarlyExit: in dense mode, scanning stops once Cond flips; the
-// result must still be correct (first-writer wins in bfs terms).
-func TestCondEarlyExit(t *testing.T) {
+// TestDenseCalledOncePerDensePass pins the Dense contract operators build
+// their per-pass state on: one call, with the pass's frontier, when the
+// frontier is dense; none when it is sparse; and the pull it returns is
+// applied to every vertex exactly once.
+func TestDenseCalledOncePerDensePass(t *testing.T) {
 	// star-in graph: all nodes point at node 0.
 	var edges []graph.LocalEdge
 	const n = 64
 	for i := uint32(1); i < n; i++ {
 		edges = append(edges, graph.LocalEdge{Src: i, Dst: 0})
 	}
-	csr := graph.Build(n, edges, false)
-	g := NewGraph(csr, true)
+	g := NewGraph(graph.Build(n, edges, false), true)
 
-	parent := make([]uint32, n)
-	for i := range parent {
-		parent[i] = fields.InfinityU32
-	}
 	frontier := bitset.New(n)
 	for i := uint32(1); i < n; i++ {
 		frontier.Set(i)
 	}
-	pulls := 0
-	next := EdgeMap(g, frontier, EdgeMapConfig{
-		Workers:        1,
-		DenseThreshold: 1e-9, // force dense
-		Cond:           func(d uint32) bool { return parent[d] == fields.InfinityU32 },
-		Push:           func(s, d, w uint32) bool { panic("unused") },
-		Pull: func(d, s, w uint32) bool {
-			pulls++
-			if parent[d] == fields.InfinityU32 {
-				parent[d] = s
-				return true
-			}
-			return false
-		},
-	})
-	if !next.Test(0) || parent[0] == fields.InfinityU32 {
-		t.Fatal("node 0 not claimed")
-	}
-	if pulls != 1 {
-		t.Fatalf("pulled %d edges; early exit after first claim expected", pulls)
+	for _, c := range []struct {
+		name      string
+		threshold float64
+		wantDense int
+	}{
+		{"dense", 1e-9, 1},
+		{"sparse", 2, 0}, // no frontier has more than 2·|E| out-edges
+	} {
+		denseCalls, pulls, pushes := 0, 0, 0
+		next := EdgeMap(g, frontier, EdgeMapConfig{
+			Workers:        1,
+			DenseThreshold: c.threshold,
+			Push: func(s uint32, activate func(uint32)) {
+				pushes++
+				activate(0)
+			},
+			Dense: func(f *bitset.Bitset) func(uint32) bool {
+				if f != frontier {
+					t.Errorf("%s: Dense got a different frontier", c.name)
+				}
+				denseCalls++
+				return func(d uint32) bool { pulls++; return d == 0 }
+			},
+		})
+		if !next.Test(0) || next.Count() != 1 {
+			t.Errorf("%s: next frontier has %d vertices, want just node 0", c.name, next.Count())
+		}
+		if denseCalls != c.wantDense || pulls != c.wantDense*n || pushes != (1-c.wantDense)*(n-1) {
+			t.Errorf("%s: %d Dense calls, %d pulls, %d pushes", c.name, denseCalls, pulls, pushes)
+		}
 	}
 }
 
@@ -175,9 +193,10 @@ func BenchmarkEdgeMapPush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		EdgeMap(g, frontier, EdgeMapConfig{
 			Workers: 4,
-			Push: func(s, d, w uint32) bool {
-				fields.AtomicMinU32(&val[d], s)
-				return false
+			Push: func(s uint32, activate func(uint32)) {
+				for _, d := range csr.Neighbors(s) {
+					fields.AtomicMinU32(&val[d], s)
+				}
 			},
 		})
 	}

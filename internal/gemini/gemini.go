@@ -21,9 +21,9 @@ import (
 	"sync"
 	"time"
 
+	"gluon/internal/algorithms/relax"
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
-	"gluon/internal/fields"
 	"gluon/internal/graph"
 	"gluon/internal/par"
 	"gluon/internal/partition"
@@ -123,11 +123,11 @@ func RunPartitioned(parts []*partition.Partition, alg Algorithm, cfg Config) (*R
 			var err error
 			switch alg {
 			case BFS:
-				rounds, err = e.runLabelPropagation(labelInitSource(cfg.Source), pushUnweighted)
+				rounds, err = e.runLabelPropagation(relax.Hop, &cfg.Source)
 			case CC:
-				rounds, err = e.runLabelPropagation(labelInitGID, pushUnweightedCC)
+				rounds, err = e.runLabelPropagation(relax.Same, nil)
 			case SSSP:
-				rounds, err = e.runLabelPropagation(labelInitSource(cfg.Source), pushWeighted)
+				rounds, err = e.runLabelPropagation(relax.Weight, &cfg.Source)
 			case PR:
 				rounds, err = e.runPageRank(cfg.Tolerance, cfg.MaxIters)
 			default:
@@ -183,86 +183,33 @@ type engine struct {
 
 // ---- label-propagation family (bfs, cc, sssp) ----
 
-type labelInit func(e *engine)
-
-func labelInitSource(source uint64) labelInit {
-	return func(e *engine) {
-		for i := range e.labels {
-			e.labels[i] = fields.InfinityU32
-		}
-		if lid, ok := e.p.LID(source); ok {
-			e.labels[lid] = 0
-		}
-	}
-}
-
-func labelInitGID(e *engine) {
-	for lid := range e.labels {
-		e.labels[lid] = uint32(e.p.GID(uint32(lid)))
-	}
-}
-
-type pushOp func(e *engine, u uint32, updated *bitset.Bitset)
-
-func pushUnweighted(e *engine, u uint32, updated *bitset.Bitset) {
-	du := fields.AtomicLoadU32(&e.labels[u])
-	if du == fields.InfinityU32 {
-		return
-	}
-	for _, d := range e.p.Graph.Neighbors(u) {
-		if fields.AtomicMinU32(&e.labels[d], du+1) {
-			updated.Set(d)
-		}
-	}
-}
-
-func pushUnweightedCC(e *engine, u uint32, updated *bitset.Bitset) {
-	cu := fields.AtomicLoadU32(&e.labels[u])
-	for _, d := range e.p.Graph.Neighbors(u) {
-		if fields.AtomicMinU32(&e.labels[d], cu) {
-			updated.Set(d)
-		}
-	}
-}
-
-func pushWeighted(e *engine, u uint32, updated *bitset.Bitset) {
-	du := fields.AtomicLoadU32(&e.labels[u])
-	if du == fields.InfinityU32 {
-		return
-	}
-	nbrs := e.p.Graph.Neighbors(u)
-	ws := e.p.Graph.EdgeWeights(u)
-	for i, d := range nbrs {
-		nd := du + ws[i]
-		if nd < du {
-			nd = fields.InfinityU32 - 1
-		}
-		if fields.AtomicMinU32(&e.labels[d], nd) {
-			updated.Set(d)
-		}
-	}
-}
-
 // runLabelPropagation is the baseline's BSP loop: level-synchronous push
-// rounds; after each round every updated label is sent as a (gid, value)
+// rounds of the label family's operator (relax.Out — the baseline shares
+// the operator with the Gluon systems, not their schedules and not their
+// wire); after each round every updated label is sent as a (gid, value)
 // pair — mirrors to masters, then masters re-broadcast to every peer that
 // might hold a proxy (the integrated GAS discipline, no structural pruning).
-func (e *engine) runLabelPropagation(init labelInit, op pushOp) (int, error) {
+// A nil source seeds every label with its global ID (cc).
+func (e *engine) runLabelPropagation(step relax.Step, source *uint64) (int, error) {
 	n := e.p.NumProxies()
 	e.labels = make([]uint32, n)
-	init(e)
+	var frontier *bitset.Bitset
+	if source == nil {
+		frontier = relax.SeedIDs(e.labels, e.p.GID)
+	} else {
+		lid, ok := e.p.LID(*source)
+		frontier = relax.SeedSource(e.labels, lid, ok)
+	}
 	if err := comm.Barrier(e.t); err != nil {
 		return 0, err
 	}
-	frontier := bitset.New(n)
-	frontier.SetAll() // first round considers everything with a finite label
 	rounds := 0
 	for {
 		updated := bitset.New(n)
-		nn := int(n)
-		par.Range(nn, e.workers, func(lo, hi int) {
+		mark := updated.Set
+		par.Range(int(n), e.workers, func(lo, hi int) {
 			for u := frontier.NextSet(uint32(lo)); u < uint32(hi); u = frontier.NextSet(u + 1) {
-				op(e, u, updated)
+				relax.Out(e.p.Graph, e.labels, u, step, mark)
 			}
 		})
 		if err := e.syncLabels(updated); err != nil {

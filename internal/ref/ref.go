@@ -81,7 +81,7 @@ func SSSP(g *graph.CSR, source uint32) []uint32 {
 				w = ws[i]
 			}
 			nd := it.dist + w
-			if nd < it.dist { // overflow saturation, mirrors sssp.relax
+			if nd < it.dist { // overflow saturation, mirrors relax.Out
 				nd = fields.InfinityU32 - 1
 			}
 			if nd < dist[v] {

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,77 +114,99 @@ func TestLiveWatcherMidRunAttach(t *testing.T) {
 // TestLiveSlowViewerDropped pins the bounded fan-out contract: a viewer that
 // stops reading is dropped (connection closed, queue freed) while a healthy
 // viewer and the shipper keep flowing.
+//
+// Nothing here runs on a clock. The shipper's own flush ticker is parked and
+// the test flushes by hand: each flush lands a stats frame, the collector
+// kicks one update, and the test waits for the healthy watcher to receive it
+// before flushing again. So the healthy viewer is never more than one driven
+// update behind (the collector's 250 ms tick may add the odd extra; its
+// default queue of 8 absorbs them), and the drop of the slow viewer is
+// awaited as "Viewers() is 1 after an update reached the healthy one" — an
+// ordering the collector guarantees, since it unregisters slow viewers in
+// the same critical section that queued the update. The timeouts below only
+// turn a hang into a message.
 func TestLiveSlowViewerDropped(t *testing.T) {
 	col, err := ListenAndCollect("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	col.SetViewerQueue(1) // one queued update is all the slack a viewer gets
 
-	// Big per-update payloads (many hosts, full tail window) so the slow
-	// viewer's socket buffers fill fast.
 	tr := New(Config{Capacity: 1 << 12, Label: "live-slow"})
 	for r := int32(0); r <= 40; r++ {
 		for h := 0; h < 4; h++ {
 			emitLiveRound(tr.Recorder(h), r, int64(r)*1000)
 		}
 	}
-	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Millisecond})
+	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
 
-	// Healthy viewer: drains frames as fast as they come.
-	healthy, err := net.Dial("tcp", col.Addr())
+	// Healthy viewer: a Watcher, whose read loop never waits on its consumer.
+	healthy, err := AttachWatcher(col.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	if err := writeFrame(healthy, sbWatch, nil); err != nil {
-		t.Fatal(err)
-	}
-	var drained atomic.Int64
-	go func() {
-		for {
-			if _, _, err := readFrame(healthy); err != nil {
-				return
-			}
-			drained.Add(1)
-		}
-	}()
-
-	waitFor := func(what string, cond func() bool) {
+	var last ViewUpdate
+	nextUpdate := func(why string) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
+		select {
+		case u, ok := <-healthy.Updates():
+			if !ok {
+				t.Fatalf("healthy viewer was dropped while waiting for %s: %v", why, healthy.Err())
 			}
-			time.Sleep(5 * time.Millisecond)
+			if u.Seq <= last.Seq {
+				t.Fatalf("update seq went from %d to %d", last.Seq, u.Seq)
+			}
+			last = u
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no update reached the healthy viewer while waiting for %s", why)
 		}
 	}
-	waitFor("the healthy viewer to attach and flow", func() bool { return drained.Load() > 0 })
+	// flushed ships one stats frame and waits for the update it kicks.
+	flushed := func(why string) {
+		t.Helper()
+		if err := sh.flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		nextUpdate(why)
+	}
+	nextUpdate("the snapshot")
+	if !last.Snapshot {
+		t.Fatal("first update is not the snapshot")
+	}
 
 	// Slow viewer: registered through the same addViewer the sbWatch handler
-	// uses, but over an unbuffered pipe whose far end never reads — its writer
-	// goroutine blocks on the very first frame, so the bounded queue overflows
-	// as soon as updates keep coming (a TCP conn behaves the same once the
-	// kernel buffers fill; the pipe just removes the megabytes of slack).
-	// Registration is synchronous, so the count is 2 the moment it returns;
-	// the drop back to 1 can follow within one update tick.
+	// uses, with one queued update as all its slack, over an unbuffered pipe
+	// whose far end never reads — its writer goroutine blocks on the very
+	// first frame, so the queue overflows on the second update after that at
+	// the latest (a TCP conn behaves the same once the kernel buffers fill;
+	// the pipe just removes the megabytes of slack).
+	col.SetViewerQueue(1)
 	slowServer, slowClient := net.Pipe()
 	defer slowClient.Close()
 	if v := col.addViewer(slowServer); v == nil {
 		t.Fatal("addViewer refused the slow viewer")
 	}
-	// The 1ms stats cadence kicks an update per flush; each is tens of KB, so
-	// the non-reading viewer's queue overflows and it gets dropped.
-	waitFor("the slow viewer to be dropped", func() bool { return col.Viewers() == 1 })
+	if n := col.Viewers(); n != 2 {
+		t.Fatalf("%d viewers attached, want 2", n)
+	}
+	// Updates queued before the slow viewer registered may still be on their
+	// way to the healthy one, so count generously; every iteration is one
+	// more update delivered.
+	const maxUpdates = 32
+	for i := 0; col.Viewers() != 1; i++ {
+		if i == maxUpdates {
+			t.Fatalf("slow viewer still attached after %d updates reached the healthy one (%d viewers)", i, col.Viewers())
+		}
+		flushed("the slow viewer to be dropped")
+	}
 
 	// The drop closed the slow viewer's connection, not just its queue.
-	slowClient.SetReadDeadline(time.Now().Add(5 * time.Second))
+	slowClient.SetReadDeadline(time.Now().Add(30 * time.Second))
 	junk := make([]byte, 64<<10)
 	var readErr error
 	for readErr == nil {
@@ -196,20 +217,22 @@ func TestLiveSlowViewerDropped(t *testing.T) {
 	}
 
 	// The healthy viewer keeps receiving after the drop.
-	base := drained.Load()
-	waitFor("the healthy viewer to keep receiving", func() bool { return drained.Load() > base })
+	flushed("an update after the drop")
 
-	// And the shipper never stalled or errored on account of the viewer.
+	// And the shipper never stalled or errored on account of the viewer; its
+	// bye shows up in the healthy viewer's stream as the session ending.
 	if err := sh.Err(); err != nil {
 		t.Fatalf("shipper hit an error: %v", err)
 	}
 	if err := sh.Close(); err != nil {
 		t.Fatalf("shipper close: %v", err)
 	}
-	waitFor("the shipper's bye to land", func() bool {
-		acc, done := col.Sessions()
-		return acc == 1 && done == 1
-	})
+	for len(last.Sessions) != 1 || last.Sessions[0].State != "done" {
+		nextUpdate("the shipper's bye to land")
+	}
+	if acc, done := col.Sessions(); acc != 1 || done != 1 {
+		t.Fatalf("sessions accepted/done = %d/%d, want 1/1", acc, done)
+	}
 }
 
 // TestLiveShipperDisconnect pins the satellite fix: a shipper connection that

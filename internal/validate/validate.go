@@ -70,7 +70,9 @@ func BFS(g *graph.CSR, source uint32, dist []uint32) error {
 
 // SSSP checks that dist is a valid shortest-path assignment from source:
 // triangle inequality over every edge, plus achievability (every finite
-// distance is witnessed by an incoming edge that is tight).
+// distance is witnessed by an incoming edge that is tight). Path sums
+// saturate at Infinity-1 as they do in the operator, so both properties
+// hold on graphs whose distances outgrow uint32.
 func SSSP(g *graph.CSR, source uint32, dist []uint32) error {
 	n := g.NumNodes()
 	if uint32(len(dist)) != n {
@@ -91,11 +93,15 @@ func SSSP(g *graph.CSR, source uint32, dist []uint32) error {
 			if ws != nil {
 				w = ws[i]
 			}
-			if dist[v] > dist[u]+w {
+			through := dist[u] + w
+			if through < dist[u] { // the operator saturates rather than wraps
+				through = fields.InfinityU32 - 1
+			}
+			if dist[v] > through {
 				return fmt.Errorf("validate: edge (%d,%d,w=%d) violates triangle inequality: %d → %d",
 					u, v, w, dist[u], dist[v])
 			}
-			if dist[v] == dist[u]+w {
+			if dist[v] == through {
 				tight[v] = true
 			}
 		}
