@@ -65,9 +65,13 @@ restore-gate:
 	$(GO) test -race -count=1 -run 'TestCrashMatrix|TestRejoinTCP|TestRestoreRequiresCheckpointable|TestPoolBalanceUnderFaults' ./internal/dsys/
 	$(GO) test -race -count=1 ./internal/ckpt/
 
-# Sync hot-path microbenchmark (BenchmarkSyncHotPath) straight from go test.
+# The microbenchmarks straight from go test: the sync hot path end to end
+# (BenchmarkSyncHotPath*), its two per-value loops in ns/value
+# (BenchmarkSyncHotPathValues: encode and fold, dense and bfs-shaped), and
+# the pagerank operator in ns/edge (BenchmarkPRGather).
 bench:
 	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/gluon/
+	$(GO) test -run=NONE -bench=PRGather ./internal/algorithms/pr/
 
 # The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # four workloads, setup_s and run_s untraced plus the per-layer traced run.

@@ -55,6 +55,10 @@ type common struct {
 	rank    []float64
 	contrib []float64
 	outdeg  []uint64
+	// share[u] is rank[u]/outdeg[u], what u sends along each of its
+	// out-edges this round. It is refilled from rank and outdeg at the top
+	// of every round, so it is neither synchronized nor checkpointed.
+	share []float64
 
 	contribField gluon.Field[float64]
 	rankField    gluon.Field[float64]
@@ -71,6 +75,7 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, tol float64) *common {
 		rank:    make([]float64, n),
 		contrib: make([]float64, n),
 		outdeg:  make([]uint64, n),
+		share:   make([]float64, n),
 	}
 	c.contribField = gluon.Field[float64]{
 		ID:     FieldIDContrib,
@@ -183,22 +188,48 @@ func (c *common) Finalize() error { return gluon.BroadcastAll(c.g, c.rankField) 
 // MasterValue implements dsys.Program.
 func (c *common) MasterValue(lid uint32) float64 { return c.rank[lid] }
 
+// round runs the operator once over every proxy. doAll is the engine's
+// parallel loop over the chunks of [0, NumProxies); its join separates the
+// two passes, because gather reads share entries that other chunks wrote.
+func (c *common) round(in *graph.CSR, doAll func(body func(lo, hi int))) *bitset.Bitset {
+	updated := bitset.New(c.p.NumProxies())
+	doAll(c.fillShare)
+	doAll(func(lo, hi int) { c.gather(in, lo, hi, updated) })
+	return updated
+}
+
+// fillShare recomputes share over the proxies [lo, hi): one divide per
+// vertex, where dividing inside gather costs one per edge for a quotient
+// that does not change during the round. A proxy without out-edges anywhere
+// is skipped (its quotient would be Inf or NaN); no in-edge names it, so its
+// entry is never read.
+func (c *common) fillShare(lo, hi int) {
+	for u := lo; u < hi; u++ {
+		if d := c.outdeg[u]; d != 0 {
+			c.share[u] = c.rank[u] / float64(d)
+		}
+	}
+}
+
 // gather is the operator, over the in-graph rows [lo, hi): recompute each
-// row's contrib from its in-neighbours' rank/out-degree, marking nonzero
-// rows in updated. Single writer per destination: no atomics. Engines that
-// schedule by chunk pass the chunk; the device kernel, one thread per
-// vertex, passes [v, v+1).
-func (c *common) gather(in *graph.CSR, lo, hi uint32, updated *bitset.Bitset) {
+// row's contrib as the sum of its in-neighbours' shares, marking nonzero
+// rows in updated. The sum is one accumulator in neighbour order — splitting
+// it would reassociate the additions and change low bits of every later
+// rank. Single writer per destination, so contrib needs no atomics, and the
+// marks go out a word at a time (chunks of different workers can share one).
+func (c *common) gather(in *graph.CSR, lo, hi int, updated *bitset.Bitset) {
+	share, mark := c.share, updated.Marker()
 	for v := lo; v < hi; v++ {
 		var sum float64
-		for _, u := range in.Neighbors(v) {
-			sum += c.rank[u] / float64(c.outdeg[u])
+		for _, u := range in.Neighbors(uint32(v)) {
+			sum += share[u]
 		}
 		c.contrib[v] = sum
 		if sum != 0 {
-			updated.Set(v)
+			mark.Set(uint32(v))
 		}
 	}
+	mark.Flush()
 }
 
 // ---------- D-Ligra ----------
@@ -223,12 +254,9 @@ func NewLigra(tol float64, workers int) dsys.ProgramFactory {
 
 // Round implements dsys.Program.
 func (pr *ligraProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
-	n := int(pr.p.NumProxies())
-	par.Range(n, pr.workers, func(lo, hi int) {
-		pr.gather(pr.lg.In, uint32(lo), uint32(hi), updated)
-	})
-	return updated, nil
+	return pr.round(pr.lg.In, func(body func(lo, hi int)) {
+		par.Range(int(pr.p.NumProxies()), pr.workers, body)
+	}), nil
 }
 
 // ---------- D-Galois ----------
@@ -253,12 +281,9 @@ func NewGalois(tol float64, workers int) dsys.ProgramFactory {
 
 // Round implements dsys.Program.
 func (pr *galoisProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
-	n := int(pr.p.NumProxies())
-	par.Range(n, pr.e.Workers, func(lo, hi int) {
-		pr.gather(pr.in, uint32(lo), uint32(hi), updated)
-	})
-	return updated, nil
+	return pr.round(pr.in, func(body func(lo, hi int)) {
+		par.Range(int(pr.p.NumProxies()), pr.e.Workers, body)
+	}), nil
 }
 
 // ---------- D-IrGL ----------
@@ -289,9 +314,8 @@ func NewIrGL(tol float64, workers int) dsys.ProgramFactory {
 	}
 }
 
-// Round implements dsys.Program: one topology-driven gather kernel.
+// Round implements dsys.Program: two topology-driven kernels, share then
+// gather.
 func (pr *irglProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
-	pr.dev.Kernel(func(v uint32) { pr.gather(pr.in, v, v+1, updated) })
-	return updated, nil
+	return pr.round(pr.in, pr.dev.KernelBlocks), nil
 }

@@ -108,9 +108,8 @@ func (pp *pushProgram) Init() (*bitset.Bitset, error) {
 	if err := gluon.Sync(pp.g, pp.outdegField, nil); err != nil {
 		return nil, err
 	}
-	res := fields.SumF64Bits{Bits: pp.resBits}
 	for lid := uint32(0); lid < pp.p.NumMasters; lid++ {
-		res.Reduce(lid, 1-Alpha)
+		fields.AtomicAddF64Bits(&pp.resBits[lid], 1-Alpha)
 	}
 	frontier := bitset.New(n)
 	if err := pp.applyAndBroadcast(frontier); err != nil {

@@ -49,20 +49,34 @@ func (b *Bitset) Len() uint32 { return b.n }
 // Words exposes the backing words (read-only by convention) for wire encoding.
 func (b *Bitset) Words() []uint64 { return b.words }
 
-// Set sets bit i. It is safe for concurrent use.
-func (b *Bitset) Set(i uint32) {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << (i % wordBits)
+// orWord sets the mask bits of *w and reports whether any was clear before.
+// go.mod pins go 1.22, which predates atomic.OrUint64/AndUint64, so the
+// word-level read-modify-write is a CAS loop; it skips the write when there
+// is nothing to change.
+func orWord(w *uint64, mask uint64) bool {
 	for {
 		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
+		if old&mask == mask {
+			return false
 		}
 		if atomic.CompareAndSwapUint64(w, old, old|mask) {
+			return true
+		}
+	}
+}
+
+// andNotWord clears the mask bits of *w.
+func andNotWord(w *uint64, mask uint64) {
+	for {
+		old := atomic.LoadUint64(w)
+		if old&mask == 0 || atomic.CompareAndSwapUint64(w, old, old&^mask) {
 			return
 		}
 	}
 }
+
+// Set sets bit i. It is safe for concurrent use.
+func (b *Bitset) Set(i uint32) { orWord(&b.words[i/wordBits], uint64(1)<<(i%wordBits)) }
 
 // SetUnsync sets bit i without atomic operations. Only use when the caller
 // guarantees exclusive access to the word containing i.
@@ -74,32 +88,53 @@ func (b *Bitset) SetUnsync(i uint32) {
 // 1 (exactly one concurrent caller wins). Worklists use it to suppress
 // duplicate scheduling.
 func (b *Bitset) TestAndSet(i uint32) bool {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << (i % wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
+	return orWord(&b.words[i/wordBits], uint64(1)<<(i%wordBits))
 }
 
 // Clear clears bit i. It is safe for concurrent use.
-func (b *Bitset) Clear(i uint32) {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << (i % wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
+func (b *Bitset) Clear(i uint32) { andNotWord(&b.words[i/wordBits], uint64(1)<<(i%wordBits)) }
+
+// SetMany sets every bit listed in idx. It is safe for concurrent use and
+// issues one atomic word update per run of consecutive entries that share a
+// word — for an ascending list, at most one per word — where a loop of Set
+// would issue one per entry.
+func (b *Bitset) SetMany(idx []uint32) {
+	m := b.Marker()
+	for _, i := range idx {
+		m.Set(i)
 	}
+	m.Flush()
+}
+
+// Marker batches the Sets of a loop that decides bit by bit: Set accumulates
+// into the current word's mask, and the atomic update happens when the loop
+// moves to another word and at Flush. A Marker over a
+// nil Bitset records nothing. Not safe for concurrent use; each goroutine
+// takes its own.
+type Marker struct {
+	b    *Bitset
+	wi   uint32
+	mask uint64
+}
+
+// Marker returns an empty Marker over b, which may be nil.
+func (b *Bitset) Marker() Marker { return Marker{b: b} }
+
+// Set marks bit i.
+func (m *Marker) Set(i uint32) {
+	if wi := i / wordBits; wi != m.wi {
+		m.Flush()
+		m.wi = wi
+	}
+	m.mask |= uint64(1) << (i % wordBits)
+}
+
+// Flush publishes the pending word. Call it once after the last Set.
+func (m *Marker) Flush() {
+	if m.mask != 0 && m.b != nil {
+		orWord(&m.b.words[m.wi], m.mask)
+	}
+	m.mask = 0
 }
 
 // Test reports whether bit i is set.

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,6 +227,95 @@ func TestConcurrentSet(t *testing.T) {
 	b.ForEach(func(i uint32) { visits++ })
 	if visits != b.Count() {
 		t.Fatalf("ForEach visits %d != Count %d", visits, b.Count())
+	}
+}
+
+// TestBatchedEqualsPerBit: SetMany and Marker leave the set a loop of Set
+// leaves, for ascending, unsorted and repeated indices, and OrderMask.ClearIn
+// the set a loop of Clear leaves.
+func TestBatchedEqualsPerBit(t *testing.T) {
+	f := func(seed int64, ascending bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		const n = 300
+		idx := make([]uint32, r.Intn(200))
+		for i := range idx {
+			idx[i] = uint32(r.Intn(n))
+		}
+		if ascending {
+			slices.Sort(idx)
+		}
+		want, many, marker := New(n), New(n), New(n)
+		m := marker.Marker()
+		for _, i := range idx {
+			want.Set(i)
+			m.Set(i)
+		}
+		m.Flush()
+		many.SetMany(idx)
+		if !slices.Equal(many.words, want.words) || !slices.Equal(marker.words, want.words) {
+			return false
+		}
+		// Clear an order (strictly ascending) out of a full set.
+		order := slices.Clone(idx)
+		slices.Sort(order)
+		order = slices.Compact(order)
+		want.SetAll()
+		many.SetAll()
+		for _, i := range order {
+			want.Clear(i)
+		}
+		NewOrderMask(order).ClearIn(many)
+		return slices.Equal(many.words, want.words)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	var nobody *Bitset
+	m := nobody.Marker() // a Marker over nil records nothing
+	m.Set(5)
+	m.Flush()
+	New(8).SetMany(nil)
+}
+
+// TestBatchedOpsShareWords: one goroutine sets, one clears an order and one marks
+// interleaved bits of the same words — the sync pipeline's encoder clearing
+// mirror bits while the receive loop marks masters across the shared
+// boundary word. No update may be lost (and the race detector must stay
+// quiet).
+func TestBatchedOpsShareWords(t *testing.T) {
+	const n = 64 * 40
+	var setIdx, clearIdx, markIdx []uint32
+	for i := uint32(0); i < n; i++ {
+		switch i % 3 {
+		case 0:
+			setIdx = append(setIdx, i)
+		case 1:
+			clearIdx = append(clearIdx, i)
+		default:
+			markIdx = append(markIdx, i)
+		}
+	}
+	for rep := 0; rep < 50; rep++ {
+		b := New(n)
+		b.SetMany(clearIdx)
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); b.SetMany(setIdx) }()
+		go func() { defer wg.Done(); NewOrderMask(clearIdx).ClearIn(b) }()
+		go func() {
+			defer wg.Done()
+			m := b.Marker()
+			for _, i := range markIdx {
+				m.Set(i)
+			}
+			m.Flush()
+		}()
+		wg.Wait()
+		for i := uint32(0); i < n; i++ {
+			if b.Test(i) != (i%3 != 1) {
+				t.Fatalf("rep %d: bit %d is %v", rep, i, b.Test(i))
+			}
+		}
 	}
 }
 

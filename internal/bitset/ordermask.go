@@ -82,3 +82,22 @@ func (m *OrderMask) IntersectAppend(updated *Bitset, positions, members []uint32
 	}
 	return positions, members
 }
+
+// CountIn returns how many members of the order are set in updated, with the
+// same atomic word reads as IntersectAppend.
+func (m *OrderMask) CountIn(updated *Bitset) int {
+	c := 0
+	for k, wi := range m.wordIdx {
+		c += bits.OnesCount64(atomic.LoadUint64(&updated.words[wi]) & m.words[k])
+	}
+	return c
+}
+
+// ClearIn clears every member of the order in b, with one atomic update per
+// word that holds a set member; b must span every member. It is what a loop
+// of b.Clear over the order would leave, at a 64th of the atomics.
+func (m *OrderMask) ClearIn(b *Bitset) {
+	for k, wi := range m.wordIdx {
+		andNotWord(&b.words[wi], m.words[k])
+	}
+}

@@ -348,6 +348,7 @@ type Writer struct {
 	mu  sync.Mutex
 	err error
 
+	pending   sync.WaitGroup // snapshots submitted and not yet written
 	closeOnce sync.Once
 }
 
@@ -383,6 +384,7 @@ func (w *Writer) run() {
 		if w.onDone != nil {
 			w.onDone(n, err)
 		}
+		w.pending.Done()
 	}
 }
 
@@ -393,9 +395,15 @@ func (w *Writer) Submit(s *Snapshot) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
+	w.pending.Add(1)
 	w.ch <- s
 	return nil
 }
+
+// Wait blocks until every snapshot submitted so far is on disk (or has
+// failed to get there). A host about to choose its newest checkpoint calls
+// it first: the write of the epoch it just submitted may still be in flight.
+func (w *Writer) Wait() { w.pending.Wait() }
 
 // Err returns the first write error, if any.
 func (w *Writer) Err() error {

@@ -195,6 +195,24 @@ func TestWriterAsync(t *testing.T) {
 	}
 }
 
+// TestWriterWait: after Wait, what was submitted is what Latest finds — the
+// order a host about to roll back relies on — and the writer keeps working.
+func TestWriterWait(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWriter(Options{Dir: dir}, 1, nil)
+	defer w.Close()
+	w.Wait() // nothing pending
+	for epoch := uint64(2); epoch <= 6; epoch += 2 {
+		if err := w.Submit(sampleSnapshot(epoch)); err != nil {
+			t.Fatal(err)
+		}
+		w.Wait()
+		if s, err := Latest(dir, 1); err != nil || s.Epoch != epoch {
+			t.Fatalf("after Wait: Latest = %v, %v; want epoch %d", s, err, epoch)
+		}
+	}
+}
+
 // A writer pointed at an unwritable directory must fail sticky and loud.
 func TestWriterStickyError(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")

@@ -191,7 +191,7 @@ func TestFaultTransportDelay(t *testing.T) {
 // and asserts every other host's pending Recv/RecvAny returns a *PeerError
 // naming the dead host within 5 seconds — the no-hang contract.
 func TestTCPMidStreamPeerDeath(t *testing.T) {
-	eps := dialMesh(t, 3, 41300)
+	eps := dialMesh(t, 3)
 
 	// An active stream: host 0 sends one message to each peer, then dies.
 	eps[0].Send(1, TagUser, []byte("mid-stream"))
@@ -242,7 +242,7 @@ func TestTCPMidStreamPeerDeath(t *testing.T) {
 // than MaxFrameSize bytes and asserts the receiver rejects it before
 // allocating, poisoning the peer.
 func TestTCPOversizedFramePoisonsPeer(t *testing.T) {
-	eps := dialMesh(t, 2, 41310)
+	eps := dialMesh(t, 2)
 
 	// Reach under the endpoint to corrupt a header: a Send of a legitimate
 	// payload cannot produce one, so write the frame by hand.
@@ -310,7 +310,7 @@ func TestCloseDuringCollectives(t *testing.T) {
 				eps = hub.Endpoints()
 				closeAll = hub.Close
 			} else {
-				tcp := dialMesh(t, n, 41350)
+				tcp := dialMesh(t, n)
 				for _, ep := range tcp {
 					eps = append(eps, ep)
 				}

@@ -140,7 +140,7 @@ func TestRecvAnyCloseUnblocks(t *testing.T) {
 // whichever sender's message arrives first (no waiting on silent peers),
 // preserves per-sender FIFO order, and reports the right sender.
 func TestTCPRecvAny(t *testing.T) {
-	eps := dialMesh(t, 3, 41270)
+	eps := dialMesh(t, 3)
 
 	// Host 1 sends while host 0 stays silent: RecvAny must complete without
 	// host 0's message, which a fixed rank-order Recv(0) could not.
@@ -181,7 +181,7 @@ func TestTCPRecvAny(t *testing.T) {
 // TestTCPRecvAnyCloseUnblocks checks Close wakes a pending RecvAny with an
 // error on the TCP transport.
 func TestTCPRecvAnyCloseUnblocks(t *testing.T) {
-	eps := dialMesh(t, 2, 41280)
+	eps := dialMesh(t, 2)
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := eps[0].RecvAny(TagUser, []int{1})

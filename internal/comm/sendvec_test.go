@@ -15,7 +15,7 @@ import (
 // wire frame would.
 
 func TestTCPSendVecWire(t *testing.T) {
-	eps := dialMesh(t, 2, 41300)
+	eps := dialMesh(t, 2)
 	hdr := []byte{0xAA, 0xBB, 0xCC}
 	payload := GetBuf(5)
 	copy(payload, "hello")
@@ -40,7 +40,7 @@ func TestTCPSendVecWire(t *testing.T) {
 }
 
 func TestTCPSendVecSelf(t *testing.T) {
-	eps := dialMesh(t, 2, 41310)
+	eps := dialMesh(t, 2)
 	payload := GetBuf(3)
 	copy(payload, "oop")
 	if err := eps[0].SendVec(0, TagUser, []byte("l"), payload); err != nil {
@@ -81,7 +81,7 @@ func TestInprocSendVec(t *testing.T) {
 // frames must appear in frame-level timelines with both the send and recv
 // instants, exactly like a frame that crossed a socket.
 func TestTCPSelfSendFrameTracing(t *testing.T) {
-	eps := dialMesh(t, 2, 41320)
+	eps := dialMesh(t, 2)
 	tr := trace.New(trace.Config{})
 	eps[0].SetTrace(tr.Recorder(0))
 
@@ -126,7 +126,7 @@ func TestSendTooLarge(t *testing.T) {
 	huge := make([]byte, MaxFrameSize+1)
 
 	t.Run("tcp", func(t *testing.T) {
-		eps := dialMesh(t, 2, 41330)
+		eps := dialMesh(t, 2)
 		if err := eps[0].Send(1, TagUser, huge); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("want ErrFrameTooLarge, got %v", err)
 		}
@@ -144,7 +144,7 @@ func TestSendTooLarge(t *testing.T) {
 	})
 
 	t.Run("tcp-self", func(t *testing.T) {
-		eps := dialMesh(t, 2, 41340)
+		eps := dialMesh(t, 2)
 		if err := eps[0].Send(0, TagUser, huge); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("want ErrFrameTooLarge, got %v", err)
 		}
@@ -153,7 +153,7 @@ func TestSendTooLarge(t *testing.T) {
 	t.Run("tcp-vectored", func(t *testing.T) {
 		// Header plus payload together cross the limit even though neither
 		// does alone.
-		eps := dialMesh(t, 2, 41350)
+		eps := dialMesh(t, 2)
 		err := eps[0].SendVec(1, TagUser, huge[:16], huge[:MaxFrameSize-8])
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("want ErrFrameTooLarge on combined overflow, got %v", err)
@@ -184,7 +184,7 @@ func TestSendTooLarge(t *testing.T) {
 // detects the truncation and poisons the sender instead of waiting forever.
 // This is the failure a vectored write split by a dying link produces.
 func TestTCPPartialVectoredFrame(t *testing.T) {
-	eps := dialMesh(t, 2, 41360)
+	eps := dialMesh(t, 2)
 	c := eps[0].conns[1]
 	c.mu.Lock()
 	// Forge a frame header promising 100 payload bytes, then sever the link.

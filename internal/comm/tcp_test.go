@@ -6,29 +6,13 @@ import (
 	"testing"
 )
 
-// dialMesh brings up an n-host TCP mesh on loopback with the given base
-// port and returns the endpoints.
-func dialMesh(t *testing.T, n, basePort int) []*TCPEndpoint {
+// dialMesh brings up an n-host TCP mesh on loopback, on kernel-chosen
+// ports, and returns the endpoints; they close with the test.
+func dialMesh(t *testing.T, n int) []*TCPEndpoint {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
-	}
-	eps := make([]*TCPEndpoint, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps[i], errs[i] = DialTCP(i, addrs)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dial host %d: %v", i, err)
-		}
+	eps, _, err := DialLoopbackMesh(n, DialConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, ep := range eps {
@@ -39,7 +23,7 @@ func dialMesh(t *testing.T, n, basePort int) []*TCPEndpoint {
 }
 
 func TestTCPSendRecv(t *testing.T) {
-	eps := dialMesh(t, 3, 41200)
+	eps := dialMesh(t, 3)
 	if err := eps[0].Send(2, TagUser, []byte("over the wire")); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +37,7 @@ func TestTCPSendRecv(t *testing.T) {
 }
 
 func TestTCPSelfSend(t *testing.T) {
-	eps := dialMesh(t, 2, 41210)
+	eps := dialMesh(t, 2)
 	eps[1].Send(1, TagUser, []byte("loop"))
 	got, err := eps[1].Recv(1, TagUser)
 	if err != nil || string(got) != "loop" {
@@ -62,7 +46,7 @@ func TestTCPSelfSend(t *testing.T) {
 }
 
 func TestTCPFIFO(t *testing.T) {
-	eps := dialMesh(t, 2, 41220)
+	eps := dialMesh(t, 2)
 	const msgs = 500
 	go func() {
 		for i := 0; i < msgs; i++ {
@@ -81,7 +65,7 @@ func TestTCPFIFO(t *testing.T) {
 }
 
 func TestTCPLargePayload(t *testing.T) {
-	eps := dialMesh(t, 2, 41230)
+	eps := dialMesh(t, 2)
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -105,7 +89,7 @@ func TestTCPLargePayload(t *testing.T) {
 }
 
 func TestTCPCollectives(t *testing.T) {
-	eps := dialMesh(t, 4, 41240)
+	eps := dialMesh(t, 4)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for h := 0; h < 4; h++ {
@@ -135,7 +119,7 @@ func TestTCPCollectives(t *testing.T) {
 }
 
 func TestTCPCloseUnblocks(t *testing.T) {
-	eps := dialMesh(t, 2, 41250)
+	eps := dialMesh(t, 2)
 	done := make(chan error, 1)
 	go func() {
 		_, err := eps[0].Recv(1, TagUser)

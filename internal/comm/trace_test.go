@@ -168,7 +168,7 @@ func TestFaultTransportTracing(t *testing.T) {
 // instants and record poisonings, with the recorder attachable after the
 // read loops are already running.
 func TestTCPFrameAndFaultTracing(t *testing.T) {
-	eps := dialMesh(t, 2, 42180)
+	eps := dialMesh(t, 2)
 	tr := trace.New(trace.Config{})
 	for i, e := range eps {
 		e.SetTrace(tr.Recorder(i))

@@ -15,7 +15,6 @@ package dsys_test
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -276,29 +275,7 @@ func TestRejoinTCP(t *testing.T) {
 	parts, _ := cmPR.parts(t)
 	dir := t.TempDir()
 
-	const basePort = 43550
-	addrs := make([]string, cmHosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
-	}
-	eps := make([]comm.Transport, cmHosts)
-	var dialWG sync.WaitGroup
-	for i := 0; i < cmHosts; i++ {
-		dialWG.Add(1)
-		go func(i int) {
-			defer dialWG.Done()
-			ep, err := comm.DialTCPConfig(i, addrs, comm.DialConfig{Timeout: 10 * time.Second})
-			if err != nil {
-				t.Errorf("dial %d: %v", i, err)
-				return
-			}
-			eps[i] = ep
-		}(i)
-	}
-	dialWG.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
+	eps, addrs := tcpMesh(t, cmHosts)
 
 	cfg := cmConfig(dir)
 	cfg.Rejoin = true
@@ -362,11 +339,6 @@ func TestRejoinTCP(t *testing.T) {
 			}
 		case <-time.After(120 * time.Second):
 			t.Fatal("cluster never finished after rejoin")
-		}
-	}
-	for _, ep := range eps {
-		if ep != nil {
-			ep.Close()
 		}
 	}
 	rep.Close()

@@ -509,6 +509,10 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		}
 		cfg.wd.suspendWatch()
 		defer cfg.wd.resumeWatch()
+		// The newest epoch may still be with the asynchronous writer: a peer
+		// that dies a round after a checkpoint boundary can be noticed before
+		// this host's own file has landed.
+		cw.Wait()
 		snap, err := ckpt.Latest(cfg.Checkpoint.Dir, p.HostID)
 		if err != nil {
 			return false, fmt.Errorf("dsys: rejoin after %v: %w", cause, err)

@@ -1,8 +1,6 @@
 package dsys_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,37 +32,7 @@ func TestRunOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", 42310+i)
-	}
-	eps := make([]comm.Transport, hosts)
-	var wg sync.WaitGroup
-	errs := make([]error, hosts)
-	for i := 0; i < hosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ep, err := comm.DialTCP(i, addrs)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			eps[i] = ep
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-
+	eps := tcpTransports(t, hosts)
 	res, err := dsys.RunWithTransports(parts, eps, dsys.RunConfig{
 		Hosts: hosts, Policy: partition.CVC, Opt: gluon.Opt(), CollectValues: true,
 	}, bfs.NewGalois(uint64(source), 2))

@@ -2,8 +2,6 @@ package dsys_test
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -56,40 +54,31 @@ func runWithDeadline(t *testing.T, d time.Duration, parts []*partition.Partition
 	}
 }
 
-// tcpTransports dials a loopback mesh for the fault suite.
-func tcpTransports(t *testing.T, hosts, basePort int) []comm.Transport {
+// tcpTransports dials a loopback mesh on kernel-chosen ports.
+func tcpTransports(t *testing.T, hosts int) []comm.Transport {
 	t.Helper()
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	eps, _ := tcpMesh(t, hosts)
+	return eps
+}
+
+// tcpMesh dials a loopback mesh and returns it with its listen addresses
+// (a rejoining rank dials them again); the endpoints close with the test.
+func tcpMesh(t *testing.T, hosts int) ([]comm.Transport, []string) {
+	t.Helper()
+	eps, addrs, err := comm.DialLoopbackMesh(hosts, comm.DialConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	eps := make([]comm.Transport, hosts)
-	var wg sync.WaitGroup
-	errs := make([]error, hosts)
-	for i := 0; i < hosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ep, err := comm.DialTCPConfig(i, addrs, comm.DialConfig{Timeout: 10 * time.Second})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			eps[i] = ep
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
+	ts := make([]comm.Transport, hosts)
+	for i, ep := range eps {
+		ts[i] = ep
 	}
 	t.Cleanup(func() {
 		for _, ep := range eps {
 			ep.Close()
 		}
 	})
-	return eps
+	return ts, addrs
 }
 
 // TestBSPPeerDeath is the acceptance scenario: a full BSP run over
@@ -107,7 +96,7 @@ func TestBSPPeerDeath(t *testing.T) {
 		"truncated-frame": {TruncateRecvAfter: 5},
 	}
 	for name, fcfg := range faults {
-		for ti, transport := range []string{"inproc", "tcp"} {
+		for _, transport := range []string{"inproc", "tcp"} {
 			t.Run(name+"/"+transport, func(t *testing.T) {
 				_, parts, source := faultParts(t, hosts)
 				var ts []comm.Transport
@@ -116,7 +105,7 @@ func TestBSPPeerDeath(t *testing.T) {
 					defer hub.Close()
 					ts = hub.Endpoints()
 				} else {
-					ts = tcpTransports(t, hosts, 42400+10*ti+len(name))
+					ts = tcpTransports(t, hosts)
 				}
 				// Host 1 runs over the faulty substrate; the rest are clean.
 				ts[1] = comm.NewFaultTransport(ts[1], fcfg)

@@ -253,7 +253,7 @@ func TestSidebandMergedMatchesGoldenVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	ts := tcpTransports(t, hosts, 42600)
+	ts := tcpTransports(t, hosts)
 
 	// One driver per rank, each with a private trace session shipped over
 	// the sideband — the process-equivalence boundary.

@@ -58,6 +58,15 @@ func (d *Device) Kernel(body func(u uint32)) {
 	par.For(int(d.Graph.NumNodes()), d.Workers, func(i int) { body(uint32(i)) })
 }
 
+// KernelBlocks launches the same topology-driven kernel with its threads
+// grouped into blocks of consecutive nodes: body runs once per block, so
+// state a block shares (a ballot word of per-node flags, a partial sum) is
+// published once per block instead of once per thread.
+func (d *Device) KernelBlocks(body func(lo, hi int)) {
+	d.kernelLaunches.Add(1)
+	par.Range(int(d.Graph.NumNodes()), d.Workers, body)
+}
+
 // KernelMasked launches a kernel over the nodes set in active only
 // (data-driven filtering, IrGL's worklist-free form: every thread checks
 // its node's active bit).
@@ -111,19 +120,6 @@ func (b *Buffer[V]) BulkScatter(lids []uint32, src []V) {
 		b.data[lid] = src[i]
 	}
 	b.dev.bytesToDevice.Add(uint64(len(lids)) * uint64(elemSize[V]()))
-}
-
-// Get reads one element from the host side (accounted as a 1-element
-// transfer; sync specs prefer the bulk forms).
-func (b *Buffer[V]) Get(lid uint32) V {
-	b.dev.bytesFromDev.Add(uint64(elemSize[V]()))
-	return b.data[lid]
-}
-
-// Set writes one element from the host side.
-func (b *Buffer[V]) Set(lid uint32, v V) {
-	b.dev.bytesToDevice.Add(uint64(elemSize[V]()))
-	b.data[lid] = v
 }
 
 func elemSize[V any]() int {

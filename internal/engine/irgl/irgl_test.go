@@ -113,19 +113,6 @@ func TestBufferBulkTransfersAccounted(t *testing.T) {
 	}
 }
 
-func TestBufferSingleElementOps(t *testing.T) {
-	d := New(rmatCSR(t), 1)
-	buf := NewBuffer[float64](d, 10)
-	buf.Set(3, 2.5)
-	if got := buf.Get(3); got != 2.5 {
-		t.Fatalf("Get = %v", got)
-	}
-	st := d.Stats()
-	if st.BytesToDevice != 8 || st.BytesFromDevice != 8 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 func BenchmarkKernel(b *testing.B) {
 	cfg := generate.Config{Kind: "rmat", Scale: 13, EdgeFactor: 8, Seed: 55}
 	edges, _ := generate.Edges(cfg)

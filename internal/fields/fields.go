@@ -10,6 +10,8 @@ package fields
 import (
 	"math"
 	"sync/atomic"
+
+	"gluon/internal/bitset"
 )
 
 // InfinityU32 is the "unreached" label for distance-style fields.
@@ -62,35 +64,57 @@ func LoadF64Bits(p *uint64) float64 {
 	return math.Float64frombits(atomic.LoadUint64(p))
 }
 
+// The structures below are slice-shaped, as the substrate's spec contract is
+// (gluon.ReduceSpec / gluon.BroadcastSpec): each call covers one whole
+// message — lids[i] is the proxy vals[i] belongs to — so a field costs one
+// dynamic call per message and a typed loop per value. Reduce marks the
+// proxies whose value it changed in changed (nil: nobody is tracking)
+// through a bitset.Marker, one atomic word update per run of lids sharing a
+// 64-bit word.
+
 // SumF64Bits is a Gluon reduce structure over a bit-typed float64 slice
 // (push-style pagerank residuals): add-combined, reset to 0.
 type SumF64Bits struct{ Bits []uint64 }
 
-// Extract returns the value at lid.
-func (a SumF64Bits) Extract(lid uint32) float64 { return LoadF64Bits(&a.Bits[lid]) }
+// Extract reads the values at lids into dst.
+func (a SumF64Bits) Extract(lids []uint32, dst []float64) { extractF64Bits(a.Bits, lids, dst) }
 
-// Reduce adds v into lid's value.
-func (a SumF64Bits) Reduce(lid uint32, v float64) bool {
-	if v == 0 {
-		return false
+// Reduce adds vals into the values at lids; adding 0 is not a change.
+func (a SumF64Bits) Reduce(lids []uint32, vals []float64, changed *bitset.Bitset) {
+	mark := changed.Marker()
+	for i, lid := range lids {
+		if v := vals[i]; v != 0 {
+			AtomicAddF64Bits(&a.Bits[lid], v)
+			mark.Set(lid)
+		}
 	}
-	AtomicAddF64Bits(&a.Bits[lid], v)
-	return true
+	mark.Flush()
 }
 
-// Reset zeroes lid's value.
-func (a SumF64Bits) Reset(lid uint32) { atomic.StoreUint64(&a.Bits[lid], 0) }
+// Reset zeroes the values at lids.
+func (a SumF64Bits) Reset(lids []uint32) {
+	for _, lid := range lids {
+		atomic.StoreUint64(&a.Bits[lid], 0)
+	}
+}
 
 // SetF64Bits is the broadcast structure over a bit-typed float64 slice.
 type SetF64Bits struct{ Bits []uint64 }
 
-// Extract returns the value at lid.
-func (s SetF64Bits) Extract(lid uint32) float64 { return LoadF64Bits(&s.Bits[lid]) }
+// Extract reads the values at lids into dst.
+func (s SetF64Bits) Extract(lids []uint32, dst []float64) { extractF64Bits(s.Bits, lids, dst) }
 
-// Set overwrites lid's value, reporting change.
-func (s SetF64Bits) Set(lid uint32, v float64) bool {
-	old := atomic.SwapUint64(&s.Bits[lid], math.Float64bits(v))
-	return math.Float64frombits(old) != v
+// Set overwrites the values at lids.
+func (s SetF64Bits) Set(lids []uint32, vals []float64) {
+	for i, lid := range lids {
+		atomic.StoreUint64(&s.Bits[lid], math.Float64bits(vals[i]))
+	}
+}
+
+func extractF64Bits(bits []uint64, lids []uint32, dst []float64) {
+	for i, lid := range lids {
+		dst[i] = LoadF64Bits(&bits[lid])
+	}
 }
 
 // Value is the set of element types a synchronized label slice can hold;
@@ -108,53 +132,69 @@ type Value interface {
 // sufficient".
 type Min[V Value] []V
 
-// Extract returns the label of lid.
-func (m Min[V]) Extract(lid uint32) V { return m[lid] }
+// Extract reads the labels at lids into dst.
+func (m Min[V]) Extract(lids []uint32, dst []V) { extract(m, lids, dst) }
 
-// Reduce lowers lid's label to v if smaller.
-func (m Min[V]) Reduce(lid uint32, v V) bool {
-	if v < m[lid] {
-		m[lid] = v
-		return true
+// Reduce lowers each label at lids to its value in vals if that is smaller.
+func (m Min[V]) Reduce(lids []uint32, vals []V, changed *bitset.Bitset) {
+	mark := changed.Marker()
+	for i, lid := range lids {
+		if v := vals[i]; v < m[lid] {
+			m[lid] = v
+			mark.Set(lid)
+		}
 	}
-	return false
+	mark.Flush()
 }
 
 // Reset is a no-op (min is idempotent).
-func (m Min[V]) Reset(lid uint32) {}
+func (m Min[V]) Reset([]uint32) {}
 
 // Sum is the Gluon reduce structure for an additively-combined slice
 // (pagerank contributions, degree accumulation). Reset returns mirrors to
 // the additive identity 0, the paper's push-style pagerank example.
 type Sum[V Value] []V
 
-// Extract returns the partial value at lid.
-func (a Sum[V]) Extract(lid uint32) V { return a[lid] }
+// Extract reads the partial values at lids into dst.
+func (a Sum[V]) Extract(lids []uint32, dst []V) { extract(a, lids, dst) }
 
-// Reduce adds v into lid's value; adding the identity is not a change.
-func (a Sum[V]) Reduce(lid uint32, v V) bool {
-	if v == 0 {
-		return false
+// Reduce adds vals into the values at lids; adding the identity is not a
+// change.
+func (a Sum[V]) Reduce(lids []uint32, vals []V, changed *bitset.Bitset) {
+	mark := changed.Marker()
+	for i, lid := range lids {
+		if v := vals[i]; v != 0 {
+			a[lid] += v
+			mark.Set(lid)
+		}
 	}
-	a[lid] += v
-	return true
+	mark.Flush()
 }
 
-// Reset zeroes lid's value (the + identity).
-func (a Sum[V]) Reset(lid uint32) { a[lid] = 0 }
+// Reset zeroes the values at lids (the + identity).
+func (a Sum[V]) Reset(lids []uint32) {
+	for _, lid := range lids {
+		a[lid] = 0
+	}
+}
 
 // Set is the Gluon broadcast structure for a label slice, whatever its
 // reduction.
 type Set[V Value] []V
 
-// Extract returns the value at lid.
-func (s Set[V]) Extract(lid uint32) V { return s[lid] }
+// Extract reads the values at lids into dst.
+func (s Set[V]) Extract(lids []uint32, dst []V) { extract(s, lids, dst) }
 
-// Set overwrites lid's value, reporting whether it changed.
-func (s Set[V]) Set(lid uint32, v V) bool {
-	if s[lid] == v {
-		return false
+// Set overwrites the values at lids.
+func (s Set[V]) Set(lids []uint32, vals []V) {
+	for i, lid := range lids {
+		s[lid] = vals[i]
 	}
-	s[lid] = v
-	return true
+}
+
+// extract is the gather all three slice structures share: dst[i] = s[lids[i]].
+func extract[V Value](s []V, lids []uint32, dst []V) {
+	for i, lid := range lids {
+		dst[i] = s[lid]
+	}
 }

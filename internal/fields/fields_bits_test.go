@@ -2,9 +2,12 @@ package fields
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"gluon/internal/bitset"
 )
 
 func TestAtomicAddF64Bits(t *testing.T) {
@@ -45,28 +48,25 @@ func TestAtomicSwapF64Bits(t *testing.T) {
 }
 
 func TestSumF64BitsSpec(t *testing.T) {
-	bits := make([]uint64, 2)
-	a := SumF64Bits{Bits: bits}
-	if a.Reduce(0, 0) {
-		t.Fatal("zero add reported change")
+	a := SumF64Bits{Bits: make([]uint64, 4)}
+	ch := marked(func(c *bitset.Bitset) { a.Reduce([]uint32{0, 2, 3}, []float64{0, 2.5, 1}, c) })
+	got := make([]float64, 4)
+	a.Extract([]uint32{0, 1, 2, 3}, got)
+	if !slices.Equal(got, []float64{0, 0, 2.5, 1}) || !slices.Equal(ch, []uint32{2, 3}) {
+		t.Fatalf("reduce: values %v, changed %v (a zero add is not a change)", got, ch)
 	}
-	if !a.Reduce(0, 2.5) || a.Extract(0) != 2.5 {
-		t.Fatal("reduce/extract")
-	}
-	a.Reset(0)
-	if a.Extract(0) != 0 {
-		t.Fatal("reset")
+	a.Reset([]uint32{2})
+	if a.Extract([]uint32{2, 3}, got[:2]); !slices.Equal(got[:2], []float64{0, 1}) {
+		t.Fatalf("reset: %v", got[:2])
 	}
 }
 
 func TestSetF64BitsSpec(t *testing.T) {
-	bits := make([]uint64, 1)
-	s := SetF64Bits{Bits: bits}
-	if !s.Set(0, 1.25) || s.Extract(0) != 1.25 {
-		t.Fatal("set/extract")
-	}
-	if s.Set(0, 1.25) {
-		t.Fatal("idempotent set reported change")
+	s := SetF64Bits{Bits: make([]uint64, 2)}
+	s.Set([]uint32{1, 0}, []float64{1.25, -3})
+	got := make([]float64, 2)
+	if s.Extract([]uint32{0, 1}, got); !slices.Equal(got, []float64{-3, 1.25}) {
+		t.Fatalf("set/extract: %v", got)
 	}
 }
 

@@ -3,9 +3,12 @@ package fields
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"gluon/internal/bitset"
 )
 
 func TestAtomicMinU32(t *testing.T) {
@@ -52,43 +55,51 @@ func TestAtomicMinU32Concurrent(t *testing.T) {
 	}
 }
 
+// marked lists the bits a spec call set in a fresh bitset of 4.
+func marked(call func(changed *bitset.Bitset)) []uint32 {
+	b := bitset.New(4)
+	call(b)
+	return b.AppendIndices(nil)
+}
+
 // specCase checks Min, Sum and Set over one element type against the
-// literal Figure 5 semantics.
+// literal Figure 5 semantics, a message of several values at a time.
 func specCase[V Value](t *testing.T) {
-	vals := []V{5, 10}
+	vals := []V{5, 10, 20, 30}
 	m := Min[V](vals)
-	if m.Extract(0) != 5 {
-		t.Error("Min.Extract")
+	got := make([]V, 2)
+	if m.Extract([]uint32{2, 0}, got); !slices.Equal(got, []V{20, 5}) {
+		t.Errorf("Min.Extract = %v", got)
 	}
-	if !m.Reduce(1, 3) || vals[1] != 3 {
-		t.Error("Min.Reduce with a lower value must lower the label and report it")
+	// Lower, higher, equal: only the lowered label changes and is marked.
+	ch := marked(func(c *bitset.Bitset) { m.Reduce([]uint32{1, 2, 3}, []V{3, 25, 30}, c) })
+	if !slices.Equal(vals, []V{5, 3, 20, 30}) || !slices.Equal(ch, []uint32{1}) {
+		t.Errorf("Min.Reduce: labels %v, changed %v", vals, ch)
 	}
-	if m.Reduce(1, 9) || m.Reduce(1, 3) || vals[1] != 3 {
-		t.Error("Min.Reduce with a higher or equal value must be a silent no-op")
-	}
-	if m.Reset(0); vals[0] != 5 {
-		t.Error("Min.Reset must keep the label: re-sending it is idempotent")
+	m.Reduce([]uint32{0}, []V{1}, nil) // nobody tracking
+	if m.Reset([]uint32{0, 1}); !slices.Equal(vals, []V{1, 3, 20, 30}) {
+		t.Errorf("Min.Reset must keep the labels (re-sending is idempotent), got %v", vals)
 	}
 
-	vals = []V{7, 1}
+	vals = []V{7, 1, 2, 0}
 	a := Sum[V](vals)
-	if a.Reduce(0, 0) || vals[0] != 7 {
-		t.Error("Sum.Reduce of the identity must not be a change")
+	// Adding the identity is not a change; lids need not ascend.
+	ch = marked(func(c *bitset.Bitset) { a.Reduce([]uint32{3, 0, 1}, []V{4, 0, 3}, c) })
+	if !slices.Equal(vals, []V{7, 4, 2, 4}) || !slices.Equal(ch, []uint32{1, 3}) {
+		t.Errorf("Sum.Reduce: values %v, changed %v", vals, ch)
 	}
-	if !a.Reduce(0, 3) || a.Extract(0) != 10 {
-		t.Error("Sum.Reduce must add and report it")
+	if a.Extract([]uint32{1, 3}, got); !slices.Equal(got, []V{4, 4}) {
+		t.Errorf("Sum.Extract = %v", got)
 	}
-	if a.Reset(0); vals[0] != 0 || vals[1] != 1 {
-		t.Error("Sum.Reset must zero exactly that element")
+	if a.Reset([]uint32{0, 3}); !slices.Equal(vals, []V{0, 4, 2, 0}) {
+		t.Errorf("Sum.Reset must zero exactly those elements, got %v", vals)
 	}
 
-	vals = []V{1}
+	vals = []V{1, 2, 3, 4}
 	s := Set[V](vals)
-	if s.Set(0, 1) {
-		t.Error("Set of the same value reported a change")
-	}
-	if !s.Set(0, 2) || s.Extract(0) != 2 {
-		t.Error("Set of a new value must store and report it")
+	s.Set([]uint32{3, 1}, []V{9, 2})
+	if s.Extract([]uint32{1, 3}, got); !slices.Equal(vals, []V{1, 2, 3, 9}) || !slices.Equal(got, []V{2, 9}) {
+		t.Errorf("Set.Set/Extract: values %v, extracted %v", vals, got)
 	}
 }
 
@@ -145,9 +156,8 @@ func TestQuickMinReduceIdempotent(t *testing.T) {
 		b := []uint32{InfinityU32}
 		ma, mb := Min[uint32](a), Min[uint32](b)
 		for _, v := range vals {
-			ma.Reduce(0, v)
-			mb.Reduce(0, v)
-			mb.Reduce(0, v) // duplicate delivery
+			ma.Reduce([]uint32{0}, []uint32{v}, nil)
+			mb.Reduce([]uint32{0, 0}, []uint32{v, v}, nil) // duplicate delivery
 		}
 		return a[0] == b[0]
 	}

@@ -1,8 +1,8 @@
 package gluon
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -264,7 +264,7 @@ func TestEncodeDecodeRoundTripModes(t *testing.T) {
 				t.Fatalf("sparse mode sent %d lids, want exactly %d", len(sent), len(c.updated))
 			}
 			got := map[uint32]uint32{}
-			if err := decodeMsg(g, payload, order, func(lid uint32, v uint32) {
+			if err := decodeEach(g, payload, order, func(lid uint32, v uint32) {
 				got[lid] = v
 			}); err != nil {
 				t.Fatal(err)
@@ -338,7 +338,7 @@ func TestUnoptUsesGIDPairs(t *testing.T) {
 		t.Fatalf("sent %d", len(sent))
 	}
 	got := map[uint32]uint32{}
-	if err := decodeMsg(g, payload, order, func(lid, v uint32) { got[lid] = v }); err != nil {
+	if err := decodeEach(g, payload, order, func(lid, v uint32) { got[lid] = v }); err != nil {
 		t.Fatal(err)
 	}
 	if got[1] != 10 || got[3] != 30 || len(got) != 2 {
@@ -366,7 +366,7 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 		{modeGIDs, 2},             // short gid header
 	}
 	for i, payload := range cases {
-		if err := decodeMsg[uint32](g, payload, order, apply); err == nil {
+		if err := decodeEach(g, payload, order, apply); err == nil {
 			t.Errorf("case %d: corrupt payload accepted", i)
 		}
 	}
@@ -378,63 +378,10 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 	}(), func(lid uint32) uint32 { return 0 })
 	if payload[0] == modeIndices {
 		payload[5] = 200 // out-of-range position
-		if err := decodeMsg[uint32](g, payload, order, apply); err == nil {
+		if err := decodeEach(g, payload, order, apply); err == nil {
 			t.Error("out-of-range index accepted")
 		}
 	}
-}
-
-// FuzzDecodeBody: whatever bytes a peer sends, decoding them against a
-// fixed memoized order either fails or applies values only to lids of that
-// order (to local proxies, for the order-free gid-pairs format) — it never
-// panics. Seeds: one valid message per mode, and a compressed wrapper.
-func FuzzDecodeBody(f *testing.F) {
-	g := mustSingleGluon(f)
-	order := make([]uint32, 512) // big enough for DEFLATE to win on a dense message
-	inOrder := map[uint32]bool{}
-	for i := range order {
-		order[i] = uint32(3 * i)
-		inOrder[order[i]] = true
-	}
-	some := bitset.New(g.Part.NumProxies())
-	some.SetUnsync(21)
-	some.SetUnsync(300)
-	src := extractFunc[uint32](func(lid uint32) uint32 { return lid * 7 })
-	seed := func(opt Options, upd *bitset.Bitset) (compressed bool) {
-		g.Opt = opt
-		payload, _, ms := encodeMsg(g, order, bitset.NewOrderMask(order), upd, src, &encodeScratch{})
-		hdr, body := g.maybeCompress(1, payload, &encodeScratch{}, &ms)
-		f.Add(append(bytes.Clone(hdr), body...))
-		return hdr != nil
-	}
-	forced := func(e Encoding) Options { o := Opt(); o.ForceEncoding = e; return o }
-	seed(Opt(), bitset.New(g.Part.NumProxies())) // empty
-	seed(forced(EncodingDense), some)
-	seed(forced(EncodingBitvec), some)
-	seed(forced(EncodingIndices), some)
-	seed(Unopt(), some) // gid pairs
-	wrapped := Opt()
-	wrapped.Compress = CompressAbove(0)
-	if !seed(wrapped, nil) {
-		f.Fatal("fixture: the dense seed did not compress")
-	}
-	g.Opt = Opt()
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		body, pooled, err := maybeDecompress(data)
-		if err != nil {
-			return
-		}
-		gidPairs := len(body) > 0 && body[0] == modeGIDs
-		_ = decodeBody(g, body, order, func(lid uint32, v uint32) {
-			if !inOrder[lid] && !(gidPairs && lid < g.Part.NumProxies()) {
-				t.Fatalf("applied lid %d, which is not in the order", lid)
-			}
-		})
-		if pooled {
-			comm.PutBuf(body)
-		}
-	})
 }
 
 // TestQuickEncodeDecodeRoundTrip: arbitrary update subsets and uint64
@@ -454,7 +401,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		payload, _ := encodeForTest(g, order, upd, func(lid uint32) uint64 { return vals[lid] })
 		got := map[uint32]uint64{}
-		if err := decodeMsg(g, payload, order, func(lid uint32, v uint64) { got[lid] = v }); err != nil {
+		if err := decodeEach(g, payload, order, func(lid uint32, v uint64) { got[lid] = v }); err != nil {
 			return false
 		}
 		for k, v := range want {
@@ -487,24 +434,31 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestValueCodec: every Value type round-trips through its wire codec at
-// its wire size.
+// TestValueCodec: every Value type round-trips through putVals/getVals at
+// its wire size, at a stride wider than the value (the gid-pairs layout).
 func TestValueCodec(t *testing.T) {
-	checkCodec[uint32](t, 0xdeadbeef, 4)
-	checkCodec[int32](t, -7, 4)
-	checkCodec[float32](t, 1.5, 4)
-	checkCodec[uint64](t, 1<<60, 8)
-	checkCodec[int64](t, -1<<40, 8)
-	checkCodec[float64](t, 3.14159, 8)
+	checkCodec[uint32](t, []uint32{0xdeadbeef, 7}, 4)
+	checkCodec[int32](t, []int32{-7, 1 << 30}, 4)
+	checkCodec[float32](t, []float32{1.5, float32(math.Inf(-1))}, 4)
+	checkCodec[uint64](t, []uint64{1 << 60, 3}, 8)
+	checkCodec[int64](t, []int64{-1 << 40, 5}, 8)
+	checkCodec[float64](t, []float64{3.14159, math.Copysign(0, -1)}, 8)
 }
 
-func checkCodec[V Value](t *testing.T, v V, size int) {
+func checkCodec[V Value](t *testing.T, vals []V, size int) {
 	t.Helper()
-	c := codecOf[V]()
-	buf := make([]byte, 8)
-	putVals(buf, 0, c.size, []V{v})
-	if got := c.get(buf); got != v || c.size != size {
-		t.Errorf("%T: put %v, got %v back; wire size %d, want %d", v, v, got, c.size, size)
+	if wireSize[V]() != size {
+		t.Errorf("%T: wire size %d, want %d", vals[0], wireSize[V](), size)
+	}
+	const off, stride = 3, 13
+	buf := make([]byte, off+stride*len(vals))
+	putVals(buf, off, stride, vals)
+	got := make([]V, len(vals))
+	getVals(buf, off, stride, got)
+	for i := range vals {
+		if got[i] != vals[i] || math.Signbit(float64(got[i])) != math.Signbit(float64(vals[i])) {
+			t.Errorf("%T: put %v, got %v back", vals[i], vals[i], got[i])
+		}
 	}
 }
 
@@ -538,7 +492,21 @@ func encodeForTest[V Value](g *Gluon, order []uint32, upd *bitset.Bitset, src ex
 // values through.
 type extractFunc[V Value] func(lid uint32) V
 
-func (f extractFunc[V]) Extract(lid uint32) V { return f(lid) }
+func (f extractFunc[V]) Extract(lids []uint32, dst []V) {
+	for i, lid := range lids {
+		dst[i] = f(lid)
+	}
+}
+
+// decodeEach decodes payload the way the receive loop does and hands fn the
+// (lid, value) pairs in wire order; nothing is handed over on an error.
+func decodeEach[V Value](g *Gluon, payload []byte, order []uint32, fn func(lid uint32, v V)) error {
+	lids, vals, err := decodeMsg[V](g, payload, order, &peerScratch{})
+	for i, lid := range lids {
+		fn(lid, vals[i])
+	}
+	return err
+}
 
 func ExampleOpt() {
 	o := Opt()

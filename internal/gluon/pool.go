@@ -1,10 +1,11 @@
 package gluon
 
 // Scratch pools for the sync hot path. Steady-state syncs reuse, per
-// worker: the position/sent index slices and gathered-value slice built
-// during encoding, the DEFLATE compressor and its staging buffer, the
-// DEFLATE reader used for decompression, and (via comm.GetBuf/PutBuf) every
-// payload buffer. Pools are package-level because Gluon instances of many
+// worker: the position/sent index slices and extracted-value slice built
+// during encoding, the resolved local-ID and decoded-value slices of the
+// receive loop, the DEFLATE compressor and its staging buffer, the DEFLATE
+// reader used for decompression, and (via comm.GetBuf/PutBuf) every payload
+// buffer. Pools are package-level because Gluon instances of many
 // hosts share one process in the in-memory cluster.
 
 import (
@@ -21,9 +22,7 @@ import (
 type encodeScratch struct {
 	positions []uint32
 	sent      []uint32
-	// vals caches the gathered-value slice. It is typed any because the
-	// value type is a per-call generic parameter; scratchVals re-types it
-	// and replaces it when a differently-typed field syncs.
+	// vals caches the extracted-value slice (see scratchVals).
 	vals any
 	// compHdr is the 5-byte compressed-message header
 	// ([modeCompressed][uncompressed length]) maybeCompress hands to
@@ -38,19 +37,16 @@ var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 func getEncodeScratch() *encodeScratch   { return encodeScratchPool.Get().(*encodeScratch) }
 func putEncodeScratch(sc *encodeScratch) { encodeScratchPool.Put(sc) }
 
-// scratchVals returns a length-n value slice backed by the scratch,
-// allocating only when the cached slice is missing, too small, or of a
-// different value type.
-func scratchVals[V Value](sc *encodeScratch, n int) []V {
-	if vs, ok := sc.vals.([]V); ok && cap(vs) >= n {
+// scratchVals returns a length-n value slice backed by *cache, allocating
+// only when the cached slice is missing, too small, or of a different value
+// type. The cache is typed any because the value type is a per-call generic
+// parameter; a differently-typed field replaces it.
+func scratchVals[V Value](cache *any, n int) []V {
+	if vs, ok := (*cache).([]V); ok && cap(vs) >= n {
 		return vs[:n]
 	}
-	c := n
-	if c < 256 {
-		c = 256
-	}
-	vs := make([]V, n, c)
-	sc.vals = vs
+	vs := make([]V, n, max(n, 256))
+	*cache = vs
 	return vs
 }
 
@@ -58,12 +54,15 @@ func scratchVals[V Value](sc *encodeScratch, n int) []V {
 // peer sets, the mutable remaining-peer set RecvAny consumes, and the
 // per-host staging slots the reduce path parks early arrivals in. A staged
 // entry is the raw (decompressed if needed) wire message of an out-of-order
-// arrival, kept in its pooled buffer until its fold turn — no decoded
-// (lids, values) materialization exists anywhere anymore.
+// arrival, kept in its pooled buffer until its fold turn. lids and vals are
+// where the receive loop decodes the one message it is applying: the local
+// IDs its positions resolve to and its values as a typed slice.
 type peerScratch struct {
 	send, recv, rem []int
 	stages          [][]byte
 	errCh           chan error
+	lids            []uint32
+	vals            any
 }
 
 var peerScratchPool = sync.Pool{New: func() any { return new(peerScratch) }}

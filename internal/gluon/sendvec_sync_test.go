@@ -1,10 +1,8 @@
 package gluon_test
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -61,37 +59,23 @@ func (h wireHashTransport) SendVec(to int, tag comm.Tag, header, payload []byte)
 	return h.Transport.SendVec(to, tag, header, payload)
 }
 
-// tcpMesh dials a hosts-wide TCP mesh on loopback.
-func tcpMesh(t *testing.T, hosts, basePort int) []comm.Transport {
+// tcpMesh dials a hosts-wide TCP mesh on loopback; it closes with the test.
+func tcpMesh(t *testing.T, hosts int) []comm.Transport {
 	t.Helper()
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	eps, _, err := comm.DialLoopbackMesh(hosts, comm.DialConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	eps := make([]comm.Transport, hosts)
-	errs := make([]error, hosts)
-	var wg sync.WaitGroup
-	for i := 0; i < hosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps[i], errs[i] = comm.DialTCP(i, addrs)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dial host %d: %v", i, err)
-		}
+	ts := make([]comm.Transport, hosts)
+	for i, ep := range eps {
+		ts[i] = ep
 	}
 	t.Cleanup(func() {
 		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
+			ep.Close()
 		}
 	})
-	return eps
+	return ts
 }
 
 func compressedRun(t *testing.T, ts []comm.Transport, parts []*partition.Partition,
@@ -147,7 +131,7 @@ func TestCompressedWireBytesMatchAcrossTransports(t *testing.T) {
 	}
 	inprocRes := compressedRun(t, inprocTs, parts, numNodes, opt)
 
-	tcpEps := tcpMesh(t, hosts, 41400)
+	tcpEps := tcpMesh(t, hosts)
 	tcpTs := make([]comm.Transport, hosts)
 	for i, e := range tcpEps {
 		tcpTs[i] = wireHashTransport{Transport: e, acc: &tcpHash}
@@ -204,7 +188,7 @@ func TestCompressedSyncOverTCP(t *testing.T) {
 
 	opt := gluon.Opt()
 	opt.Compress = gluon.CompressAbove(128)
-	res, err := dsys.RunWithTransports(parts, tcpMesh(t, hosts, 41410), dsys.RunConfig{
+	res, err := dsys.RunWithTransports(parts, tcpMesh(t, hosts), dsys.RunConfig{
 		Hosts: hosts, Policy: partition.CVC, Opt: opt,
 		CollectValues: true, MaxRounds: 100,
 	}, pr.NewGalois(1e-9, 2))

@@ -26,59 +26,50 @@ const (
 	Anywhere
 )
 
-// ReduceSpec is the reduce synchronization structure of §3.3. Mirrors call
-// Extract to read partial values; masters call Reduce to fold a received
-// value in (returning whether the master's value changed); mirrors call
-// Reset to return to the reduction identity after their value is shipped.
+// ReduceSpec is the reduce synchronization structure of §3.3, in the
+// paper's bulk form: every call covers one whole message, lids[i] being the
+// local proxy that vals[i] or dst[i] belongs to, so a field pays one dynamic
+// call per message and a typed loop per value. Mirrors call Extract to read
+// partial values into dst (len(dst) == len(lids)); masters call Reduce to
+// fold received values in; mirrors call Reset to return to the reduction
+// identity after their values are shipped. No call may keep or modify lids,
+// which can alias a memoized order.
+//
+// Reduce marks every proxy whose value it changed in changed, which is nil
+// when nobody tracks updates. The encoders clear mirror bits of the same
+// bitset concurrently and the word at the master/mirror boundary is shared,
+// so marks must be atomic word updates; bitset.Marker batches them to one
+// per run of lids sharing a word, and every order ascends.
 //
 // Contract required by the dense encoding: Extract on a proxy that was not
 // updated this round must yield a value that is a no-op under Reduce
 // (i.e. the reduction identity, or an already-incorporated value of an
 // idempotent reduction such as min).
 //
-// Messages for different peers are encoded by parallel workers, so Extract
-// and Reset must be safe to call concurrently on distinct lids (per-element
-// reads/writes of a label array qualify; the per-peer mirror sets they run
-// over are disjoint).
+// Messages for different peers are encoded by parallel workers while the
+// receive loop applies arrivals, so Extract and Reset must be safe to call
+// concurrently with each other and with Reduce on disjoint lids (element
+// reads and writes of a label array qualify: the per-peer mirror sets are
+// disjoint from each other and from the masters Reduce touches).
 type ReduceSpec[V Value] interface {
-	Extract(lid uint32) V
-	Reduce(lid uint32, v V) bool
-	Reset(lid uint32)
+	Extract(lids []uint32, dst []V)
+	Reduce(lids []uint32, vals []V, changed *bitset.Bitset)
+	Reset(lids []uint32)
 }
 
-// BroadcastSpec is the broadcast synchronization structure of §3.3.
-// Masters call Extract; mirrors call Set with the canonical value, returning
-// whether the mirror's stored value changed. Extract must be safe to call
-// concurrently on the same lid (parallel workers encode overlapping master
-// orders); pure reads qualify.
+// BroadcastSpec is the broadcast synchronization structure of §3.3, in the
+// same one-call-per-message form. Masters call Extract; mirrors call Set
+// with the canonical values. Extract must be safe to call concurrently on
+// the same lids (parallel workers encode overlapping master orders) and
+// with Set on disjoint ones; pure reads qualify.
 type BroadcastSpec[V Value] interface {
-	Extract(lid uint32) V
-	Set(lid uint32, v V) bool
-}
-
-// BulkExtractor is the optional bulk variant of Extract the paper provides
-// for GPUs (§3.3): the runtime hands the whole memoized order (or the
-// updated subset) at once, so a device engine can stage one device→host
-// copy instead of per-node callbacks. Specs that implement it are detected
-// dynamically; dst has the required capacity.
-type BulkExtractor[V Value] interface {
-	ExtractBulk(lids []uint32, dst []V) []V
+	Extract(lids []uint32, dst []V)
+	Set(lids []uint32, vals []V)
 }
 
 // extractor is the read half that both kinds of spec share.
-type extractor[V Value] interface{ Extract(lid uint32) V }
-
-// gather reads the values at lids into dst (which has the required
-// capacity), through the spec's bulk variant when it provides one.
-func gather[V Value](spec extractor[V], lids []uint32, dst []V) []V {
-	if be, ok := spec.(BulkExtractor[V]); ok {
-		return be.ExtractBulk(lids, dst)
-	}
-	dst = dst[:len(lids)]
-	for i, lid := range lids {
-		dst[i] = spec.Extract(lid)
-	}
-	return dst
+type extractor[V Value] interface {
+	Extract(lids []uint32, dst []V)
 }
 
 // Field describes one synchronizable node field: where the operator writes
@@ -146,8 +137,8 @@ func Sync[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 }
 
 // phase is what differs between the two halves of a sync (§3.3): which
-// memoized orders are sent and received into, how values are read out, and
-// which function meets a value on arrival. runPhase is everything else.
+// memoized orders are sent and received into, and which spec values are
+// read out of and meet on arrival. runPhase is everything else.
 //
 // It travels by value into runPhase's goroutine closures; keeping it under
 // the compiler's 128-byte limit for by-value capture (orders by pointer)
@@ -158,12 +149,11 @@ type phase[V Value] struct {
 	word       string   // "reduce" / "broadcast", for errors
 	tag        comm.Tag // namespaces this field and direction on the wire
 	send, recv *orderSet
-	src        extractor[V] // where sent values are read from
-	// reset, set only for reduce, returns each mirror whose value was
-	// shipped to the reduction identity; its "changed" bit migrates to the
-	// master with the value.
-	reset interface{ Reset(lid uint32) }
-	apply func(lid uint32, v V)
+	// Exactly one of reduce and set is non-nil. Reduce also returns each
+	// mirror whose value was shipped to the reduction identity; its
+	// "changed" bit migrates to the master with the value.
+	reduce ReduceSpec[V]
+	set    BroadcastSpec[V]
 	// ordered makes arrivals fold in ascending host order instead of on
 	// arrival. Reduce needs it: a master receives contributions from several
 	// peers, and order-sensitive reductions (floating-point sums) must fold
@@ -174,18 +164,37 @@ type phase[V Value] struct {
 	applied trace.Phase // PhaseFold / PhaseApply: the span of one applied message
 }
 
+// src is the spec sent values are read from.
+func (ph phase[V]) src() extractor[V] {
+	if ph.reduce != nil {
+		return ph.reduce
+	}
+	return ph.set
+}
+
+// apply meets one decoded message with the local state.
+func (ph phase[V]) apply(lids []uint32, vals []V, updated *bitset.Bitset) {
+	if ph.reduce != nil {
+		ph.reduce.Reduce(lids, vals, updated)
+		return
+	}
+	ph.set.Set(lids, vals)
+	// Delivery activates the mirror even when the value is unchanged: the
+	// mirror that originated this round's best value has the value already,
+	// but its outgoing edges have not been processed with it yet (matters
+	// for unconstrained vertex cuts, where a mirror can have both incoming
+	// and outgoing edges).
+	if updated != nil {
+		updated.SetMany(lids)
+	}
+}
+
 // SyncReduce runs only the reduce pattern for f.
 func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 	send, recv := g.peersForReduce(f.Write, g.Opt.StructuralInvariants)
-	spec := f.Reduce
 	return runPhase(g, updated, phase[V]{
 		field: f.ID, name: f.Name, word: "reduce", tag: g.reduceTag(f.ID),
-		send: send, recv: recv, src: spec, reset: spec,
-		apply: func(lid uint32, v V) {
-			if spec.Reduce(lid, v) && updated != nil {
-				updated.Set(lid)
-			}
-		},
+		send: send, recv: recv, reduce: f.Reduce,
 		ordered: true, applied: trace.PhaseFold,
 	})
 }
@@ -207,21 +216,9 @@ func BroadcastAll[V Value](g *Gluon, f Field[V]) error {
 // mutating shared options.
 func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, structural bool) error {
 	send, recv := g.peersForBroadcast(f.Read, structural)
-	spec := f.Broadcast
 	return runPhase(g, updated, phase[V]{
 		field: f.ID, name: f.Name, word: "broadcast", tag: g.broadcastTag(f.ID),
-		send: send, recv: recv, src: spec,
-		apply: func(lid uint32, v V) {
-			spec.Set(lid, v)
-			// Delivery activates the mirror even when the value is
-			// unchanged: the mirror that originated this round's best value
-			// has the value already, but its outgoing edges have not been
-			// processed with it yet (matters for unconstrained vertex cuts,
-			// where a mirror can have both incoming and outgoing edges).
-			if updated != nil {
-				updated.Set(lid)
-			}
-		},
+		send: send, recv: recv, set: f.Broadcast,
 		applied: trace.PhaseApply,
 	})
 }
@@ -248,9 +245,9 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	sendPeers, recvPeers := ps.peerLists(g.NumHosts(), g.HostID(), ph.send, ph.recv)
 
 	// Encoding fans out across workers. Reduce sends per-peer mirror sets,
-	// which are disjoint, so encode, Reset and Clear for different peers
-	// touch disjoint lids and words are read atomically; broadcast's master
-	// orders overlap, but it only reads them. Sends run off the receive path
+	// which are disjoint, so encode and Reset for different peers touch
+	// disjoint lids, and updated is read and cleared a word at a time,
+	// atomically; broadcast's master orders overlap, but it only reads them. Sends run off the receive path
 	// so that large bidirectional exchanges cannot deadlock on transport
 	// buffering.
 	sendErr := ps.errChan()
@@ -264,12 +261,13 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 			var st Stats
 			defer g.foldStats(&st)
 			lane := int32(1 + w)
+			src := ph.src()
 			for _, h := range sendPeers[lo:hi] {
 				var t0 int64
 				if tr {
 					t0 = rec.Now()
 				}
-				payload, sent, ms := encodeMsg(g, ph.send.lists[h], ph.send.masks[h], updated, ph.src, sc)
+				payload, sent, ms := encodeMsg(g, ph.send.lists[h], ph.send.masks[h], updated, src, sc)
 				hdr, payload := g.maybeCompress(ph.field, payload, sc, &ms)
 				st.addMsg(&ms)
 				if tr {
@@ -277,12 +275,12 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 						Peer: int32(h), Field: ph.field, Lane: lane, Mode: int8(ms.mode),
 						Value: ms.value, Meta: ms.meta, GID: ms.gid, Comp: ms.comp, Saved: ms.saved})
 				}
-				if ph.reset != nil {
-					for _, lid := range sent {
-						ph.reset.Reset(lid)
-						if updated != nil {
-							updated.Clear(lid)
-						}
+				if ph.reduce != nil {
+					// What was shipped is every updated member of the order,
+					// so consuming the bits clears the whole order.
+					ph.reduce.Reset(sent)
+					if updated != nil {
+						ph.send.masks[h].ClearIn(updated)
 					}
 				}
 				if tr {
@@ -309,12 +307,14 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	}()
 
 	// Messages are received in arrival order. One whose turn has come (any
-	// message, unless ph.ordered) is applied straight out of its receive
-	// buffer — wire parsing and apply are one pass, with no intermediate
-	// (lids, values) staging. One that arrives ahead of its turn is
-	// decompressed (so the CPU work overlaps waiting on slower links) and
-	// parked as raw wire bytes; its single decode-and-apply pass runs once
-	// its predecessors are in.
+	// message, unless ph.ordered) is decoded out of its receive buffer into
+	// the scratch's (lids, values) pair — checked as a whole first, so a
+	// malformed message applies nothing — and handed to the spec in one
+	// call: the copy is a sequential pass over bytes already in cache, and
+	// it buys the spec a typed loop instead of a call chain per value. One
+	// that arrives ahead of its turn is decompressed (so the CPU work
+	// overlaps waiting on slower links) and parked as raw wire bytes; its
+	// decode and apply run once its predecessors are in.
 	remaining := append(ps.rem[:0], recvPeers...)
 	ps.rem = remaining
 	stages := ps.hostStages(g.NumHosts())
@@ -346,7 +346,11 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 		remaining = removePeer(remaining, h)
 		detail := ""
 		if !ph.ordered || h == recvPeers[next] {
-			err = decodeMsg(g, payload, ph.recv.lists[h], ph.apply)
+			var lids []uint32
+			var vals []V
+			if lids, vals, err = decodeMsg[V](g, payload, ph.recv.lists[h], ps); err == nil {
+				ph.apply(lids, vals, updated)
+			}
 			comm.PutBuf(payload)
 			next++
 		} else {
@@ -373,12 +377,13 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 			if tr {
 				t0 = rec.Now()
 			}
-			err := decodeBody(g, body, ph.recv.lists[hp], ph.apply)
+			lids, vals, err := decodeBody[V](g, body, ph.recv.lists[hp], ps)
 			comm.PutBuf(body)
 			if err != nil {
 				g.dumpInvariant(hp, err)
 				return fail(hp, err)
 			}
+			ph.apply(lids, vals, updated)
 			if tr {
 				rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
 					Peer: int32(hp), Field: ph.field, Detail: "unstage"})
@@ -455,23 +460,23 @@ func (sc *encodeScratch) updatedIn(order []uint32, mask *bitset.OrderMask, updat
 // encodeMsg builds one field-sync message for the given memoized order and
 // its OrderMask, selecting the cheapest of the §4.2 encodings (or (GID,
 // value) pairs when temporal invariance is off). Values are read from src
-// with one gather per message, matching the GPU plugin's staged transfers. The payload comes from the comm buffer pool and is
-// released per the Transport contract once sent; index and value staging
-// live in sc.
+// with one Extract per message, matching the GPU plugin's staged transfers.
+// The payload comes from the comm buffer pool and is released per the
+// Transport contract once sent; index and value staging live in sc.
 //
 // It returns the payload, the local IDs whose values were shipped (sent
 // aliases either sc or order and is only valid until the next encode on the
 // same scratch), and the message's accounting record.
 func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, updated *bitset.Bitset, src extractor[V], sc *encodeScratch) (payload []byte, sent []uint32, ms msgStats) {
-	vs := codecOf[V]().size
+	vs := wireSize[V]()
 	n := len(order)
-	positions, sent := sc.updatedIn(order, mask, updated)
-	k := len(sent)
-
 	if !g.Opt.TemporalInvariance {
 		// Pre-Gluon wire format: (global-ID, value) pairs for every updated
 		// proxy. No memoized ordering is assumed by the receiver.
-		vals := gather(src, sent, scratchVals[V](sc, k))
+		_, sent = sc.updatedIn(order, mask, updated)
+		k := len(sent)
+		vals := scratchVals[V](&sc.vals, k)
+		src.Extract(sent, vals)
 		payload = comm.GetBuf(5 + k*(8+vs))
 		payload[0] = modeGIDs
 		le.PutUint32(payload[1:], uint32(k))
@@ -480,6 +485,15 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 		}
 		putVals(payload, 5+8, 8+vs, vals)
 		return payload, sent, msgStats{mode: modeGIDs, meta: 5, gid: uint64(k) * 8, value: uint64(k * vs)}
+	}
+	// The number of updated proxies settles the mode; which ones they are is
+	// only listed for the sparse modes, so a dense message — every round of
+	// a pagerank — costs a popcount pass, not two appends per proxy. A sparse
+	// message is then sized by the list, so it is well-formed whatever the
+	// count said.
+	k := n
+	if updated != nil {
+		k = mask.CountIn(updated)
 	}
 	if k == 0 {
 		payload = comm.GetBuf(1)
@@ -504,6 +518,7 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 
 	// Lay down the mode's metadata; the packed values follow it.
 	var off int
+	var positions []uint32
 	switch {
 	case denseSize <= bitvecSize && denseSize <= idxSize:
 		// Dense messages ship every proxy in the order.
@@ -511,9 +526,10 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 		payload = comm.GetBuf(denseSize)
 		ms.mode, off = modeDense, 1
 	case bitvecSize <= idxSize:
-		payload = comm.GetBuf(bitvecSize)
+		positions, sent = sc.updatedIn(order, mask, updated)
 		ms.mode, off = modeBitvec, 5+bvWords*8
-		le.PutUint32(payload[1:], uint32(k))
+		payload = comm.GetBuf(off + len(sent)*vs)
+		le.PutUint32(payload[1:], uint32(len(sent)))
 		// Write the bit-vector straight into the payload: bit p of the
 		// little-endian word stream is byte p/8, bit p%8.
 		bv := payload[5:off]
@@ -522,9 +538,10 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 			bv[pos>>3] |= 1 << (pos & 7)
 		}
 	default:
-		payload = comm.GetBuf(idxSize)
-		ms.mode, off = modeIndices, 5+k*4
-		le.PutUint32(payload[1:], uint32(k))
+		positions, sent = sc.updatedIn(order, mask, updated)
+		ms.mode, off = modeIndices, 5+len(sent)*4
+		payload = comm.GetBuf(off + len(sent)*vs)
+		le.PutUint32(payload[1:], uint32(len(sent)))
 		for i, pos := range positions {
 			le.PutUint32(payload[5+i*4:], pos)
 		}
@@ -532,120 +549,119 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 	payload[0] = ms.mode
 	ms.meta = uint64(off)
 	ms.value = uint64(len(sent) * vs)
-	putVals(payload, off, vs, gather(src, sent, scratchVals[V](sc, len(sent))))
+	vals := scratchVals[V](&sc.vals, len(sent))
+	src.Extract(sent, vals)
+	putVals(payload, off, vs, vals)
 	return payload, sent, ms
 }
 
-// decodeMsg applies one received field-sync message: apply is called with
-// the local ID (resolved through the memoized order, or through global-ID
-// translation for modeGIDs messages) and the value. The input payload is
-// not consumed — its owner releases it — but any decompression buffer
-// decodeMsg creates is pooled internally.
-func decodeMsg[V Value](g *Gluon, payload []byte, order []uint32, apply func(lid uint32, v V)) error {
+// decodeMsg decodes one received field-sync message, compressed or not,
+// as decodeBody does. The input payload is not consumed — its owner
+// releases it — but any decompression buffer decodeMsg creates is pooled
+// internally (the result lives in ps, not in the message bytes).
+func decodeMsg[V Value](g *Gluon, payload []byte, order []uint32, ps *peerScratch) (lids []uint32, vals []V, err error) {
 	body, pooled, err := maybeDecompress(payload)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	err = decodeBody(g, body, order, apply)
+	lids, vals, err = decodeBody[V](g, body, order, ps)
 	if pooled {
 		comm.PutBuf(body)
 	}
-	return err
+	return lids, vals, err
 }
 
-func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, apply func(lid uint32, v V)) error {
+// decodeBody turns one uncompressed message into the local IDs it updates
+// (resolved through the memoized order, or through global-ID translation
+// for modeGIDs messages) and their values, in wire order. The whole message
+// is validated before anything is returned, so the caller applies all of a
+// message or none of it. Both slices are only valid until the next decode on
+// the same scratch; lids aliases order for a dense message.
+func decodeBody[V Value](g *Gluon, payload []byte, order []uint32, ps *peerScratch) (lids []uint32, vals []V, err error) {
 	if len(payload) == 0 {
-		return fmt.Errorf("empty payload")
+		return nil, nil, fmt.Errorf("empty payload")
 	}
-	c := codecOf[V]()
-	vs := c.size
-	mode := payload[0]
+	vs, n := wireSize[V](), len(order)
 	body := payload[1:]
-	switch mode {
+	// Each mode settles which lids the values go to, where in body the
+	// values start and how far apart they lie.
+	lids = ps.lids[:0]
+	valOff, stride := 0, vs
+	switch mode := payload[0]; mode {
 	case modeEmpty:
-		return nil
+		return nil, nil, nil
 	case modeDense:
-		if len(body) != len(order)*vs {
-			return fmt.Errorf("dense message: %d bytes for %d proxies of size %d", len(body), len(order), vs)
+		if len(body) != n*vs {
+			return nil, nil, fmt.Errorf("dense message: %d bytes for %d proxies of size %d", len(body), n, vs)
 		}
-		off := 0
-		for _, lid := range order {
-			apply(lid, c.get(body[off:]))
-			off += vs
-		}
+		lids = order
 	case modeBitvec:
 		if len(body) < 4 {
-			return fmt.Errorf("short bitvec message")
+			return nil, nil, fmt.Errorf("short bitvec message")
 		}
-		k := le.Uint32(body)
-		n := len(order)
-		bvWords := (n + 63) / 64
-		if len(body) != 4+bvWords*8+int(k)*vs {
-			return fmt.Errorf("bitvec message: %d bytes, want %d", len(body), 4+bvWords*8+int(k)*vs)
+		k := int(le.Uint32(body))
+		valOff = 4 + (n+63)/64*8
+		if len(body) != valOff+k*vs {
+			return nil, nil, fmt.Errorf("bitvec message: %d bytes, want %d", len(body), valOff+k*vs)
 		}
-		valOff := 4 + bvWords*8
-		applied := uint32(0)
-		for wi := 0; wi < bvWords; wi++ {
-			w := le.Uint64(body[4+wi*8:])
-			base := wi * wordBits
-			for w != 0 {
-				pos := base + bits.TrailingZeros64(w)
-				if applied >= k {
-					return fmt.Errorf("bitvec message: more set bits than count %d", k)
-				}
-				if pos >= n {
-					return fmt.Errorf("bitvec message: position %d out of %d", pos, n)
-				}
-				apply(order[pos], c.get(body[valOff:]))
-				valOff += vs
-				applied++
-				w &= w - 1
+		bv := body[4:valOff]
+		set := 0
+		for off := 0; off < len(bv); off += 8 {
+			set += bits.OnesCount64(le.Uint64(bv[off:]))
+		}
+		if set != k {
+			return nil, nil, fmt.Errorf("bitvec message: %d set bits, count says %d", set, k)
+		}
+		if n%wordBits != 0 && le.Uint64(bv[len(bv)-8:])>>(n%wordBits) != 0 {
+			return nil, nil, fmt.Errorf("bitvec message: position beyond the %d proxies", n)
+		}
+		for off := 0; off < len(bv); off += 8 {
+			for w := le.Uint64(bv[off:]); w != 0; w &= w - 1 {
+				lids = append(lids, order[off*8+bits.TrailingZeros64(w)])
 			}
-		}
-		if applied != k {
-			return fmt.Errorf("bitvec message: %d set bits, count says %d", applied, k)
 		}
 	case modeIndices:
 		if len(body) < 4 {
-			return fmt.Errorf("short indices message")
+			return nil, nil, fmt.Errorf("short indices message")
 		}
 		k := int(le.Uint32(body))
-		if len(body) != 4+k*4+k*vs {
-			return fmt.Errorf("indices message: %d bytes, want %d", len(body), 4+k*4+k*vs)
+		valOff = 4 + k*4
+		if len(body) != valOff+k*vs {
+			return nil, nil, fmt.Errorf("indices message: %d bytes, want %d", len(body), valOff+k*vs)
 		}
-		idxOff, valOff := 4, 4+k*4
-		for i := 0; i < k; i++ {
-			pos := le.Uint32(body[idxOff:])
-			if int(pos) >= len(order) {
-				return fmt.Errorf("indices message: position %d out of %d", pos, len(order))
+		for off := 4; off < valOff; off += 4 {
+			pos := le.Uint32(body[off:])
+			if int(pos) >= n {
+				return nil, nil, fmt.Errorf("indices message: position %d out of %d", pos, n)
 			}
-			apply(order[pos], c.get(body[valOff:]))
-			idxOff += 4
-			valOff += vs
+			lids = append(lids, order[pos])
 		}
 	case modeGIDs:
 		if len(body) < 4 {
-			return fmt.Errorf("short gid-pairs message")
+			return nil, nil, fmt.Errorf("short gid-pairs message")
 		}
 		k := int(le.Uint32(body))
-		if len(body) != 4+k*(8+vs) {
-			return fmt.Errorf("gid-pairs message: %d bytes, want %d", len(body), 4+k*(8+vs))
+		valOff, stride = 4+8, 8+vs
+		if len(body) != 4+k*stride {
+			return nil, nil, fmt.Errorf("gid-pairs message: %d bytes, want %d", len(body), 4+k*stride)
 		}
-		off := 4
-		for i := 0; i < k; i++ {
+		for off := 4; off < len(body); off += stride {
 			gid := le.Uint64(body[off:])
-			v := c.get(body[off+8:])
-			off += 8 + vs
 			lid, ok := g.Part.LID(gid)
 			if !ok {
-				return fmt.Errorf("gid-pairs message: gid %d has no local proxy", gid)
+				return nil, nil, fmt.Errorf("gid-pairs message: gid %d has no local proxy", gid)
 			}
-			apply(lid, v)
+			lids = append(lids, lid)
 		}
 	default:
-		return fmt.Errorf("unknown message mode %d", mode)
+		return nil, nil, fmt.Errorf("unknown message mode %d", mode)
 	}
-	return nil
+	if payload[0] != modeDense {
+		ps.lids = lids // keep what append grew
+	}
+	vals = scratchVals[V](&ps.vals, len(lids))
+	getVals(body, valOff, stride, vals)
+	return lids, vals, nil
 }
 
 // wordBits mirrors the bitset word width for inline bit-vector decoding.

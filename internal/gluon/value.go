@@ -44,42 +44,46 @@ func putVals[V Value](b []byte, off, stride int, vals []V) {
 	}
 }
 
-// codec is the read side of one Value type's wire form: its size and the
-// little-endian decoder. decodeBody resolves it once per message (codecOf),
-// so the per-value work inside its loops is a plain function call, not a
-// type switch.
-type codec[V Value] struct {
-	size int // wire bytes per value
-	get  func(b []byte) V
+// getVals is the inverse of putVals: it fills dst from the little-endian
+// values at b[off], b[off+stride], …, again with one type dispatch per
+// message. The caller has checked that b holds them.
+func getVals[V Value](b []byte, off, stride int, dst []V) {
+	switch dst := any(dst).(type) {
+	case []uint32:
+		for i := range dst {
+			dst[i] = le.Uint32(b[off+i*stride:])
+		}
+	case []int32:
+		for i := range dst {
+			dst[i] = int32(le.Uint32(b[off+i*stride:]))
+		}
+	case []float32:
+		for i := range dst {
+			dst[i] = math.Float32frombits(le.Uint32(b[off+i*stride:]))
+		}
+	case []uint64:
+		for i := range dst {
+			dst[i] = le.Uint64(b[off+i*stride:])
+		}
+	case []int64:
+		for i := range dst {
+			dst[i] = int64(le.Uint64(b[off+i*stride:]))
+		}
+	case []float64:
+		for i := range dst {
+			dst[i] = math.Float64frombits(le.Uint64(b[off+i*stride:]))
+		}
+	}
 }
 
 var le = binary.LittleEndian
 
-var (
-	codecU32 = codec[uint32]{4, le.Uint32}
-	codecU64 = codec[uint64]{8, le.Uint64}
-	codecI32 = codec[int32]{4, func(b []byte) int32 { return int32(le.Uint32(b)) }}
-	codecI64 = codec[int64]{8, func(b []byte) int64 { return int64(le.Uint64(b)) }}
-	codecF32 = codec[float32]{4, func(b []byte) float32 { return math.Float32frombits(le.Uint32(b)) }}
-	codecF64 = codec[float64]{8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }}
-)
-
-// codecOf returns V's wire codec.
-func codecOf[V Value]() *codec[V] {
-	var c any
+// wireSize returns the number of wire bytes one V occupies.
+func wireSize[V Value]() int {
 	switch any(*new(V)).(type) {
-	case uint32:
-		c = &codecU32
-	case uint64:
-		c = &codecU64
-	case int32:
-		c = &codecI32
-	case int64:
-		c = &codecI64
-	case float32:
-		c = &codecF32
+	case uint32, int32, float32:
+		return 4
 	default:
-		c = &codecF64
+		return 8
 	}
-	return c.(*codec[V])
 }
