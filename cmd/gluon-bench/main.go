@@ -32,7 +32,7 @@ var logger = trace.NewLogger("gluon-bench")
 func main() {
 	var (
 		table      = flag.Int("table", 0, "run only this table (1-5)")
-		figure     = flag.String("figure", "", "run only this figure (8, 9, 10)")
+		figure     = flag.String("figure", "", "run only this figure (8, 9, 10), or \"ablations\" for the encoding, mirror-subset and scheduling studies")
 		scale      = flag.Uint("scale", 16, "graphs have 2^scale nodes")
 		ef         = flag.Uint("edgefactor", 16, "average out-degree")
 		hosts      = flag.String("hosts", "1,2,4,8", "comma-separated host counts")
@@ -49,7 +49,7 @@ func main() {
 
 		syncGuard = flag.String("sync-guard", "", "compare the sync hot path (tracing disabled) against this baseline JSON and exit non-zero on regression")
 		guardTol  = flag.Float64("guard-tol", 0.10, "fractional tolerance for -sync-guard before noise widening (allocs/op may never regress)")
-		syncTiers = flag.String("sync-tiers", "", "with -sync-json/-sync-record: measure only these comma-separated encodings (default: all)")
+		syncTiers = flag.String("sync-tiers", "", "with -sync-json/-sync-record: measure only these comma-separated encodings (default: all of "+strings.Join(bench.AllSyncEncodings(), ",")+")")
 		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-json/-sync-record: comma-separated host counts to measure")
 
 		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON; .jsonl suffix = JSONL)")
@@ -146,10 +146,6 @@ func main() {
 			}
 			fmt.Println()
 			if err := bench.AblationSubsets(os.Stdout, p); err != nil {
-				return err
-			}
-			fmt.Println()
-			if err := bench.AblationCompression(os.Stdout, p); err != nil {
 				return err
 			}
 			fmt.Println()

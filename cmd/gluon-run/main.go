@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"gluon"
-	"gluon/internal/autotune"
 	"gluon/internal/ckpt"
 	"gluon/internal/comm"
 	"gluon/internal/gemini"
@@ -43,7 +42,6 @@ func main() {
 		input    = flag.String("input", "", "load a text edge list instead of generating")
 		seed     = flag.Uint64("seed", 2018, "generation seed")
 		unopt    = flag.Bool("unopt", false, "disable Gluon's communication optimizations")
-		compress = flag.String("compress", "off", "message compression: off | static (fixed size threshold) | adaptive (per-field tuner)")
 		verify   = flag.Bool("verify", false, "collect values and print a result digest")
 		check    = flag.Bool("validate", false, "property-check the result (graph500-style, no reference recomputation)")
 
@@ -184,15 +182,6 @@ func main() {
 	opt := gluon.Opt()
 	if *unopt {
 		opt = gluon.Unopt()
-	}
-	switch *compress {
-	case "off":
-	case "static":
-		opt.Compress = gluon.CompressAbove(512)
-	case "adaptive":
-		opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
-	default:
-		fatal(fmt.Errorf("unknown -compress mode %q (off | static | adaptive)", *compress))
 	}
 	var factory gluon.ProgramFactory
 	maxRounds := 0

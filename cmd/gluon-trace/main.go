@@ -18,9 +18,9 @@
 // host arrived at the termination barrier last and which of its phases
 // (compute / encode / wire / recv-wait / fold / apply / straggler-wait)
 // dominated, plus the optimization-effectiveness ledger — bytes shipped
-// against a modeled naive dense broadcast, split by compression, update-mask
-// sparsity, and invariant skips, with the sync time each saving is worth at
-// the observed wire rate.
+// against a modeled naive dense broadcast, split by update-mask sparsity and
+// invariant skips, with the sync time each saving is worth at the observed
+// wire rate.
 //
 // serve is the standalone trace collector for multi-process clusters: every
 // process points its trace shipper at the listen address, and gluon-trace

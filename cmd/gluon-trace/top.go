@@ -195,10 +195,9 @@ func (b *board) draw(out io.Writer, u *trace.ViewUpdate) {
 	}
 	line("verdict: %s", u.Verdict.String())
 	if u.Ledger.BaselineBytes > 0 {
-		line("ledger: shipped %s vs naive %s — sparsity %s · invariants %s · compression %s",
+		line("ledger: shipped %s vs naive %s — sparsity %s · invariants %s",
 			trace.FmtBytes(u.Ledger.ShippedBytes), trace.FmtBytes(u.Ledger.BaselineBytes),
-			trace.FmtBytes(u.Ledger.SparsitySavedBytes), trace.FmtBytes(u.Ledger.InvariantSavedBytes),
-			trace.FmtBytes(u.Ledger.CompressionSavedBytes))
+			trace.FmtBytes(u.Ledger.SparsitySavedBytes), trace.FmtBytes(u.Ledger.InvariantSavedBytes))
 	}
 	s.WriteString("\x1b[J") // clear whatever an earlier, taller frame left
 	io.WriteString(out, s.String())

@@ -60,10 +60,6 @@ func Opt() Options { return gluon.Opt() }
 // Unopt returns the baseline configuration with both optimizations off.
 func Unopt() Options { return gluon.Unopt() }
 
-// CompressAbove is the static Options.Compress policy: DEFLATE every sync
-// message of at least that many bytes.
-type CompressAbove = gluon.CompressAbove
-
 // PolicyKind names a partitioning strategy.
 type PolicyKind = partition.Kind
 

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gluon/internal/algorithms/sssp"
-	"gluon/internal/autotune"
 	"gluon/internal/dsys"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
@@ -55,45 +54,6 @@ func AblationEncodings(w io.Writer, p Params) error {
 					encodings[i].name, benchName, vols[0], vols[i])
 			}
 		}
-	}
-	return nil
-}
-
-// AblationCompression measures the optional DEFLATE wrapper (§4.2's
-// "other compression techniques") on the volume-heavy pagerank run, in its
-// three tiers: off, the static size threshold, and the adaptive per-field
-// CompressTuner policy.
-func AblationCompression(w io.Writer, p Params) error {
-	hosts := p.Hosts[len(p.Hosts)-1]
-	fmt.Fprintf(w, "Ablation: optional message compression — d-galois pr, cvc, %d hosts\n", hosts)
-	fmt.Fprintf(w, "%-12s %14s %12s\n", "config", "volume", "time")
-	wl, err := NewWorkload("rmat", p, false)
-	if err != nil {
-		return err
-	}
-	configs := []struct {
-		name string
-		opt  func() gluon.Options
-	}{
-		{"plain", gluon.Opt},
-		{"deflate", func() gluon.Options {
-			opt := gluon.Opt()
-			opt.Compress = gluon.CompressAbove(512)
-			return opt
-		}},
-		{"adaptive", func() gluon.Options {
-			opt := gluon.Opt()
-			opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 512})
-			return opt
-		}},
-	}
-	for _, c := range configs {
-		m, err := RunSpec(Spec{System: DGalois, Benchmark: "pr",
-			Hosts: hosts, Policy: partition.CVC, Opt: c.opt()}, wl, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-12s %14s %12s\n", c.name, fmtBytes(m.CommBytes), fmtDur(m.Time))
 	}
 	return nil
 }

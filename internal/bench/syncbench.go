@@ -13,10 +13,7 @@ package bench
 // §4.9): it measures the unoptimized reference wire format and the
 // optimized tiers in the same process and compares the opt/unopt ratio
 // against the baseline's ratio, so the check passes on any machine — a 2×
-// faster host scales numerator and denominator together. Absolute ns/op
-// comparison (the pre-PR-10 gate that had to be re-pinned per machine)
-// survives as an explicit mode that refuses to run against a baseline
-// fingerprinted on different hardware.
+// faster host scales numerator and denominator together.
 
 import (
 	"encoding/json"
@@ -24,10 +21,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 
-	"gluon/internal/autotune"
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
 	"gluon/internal/fields"
@@ -241,42 +238,20 @@ func (c *syncBenchCluster) syncAll() error {
 	return nil
 }
 
-// encSpec pairs an encoding name with an options factory. A factory (not a
-// value) because the adaptive-compression tier carries a stateful
-// CompressTuner: each measured cluster must start from an untrained policy,
-// or the 8-host row would inherit what the 2-host row learned.
+// encSpec pairs an encoding name with the options that select it.
 type encSpec struct {
 	name string
-	opt  func() gluon.Options
+	opt  gluon.Options
 }
 
 func allEncodings() []encSpec {
 	return []encSpec{
-		{"auto", gluon.Opt},
+		{"auto", gluon.Opt()},
 		{"dense", withEncoding(gluon.EncodingDense)},
 		{"bitvec", withEncoding(gluon.EncodingBitvec)},
 		{"indices", withEncoding(gluon.EncodingIndices)},
-		{"unopt", gluon.Unopt},
-		{"comp-static", compStatic},
-		{"comp-adaptive", compAdaptive},
+		{"unopt", gluon.Unopt()},
 	}
-}
-
-// compStatic is the static-threshold compression tier: every payload at or
-// above the threshold gets the DEFLATE attempt.
-func compStatic() gluon.Options {
-	opt := gluon.Opt()
-	opt.Compress = gluon.CompressAbove(256)
-	return opt
-}
-
-// compAdaptive is the adaptive tier: a fresh CompressTuner decides per
-// field from observed ratio and encode cost. MinSize matches the static
-// tier's threshold so the two rows differ only in the adaptive decision.
-func compAdaptive() gluon.Options {
-	opt := gluon.Opt()
-	opt.Compress = autotune.NewCompressTuner(autotune.CompressConfig{MinSize: 256})
-	return opt
 }
 
 // AllSyncEncodings names every measurable encoding tier, in report order.
@@ -332,7 +307,7 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 	}
 	for _, hosts := range hostCounts {
 		for _, e := range encodings {
-			opt := e.opt()
+			opt := e.opt
 			opt.SyncWorkers = p.Workers
 			c, err := newSyncBenchCluster(p, hosts, opt)
 			if err != nil {
@@ -382,12 +357,10 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 	return rep, nil
 }
 
-func withEncoding(enc gluon.Encoding) func() gluon.Options {
-	return func() gluon.Options {
-		opt := gluon.Opt()
-		opt.ForceEncoding = enc
-		return opt
-	}
+func withEncoding(enc gluon.Encoding) gluon.Options {
+	opt := gluon.Opt()
+	opt.ForceEncoding = enc
+	return opt
 }
 
 // commProbeRounds is how many BSP rounds the traced probe runs; every
@@ -395,13 +368,12 @@ func withEncoding(enc gluon.Encoding) func() gluon.Options {
 // path so the invariant-skip share is a live number, not a constant zero.
 const commProbeRounds = 6
 
-// CommProbe runs a small instrumented cluster (static-threshold
-// compression, so the compression counters are live) for a few rounds and
+// CommProbe runs a small instrumented cluster for a few rounds and
 // distills the trace ledger into the comm-volume counters a perf-history
 // record carries. Timing is irrelevant here — tracing overhead doesn't
 // matter, only bytes and round structure do.
 func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
-	opt := compStatic()
+	opt := gluon.Opt()
 	opt.SyncWorkers = p.Workers
 	c, err := newSyncBenchCluster(p, hosts, opt)
 	if err != nil {
@@ -439,7 +411,6 @@ func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
 	counters := ledger.Counters()
 	return &perfdb.Comm{
 		BytesPerRound:      counters.BytesPerRound,
-		CompressionRatio:   counters.CompressionRatio,
 		InvariantSkipShare: counters.InvariantSkipShare,
 	}, nil
 }
@@ -465,8 +436,8 @@ const refEncoding = "unopt"
 // (hosts, tier): ratio_cur may exceed ratio_base by at most tol plus the
 // summed relative noise of the four measurements behind the two ratios
 // (capped at ratioNoiseCap). Machine speed cancels out of both sides, so
-// the comparison holds across hardware; allocations are still compared
-// absolutely because they are machine-independent. Rows missing a unopt
+// the comparison holds across hardware; allocations are compared
+// absolutely, when they can be (allocsComparable). Rows missing a unopt
 // reference for their host count are skipped.
 func CompareSyncRatios(base, cur *SyncBenchReport, tol float64) error {
 	violations := ratioViolations(base, cur, tol)
@@ -529,8 +500,20 @@ func ratioBand(tol float64, rows ...*SyncBenchResult) float64 {
 	return tol + noise
 }
 
+// allocsComparable reports whether cur's allocs/op can be held against
+// base's. A sync encodes on min(GOMAXPROCS, peers) goroutines
+// (par.RangeWorkers), each with its own scratch, so allocs/op is a function
+// of the scheduler width: the absolute comparison holds only against a
+// baseline pinned at the same GOMAXPROCS. A baseline that recorded no
+// fingerprint is compared as before.
+func allocsComparable(base, cur *SyncBenchReport) bool {
+	return base.Fingerprint == nil || cur.Fingerprint == nil ||
+		base.Fingerprint.GOMAXPROCS == cur.Fingerprint.GOMAXPROCS
+}
+
 func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
+	gateAllocs := allocsComparable(base, cur)
 	var out []ratioViolation
 	for _, c := range cur.Results {
 		b, ok := baseIdx[c.Name()]
@@ -538,7 +521,7 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 			continue
 		}
 		// Allocations gate every row, the reference included.
-		if c.AllocsPerOp > b.AllocsPerOp {
+		if gateAllocs && c.AllocsPerOp > b.AllocsPerOp {
 			out = append(out, ratioViolation{Hosts: c.Hosts, Encoding: c.Encoding,
 				Alloc: true, AllocsBase: b.AllocsPerOp, AllocsCur: c.AllocsPerOp})
 		}
@@ -564,16 +547,15 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 
 // GuardSyncBench is the hot-path regression guard behind `make check`: it
 // re-measures the sync hot path with tracing disabled (the default — no
-// recorder attached) across the three compression tiers — auto
-// (compression off), comp-static (fixed threshold), comp-adaptive
-// (CompressTuner policy) — plus the unopt reference wire format, all in
-// the same process (DESIGN.md §4.5, §4.9). Together those cover both wire
-// formats, the whole compression decision surface, and all instrumented
-// paths; the forced-encoding rows only vary payload layout.
+// recorder attached) in two tiers — auto and the unopt reference wire
+// format — in the same process (DESIGN.md §4.9). Together those cover both
+// wire formats and all instrumented paths; the forced-encoding rows only
+// vary payload layout.
 //
 // It gates on opt/unopt ratios with a noise-aware band —
 // machine-independent, so BENCH_sync.json never needs re-pinning for
-// hardware churn — and hard-fails on any allocation regression. perfDB,
+// hardware churn — and hard-fails on any allocation regression against a
+// baseline pinned at this GOMAXPROCS (allocsComparable). perfDB,
 // when non-empty, is the history file the guard's measurements (absolute
 // numbers, noise, comm counters) are appended to regardless of gate
 // outcome: the trajectory must record regressions too.
@@ -602,19 +584,7 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 		fmt.Fprintf(w, "baseline fingerprint: unrecorded (schema v1 baseline — run `make bench-pin`)\n")
 	}
 
-	guardOpts := map[string]func() gluon.Options{
-		"auto":          gluon.Opt,
-		"unopt":         gluon.Unopt,
-		"comp-static":   compStatic,
-		"comp-adaptive": compAdaptive,
-	}
-	guard := []encSpec{
-		{"auto", guardOpts["auto"]},
-		{"unopt", guardOpts["unopt"]},
-		{"comp-static", guardOpts["comp-static"]},
-		{"comp-adaptive", guardOpts["comp-adaptive"]},
-	}
-	cur, err := syncBenchFor(p, []int{2, 8}, guard)
+	cur, err := SyncBenchTiers(p, []int{2, 8}, []string{"auto", refEncoding})
 	if err != nil {
 		return err
 	}
@@ -622,10 +592,10 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 		return fmt.Errorf("bench: guard config %q workers=%d does not match baseline %q workers=%d — rerun `make bench-pin`",
 			cur.Graph, cur.Workers, base.Graph, base.Workers)
 	}
-	// Five re-measure rounds: the DEFLATE tiers' floors take longer to
-	// surface on a small machine, and a retry only ever lowers the
-	// estimate, so extra rounds trade guard latency for gate stability
-	// without ever masking a real regression. The unopt reference of an
+	// Five re-measure rounds: a floor takes a while to surface on a small
+	// machine, and a retry only ever lowers the estimate, so extra rounds
+	// trade guard latency for gate stability without ever masking a real
+	// regression. The unopt reference of an
 	// offending host count is re-measured alongside the tier — both ends of
 	// the ratio deserve the transient-load benefit.
 	const guardRetries = 5
@@ -643,7 +613,7 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 				names = append(names, refEncoding)
 			}
 			for _, name := range names {
-				rp, err := syncBenchFor(p, []int{row.Hosts}, []encSpec{{name, guardOpts[name]}})
+				rp, err := SyncBenchTiers(p, []int{row.Hosts}, []string{name})
 				if err != nil {
 					return err
 				}
@@ -677,23 +647,29 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 // writeGuardTable prints the comparison the guard just gated on.
 func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
 	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
+	baseAllocs := func(b *SyncBenchResult) string {
+		if b == nil {
+			return "0"
+		}
+		return strconv.FormatInt(b.AllocsPerOp, 10)
+	}
+	if !allocsComparable(base, cur) {
+		fmt.Fprintf(w, "allocs/op not comparable: baseline pinned at GOMAXPROCS=%d, this run at %d — gating ratios only\n",
+			base.Fingerprint.GOMAXPROCS, cur.Fingerprint.GOMAXPROCS)
+		baseAllocs = func(*SyncBenchResult) string { return "n/c" }
+	}
 	fmt.Fprintf(w, "%-6s %-14s %11s %11s %8s %7s %10s %10s\n",
 		"hosts", "tier", "base ratio", "cur ratio", "delta", "noise", "base a/op", "cur a/op")
 	for _, c := range cur.Results {
 		b := baseIdx[c.Name()]
 		if c.Encoding == refEncoding {
-			var bAllocs int64
-			if b != nil {
-				bAllocs = b.AllocsPerOp
-			}
-			fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10d %10d   (%d ns/op reference)\n",
-				c.Hosts, c.Encoding, "1.000", "1.000", "ref", "", bAllocs, c.AllocsPerOp, c.NsPerOp)
+			fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10s %10d   (%d ns/op reference)\n",
+				c.Hosts, c.Encoding, "1.000", "1.000", "ref", "", baseAllocs(b), c.AllocsPerOp, c.NsPerOp)
 			continue
 		}
 		cRef := curIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
 		bRef := baseIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
 		ratioStr, baseStr, deltaStr, noiseStr := "n/a", "n/a", "n/a", ""
-		var bAllocs int64
 		if cRef != nil && cRef.NsPerOp > 0 {
 			cc := c
 			curRatio := float64(c.NsPerOp) / float64(cRef.NsPerOp)
@@ -705,11 +681,8 @@ func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
 				deltaStr = fmt.Sprintf("%+.1f%%", 100*(curRatio/baseRatio-1))
 			}
 		}
-		if b != nil {
-			bAllocs = b.AllocsPerOp
-		}
-		fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10d %10d\n",
-			c.Hosts, c.Encoding, baseStr, ratioStr, deltaStr, noiseStr, bAllocs, c.AllocsPerOp)
+		fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10s %10d\n",
+			c.Hosts, c.Encoding, baseStr, ratioStr, deltaStr, noiseStr, baseAllocs(b), c.AllocsPerOp)
 	}
 }
 

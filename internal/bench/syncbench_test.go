@@ -27,8 +27,8 @@ func synthReport(fp perfdb.Fingerprint, ns map[string]int64, allocs map[string]i
 		hosts int
 		enc   string
 	}{
-		{2, "auto"}, {2, "unopt"}, {2, "comp-static"}, {2, "comp-adaptive"},
-		{8, "auto"}, {8, "unopt"}, {8, "comp-static"}, {8, "comp-adaptive"},
+		{2, "auto"}, {2, "unopt"}, {2, "dense"},
+		{8, "auto"}, {8, "unopt"}, {8, "dense"},
 	} {
 		key := (&SyncBenchResult{Hosts: row.hosts, Encoding: row.enc}).Name()
 		key = strings.TrimPrefix(key, "sync/")
@@ -52,8 +52,8 @@ func synthReport(fp perfdb.Fingerprint, ns map[string]int64, allocs map[string]i
 }
 
 var synthNs = map[string]int64{
-	"h=2/auto": 21000, "h=2/unopt": 37000, "h=2/comp-static": 48000, "h=2/comp-adaptive": 49000,
-	"h=8/auto": 90000, "h=8/unopt": 160000, "h=8/comp-static": 200000, "h=8/comp-adaptive": 205000,
+	"h=2/auto": 21000, "h=2/unopt": 37000, "h=2/dense": 30000,
+	"h=8/auto": 90000, "h=8/unopt": 160000, "h=8/dense": 130000,
 }
 
 func scaleNs(ns map[string]int64, num, den int64) map[string]int64 {
@@ -98,7 +98,7 @@ func TestCompareSyncRatiosOptRegression(t *testing.T) {
 	if !strings.Contains(err.Error(), "hosts=2 auto") {
 		t.Fatalf("violation does not name the tier: %v", err)
 	}
-	if strings.Contains(err.Error(), "comp-static") {
+	if strings.Contains(err.Error(), "dense") {
 		t.Fatalf("unregressed tier flagged: %v", err)
 	}
 	drift := synthReport(fp, scaleNs(synthNs, 110, 100), nil)
@@ -119,6 +119,29 @@ func TestCompareSyncRatiosAllocsHardFail(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "hosts=8 unopt") || !strings.Contains(err.Error(), "allocs/op") {
 		t.Fatalf("alloc violation not pinned: %v", err)
+	}
+}
+
+// TestCompareSyncRatiosAllocsKeyedByWidth: allocs/op of a sync grow with the
+// scheduler width, so against a baseline pinned at another GOMAXPROCS the
+// alloc comparison is skipped — the ratio gate is not.
+func TestCompareSyncRatiosAllocsKeyedByWidth(t *testing.T) {
+	pin := perfdb.Fingerprint{CPUModel: "Old Xeon", Cores: 2, GOMAXPROCS: 1, GoVersion: "go1.24.0", OS: "linux", Arch: "amd64"}
+	wide := pin
+	wide.GOMAXPROCS = 2
+	base := synthReport(pin, synthNs, map[string]int64{"h=8/auto": 130, "h=8/unopt": 130})
+	wider := map[string]int64{"h=8/auto": 178, "h=8/unopt": 178}
+	if err := CompareSyncRatios(base, synthReport(wide, synthNs, wider), 0.05); err != nil {
+		t.Fatalf("allocs gated against a pin taken at another GOMAXPROCS: %v", err)
+	}
+	if err := CompareSyncRatios(base, synthReport(pin, synthNs, wider), 0.05); err == nil {
+		t.Fatal("alloc growth at the pin's own GOMAXPROCS passed")
+	}
+	slow := scaleNs(synthNs, 1, 1)
+	slow["h=8/auto"] = slow["h=8/auto"] * 130 / 100
+	err := CompareSyncRatios(base, synthReport(wide, slow, wider), 0.05)
+	if err == nil || !strings.Contains(err.Error(), "hosts=8 auto") || strings.Contains(err.Error(), "allocs/op") {
+		t.Fatalf("ratio regression at another width: got %v, want hosts=8 auto flagged on ratio alone", err)
 	}
 }
 
@@ -154,7 +177,7 @@ func TestCompareSyncRatiosNoiseWidening(t *testing.T) {
 func TestReportRecordRoundTrip(t *testing.T) {
 	fp := perfdb.Probe()
 	rep := synthReport(fp, synthNs, nil)
-	rep.Comm = &perfdb.Comm{BytesPerRound: 2048, CompressionRatio: 1.4, InvariantSkipShare: 0.33}
+	rep.Comm = &perfdb.Comm{BytesPerRound: 2048, InvariantSkipShare: 0.33}
 	rec := rep.Record("sync-bench")
 	if rec.Graph != rep.Graph || rec.Workers != rep.Workers || len(rec.Benchmarks) != len(rep.Results) {
 		t.Fatalf("record header mismatch: %+v", rec)
@@ -183,7 +206,7 @@ func TestReportRecordRoundTrip(t *testing.T) {
 }
 
 // TestCommProbe: the traced probe yields live counters — nonzero
-// bytes/round, compression ratio ≥ 1, and the deliberate silent rounds
+// bytes/round and the deliberate silent rounds
 // (every third) surfacing as a nonzero invariant-skip share.
 func TestCommProbe(t *testing.T) {
 	p := TestParams()
@@ -193,9 +216,6 @@ func TestCommProbe(t *testing.T) {
 	}
 	if c.BytesPerRound <= 0 {
 		t.Fatalf("bytes/round = %v, want > 0", c.BytesPerRound)
-	}
-	if c.CompressionRatio < 1 {
-		t.Fatalf("compression ratio = %v, want >= 1", c.CompressionRatio)
 	}
 	// 2 silent rounds of 6; allow slack for round attribution at the edges
 	// but the share must be clearly nonzero.

@@ -138,7 +138,7 @@ func TestCriticalPathGoldenRun(t *testing.T) {
 	if l.Messages != syncMsgs {
 		t.Errorf("ledger messages = %d, trace has %d round-tagged encodes", l.Messages, syncMsgs)
 	}
-	if got := l.ShippedBytes + l.CompressionSavedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes; got != l.BaselineBytes {
+	if got := l.ShippedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes; got != l.BaselineBytes {
 		t.Errorf("ledger does not decompose: %d != baseline %d", got, l.BaselineBytes)
 	}
 	if l.BaselineBytes < l.ShippedBytes {

@@ -24,7 +24,7 @@ func TestRandomizedConfigurations(t *testing.T) {
 		gluon.Opt(),
 		gluon.Unopt(),
 		{StructuralInvariants: true},
-		{TemporalInvariance: true, Compress: gluon.CompressAbove(64)},
+		{TemporalInvariance: true},
 		{TemporalInvariance: true, ForceEncoding: gluon.EncodingBitvec},
 	}
 	// Simple deterministic LCG over the corpus index.

@@ -88,7 +88,7 @@ func BenchmarkDecode(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	ps := &peerScratch{}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeMsg[uint32](g, payload, order, ps); err != nil {
+		if _, _, err := decodeBody[uint32](g, payload, order, ps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"gluon/internal/bitset"
-	"gluon/internal/comm"
 	"gluon/internal/fields"
 	"gluon/internal/partition"
 )
@@ -187,7 +186,7 @@ func newDecodeFixture(tb testing.TB) decodeFixture {
 	return decodeFixture{g, order}
 }
 
-// messages encodes one uncompressed message per mode — empty, dense,
+// messages encodes one message per mode — empty, dense,
 // bitvec, indices, gid-pairs — with vals(lid) at lids 21 and 300.
 func messages[V Value](f decodeFixture, vals func(lid uint32) V) [][]byte {
 	some := bitset.New(f.g.Part.NumProxies())
@@ -288,8 +287,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 // agree on them — same verdict, same (lid, value) sequence on accept,
 // nothing handed back on reject — and decoding never panics or names a lid
 // outside the order (outside the local proxies, for the order-free
-// gid-pairs format). Seeds: one valid message per mode, and a compressed
-// wrapper.
+// gid-pairs format). Seeds: one valid message per mode.
 func FuzzDecodeBody(f *testing.F) {
 	fx := newDecodeFixture(f)
 	g, order := fx.g, fx.order
@@ -301,23 +299,8 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, m := range messages(fx, src) {
 		f.Add(m)
 	}
-	wrapped := Opt()
-	wrapped.Compress = CompressAbove(0)
-	g.Opt = wrapped
-	payload, _, ms := encodeMsg(g, order, bitset.NewOrderMask(order), nil, extractFunc[uint32](src), &encodeScratch{})
-	hdr, body := g.maybeCompress(1, payload, &encodeScratch{}, &ms)
-	if hdr == nil {
-		f.Fatal("fixture: the dense seed did not compress")
-	}
-	f.Add(append(bytes.Clone(hdr), body...))
-	g.Opt = Opt()
-
 	ps := &peerScratch{}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		body, pooled, err := maybeDecompress(data)
-		if err != nil {
-			return
-		}
+	f.Fuzz(func(t *testing.T, body []byte) {
 		if d := diffDecode[uint32](g, body, order, ps); d != "" {
 			t.Fatal(d)
 		}
@@ -327,9 +310,6 @@ func FuzzDecodeBody(f *testing.F) {
 			if !inOrder[lid] && !(gidPairs && lid < g.Part.NumProxies()) {
 				t.Fatalf("decoded lid %d, which is not in the order", lid)
 			}
-		}
-		if pooled {
-			comm.PutBuf(body)
 		}
 	})
 }

@@ -62,15 +62,6 @@ type Options struct {
 	// per-message choice (ablation of §4.2; ignored when
 	// TemporalInvariance is off). Empty messages are always sent as such.
 	ForceEncoding Encoding
-	// Compress, when non-nil, is the policy that decides per message
-	// whether to wrap it in deterministic DEFLATE compression — the paper's
-	// §4.2 notes "other compression or encoding techniques could be used to
-	// represent the bit-vector as long as they are deterministic".
-	// Compression trades CPU for volume; worthwhile on slow links.
-	// CompressAbove(n) is the static size threshold,
-	// autotune.NewCompressTuner the adaptive per-field policy. Ignored when
-	// TemporalInvariance is off.
-	Compress CompressPolicy
 	// SyncWorkers caps how many goroutines encode per-peer sync messages
 	// in parallel (0 = one per CPU, 1 = serial encoding). Message bytes
 	// are identical at any setting; only time changes.

@@ -3,6 +3,7 @@ package gluon
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -356,7 +357,8 @@ func TestUnoptUsesGIDPairs(t *testing.T) {
 func TestDecodeRejectsCorruptMessages(t *testing.T) {
 	g := fakeGluon(t, Opt())
 	order := []uint32{0, 1, 2, 3}
-	apply := func(lid, v uint32) {}
+	applied := 0
+	apply := func(lid, v uint32) { applied++ }
 	cases := [][]byte{
 		{},                        // empty payload
 		{99},                      // unknown mode
@@ -370,6 +372,12 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 			t.Errorf("case %d: corrupt payload accepted", i)
 		}
 	}
+	// Mode byte 5 was the DEFLATE wrapper of older builds
+	// ([5][uncompressed length uint32][stream]); it is no longer a mode.
+	old := []byte{5, 16, 0, 0, 0, 0x63, 0x60, 0x80, 0x01, 0x00}
+	if err := decodeEach(g, old, order, apply); err == nil || !strings.Contains(err.Error(), "unknown message mode 5") {
+		t.Errorf("mode-5 message: error %v, want unknown message mode 5", err)
+	}
 	// Indices out of range.
 	payload, _ := encodeForTest(g, order, func() *bitset.Bitset {
 		b := bitset.New(g.Part.NumProxies())
@@ -381,6 +389,9 @@ func TestDecodeRejectsCorruptMessages(t *testing.T) {
 		if err := decodeEach(g, payload, order, apply); err == nil {
 			t.Error("out-of-range index accepted")
 		}
+	}
+	if applied != 0 {
+		t.Errorf("%d values applied from rejected messages", applied)
 	}
 }
 
@@ -501,7 +512,7 @@ func (f extractFunc[V]) Extract(lids []uint32, dst []V) {
 // decodeEach decodes payload the way the receive loop does and hands fn the
 // (lid, value) pairs in wire order; nothing is handed over on an error.
 func decodeEach[V Value](g *Gluon, payload []byte, order []uint32, fn func(lid uint32, v V)) error {
-	lids, vals, err := decodeMsg[V](g, payload, order, &peerScratch{})
+	lids, vals, err := decodeBody[V](g, payload, order, &peerScratch{})
 	for i, lid := range lids {
 		fn(lid, vals[i])
 	}

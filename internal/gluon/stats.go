@@ -1,10 +1,6 @@
 package gluon
 
-import (
-	"time"
-
-	"gluon/internal/trace"
-)
+import "time"
 
 // Stats counts this host's substrate traffic, split the way the paper's
 // Figure 10 reports it: value payload versus metadata (bit-vectors, index
@@ -37,26 +33,15 @@ type Stats struct {
 	// MemoProxies is the total number of (mirror + master) entries in the
 	// memoized exchange orders — the one-time memory overhead of §4.1.
 	MemoProxies uint64
-	// CompressedMessages counts messages shipped through the optional
-	// DEFLATE wrapper; CompressionSaved is the wire bytes it removed.
-	CompressedMessages uint64
-	CompressionSaved   uint64
-	// CompressSkipped counts messages that went uncompressed while
-	// compression was enabled: declined by the CompressPolicy, or attempted
-	// but incompressible.
-	CompressSkipped uint64
 }
 
-// msgStats is the accounting record of one encoded message: encodeMsg fills
-// the mode and byte split, maybeCompress then moves the bytes DEFLATE saved
-// out of the split and sets the compression outcome. It is the only source
-// of both the Stats counters (addMsg) and the encode trace span's tags, so
-// trace sums reproduce Stats exactly.
+// msgStats is the accounting record of one encoded message: its mode and
+// byte split, filled by encodeMsg. It is the only source of both the Stats
+// counters (addMsg) and the encode trace span's tags, so trace sums
+// reproduce Stats exactly.
 type msgStats struct {
 	mode             byte
-	value, meta, gid uint64 // wire bytes by kind, post-compression
-	comp             int8   // trace.CompNone / CompShipped / CompSkipped
-	saved            uint64 // bytes DEFLATE removed from the wire
+	value, meta, gid uint64 // wire bytes by kind
 }
 
 // addMsg counts one sent message.
@@ -66,13 +51,6 @@ func (s *Stats) addMsg(m *msgStats) {
 	s.ValueBytes += m.value
 	s.MetadataBytes += m.meta
 	s.GIDBytes += m.gid
-	switch m.comp {
-	case trace.CompShipped:
-		s.CompressedMessages++
-		s.CompressionSaved += m.saved
-	case trace.CompSkipped:
-		s.CompressSkipped++
-	}
 }
 
 // BytesSent returns total field-sync payload bytes.
@@ -90,8 +68,5 @@ func (s Stats) Add(other Stats) Stats {
 	}
 	s.TimeInSync += other.TimeInSync
 	s.MemoProxies += other.MemoProxies
-	s.CompressedMessages += other.CompressedMessages
-	s.CompressionSaved += other.CompressionSaved
-	s.CompressSkipped += other.CompressSkipped
 	return s
 }

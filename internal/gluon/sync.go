@@ -118,9 +118,9 @@ func (g *Gluon) broadcastTag(fieldID uint32) comm.Tag {
 // next frontier. A nil updated means "assume everything changed".
 //
 // Both phases are pipelined: per-peer messages are encoded by parallel
-// workers (Options.SyncWorkers) into pooled buffers, and received messages
-// are applied in arrival order (Transport.RecvAny), so one slow link never
-// idles the host. Neither changes what is sent: per-peer payload bytes and
+// workers (Options.SyncWorkers) into pooled buffers while the receive loop
+// applies what has arrived — broadcast in arrival order, reduce in ascending
+// sender rank. Neither changes what is sent: per-peer payload bytes and
 // encoding-mode choices are identical to a serial, fixed-order sync.
 func Sync[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 	if f.Reduce != nil {
@@ -159,7 +159,7 @@ type phase[V Value] struct {
 	// peers, and order-sensitive reductions (floating-point sums) must fold
 	// them in the same sequence every run to keep later rounds' payload
 	// bytes deterministic. A broadcast value has exactly one sender — the
-	// owner — so arrival order cannot show and nothing is ever parked.
+	// owner — so arrival order cannot show.
 	ordered bool
 	applied trace.Phase // PhaseFold / PhaseApply: the span of one applied message
 }
@@ -224,7 +224,7 @@ func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, struct
 }
 
 // runPhase is the one sync pipeline: peer lists → parallel encode → send →
-// any-order receive → decode → apply, for whichever direction ph describes.
+// receive → decode → apply, for whichever direction ph describes.
 func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	g.syncBegin()
 	rec := g.rec
@@ -247,9 +247,9 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	// Encoding fans out across workers. Reduce sends per-peer mirror sets,
 	// which are disjoint, so encode and Reset for different peers touch
 	// disjoint lids, and updated is read and cleared a word at a time,
-	// atomically; broadcast's master orders overlap, but it only reads them. Sends run off the receive path
-	// so that large bidirectional exchanges cannot deadlock on transport
-	// buffering.
+	// atomically; broadcast's master orders overlap, but it only reads them.
+	// Sends run off the receive path so that large bidirectional exchanges
+	// cannot deadlock on transport buffering.
 	sendErr := ps.errChan()
 	g.sendWG.Add(1)
 	go func() {
@@ -268,12 +268,11 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 					t0 = rec.Now()
 				}
 				payload, sent, ms := encodeMsg(g, ph.send.lists[h], ph.send.masks[h], updated, src, sc)
-				hdr, payload := g.maybeCompress(ph.field, payload, sc, &ms)
 				st.addMsg(&ms)
 				if tr {
 					rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
 						Peer: int32(h), Field: ph.field, Lane: lane, Mode: int8(ms.mode),
-						Value: ms.value, Meta: ms.meta, GID: ms.gid, Comp: ms.comp, Saved: ms.saved})
+						Value: ms.value, Meta: ms.meta, GID: ms.gid})
 				}
 				if ph.reduce != nil {
 					// What was shipped is every updated member of the order,
@@ -286,15 +285,7 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 				if tr {
 					t0 = rec.Now()
 				}
-				// The vectored path when compression produced a separate
-				// wrapper header, the plain path otherwise.
-				var err error
-				if hdr == nil {
-					err = g.T.Send(h, ph.tag, payload)
-				} else {
-					err = g.T.SendVec(h, ph.tag, hdr, payload)
-				}
-				if err != nil {
+				if err := g.T.Send(h, ph.tag, payload); err != nil {
 					return fmt.Errorf("gluon: %s %s to host %d: %w", ph.word, ph.name, h, err)
 				}
 				if tr {
@@ -306,25 +297,23 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 		})
 	}()
 
-	// Messages are received in arrival order. One whose turn has come (any
-	// message, unless ph.ordered) is decoded out of its receive buffer into
-	// the scratch's (lids, values) pair — checked as a whole first, so a
-	// malformed message applies nothing — and handed to the spec in one
-	// call: the copy is a sequential pass over bytes already in cache, and
-	// it buys the spec a typed loop instead of a call chain per value. One
-	// that arrives ahead of its turn is decompressed (so the CPU work
-	// overlaps waiting on slower links) and parked as raw wire bytes; its
-	// decode and apply run once its predecessors are in.
+	// A broadcast applies messages in arrival order; an ordered phase asks
+	// for them one sender at a time, in ascending rank. Receiving in order
+	// loses nothing to waiting: an early arrival sits in the transport's
+	// per-(sender, tag) mailbox, which is the queue, until its turn. Each
+	// message is decoded out of its receive buffer into the scratch's (lids,
+	// values) pair — checked as a whole first, so a malformed message applies
+	// nothing — and handed to the spec in one call: the copy is a sequential
+	// pass over bytes already in cache, and it buys the spec a typed loop
+	// instead of a call chain per value.
 	remaining := append(ps.rem[:0], recvPeers...)
 	ps.rem = remaining
-	stages := ps.hostStages(g.NumHosts())
-	fail := func(h int, err error) error {
-		releaseStages(stages)
-		return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
-	}
-	next := 0 // index into recvPeers of the next host to fold, when ordered
 	defer trace.LabelPhase(ph.applied)()
 	for len(remaining) > 0 {
+		from := remaining
+		if ph.ordered {
+			from = remaining[:1] // recvPeers ascends and removePeer keeps order
+		}
 		var t0 int64
 		if tr {
 			t0 = rec.Now()
@@ -333,10 +322,10 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 		// alloc-free); they let the watchdog tell a host blocked waiting on a
 		// peer (a victim) from one still producing (a suspect).
 		rec.SetLivePhase(trace.PhaseRecvWait)
-		h, payload, err := g.T.RecvAny(ph.tag, remaining)
+		h, payload, err := g.T.RecvAny(ph.tag, from)
 		rec.SetLivePhase(ph.applied)
 		if err != nil {
-			return fail(h, err)
+			return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
 		}
 		if tr {
 			rec.Emit(trace.Event{Phase: trace.PhaseRecvWait, Start: t0, Dur: rec.Now() - t0,
@@ -344,68 +333,22 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 			t0 = rec.Now()
 		}
 		remaining = removePeer(remaining, h)
-		detail := ""
-		if !ph.ordered || h == recvPeers[next] {
-			var lids []uint32
-			var vals []V
-			if lids, vals, err = decodeMsg[V](g, payload, ph.recv.lists[h], ps); err == nil {
-				ph.apply(lids, vals, updated)
-			}
-			comm.PutBuf(payload)
-			next++
-		} else {
-			var pooled bool
-			stages[h], pooled, err = maybeDecompress(payload)
-			if pooled || err != nil {
-				comm.PutBuf(payload)
-			}
-			detail = "stage"
-		}
+		lids, vals, err := decodeBody[V](g, payload, ph.recv.lists[h], ps)
 		if err != nil {
+			comm.PutBuf(payload)
 			g.dumpInvariant(h, err)
-			return fail(h, err)
+			return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
 		}
+		ph.apply(lids, vals, updated)
+		comm.PutBuf(payload)
 		if tr {
 			rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: ph.field, Detail: detail})
-		}
-		// Whatever is now unblocked folds while later messages are in flight.
-		for ; next < len(recvPeers) && stages[recvPeers[next]] != nil; next++ {
-			hp := recvPeers[next]
-			body := stages[hp]
-			stages[hp] = nil
-			if tr {
-				t0 = rec.Now()
-			}
-			lids, vals, err := decodeBody[V](g, body, ph.recv.lists[hp], ps)
-			comm.PutBuf(body)
-			if err != nil {
-				g.dumpInvariant(hp, err)
-				return fail(hp, err)
-			}
-			ph.apply(lids, vals, updated)
-			if tr {
-				rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
-					Peer: int32(hp), Field: ph.field, Detail: "unstage"})
-			}
+				Peer: int32(h), Field: ph.field})
 		}
 	}
 	err := <-sendErr
 	putPeerScratch(ps) // not pooled on the error returns above: senders may still hold the lists
 	return err
-}
-
-// releaseStages returns parked out-of-order receive buffers to the pool.
-// The receive loop's error paths deliberately do not pool the scratch
-// itself (the send goroutine may still hold its lists), but the staged
-// wire bytes are owned solely by the loop and would otherwise leak.
-func releaseStages(stages [][]byte) {
-	for i, b := range stages {
-		if b != nil {
-			comm.PutBuf(b)
-			stages[i] = nil
-		}
-	}
 }
 
 // peerLists fills the scratch with the peers this sync sends to and
@@ -427,13 +370,12 @@ func (ps *peerScratch) peerLists(hosts, me int, send, recv *orderSet) (sendPeers
 	return sendPeers, recvPeers
 }
 
-// removePeer deletes h from peers in place (order is irrelevant: RecvAny
-// matches the set, not a sequence).
+// removePeer deletes h from peers in place, keeping the rest in order (an
+// ordered phase reads its next sender off the front).
 func removePeer(peers []int, h int) []int {
 	for i, p := range peers {
 		if p == h {
-			peers[i] = peers[len(peers)-1]
-			return peers[:len(peers)-1]
+			return append(peers[:i], peers[i+1:]...)
 		}
 	}
 	return peers
@@ -555,23 +497,7 @@ func encodeMsg[V Value](g *Gluon, order []uint32, mask *bitset.OrderMask, update
 	return payload, sent, ms
 }
 
-// decodeMsg decodes one received field-sync message, compressed or not,
-// as decodeBody does. The input payload is not consumed — its owner
-// releases it — but any decompression buffer decodeMsg creates is pooled
-// internally (the result lives in ps, not in the message bytes).
-func decodeMsg[V Value](g *Gluon, payload []byte, order []uint32, ps *peerScratch) (lids []uint32, vals []V, err error) {
-	body, pooled, err := maybeDecompress(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	lids, vals, err = decodeBody[V](g, body, order, ps)
-	if pooled {
-		comm.PutBuf(body)
-	}
-	return lids, vals, err
-}
-
-// decodeBody turns one uncompressed message into the local IDs it updates
+// decodeBody turns one received message into the local IDs it updates
 // (resolved through the memoized order, or through global-ID translation
 // for modeGIDs messages) and their values, in wire order. The whole message
 // is validated before anything is returned, so the caller applies all of a

@@ -50,8 +50,6 @@ type BenchResult struct {
 type Comm struct {
 	// BytesPerRound is shipped wire bytes per attributed BSP round.
 	BytesPerRound float64 `json:"bytes_per_round"`
-	// CompressionRatio is raw/shipped (1 = compression saved nothing).
-	CompressionRatio float64 `json:"compression_ratio"`
 	// InvariantSkipShare is the fraction of channel-rounds that shipped
 	// nothing (temporal invariance / empty updates), in [0,1].
 	InvariantSkipShare float64 `json:"invariant_skip_share"`

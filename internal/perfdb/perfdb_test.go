@@ -17,7 +17,7 @@ func testRecord(fp Fingerprint, t0 time.Time, nsAuto, nsUnopt int64) *Record {
 			{Name: "sync/h=2/auto", Hosts: 2, Encoding: "auto", NsPerOp: nsAuto, AllocsPerOp: 26, NoiseNs: nsAuto / 100, Reps: 8},
 			{Name: "sync/h=2/unopt", Hosts: 2, Encoding: "unopt", NsPerOp: nsUnopt, AllocsPerOp: 30, NoiseNs: nsUnopt / 100, Reps: 8},
 		},
-		Comm: &Comm{BytesPerRound: 2048, CompressionRatio: 1.4, InvariantSkipShare: 0.33},
+		Comm: &Comm{BytesPerRound: 2048, InvariantSkipShare: 0.33},
 	}
 }
 
@@ -192,5 +192,27 @@ func TestLatest(t *testing.T) {
 	}
 	if _, err := Latest(recs, "nope", ""); err != ErrEmpty {
 		t.Fatalf("Latest(nope) err = %v, want ErrEmpty", err)
+	}
+}
+
+// TestReadKeepsOlderLines: a line written before the DEFLATE tier left the
+// substrate — comp-* benchmark rows, a comm.compression_ratio key — still
+// loads: the row names are data and the key is ignored.
+func TestReadKeepsOlderLines(t *testing.T) {
+	const old = `{"schema":1,"time":"2026-08-08T20:54:19Z","label":"sync-bench","fp":"bf68d75a39bd","graph":"rmat scale=12 ef=8 seed=7 cvc","benchmarks":[{"name":"sync/h=2/auto","hosts":2,"encoding":"auto","ns_per_op":20617},{"name":"sync/h=2/comp-static","hosts":2,"encoding":"comp-static","ns_per_op":49214}],"comm":{"bytes_per_round":191.5,"compression_ratio":6.7,"invariant_skip_share":0.33}}` + "\n"
+	path := filepath.Join(t.TempDir(), "db.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := Read(path)
+	if err != nil || skipped != 0 || len(recs) != 1 {
+		t.Fatalf("Read = %d records, %d skipped, err %v; want 1, 0, nil", len(recs), skipped, err)
+	}
+	r := recs[0]
+	if len(r.Benchmarks) != 2 || r.Benchmarks[1].Encoding != "comp-static" {
+		t.Errorf("benchmarks = %+v, want both rows kept", r.Benchmarks)
+	}
+	if r.Comm == nil || r.Comm.BytesPerRound != 191.5 || r.Comm.InvariantSkipShare != 0.33 {
+		t.Errorf("comm = %+v, want bytes/round 191.5 and skip share 0.33", r.Comm)
 	}
 }

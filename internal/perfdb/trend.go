@@ -281,8 +281,8 @@ func WriteTrends(w io.Writer, recs []Record, window int) error {
 			}
 		}
 		if comm := latestComm(recs, fp); comm != nil {
-			fmt.Fprintf(w, "  comm: %.0f bytes/round, compression %.2fx, invariant skips %.0f%%\n",
-				comm.BytesPerRound, comm.CompressionRatio, 100*comm.InvariantSkipShare)
+			fmt.Fprintf(w, "  comm: %.0f bytes/round, invariant skips %.0f%%\n",
+				comm.BytesPerRound, 100*comm.InvariantSkipShare)
 		}
 	}
 	return nil

@@ -164,7 +164,7 @@ func TestSparkline(t *testing.T) {
 func TestWriteTrendsSmoke(t *testing.T) {
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	recs := synthHistory(fpOld, t0, 5, map[string]int64{"sync/h=2/auto": 21000, "sync/h=2/unopt": 37000})
-	recs[len(recs)-1].Comm = &Comm{BytesPerRound: 2048, CompressionRatio: 1.4, InvariantSkipShare: 0.33}
+	recs[len(recs)-1].Comm = &Comm{BytesPerRound: 2048, InvariantSkipShare: 0.33}
 	recs = append(recs, synthHistory(fpNew, t0.Add(240*time.Hour), 2, map[string]int64{"sync/h=2/auto": 10500})...)
 	var sb strings.Builder
 	if err := WriteTrends(&sb, recs, 8); err != nil {

@@ -33,12 +33,6 @@ type Summary struct {
 	ValueBytes uint64 `json:"value_bytes"`
 	MetaBytes  uint64 `json:"metadata_bytes"`
 	GIDBytes   uint64 `json:"gid_bytes"`
-	// Compressed/CompressSkipped split the messages the compression stage
-	// considered (Comp tags on encode events); CompressionSaved is the wire
-	// bytes the DEFLATE wrapper removed.
-	Compressed       uint64 `json:"compressed_messages,omitempty"`
-	CompressSkipped  uint64 `json:"compress_skipped,omitempty"`
-	CompressionSaved uint64 `json:"compression_saved_bytes,omitempty"`
 
 	Rounds []RoundStat      `json:"rounds"`
 	Phases []PhaseStat      `json:"phases"`
@@ -93,10 +87,6 @@ func (s *Summary) WriteTables(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "totals: %d messages, %s (value %s / metadata %s / gids %s)\n",
 		s.Messages, FmtBytes(s.TotalBytes()), FmtBytes(s.ValueBytes), FmtBytes(s.MetaBytes), FmtBytes(s.GIDBytes))
-	if s.Compressed > 0 || s.CompressSkipped > 0 {
-		fmt.Fprintf(w, "compression: %d shipped compressed / %d raw, %s saved on the wire\n",
-			s.Compressed, s.CompressSkipped, FmtBytes(s.CompressionSaved))
-	}
 	if len(s.Clocks) > 0 {
 		fmt.Fprint(w, "clock offsets (applied at merge):")
 		for _, ci := range s.Clocks {

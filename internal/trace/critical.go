@@ -29,12 +29,11 @@ package trace
 // The optimization-effectiveness ledger models what the paper's Figure 10
 // measures between configurations, from one run's trace alone: for every
 // directed (sender, peer, field) channel, the dense capacity is estimated
-// as the largest single pre-compression message ever observed on it; a
-// naive substrate would broadcast that much on every channel every round.
-// The gap to the bytes actually shipped splits into compression savings
-// (the Saved tags), update-mask sparsity (messages smaller than the channel
-// capacity), and invariant/empty-round skips (rounds where a known channel
-// shipped nothing). Channels eliminated *entirely* by structural invariants
+// as the largest single message ever observed on it; a naive substrate
+// would broadcast that much on every channel every round. The gap to the
+// bytes actually shipped splits into update-mask sparsity (messages smaller
+// than the channel capacity) and invariant/empty-round skips (rounds where
+// a known channel shipped nothing). Channels eliminated *entirely* by structural invariants
 // never appear in a trace, so the model undercounts those — the caveat is
 // printed with the table.
 
@@ -240,14 +239,11 @@ type Ledger struct {
 	Rounds   int    `json:"rounds"`
 	Channels int    `json:"channels"`
 	Messages uint64 `json:"messages"`
-	// ShippedBytes went on the wire (post-compression); RawBytes is the
-	// pre-compression payload (Shipped + CompressionSaved).
+	// ShippedBytes went on the wire.
 	ShippedBytes uint64 `json:"shipped_bytes"`
-	RawBytes     uint64 `json:"raw_bytes"`
 	// BaselineBytes is the modeled naive volume: every channel shipping its
 	// dense capacity every round. The split below accounts the difference.
-	BaselineBytes         uint64 `json:"baseline_bytes"`
-	CompressionSavedBytes uint64 `json:"compression_saved_bytes"`
+	BaselineBytes uint64 `json:"baseline_bytes"`
 	// SparsitySavedBytes: messages smaller than their channel's capacity
 	// (update-mask sparsity and the bitvec/indices/gid encodings).
 	SparsitySavedBytes uint64 `json:"sparsity_saved_bytes"`
@@ -380,20 +376,17 @@ func (l *Ledger) WriteTable(w io.Writer) error {
 	row("saved by update sparsity", l.SparsitySavedBytes, "")
 	row("saved by invariant skips", l.InvariantSavedBytes,
 		fmt.Sprintf("   [%d silent channel-rounds]", l.SilentChannelRounds))
-	row("saved by compression", l.CompressionSavedBytes, "")
 	fmt.Fprintln(w, "  (channels structurally elided never appear in a trace; the model undercounts those)")
 	return nil
 }
 
 // CommCounters is the compact comm-volume summary a perf-history record
-// carries alongside its timings: the ledger distilled to three trajectory
+// carries alongside its timings: the ledger distilled to two trajectory
 // numbers, so `gluon-perf` can show whether a change moved bytes as well
 // as nanoseconds (DESIGN.md §4.9).
 type CommCounters struct {
 	// BytesPerRound is shipped wire bytes per attributed round.
 	BytesPerRound float64 `json:"bytes_per_round"`
-	// CompressionRatio is raw/shipped (1 = compression saved nothing).
-	CompressionRatio float64 `json:"compression_ratio"`
 	// InvariantSkipShare is the fraction of channel-rounds that shipped
 	// nothing, in [0,1].
 	InvariantSkipShare float64 `json:"invariant_skip_share"`
@@ -404,9 +397,6 @@ func (l *Ledger) Counters() CommCounters {
 	var c CommCounters
 	if l.Rounds > 0 {
 		c.BytesPerRound = float64(l.ShippedBytes) / float64(l.Rounds)
-	}
-	if l.ShippedBytes > 0 {
-		c.CompressionRatio = float64(l.RawBytes) / float64(l.ShippedBytes)
 	}
 	if cr := uint64(l.Channels) * uint64(l.Rounds); cr > 0 {
 		c.InvariantSkipShare = float64(l.SilentChannelRounds) / float64(cr)

@@ -21,7 +21,6 @@ type synthRound struct {
 	// one encode message host -> peer with these byte tags
 	peer  int32
 	value uint64
-	saved uint64
 }
 
 func (s synthRound) events() []Event {
@@ -38,10 +37,7 @@ func (s synthRound) events() []Event {
 		}
 		e := Event{Start: u, Dur: dur, Host: s.host, Round: s.round, Phase: ph, Peer: s.peer, Lane: lane}
 		if ph == PhaseEncode {
-			e.Value, e.Saved, e.Mode = s.value, s.saved, 1
-			if s.saved > 0 {
-				e.Comp = CompShipped
-			}
+			e.Value, e.Mode = s.value, 1
 		}
 		ev = append(ev, e)
 		u += dur
@@ -62,13 +58,13 @@ func (s synthRound) events() []Event {
 func goldenTimeline() []Event {
 	rounds := []synthRound{
 		// round 0: everyone [0, 1000]
-		{host: 0, round: 0, start: 0, compute: 100, encode: 20, wire: 10, recvwait: 10, fold: 5, apply: 5, barrier: 850, peer: 1, value: 200, saved: 0},
-		{host: 1, round: 0, start: 0, compute: 600, encode: 40, wire: 20, recvwait: 20, fold: 10, apply: 10, barrier: 300, peer: 2, value: 150, saved: 50},
-		{host: 2, round: 0, start: 0, compute: 200, encode: 50, wire: 30, recvwait: 500, fold: 80, apply: 40, barrier: 100, peer: 0, value: 100, saved: 0},
+		{host: 0, round: 0, start: 0, compute: 100, encode: 20, wire: 10, recvwait: 10, fold: 5, apply: 5, barrier: 850, peer: 1, value: 200},
+		{host: 1, round: 0, start: 0, compute: 600, encode: 40, wire: 20, recvwait: 20, fold: 10, apply: 10, barrier: 300, peer: 2, value: 150},
+		{host: 2, round: 0, start: 0, compute: 200, encode: 50, wire: 30, recvwait: 500, fold: 80, apply: 40, barrier: 100, peer: 0, value: 100},
 		// round 1: everyone [1000, 2000]
-		{host: 0, round: 1, start: 1000, compute: 800, encode: 30, wire: 20, recvwait: 30, fold: 10, apply: 10, barrier: 100, peer: 1, value: 120, saved: 0},
-		{host: 1, round: 1, start: 1000, compute: 100, encode: 20, wire: 10, recvwait: 10, fold: 5, apply: 5, barrier: 850, peer: 2, value: 80, saved: 0},
-		{host: 2, round: 1, start: 1000, compute: 300, encode: 40, wire: 20, recvwait: 20, fold: 10, apply: 10, barrier: 600, peer: 0, value: 60, saved: 0},
+		{host: 0, round: 1, start: 1000, compute: 800, encode: 30, wire: 20, recvwait: 30, fold: 10, apply: 10, barrier: 100, peer: 1, value: 120},
+		{host: 1, round: 1, start: 1000, compute: 100, encode: 20, wire: 10, recvwait: 10, fold: 5, apply: 5, barrier: 850, peer: 2, value: 80},
+		{host: 2, round: 1, start: 1000, compute: 300, encode: 40, wire: 20, recvwait: 20, fold: 10, apply: 10, barrier: 600, peer: 0, value: 60},
 	}
 	var ev []Event
 	for _, r := range rounds {
@@ -136,7 +132,7 @@ func TestCriticalPathGolden(t *testing.T) {
 
 // TestCriticalLedgerModel pins the naive-broadcast decomposition: with every
 // channel's capacity known, baseline == capacity × rounds summed over
-// channels, and shipped + compression + sparsity + invariant == baseline.
+// channels, and shipped + sparsity + invariant == baseline.
 func TestCriticalLedgerModel(t *testing.T) {
 	cp := ComputeCriticalPath(Meta{}, goldenTimeline())
 	l := cp.Ledger
@@ -152,20 +148,17 @@ func TestCriticalLedgerModel(t *testing.T) {
 	if l.ShippedBytes != wantShipped {
 		t.Fatalf("shipped = %d, want %d", l.ShippedBytes, wantShipped)
 	}
-	if l.CompressionSavedBytes != 50 {
-		t.Fatalf("compression saved = %d, want 50", l.CompressionSavedBytes)
-	}
-	// Capacities (max raw per channel): h0->1: max(200,120)=200; h1->2:
-	// max(150+50,80)=200; h2->0: max(100,60)=100. All channels present both
-	// rounds => no invariant savings; baseline = sum of caps × 2 rounds.
+	// Capacities (largest message per channel): h0->1: max(200,120)=200;
+	// h1->2: max(150,80)=150; h2->0: max(100,60)=100. All channels present
+	// both rounds => no invariant savings; baseline = sum of caps × 2 rounds.
 	if l.SilentChannelRounds != 0 || l.InvariantSavedBytes != 0 {
 		t.Fatalf("invariant = %d bytes / %d silent rounds, want 0/0", l.InvariantSavedBytes, l.SilentChannelRounds)
 	}
-	wantBaseline := uint64((200 + 200 + 100) * 2)
+	wantBaseline := uint64((200 + 150 + 100) * 2)
 	if l.BaselineBytes != wantBaseline {
 		t.Fatalf("baseline = %d, want %d (sum of caps × rounds)", l.BaselineBytes, wantBaseline)
 	}
-	if got := l.ShippedBytes + l.CompressionSavedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes; got != l.BaselineBytes {
+	if got := l.ShippedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes; got != l.BaselineBytes {
 		t.Fatalf("ledger does not decompose: %d != baseline %d", got, l.BaselineBytes)
 	}
 	if l.WireNsPerByte <= 0 {
@@ -279,7 +272,7 @@ func TestCriticalWriteTables(t *testing.T) {
 		"gating verdict:",
 		"optimization ledger",
 		"naive-broadcast baseline",
-		"saved by compression",
+		"saved by invariant skips",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tables missing %q:\n%s", want, out)
@@ -288,8 +281,7 @@ func TestCriticalWriteTables(t *testing.T) {
 }
 
 // TestLedgerCounters: the perf-history distillation of the ledger —
-// bytes/round, raw/shipped compression ratio, and the silent share over
-// channel-rounds — matches the golden timeline's hand-computed model.
+// bytes/round and the silent share over channel-rounds — matches the golden timeline's hand-computed model.
 func TestLedgerCounters(t *testing.T) {
 	ev := goldenTimeline()
 	// 4th channel h0 -> 2 (field 7) shipping only in round 0, as in the
@@ -301,10 +293,6 @@ func TestLedgerCounters(t *testing.T) {
 	wantBPR := float64(l.ShippedBytes) / 2
 	if c.BytesPerRound != wantBPR {
 		t.Fatalf("bytes/round = %v, want %v", c.BytesPerRound, wantBPR)
-	}
-	wantComp := float64(l.RawBytes) / float64(l.ShippedBytes)
-	if c.CompressionRatio != wantComp || c.CompressionRatio <= 1 {
-		t.Fatalf("compression ratio = %v, want %v (> 1)", c.CompressionRatio, wantComp)
 	}
 	// 4 channels × 2 rounds, 1 silent.
 	if want := 1.0 / 8.0; c.InvariantSkipShare != want {

@@ -110,8 +110,6 @@ type chromeArgs struct {
 	Peer   int32  `json:"peer"`
 	Field  uint32 `json:"field,omitempty"`
 	Mode   *int8  `json:"mode,omitempty"`
-	Comp   int8   `json:"comp,omitempty"`
-	Saved  uint64 `json:"saved,omitempty"`
 	Value  uint64 `json:"value,omitempty"`
 	Meta   uint64 `json:"meta,omitempty"`
 	GID    uint64 `json:"gid,omitempty"`
@@ -181,7 +179,7 @@ func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 			Ts:   float64(e.Start) / 1e3,
 			Pid:  e.Host,
 			Tid:  e.Lane,
-			Args: &chromeArgs{Round: e.Round, Peer: e.Peer, Field: e.Field, Value: e.Value, Meta: e.Meta, GID: e.GID, Comp: e.Comp, Saved: e.Saved, Detail: e.Detail},
+			Args: &chromeArgs{Round: e.Round, Peer: e.Peer, Field: e.Field, Value: e.Value, Meta: e.Meta, GID: e.GID, Detail: e.Detail},
 		}
 		if e.Phase == PhaseEncode {
 			m := e.Mode
@@ -288,7 +286,6 @@ func readChrome(data []byte) ([]Event, Meta, error) {
 		if ce.Args != nil {
 			e.Round, e.Peer, e.Field = ce.Args.Round, ce.Args.Peer, ce.Args.Field
 			e.Value, e.Meta, e.GID = ce.Args.Value, ce.Args.Meta, ce.Args.GID
-			e.Comp, e.Saved = ce.Args.Comp, ce.Args.Saved
 			e.Detail = ce.Args.Detail
 			if ce.Args.Mode != nil {
 				e.Mode = *ce.Args.Mode

@@ -40,20 +40,11 @@ func WritePrometheus(w io.Writer, s *LiveStats) error {
 	p("# TYPE gluon_sync_messages_total counter\n")
 	p("gluon_sync_messages_total %d\n", s.Messages)
 
-	p("# HELP gluon_sync_bytes_total Post-compression sync payload bytes by kind.\n")
+	p("# HELP gluon_sync_bytes_total Sync payload bytes by kind.\n")
 	p("# TYPE gluon_sync_bytes_total counter\n")
 	p("gluon_sync_bytes_total{kind=\"value\"} %d\n", s.ValueBytes)
 	p("gluon_sync_bytes_total{kind=\"metadata\"} %d\n", s.MetaBytes)
 	p("gluon_sync_bytes_total{kind=\"gid\"} %d\n", s.GIDBytes)
-
-	p("# HELP gluon_compress_messages_total Sync messages by compression outcome.\n")
-	p("# TYPE gluon_compress_messages_total counter\n")
-	p("gluon_compress_messages_total{outcome=\"compressed\"} %d\n", s.Compressed)
-	p("gluon_compress_messages_total{outcome=\"skipped\"} %d\n", s.CompressSkipped)
-
-	p("# HELP gluon_compression_saved_bytes_total Wire bytes removed by the DEFLATE wrapper.\n")
-	p("# TYPE gluon_compression_saved_bytes_total counter\n")
-	p("gluon_compression_saved_bytes_total %d\n", s.CompressionSaved)
 
 	var faults uint64
 	if ph, ok := s.Phases[PhaseFault.String()]; ok {

@@ -27,14 +27,13 @@ type Totals struct {
 	events   uint64
 	maxRound int32 // highest Round stamped on any event; -1 in noEvents
 	phases   [NumPhases]PhaseLive
-	// Byte, mode, compression and size-histogram tags count encode spans
+	// Byte, mode and size-histogram tags count encode spans
 	// only: their tags are Stats deltas, so the totals match the run's volume
 	// accounting. Other phases reuse Value for wire lengths, which would
 	// double-count.
-	value, meta, gid                  uint64
-	modes                             [NumModes]uint64
-	compressed, compSkipped, compSave uint64
-	msgHist                           [numMsgBuckets + 1]uint64 // last slot is the overflow (+Inf)
+	value, meta, gid uint64
+	modes            [NumModes]uint64
+	msgHist          [numMsgBuckets + 1]uint64 // last slot is the overflow (+Inf)
 }
 
 // noEvents is the Totals every fold and merge starts from: no round seen yet.
@@ -64,13 +63,6 @@ func (t *Totals) add(e *Event) {
 	if e.Mode >= 0 && e.Mode < NumModes {
 		t.modes[e.Mode]++
 	}
-	switch e.Comp {
-	case CompShipped:
-		t.compressed++
-		t.compSave += e.Saved
-	case CompSkipped:
-		t.compSkipped++
-	}
 }
 
 // merge adds o's counts into t.
@@ -87,9 +79,6 @@ func (t *Totals) merge(o *Totals) {
 	for m := range t.modes {
 		t.modes[m] += o.modes[m]
 	}
-	t.compressed += o.compressed
-	t.compSkipped += o.compSkipped
-	t.compSave += o.compSave
 	for i := range t.msgHist {
 		t.msgHist[i] += o.msgHist[i]
 	}
@@ -100,17 +89,14 @@ func (t *Totals) merge(o *Totals) {
 // latency) are the caller's to fill.
 func (t Totals) LiveStats() LiveStats {
 	s := LiveStats{
-		Events:           t.events,
-		MaxRound:         t.maxRound,
-		Messages:         t.phases[PhaseEncode].Count,
-		ValueBytes:       t.value,
-		MetaBytes:        t.meta,
-		GIDBytes:         t.gid,
-		Compressed:       t.compressed,
-		CompressSkipped:  t.compSkipped,
-		CompressionSaved: t.compSave,
-		Phases:           make(map[string]PhaseLive, NumPhases),
-		Modes:            make(map[string]uint64, NumModes),
+		Events:     t.events,
+		MaxRound:   t.maxRound,
+		Messages:   t.phases[PhaseEncode].Count,
+		ValueBytes: t.value,
+		MetaBytes:  t.meta,
+		GIDBytes:   t.gid,
+		Phases:     make(map[string]PhaseLive, NumPhases),
+		Modes:      make(map[string]uint64, NumModes),
 	}
 	for p, pl := range t.phases {
 		if pl.Count > 0 {
@@ -137,7 +123,6 @@ func (s *LiveStats) totals() Totals {
 	t := Totals{
 		events: s.Events, maxRound: s.MaxRound,
 		value: s.ValueBytes, meta: s.MetaBytes, gid: s.GIDBytes,
-		compressed: s.Compressed, compSkipped: s.CompressSkipped, compSave: s.CompressionSaved,
 	}
 	for p := range t.phases {
 		t.phases[p] = s.Phases[Phase(p).String()]
@@ -167,9 +152,7 @@ func histLive(counts []uint64, sum float64, count uint64, bound func(i int) floa
 type chanStat struct {
 	msgs      uint64
 	shipped   uint64
-	raw       uint64
-	saved     uint64
-	capacity  uint64 // largest single pre-compression message
+	capacity  uint64 // largest single message
 	present   int    // distinct rounds with >= 1 message
 	lastRound int32
 }
@@ -370,13 +353,9 @@ func (r *Rollup) channel(e *Event) {
 	if fresh {
 		cs.lastRound = -1
 	}
-	shipped := e.Bytes()
-	raw := shipped + e.Saved
 	cs.msgs++
-	cs.shipped += shipped
-	cs.raw += raw
-	cs.saved += e.Saved
-	cs.capacity = max(cs.capacity, raw)
+	cs.shipped += e.Bytes()
+	cs.capacity = max(cs.capacity, e.Bytes())
 	if e.Round != cs.lastRound {
 		cs.present++
 		cs.lastRound = e.Round
@@ -466,7 +445,6 @@ func (r *Rollup) Summary(meta Meta) *Summary {
 	s.WallNs = r.maxEnd - r.minStart
 	s.Messages = t.phases[PhaseEncode].Count
 	s.ValueBytes, s.MetaBytes, s.GIDBytes = t.value, t.meta, t.gid
-	s.Compressed, s.CompressSkipped, s.CompressionSaved = t.compressed, t.compSkipped, t.compSave
 	s.Modes = t.modes
 	for _, row := range r.rounds {
 		s.Rounds = append(s.Rounds, *row)
@@ -559,18 +537,13 @@ func (r *Rollup) ledger() Ledger {
 	for _, cs := range r.channels {
 		l.Messages += cs.msgs
 		l.ShippedBytes += cs.shipped
-		l.RawBytes += cs.raw
-		l.CompressionSavedBytes += cs.saved
-		if cs.capacity*cs.msgs > cs.raw {
-			l.SparsitySavedBytes += cs.capacity*cs.msgs - cs.raw
-		}
+		l.SparsitySavedBytes += cs.capacity*cs.msgs - cs.shipped
 		present := min(uint64(cs.present), rounds) // messages of rounds not yet closed
 		silent := rounds - present
 		l.SilentChannelRounds += silent
 		l.InvariantSavedBytes += silent * cs.capacity
 	}
-	l.BaselineBytes = l.ShippedBytes + l.CompressionSavedBytes +
-		l.SparsitySavedBytes + l.InvariantSavedBytes
+	l.BaselineBytes = l.ShippedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes
 	if sendNs := r.totals.phases[PhaseSend].DurNs; l.ShippedBytes > 0 && sendNs > 0 {
 		l.WireNsPerByte = float64(sendNs) / float64(l.ShippedBytes)
 	}

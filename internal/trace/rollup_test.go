@@ -11,8 +11,8 @@ import (
 )
 
 // fixtureTrace loads a committed export: bfs4 is a 4-host bfs run with two
-// injected-delay fault instants, pr4z a 4-host pagerank run with DEFLATE
-// compression on.
+// injected-delay fault instants, pr4z a 4-host pagerank run written by a
+// build that still had the DEFLATE tier (see TestOldTraceStillLoads).
 func fixtureTrace(t testing.TB, name string) ([]Event, Meta) {
 	t.Helper()
 	events, meta, err := ReadFile(filepath.Join("testdata", name))
@@ -20,6 +20,26 @@ func fixtureTrace(t testing.TB, name string) ([]Event, Meta) {
 		t.Fatal(err)
 	}
 	return events, meta
+}
+
+// TestOldTraceStillLoads: pr4z's encode events carry the comp and saved keys
+// of the DEFLATE tier, which no Event field takes any more. Both export
+// formats must load with the keys ignored, to the same events.
+func TestOldTraceStillLoads(t *testing.T) {
+	for _, f := range []string{"pr4z.json", "pr4z.jsonl"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"comp":`)) || !bytes.Contains(raw, []byte(`"saved":`)) {
+			t.Fatalf("%s carries no comp/saved keys: it is no longer an old trace", f)
+		}
+	}
+	chrome, _ := fixtureTrace(t, "pr4z.json")
+	jsonl, _ := fixtureTrace(t, "pr4z.jsonl")
+	if len(chrome) == 0 || !reflect.DeepEqual(chrome, jsonl) {
+		t.Fatalf("pr4z.json loaded %d events, pr4z.jsonl %d, and they differ", len(chrome), len(jsonl))
+	}
 }
 
 // renderViews renders every report the fold backs, keyed by name.
@@ -148,12 +168,12 @@ func TestPrometheusGolden(t *testing.T) {
 // field value may panic it, and the three places a byte total is reported
 // must agree whatever went in.
 func FuzzRollupAdd(f *testing.F) {
-	f.Add(int64(100), int64(40), uint64(64), uint64(8), uint64(0), uint64(0), uint32(90), int32(1), int32(3), int32(2), uint8(PhaseEncode), int8(1), int8(0))
-	f.Add(int64(0), int64(-5), uint64(1)<<63, uint64(1)<<63, uint64(7), uint64(9), uint32(0), int32(-1), int32(-1), int32(-1), uint8(200), int8(-3), int8(9))
-	f.Add(int64(-1), int64(1), uint64(5), uint64(0), uint64(0), uint64(3), uint32(1), int32(0), int32(1<<31-1), int32(0), uint8(PhaseBarrier), int8(NumModes), int8(CompShipped))
-	f.Fuzz(func(t *testing.T, start, dur int64, value, meta, gid, saved uint64, field uint32, host, round, peer int32, phase uint8, mode, comp int8) {
-		e := Event{Start: start, Dur: dur, Value: value, Meta: meta, GID: gid, Saved: saved, Field: field,
-			Host: host, Round: round, Peer: peer, Phase: Phase(phase), Mode: mode, Comp: comp}
+	f.Add(int64(100), int64(40), uint64(64), uint64(8), uint64(0), uint32(90), int32(1), int32(3), int32(2), uint8(PhaseEncode), int8(1))
+	f.Add(int64(0), int64(-5), uint64(1)<<63, uint64(1)<<63, uint64(7), uint32(0), int32(-1), int32(-1), int32(-1), uint8(200), int8(-3))
+	f.Add(int64(-1), int64(1), uint64(5), uint64(0), uint64(0), uint32(1), int32(0), int32(1<<31-1), int32(0), uint8(PhaseBarrier), int8(NumModes))
+	f.Fuzz(func(t *testing.T, start, dur int64, value, meta, gid uint64, field uint32, host, round, peer int32, phase uint8, mode int8) {
+		e := Event{Start: start, Dur: dur, Value: value, Meta: meta, GID: gid, Field: field,
+			Host: host, Round: round, Peer: peer, Phase: Phase(phase), Mode: mode}
 		// The same tags again as a sync message of the init round, of the next
 		// round, and from a second host, so the channel, peer and frontier
 		// paths all see the values.

@@ -96,9 +96,9 @@ func (p Phase) Instant() bool {
 // Event is one trace record. Span events have Dur > 0 (or a span Phase with
 // measured zero duration); instants have Dur == 0 by construction.
 //
-// Byte tags: on PhaseEncode events, Value/Meta/GID are the exact post-
-// compression payload byte deltas this message added to gluon.Stats, so
-// summing them over a trace reproduces the run's final Stats split. On
+// Byte tags: on PhaseEncode events, Value/Meta/GID are the exact payload
+// byte deltas this message added to gluon.Stats, so summing them over a
+// trace reproduces the run's final Stats split. On
 // PhaseRecvWait and frame events, Value holds the received/sent wire length.
 type Event struct {
 	// Start is nanoseconds since the owning Trace's epoch (monotonic).
@@ -127,41 +127,8 @@ type Event struct {
 	// Mode is the wire encoding mode of a PhaseEncode event (0 empty,
 	// 1 dense, 2 bitvec, 3 indices, 4 gid-pairs); meaningless elsewhere.
 	Mode int8 `json:"mode,omitempty"`
-	// Comp is the compression outcome of a PhaseEncode event: CompNone when
-	// compression was off for the message, CompShipped when the DEFLATE
-	// wrapper went to the wire, CompSkipped when compression was enabled but
-	// the message shipped raw (below threshold, declined by the policy, or
-	// incompressible). Meaningless elsewhere.
-	Comp int8 `json:"comp,omitempty"`
-	// Saved is the wire bytes compression removed from this message (0
-	// unless Comp == CompShipped).
-	Saved uint64 `json:"saved,omitempty"`
 	// Detail is a free-form annotation (field name, fault cause).
 	Detail string `json:"detail,omitempty"`
-}
-
-// Compression outcome tags for Event.Comp.
-const (
-	// CompNone: compression was not enabled for this message.
-	CompNone int8 = 0
-	// CompShipped: the message went to the wire DEFLATE-compressed.
-	CompShipped int8 = 1
-	// CompSkipped: compression was enabled but the message shipped raw.
-	CompSkipped int8 = 2
-)
-
-// CompName names a compression outcome for tables and exports.
-func CompName(c int8) string {
-	switch c {
-	case CompNone:
-		return "off"
-	case CompShipped:
-		return "compressed"
-	case CompSkipped:
-		return "skipped"
-	default:
-		return "unknown"
-	}
 }
 
 // ModeName names a wire encoding mode for tables and exports.
@@ -631,11 +598,6 @@ type LiveStats struct {
 	ValueBytes uint64 `json:"value_bytes"`
 	MetaBytes  uint64 `json:"metadata_bytes"`
 	GIDBytes   uint64 `json:"gid_bytes"`
-	// Compressed/CompressSkipped split the messages compression considered;
-	// CompressionSaved is the wire bytes the DEFLATE wrapper removed.
-	Compressed       uint64 `json:"compressed_messages"`
-	CompressSkipped  uint64 `json:"compress_skipped"`
-	CompressionSaved uint64 `json:"compression_saved_bytes"`
 	// Checkpoint plane: completed/failed checkpoint writes, bytes persisted,
 	// and restores performed (DESIGN.md §4.6).
 	CkptWrites   uint64               `json:"ckpt_writes,omitempty"`
