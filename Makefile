@@ -31,18 +31,11 @@ test:
 
 # Tier-1 at every core count, uncached: the test cache does not key on
 # GOMAXPROCS, so without -count=1 the second and third passes would replay
-# the first. MATRIX_SKIP is exactly the set of cases whose expectations were
-# captured on the graph seed 42 produces at GOMAXPROCS=1 — the rmat and
-# webcrawl generators still key their RNG streams by worker index, so the
-# same seed is a different graph at 2 and 4 (ROADMAP item 1a). It is applied
-# only there; at 1 everything runs. The change that makes the generators
-# core-count independent re-pins those goldens and deletes this variable.
-MATRIX_SKIP = ^(ExampleRun|TestGoldenCommVolumes|TestTraceMatchesGoldenVolumes|TestSidebandMergedMatchesGoldenVolumes)$$
-
+# the first.
 test-matrix:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
-	GOMAXPROCS=2 $(GO) test -count=1 -skip '$(MATRIX_SKIP)' ./...
-	GOMAXPROCS=4 $(GO) test -count=1 -skip '$(MATRIX_SKIP)' ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
 # Every package under the race detector, each once: the fault-tolerance
 # packages uncached via race-fault, the rest cacheable.

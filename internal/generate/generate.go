@@ -6,16 +6,16 @@
 // power-law "webcrawl" generator that reproduces the property that drives
 // the paper's results: heavy-tailed in/out degree skew (see DESIGN.md §2).
 //
-// All generators are deterministic in their seed.
+// Every generator is a pure function of its Config: the same seed is the
+// same edge list on every machine and at every GOMAXPROCS.
 package generate
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"gluon/internal/graph"
+	"gluon/internal/par"
 )
 
 // Graph500 initiator probabilities for RMAT/Kronecker, per the paper (§5.1).
@@ -81,7 +81,7 @@ func Edges(c Config) ([]graph.Edge, error) {
 		return nil, fmt.Errorf("generate: unknown graph kind %q", c.Kind)
 	}
 	if c.Weighted {
-		addWeights(edges, c.Seed^0x57e1647, c.MaxWeight)
+		addWeights(edges, c.Seed, c.MaxWeight)
 	}
 	return edges, nil
 }
@@ -96,38 +96,35 @@ func CSR(c Config) (*graph.CSR, error) {
 }
 
 // rmat generates 2^scale nodes with edgeFactor*2^scale edges using the
-// recursive matrix method of Chakrabarti et al., parallelized across
-// workers. When noise is true a small deterministic perturbation is applied
-// to the quadrant probabilities at each level (standard RMAT practice);
-// without it the generator behaves like a Kronecker sampler.
+// recursive matrix method of Chakrabarti et al. When noise is true a small
+// deterministic perturbation is applied to the quadrant probabilities at
+// each level (standard RMAT practice); without it the generator behaves
+// like a Kronecker sampler.
 func rmat(c Config, a, b, cc, d float64, noise bool) []graph.Edge {
 	n := c.NumNodes()
-	m := c.NumEdges()
-	edges := make([]graph.Edge, m)
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (m + uint64(workers) - 1) / uint64(workers)
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		if lo >= m {
-			break
+	edges := make([]graph.Edge, c.NumEdges())
+	perBlock(edges, c.Seed, 0x25a7, func(r *rng, block []graph.Edge) {
+		for i := range block {
+			src, dst := rmatEdge(r, c.Scale, n, a, b, cc, d, noise)
+			block[i] = graph.Edge{Src: src, Dst: dst}
 		}
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			r := newRNG(c.Seed ^ uint64(w)*0x9e3779b97f4a7c15 ^ 0x25a7)
-			for i := lo; i < hi; i++ {
-				src, dst := rmatEdge(r, c.Scale, n, a, b, cc, d, noise)
-				edges[i] = graph.Edge{Src: src, Dst: dst}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	return edges
+}
+
+// blockEdges is how many consecutive edges are drawn from one random stream.
+const blockEdges = 1 << 16
+
+// perBlock fills edges a block of blockEdges at a time, in parallel, handing
+// fill each block with a stream seeded by the seed, the generator's salt and
+// the block's index. Which worker fills a block, and when, does not reach
+// the output, so a Config is the same edge list at every GOMAXPROCS.
+func perBlock(edges []graph.Edge, seed, salt uint64, fill func(r *rng, block []graph.Edge)) {
+	par.For((len(edges)+blockEdges-1)/blockEdges, 0, func(b int) {
+		lo := b * blockEdges
+		hi := min(lo+blockEdges, len(edges))
+		fill(newRNG(seed^salt^uint64(b)*0x9e3779b97f4a7c15), edges[lo:hi])
+	})
 }
 
 func rmatEdge(r *rng, scale uint, n uint64, a, b, c, d float64, noise bool) (uint64, uint64) {
@@ -165,40 +162,21 @@ func rmatEdge(r *rng, scale uint, n uint64, a, b, c, d float64, noise bool) (uin
 // max in-degree 75M vs max out-degree 7447; twitter is the reverse).
 func webcrawl(c Config, inExp, outExp float64) []graph.Edge {
 	n := c.NumNodes()
-	m := c.NumEdges()
-	// Precompute cumulative attractiveness tables by sampling node ranks.
-	// We use the standard trick: node i has weight (i+1)^-exp under a random
-	// permutation, sampled via inverse-CDF approximation.
-	edges := make([]graph.Edge, m)
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (m + uint64(workers) - 1) / uint64(workers)
+	// Node i has weight (i+1)^-exp under a random permutation, sampled via
+	// an inverse-CDF approximation; the permutation scatters hub identities
+	// so the hubs for in and out differ.
+	edges := make([]graph.Edge, c.NumEdges())
 	permSeed := c.Seed ^ 0xbadc0ffee
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		if lo >= m {
-			break
-		}
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			r := newRNG(c.Seed ^ uint64(w)*0x2545F4914F6CDD1D ^ 0xc4a31)
-			for i := lo; i < hi; i++ {
-				src := zipfSample(r, n, outExp)
-				dst := zipfSample(r, n, inExp)
-				// Scatter hub identities so hubs for in and out differ.
-				edges[i] = graph.Edge{
-					Src: scramble(src, permSeed) % n,
-					Dst: scramble(dst, permSeed^0x5bd1e995) % n,
-				}
+	perBlock(edges, c.Seed, 0xc4a31, func(r *rng, block []graph.Edge) {
+		for i := range block {
+			src := zipfSample(r, n, outExp)
+			dst := zipfSample(r, n, inExp)
+			block[i] = graph.Edge{
+				Src: scramble(src, permSeed) % n,
+				Dst: scramble(dst, permSeed^0x5bd1e995) % n,
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return edges
 }
 
@@ -290,34 +268,9 @@ func star(c Config) []graph.Edge {
 
 // addWeights assigns deterministic weights in [1, maxW].
 func addWeights(edges []graph.Edge, seed uint64, maxW uint32) {
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
+	perBlock(edges, seed, 0x57e1647, func(r *rng, block []graph.Edge) {
+		for i := range block {
+			block[i].Weight = uint32(r.Uint64n(uint64(maxW))) + 1
 		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			r := newRNG(seed ^ uint64(w)*0x9E3779B97F4A7C15)
-			for i := lo; i < hi; i++ {
-				edges[i].Weight = uint32(r.Uint64n(uint64(maxW))) + 1
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-func parallelism() int {
-	p := runtime.GOMAXPROCS(0)
-	if p < 1 {
-		p = 1
-	}
-	return p
+	})
 }

@@ -3,6 +3,7 @@ package generate
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"gluon/internal/graph"
@@ -272,6 +273,38 @@ func BenchmarkWebcrawl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Edges(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSameGraphAtEveryCoreCount: every kind, weighted and not, is one edge
+// list — pinned by hash — whether one, two or four workers fill it. The
+// sized kinds span four stream blocks, so with more than one worker the
+// blocks really are filled concurrently and out of order.
+func TestSameGraphAtEveryCoreCount(t *testing.T) {
+	want := map[string][2]uint64{ // kind → {unweighted, weighted}
+		"rmat":        {0x6a53b54eb8f9e6bc, 0x03d802a3a7aa06c5},
+		"kron":        {0x3b4b51e8ae10350e, 0xebceb06b4fce76cf},
+		"webcrawl":    {0xc2ee9312ff3bd429, 0xc7ae11068530a758},
+		"twitterlike": {0x9ac8c330d0139e48, 0x20140723e26238f5},
+		"random":      {0x73c6e6442625f864, 0x5a729c9dfcacd4cd},
+		"grid":        {0x5a502483302ab025, 0x33fdd3480ca12c2b},
+		"chain":       {0x3f064bc36c0708cf, 0x6ccf754b3a5125e0},
+		"star":        {0x99290bd71c8c9415, 0x717c93821a1c44ea},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for kind, hashes := range want {
+			for w, weighted := range []bool{false, true} {
+				edges, err := Edges(Config{Kind: kind, Scale: 14, EdgeFactor: 16, Seed: 42, Weighted: weighted})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := edgeHash(edges); got != hashes[w] {
+					t.Errorf("%s weighted=%v at GOMAXPROCS=%d: edge hash %#016x, want %#016x", kind, weighted, procs, got, hashes[w])
+				}
+			}
 		}
 	}
 }
