@@ -595,9 +595,9 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 	// Five re-measure rounds: a floor takes a while to surface on a small
 	// machine, and a retry only ever lowers the estimate, so extra rounds
 	// trade guard latency for gate stability without ever masking a real
-	// regression. The unopt reference of an
-	// offending host count is re-measured alongside the tier — both ends of
-	// the ratio deserve the transient-load benefit.
+	// regression. The unopt reference of an offending host count is
+	// re-measured alongside the tier — both ends of the ratio deserve the
+	// transient-load benefit.
 	const guardRetries = 5
 	for retry := 0; retry < guardRetries; retry++ {
 		bad := violatingRows(&base, cur, tol)

@@ -42,7 +42,7 @@ func fanIn(t *testing.T) []*partition.Partition {
 }
 
 // cluster runs gluon.New on every host over ts (New is collective).
-func cluster(t *testing.T, parts []*partition.Partition, ts []comm.Transport) []*gluon.Gluon {
+func cluster(t *testing.T, parts []*partition.Partition, ts []comm.Transport, opt gluon.Options) []*gluon.Gluon {
 	t.Helper()
 	gs := make([]*gluon.Gluon, len(parts))
 	errs := make([]error, len(parts))
@@ -51,7 +51,7 @@ func cluster(t *testing.T, parts []*partition.Partition, ts []comm.Transport) []
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
-			gs[h], errs[h] = gluon.New(parts[h], ts[h], gluon.Opt())
+			gs[h], errs[h] = gluon.New(parts[h], ts[h], opt)
 		}(h)
 	}
 	wg.Wait()
@@ -109,7 +109,7 @@ func TestReduceFoldsInRankOrderUnderAdversarialArrival(t *testing.T) {
 			}
 			ts[h] = wireHashTransport{Transport: ep, acc: &acc}
 		}
-		gs := cluster(t, parts, ts)
+		gs := cluster(t, parts, ts, gluon.Opt())
 		acc.Store(0) // memoization traffic is not the subject
 		vals := make([][]float64, 4)
 		errs := make([]error, 4)
@@ -163,7 +163,7 @@ func TestEarlyArrivalsReleasedWhenPhaseFails(t *testing.T) {
 	comm.SetPoolAccounting(true)
 	defer comm.SetPoolAccounting(false)
 	hub := comm.NewHub(4)
-	gs := cluster(t, parts, hub.Endpoints())
+	gs := cluster(t, parts, hub.Endpoints(), gluon.Opt())
 
 	reduce := func(h int) error {
 		vals := make([]float64, parts[h].NumProxies())

@@ -35,21 +35,7 @@ func twoHosts(t *testing.T, opt gluon.Options) ([]*partition.Partition, []*gluon
 		t.Fatal(err)
 	}
 	hub := comm.NewHub(2)
-	gs := make([]*gluon.Gluon, 2)
-	var wg sync.WaitGroup
-	for h := 0; h < 2; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			g, err := gluon.New(parts[h], hub.Endpoint(h), opt)
-			if err != nil {
-				panic(err)
-			}
-			gs[h] = g
-		}(h)
-	}
-	wg.Wait()
-	return parts, gs, hub.Close
+	return parts, cluster(t, parts, hub.Endpoints(), opt), hub.Close
 }
 
 // syncBoth runs fn on both hosts concurrently (Sync is collective).

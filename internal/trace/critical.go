@@ -33,9 +33,9 @@ package trace
 // would broadcast that much on every channel every round. The gap to the
 // bytes actually shipped splits into update-mask sparsity (messages smaller
 // than the channel capacity) and invariant/empty-round skips (rounds where
-// a known channel shipped nothing). Channels eliminated *entirely* by structural invariants
-// never appear in a trace, so the model undercounts those — the caveat is
-// printed with the table.
+// a known channel shipped nothing). Channels eliminated *entirely* by
+// structural invariants never appear in a trace, so the model undercounts
+// those — the caveat is printed with the table.
 
 import (
 	"fmt"

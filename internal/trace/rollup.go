@@ -27,10 +27,9 @@ type Totals struct {
 	events   uint64
 	maxRound int32 // highest Round stamped on any event; -1 in noEvents
 	phases   [NumPhases]PhaseLive
-	// Byte, mode and size-histogram tags count encode spans
-	// only: their tags are Stats deltas, so the totals match the run's volume
-	// accounting. Other phases reuse Value for wire lengths, which would
-	// double-count.
+	// Byte, mode and size-histogram tags count encode spans only: their
+	// tags are Stats deltas, so the totals match the run's volume accounting.
+	// Other phases reuse Value for wire lengths, which would double-count.
 	value, meta, gid uint64
 	modes            [NumModes]uint64
 	msgHist          [numMsgBuckets + 1]uint64 // last slot is the overflow (+Inf)
@@ -353,9 +352,10 @@ func (r *Rollup) channel(e *Event) {
 	if fresh {
 		cs.lastRound = -1
 	}
+	n := e.Bytes()
 	cs.msgs++
-	cs.shipped += e.Bytes()
-	cs.capacity = max(cs.capacity, e.Bytes())
+	cs.shipped += n
+	cs.capacity = max(cs.capacity, n)
 	if e.Round != cs.lastRound {
 		cs.present++
 		cs.lastRound = e.Round
