@@ -7,14 +7,14 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-matrix race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build loc test test-matrix race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gate: it measures wall time, and the
 # race suites leave the machine hot enough to skew it. `race` (through
 # race-fault) runs every suite under the race detector exactly once, so the
 # named dsys subsets below (watchdog-smoke, doctor-smoke, top-smoke,
 # restore-gate) are for running one scenario by hand, not part of the chain.
-check: fmt vet build trace-guard perf-trend bench-e2e-quick trace-smoke test-matrix race
+check: fmt vet build loc trace-guard perf-trend bench-e2e-quick trace-smoke test-matrix race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,6 +25,18 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Size gate: non-blank, non-comment lines of the non-test .go files of
+# every root-module package (benchmark/ is a module of its own), and a
+# failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX.
+TRACE_LOC_MAX = 3612
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
+		'!/^[[:space:]]*$$/ && !/^[[:space:]]*\/\// { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; total++ } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", total; \
+			if (n["./internal/trace"] > $(TRACE_LOC_MAX)) { \
+				printf "internal/trace: %d lines > bound %d\n", n["./internal/trace"], $(TRACE_LOC_MAX); exit 1 } }'
 
 test:
 	$(GO) test ./...

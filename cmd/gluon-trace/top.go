@@ -42,7 +42,7 @@ func topCmd(ctx context.Context, fs *flag.FlagSet, args []string, stdout io.Writ
 	if err != nil {
 		return err
 	}
-	w, err := trace.AttachWatcher(addr, 5*time.Second)
+	w, err := trace.AttachWatcher(addr)
 	if err != nil {
 		return err
 	}

@@ -40,11 +40,22 @@ func TestTopSmoke(t *testing.T) {
 	defer col.Close()
 
 	// Attach the viewer before the run so round progress streams in live.
-	w, err := trace.AttachWatcher(col.Addr(), 5*time.Second)
+	w, err := trace.AttachWatcher(col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	// The first update is the snapshot. Take it before the run starts: the
+	// watcher sheds its oldest queued update when the run's stream outpaces
+	// this goroutine, and the snapshot is the oldest.
+	select {
+	case u, ok := <-w.Updates():
+		if !ok || !u.Snapshot {
+			t.Fatalf("first update is not the snapshot (open %v): %v", ok, w.Err())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("subscription never delivered its snapshot update")
+	}
 
 	tr := trace.New(trace.Config{Label: "top-smoke"})
 	sh, err := trace.StartShipper(trace.ShipperConfig{
@@ -71,24 +82,17 @@ func TestTopSmoke(t *testing.T) {
 	// shipper session.
 	deadline := time.After(30 * time.Second)
 	var u trace.ViewUpdate
-	seenSnapshot := false
 	for u.Stats.MaxRound < 1 || u.Verdict.Rounds < 1 || len(u.Hosts) == 0 || len(u.Sessions) == 0 {
 		select {
 		case nu, ok := <-w.Updates():
 			if !ok {
 				t.Fatalf("live subscription closed early: %v", w.Err())
 			}
-			if nu.Snapshot {
-				seenSnapshot = true
-			}
 			u = nu
 		case <-deadline:
 			t.Fatalf("no converged live update: maxRound=%d verdictRounds=%d hosts=%d sessions=%d",
 				u.Stats.MaxRound, u.Verdict.Rounds, len(u.Hosts), len(u.Sessions))
 		}
-	}
-	if !seenSnapshot {
-		t.Error("subscription never delivered its snapshot update")
 	}
 	if u.Verdict.String() == "no rounds attributed yet" {
 		t.Errorf("verdict did not converge: %q", u.Verdict.String())

@@ -91,7 +91,24 @@ func startRunWatchdog(tr *trace.Trace, eps []wdEndpoint, numHosts int, wcfg trac
 		rec := tr.Recorder(ep.host)
 		stop := make(chan struct{})
 		rw.stops = append(rw.stops, stop)
-		// Sender: publish this host's liveness locally and to every peer.
+		// Publisher: this host's liveness into the local table every tick,
+		// on its own goroutine so a slow outbound link never leaves the
+		// watchdog looking at a stale heartbeat of a host in this process.
+		rw.wg.Add(1)
+		go func() {
+			defer rw.wg.Done()
+			tick := time.NewTicker(gossipEvery)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					health.Update(trace.HeartbeatOf(rec))
+				}
+			}
+		}()
+		// Sender: gossip this host's liveness to every peer.
 		rw.wg.Add(1)
 		go func() {
 			defer rw.wg.Done()
@@ -108,7 +125,6 @@ func startRunWatchdog(tr *trace.Trace, eps []wdEndpoint, numHosts int, wcfg trac
 					return
 				case <-tick.C:
 					hb := trace.HeartbeatOf(rec)
-					health.Update(hb)
 					for peer := 0; peer < numHosts; peer++ {
 						if peer == ep.host {
 							continue
@@ -187,11 +203,11 @@ func startRunWatchdog(tr *trace.Trace, eps []wdEndpoint, numHosts int, wcfg trac
 		}
 	}
 	if wcfg.Log == nil {
-		// Fail loudly by default, through the structured handler so stall
+		// Fail loudly by default, through the shared logger so stall
 		// paragraphs also land in postmortem bundles' recent-log rings.
 		wcfg.Log = trace.LogWriter(trace.NewLogger("dsys"), slog.LevelWarn)
 	}
-	rw.w = trace.StartWatchdog(tr, health, wcfg)
+	rw.w = trace.StartWatchdog(health, wcfg)
 	return rw
 }
 
@@ -204,10 +220,6 @@ func (rw *runWatchdog) stop() {
 	rw.wg.Wait()
 	rw.w.Stop()
 }
-
-// Reports exposes the monitor's reports (for tests and callers that want
-// the diagnosis even when the run completed).
-func (rw *runWatchdog) reports() []*trace.StallReport { return rw.w.Reports() }
 
 // suspendWatch pauses stall escalation for a declared quiet window — a
 // checkpoint barrier token or a rejoin rendezvous — so the watchdog does

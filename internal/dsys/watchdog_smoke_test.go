@@ -9,6 +9,7 @@ package dsys_test
 import (
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,9 +27,17 @@ import (
 // the whole detection pipeline: heartbeat gossip feeds the health table,
 // the watchdog flags the overdue round naming host 1 in a non-waiting
 // phase, the stall escalates after StallTimeout, and the run fails with a
-// *comm.PeerError wrapping the *trace.StallError diagnosis.
+// *comm.PeerError wrapping the *trace.StallError diagnosis. The report is
+// the diagnosis; the evidence is the stall bundle the escalation freezes
+// through the armed flight recorder: goroutine stacks and the suspect's
+// spans, which gluon-trace doctor traces back to host 1.
 func TestWatchdogNamesStalledHost(t *testing.T) {
 	const hosts = 3
+	// RunConfig.Trace stays nil, so the run adopts the armed recorder's
+	// always-on session: that ring is where the stall bundle's spans come from.
+	dir := t.TempDir()
+	trace.Arm(trace.NewFlightRecorder(trace.FlightConfig{Dir: dir}))
+	defer trace.Arm(nil)
 	_, parts, source := faultParts(t, hosts)
 	hub := comm.NewHub(hosts)
 	defer hub.Close()
@@ -98,9 +107,6 @@ func TestWatchdogNamesStalledHost(t *testing.T) {
 	if first.Phase == trace.PhaseRecvWait || first.Phase == trace.PhaseBarrier {
 		t.Errorf("suspect reported in waiting phase %q; a wedged sender is not a victim", first.Phase)
 	}
-	if len(first.Stacks) == 0 {
-		t.Error("report carries no goroutine stacks")
-	}
 	sawEscalation := false
 	for _, r := range reports {
 		if r.Escalated {
@@ -112,6 +118,40 @@ func TestWatchdogNamesStalledHost(t *testing.T) {
 	}
 	if !sawEscalation {
 		t.Error("no escalated report despite StallTimeout; run failed for another reason")
+	}
+
+	bundles, bad, err := trace.LoadBundles(dir)
+	if err != nil || len(bad) != 0 {
+		t.Fatalf("LoadBundles: err %v, corrupt %v", err, bad)
+	}
+	var stalls []*trace.Bundle
+	for _, b := range bundles {
+		if b.Trigger == trace.TriggerStall {
+			stalls = append(stalls, b)
+		}
+	}
+	if len(stalls) != 1 {
+		t.Fatalf("escalation left %d stall bundles, want 1", len(stalls))
+	}
+	sb := stalls[0]
+	if sb.Peer != 1 {
+		t.Errorf("stall bundle names peer %d, stalled host is 1", sb.Peer)
+	}
+	if !strings.Contains(sb.Stacks, "goroutine") {
+		t.Error("stall bundle carries no goroutine stacks")
+	}
+	suspectSpans := 0
+	for _, e := range sb.Events {
+		if e.Host == 1 && !e.Phase.Instant() {
+			suspectSpans++
+		}
+	}
+	if suspectSpans == 0 {
+		t.Error("stall bundle carries none of host 1's spans")
+	}
+	d := trace.Diagnose(bundles)
+	if d.FailedRank != 1 || d.RootTrigger != trace.TriggerStall {
+		t.Errorf("doctor diagnosis: rank %d trigger %q, want rank 1 trigger %q", d.FailedRank, d.RootTrigger, trace.TriggerStall)
 	}
 }
 

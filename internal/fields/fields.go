@@ -1,10 +1,10 @@
 // Package fields provides the label-array primitives shared by the vertex
 // programs: atomic update helpers for engine-side operators and the Gluon
 // reduce/broadcast synchronization structures over label slices — the
-// Figure 5 structs of the paper. This is their one copy: Min, Sum and Set
-// are generic over the element type, the device engine decorates them
-// (irgl.MinBuf and friends) and the vprog generator emits wiring that
-// refers to them, so neither restates a reduction.
+// Figure 5 structs of the paper. The generics are those structs — the
+// boilerplate the paper's compiler emits per field — in their one copy:
+// Min, Sum and Set are generic over the element type and the device engine
+// decorates them (irgl.MinBuf and friends) without restating a reduction.
 package fields
 
 import (

@@ -16,10 +16,7 @@ package trace
 // therefore bounds the alignment error by minRTT/2 — the uncertainty the
 // merge records next to each measured offset (DESIGN.md §4.4 derives this).
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ClockInfo is one measured clock relation: adding Offset to a source-clock
 // timestamp maps it onto the reference (collector) clock, with the true
@@ -79,23 +76,6 @@ func EstimateOffset(probes int, exchange func() (t0, t1, t2, t3 int64, err error
 	return info, nil
 }
 
-// AlignEvents rebases events onto the reference clock by adding each host's
-// measured offset to its event start times, in place. Hosts without an entry
-// are left untouched (they already run on the reference clock — the
-// collector's own process). The slice is re-sorted by Start so merged
-// timelines stay ordered after rebasing.
-func AlignEvents(events []Event, offsets map[int32]int64) {
-	if len(offsets) == 0 {
-		return
-	}
-	for i := range events {
-		if off, ok := offsets[events[i].Host]; ok {
-			events[i].Start += off
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-}
-
 // clockedEvents is one clock domain's contribution to a merged timeline: the
 // events one process recorded and the offset that maps its clock onto the
 // reference axis.
@@ -105,22 +85,17 @@ type clockedEvents struct {
 }
 
 // mergeAligned copies every source's events onto the reference axis and
-// returns them as one start-sorted timeline; the sources are left untouched.
-// Each source is rebased on its own, so a host that appears in two sources
-// (a replaced rank) keeps each incarnation's offset.
+// returns them as one start-sorted timeline (stable, so equal starts keep
+// source order); the sources are left untouched. Each source is rebased on
+// its own, so a host that appears in two sources (a replaced rank) keeps
+// each incarnation's offset.
 func mergeAligned(srcs []clockedEvents) []Event {
 	var out []Event
 	for _, s := range srcs {
 		out = append(out, s.events...)
-		part := out[len(out)-len(s.events):]
-		if s.offsetNs == 0 {
-			continue
+		for i := len(out) - len(s.events); i < len(out); i++ {
+			out[i].Start += s.offsetNs
 		}
-		offsets := make(map[int32]int64)
-		for i := range part {
-			offsets[part[i].Host] = s.offsetNs
-		}
-		AlignEvents(part, offsets)
 	}
 	sortEventsByStart(out)
 	return out

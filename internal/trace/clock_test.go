@@ -123,30 +123,33 @@ func TestEstimateOffsetErrors(t *testing.T) {
 	}
 }
 
+// TestAlignEvents: mergeAligned rebases each source by its own offset, so a
+// host that appears in two sources (a replaced rank, one incarnation per
+// session) keeps each incarnation's offset; the reference-clock source is
+// left as is, the sources are not modified, and the result is start-sorted.
 func TestAlignEvents(t *testing.T) {
-	events := []Event{
-		{Host: 1, Start: 100, Phase: PhaseCompute}, // runs 50ns behind host 0
+	first := []Event{{Host: 1, Start: 100, Phase: PhaseCompute}} // runs 50ns behind
+	second := []Event{{Host: 1, Start: 90, Phase: PhaseFold}}    // the replacement, 30ns ahead
+	local := []Event{
 		{Host: 0, Start: 120, Phase: PhaseCompute},
-		{Host: 2, Start: 130, Phase: PhaseCompute}, // no offset entry: untouched
+		{Host: 2, Start: 140, Phase: PhaseCompute},
 	}
-	AlignEvents(events, map[int32]int64{1: 50})
-	if events[0].Host != 0 || events[1].Host != 2 || events[2].Host != 1 {
-		t.Fatalf("aligned order = %d,%d,%d, want hosts 0,2,1", events[0].Host, events[1].Host, events[2].Host)
+	got := mergeAligned([]clockedEvents{{events: first, offsetNs: 50}, {events: second, offsetNs: -30}, {events: local}})
+	want := []Event{
+		{Host: 1, Start: 60, Phase: PhaseFold},
+		{Host: 0, Start: 120, Phase: PhaseCompute},
+		{Host: 2, Start: 140, Phase: PhaseCompute},
+		{Host: 1, Start: 150, Phase: PhaseCompute},
 	}
-	for _, e := range events {
-		if e.Host == 1 && e.Start != 150 {
-			t.Fatalf("host 1 start = %d, want 150 after +50 rebase", e.Start)
-		}
-		if e.Host == 2 && e.Start != 130 {
-			t.Fatalf("host 2 start = %d, want untouched 130", e.Start)
+	if len(got) != len(want) {
+		t.Fatalf("merged %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("merged[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	// Empty offset table is a no-op, including ordering.
-	before := append([]Event(nil), events...)
-	AlignEvents(events, nil)
-	for i := range events {
-		if events[i] != before[i] {
-			t.Fatal("AlignEvents with no offsets must not modify events")
-		}
+	if first[0].Start != 100 || second[0].Start != 90 {
+		t.Fatal("mergeAligned modified its sources")
 	}
 }

@@ -38,6 +38,7 @@ package trace
 // those — the caveat is printed with the table.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -72,32 +73,11 @@ func (c CritPhase) String() string {
 	return "unknown"
 }
 
-// MarshalJSON writes the name, matching Phase's convention.
-func (c CritPhase) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + c.String() + `"`), nil
-}
+// MarshalJSON writes the name, as Phase does.
+func (c CritPhase) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
 
-// UnmarshalJSON accepts a name or raw number.
-func (c *CritPhase) UnmarshalJSON(b []byte) error {
-	s := string(b)
-	if len(s) >= 2 && s[0] == '"' {
-		s = s[1 : len(s)-1]
-		for i, n := range critNames {
-			if n == s {
-				*c = CritPhase(i)
-				return nil
-			}
-		}
-		*c = NumCritPhases
-		return nil
-	}
-	var n uint8
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return err
-	}
-	*c = CritPhase(n)
-	return nil
-}
+// UnmarshalJSON accepts a name or raw number, as Phase does.
+func (c *CritPhase) UnmarshalJSON(b []byte) error { return unmarshalName(b, critNames[:], (*uint8)(c)) }
 
 // critOf maps a span phase into the attribution taxonomy.
 func critOf(p Phase) (CritPhase, bool) {

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,27 +25,25 @@ import (
 func (p Phase) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
 
 // UnmarshalJSON accepts a phase name (or a raw number, for robustness).
-func (p *Phase) UnmarshalJSON(b []byte) error {
+func (p *Phase) UnmarshalJSON(b []byte) error { return unmarshalName(b, phaseNames[:], (*uint8)(p)) }
+
+// unmarshalName decodes one of names, or a raw number, into *v — the JSON
+// form of Phase and CritPhase. "unknown", the String form of the
+// out-of-range value len(names), decodes to that value: heartbeats of hosts
+// that have not published a live phase yet carry it.
+func unmarshalName(b []byte, names []string, v *uint8) error {
 	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		if ph, ok := ParsePhase(s); ok {
-			*p = ph
-			return nil
-		}
-		if s == "unknown" {
-			// The idle/unset live phase (NumPhases) round-trips through its
-			// String form — heartbeats of hosts that have not published a
-			// phase yet carry it.
-			*p = NumPhases
-			return nil
-		}
+	if json.Unmarshal(b, &s) != nil {
+		return json.Unmarshal(b, v)
+	}
+	i := slices.Index(names, s)
+	if i < 0 && s != "unknown" {
 		return fmt.Errorf("trace: unknown phase %q", s)
 	}
-	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
+	if i < 0 {
+		i = len(names)
 	}
-	*p = Phase(n)
+	*v = uint8(i)
 	return nil
 }
 
@@ -297,16 +297,16 @@ func readChrome(data []byte) ([]Event, Meta, error) {
 }
 
 func readJSONL(data []byte) ([]Event, Meta, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var events []Event
 	var meta Meta
 	lineNo := 0
 	sawHeader := false
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		line := bytes.TrimSpace(sc.Bytes())
 		lineNo++
-		if line == "" {
+		if len(line) == 0 {
 			continue
 		}
 		if !sawHeader {
@@ -314,7 +314,7 @@ func readJSONL(data []byte) ([]Event, Meta, error) {
 			// arbitrary JSON would silently parse as zero-valued events and
 			// a corrupt file would masquerade as an empty-but-valid trace.
 			var hdr jsonlHeader
-			if err := json.Unmarshal([]byte(line), &hdr); err != nil || hdr.Trace != "gluon" {
+			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Trace != "gluon" {
 				return nil, Meta{}, fmt.Errorf("trace: line %d: not a gluon trace export (missing header)", lineNo)
 			}
 			meta = Meta{Label: hdr.Label, Dropped: hdr.Dropped, Clocks: hdr.Clocks, Sessions: hdr.Sessions}
@@ -322,7 +322,7 @@ func readJSONL(data []byte) ([]Event, Meta, error) {
 			continue
 		}
 		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
+		if err := json.Unmarshal(line, &e); err != nil {
 			return nil, Meta{}, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
 		events = append(events, e)

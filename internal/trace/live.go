@@ -88,25 +88,6 @@ func (v *sbViewer) close() {
 	})
 }
 
-// SetViewerQueue overrides the per-viewer update queue depth (default 8).
-// Affects viewers attached after the call; tests use 1 to force slow-viewer
-// drops deterministically.
-func (c *Collector) SetViewerQueue(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	c.viewerCap = n
-	c.mu.Unlock()
-}
-
-// Viewers returns the number of currently attached live viewers.
-func (c *Collector) Viewers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.viewers)
-}
-
 // kickLive requests an immediate fan-out (coalesced; never blocks).
 func (c *Collector) kickLive() {
 	select {
@@ -231,7 +212,7 @@ func (c *Collector) drainLocal() {
 	local := c.local
 	if local != nil {
 		for _, b := range local.SnapshotNew(&c.localCur) {
-			c.rollup.Add(b.Events, 0)
+			c.foldLocked(b.Events, 0)
 		}
 	}
 	c.mu.Unlock()
@@ -301,31 +282,25 @@ func (c *Collector) liveLocked() LiveStats {
 
 // Watcher is a live subscription to a collector, as used by gluon-trace top.
 type Watcher struct {
-	conn net.Conn
+	sbClient
 	ch   chan ViewUpdate
 	done chan struct{}
-
-	mu  sync.Mutex
-	err error
 }
 
 // AttachWatcher dials a collector's sideband address and subscribes to live
 // updates. The first update received is the consistent snapshot; every later
 // one supersedes it. If this watcher falls behind the collector drops it and
 // Updates closes (Err tells why).
-func AttachWatcher(addr string, dialTimeout time.Duration) (*Watcher, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+func AttachWatcher(addr string) (*Watcher, error) {
+	conn, err := dialCollector(addr)
 	if err != nil {
-		return nil, fmt.Errorf("trace: dialing collector %s: %w", addr, err)
+		return nil, err
 	}
 	if err := writeFrame(conn, sbWatch, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("trace: watch handshake: %w", err)
 	}
-	w := &Watcher{conn: conn, ch: make(chan ViewUpdate, 4), done: make(chan struct{})}
+	w := &Watcher{sbClient: sbClient{conn: conn}, ch: make(chan ViewUpdate, 4), done: make(chan struct{})}
 	go w.readLoop()
 	return w, nil
 }
@@ -369,28 +344,10 @@ func (w *Watcher) readLoop() {
 // ends (collector gone, watcher dropped, or Close called).
 func (w *Watcher) Updates() <-chan ViewUpdate { return w.ch }
 
-func (w *Watcher) setErr(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
-// Err reports why the subscription ended (nil while healthy or after Close).
-func (w *Watcher) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
-// Close detaches from the collector.
+// Close detaches from the collector; Err then reports net.ErrClosed unless
+// the subscription had already ended for another reason.
 func (w *Watcher) Close() error {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = net.ErrClosed
-	}
-	w.mu.Unlock()
+	w.setErr(net.ErrClosed)
 	err := w.conn.Close()
 	<-w.done
 	if err == nil || w.Err() == net.ErrClosed {

@@ -45,7 +45,7 @@ func TestLiveWatcherMidRunAttach(t *testing.T) {
 	}
 	defer sh.Close()
 
-	w, err := AttachWatcher(col.Addr(), time.Second)
+	w, err := AttachWatcher(col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestLiveWatcherMidRunAttach(t *testing.T) {
 // before flushing again. So the healthy viewer is never more than one driven
 // update behind (the collector's 250 ms tick may add the odd extra; its
 // default queue of 8 absorbs them), and the drop of the slow viewer is
-// awaited as "Viewers() is 1 after an update reached the healthy one" — an
+// awaited as "one viewer left after an update reached the healthy one" — an
 // ordering the collector guarantees, since it unregisters slow viewers in
 // the same critical section that queued the update. The timeouts below only
 // turn a hang into a message.
@@ -145,7 +145,7 @@ func TestLiveSlowViewerDropped(t *testing.T) {
 	defer sh.Close()
 
 	// Healthy viewer: a Watcher, whose read loop never waits on its consumer.
-	healthy, err := AttachWatcher(col.Addr(), 0)
+	healthy, err := AttachWatcher(col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +185,29 @@ func TestLiveSlowViewerDropped(t *testing.T) {
 	// first frame, so the queue overflows on the second update after that at
 	// the latest (a TCP conn behaves the same once the kernel buffers fill;
 	// the pipe just removes the megabytes of slack).
-	col.SetViewerQueue(1)
+	col.mu.Lock()
+	col.viewerCap = 1
+	col.mu.Unlock()
+	viewers := func() int {
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		return len(col.viewers)
+	}
 	slowServer, slowClient := net.Pipe()
 	defer slowClient.Close()
 	if v := col.addViewer(slowServer); v == nil {
 		t.Fatal("addViewer refused the slow viewer")
 	}
-	if n := col.Viewers(); n != 2 {
+	if n := viewers(); n != 2 {
 		t.Fatalf("%d viewers attached, want 2", n)
 	}
 	// Updates queued before the slow viewer registered may still be on their
 	// way to the healthy one, so count generously; every iteration is one
 	// more update delivered.
 	const maxUpdates = 32
-	for i := 0; col.Viewers() != 1; i++ {
+	for i := 0; viewers() != 1; i++ {
 		if i == maxUpdates {
-			t.Fatalf("slow viewer still attached after %d updates reached the healthy one (%d viewers)", i, col.Viewers())
+			t.Fatalf("slow viewer still attached after %d updates reached the healthy one (%d viewers)", i, viewers())
 		}
 		flushed("the slow viewer to be dropped")
 	}
@@ -292,7 +299,7 @@ func TestLiveShipperDisconnect(t *testing.T) {
 
 	// A viewer attaching now sees the disconnected session in its snapshot —
 	// what gluon-trace top renders as DISCONNECTED.
-	w, err := AttachWatcher(col.Addr(), time.Second)
+	w, err := AttachWatcher(col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

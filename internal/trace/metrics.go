@@ -25,10 +25,6 @@ type MetricsServer struct {
 // text exposition, plus the net/http/pprof capture tree under /debug/pprof/
 // for on-demand CPU and heap profiles. The server runs until Close.
 func ServeMetrics(addr string, t *Trace) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("trace: metrics listen %s: %w", addr, err)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		live := t.Live()
@@ -36,6 +32,16 @@ func ServeMetrics(addr string, t *Trace) (*MetricsServer, error) {
 		WritePrometheus(w, &live)
 	})
 	registerPprof(mux)
+	return serveHTTP(addr, "metrics", mux)
+}
+
+// serveHTTP is the one listen-and-serve both endpoints run: mux on addr
+// until Close. what names the endpoint in a listen error.
+func serveHTTP(addr, what string, mux *http.ServeMux) (*MetricsServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s listen %s: %w", what, addr, err)
+	}
 	ms := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go ms.srv.Serve(ln)
 	return ms, nil

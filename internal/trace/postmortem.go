@@ -138,7 +138,7 @@ type Bundle struct {
 	// LastCkptEpoch is the newest checkpoint epoch this process completed
 	// (-1: none / checkpointing off) — with Round it bounds recomputation.
 	LastCkptEpoch int64 `json:"last_ckpt_epoch"`
-	// RecentLogs is the tail of structured log lines the slog handler teed
+	// RecentLogs is the tail of structured log lines the logger teed
 	// into the recorder, oldest first.
 	RecentLogs []string `json:"recent_logs,omitempty"`
 }
@@ -165,19 +165,14 @@ type DumpInfo struct {
 type FlightConfig struct {
 	// Dir is where bundles are written (required).
 	Dir string
-	// TailEvents bounds the ring tail a bundle carries (0 = 4096).
-	TailEvents int
 	// MaxDumps caps the bundles one recorder writes — failure cascades
 	// (every surviving peer poisoning at once) must not flood the disk
 	// (0 = 16).
 	MaxDumps int
 	// Trace is the session to freeze. Nil creates a private enabled session
-	// (flight-recorder mode: a modest always-on ring even when full tracing
-	// is off).
+	// of flightCapacity events (flight-recorder mode: a modest always-on
+	// ring even when full tracing is off).
 	Trace *Trace
-	// FlightCapacity sizes the private session's ring when Trace is nil
-	// (0 = 1<<14 events ≈ 1.4 MB — cheap enough to leave armed).
-	FlightCapacity int
 	// Host is the default rank stamped on bundles whose DumpInfo carries
 	// none (multi-host in-process sessions pass per-dump hosts instead).
 	Host int
@@ -209,24 +204,23 @@ type FlightRecorder struct {
 	suppressed int
 }
 
-// recentLogCap bounds the slog tee ring a bundle carries.
-const recentLogCap = 64
+// recentLogCap bounds the slog tee ring a bundle carries; tailEvents the
+// ring tail; flightCapacity sizes the private session of a recorder given no
+// Trace (≈ 1.4 MB — cheap enough to leave armed).
+const (
+	recentLogCap   = 64
+	tailEvents     = 4096
+	flightCapacity = 1 << 14
+)
 
 // NewFlightRecorder arms a recorder writing bundles under cfg.Dir.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.TailEvents <= 0 {
-		cfg.TailEvents = 4096
-	}
 	if cfg.MaxDumps <= 0 {
 		cfg.MaxDumps = 16
 	}
 	tr := cfg.Trace
 	if tr == nil {
-		capacity := cfg.FlightCapacity
-		if capacity <= 0 {
-			capacity = 1 << 14
-		}
-		tr = New(Config{Capacity: capacity, Label: "flight-recorder"})
+		tr = New(Config{Capacity: flightCapacity, Label: "flight-recorder"})
 	}
 	fr := &FlightRecorder{
 		cfg:   cfg,
@@ -395,9 +389,9 @@ func (fr *FlightRecorder) Dump(info DumpInfo) (string, error) {
 		b.Cause = info.Cause.Error()
 	}
 	events, dropped := fr.trace.Snapshot()
-	if len(events) > fr.cfg.TailEvents {
-		dropped += uint64(len(events) - fr.cfg.TailEvents)
-		events = events[len(events)-fr.cfg.TailEvents:]
+	if len(events) > tailEvents {
+		dropped += uint64(len(events) - tailEvents)
+		events = events[len(events)-tailEvents:]
 	}
 	b.Events, b.Dropped = events, dropped
 	buf := make([]byte, 1<<20)
@@ -467,6 +461,6 @@ func Crash(info DumpInfo) string {
 	return path
 }
 
-// crashLogger reports dump failures; sharing the slog handler keeps even
-// these lines in other recorders' recent-log rings.
+// crashLogger reports dump failures; its tee keeps even these lines in the
+// recent-log ring.
 var crashLogger = NewLogger("gluon")

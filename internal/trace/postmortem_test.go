@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -177,33 +176,43 @@ func TestDiagnoseSilentDeath(t *testing.T) {
 	}
 }
 
-// TestLogHandlerPrefixAndTee: the slog handler hoists host/round/phase into
-// the bracket prefix and tees rendered lines into the armed recorder.
-func TestLogHandlerPrefixAndTee(t *testing.T) {
+// TestLoggerTee: one record is one line on the logger's writer, and that
+// same line is the newest recent-log entry of a bundle dumped afterwards.
+func TestLoggerTee(t *testing.T) {
 	var buf bytes.Buffer
-	log := slog.New(NewLogHandler(&buf, "testcomp", nil))
-	fr := NewFlightRecorder(FlightConfig{Dir: t.TempDir()})
+	log := newLogger(&buf, "testcomp")
+	dir := t.TempDir()
+	fr := NewFlightRecorder(FlightConfig{Dir: dir})
 	Arm(fr)
 	defer Arm(nil)
 
-	log.Warn("something broke", LogKeyHost, 2, LogKeyRound, 17, LogKeyPhase, "fold", "peer", 1)
-	line := buf.String()
-	for _, want := range []string{"WARN testcomp:", "[h2 r17 fold]", "something broke", "peer=1"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("log line %q missing %q", line, want)
+	log.Warn("something broke", "host", 2, "note", "two words")
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("one record wrote %d lines: %q", len(lines), buf.String())
+	}
+	for _, want := range []string{"level=WARN", `msg="something broke"`, "component=testcomp", "host=2", `note="two words"`} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("log line %q missing %q", lines[0], want)
 		}
 	}
-	logs := fr.recentLogs()
-	if len(logs) != 1 || !strings.Contains(logs[0], "something broke") {
-		t.Errorf("armed recorder tee = %v", logs)
+	if _, err := fr.Dump(DumpInfo{Trigger: TriggerManual, Host: 0, Peer: -1}); err != nil {
+		t.Fatal(err)
+	}
+	bundles, _, err := LoadBundles(dir)
+	if err != nil || len(bundles) != 1 {
+		t.Fatalf("LoadBundles: %d bundles, err %v", len(bundles), err)
+	}
+	if logs := bundles[0].RecentLogs; len(logs) == 0 || logs[len(logs)-1] != lines[0] {
+		t.Errorf("bundle recent_logs = %q, want newest %q", logs, lines[0])
 	}
 
 	buf.Reset()
-	LogDropped(slog.New(NewLogHandler(&buf, "c", nil)), 0)
+	LogDropped(newLogger(&buf, "c"), 0)
 	if buf.Len() != 0 {
 		t.Errorf("LogDropped(0) wrote %q", buf.String())
 	}
-	LogDropped(slog.New(NewLogHandler(&buf, "c", nil)), 42)
+	LogDropped(newLogger(&buf, "c"), 42)
 	if !strings.Contains(buf.String(), "dropped=42") || !strings.Contains(buf.String(), "remedy=") {
 		t.Errorf("LogDropped line = %q", buf.String())
 	}

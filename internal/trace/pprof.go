@@ -12,8 +12,6 @@ package trace
 
 import (
 	"context"
-	"fmt"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	rpprof "runtime/pprof"
@@ -37,9 +35,6 @@ func init() {
 // process. Enable it alongside CPU profiling (-pprof-addr) to see profile
 // samples split by substrate stage.
 func SetPhaseLabels(on bool) { phaseLabels.Store(on) }
-
-// PhaseLabelsEnabled reports the current gate.
-func PhaseLabelsEnabled() bool { return phaseLabels.Load() }
 
 var (
 	noopRestore = func() {}
@@ -75,14 +70,11 @@ func registerPprof(mux *http.ServeMux) {
 // flag) serving the /debug/pprof/ tree, and enables phase labels so CPU
 // captures are stage-attributed. Close the returned server to stop.
 func ServePprof(addr string) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("trace: pprof listen %s: %w", addr, err)
-	}
 	mux := http.NewServeMux()
 	registerPprof(mux)
-	SetPhaseLabels(true)
-	ms := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux}}
-	go ms.srv.Serve(ln)
-	return ms, nil
+	ms, err := serveHTTP(addr, "pprof", mux)
+	if err == nil {
+		SetPhaseLabels(true)
+	}
+	return ms, err
 }

@@ -254,9 +254,30 @@ func (r *Rollup) SetHostClock(host int32, uncertaintyNs int64) { r.unc[host] = u
 // host must arrive in emission order (which rings, batches, and Snapshot all
 // preserve).
 func (r *Rollup) Add(events []Event, offsetNs int64) {
+	r.fold(events, offsetNs)
+	r.advance()
+}
+
+// fold is Add without closing rounds: the collector folds batches under a
+// frontier hold and advances once nothing holds it.
+func (r *Rollup) fold(events []Event, offsetNs int64) {
 	for i := range events {
 		r.add(&events[i], offsetNs)
 	}
+}
+
+// spans reports whether any of hosts has folded a span.
+func (r *Rollup) spans(hosts map[int32]struct{}) bool {
+	for h := range hosts {
+		if _, ok := r.maxSeen[h]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// advance closes every round all hosts known to emit spans have moved past.
+func (r *Rollup) advance() {
 	if len(r.maxSeen) == 0 {
 		return
 	}

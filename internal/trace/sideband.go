@@ -68,6 +68,44 @@ const (
 // into per-host batches well below it, so the limit only rejects corruption.
 const maxSidebandFrame = 256 << 20
 
+// sbProbes is the number of clock-offset ping-pongs a shipper runs before
+// its hello; sbDialTimeout bounds a client's connect.
+const (
+	sbProbes      = 8
+	sbDialTimeout = 5 * time.Second
+)
+
+// sbClient is the client end of a sideband connection, shared by Shipper
+// and Watcher: one dial and one first-error latch.
+type sbClient struct {
+	conn net.Conn
+	mu   sync.Mutex
+	err  error
+}
+
+func dialCollector(addr string) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, sbDialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("trace: dialing collector %s: %w", addr, err)
+	}
+	return conn, nil
+}
+
+func (c *sbClient) setErr(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+}
+
+// Err returns the first error the connection hit, if any.
+func (c *sbClient) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
 // writeFrame writes one [len][type][payload] frame.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
@@ -123,26 +161,19 @@ type ShipperConfig struct {
 	Trace *Trace
 	// Interval between incremental flushes (default 500ms).
 	Interval time.Duration
-	// Probes is the number of clock-offset ping-pongs (default 8).
-	Probes int
-	// DialTimeout bounds the initial connect (default 5s).
-	DialTimeout time.Duration
 }
 
 // Shipper streams one process's Trace to a collector: clock handshake and
 // hello at start, an incremental flush every Interval, and a final drain plus
 // bye on Close.
 type Shipper struct {
+	sbClient
 	tr    *Trace
-	conn  net.Conn
 	clock ClockInfo
 
 	cur  Cursor
 	stop chan struct{}
 	done chan struct{}
-
-	mu  sync.Mutex
-	err error
 }
 
 // StartShipper dials the collector, runs the clock handshake, announces the
@@ -155,18 +186,12 @@ func StartShipper(cfg ShipperConfig) (*Shipper, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 8
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+	conn, err := dialCollector(cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("trace: dialing collector %s: %w", cfg.Addr, err)
+		return nil, err
 	}
-	s := &Shipper{tr: cfg.Trace, conn: conn, stop: make(chan struct{}), done: make(chan struct{})}
-	clock, err := EstimateOffset(cfg.Probes, func() (t0, t1, t2, t3 int64, err error) {
+	s := &Shipper{sbClient: sbClient{conn: conn}, tr: cfg.Trace, stop: make(chan struct{}), done: make(chan struct{})}
+	clock, err := EstimateOffset(sbProbes, func() (t0, t1, t2, t3 int64, err error) {
 		var ping [8]byte
 		t0 = s.tr.Now()
 		binary.LittleEndian.PutUint64(ping[:], uint64(t0))
@@ -245,21 +270,6 @@ func (s *Shipper) flush() error {
 		return err
 	}
 	return writeFrame(s.conn, sbStats, body)
-}
-
-func (s *Shipper) setErr(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-// Err returns the first flush error, if any.
-func (s *Shipper) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Close stops the flush loop, drains the trace tail, sends bye, and closes
@@ -461,6 +471,7 @@ func (c *Collector) serveSession(conn net.Conn) {
 		if sess.state == "active" {
 			sess.state = "error"
 			sess.errMsg = reason
+			c.foldLocked(nil, 0) // an ended session releases its hold
 		}
 		c.mu.Unlock()
 		c.kickLive()
@@ -544,10 +555,10 @@ func (c *Collector) serveSession(conn net.Conn) {
 			sess.events = append(sess.events, b.Events...)
 			c.missed += b.Missed
 			sess.hosts[b.Host] = struct{}{}
-			// Fold on the collector's time axis; Add rebases without mutating,
+			// Fold on the collector's time axis; the fold rebases without mutating,
 			// so the raw copy kept for Merged() is untouched.
 			c.rollup.SetHostClock(b.Host, sess.clock.UncertaintyNs)
-			c.rollup.Add(b.Events, sess.clock.OffsetNs)
+			c.foldLocked(b.Events, sess.clock.OffsetNs)
 			c.mu.Unlock()
 		case sbStats:
 			var f statsFrame
@@ -572,6 +583,7 @@ func (c *Collector) serveSession(conn net.Conn) {
 			c.mu.Lock()
 			if sess != nil {
 				sess.state = "done"
+				c.foldLocked(nil, 0) // an ended session releases its hold
 			}
 			c.mu.Unlock()
 			c.kickLive()
@@ -594,6 +606,24 @@ func (c *Collector) serveSession(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// foldLocked feeds events to the fold, then closes the rounds every known
+// host has left — unless a session holds the frontier: one that said hello
+// but has not shipped a span yet. Its hosts are unknown to the fold, which
+// would close rounds without them. A process's shipper says hello before
+// its first barrier and a round needs every process, so every session that
+// could still add a host to a round is announced before the round can
+// close (DESIGN.md §4.4).
+// Caller holds c.mu.
+func (c *Collector) foldLocked(events []Event, offsetNs int64) {
+	c.rollup.fold(events, offsetNs)
+	for _, s := range c.sess {
+		if s.state == "active" && !c.rollup.spans(s.hosts) {
+			return
+		}
+	}
+	c.rollup.advance()
 }
 
 func (c *Collector) addErr(err error) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -306,5 +307,85 @@ func TestShipperMissedCounts(t *testing.T) {
 	// LiveStats rollup; it must at least cover the 12 lost events.
 	if meta.Dropped < 12 {
 		t.Fatalf("meta.Dropped = %d, want >= 12", meta.Dropped)
+	}
+}
+
+// TestCollectorFrontierWaitsForLateSession: two shipper sessions, host 1
+// gating every round, and the session carrying host 1 holds back its first
+// flush until the other session has shipped everything and said bye. A
+// session that said hello but has not shipped a span yet holds the
+// collector's frontier, so no round closes with host 0 alone: the live
+// fold's verdicts match the offline fold of the merged timeline round by
+// round.
+func TestCollectorFrontierWaitsForLateSession(t *testing.T) {
+	col, err := ListenAndCollect("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	// Host 1 reaches each round's barrier 4ms after host 0: far beyond the
+	// loopback clock uncertainty, so the offline fold names it every time.
+	emit := func(tr *Trace, host int32, compute int64) {
+		rec := tr.Recorder(int(host))
+		for round := int32(0); round < 4; round++ {
+			rec.SetRound(round)
+			s := synthRound{host: host, round: round, start: int64(round) * 10_000_000, compute: compute,
+				encode: 100_000, barrier: 9_000_000 - compute, peer: 1 - host, value: 8}
+			for _, e := range s.events() {
+				rec.Emit(e)
+			}
+		}
+	}
+	early := New(Config{Capacity: 1 << 10, Label: "early"})
+	late := New(Config{Capacity: 1 << 10, Label: "late"})
+	emit(early, 0, 1_000_000)
+	emit(late, 1, 5_000_000)
+	earlySh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: early, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateSh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: late, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wait polls the collector's session counts: both hellos land before
+	// anything is shipped, as they do in a real cluster, where a process
+	// says hello before its first barrier.
+	wait := func(what string, ok func(accepted, done int) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(col.Sessions()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("collector never saw %s", what)
+			}
+		}
+	}
+	wait("both hellos", func(accepted, _ int) bool { return accepted == 2 })
+	waitDone := func(n int) { wait(fmt.Sprintf("%d sessions end", n), func(_, done int) bool { return done == n }) }
+	if err := earlySh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(1)
+	if err := lateSh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(2)
+
+	col.mu.Lock()
+	live := col.rollup.CriticalPath("", 0).Rounds
+	col.mu.Unlock()
+	events, meta := col.Merged()
+	whole := ComputeCriticalPath(meta, events).Rounds
+	if len(whole) != 4 || len(live) < 3 {
+		t.Fatalf("offline fold closed %d rounds, live fold %d; want 4 and at least 3", len(whole), len(live))
+	}
+	for i, lr := range live {
+		wr := whole[i]
+		if lr.Round != wr.Round || lr.Gate != wr.Gate || len(lr.Hosts) != len(wr.Hosts) {
+			t.Errorf("round %d: live fold gate %d over %d hosts, offline round %d gate %d over %d hosts",
+				lr.Round, lr.Gate, len(lr.Hosts), wr.Round, wr.Gate, len(wr.Hosts))
+		}
+		if wr.Gate != 1 || len(wr.Hosts) != 2 {
+			t.Errorf("offline round %d: gate %d over %d hosts, want host 1 over 2", wr.Round, wr.Gate, len(wr.Hosts))
+		}
 	}
 }

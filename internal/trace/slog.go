@@ -1,199 +1,36 @@
 package trace
 
-// Structured logging for the substrate (DESIGN.md §4.7). One vocabulary
-// for console diagnostics and postmortem bundles: every CLI and every
-// comm/dsys failure path logs through a *slog.Logger backed by this
-// handler, which
-//
-//   - renders compact single-line records ("15:04:05.000 WARN gluon-run:
-//     msg key=val ..."), hoisting the well-known host/round/phase attrs
-//     into a bracketed position prefix ("[h2 r17 fold]") so a human can
-//     read a failure cascade the way doctor orders it;
-//   - tees every rendered line into the armed flight recorder's bounded
-//     recent-log ring, so bundles carry the last console lines even when
-//     the operator's terminal scrolled away.
-//
-// The handler holds no per-record allocations beyond the line buffer and
-// is safe for concurrent use.
+// Structured logging for the substrate (DESIGN.md §4.7). Every CLI and
+// every comm/dsys failure path logs through a *slog.Logger built by
+// NewLogger: the standard library's text handler on stderr, one
+// "time=… level=… msg=… component=… key=val" line per record, with every
+// line also teed into the armed flight recorder's bounded recent-log ring,
+// so bundles carry the last console lines even when the operator's
+// terminal scrolled away.
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Well-known attr keys the handler hoists into the position prefix.
-const (
-	LogKeyHost  = "host"
-	LogKeyRound = "round"
-	LogKeyPhase = "phase"
-)
+// NewLogger is the constructor every CLI uses: a logger on stderr tagged
+// with the component name.
+func NewLogger(component string) *slog.Logger { return newLogger(os.Stderr, component) }
 
-// LogHandler is a slog.Handler rendering compact single-line records and
-// teeing them into the armed flight recorder.
-type LogHandler struct {
-	w         io.Writer
-	mu        *sync.Mutex
-	level     slog.Leveler
-	component string
-	attrs     []slog.Attr // pre-resolved WithAttrs accumulation
-	groups    []string
+func newLogger(w io.Writer, component string) *slog.Logger {
+	return slog.New(slog.NewTextHandler(tee{w}, nil)).With("component", component)
 }
 
-// NewLogHandler creates a handler writing to w. component prefixes every
-// line (conventionally the CLI or subsystem name); level nil means
-// slog.LevelInfo.
-func NewLogHandler(w io.Writer, component string, level slog.Leveler) *LogHandler {
-	if level == nil {
-		level = slog.LevelInfo
-	}
-	return &LogHandler{w: w, mu: &sync.Mutex{}, level: level, component: component}
-}
+// tee copies each rendered record into the armed flight recorder. The text
+// handler writes one whole record per Write, under its own mutex.
+type tee struct{ w io.Writer }
 
-// NewLogger is the convenience constructor every CLI uses: a logger on
-// stderr tagged with the component name.
-func NewLogger(component string) *slog.Logger {
-	return slog.New(NewLogHandler(os.Stderr, component, nil))
-}
-
-// Enabled implements slog.Handler.
-func (h *LogHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= h.level.Level()
-}
-
-// WithAttrs implements slog.Handler.
-func (h *LogHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	if len(attrs) == 0 {
-		return h
-	}
-	nh := *h
-	nh.attrs = make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	nh.attrs = append(nh.attrs, h.attrs...)
-	for _, a := range attrs {
-		nh.attrs = append(nh.attrs, h.qualify(a))
-	}
-	return &nh
-}
-
-// WithGroup implements slog.Handler.
-func (h *LogHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	nh := *h
-	nh.groups = append(append([]string(nil), h.groups...), name)
-	return &nh
-}
-
-// qualify prefixes an attr's key with the open groups.
-func (h *LogHandler) qualify(a slog.Attr) slog.Attr {
-	if len(h.groups) > 0 {
-		a.Key = strings.Join(h.groups, ".") + "." + a.Key
-	}
-	return a
-}
-
-// Handle implements slog.Handler: render, write, tee.
-func (h *LogHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.Grow(128)
-	if !r.Time.IsZero() {
-		b.WriteString(r.Time.Format("15:04:05.000"))
-		b.WriteByte(' ')
-	}
-	b.WriteString(r.Level.String())
-	b.WriteByte(' ')
-	if h.component != "" {
-		b.WriteString(h.component)
-		b.WriteString(": ")
-	}
-
-	// Collect attrs: handler-bound first, then record attrs; hoist the
-	// well-known position keys.
-	var host, round, phase string
-	var rest []slog.Attr
-	consider := func(a slog.Attr) {
-		if a.Equal(slog.Attr{}) {
-			return
-		}
-		switch a.Key {
-		case LogKeyHost:
-			host = a.Value.String()
-		case LogKeyRound:
-			round = a.Value.String()
-		case LogKeyPhase:
-			phase = a.Value.String()
-		default:
-			rest = append(rest, a)
-		}
-	}
-	for _, a := range h.attrs {
-		consider(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		consider(h.qualify(a))
-		return true
-	})
-	if host != "" || round != "" || phase != "" {
-		b.WriteByte('[')
-		sep := ""
-		if host != "" {
-			fmt.Fprintf(&b, "h%s", host)
-			sep = " "
-		}
-		if round != "" {
-			fmt.Fprintf(&b, "%sr%s", sep, round)
-			sep = " "
-		}
-		if phase != "" {
-			b.WriteString(sep)
-			b.WriteString(phase)
-		}
-		b.WriteString("] ")
-	}
-	b.WriteString(r.Message)
-	for _, a := range rest {
-		b.WriteByte(' ')
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		writeLogValue(&b, a.Value)
-	}
-	line := b.String()
-
-	h.mu.Lock()
-	_, err := fmt.Fprintln(h.w, line)
-	h.mu.Unlock()
-	Armed().appendLog(line)
-	return err
-}
-
-// writeLogValue renders one attr value, quoting strings that contain
-// whitespace so lines stay machine-splittable.
-func writeLogValue(b *strings.Builder, v slog.Value) {
-	v = v.Resolve()
-	switch v.Kind() {
-	case slog.KindString:
-		s := v.String()
-		if strings.ContainsAny(s, " \t\n\"=") {
-			fmt.Fprintf(b, "%q", s)
-		} else {
-			b.WriteString(s)
-		}
-	case slog.KindDuration:
-		b.WriteString(v.Duration().Round(time.Microsecond).String())
-	default:
-		s := v.String()
-		if strings.ContainsAny(s, " \t\n\"=") {
-			fmt.Fprintf(b, "%q", s)
-		} else {
-			b.WriteString(s)
-		}
-	}
+func (t tee) Write(p []byte) (int, error) {
+	Armed().appendLog(strings.TrimSuffix(string(p), "\n"))
+	return t.w.Write(p)
 }
 
 // logWriter adapts a *slog.Logger to the io.Writer sinks that predate

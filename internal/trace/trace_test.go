@@ -457,7 +457,7 @@ func TestMetricsPprof(t *testing.T) {
 // TestLabelPhase: the phase-label gate is allocation-free when off (the
 // default) and round-trips goroutine labels when on.
 func TestLabelPhase(t *testing.T) {
-	if PhaseLabelsEnabled() {
+	if phaseLabels.Load() {
 		t.Fatal("phase labels enabled by default")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -468,7 +468,7 @@ func TestLabelPhase(t *testing.T) {
 	}
 	SetPhaseLabels(true)
 	defer SetPhaseLabels(false)
-	if !PhaseLabelsEnabled() {
+	if !phaseLabels.Load() {
 		t.Error("SetPhaseLabels(true) not visible")
 	}
 	// Goroutine label sets are only observable through profiles; assert the

@@ -9,15 +9,17 @@ package trace
 // hosts straight from their Recorders, remote ones via transport gossip or
 // the collection sideband — and a monitor goroutine flags any round that
 // exceeds Factor× the trailing-median round time, naming the suspect host
-// and the phase it is stuck in, dumping goroutine stacks and the trace
-// tail. If the stall persists past StallTimeout the report escalates, and
-// the dsys runner feeds it into the comm.PeerError path so the cluster
-// fails loudly with the diagnosis attached instead of hanging.
+// and the phase it is stuck in. If the stall persists past StallTimeout the
+// report escalates, and the dsys runner feeds it into the comm.PeerError
+// path so the cluster fails loudly with the diagnosis attached instead of
+// hanging. The report is the diagnosis; the evidence (goroutine stacks, the
+// ring tail) is the stall bundle the escalation freezes (postmortem.go).
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,11 +89,7 @@ func (h *Health) Snapshot() []Heartbeat {
 	for _, hb := range h.slots {
 		out = append(out, hb)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; tables are tiny
-		for j := i; j > 0 && out[j-1].Host > out[j].Host; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b Heartbeat) int { return cmp.Compare(a.Host, b.Host) })
 	return out
 }
 
@@ -126,9 +124,6 @@ type WatchdogConfig struct {
 	// Window is how many completed round durations feed the trailing median
 	// (default 32).
 	Window int
-	// TraceTail is how many merged trace events the report carries
-	// (default 64; 0 keeps the default, negative disables the tail).
-	TraceTail int
 	// OnReport receives every stall report: once when a round is flagged and
 	// once more with Escalated=true if it persists past StallTimeout. Called
 	// from the monitor goroutine.
@@ -149,9 +144,6 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = 32
-	}
-	if c.TraceTail == 0 {
-		c.TraceTail = 64
 	}
 	return c
 }
@@ -174,13 +166,6 @@ type StallReport struct {
 	Escalated bool `json:"escalated"`
 	// Heartbeats is the table the diagnosis was made from.
 	Heartbeats []Heartbeat `json:"heartbeats"`
-	// Stacks is the monitoring process's goroutine dump (includes the
-	// suspect's goroutines when it shares the process, i.e. always for
-	// in-process clusters and for self-detection in multi-process ones).
-	Stacks []byte `json:"stacks,omitempty"`
-	// TraceTail is the tail of the suspect host's recorded events at flag
-	// time, newest last — what it was doing when progress stopped.
-	TraceTail []Event `json:"trace_tail,omitempty"`
 }
 
 func (r *StallReport) String() string {
@@ -209,7 +194,6 @@ func (e *StallError) Error() string {
 type Watchdog struct {
 	cfg    WatchdogConfig
 	health *Health
-	trace  *Trace // may be nil: reports then carry no trace tail
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -239,13 +223,11 @@ func (w *Watchdog) Resume() {
 	}
 }
 
-// StartWatchdog begins monitoring health. tr, when non-nil, supplies the
-// trace tail attached to reports; it is not otherwise required.
-func StartWatchdog(tr *Trace, health *Health, cfg WatchdogConfig) *Watchdog {
+// StartWatchdog begins monitoring health.
+func StartWatchdog(health *Health, cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{
 		cfg:    cfg.withDefaults(),
 		health: health,
-		trace:  tr,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -351,21 +333,6 @@ func (w *Watchdog) report(round int32, waited, threshold, median time.Duration, 
 		Escalated:  escalated,
 		Heartbeats: append([]Heartbeat(nil), hbs...),
 	}
-	buf := make([]byte, 1<<20)
-	r.Stacks = buf[:runtime.Stack(buf, true)]
-	if w.trace != nil && w.cfg.TraceTail > 0 {
-		events, _ := w.trace.Snapshot()
-		var tail []Event
-		for _, e := range events {
-			if e.Host == suspect.Host {
-				tail = append(tail, e)
-			}
-		}
-		if len(tail) > w.cfg.TraceTail {
-			tail = tail[len(tail)-w.cfg.TraceTail:]
-		}
-		r.TraceTail = tail
-	}
 	w.mu.Lock()
 	w.reports = append(w.reports, r)
 	w.mu.Unlock()
@@ -411,11 +378,7 @@ func medianDuration(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
+	s := slices.Clone(ds)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
