@@ -97,8 +97,11 @@ func TestCommands(t *testing.T) {
 				tc{args: []string{"critical", "-json", in}, golden: f + ".critical.json"})
 		}
 	}
+	// Subtest names hide the temp dir and the collector's ephemeral port, so
+	// a case has the same name on every run.
+	stable := strings.NewReplacer(dir, "TMPDIR", col.Addr(), "COLLECTOR")
 	for _, c := range cases {
-		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+		t.Run(stable.Replace(strings.Join(c.args, " ")), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(context.Background(), c.args, &stdout, &stderr); code != c.code {
 				t.Fatalf("exit code %d, want %d\nstdout: %s\nstderr: %s", code, c.code, &stdout, &stderr)

@@ -276,11 +276,13 @@ func (e *TCPEndpoint) readLoop(from int, conn net.Conn) {
 		hold := tag == TagRejoin && length == rejoinFrameLen && payload[0] == RejoinHold
 		e.ctr.msgsRecvd.Add(1)
 		e.ctr.bytesRecvd.Add(uint64(length))
+		// Record the instant before the enqueue, so a receiver that has
+		// the frame always finds its frame-recv event already emitted.
+		traceFrame(e.rec(), trace.PhaseFrameRecv, from, tag, int(length))
 		e.mbox.put(from, tag, payload)
 		if hold {
 			e.poison(from, ErrRejoinHold)
 		}
-		traceFrame(e.rec(), trace.PhaseFrameRecv, from, tag, int(length))
 	}
 }
 
@@ -337,9 +339,9 @@ func (e *TCPEndpoint) SendVec(to int, tag Tag, header, payload []byte) error {
 		e.ctr.bytesSent.Add(uint64(n))
 		e.ctr.msgsRecvd.Add(1)
 		e.ctr.bytesRecvd.Add(uint64(n))
-		e.mbox.put(e.id, tag, payload)
 		traceFrame(e.rec(), trace.PhaseFrameSend, to, tag, n)
 		traceFrame(e.rec(), trace.PhaseFrameRecv, to, tag, n)
+		e.mbox.put(e.id, tag, payload)
 		return nil
 	}
 	if to < 0 || to >= len(e.addrs) {
