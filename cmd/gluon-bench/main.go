@@ -32,7 +32,7 @@ var logger = trace.NewLogger("gluon-bench")
 func main() {
 	var (
 		table      = flag.Int("table", 0, "run only this table (1-5)")
-		figure     = flag.String("figure", "", "run only this figure (8, 9, 10), or \"ablations\" for the encoding, mirror-subset and scheduling studies")
+		figure     = flag.String("figure", "", "run only this figure (8, 9, 10), or \"ablations\" for the encoding and mirror-subset studies")
 		scale      = flag.Uint("scale", 16, "graphs have 2^scale nodes")
 		ef         = flag.Uint("edgefactor", 16, "average out-degree")
 		hosts      = flag.String("hosts", "1,2,4,8", "comma-separated host counts")
@@ -145,11 +145,7 @@ func main() {
 				return err
 			}
 			fmt.Println()
-			if err := bench.AblationSubsets(os.Stdout, p); err != nil {
-				return err
-			}
-			fmt.Println()
-			return bench.AblationScheduling(os.Stdout, p)
+			return bench.AblationSubsets(os.Stdout, p)
 		}},
 	}
 

@@ -31,7 +31,7 @@ var logger = trace.NewLogger("gluon-run")
 func main() {
 	var (
 		system   = flag.String("system", "d-galois", "d-ligra | d-galois | d-irgl | gemini")
-		benchFlg = flag.String("bench", "bfs", "bfs | cc | pr | pr-push | sssp | sssp-delta | kcore | bc")
+		benchFlg = flag.String("bench", "bfs", "bfs | cc | pr | sssp | kcore | bc")
 		kFlag    = flag.Uint64("k", 4, "core number for -bench kcore")
 		policy   = flag.String("policy", "cvc", "oec | iec | cvc | hvc | auto (probe all, pick by volume)")
 		hosts    = flag.Int("hosts", 4, "number of simulated hosts")
@@ -55,7 +55,7 @@ func main() {
 		wdStall      = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long (0 = warn only)")
 		pmDir        = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
 
-		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (bfs, cc, sssp, sssp-delta and pr checkpoint; pr-push, kcore and bc do not)")
+		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (bfs, cc, sssp and pr checkpoint; kcore and bc do not)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N rounds (0 = ckpt package default)")
 		ckptKeep  = flag.Int("ckpt-keep", 0, "retain the last K checkpoint epochs per host (0 = ckpt package default)")
 		restore   = flag.Bool("restore", false, "resume from the newest complete checkpoint in -ckpt-dir instead of starting fresh")
@@ -131,7 +131,7 @@ func main() {
 		logger.Info("flight recorder armed", "dir", *pmDir)
 	}
 
-	weighted := *benchFlg == "sssp" || *benchFlg == "sssp-delta"
+	weighted := *benchFlg == "sssp"
 	var numNodes uint64
 	var edges []gluon.Edge
 	var err error
@@ -158,6 +158,19 @@ func main() {
 		fatal(err)
 	}
 	source := uint64(csr.MaxOutDegreeNode())
+	// finish reports on the converged values, whichever system computed them.
+	finish := func(values []float64) {
+		writeTrace(tr, *traceOut)
+		if *verify {
+			printDigest(values)
+		}
+		if *check {
+			if err := validateResult(*benchFlg, csr, uint32(source), *kFlag, values); err != nil {
+				fatal(fmt.Errorf("validation FAILED: %w", err))
+			}
+			fmt.Println("validation passed ✓")
+		}
+	}
 
 	if *system == "gemini" {
 		if tr != nil {
@@ -165,17 +178,14 @@ func main() {
 		}
 		res, err := gemini.Run(numNodes, edges, gemini.Algorithm(*benchFlg), gemini.Config{
 			Hosts: *hosts, Workers: *workers, Source: source,
-			Tolerance: 1e-6, MaxIters: 100, CollectValues: *verify,
+			Tolerance: 1e-6, MaxIters: 100, CollectValues: *verify || *check,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("system=gemini bench=%s hosts=%d time=%v rounds=%d comm=%d bytes\n",
 			*benchFlg, *hosts, res.Time, res.Rounds, res.TotalCommBytes)
-		if *verify {
-			printDigest(res.Values)
-		}
-		writeTrace(tr, *traceOut)
+		finish(res.Values)
 		return
 	}
 
@@ -195,11 +205,6 @@ func main() {
 	case "pr":
 		factory = gluon.NewPageRank(gluon.System(*system), 1e-6, *workers)
 		maxRounds = 100
-	case "pr-push":
-		factory = gluon.NewPageRankPush(1e-9, *workers)
-		maxRounds = 500
-	case "sssp-delta":
-		factory = gluon.NewSSSPDelta(source, 0, *workers)
 	case "kcore":
 		factory = gluon.NewKCore(gluon.System(*system), *kFlag, *workers)
 	case "bc":
@@ -245,23 +250,14 @@ func main() {
 	}
 	fmt.Printf("system=%s bench=%s policy=%s hosts=%d time=%v rounds=%d comm=%d bytes imbalance=%.2f\n",
 		*system, *benchFlg, *policy, *hosts, res.Time, res.Rounds, res.TotalCommBytes, res.LoadImbalance())
-	writeTrace(tr, *traceOut)
-	if *verify {
-		printDigest(res.Values)
-	}
-	if *check {
-		if err := validateResult(*benchFlg, csr, uint32(source), *kFlag, res.Values); err != nil {
-			fatal(fmt.Errorf("validation FAILED: %w", err))
-		}
-		fmt.Println("validation passed ✓")
-	}
+	finish(res.Values)
 }
 
 // validateResult property-checks the collected values for the benchmarks
 // with known validators.
 func validateResult(benchName string, csr *gluon.CSR, source uint32, k uint64, values []float64) error {
 	switch benchName {
-	case "bfs", "sssp", "sssp-delta":
+	case "bfs", "sssp":
 		dist := make([]uint32, len(values))
 		for i, v := range values {
 			dist[i] = uint32(v)

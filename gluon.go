@@ -155,13 +155,6 @@ func NewCC(sys System, workers int) ProgramFactory {
 	}
 }
 
-// NewPageRankPush returns the push-style (residual) PageRank program on
-// the Galois engine — the paper's §2.3 push-pagerank, whose mirror fields
-// reset to 0 after each reduce.
-func NewPageRankPush(tol float64, workers int) ProgramFactory {
-	return pr.NewGaloisPush(tol, workers)
-}
-
 // NewPageRank returns the pull-style PageRank program. tol <= 0 uses the
 // default tolerance; pair with RunConfig.MaxRounds (the paper caps at 100).
 func NewPageRank(sys System, tol float64, workers int) ProgramFactory {
@@ -175,14 +168,6 @@ func NewPageRank(sys System, tol float64, workers int) ProgramFactory {
 	default:
 		return errFactory(fmt.Errorf("gluon: unknown system %q", sys))
 	}
-}
-
-// NewSSSPDelta returns the delta-stepping sssp program (Galois engine):
-// within each round, work drains in ascending distance buckets of width
-// delta (0 = a default suited to weights in [1, 100]), avoiding most of
-// the wasted relaxations of FIFO scheduling.
-func NewSSSPDelta(source uint64, delta uint32, workers int) ProgramFactory {
-	return sssp.NewGaloisDelta(source, delta, workers)
 }
 
 // NewKCore returns the k-core decomposition program (expects a symmetrized

@@ -62,6 +62,9 @@ func TestPublicAPISSSPAndCC(t *testing.T) {
 			t.Fatalf("sssp node %d = %v, want %d", i, res.Values[i], w)
 		}
 	}
+	if res.Rounds == 0 || len(res.RoundCompute) != res.Rounds {
+		t.Fatalf("round trace: %d entries for %d rounds", len(res.RoundCompute), res.Rounds)
+	}
 
 	sym := gluon.Symmetrize(edges)
 	symCSR, err := gluon.BuildCSR(numNodes, sym, true)
@@ -133,23 +136,6 @@ func TestPublicAPIKCoreAndBC(t *testing.T) {
 	}
 }
 
-func TestPublicAPIPageRankPush(t *testing.T) {
-	numNodes, edges, csr := genTest(t, false)
-	want := ref.PageRank(csr, 0.85, 1e-12, 500)
-	res, err := gluon.Run(numNodes, edges, gluon.RunConfig{
-		Hosts: 4, Policy: gluon.CVC, Opt: gluon.Opt(),
-		CollectValues: true, MaxRounds: 500,
-	}, gluon.NewPageRankPush(1e-10, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		if math.Abs(res.Values[i]-w) > 1e-5 {
-			t.Fatalf("node %d: %g, want %g", i, res.Values[i], w)
-		}
-	}
-}
-
 func TestPublicAPIAutotune(t *testing.T) {
 	numNodes, edges, _ := genTest(t, false)
 	pol, err := gluon.AutotunePolicy(numNodes, edges, 3, gluon.NewPageRank(gluon.DGalois, 1e-6, 2))
@@ -174,26 +160,6 @@ func TestUnknownSystemErrors(t *testing.T) {
 	}, gluon.NewBFS("no-such-system", 0, 1))
 	if err == nil {
 		t.Fatal("unknown system accepted")
-	}
-}
-
-func TestPublicAPISSSPDelta(t *testing.T) {
-	numNodes, edges, csr := genTest(t, true)
-	source := uint64(csr.MaxOutDegreeNode())
-	want := ref.SSSP(csr, uint32(source))
-	res, err := gluon.Run(numNodes, edges, gluon.RunConfig{
-		Hosts: 3, Policy: gluon.CVC, Opt: gluon.Opt(), CollectValues: true,
-	}, gluon.NewSSSPDelta(source, 0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		if float64(w) != res.Values[i] {
-			t.Fatalf("node %d: %v, want %d", i, res.Values[i], w)
-		}
-	}
-	if res.Rounds == 0 || len(res.RoundCompute) != res.Rounds {
-		t.Fatalf("round trace: %d entries for %d rounds", len(res.RoundCompute), res.Rounds)
 	}
 }
 

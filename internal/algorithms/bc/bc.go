@@ -317,25 +317,3 @@ func (pr *program) MasterValue(lid uint32) float64 {
 	}
 	return d
 }
-
-// Accumulate runs single-source bc from each of the given sources and sums
-// the dependencies — batched Brandes, the outer loop the original suite
-// drives around this program. run executes one configured distributed run
-// and returns the per-node dependencies (callers typically close over
-// dsys.Run with their RunConfig).
-func Accumulate(sources []uint64, run func(source uint64) ([]float64, error)) ([]float64, error) {
-	var total []float64
-	for _, s := range sources {
-		deps, err := run(s)
-		if err != nil {
-			return nil, err
-		}
-		if total == nil {
-			total = make([]float64, len(deps))
-		}
-		for i, d := range deps {
-			total[i] += d
-		}
-	}
-	return total, nil
-}

@@ -105,15 +105,6 @@ func NewGalois(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
 	})
 }
 
-// NewGaloisDelta builds the delta-stepping program; delta is the bucket
-// width in label units.
-func NewGaloisDelta(alg Algorithm, source uint64, delta uint32, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(g *graph.CSR) (store, Schedule) {
-		st := hostStore(g.NumNodes())
-		return st, Delta(g, st.labels, delta, workers)
-	})
-}
-
 // NewIrGL builds the bulk-synchronous device program; the labels live in a
 // device buffer.
 func NewIrGL(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {

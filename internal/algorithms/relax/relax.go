@@ -8,8 +8,8 @@
 //
 //   - relax.go: the operator, once — Out along a vertex's out-edges, in for
 //     Ligra's pull traversal — and the two ways labels start;
-//   - schedule.go: one schedule per engine (plus delta-stepping) over a
-//     local CSR, a label array and a frontier, knowing nothing of hosts;
+//   - schedule.go: one schedule per engine over a local CSR, a label array
+//     and a frontier, knowing nothing of hosts;
 //   - program.go: the dsys.Program that couples a schedule to one Gluon
 //     min-field.
 //

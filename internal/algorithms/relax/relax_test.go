@@ -101,24 +101,6 @@ type algorithm struct {
 func algorithms() []algorithm {
 	src := func(in input) uint64 { return uint64(in.source) }
 	directed := func(in input) []graph.Edge { return in.edges }
-	sp := algorithm{
-		edges: directed,
-		want:  func(in input) []uint32 { return ref.SSSP(in.wg, in.source) },
-		check: func(in input, got []uint32) error { return validate.SSSP(in.wg, in.source, got) },
-	}
-	ssspAlg, delta := sp, sp
-	ssspAlg.name = "sssp"
-	ssspAlg.engines = map[string]func(in input) dsys.ProgramFactory{
-		"ligra":  func(in input) dsys.ProgramFactory { return sssp.NewLigra(src(in), 2) },
-		"galois": func(in input) dsys.ProgramFactory { return sssp.NewGalois(src(in), 2) },
-		"irgl":   func(in input) dsys.ProgramFactory { return sssp.NewIrGL(src(in), 2) },
-	}
-	delta.name = "sssp-delta"
-	delta.engines = map[string]func(in input) dsys.ProgramFactory{
-		"galois":      func(in input) dsys.ProgramFactory { return sssp.NewGaloisDelta(src(in), 0, 2) },
-		"galois-d1":   func(in input) dsys.ProgramFactory { return sssp.NewGaloisDelta(src(in), 1, 2) },
-		"galois-d128": func(in input) dsys.ProgramFactory { return sssp.NewGaloisDelta(src(in), 128, 2) },
-	}
 	return []algorithm{
 		{
 			name: "bfs",
@@ -131,8 +113,17 @@ func algorithms() []algorithm {
 			want:  func(in input) []uint32 { return ref.BFS(in.g, in.source) },
 			check: func(in input, got []uint32) error { return validate.BFS(in.g, in.source, got) },
 		},
-		ssspAlg,
-		delta,
+		{
+			name: "sssp",
+			engines: map[string]func(in input) dsys.ProgramFactory{
+				"ligra":  func(in input) dsys.ProgramFactory { return sssp.NewLigra(src(in), 2) },
+				"galois": func(in input) dsys.ProgramFactory { return sssp.NewGalois(src(in), 2) },
+				"irgl":   func(in input) dsys.ProgramFactory { return sssp.NewIrGL(src(in), 2) },
+			},
+			edges: directed,
+			want:  func(in input) []uint32 { return ref.SSSP(in.wg, in.source) },
+			check: func(in input, got []uint32) error { return validate.SSSP(in.wg, in.source, got) },
+		},
 		{
 			name: "cc",
 			engines: map[string]func(in input) dsys.ProgramFactory{

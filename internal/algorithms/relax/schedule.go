@@ -13,7 +13,6 @@ import (
 	"gluon/internal/fields"
 	"gluon/internal/graph"
 	"gluon/internal/par"
-	"gluon/internal/worklist"
 )
 
 // Schedule runs the operator over the frontier on the labels it was built
@@ -78,41 +77,6 @@ func Galois(g *graph.CSR, labels []uint32, step Step, workers int) Schedule {
 				updated.Set(d)
 				if inWL.TestAndSet(d) {
 					push(d)
-				}
-			})
-		})
-		return updated
-	}
-}
-
-// Delta is Galois with delta-stepping: the host drains its work in
-// ascending label buckets (bucket = label/delta) instead of FIFO order, the
-// priority scheduling Galois' ordered worklists provide. Short paths settle
-// before long ones, so fewer labels are corrected twice — same converged
-// distances, less wasted work on weighted graphs.
-func Delta(g *graph.CSR, labels []uint32, delta uint32, workers int) Schedule {
-	bucket := func(u uint32) int {
-		l := fields.AtomicLoadU32(&labels[u])
-		if l == Infinity {
-			return 1 << 20 // clamped to the executor's final bucket
-		}
-		return int(l / delta)
-	}
-	return func(frontier *bitset.Bitset) *bitset.Bitset {
-		updated := bitset.New(frontier.Len())
-		inWL := frontier.Clone()
-		items := frontier.AppendIndices(nil)
-		prios := make([]int, len(items))
-		for i, u := range items {
-			prios[i] = bucket(u)
-		}
-		ex := &worklist.PriorityExecutor{Workers: workers}
-		ex.Run(items, prios, func(u uint32, push func(uint32, int)) {
-			inWL.Clear(u)
-			Out(g, labels, u, Weight, func(d uint32) {
-				updated.Set(d)
-				if inWL.TestAndSet(d) {
-					push(d, bucket(d))
 				}
 			})
 		})

@@ -19,10 +19,6 @@ const FieldID = 3
 // Infinity marks unreached nodes.
 const Infinity = relax.Infinity
 
-// DefaultDelta is the delta-stepping bucket width when the caller passes 0:
-// works well for the generator's weight range [1, 100].
-const DefaultDelta = 16
-
 var alg = relax.Algorithm{Name: "sssp", FieldID: FieldID, FieldName: "sssp-dist", Step: relax.Weight}
 
 // NewLigra builds the level-synchronous Bellman-Ford-style Ligra program.
@@ -38,16 +34,4 @@ func NewGalois(source uint64, workers int) dsys.ProgramFactory {
 // NewIrGL builds the bulk-synchronous device program.
 func NewIrGL(source uint64, workers int) dsys.ProgramFactory {
 	return relax.NewIrGL(alg, source, workers)
-}
-
-// NewGaloisDelta builds the delta-stepping variant of the D-Galois program,
-// reported as "sssp-delta". delta is the bucket width in distance units
-// (0 = DefaultDelta).
-func NewGaloisDelta(source uint64, delta uint32, workers int) dsys.ProgramFactory {
-	if delta == 0 {
-		delta = DefaultDelta
-	}
-	named := alg
-	named.Name = "sssp-delta"
-	return relax.NewGaloisDelta(named, source, delta, workers)
 }

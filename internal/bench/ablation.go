@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"gluon/internal/algorithms/sssp"
-	"gluon/internal/dsys"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
 )
@@ -54,37 +52,6 @@ func AblationEncodings(w io.Writer, p Params) error {
 					encodings[i].name, benchName, vols[0], vols[i])
 			}
 		}
-	}
-	return nil
-}
-
-// AblationScheduling compares FIFO chaotic relaxation against
-// delta-stepping priority scheduling for distributed sssp — same converged
-// distances, different intra-round work discipline.
-func AblationScheduling(w io.Writer, p Params) error {
-	hosts := p.Hosts[len(p.Hosts)-1]
-	fmt.Fprintf(w, "Ablation: worklist scheduling — d-galois sssp, cvc, %d hosts\n", hosts)
-	fmt.Fprintf(w, "%-12s %12s %8s %14s\n", "schedule", "time", "rounds", "volume")
-	wl, err := NewWorkload("rmat", p, true)
-	if err != nil {
-		return err
-	}
-	factories := []struct {
-		name    string
-		factory dsys.ProgramFactory
-	}{
-		{"fifo", sssp.NewGalois(uint64(wl.Source), p.Workers)},
-		{"delta", sssp.NewGaloisDelta(uint64(wl.Source), 0, p.Workers)},
-	}
-	for _, f := range factories {
-		res, err := dsys.Run(wl.NumNodes, wl.Edges, dsys.RunConfig{
-			Hosts: hosts, Policy: partition.CVC, Opt: gluon.Opt(),
-			PolicyOptions: wl.PolicyOptions(), Net: p.Net,
-		}, f.factory)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-12s %12s %8d %14s\n", f.name, fmtDur(res.Time), res.Rounds, fmtBytes(res.TotalCommBytes))
 	}
 	return nil
 }

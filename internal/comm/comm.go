@@ -101,7 +101,6 @@ type Tag uint32
 const (
 	TagBarrier   Tag = 0xFFFF0001
 	TagAllReduce Tag = 0xFFFF0002
-	TagAllGather Tag = 0xFFFF0003
 	TagMemo      Tag = 0xFFFF0004
 	TagTerm      Tag = 0xFFFF0005
 	// TagHeartbeat carries the watchdog's liveness gossip (see dsys); it
@@ -550,41 +549,4 @@ func AllReduceMax(t Transport, val uint64) (uint64, error) {
 		}
 		return b
 	})
-}
-
-// AllGather sends this host's payload to every other host and returns all
-// hosts' payloads indexed by host ID (own payload included, not copied).
-func AllGather(t Transport, payload []byte) ([][]byte, error) {
-	n := t.NumHosts()
-	me := t.HostID()
-	out := make([][]byte, n)
-	out[me] = payload
-	for h := 0; h < n; h++ {
-		if h == me {
-			continue
-		}
-		cp := GetBuf(len(payload))
-		copy(cp, payload)
-		if err := t.Send(h, TagAllGather, cp); err != nil {
-			return nil, err
-		}
-	}
-	for h := 0; h < n; h++ {
-		if h == me {
-			continue
-		}
-		p, err := t.Recv(h, TagAllGather)
-		if err != nil {
-			// Release the payloads already gathered (own slice excluded: it
-			// is caller-owned) so a mid-collective failure doesn't leak them.
-			for i := 0; i < h; i++ {
-				if i != me {
-					PutBuf(out[i])
-				}
-			}
-			return nil, err
-		}
-		out[h] = p
-	}
-	return out, nil
 }

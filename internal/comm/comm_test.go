@@ -200,22 +200,6 @@ func TestAllReduceRepeated(t *testing.T) {
 	})
 }
 
-func TestAllGather(t *testing.T) {
-	runCollective(t, 5, func(tp Transport) error {
-		mine := []byte{byte(tp.HostID())}
-		all, err := AllGather(tp, mine)
-		if err != nil {
-			return err
-		}
-		for h := 0; h < 5; h++ {
-			if len(all[h]) != 1 || all[h][0] != byte(h) {
-				return fmt.Errorf("gathered[%d] = %v", h, all[h])
-			}
-		}
-		return nil
-	})
-}
-
 func TestConcurrentSenders(t *testing.T) {
 	hub := NewHub(3)
 	defer hub.Close()

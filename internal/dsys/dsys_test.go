@@ -152,29 +152,6 @@ func TestSSSPMatrix(t *testing.T) {
 	}
 }
 
-// TestSSSPDeltaStepping validates the delta-stepping variant across
-// policies and bucket widths.
-func TestSSSPDeltaStepping(t *testing.T) {
-	numNodes, edges, g := testGraph(t, 9, true)
-	source := g.MaxOutDegreeNode()
-	want := ref.SSSP(g, source)
-	popt := policyOptions(numNodes, g)
-	for _, pol := range partition.AllKinds() {
-		for _, delta := range []uint32{1, 16, 128} {
-			t.Run(fmt.Sprintf("%s/d%d", pol, delta), func(t *testing.T) {
-				res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
-					Hosts: 3, Policy: pol, Opt: gluon.Opt(),
-					PolicyOptions: popt, CollectValues: true,
-				}, sssp.NewGaloisDelta(uint64(source), delta, 2))
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				checkU32(t, want, res.Values)
-			})
-		}
-	}
-}
-
 // TestCCMatrix validates cc (on the symmetrized graph) against union-find.
 func TestCCMatrix(t *testing.T) {
 	numNodes, edges, _ := testGraph(t, 9, false)

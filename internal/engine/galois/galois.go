@@ -10,7 +10,6 @@ package galois
 import (
 	"gluon/internal/bitset"
 	"gluon/internal/graph"
-	"gluon/internal/par"
 	"gluon/internal/worklist"
 )
 
@@ -45,15 +44,4 @@ func (e *Engine) DoAll(initial []uint32, op Operator) uint64 {
 // DoAllFrontier is DoAll with a bitset initial frontier.
 func (e *Engine) DoAllFrontier(frontier *bitset.Bitset, op Operator) uint64 {
 	return e.DoAll(frontier.AppendIndices(nil), op)
-}
-
-// ForEachNode applies fn to every node in parallel (a topology-driven
-// do_all, used for initialization and pull-style rounds).
-func (e *Engine) ForEachNode(fn func(u uint32)) {
-	par.For(int(e.Graph.NumNodes()), e.Workers, func(i int) { fn(uint32(i)) })
-}
-
-// ActiveNodes materializes a frontier bitset into a slice.
-func ActiveNodes(frontier *bitset.Bitset) []uint32 {
-	return frontier.AppendIndices(make([]uint32, 0, frontier.Count()))
 }

@@ -102,28 +102,6 @@ func TestDoAllFrontier(t *testing.T) {
 	}
 }
 
-func TestForEachNode(t *testing.T) {
-	g := rmatCSR(t, 8, false)
-	e := New(g, 4)
-	seen := make([]uint32, g.NumNodes())
-	e.ForEachNode(func(u uint32) { atomic.AddUint32(&seen[u], 1) })
-	for u, c := range seen {
-		if c != 1 {
-			t.Fatalf("node %d visited %d times", u, c)
-		}
-	}
-}
-
-func TestActiveNodes(t *testing.T) {
-	f := bitset.New(10)
-	f.Set(2)
-	f.Set(7)
-	got := ActiveNodes(f)
-	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
-		t.Fatalf("ActiveNodes = %v", got)
-	}
-}
-
 func BenchmarkAsyncBFS(b *testing.B) {
 	g := rmatCSR(b, 13, false)
 	source := g.MaxOutDegreeNode()

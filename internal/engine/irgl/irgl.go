@@ -51,13 +51,6 @@ func (d *Device) Stats() TransferStats {
 	}
 }
 
-// Kernel launches a data-parallel kernel over all nodes (topology-driven,
-// the IrGL default). body must use atomics for cross-node writes.
-func (d *Device) Kernel(body func(u uint32)) {
-	d.kernelLaunches.Add(1)
-	par.For(int(d.Graph.NumNodes()), d.Workers, func(i int) { body(uint32(i)) })
-}
-
 // KernelBlocks launches the same topology-driven kernel with its threads
 // grouped into blocks of consecutive nodes: body runs once per block, so
 // state a block shares (a ballot word of per-node flags, a partial sum) is

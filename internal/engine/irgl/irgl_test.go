@@ -28,10 +28,16 @@ func rmatCSR(t testing.TB) *graph.CSR {
 func TestKernelVisitsAllNodes(t *testing.T) {
 	g := rmatCSR(t)
 	d := New(g, 4)
-	var visits atomic.Uint64
-	d.Kernel(func(u uint32) { visits.Add(1) })
-	if visits.Load() != uint64(g.NumNodes()) {
-		t.Fatalf("visits %d, nodes %d", visits.Load(), g.NumNodes())
+	seen := make([]uint32, g.NumNodes())
+	d.KernelBlocks(func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			atomic.AddUint32(&seen[u], 1)
+		}
+	})
+	for u, c := range seen {
+		if c != 1 {
+			t.Fatalf("node %d visited %d times", u, c)
+		}
 	}
 	if d.Stats().KernelLaunches != 1 {
 		t.Fatalf("launches %d", d.Stats().KernelLaunches)
@@ -110,23 +116,5 @@ func TestBufferBulkTransfersAccounted(t *testing.T) {
 	st = d.Stats()
 	if st.BytesFromDevice != 12 {
 		t.Fatalf("from-device %d, want 12", st.BytesFromDevice)
-	}
-}
-
-func BenchmarkKernel(b *testing.B) {
-	cfg := generate.Config{Kind: "rmat", Scale: 13, EdgeFactor: 8, Seed: 55}
-	edges, _ := generate.Edges(cfg)
-	g, _ := graph.FromEdges(cfg.NumNodes(), edges, false)
-	d := New(g, 4)
-	val := NewBuffer[uint32](d, g.NumNodes()).Data()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Kernel(func(u uint32) {
-			var acc uint32
-			for _, v := range g.Neighbors(u) {
-				acc += v
-			}
-			val[u] = acc
-		})
 	}
 }

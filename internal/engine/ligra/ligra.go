@@ -108,17 +108,3 @@ func VertexMap(frontier *bitset.Bitset, workers int, fn func(u uint32)) {
 		}
 	})
 }
-
-// VertexFilter returns the subset of the frontier passing keep.
-func VertexFilter(frontier *bitset.Bitset, workers int, keep func(u uint32) bool) *bitset.Bitset {
-	out := bitset.New(frontier.Len())
-	n := int(frontier.Len())
-	par.Range(n, workers, func(lo, hi int) {
-		for u := frontier.NextSet(uint32(lo)); u < uint32(hi); u = frontier.NextSet(u + 1) {
-			if keep(u) {
-				out.Set(u)
-			}
-		}
-	})
-	return out
-}

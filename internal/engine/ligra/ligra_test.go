@@ -120,17 +120,6 @@ func TestVertexMapVisitsFrontierOnly(t *testing.T) {
 	}
 }
 
-func TestVertexFilter(t *testing.T) {
-	f := bitset.New(50)
-	for i := uint32(0); i < 50; i++ {
-		f.Set(i)
-	}
-	kept := VertexFilter(f, 4, func(u uint32) bool { return u%5 == 0 })
-	if kept.Count() != 10 {
-		t.Fatalf("kept %d", kept.Count())
-	}
-}
-
 // TestDenseCalledOncePerDensePass pins the Dense contract operators build
 // their per-pass state on: one call, with the pass's frontier, when the
 // frontier is dense; none when it is sparse; and the pull it returns is

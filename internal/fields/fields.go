@@ -53,12 +53,6 @@ func AtomicAddF64Bits(p *uint64, v float64) {
 	}
 }
 
-// AtomicSwapF64Bits atomically replaces the float64 bits in *p and returns
-// the previous value (used to consume a residual exactly once).
-func AtomicSwapF64Bits(p *uint64, v float64) float64 {
-	return math.Float64frombits(atomic.SwapUint64(p, math.Float64bits(v)))
-}
-
 // LoadF64Bits reads the float64 stored as bits in *p.
 func LoadF64Bits(p *uint64) float64 {
 	return math.Float64frombits(atomic.LoadUint64(p))
@@ -73,7 +67,7 @@ func LoadF64Bits(p *uint64) float64 {
 // 64-bit word.
 
 // SumF64Bits is a Gluon reduce structure over a bit-typed float64 slice
-// (push-style pagerank residuals): add-combined, reset to 0.
+// (bc's path counts and dependencies): add-combined, reset to 0.
 type SumF64Bits struct{ Bits []uint64 }
 
 // Extract reads the values at lids into dst.

@@ -39,14 +39,6 @@ func TestAtomicAddF64BitsConcurrent(t *testing.T) {
 	}
 }
 
-func TestAtomicSwapF64Bits(t *testing.T) {
-	bits := math.Float64bits(7.5)
-	old := AtomicSwapF64Bits(&bits, 0)
-	if old != 7.5 || LoadF64Bits(&bits) != 0 {
-		t.Fatalf("swap: old %v, now %v", old, LoadF64Bits(&bits))
-	}
-}
-
 func TestSumF64BitsSpec(t *testing.T) {
 	a := SumF64Bits{Bits: make([]uint64, 4)}
 	ch := marked(func(c *bitset.Bitset) { a.Reduce([]uint32{0, 2, 3}, []float64{0, 2.5, 1}, c) })
