@@ -32,7 +32,7 @@ build:
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
 TRACE_LOC_MAX = 3612
-ROOT_LOC_MAX = 15007
+ROOT_LOC_MAX = 15040
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -77,11 +77,13 @@ restore-gate:
 
 # The microbenchmarks straight from go test: the sync hot path end to end
 # (BenchmarkSyncHotPath*), its two per-value loops in ns/value
-# (BenchmarkSyncHotPathValues: encode and fold, dense and bfs-shaped), and
-# the pagerank operator in ns/edge (BenchmarkPRGather).
+# (BenchmarkSyncHotPathValues: encode and fold, dense and bfs-shaped), the
+# pagerank operator in ns/edge (BenchmarkPRGather), and the rmat and
+# webcrawl generators in ns/edge (BenchmarkRMAT, BenchmarkWebcrawl).
 bench:
 	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/gluon/
 	$(GO) test -run=NONE -bench=PRGather ./internal/algorithms/pr/
+	$(GO) test -run=NONE -bench='RMAT|Webcrawl' ./internal/generate/
 
 # The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # four workloads, setup_s and run_s untraced plus the per-layer traced run.

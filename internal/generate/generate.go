@@ -13,6 +13,7 @@ package generate
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gluon/internal/graph"
 	"gluon/internal/par"
@@ -55,6 +56,11 @@ func Edges(c Config) ([]graph.Edge, error) {
 	}
 	if c.MaxWeight == 0 {
 		c.MaxWeight = 100
+	}
+	// 1<<64 is 0 nodes, and a wrapped edge count is a short list: refuse
+	// both before allocating anything.
+	if hi, m := bits.Mul64(c.NumNodes(), uint64(c.EdgeFactor)); c.Scale >= 64 || hi != 0 || m > math.MaxInt {
+		return nil, fmt.Errorf("generate: scale %d with edge factor %d overflows the node or edge count", c.Scale, c.EdgeFactor)
 	}
 	var edges []graph.Edge
 	switch c.Kind {
@@ -100,13 +106,24 @@ func CSR(c Config) (*graph.CSR, error) {
 // deterministic perturbation is applied to the quadrant probabilities at
 // each level (standard RMAT practice); without it the generator behaves
 // like a Kronecker sampler.
+//
+// Every edge consumes a fixed number of draws — per level the quadrant draw
+// and, with noise, the four noise draws after it — so one fill of the lanes'
+// draws consumes exactly the stream that drawing their edges one by one would.
 func rmat(c Config, a, b, cc, d float64, noise bool) []graph.Edge {
 	n := c.NumNodes()
+	step := 1
+	if noise {
+		step = 5
+	}
+	draws := int(c.Scale) * step
 	edges := make([]graph.Edge, c.NumEdges())
 	perBlock(edges, c.Seed, 0x25a7, func(r *rng, block []graph.Edge) {
-		for i := range block {
-			src, dst := rmatEdge(r, c.Scale, n, a, b, cc, d, noise)
-			block[i] = graph.Edge{Src: src, Dst: dst}
+		u := make([]float64, rmatLanes*draws)
+		for lo := 0; lo < len(block); lo += rmatLanes {
+			out := block[lo:min(lo+rmatLanes, len(block))]
+			r.fill(u[:len(out)*draws])
+			rmatEdges(out, u, draws, step, n, a, b, cc, d)
 		}
 	})
 	return edges
@@ -127,33 +144,49 @@ func perBlock(edges []graph.Edge, seed, salt uint64, fill func(r *rng, block []g
 	})
 }
 
-func rmatEdge(r *rng, scale uint, n uint64, a, b, c, d float64, noise bool) (uint64, uint64) {
-	var src, dst uint64
-	pa, pb, pc := a, b, c
-	for level := uint(0); level < scale; level++ {
-		x := r.Float64()
-		switch {
-		case x < pa:
-			// quadrant A: no bits set
-		case x < pa+pb:
-			dst |= 1 << level
-		case x < pa+pb+pc:
-			src |= 1 << level
-		default:
-			src |= 1 << level
-			dst |= 1 << level
-		}
-		if noise {
-			// +-10% multiplicative noise, renormalized, per SSCA/graph500.
-			na := pa * (0.9 + 0.2*r.Float64())
-			nb := pb * (0.9 + 0.2*r.Float64())
-			nc := pc * (0.9 + 0.2*r.Float64())
-			nd := d * (0.9 + 0.2*r.Float64())
-			s := na + nb + nc + nd
-			pa, pb, pc = na/s, nb/s, nc/s
+// rmatLanes is how many edges rmatEdges walks down the levels side by side,
+// so that their independent multiply → add → divide chains overlap.
+const rmatLanes = 8
+
+// rmatEdges draws the len(out) ≤ rmatLanes edges whose draws u holds, draws
+// per edge back to back in stream order: per level the quadrant draw and,
+// when step is 5, the four noise draws. Each edge's floating-point operations
+// are those of a walk down its own levels alone, in the same order.
+func rmatEdges(out []graph.Edge, u []float64, draws, step int, n uint64, a, b, c, d float64) {
+	var pa, pb, pc [rmatLanes]float64
+	var src, dst [rmatLanes]uint64
+	for j := range out {
+		pa[j], pb[j], pc[j] = a, b, c
+	}
+	for level := 0; level*step < draws; level++ {
+		for j := range out {
+			x := u[j*draws+level*step:]
+			// Quadrant A sets no bit, B the dst bit, C the src bit, D both.
+			ab := pa[j] + pb[j]
+			src[j] |= b2u(x[0] >= ab) << level
+			dst[j] |= (b2u(x[0] >= pa[j]) ^ b2u(x[0] >= ab) ^ b2u(x[0] >= ab+pc[j])) << level
+			if step == 5 {
+				// +-10% multiplicative noise, renormalized, per SSCA/graph500.
+				na := pa[j] * (0.9 + 0.2*x[1])
+				nb := pb[j] * (0.9 + 0.2*x[2])
+				nc := pc[j] * (0.9 + 0.2*x[3])
+				nd := d * (0.9 + 0.2*x[4])
+				s := na + nb + nc + nd
+				pa[j], pb[j], pc[j] = na/s, nb/s, nc/s
+			}
 		}
 	}
-	return src % n, dst % n
+	for j := range out {
+		out[j] = graph.Edge{Src: src[j] % n, Dst: dst[j] % n}
+	}
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // webcrawl generates a scale-free directed graph with independent Zipf
@@ -167,10 +200,11 @@ func webcrawl(c Config, inExp, outExp float64) []graph.Edge {
 	// so the hubs for in and out differ.
 	edges := make([]graph.Edge, c.NumEdges())
 	permSeed := c.Seed ^ 0xbadc0ffee
+	in, out := newZipf(n, inExp), newZipf(n, outExp)
 	perBlock(edges, c.Seed, 0xc4a31, func(r *rng, block []graph.Edge) {
 		for i := range block {
-			src := zipfSample(r, n, outExp)
-			dst := zipfSample(r, n, inExp)
+			src := out.sample(r)
+			dst := in.sample(r)
 			block[i] = graph.Edge{
 				Src: scramble(src, permSeed) % n,
 				Dst: scramble(dst, permSeed^0x5bd1e995) % n,
@@ -180,28 +214,33 @@ func webcrawl(c Config, inExp, outExp float64) []graph.Edge {
 	return edges
 }
 
-// zipfSample draws a rank in [0, n) with P(rank=k) proportional to
-// (k+1)^-exp using the inverse-CDF of the continuous bounded Pareto
-// approximation, which is accurate enough for workload generation and O(1).
-func zipfSample(r *rng, n uint64, exp float64) uint64 {
+// zipf draws ranks in [0, n) with P(rank=k) proportional to (k+1)^-exp
+// using the inverse-CDF of the continuous bounded Pareto approximation,
+// which is accurate enough for workload generation and O(1).
+type zipf struct {
+	n         uint64
+	nPow, inv float64 // n^(1-exp) and 1/(1-exp)
+}
+
+func newZipf(n uint64, exp float64) zipf {
 	if exp == 1 {
 		exp = 1.000001
 	}
+	oneMinus := 1 - exp
+	return zipf{n, math.Pow(float64(n), oneMinus), 1 / oneMinus}
+}
+
+func (z zipf) sample(r *rng) uint64 {
 	u := r.Float64()
 	// Inverse CDF of p(x) ~ x^-exp on [1, n]:
 	// x = ((1-u) + u*n^(1-exp))^(1/(1-exp))
-	oneMinus := 1 - exp
-	nPow := powf(float64(n), oneMinus)
-	x := powf((1-u)+u*nPow, 1/oneMinus)
+	x := math.Pow((1-u)+u*z.nPow, z.inv)
 	k := uint64(x) - 1
-	if k >= n {
-		k = n - 1
+	if k >= z.n {
+		k = z.n - 1
 	}
 	return k
 }
-
-// powf aliases math.Pow so the sampler reads cleanly.
-func powf(x, y float64) float64 { return math.Pow(x, y) }
 
 // scramble applies a Feistel-free multiplicative hash permutation-ish map on
 // [0, 2^64); collisions modulo n are acceptable for workload generation.

@@ -257,24 +257,21 @@ func TestRNGUint64n(t *testing.T) {
 	}
 }
 
-func BenchmarkRMAT(b *testing.B) {
-	cfg := Config{Kind: "rmat", Scale: 14, EdgeFactor: 16, Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Edges(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkRMAT(b *testing.B) { benchmarkEdges(b, "rmat") }
 
-func BenchmarkWebcrawl(b *testing.B) {
-	cfg := Config{Kind: "webcrawl", Scale: 14, EdgeFactor: 16, Seed: 1}
+func BenchmarkWebcrawl(b *testing.B) { benchmarkEdges(b, "webcrawl") }
+
+// benchmarkEdges times Edges on a 2^14-node, 2^18-edge graph of one kind
+// and reports the cost per edge generated.
+func benchmarkEdges(b *testing.B, kind string) {
+	cfg := Config{Kind: kind, Scale: 14, EdgeFactor: 16, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Edges(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cfg.NumEdges()), "ns/edge")
 }
 
 // TestSameGraphAtEveryCoreCount: every kind, weighted and not, is one edge
@@ -303,6 +300,111 @@ func TestSameGraphAtEveryCoreCount(t *testing.T) {
 				}
 				if got := edgeHash(edges); got != hashes[w] {
 					t.Errorf("%s weighted=%v at GOMAXPROCS=%d: edge hash %#016x, want %#016x", kind, weighted, procs, got, hashes[w])
+				}
+			}
+		}
+	}
+}
+
+// TestLaneTailAtEveryCoreCount pins rmat and kron on shapes whose second
+// stream block ends in a part of a lane group (2 and 4 edges past the first
+// 2^16), so the last edges go through the kernel with fewer lanes. The
+// hashes were taken from the edge-at-a-time generator the kernel replaced.
+func TestLaneTailAtEveryCoreCount(t *testing.T) {
+	want := []struct {
+		kind      string
+		scale, ef uint
+		hashes    [2]uint64 // {unweighted, weighted}
+	}{
+		{"rmat", 1, 32769, [2]uint64{0xccdda7c9e25fa1d5, 0xa02f8e67d3019fae}},
+		{"kron", 1, 32769, [2]uint64{0xafa6b714027633f5, 0x3709304d48904bce}},
+		{"rmat", 2, 16385, [2]uint64{0x10707aeeb7193665, 0xe521ff46a39ec1da}},
+		{"kron", 2, 16385, [2]uint64{0xadf149fc4156f194, 0xc349c1915301bf0b}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range want {
+			for w, weighted := range []bool{false, true} {
+				edges, err := Edges(Config{Kind: c.kind, Scale: c.scale, EdgeFactor: c.ef, Seed: 42, Weighted: weighted})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := edgeHash(edges); got != c.hashes[w] {
+					t.Errorf("%s scale %d ef %d weighted=%v at GOMAXPROCS=%d: edge hash %#016x, want %#016x",
+						c.kind, c.scale, c.ef, weighted, procs, got, c.hashes[w])
+				}
+			}
+		}
+	}
+}
+
+// rmatEdgeOracle is the edge-at-a-time rmat walk that the lane kernel
+// replaced: one Float64 per quadrant draw and per noise draw, in stream
+// order, and a switch per level.
+func rmatEdgeOracle(r *rng, scale uint, n uint64, a, b, c, d float64, noise bool) (uint64, uint64) {
+	var src, dst uint64
+	pa, pb, pc := a, b, c
+	for level := uint(0); level < scale; level++ {
+		x := r.Float64()
+		switch {
+		case x < pa:
+		case x < pa+pb:
+			dst |= 1 << level
+		case x < pa+pb+pc:
+			src |= 1 << level
+		default:
+			src |= 1 << level
+			dst |= 1 << level
+		}
+		if noise {
+			na := pa * (0.9 + 0.2*r.Float64())
+			nb := pb * (0.9 + 0.2*r.Float64())
+			nc := pc * (0.9 + 0.2*r.Float64())
+			nd := d * (0.9 + 0.2*r.Float64())
+			s := na + nb + nc + nd
+			pa, pb, pc = na/s, nb/s, nc/s
+		}
+	}
+	return src % n, dst % n
+}
+
+// TestRMATMatchesOracle: rmat and kron equal the edge-at-a-time oracle edge
+// for edge, at scales 0 to 16, with lane tails of 5, 6, 4 and 2 edges and
+// with a second stream block.
+func TestRMATMatchesOracle(t *testing.T) {
+	for _, noise := range []bool{true, false} {
+		kind := map[bool]string{true: "rmat", false: "kron"}[noise]
+		for _, shape := range [][2]uint{{0, 5}, {1, 3}, {2, 1}, {3, 3}, {9, 7}, {1, 32769}, {16, 2}} {
+			c := Config{Kind: kind, Scale: shape[0], EdgeFactor: shape[1], Seed: uint64(shape[0])*31 + 7}
+			edges, err := Edges(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r *rng
+			for i, e := range edges {
+				if i%blockEdges == 0 {
+					r = newRNG(c.Seed ^ 0x25a7 ^ uint64(i/blockEdges)*0x9e3779b97f4a7c15)
+				}
+				src, dst := rmatEdgeOracle(r, c.Scale, c.NumNodes(), ProbA, ProbB, ProbC, ProbD, noise)
+				if e.Src != src || e.Dst != dst {
+					t.Fatalf("%s scale %d ef %d: edge %d is (%d,%d), oracle (%d,%d)", kind, c.Scale, c.EdgeFactor, i, e.Src, e.Dst, src, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestOversizedConfigsFail: a scale whose node count or edge count does not
+// fit is an error from every kind, before anything is allocated. (1<<64
+// nodes is 0 in a uint64, and 2^63 nodes × 16 edges wraps to 0 edges.)
+func TestOversizedConfigsFail(t *testing.T) {
+	for _, kind := range []string{"rmat", "kron", "webcrawl", "twitterlike", "random", "grid", "chain", "star"} {
+		for _, scale := range []uint{63, 64} {
+			for _, ef := range []uint{0, 1} {
+				edges, err := Edges(Config{Kind: kind, Scale: scale, EdgeFactor: ef})
+				if err == nil || edges != nil {
+					t.Errorf("%s scale %d edge factor %d: %d edges, err %v; want an error", kind, scale, ef, len(edges), err)
 				}
 			}
 		}

@@ -27,25 +27,41 @@ func newRNG(seed uint64) *rng {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *rng) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+// next is one xoshiro256** step on a state passed by value, so that fill
+// can keep the state in registers for a whole loop.
+func next(s0, s1, s2, s3 uint64) (result, n0, n1, n2, n3 uint64) {
+	result = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return result, s0, s1, s2, rotl(s3, 45)
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (r *rng) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *rng) Uint64() uint64 {
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
+}
+
+// unit maps 64 random bits to a uniform float64 in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *rng) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+func (r *rng) Float64() float64 { return unit(r.Uint64()) }
+
+// fill sets dst to the next len(dst) values Float64 would return.
+func (r *rng) fill(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range dst {
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		dst[i] = unit(x)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Uint64n returns a uniform value in [0, n). n must be > 0.

@@ -155,9 +155,6 @@ func (g *Gluon) WaitSends() { g.sendWG.Wait() }
 // emission.
 func (g *Gluon) SetRecorder(r *trace.Recorder) { g.rec = r }
 
-// Recorder returns the attached trace recorder (nil when tracing is off).
-func (g *Gluon) Recorder() *trace.Recorder { return g.rec }
-
 // dumpInvariant freezes a postmortem bundle through the armed flight
 // recorder when a sync message violates the wire contract: the bytes
 // arrived intact — transport failures dump in comm under their own
@@ -494,9 +491,6 @@ func (g *Gluon) HostID() int { return g.Part.HostID }
 
 // NumHosts returns the communicator size.
 func (g *Gluon) NumHosts() int { return g.Part.NumHosts }
-
-// Barrier blocks until all hosts reach it.
-func (g *Gluon) Barrier() error { return comm.Barrier(g.T) }
 
 // AllReduceSum sums val across hosts and returns the total on every host.
 // Engines use it for termination detection (global quiescence: total
