@@ -1,7 +1,7 @@
 # Development targets. `make check` is the required gate before sending
 # changes: formatting, vet, a full build, the race detector over every
 # package (the sync pipeline overlaps encode workers with the receive loop,
-# so gluon and comm must always pass under -race), the trace-overhead guard,
+# so gluon and comm must always pass under -race), the sync hot-path guard,
 # a traced smoke run analyzed by gluon-trace (tables and critical), and the
 # whole test suite at GOMAXPROCS=1, 2 and 4 (test-matrix).
 
@@ -32,7 +32,7 @@ build:
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
 TRACE_LOC_MAX = 3612
-ROOT_LOC_MAX = 15040
+ROOT_LOC_MAX = 14937
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -76,12 +76,13 @@ restore-gate:
 	$(GO) test -race -count=1 ./internal/ckpt/
 
 # The microbenchmarks straight from go test: the sync hot path end to end
-# (BenchmarkSyncHotPath*), its two per-value loops in ns/value
+# on the fixture behind BENCH_sync.json (BenchmarkSyncHotPath*, in
+# internal/bench), its two per-value loops in ns/value
 # (BenchmarkSyncHotPathValues: encode and fold, dense and bfs-shaped), the
 # pagerank operator in ns/edge (BenchmarkPRGather), and the rmat and
 # webcrawl generators in ns/edge (BenchmarkRMAT, BenchmarkWebcrawl).
 bench:
-	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/gluon/
+	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/bench/ ./internal/gluon/
 	$(GO) test -run=NONE -bench=PRGather ./internal/algorithms/pr/
 	$(GO) test -run=NONE -bench='RMAT|Webcrawl' ./internal/generate/
 
@@ -103,17 +104,19 @@ bench-e2e-quick:
 # because the width is part of the machine fingerprint and allocs/op is only
 # gated against a pin taken at the guard's width.
 sync-bench:
-	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-record -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 0
+	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-record -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7
 
 # Re-pin the BENCH_sync.json baseline in one step: take a fresh measurement
-# into the perfdb history, then project the newest record for this machine
-# back out as the snapshot (DESIGN.md §4.9).
+# into the perfdb history, then write the newest sync-bench record for this
+# machine out as the baseline, unchanged (DESIGN.md §4.9).
 bench-pin: sync-bench
 	GOMAXPROCS=1 $(GO) run ./cmd/gluon-perf -db BENCH_history.jsonl -pin BENCH_sync.json
 
-# Hot-path guard: the sync hot path with tracing disabled must stay within
-# tolerance of the BENCH_sync.json baseline (DESIGN.md §4.3), in two tiers:
-# the optimized wire format (auto) against the unopt one. The gate is the
+# Hot-path guard: the untraced sync hot path must stay within 10% (plus
+# capped noise) of the BENCH_sync.json baseline, in two tiers: the
+# optimized wire format (auto) against the unopt one. The traced states are
+# measured by BenchmarkSyncHotPathTrace and gated by nothing (DESIGN.md
+# §4.3). The gate is the
 # self-calibrating opt/unopt RATIO (DESIGN.md §4.9): machine speed cancels,
 # so an unmodified checkout passes on any machine without re-pinning.
 # allocs/op must never regress either, but the count depends on the
@@ -121,7 +124,7 @@ bench-pin: sync-bench
 # GOMAXPROCS — hence GOMAXPROCS=1 here, the width bench-pin pins at. Each
 # run appends its measurement to BENCH_history.jsonl for gluon-perf.
 trace-guard:
-	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-guard BENCH_sync.json -guard-tol 0.10 -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 0
+	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-guard BENCH_sync.json -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7
 
 # Trend smoke gate: build a short throwaway history at a small scale and run
 # the gluon-perf regression check over it — proves the record → history →
@@ -129,8 +132,8 @@ trace-guard:
 # this a plumbing gate, not a perf gate (trace-guard is the perf gate).
 perf-trend:
 	@rm -f /tmp/gluon-perf-trend.jsonl
-	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 0 -sync-tiers auto,unopt -sync-hosts 2
-	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 0 -sync-tiers auto,unopt -sync-hosts 2
+	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -sync-tiers auto,unopt -sync-hosts 2
+	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -sync-tiers auto,unopt -sync-hosts 2
 	$(GO) run ./cmd/gluon-perf -db /tmp/gluon-perf-trend.jsonl -check -tol 0.5
 
 # Trend tables over the committed history, grouped by machine fingerprint.

@@ -43,14 +43,12 @@ func main() {
 		prTol      = flag.Float64("pr-tol", 1e-6, "pagerank tolerance")
 		netLat     = flag.Duration("net-latency", 50*time.Microsecond, "simulated per-message link latency (0 disables)")
 		netBW      = flag.Float64("net-bandwidth", 50e6, "simulated link bandwidth, bytes/s (0 = infinite)")
-		syncOut    = flag.String("sync-json", "", "run the sync hot-path microbenchmark and write JSON to this file (\"-\" for stdout), then exit")
-		syncRecord = flag.Bool("sync-record", false, "run the sync hot-path microbenchmark and append it to the -perfdb history without writing a report file, then exit")
+		syncRecord = flag.Bool("sync-record", false, "run the sync hot-path microbenchmark and append it to the -perfdb history, then exit")
 		perfDB     = flag.String("perfdb", "", "append sync measurements to this perfdb history file (JSONL; \"\" disables recording)")
 
-		syncGuard = flag.String("sync-guard", "", "compare the sync hot path (tracing disabled) against this baseline JSON and exit non-zero on regression")
-		guardTol  = flag.Float64("guard-tol", 0.10, "fractional tolerance for -sync-guard before noise widening (allocs/op may never regress)")
-		syncTiers = flag.String("sync-tiers", "", "with -sync-json/-sync-record: measure only these comma-separated encodings (default: all of "+strings.Join(bench.AllSyncEncodings(), ",")+")")
-		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-json/-sync-record: comma-separated host counts to measure")
+		syncGuard = flag.String("sync-guard", "", "compare the sync hot path (tracing disabled) against this baseline record and exit non-zero on regression")
+		syncTiers = flag.String("sync-tiers", "", "with -sync-record: measure only these comma-separated encodings (default: all of "+strings.Join(bench.AllSyncEncodings(), ",")+")")
+		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-record: comma-separated host counts to measure")
 
 		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON; .jsonl suffix = JSONL)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) over HTTP at this address")
@@ -85,7 +83,7 @@ func main() {
 	}
 
 	if *syncGuard != "" {
-		if err := bench.GuardSyncBench(os.Stdout, p, *syncGuard, *guardTol, *perfDB); err != nil {
+		if err := bench.GuardSyncBench(os.Stdout, p, *syncGuard, *perfDB); err != nil {
 			fatal(err)
 		}
 		fmt.Println("sync hot path within tolerance of baseline ✓")
@@ -110,20 +108,20 @@ func main() {
 		}
 	}
 
-	if *syncOut != "" || *syncRecord {
+	if *syncRecord {
+		if *perfDB == "" {
+			fatal(fmt.Errorf("-sync-record needs -perfdb to record into"))
+		}
 		fmt.Fprintf(os.Stderr, "host fingerprint: %s\n", perfdb.Probe())
-		rep, err := runSyncBench(p, *syncTiers, *syncHosts, *syncOut)
+		rec, err := runSyncBench(p, *syncTiers, *syncHosts)
 		if err != nil {
 			fatal(fmt.Errorf("sync bench: %w", err))
 		}
-		if *perfDB != "" {
-			if err := perfdb.Append(*perfDB, rep.Record("sync-bench")); err != nil {
-				fatal(err)
-			}
-			logger.Info("appended sync measurement to perf history", "path", *perfDB, "fp", rep.FingerprintID)
-		} else if *syncRecord {
-			fatal(fmt.Errorf("-sync-record needs -perfdb to record into"))
+		rec.Label = "sync-bench"
+		if err := perfdb.Append(*perfDB, rec); err != nil {
+			fatal(err)
 		}
+		logger.Info("appended sync measurement to perf history", "path", *perfDB, "fp", rec.FingerprintID)
 		return
 	}
 
@@ -191,9 +189,8 @@ func main() {
 }
 
 // runSyncBench measures the requested sync tiers × host counts (defaults:
-// every encoding, the pinned {2,8}), attaches the comm-probe counters, and
-// writes the report to outPath ("" = don't, "-" = stdout).
-func runSyncBench(p bench.Params, tiersCSV, hostsCSV, outPath string) (*bench.SyncBenchReport, error) {
+// every encoding, the pinned {2,8}) and attaches the comm-probe counters.
+func runSyncBench(p bench.Params, tiersCSV, hostsCSV string) (*perfdb.Record, error) {
 	hosts, err := parseInts(hostsCSV)
 	if err != nil {
 		return nil, err
@@ -205,28 +202,16 @@ func runSyncBench(p bench.Params, tiersCSV, hostsCSV, outPath string) (*bench.Sy
 			names = append(names, strings.TrimSpace(t))
 		}
 	}
-	rep, err := bench.SyncBenchTiers(p, hosts, names)
+	rec, err := bench.SyncBenchTiers(p, hosts, names)
 	if err != nil {
 		return nil, err
 	}
 	if comm, err := bench.CommProbe(p, hosts[0]); err == nil {
-		rep.Comm = comm
+		rec.Comm = comm
 	} else {
-		logger.Warn("comm probe failed; report carries timings only", "err", err)
+		logger.Warn("comm probe failed; record carries timings only", "err", err)
 	}
-	if outPath == "" {
-		return rep, nil
-	}
-	out := os.Stdout
-	if outPath != "-" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		out = f
-	}
-	return rep, bench.WriteReportJSON(out, rep)
+	return rec, nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -2,8 +2,9 @@
 // benchmark history (BENCH_history.jsonl) that gluon-bench appends to: it
 // prints per-benchmark trend tables and sparklines grouped by host
 // fingerprint, flags regressions (latest point vs trailing median, beyond
-// the noise band), and rebuilds BENCH_sync.json snapshots from the history
-// so re-pinning is a projection instead of an ad-hoc measurement.
+// the noise band), and pins the newest full record as BENCH_sync.json, the
+// ratio gate's baseline, so re-pinning is a projection of the history
+// instead of an ad-hoc measurement.
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	gluon-perf -db path/to/history.jsonl    # explicit history
 //	gluon-perf -check                       # exit 1 if the newest record regresses
 //	gluon-perf -check -tol 0.08 -window 12  # wider band, longer trailing median
-//	gluon-perf -pin BENCH_sync.json         # snapshot the newest record for this host
+//	gluon-perf -pin BENCH_sync.json         # pin the newest sync-bench record for this host
 //	gluon-perf -fp 1a2b3c4d5e6f             # restrict tables to one machine class
 //
 // The regression check never compares across fingerprints: a new machine
@@ -21,11 +22,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"gluon/internal/bench"
 	"gluon/internal/perfdb"
 	"gluon/internal/trace"
 )
@@ -38,9 +39,8 @@ func main() {
 		check  = flag.Bool("check", false, "flag regressions in the newest record vs its fingerprint's trailing history; exit 1 if any")
 		tol    = flag.Float64("tol", 0.05, "fractional ns/op regression allowed before noise widening (-check)")
 		window = flag.Int("window", 8, "trailing points forming the reference median and sparklines")
-		pin    = flag.String("pin", "", "write a BENCH_sync.json snapshot of the newest full record for this host's fingerprint to this file, then exit")
+		pin    = flag.String("pin", "", "write the newest full (sync-bench) record for this host's fingerprint to this file as JSON, then exit")
 		fp     = flag.String("fp", "", "restrict trend tables to this fingerprint ID (prefix match)")
-		label  = flag.String("label", "", "with -pin: restrict to records with this label (default: newest with snapshot coordinates)")
 	)
 	flag.Parse()
 
@@ -56,7 +56,7 @@ func main() {
 	}
 
 	if *pin != "" {
-		if err := pinSnapshot(*pin, recs, *label); err != nil {
+		if err := pinSnapshot(*pin, recs); err != nil {
 			fatal(err)
 		}
 		return
@@ -93,36 +93,35 @@ func main() {
 	}
 }
 
-// pinSnapshot rebuilds a BENCH_sync.json document from the newest record
-// carrying full snapshot coordinates, preferring this host's fingerprint
-// so a pin on a new machine starts that machine's own baseline.
-func pinSnapshot(path string, recs []perfdb.Record, label string) error {
+// pinLabel marks the full snapshots gluon-bench -sync-record writes; the
+// guard's own sync-guard records hold only the auto and unopt tiers.
+const pinLabel = "sync-bench"
+
+// pinSnapshot writes the newest full record as indented JSON, unchanged,
+// preferring this host's fingerprint so a pin on a new machine starts that
+// machine's own baseline.
+func pinSnapshot(path string, recs []perfdb.Record) error {
 	host := perfdb.Probe().ID()
-	rec, err := perfdb.Latest(recs, label, host)
+	rec, err := perfdb.Latest(recs, pinLabel, host)
 	if err != nil {
-		// No record from this machine yet: fall back to the newest overall
-		// (the ratio gate is machine-independent, so a foreign snapshot
-		// still gates correctly; the absolute mode will refuse it).
-		if rec, err = perfdb.Latest(recs, label, ""); err != nil {
-			return fmt.Errorf("history holds no record to pin (label %q)", label)
+		// No record from this machine yet: fall back to the newest overall.
+		// The ratio gate is machine-independent, so a foreign pin still
+		// gates; only allocs/op wait for a pin at the guard's GOMAXPROCS.
+		if rec, err = perfdb.Latest(recs, pinLabel, ""); err != nil {
+			return fmt.Errorf("history holds no %s record to pin", pinLabel)
 		}
 		logger.Warn("no record from this machine; pinning newest foreign record",
 			"record_fp", rec.FingerprintID, "host_fp", host)
 	}
-	rep, err := bench.ReportFromRecord(rec)
+	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := bench.WriteReportJSON(f, rep); err != nil {
-		return err
-	}
-	logger.Info("pinned snapshot from history", "path", path, "fp", rep.FingerprintID,
-		"time", rec.Time.Format("2006-01-02T15:04:05Z"), "rows", len(rep.Results))
+	logger.Info("pinned record from history", "path", path, "fp", rec.FingerprintID,
+		"time", rec.Time.Format("2006-01-02T15:04:05Z"), "rows", len(rec.Benchmarks))
 	return nil
 }
 

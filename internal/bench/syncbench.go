@@ -1,13 +1,15 @@
 package bench
 
-// Sync hot-path snapshot and regression gates: the same measurement as
-// BenchmarkSyncHotPath in internal/gluon, exported through gluon-bench as
-// machine-readable JSON (BENCH_sync.json at the repo root) and appended to
-// the machine-fingerprinted perfdb history (BENCH_history.jsonl) so
-// successive PRs have a perf trajectory to compare against. One result per
-// encoding mode × host count: wall time, bytes allocated, allocations, and
-// a MAD noise estimate per full cluster-wide Sync (every host encodes,
-// ships, receives, and applies one round).
+// Sync hot-path history records and the regression gate. One fixture
+// (syncBenchCluster) is measured per encoding mode × host count — wall
+// time, bytes allocated, allocations, and a MAD noise estimate per full
+// cluster-wide Sync (every host encodes, ships, receives, and applies one
+// round) — into a perfdb record, the one format the measurement is kept
+// in: gluon-bench appends it to the machine-fingerprinted history
+// (BENCH_history.jsonl), and BENCH_sync.json at the repo root is one such
+// record pinned by gluon-perf, so successive PRs have a perf trajectory to
+// compare against. The BenchmarkSyncHotPath* benchmarks in this package's
+// tests run the same fixture under go test.
 //
 // The `make check` gate is the self-calibrating RATIO gate (DESIGN.md
 // §4.9): it measures the unoptimized reference wire format and the
@@ -35,110 +37,15 @@ import (
 	"gluon/internal/trace"
 )
 
-// SyncReportSchema versions the BENCH_sync.json document. Version 2 added
-// the host fingerprint, per-row noise estimates, and the comm-volume
-// counters; version 1 (implicit, field absent) carried bare timings.
-const SyncReportSchema = 2
-
-// SyncBenchResult is one sync hot-path measurement.
-type SyncBenchResult struct {
-	Hosts       int    `json:"hosts"`
-	Encoding    string `json:"encoding"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	// NoiseNs is the median absolute deviation of ns/op across the
-	// measurement reps — how trustworthy NsPerOp is on this machine right
-	// now. The ratio gate widens its tolerance by it.
-	NoiseNs int64 `json:"noise_ns,omitempty"`
-	// Reps is how many repetitions the min and MAD were taken over.
-	Reps int `json:"reps,omitempty"`
+// syncName is the perfdb series key of one (hosts, tier) row.
+func syncName(hosts int, encoding string) string {
+	return fmt.Sprintf("sync/h=%d/%s", hosts, encoding)
 }
 
-// Name is the perfdb series key for this row.
-func (r *SyncBenchResult) Name() string {
-	return fmt.Sprintf("sync/h=%d/%s", r.Hosts, r.Encoding)
-}
-
-// SyncBenchReport is the BENCH_sync.json document.
-type SyncBenchReport struct {
-	Schema  int    `json:"schema,omitempty"`
-	Graph   string `json:"graph"`
-	Workers int    `json:"sync_workers"`
-	// Fingerprint identifies the machine the snapshot was pinned on;
-	// FingerprintID is its hash, the history grouping key.
-	Fingerprint   *perfdb.Fingerprint `json:"fingerprint,omitempty"`
-	FingerprintID string              `json:"fingerprint_id,omitempty"`
-	// Comm carries the comm-volume counters from the traced probe run
-	// (trace ledger distillation), so the snapshot pins bytes as well as
-	// nanoseconds.
-	Comm    *perfdb.Comm      `json:"comm,omitempty"`
-	Results []SyncBenchResult `json:"results"`
-}
-
-// Record converts the report into a perfdb history record.
-func (rep *SyncBenchReport) Record(label string) *perfdb.Record {
-	rec := &perfdb.Record{
-		Label:   label,
-		Graph:   rep.Graph,
-		Workers: rep.Workers,
-		Comm:    rep.Comm,
-	}
-	if rep.Fingerprint != nil {
-		rec.Fingerprint = *rep.Fingerprint
-		rec.FingerprintID = rec.Fingerprint.ID()
-	}
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		rec.Benchmarks = append(rec.Benchmarks, perfdb.BenchResult{
-			Name:        r.Name(),
-			Hosts:       r.Hosts,
-			Encoding:    r.Encoding,
-			NsPerOp:     r.NsPerOp,
-			BytesPerOp:  r.BytesPerOp,
-			AllocsPerOp: r.AllocsPerOp,
-			NoiseNs:     r.NoiseNs,
-			Reps:        r.Reps,
-		})
-	}
-	return rec
-}
-
-// ReportFromRecord rebuilds a BENCH_sync.json snapshot from a perfdb
-// history record — the `gluon-perf -pin` path, which makes re-pinning a
-// projection of the history instead of a fresh ad-hoc measurement.
-func ReportFromRecord(rec *perfdb.Record) (*SyncBenchReport, error) {
-	rep := &SyncBenchReport{
-		Schema:        SyncReportSchema,
-		Graph:         rec.Graph,
-		Workers:       rec.Workers,
-		Fingerprint:   &rec.Fingerprint,
-		FingerprintID: rec.FingerprintID,
-		Comm:          rec.Comm,
-	}
-	for _, b := range rec.Benchmarks {
-		if b.Hosts == 0 || b.Encoding == "" {
-			return nil, fmt.Errorf("bench: record benchmark %q has no hosts/encoding coordinates", b.Name)
-		}
-		rep.Results = append(rep.Results, SyncBenchResult{
-			Hosts:       b.Hosts,
-			Encoding:    b.Encoding,
-			NsPerOp:     b.NsPerOp,
-			BytesPerOp:  b.BytesPerOp,
-			AllocsPerOp: b.AllocsPerOp,
-			NoiseNs:     b.NoiseNs,
-			Reps:        b.Reps,
-		})
-	}
-	if len(rep.Results) == 0 {
-		return nil, errors.New("bench: record carries no benchmarks")
-	}
-	return rep, nil
-}
-
-// syncBenchCluster mirrors the BenchmarkSyncHotPath fixture through the
-// public API: per-host substrates over a CVC partitioning with a uint32
-// min/set field, updates on every fifth proxy.
+// syncBenchCluster is the one sync hot-path fixture, behind the history
+// records, the guard and the BenchmarkSyncHotPath* benchmarks alike:
+// per-host substrates over a CVC partitioning with a uint32 min/set field,
+// updates on every fifth proxy.
 type syncBenchCluster struct {
 	parts  []*partition.Partition
 	gs     []*gluon.Gluon
@@ -238,6 +145,24 @@ func (c *syncBenchCluster) syncAll() error {
 	return nil
 }
 
+// run is one benchmark of the cluster: a warm round primes memoization and
+// the pools, then b.N cluster-wide syncs are timed.
+func (c *syncBenchCluster) run(b *testing.B) error {
+	c.markUpdates(0)
+	if err := c.syncAll(); err != nil {
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.markUpdates(i + 1)
+		if err := c.syncAll(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encSpec pairs an encoding name with the options that select it.
 type encSpec struct {
 	name string
@@ -264,10 +189,9 @@ func AllSyncEncodings() []string {
 	return names
 }
 
-// SyncBenchTiers measures only the named encodings (see allEncodings for
-// the valid names) — the cheap path behind the perf-trend smoke gate and
-// the root-level ratio benchmark.
-func SyncBenchTiers(p Params, hostCounts []int, names []string) (*SyncBenchReport, error) {
+// SyncBenchTiers measures the named encodings (see allEncodings for the
+// valid names) at each host count into one unlabeled history record.
+func SyncBenchTiers(p Params, hostCounts []int, names []string) (*perfdb.Record, error) {
 	all := allEncodings()
 	var specs []encSpec
 	for _, n := range names {
@@ -296,20 +220,16 @@ func SyncBenchTiers(p Params, hostCounts []int, names []string) (*SyncBenchRepor
 // estimate.
 const measureReps = 8
 
-func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchReport, error) {
+func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*perfdb.Record, error) {
 	fp := perfdb.Probe()
-	rep := &SyncBenchReport{
-		Schema:        SyncReportSchema,
-		Graph:         fmt.Sprintf("rmat scale=%d ef=%d seed=%d cvc", p.Scale, p.EdgeFactor, p.Seed),
-		Workers:       p.Workers,
-		Fingerprint:   &fp,
+	rec := &perfdb.Record{
+		Fingerprint:   fp,
 		FingerprintID: fp.ID(),
+		Graph:         fmt.Sprintf("rmat scale=%d ef=%d seed=%d cvc", p.Scale, p.EdgeFactor, p.Seed),
 	}
 	for _, hosts := range hostCounts {
 		for _, e := range encodings {
-			opt := e.opt
-			opt.SyncWorkers = p.Workers
-			c, err := newSyncBenchCluster(p, hosts, opt)
+			c, err := newSyncBenchCluster(p, hosts, e.opt)
 			if err != nil {
 				return nil, fmt.Errorf("sync bench hosts=%d %s: %w", hosts, e.name, err)
 			}
@@ -318,20 +238,9 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 			reps := make([]int64, 0, measureReps)
 			for trial := 0; trial < measureReps && benchErr == nil; trial++ {
 				r := testing.Benchmark(func(b *testing.B) {
-					// Warm one round so memoization and pools are primed.
-					c.markUpdates(0)
-					if err := c.syncAll(); err != nil {
+					if err := c.run(b); err != nil {
 						benchErr = err
 						b.SkipNow()
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						c.markUpdates(i + 1)
-						if err := c.syncAll(); err != nil {
-							benchErr = err
-							b.SkipNow()
-						}
 					}
 				})
 				reps = append(reps, r.NsPerOp())
@@ -343,7 +252,8 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 			if benchErr != nil {
 				return nil, fmt.Errorf("sync bench hosts=%d %s: %w", hosts, e.name, benchErr)
 			}
-			rep.Results = append(rep.Results, SyncBenchResult{
+			rec.Benchmarks = append(rec.Benchmarks, perfdb.BenchResult{
+				Name:        syncName(hosts, e.name),
 				Hosts:       hosts,
 				Encoding:    e.name,
 				NsPerOp:     best.NsPerOp(),
@@ -354,7 +264,7 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 			})
 		}
 	}
-	return rep, nil
+	return rec, nil
 }
 
 func withEncoding(enc gluon.Encoding) gluon.Options {
@@ -373,9 +283,7 @@ const commProbeRounds = 6
 // record carries. Timing is irrelevant here — tracing overhead doesn't
 // matter, only bytes and round structure do.
 func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
-	opt := gluon.Opt()
-	opt.SyncWorkers = p.Workers
-	c, err := newSyncBenchCluster(p, hosts, opt)
+	c, err := newSyncBenchCluster(p, hosts, gluon.Opt())
 	if err != nil {
 		return nil, err
 	}
@@ -415,18 +323,6 @@ func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
 	}, nil
 }
 
-// WriteReportJSON writes an already-built report as indented JSON (the
-// `gluon-perf -pin` snapshot path).
-func WriteReportJSON(w io.Writer, rep *SyncBenchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ratioNoiseCap bounds how far recorded rep noise may widen the ratio
-// band, so one chaotic measurement cannot disable the gate.
-const ratioNoiseCap = 0.25
-
 // refEncoding is the denominator of every ratio: the unoptimized
 // reference wire format, measured in the same process as the optimized
 // tiers.
@@ -435,11 +331,11 @@ const refEncoding = "unopt"
 // CompareSyncRatios gates cur against base on the opt/unopt RATIO per
 // (hosts, tier): ratio_cur may exceed ratio_base by at most tol plus the
 // summed relative noise of the four measurements behind the two ratios
-// (capped at ratioNoiseCap). Machine speed cancels out of both sides, so
+// (capped at perfdb.MaxNoiseFrac). Machine speed cancels out of both sides, so
 // the comparison holds across hardware; allocations are compared
 // absolutely, when they can be (allocsComparable). Rows missing a unopt
 // reference for their host count are skipped.
-func CompareSyncRatios(base, cur *SyncBenchReport, tol float64) error {
+func CompareSyncRatios(base, cur *perfdb.Record, tol float64) error {
 	violations := ratioViolations(base, cur, tol)
 	if len(violations) == 0 {
 		return nil
@@ -471,16 +367,16 @@ func (v ratioViolation) String() string {
 		v.Hosts, v.Encoding, v.BaseRatio, v.CurRatio, 100*(v.CurRatio/v.BaseRatio-1), 100*v.Band)
 }
 
-func rowIndex(rep *SyncBenchReport) map[string]*SyncBenchResult {
-	idx := make(map[string]*SyncBenchResult, len(rep.Results))
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		idx[r.Name()] = r
+func rowIndex(rec *perfdb.Record) map[string]*perfdb.BenchResult {
+	idx := make(map[string]*perfdb.BenchResult, len(rec.Benchmarks))
+	for i := range rec.Benchmarks {
+		r := &rec.Benchmarks[i]
+		idx[r.Name] = r
 	}
 	return idx
 }
 
-func relNoise(r *SyncBenchResult) float64 {
+func relNoise(r *perfdb.BenchResult) float64 {
 	if r.NsPerOp <= 0 {
 		return 0
 	}
@@ -489,34 +385,30 @@ func relNoise(r *SyncBenchResult) float64 {
 
 // ratioBand is the tolerance for one (hosts, tier) ratio comparison: tol
 // plus every contributing measurement's relative noise, capped.
-func ratioBand(tol float64, rows ...*SyncBenchResult) float64 {
+func ratioBand(tol float64, rows ...*perfdb.BenchResult) float64 {
 	noise := 0.0
 	for _, r := range rows {
 		noise += relNoise(r)
 	}
-	if noise > ratioNoiseCap {
-		noise = ratioNoiseCap
-	}
-	return tol + noise
+	return tol + min(noise, perfdb.MaxNoiseFrac)
 }
 
 // allocsComparable reports whether cur's allocs/op can be held against
 // base's. A sync encodes on min(GOMAXPROCS, peers) goroutines
 // (par.RangeWorkers), each with its own scratch, so allocs/op is a function
 // of the scheduler width: the absolute comparison holds only against a
-// baseline pinned at the same GOMAXPROCS. A baseline that recorded no
-// fingerprint is compared as before.
-func allocsComparable(base, cur *SyncBenchReport) bool {
-	return base.Fingerprint == nil || cur.Fingerprint == nil ||
-		base.Fingerprint.GOMAXPROCS == cur.Fingerprint.GOMAXPROCS
+// baseline pinned at the same GOMAXPROCS.
+func allocsComparable(base, cur *perfdb.Record) bool {
+	return base.Fingerprint.GOMAXPROCS == cur.Fingerprint.GOMAXPROCS
 }
 
-func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
+func ratioViolations(base, cur *perfdb.Record, tol float64) []ratioViolation {
 	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
 	gateAllocs := allocsComparable(base, cur)
 	var out []ratioViolation
-	for _, c := range cur.Results {
-		b, ok := baseIdx[c.Name()]
+	for i := range cur.Benchmarks {
+		c := &cur.Benchmarks[i]
+		b, ok := baseIdx[c.Name]
 		if !ok {
 			continue
 		}
@@ -528,15 +420,14 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 		if c.Encoding == refEncoding {
 			continue
 		}
-		cRef := curIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		bRef := baseIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
+		cRef := curIdx[syncName(c.Hosts, refEncoding)]
+		bRef := baseIdx[syncName(c.Hosts, refEncoding)]
 		if cRef == nil || bRef == nil || cRef.NsPerOp <= 0 || bRef.NsPerOp <= 0 || b.NsPerOp <= 0 {
 			continue
 		}
 		curRatio := float64(c.NsPerOp) / float64(cRef.NsPerOp)
 		baseRatio := float64(b.NsPerOp) / float64(bRef.NsPerOp)
-		cc := c
-		band := ratioBand(tol, &cc, cRef, b, bRef)
+		band := ratioBand(tol, c, cRef, b, bRef)
 		if curRatio > baseRatio*(1+band) {
 			out = append(out, ratioViolation{Hosts: c.Hosts, Encoding: c.Encoding,
 				BaseRatio: baseRatio, CurRatio: curRatio, Band: band})
@@ -545,12 +436,24 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 	return out
 }
 
+// guardTol is the guard's fractional ratio tolerance before noise
+// widening; allocs/op may never regress.
+const guardTol = 0.10
+
+// guardHosts and guardTiers are the rows the guard measures: the optimized
+// wire format against the unopt reference, at two and eight hosts.
+var (
+	guardHosts = []int{2, 8}
+	guardTiers = []string{"auto", refEncoding}
+)
+
 // GuardSyncBench is the hot-path regression guard behind `make check`: it
 // re-measures the sync hot path with tracing disabled (the default — no
 // recorder attached) in two tiers — auto and the unopt reference wire
-// format — in the same process (DESIGN.md §4.9). Together those cover both
-// wire formats and all instrumented paths; the forced-encoding rows only
-// vary payload layout.
+// format — in the same process (DESIGN.md §4.9), and gates them against
+// the BENCH_sync.json baseline, a perfdb record. Those two tiers cover both
+// wire formats; the forced-encoding rows only vary payload layout, and the
+// traced states are measured by BenchmarkSyncHotPathTrace, not gated.
 //
 // It gates on opt/unopt ratios with a noise-aware band —
 // machine-independent, so BENCH_sync.json never needs re-pinning for
@@ -561,36 +464,37 @@ func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
 // outcome: the trajectory must record regressions too.
 //
 // Both the baseline and the guard measurement are min-over-reps (see
-// measureReps), so a tight tol stays meaningful on a noisy machine. Rows
-// that still exceed tol are re-measured up to guardRetries times before
+// measureReps), so a tight tolerance stays meaningful on a noisy machine.
+// Rows that still exceed it are re-measured up to guardRetries times before
 // the guard fails: a transient load spike clears on a later measurement, a
 // real hot-path regression does not. Allocation regressions are
 // deterministic, so retries never mask one.
-func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, perfDB string) error {
+func GuardSyncBench(w io.Writer, p Params, baselinePath string, perfDB string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench: reading baseline: %w", err)
 	}
-	var base SyncBenchReport
+	var base perfdb.Record
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("bench: parsing baseline %s: %w", baselinePath, err)
 	}
-	host := perfdb.Probe()
-	fmt.Fprintf(w, "host fingerprint:     %s\n", host)
-	switch {
-	case base.Fingerprint != nil:
-		fmt.Fprintf(w, "baseline fingerprint: %s\n", *base.Fingerprint)
-	default:
-		fmt.Fprintf(w, "baseline fingerprint: unrecorded (schema v1 baseline — run `make bench-pin`)\n")
+	baseIdx := rowIndex(&base)
+	for _, h := range guardHosts {
+		for _, tier := range guardTiers {
+			if baseIdx[syncName(h, tier)] == nil {
+				return fmt.Errorf("bench: baseline %s has no %s row — rerun `make bench-pin`", baselinePath, syncName(h, tier))
+			}
+		}
 	}
+	fmt.Fprintf(w, "host fingerprint:     %s\n", perfdb.Probe())
+	fmt.Fprintf(w, "baseline fingerprint: %s\n", base.Fingerprint)
 
-	cur, err := SyncBenchTiers(p, []int{2, 8}, []string{"auto", refEncoding})
+	cur, err := SyncBenchTiers(p, guardHosts, guardTiers)
 	if err != nil {
 		return err
 	}
-	if cur.Graph != base.Graph || cur.Workers != base.Workers {
-		return fmt.Errorf("bench: guard config %q workers=%d does not match baseline %q workers=%d — rerun `make bench-pin`",
-			cur.Graph, cur.Workers, base.Graph, base.Workers)
+	if cur.Graph != base.Graph {
+		return fmt.Errorf("bench: guard config %q does not match baseline %q — rerun `make bench-pin`", cur.Graph, base.Graph)
 	}
 	// Five re-measure rounds: a floor takes a while to surface on a small
 	// machine, and a retry only ever lowers the estimate, so extra rounds
@@ -600,14 +504,14 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 	// transient-load benefit.
 	const guardRetries = 5
 	for retry := 0; retry < guardRetries; retry++ {
-		bad := violatingRows(&base, cur, tol)
+		bad := violatingRows(&base, cur, guardTol)
 		if len(bad) == 0 {
 			break
 		}
 		fmt.Fprintf(w, "re-measuring %d row(s) over tolerance (transient-load check %d/%d)\n",
 			len(bad), retry+1, guardRetries)
 		for _, i := range bad {
-			row := cur.Results[i]
+			row := cur.Benchmarks[i]
 			names := []string{row.Encoding}
 			if row.Encoding != refEncoding {
 				names = append(names, refEncoding)
@@ -617,13 +521,10 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 				if err != nil {
 					return err
 				}
-				nr := rp.Results[0]
-				for j := range cur.Results {
-					cr := &cur.Results[j]
-					if cr.Hosts == row.Hosts && cr.Encoding == name && nr.NsPerOp < cr.NsPerOp {
-						cr.NsPerOp = nr.NsPerOp
-						cr.NoiseNs = nr.NoiseNs
-					}
+				nr := rp.Benchmarks[0]
+				if cr := rowIndex(cur)[nr.Name]; nr.NsPerOp < cr.NsPerOp {
+					cr.NsPerOp = nr.NsPerOp
+					cr.NoiseNs = nr.NoiseNs
 				}
 				fmt.Fprintf(w, "  hosts=%d %s: %d ns/op\n", row.Hosts, name, nr.NsPerOp)
 			}
@@ -635,19 +536,20 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, per
 		} else {
 			fmt.Fprintf(w, "comm probe failed (history record carries timings only): %v\n", err)
 		}
-		if err := perfdb.Append(perfDB, cur.Record("sync-guard")); err != nil {
+		cur.Label = "sync-guard"
+		if err := perfdb.Append(perfDB, cur); err != nil {
 			return fmt.Errorf("bench: recording guard measurement: %w", err)
 		}
 		fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", perfDB)
 	}
 	writeGuardTable(w, &base, cur)
-	return CompareSyncRatios(&base, cur, tol)
+	return CompareSyncRatios(&base, cur, guardTol)
 }
 
 // writeGuardTable prints the comparison the guard just gated on.
-func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
+func writeGuardTable(w io.Writer, base, cur *perfdb.Record) {
 	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
-	baseAllocs := func(b *SyncBenchResult) string {
+	baseAllocs := func(b *perfdb.BenchResult) string {
 		if b == nil {
 			return "0"
 		}
@@ -656,25 +558,25 @@ func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
 	if !allocsComparable(base, cur) {
 		fmt.Fprintf(w, "allocs/op not comparable: baseline pinned at GOMAXPROCS=%d, this run at %d — gating ratios only\n",
 			base.Fingerprint.GOMAXPROCS, cur.Fingerprint.GOMAXPROCS)
-		baseAllocs = func(*SyncBenchResult) string { return "n/c" }
+		baseAllocs = func(*perfdb.BenchResult) string { return "n/c" }
 	}
 	fmt.Fprintf(w, "%-6s %-14s %11s %11s %8s %7s %10s %10s\n",
 		"hosts", "tier", "base ratio", "cur ratio", "delta", "noise", "base a/op", "cur a/op")
-	for _, c := range cur.Results {
-		b := baseIdx[c.Name()]
+	for i := range cur.Benchmarks {
+		c := &cur.Benchmarks[i]
+		b := baseIdx[c.Name]
 		if c.Encoding == refEncoding {
 			fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10s %10d   (%d ns/op reference)\n",
 				c.Hosts, c.Encoding, "1.000", "1.000", "ref", "", baseAllocs(b), c.AllocsPerOp, c.NsPerOp)
 			continue
 		}
-		cRef := curIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		bRef := baseIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
+		cRef := curIdx[syncName(c.Hosts, refEncoding)]
+		bRef := baseIdx[syncName(c.Hosts, refEncoding)]
 		ratioStr, baseStr, deltaStr, noiseStr := "n/a", "n/a", "n/a", ""
 		if cRef != nil && cRef.NsPerOp > 0 {
-			cc := c
 			curRatio := float64(c.NsPerOp) / float64(cRef.NsPerOp)
 			ratioStr = fmt.Sprintf("%.3f", curRatio)
-			noiseStr = fmt.Sprintf("±%.1f%%", 100*(relNoise(&cc)+relNoise(cRef)))
+			noiseStr = fmt.Sprintf("±%.1f%%", 100*(relNoise(c)+relNoise(cRef)))
 			if b != nil && bRef != nil && bRef.NsPerOp > 0 {
 				baseRatio := float64(b.NsPerOp) / float64(bRef.NsPerOp)
 				baseStr = fmt.Sprintf("%.3f", baseRatio)
@@ -686,12 +588,12 @@ func writeGuardTable(w io.Writer, base, cur *SyncBenchReport) {
 	}
 }
 
-// violatingRows returns indices into cur.Results whose row regresses
+// violatingRows returns indices into cur.Benchmarks whose row regresses
 // versus its baseline counterpart.
-func violatingRows(base, cur *SyncBenchReport, tol float64) []int {
+func violatingRows(base, cur *perfdb.Record, tol float64) []int {
 	var bad []int
 	for _, v := range ratioViolations(base, cur, tol) {
-		for i, c := range cur.Results {
+		for i, c := range cur.Benchmarks {
 			if c.Hosts == v.Hosts && c.Encoding == v.Encoding {
 				bad = append(bad, i)
 				break

@@ -62,10 +62,6 @@ type Options struct {
 	// per-message choice (ablation of §4.2; ignored when
 	// TemporalInvariance is off). Empty messages are always sent as such.
 	ForceEncoding Encoding
-	// SyncWorkers caps how many goroutines encode per-peer sync messages
-	// in parallel (0 = one per CPU, 1 = serial encoding). Message bytes
-	// are identical at any setting; only time changes.
-	SyncWorkers int
 }
 
 // Unopt returns the baseline configuration with both optimizations off.

@@ -118,7 +118,7 @@ func (g *Gluon) broadcastTag(fieldID uint32) comm.Tag {
 // next frontier. A nil updated means "assume everything changed".
 //
 // Both phases are pipelined: per-peer messages are encoded by parallel
-// workers (Options.SyncWorkers) into pooled buffers while the receive loop
+// workers (one per CPU) into pooled buffers while the receive loop
 // applies what has arrived — broadcast in arrival order, reduce in ascending
 // sender rank. Neither changes what is sent: per-peer payload bytes and
 // encoding-mode choices are identical to a serial, fixed-order sync.
@@ -254,7 +254,7 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	g.sendWG.Add(1)
 	go func() {
 		defer g.sendWG.Done()
-		sendErr <- par.RangeWorkers(len(sendPeers), g.Opt.SyncWorkers, func(w, lo, hi int) error {
+		sendErr <- par.RangeWorkers(len(sendPeers), 0, func(w, lo, hi int) error {
 			defer trace.LabelPhase(trace.PhaseEncode)()
 			sc := getEncodeScratch()
 			defer putEncodeScratch(sc)

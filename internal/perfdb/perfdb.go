@@ -3,8 +3,9 @@
 // measurement appends one schema-versioned JSONL record — host fingerprint,
 // per-benchmark min-over-reps timing with a noise estimate, and the
 // comm-volume counters lifted from the trace ledger — and cmd/gluon-perf
-// reads the accumulated history back for trend tables, regression checks,
-// and BENCH_sync.json snapshots. Appends are single-write lines so a crash
+// reads the accumulated history back for trend tables and regression
+// checks. BENCH_sync.json, the ratio gate's baseline, is one of these
+// records pinned to its own file. Appends are single-write lines so a crash
 // mid-append tears at most the trailing record, which Read tolerates.
 package perfdb
 
@@ -26,8 +27,8 @@ type BenchResult struct {
 	// Name identifies the benchmark series ("sync/h=2/auto").
 	Name string `json:"name"`
 	// Hosts and Encoding are the sync-bench coordinates behind Name, kept
-	// structured so snapshots (BENCH_sync.json) can be rebuilt from a
-	// record without parsing names.
+	// structured so the ratio gate can pair a tier with its unopt
+	// reference without parsing names.
 	Hosts    int    `json:"hosts,omitempty"`
 	Encoding string `json:"encoding,omitempty"`
 	// NsPerOp is the min-over-reps wall time: load spikes only ever
@@ -67,10 +68,9 @@ type Record struct {
 	// FingerprintID is Fingerprint.ID(), denormalized so grep and jq can
 	// group the raw file without recomputing hashes.
 	FingerprintID string `json:"fp"`
-	// Graph and Workers pin the measured configuration; series with
-	// different configurations are not comparable.
+	// Graph pins the measured configuration; series with different
+	// configurations are not comparable.
 	Graph      string        `json:"graph,omitempty"`
-	Workers    int           `json:"sync_workers"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 	Comm       *Comm         `json:"comm,omitempty"`
 }

@@ -196,10 +196,11 @@ func TestLatest(t *testing.T) {
 }
 
 // TestReadKeepsOlderLines: a line written before the DEFLATE tier left the
-// substrate — comp-* benchmark rows, a comm.compression_ratio key — still
-// loads: the row names are data and the key is ignored.
+// substrate — comp-* benchmark rows, a comm.compression_ratio key — and
+// before the sync_workers field went still loads: the row names are data
+// and the keys are ignored.
 func TestReadKeepsOlderLines(t *testing.T) {
-	const old = `{"schema":1,"time":"2026-08-08T20:54:19Z","label":"sync-bench","fp":"bf68d75a39bd","graph":"rmat scale=12 ef=8 seed=7 cvc","benchmarks":[{"name":"sync/h=2/auto","hosts":2,"encoding":"auto","ns_per_op":20617},{"name":"sync/h=2/comp-static","hosts":2,"encoding":"comp-static","ns_per_op":49214}],"comm":{"bytes_per_round":191.5,"compression_ratio":6.7,"invariant_skip_share":0.33}}` + "\n"
+	const old = `{"schema":1,"time":"2026-08-08T20:54:19Z","label":"sync-bench","fp":"bf68d75a39bd","graph":"rmat scale=12 ef=8 seed=7 cvc","sync_workers":0,"benchmarks":[{"name":"sync/h=2/auto","hosts":2,"encoding":"auto","ns_per_op":20617},{"name":"sync/h=2/comp-static","hosts":2,"encoding":"comp-static","ns_per_op":49214}],"comm":{"bytes_per_round":191.5,"compression_ratio":6.7,"invariant_skip_share":0.33}}` + "\n"
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)

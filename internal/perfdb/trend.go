@@ -97,6 +97,11 @@ func Sparkline(ns []int64, width int) string {
 	return string(out)
 }
 
+// MaxNoiseFrac caps how far recorded noise may widen a pass band — here
+// and in the sync ratio gate — so a measurement that recorded garbage
+// noise cannot disable its own gate.
+const MaxNoiseFrac = 0.25
+
 // CheckOptions parameterizes the regression check.
 type CheckOptions struct {
 	// Tol is the fractional ns/op regression allowed before noise widening
@@ -105,10 +110,6 @@ type CheckOptions struct {
 	// Window caps how many trailing points form the reference median
 	// (default 8).
 	Window int
-	// MaxNoiseFrac caps how far recorded noise may widen the band, so a
-	// series that recorded garbage noise cannot disable its own gate
-	// (default 0.25).
-	MaxNoiseFrac float64
 }
 
 func (o *CheckOptions) defaults() {
@@ -117,9 +118,6 @@ func (o *CheckOptions) defaults() {
 	}
 	if o.Window == 0 {
 		o.Window = 8
-	}
-	if o.MaxNoiseFrac == 0 {
-		o.MaxNoiseFrac = 0.25
 	}
 }
 
@@ -196,8 +194,8 @@ func Check(recs []Record, o CheckOptions) []Regression {
 		if tn := float64(median(trailNoise)) / float64(med); tn > nf {
 			nf = tn
 		}
-		if nf > o.MaxNoiseFrac {
-			nf = o.MaxNoiseFrac
+		if nf > MaxNoiseFrac {
+			nf = MaxNoiseFrac
 		}
 		reg.BandFrac = o.Tol + nf
 		minAllocs := s.Allocs[0]
