@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 3612
-ROOT_LOC_MAX = 14937
+TRACE_LOC_MAX = 3435
+ROOT_LOC_MAX = 14759
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -155,7 +155,7 @@ doctor-smoke:
 	$(GO) test -race -count=1 -run 'TestDoctorSmoke' ./internal/dsys/
 
 # Top smoke: a traced in-process cluster shipped over the sideband with a
-# programmatic live subscription attached (the `gluon-trace top` path) must observe
+# programmatic viewer polling it (the `gluon-trace top` path) must observe
 # nonzero round progress and emit a critical-path verdict, under the race
 # detector (DESIGN.md §4.8).
 top-smoke:

@@ -50,7 +50,7 @@ func main() {
 		syncTiers = flag.String("sync-tiers", "", "with -sync-record: measure only these comma-separated encodings (default: all of "+strings.Join(bench.AllSyncEncodings(), ",")+")")
 		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-record: comma-separated host counts to measure")
 
-		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON; .jsonl suffix = JSONL)")
+		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) over HTTP at this address")
 		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
 		pprofAddr    = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")

@@ -43,9 +43,9 @@ func main() {
 		seed     = flag.Uint64("seed", 2018, "generation seed")
 		unopt    = flag.Bool("unopt", false, "disable Gluon's communication optimizations")
 		verify   = flag.Bool("verify", false, "collect values and print a result digest")
-		check    = flag.Bool("validate", false, "property-check the result (graph500-style, no reference recomputation)")
+		check    = flag.Bool("validate", false, "property-check the result of bfs, cc, pr, sssp or kcore (graph500-style, no reference recomputation)")
 
-		traceOut     = flag.String("trace", "", "write a trace of the run (Chrome trace_event JSON; .jsonl suffix = JSONL)")
+		traceOut     = flag.String("trace", "", "write a trace of the run (Chrome trace_event JSON)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) and pprof capture over HTTP at this address")
 		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
 		traceShip    = flag.String("trace-ship", "", "stream the trace to a collector at this address (gluon-trace serve)")
@@ -61,6 +61,11 @@ func main() {
 		restore   = flag.Bool("restore", false, "resume from the newest complete checkpoint in -ckpt-dir instead of starting fresh")
 	)
 	flag.Parse()
+	// Refuse before the graph is generated: a correct bc run would otherwise
+	// end in a validation failure.
+	if *check && *benchFlg == "bc" {
+		fatal(fmt.Errorf("-validate: bc has no validator"))
+	}
 
 	if *pprofAddr != "" {
 		ps, err := trace.ServePprof(*pprofAddr)

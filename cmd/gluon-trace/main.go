@@ -1,5 +1,5 @@
 // Command gluon-trace reads everything the observability plane records —
-// trace exports, a live collector's stream, postmortem bundles — through
+// trace exports, a live collector's state, postmortem bundles — through
 // one fold (internal/trace's Rollup), so its reports cannot disagree.
 //
 //	gluon-trace tables   [-json] [-label s] [-top n] trace-file
@@ -8,11 +8,10 @@
 //	gluon-trace top      [-refresh 1s] [-rounds 8] [-o jsonl] [-once] collector-addr
 //	gluon-trace doctor   [-o final.trace.json] [-window 10s] [-json] bundle-dir
 //
-// tables reads a trace produced by gluon-run or gluon-bench (-trace flag) in
-// either export format (Chrome trace_event JSON or JSONL) and prints the
-// paper-style tables — per-round communication volume and time, per-peer
-// skew, phase time breakdown, the encoding-mode histogram, and any fault
-// timeline.
+// tables reads a trace produced by gluon-run or gluon-bench (-trace flag), a
+// Chrome trace_event JSON export, and prints the paper-style tables —
+// per-round communication volume and time, per-peer skew, phase time
+// breakdown, the encoding-mode histogram, and any fault timeline.
 //
 // critical prints the critical-path attribution instead: per round, which
 // host arrived at the termination barrier last and which of its phases
@@ -28,7 +27,8 @@
 // -o, and prints the tables. top can attach to the same address while the
 // run is live.
 //
-// top is a live terminal dashboard (top.go); doctor performs causal crash
+// top is a live terminal dashboard that polls a collector once per -refresh
+// (top.go); doctor performs causal crash
 // diagnosis on the postmortem bundles a dead cluster left behind.
 package main
 
@@ -57,7 +57,7 @@ const usage = `usage: gluon-trace command [flags] argument
   tables   [-json] [-label s] [-top n] trace-file            volume, skew, phase and mode tables of a trace export
   critical [-json] [-label s] trace-file                     barrier-gating attribution per round and the optimization ledger
   serve    [-sessions n] [-o f] [-json] [-label s] [-top n] listen-addr   collect and merge traces shipped by a live cluster
-  top      [-refresh d] [-rounds n] [-o jsonl] [-once] collector-addr     live dashboard of a collector
+  top      [-refresh d] [-rounds n] [-o jsonl] [-once] collector-addr     live dashboard, polling a collector every -refresh
   doctor   [-o f] [-window 10s] [-json] bundle-dir           causal diagnosis of the bundles under a -postmortem-dir
 `
 
@@ -167,7 +167,7 @@ func reportCmd(_ context.Context, fs *flag.FlagSet, args []string, stdout io.Wri
 func serveCmd(ctx context.Context, fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	label, render := reportFlags(fs, false)
 	sessions := fs.Int("sessions", 0, "exit after this many shipper sessions complete (0 = run until interrupted)")
-	out := fs.String("o", "", "write the merged cluster trace to this file (.jsonl = JSONL, else Chrome)")
+	out := fs.String("o", "", "write the merged cluster trace to this file (Chrome trace_event JSON)")
 	addr, err := parseOne(fs, args)
 	if err != nil {
 		return err

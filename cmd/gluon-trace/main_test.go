@@ -24,12 +24,19 @@ const fixtures = "../../internal/trace/testdata"
 // unified, so a byte of drift in any view is a failure.
 func TestCommands(t *testing.T) {
 	dir := t.TempDir()
-	empty := filepath.Join(dir, "empty.jsonl")
+	empty := filepath.Join(dir, "empty.json")
 	if err := trace.WriteFileMeta(empty, trace.Meta{Label: "empty"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	bundles := writeBundles(t, filepath.Join(dir, "bundles"))
 	col := localCollector(t)
+	// A listener nobody accepts on: the kernel completes the dial and takes
+	// the poll, but no reply ever comes.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
 
 	type tc struct {
 		args   []string
@@ -58,7 +65,7 @@ func TestCommands(t *testing.T) {
 				}
 			}
 		}},
-		{args: []string{"doctor", "-json", "-o", filepath.Join(dir, "final.jsonl"), bundles}, check: func(t *testing.T, out string) {
+		{args: []string{"doctor", "-json", "-o", filepath.Join(dir, "final.json"), bundles}, check: func(t *testing.T, out string) {
 			var d trace.Diagnosis
 			if err := json.Unmarshal([]byte(out), &d); err != nil {
 				t.Fatalf("diagnosis is not JSON: %v\n%s", err, out)
@@ -66,7 +73,7 @@ func TestCommands(t *testing.T) {
 			if d.FailedRank != 1 || len(d.Merged) != 0 {
 				t.Errorf("diagnosis = rank %d with %d inline events, want rank 1 and none", d.FailedRank, len(d.Merged))
 			}
-			if events, _, err := trace.ReadFile(filepath.Join(dir, "final.jsonl")); err != nil || len(events) == 0 {
+			if events, _, err := trace.ReadFile(filepath.Join(dir, "final.json")); err != nil || len(events) == 0 {
 				t.Errorf("-o wrote %d events (%v), want the final window", len(events), err)
 			}
 		}},
@@ -86,20 +93,19 @@ func TestCommands(t *testing.T) {
 			}
 		}},
 		{args: []string{"top", "-once", "127.0.0.1:1"}, code: 1},
+		{args: []string{"top", "-once", silent.Addr().String()}, code: 1},
 	}
 	for _, f := range []string{"bfs4", "pr4z"} {
-		for _, ext := range []string{".json", ".jsonl"} {
-			in := filepath.Join(fixtures, f+ext)
-			cases = append(cases,
-				tc{args: []string{"tables", in}, golden: f + ".tables.txt"},
-				tc{args: []string{"tables", "-json", in}, golden: f + ".tables.json"},
-				tc{args: []string{"critical", in}, golden: f + ".critical.txt"},
-				tc{args: []string{"critical", "-json", in}, golden: f + ".critical.json"})
-		}
+		in := filepath.Join(fixtures, f+".json")
+		cases = append(cases,
+			tc{args: []string{"tables", in}, golden: f + ".tables.txt"},
+			tc{args: []string{"tables", "-json", in}, golden: f + ".tables.json"},
+			tc{args: []string{"critical", in}, golden: f + ".critical.txt"},
+			tc{args: []string{"critical", "-json", in}, golden: f + ".critical.json"})
 	}
-	// Subtest names hide the temp dir and the collector's ephemeral port, so
-	// a case has the same name on every run.
-	stable := strings.NewReplacer(dir, "TMPDIR", col.Addr(), "COLLECTOR")
+	// Subtest names hide the temp dir and the ephemeral ports, so a case has
+	// the same name on every run.
+	stable := strings.NewReplacer(dir, "TMPDIR", col.Addr(), "COLLECTOR", silent.Addr().String(), "SILENT")
 	for _, c := range cases {
 		t.Run(stable.Replace(strings.Join(c.args, " ")), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -160,7 +166,7 @@ func TestCollectLostSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := filepath.Join(t.TempDir(), "merged.jsonl")
+	out := filepath.Join(t.TempDir(), "merged.json")
 	events, meta, err := collect(context.Background(), col, 1, out, "")
 	if err == nil || !strings.Contains(err.Error(), "1 shipper session(s) ended in error") {
 		t.Fatalf("collect error = %v, want the lost session reported", err)

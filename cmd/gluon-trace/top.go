@@ -19,8 +19,8 @@ const staleAfter = 3 * time.Second
 // topCmd is a live terminal dashboard for a running gluon cluster. It
 // attaches to any trace collector's sideband address — a standalone
 // `gluon-trace serve` process or a collector embedded with `gluon-run
-// -top-addr` / `examples/tcp-cluster -collect` — subscribes to the live
-// update stream, and refreshes a top(1)-style view:
+// -top-addr` / `examples/tcp-cluster -collect` — polls it for the live
+// dashboard state once per -refresh, and redraws a top(1)-style view:
 //
 //   - per-host round cursor, current phase, heartbeat staleness, and a
 //     proportional path-breakdown bar (compute/encode/wire/recv-wait/fold/
@@ -31,12 +31,12 @@ const staleAfter = 3 * time.Second
 //     attributions
 //   - a communication-volume sparkline and the optimization ledger
 //
-// With -o jsonl it prints each update as one JSON line instead of drawing,
-// for scripting; -once exits after the first update (the snapshot).
+// With -o jsonl it prints each poll's update as one JSON line instead of
+// drawing, for scripting; -once exits after the first update (the snapshot).
 func topCmd(ctx context.Context, fs *flag.FlagSet, args []string, stdout io.Writer) error {
-	refresh := fs.Duration("refresh", time.Second, "minimum redraw interval")
+	refresh := fs.Duration("refresh", time.Second, "poll interval")
 	rounds := fs.Int("rounds", 8, "trailing critical-path rounds to show")
-	output := fs.String("o", "", `"jsonl" streams updates as JSON lines instead of drawing`)
+	output := fs.String("o", "", `"jsonl" prints each poll's update as a JSON line instead of drawing`)
 	once := fs.Bool("once", false, "print one update and exit")
 	addr, err := parseOne(fs, args)
 	if err != nil {
@@ -55,33 +55,26 @@ func topCmd(ctx context.Context, fs *flag.FlagSet, args []string, stdout io.Writ
 		defer fmt.Fprint(stdout, "\x1b[?25h\n")
 	}
 	enc := json.NewEncoder(stdout)
-	lastDraw := time.Time{}
 	for {
+		u, err := w.Poll()
+		if err != nil {
+			return err
+		}
+		b.observe(&u)
+		if jsonl {
+			if err := enc.Encode(&u); err != nil {
+				return err
+			}
+		} else {
+			b.draw(stdout, &u)
+		}
+		if *once {
+			return nil
+		}
 		select {
 		case <-ctx.Done():
 			return nil
-		case u, ok := <-w.Updates():
-			if !ok {
-				if err := w.Err(); err != nil {
-					return fmt.Errorf("subscription ended: %w", err)
-				}
-				return nil
-			}
-			b.observe(&u)
-			if jsonl {
-				if err := enc.Encode(&u); err != nil {
-					return err
-				}
-			} else if time.Since(lastDraw) >= *refresh || lastDraw.IsZero() || *once {
-				// Updates can arrive faster than a terminal is worth
-				// redrawing; coalesce to the refresh interval (but never
-				// skip the first frame or a final -once frame).
-				b.draw(stdout, &u)
-				lastDraw = time.Now()
-			}
-			if *once {
-				return nil
-			}
+		case <-time.After(*refresh):
 		}
 	}
 }

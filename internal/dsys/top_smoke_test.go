@@ -1,9 +1,8 @@
 package dsys_test
 
 // Top smoke: the `make check` gate behind gluon-trace top. A traced in-process
-// cluster ships its trace over the sideband while a programmatic live
-// subscription (the same trace.AttachWatcher gluon-trace top uses) watches the
-// collector. The gate asserts the dashboard's two load-bearing signals
+// cluster ships its trace over the sideband while a programmatic viewer (the
+// same trace.Watcher gluon-trace top polls with) watches the collector. The gate asserts the dashboard's two load-bearing signals
 // actually flow: nonzero round progress observed live, and a critical-path
 // verdict emitted by the incremental attribution engine.
 
@@ -39,22 +38,14 @@ func TestTopSmoke(t *testing.T) {
 	}
 	defer col.Close()
 
-	// Attach the viewer before the run so round progress streams in live.
+	// Attach the viewer before the run so round progress is observed live.
 	w, err := trace.AttachWatcher(col.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// The first update is the snapshot. Take it before the run starts: the
-	// watcher sheds its oldest queued update when the run's stream outpaces
-	// this goroutine, and the snapshot is the oldest.
-	select {
-	case u, ok := <-w.Updates():
-		if !ok || !u.Snapshot {
-			t.Fatalf("first update is not the snapshot (open %v): %v", ok, w.Err())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("subscription never delivered its snapshot update")
+	if u, err := w.Poll(); err != nil || !u.Snapshot {
+		t.Fatalf("first update is not the snapshot (%v): %+v", err, u)
 	}
 
 	tr := trace.New(trace.Config{Label: "top-smoke"})
@@ -77,21 +68,19 @@ func TestTopSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The run is done; the shipper keeps flushing, so updates must converge
+	// The run is done; the shipper keeps flushing, so polls must converge
 	// on: rounds observed, a verdict, per-host breakdowns, and an active
 	// shipper session.
-	deadline := time.After(30 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	var u trace.ViewUpdate
 	for u.Stats.MaxRound < 1 || u.Verdict.Rounds < 1 || len(u.Hosts) == 0 || len(u.Sessions) == 0 {
-		select {
-		case nu, ok := <-w.Updates():
-			if !ok {
-				t.Fatalf("live subscription closed early: %v", w.Err())
-			}
-			u = nu
-		case <-deadline:
+		if time.Now().After(deadline) {
 			t.Fatalf("no converged live update: maxRound=%d verdictRounds=%d hosts=%d sessions=%d",
 				u.Stats.MaxRound, u.Verdict.Rounds, len(u.Hosts), len(u.Sessions))
+		}
+		time.Sleep(5 * time.Millisecond)
+		if u, err = w.Poll(); err != nil {
+			t.Fatalf("poll: %v", err)
 		}
 	}
 	if u.Verdict.String() == "no rounds attributed yet" {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,16 +9,13 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 )
 
-// Export formats. JSONL is the native format: a header line identifying the
-// trace, then one Event object per line — easy to stream, grep, and append.
-// Chrome is the trace_event JSON array format, loadable directly in
+// Export format: the Chrome trace_event JSON format, loadable directly in
 // chrome://tracing and https://ui.perfetto.dev: hosts become processes,
 // lanes become threads, spans become complete ("X") events and frame/fault
-// markers become instants ("i"). Both formats round-trip through ReadEvents
-// without losing any Event field (Chrome carries them in args).
+// markers become instants ("i"). It round-trips through ReadEvents without
+// losing any Event field (args carry the ones trace_event has no place for).
 
 // MarshalJSON writes the phase as its string name.
 func (p Phase) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
@@ -61,35 +57,7 @@ type Meta struct {
 	Sessions []SessionInfo `json:"sessions,omitempty"`
 }
 
-// jsonlHeader is the first line of a JSONL export.
-type jsonlHeader struct {
-	Trace    string        `json:"trace"`
-	Version  int           `json:"version"`
-	Label    string        `json:"label,omitempty"`
-	Events   int           `json:"events"`
-	Dropped  uint64        `json:"dropped"`
-	Clocks   []ClockInfo   `json:"clocks,omitempty"`
-	Sessions []SessionInfo `json:"sessions,omitempty"`
-}
-
 const formatVersion = 1
-
-// WriteJSONL writes a header line carrying meta followed by one event per
-// line.
-func WriteJSONL(w io.Writer, meta Meta, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	hdr := jsonlHeader{Trace: "gluon", Version: formatVersion, Label: meta.Label, Events: len(events), Dropped: meta.Dropped, Clocks: meta.Clocks, Sessions: meta.Sessions}
-	if err := enc.Encode(hdr); err != nil {
-		return err
-	}
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // chromeEvent is one trace_event record. Args carries every Event field the
 // top-level record can't, so Chrome exports round-trip losslessly.
@@ -201,67 +169,40 @@ func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 	return bw.Flush()
 }
 
-// WriteFile exports the session to path, choosing the format by extension:
-// ".jsonl" writes JSONL, anything else the Chrome trace_event format.
+// WriteFile exports the session to path as a Chrome trace.
 func (t *Trace) WriteFile(path string) error {
 	events, dropped := t.Snapshot()
 	return WriteFileMeta(path, Meta{Label: t.Label(), Dropped: dropped}, events)
 }
 
-// WriteFileMeta exports events with meta to path, format by extension as in
-// Trace.WriteFile.
+// WriteFileMeta exports events with meta to path as a Chrome trace.
 func WriteFileMeta(path string, meta Meta, events []Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	if strings.HasSuffix(path, ".jsonl") {
-		werr = WriteJSONL(f, meta, events)
-	} else {
-		werr = WriteChrome(f, meta, events)
-	}
+	werr := WriteChrome(f, meta, events)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	return werr
 }
 
-// ReadEvents parses either export format, auto-detected, returning the
-// events in file order plus the full recorded metadata.
+// ReadEvents parses a Chrome trace export, returning the events in file
+// order plus the full recorded metadata.
 func ReadEvents(r io.Reader) ([]Event, Meta, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	var probe map[string]json.RawMessage
-	if json.Unmarshal(data, &probe) == nil {
-		if _, ok := probe["traceEvents"]; ok {
-			return readChrome(data)
-		}
-	}
-	return readJSONL(data)
-}
-
-// ReadFile parses a trace export from disk.
-func ReadFile(path string) ([]Event, Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer f.Close()
-	return ReadEvents(f)
-}
-
-// sortEventsByStart orders events on the (shared or aligned) time axis.
-func sortEventsByStart(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-}
-
-func readChrome(data []byte) ([]Event, Meta, error) {
 	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, Meta{}, fmt.Errorf("trace: parsing chrome trace: %w", err)
+	}
+	// Valid JSON without the key is not an export: it must not parse as an
+	// empty-but-valid trace.
+	if doc.TraceEvents == nil {
+		return nil, Meta{}, fmt.Errorf("trace: not a chrome trace (no traceEvents)")
 	}
 	var meta Meta
 	if doc.OtherData != nil {
@@ -296,42 +237,17 @@ func readChrome(data []byte) ([]Event, Meta, error) {
 	return events, meta, nil
 }
 
-func readJSONL(data []byte) ([]Event, Meta, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var events []Event
-	var meta Meta
-	lineNo := 0
-	sawHeader := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		lineNo++
-		if len(line) == 0 {
-			continue
-		}
-		if !sawHeader {
-			// The first record must be the gluon header: without it,
-			// arbitrary JSON would silently parse as zero-valued events and
-			// a corrupt file would masquerade as an empty-but-valid trace.
-			var hdr jsonlHeader
-			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Trace != "gluon" {
-				return nil, Meta{}, fmt.Errorf("trace: line %d: not a gluon trace export (missing header)", lineNo)
-			}
-			meta = Meta{Label: hdr.Label, Dropped: hdr.Dropped, Clocks: hdr.Clocks, Sessions: hdr.Sessions}
-			sawHeader = true
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, Meta{}, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+// ReadFile parses a trace export from disk.
+func ReadFile(path string) ([]Event, Meta, error) {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, Meta{}, err
 	}
-	if !sawHeader {
-		return nil, Meta{}, fmt.Errorf("trace: empty input")
-	}
-	return events, meta, nil
+	defer f.Close()
+	return ReadEvents(f)
+}
+
+// sortEventsByStart orders events on the (shared or aligned) time axis.
+func sortEventsByStart(events []Event) {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
 }

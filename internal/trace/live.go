@@ -1,54 +1,49 @@
 package trace
 
-// Live subscription plane. The sideband already streams every host's spans
-// to one collector; this file lets viewers tap that stream while the run is
-// still going. A viewer (gluon-trace top, or AttachWatcher programmatically) dials
-// the collector's sideband port, sends one sbWatch frame, and receives a
-// stream of sbUpdate frames — each a self-contained ViewUpdate snapshot of
-// the cluster: merged rollup counters, per-host heartbeats, shipper session
-// states, and the critical-path verdict the collector computes incrementally
-// as batches arrive. Self-contained updates make the attach semantics
-// trivial: the first frame IS the consistent snapshot (it carries every
-// round attributed so far), and each later frame supersedes the previous
-// one, so a viewer can never observe a torn state.
+// Live view plane. The sideband already streams every host's spans to one
+// collector; this file lets viewers read the collector's fold while the run
+// is still going. A viewer (gluon-trace top, or AttachWatcher
+// programmatically) dials the collector's sideband port and polls: each
+// sbWatch frame it sends is answered by exactly one sbUpdate frame on the
+// same connection — a self-contained ViewUpdate of the cluster: merged
+// rollup counters, per-host heartbeats, shipper session states, and the
+// critical-path verdict the collector computes incrementally as batches
+// arrive. Self-contained replies make the attach semantics trivial: the
+// first reply IS the consistent snapshot (it carries every round attributed
+// so far), and each later reply supersedes the previous one, so a viewer can
+// never observe a torn state.
 //
-// Fan-out is bounded: each viewer gets a small queue of marshaled updates,
-// and a viewer that falls behind (stalled terminal, dead TCP peer) is
-// dropped — its connection closed — rather than ever back-pressuring the
-// collector or the shippers. The updates are pushed on a fixed cadence
-// (sbUpdateInterval) plus an immediate kick whenever a stats frame or a
-// session state change lands, so the dashboard tracks round progress at
-// shipper-flush latency, not polling latency.
+// The collector builds a reply only when asked, and writes it without
+// holding its lock, so a viewer that stops reading stalls only its own
+// connection's goroutine — never the shippers, the fold, or other viewers.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 )
 
-// sbUpdateInterval is the fan-out cadence between kicks.
-const sbUpdateInterval = 250 * time.Millisecond
+// localDrainInterval is the cadence of the collector-local trace's drain into
+// the fold.
+const localDrainInterval = 250 * time.Millisecond
 
-// defaultViewerQueue bounds each viewer's marshaled-update queue; a viewer
-// this far behind is dropped.
-const defaultViewerQueue = 8
-
-// snapshotRounds caps the rounds a fresh viewer's first update replays;
-// steady-state updates carry tailRounds.
+// snapshotRounds caps the rounds a viewer's first reply replays; later
+// replies carry tailRounds.
 const (
 	snapshotRounds = 512
 	tailRounds     = 32
 )
 
-// ViewUpdate is one push to a live viewer: the whole dashboard state.
+// ViewUpdate is one reply to a live viewer's poll: the whole dashboard state.
 type ViewUpdate struct {
-	// Seq increases by one per collector-side update; gaps mean this viewer
-	// had updates dropped (it was slow but survived inside its queue).
+	// Seq increases by one per reply the collector builds, across all
+	// viewers, so it never goes backwards on one connection; gaps are other
+	// viewers' replies.
 	Seq int64 `json:"seq"`
-	// Snapshot marks a viewer's first update, which replays the attributed
-	// round history (up to snapshotRounds) instead of just the tail.
+	// Snapshot marks a connection's first reply, which replays the
+	// attributed round history (up to snapshotRounds) instead of just the
+	// tail.
 	Snapshot bool `json:"snapshot,omitempty"`
 	// NowNs is the collector clock at build time — subtract a heartbeat's
 	// BeatNs from it for staleness.
@@ -72,134 +67,47 @@ type ViewUpdate struct {
 	Ledger  Ledger         `json:"ledger"`
 }
 
-// sbViewer is one attached viewer: a bounded queue of marshaled updates and
-// a writer goroutine draining it to the conn.
-type sbViewer struct {
-	conn net.Conn
-	ch   chan []byte
-	quit chan struct{}
-	once sync.Once
-}
-
-func (v *sbViewer) close() {
-	v.once.Do(func() {
-		close(v.quit)
-		v.conn.Close()
-	})
-}
-
-// kickLive requests an immediate fan-out (coalesced; never blocks).
-func (c *Collector) kickLive() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// addViewer registers a watching connection, queues its snapshot update, and
-// starts its writer. Returns nil if the collector is shutting down.
-func (c *Collector) addViewer(conn net.Conn) *sbViewer {
-	c.drainLocal()
-	snap, err := json.Marshal(c.buildUpdate(true))
-	if err != nil {
-		return nil
-	}
+// watch registers conn as a viewer, so Close can end its connection.
+// Returns false if the collector is shutting down.
+func (c *Collector) watch(conn net.Conn) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	select {
 	case <-c.stop:
 		// Registration and the stop check share the critical section so a
-		// closing collector either sees this viewer in dropAllViewers or
-		// refuses it here — never a registered-but-unswept leak.
-		c.mu.Unlock()
-		return nil
+		// closing collector either closes this viewer's conn or refuses it
+		// here — never a registered-but-unswept leak.
+		return false
 	default:
 	}
-	v := &sbViewer{conn: conn, ch: make(chan []byte, c.viewerCap), quit: make(chan struct{})}
-	c.viewers[v] = struct{}{}
-	c.mu.Unlock()
-	v.ch <- snap // fresh queue; cannot block
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			select {
-			case <-v.quit:
-				return
-			case b := <-v.ch:
-				if err := writeFrame(conn, sbUpdate, b); err != nil {
-					c.dropViewer(v)
-					return
-				}
-			}
-		}
-	}()
-	return v
+	c.viewers[conn] = struct{}{}
+	return true
 }
 
-// dropViewer detaches a viewer and closes its connection.
-func (c *Collector) dropViewer(v *sbViewer) {
-	c.mu.Lock()
-	delete(c.viewers, v)
-	c.mu.Unlock()
-	v.close()
-}
-
-func (c *Collector) dropAllViewers() {
-	c.mu.Lock()
-	vs := make([]*sbViewer, 0, len(c.viewers))
-	for v := range c.viewers {
-		vs = append(vs, v)
+// reply answers one sbWatch with the current dashboard state. It writes
+// without holding c.mu, so a viewer that stops reading blocks only the
+// goroutine serving its own connection.
+func (c *Collector) reply(conn net.Conn, snapshot bool) error {
+	c.drainLocal()
+	b, err := json.Marshal(c.buildUpdate(snapshot))
+	if err != nil {
+		return err
 	}
-	c.viewers = make(map[*sbViewer]struct{})
-	c.mu.Unlock()
-	for _, v := range vs {
-		v.close()
-	}
+	return writeFrame(conn, sbUpdate, b)
 }
 
-// updateLoop drains the local trace into the fold and fans
-// updates out to viewers until the collector closes. It runs for the whole
-// listener lifetime (started by Serve) so local rounds are attributed even
-// before the first viewer attaches.
-func (c *Collector) updateLoop() {
-	tick := time.NewTicker(sbUpdateInterval)
+// drainLoop drains the local trace into the fold every localDrainInterval
+// until the collector closes. It runs for the whole listener lifetime
+// (started by Serve) so local rounds are attributed before any viewer asks.
+func (c *Collector) drainLoop() {
+	tick := time.NewTicker(localDrainInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-tick.C:
-		case <-c.kick:
-		}
-		c.drainLocal()
-		c.mu.Lock()
-		nViewers := len(c.viewers)
-		c.mu.Unlock()
-		if nViewers == 0 {
-			continue
-		}
-		b, err := json.Marshal(c.buildUpdate(false))
-		if err != nil {
-			continue
-		}
-		c.mu.Lock()
-		var slow []*sbViewer
-		for v := range c.viewers {
-			select {
-			case v.ch <- b:
-			default:
-				// Queue full: this viewer can't keep up. Drop it rather
-				// than stall the fan-out (and with it, nothing — shippers
-				// never wait on viewers, but memory would).
-				slow = append(slow, v)
-			}
-		}
-		for _, v := range slow {
-			delete(c.viewers, v)
-		}
-		c.mu.Unlock()
-		for _, v := range slow {
-			v.close()
+			c.drainLocal()
 		}
 	}
 }
@@ -280,78 +188,48 @@ func (c *Collector) liveLocked() LiveStats {
 	return out
 }
 
-// Watcher is a live subscription to a collector, as used by gluon-trace top.
+// Watcher polls a collector for its live dashboard state, as gluon-trace top
+// does.
 type Watcher struct {
-	sbClient
-	ch   chan ViewUpdate
-	done chan struct{}
+	conn net.Conn
 }
 
-// AttachWatcher dials a collector's sideband address and subscribes to live
-// updates. The first update received is the consistent snapshot; every later
-// one supersedes it. If this watcher falls behind the collector drops it and
-// Updates closes (Err tells why).
+// AttachWatcher dials a collector's sideband address. Nothing is exchanged
+// until the first Poll.
 func AttachWatcher(addr string) (*Watcher, error) {
 	conn, err := dialCollector(addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFrame(conn, sbWatch, nil); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("trace: watch handshake: %w", err)
-	}
-	w := &Watcher{sbClient: sbClient{conn: conn}, ch: make(chan ViewUpdate, 4), done: make(chan struct{})}
-	go w.readLoop()
-	return w, nil
+	return &Watcher{conn: conn}, nil
 }
 
-func (w *Watcher) readLoop() {
-	defer close(w.done)
-	defer close(w.ch)
-	for {
-		typ, body, err := readFrame(w.conn)
-		if err != nil {
-			w.setErr(err)
-			return
-		}
-		if typ != sbUpdate {
-			w.setErr(fmt.Errorf("trace: unexpected frame type %d on watch stream", typ))
-			return
-		}
-		var u ViewUpdate
-		if err := json.Unmarshal(body, &u); err != nil {
-			w.setErr(fmt.Errorf("trace: bad update frame: %w", err))
-			return
-		}
-		// Never block on a slow consumer: shed the oldest queued update —
-		// each one supersedes its predecessors anyway.
-		for {
-			select {
-			case w.ch <- u:
-			default:
-				select {
-				case <-w.ch:
-				default:
-				}
-				continue
-			}
-			break
-		}
+// Poll asks the collector for its current state and waits at most
+// sbDialTimeout for the reply. The first reply is the consistent snapshot;
+// every later one supersedes it. After an error the Watcher is unusable.
+func (w *Watcher) Poll() (ViewUpdate, error) {
+	fail := func(err error) (ViewUpdate, error) {
+		return ViewUpdate{}, fmt.Errorf("trace: polling collector %s: %w", w.conn.RemoteAddr(), err)
 	}
+	if err := w.conn.SetDeadline(time.Now().Add(sbDialTimeout)); err != nil {
+		return fail(err)
+	}
+	if err := writeFrame(w.conn, sbWatch, nil); err != nil {
+		return fail(err)
+	}
+	typ, body, err := readFrame(w.conn)
+	if err != nil {
+		return fail(err)
+	}
+	if typ != sbUpdate {
+		return fail(fmt.Errorf("unexpected frame type %d", typ))
+	}
+	var u ViewUpdate
+	if err := json.Unmarshal(body, &u); err != nil {
+		return fail(fmt.Errorf("bad update frame: %w", err))
+	}
+	return u, nil
 }
 
-// Updates streams ViewUpdates; the channel closes when the subscription
-// ends (collector gone, watcher dropped, or Close called).
-func (w *Watcher) Updates() <-chan ViewUpdate { return w.ch }
-
-// Close detaches from the collector; Err then reports net.ErrClosed unless
-// the subscription had already ended for another reason.
-func (w *Watcher) Close() error {
-	w.setErr(net.ErrClosed)
-	err := w.conn.Close()
-	<-w.done
-	if err == nil || w.Err() == net.ErrClosed {
-		return nil
-	}
-	return err
-}
+// Close detaches from the collector.
+func (w *Watcher) Close() error { return w.conn.Close() }

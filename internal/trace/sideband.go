@@ -23,8 +23,8 @@ package trace
 //	sbBatch (4): JSON HostBatch — one host's new events since the last flush
 //	sbStats (5): JSON statsFrame — LiveStats rollup + per-host heartbeats
 //	sbBye   (6): empty — orderly end of session
-//	sbWatch (7): empty — the connection is a viewer, not a shipper (live.go)
-//	sbUpdate(8): JSON ViewUpdate — collector→viewer dashboard push (live.go)
+//	sbWatch (7): empty — a viewer's poll; the connection is a viewer, not a shipper (live.go)
+//	sbUpdate(8): JSON ViewUpdate — the collector's reply to one sbWatch (live.go)
 //
 // A shipper session is: pings (clock probes, answered statelessly), hello,
 // then any interleaving of batch/stats frames, then bye. The client measures
@@ -32,8 +32,8 @@ package trace
 // (clock.go) and declares it in the hello; the collector rebases that
 // session's event timestamps and heartbeats by the declared offset when
 // merging, so spans from different processes land on one time axis within
-// ±uncertainty. A viewer session (gluon-trace top) is one sbWatch frame, then
-// sbUpdate pushes from the collector until either side closes (live.go).
+// ±uncertainty. A viewer session (gluon-trace top) is a sequence of sbWatch
+// polls, each answered by one sbUpdate, until either side closes (live.go).
 //
 // Every shipper session ends in a terminal state: "done" after an orderly
 // bye, "error" when the connection drops or a frame is malformed mid-run —
@@ -69,19 +69,12 @@ const (
 const maxSidebandFrame = 256 << 20
 
 // sbProbes is the number of clock-offset ping-pongs a shipper runs before
-// its hello; sbDialTimeout bounds a client's connect.
+// its hello; sbDialTimeout bounds a client's connect and a viewer's wait for
+// each reply.
 const (
 	sbProbes      = 8
 	sbDialTimeout = 5 * time.Second
 )
-
-// sbClient is the client end of a sideband connection, shared by Shipper
-// and Watcher: one dial and one first-error latch.
-type sbClient struct {
-	conn net.Conn
-	mu   sync.Mutex
-	err  error
-}
 
 func dialCollector(addr string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, sbDialTimeout)
@@ -89,21 +82,6 @@ func dialCollector(addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("trace: dialing collector %s: %w", addr, err)
 	}
 	return conn, nil
-}
-
-func (c *sbClient) setErr(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.mu.Unlock()
-}
-
-// Err returns the first error the connection hit, if any.
-func (c *sbClient) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
 }
 
 // writeFrame writes one [len][type][payload] frame.
@@ -167,7 +145,9 @@ type ShipperConfig struct {
 // hello at start, an incremental flush every Interval, and a final drain plus
 // bye on Close.
 type Shipper struct {
-	sbClient
+	conn  net.Conn
+	mu    sync.Mutex
+	err   error // the first error the session hit
 	tr    *Trace
 	clock ClockInfo
 
@@ -190,7 +170,7 @@ func StartShipper(cfg ShipperConfig) (*Shipper, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Shipper{sbClient: sbClient{conn: conn}, tr: cfg.Trace, stop: make(chan struct{}), done: make(chan struct{})}
+	s := &Shipper{conn: conn, tr: cfg.Trace, stop: make(chan struct{}), done: make(chan struct{})}
 	clock, err := EstimateOffset(sbProbes, func() (t0, t1, t2, t3 int64, err error) {
 		var ping [8]byte
 		t0 = s.tr.Now()
@@ -235,6 +215,21 @@ func StartShipper(cfg ShipperConfig) (*Shipper, error) {
 
 // Clock returns the measured collector-minus-local clock offset.
 func (s *Shipper) Clock() ClockInfo { return s.clock }
+
+func (s *Shipper) setErr(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
+}
+
+// Err returns the first error the session hit, if any.
+func (s *Shipper) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
 
 func (s *Shipper) run(interval time.Duration) {
 	defer close(s.done)
@@ -313,17 +308,15 @@ type Collector struct {
 	missed uint64
 	errs   []error
 
-	// Live plane (live.go): the one fold, fed under mu as batches arrive, +
-	// viewer fan-out.
-	rollup    *Rollup
-	localCur  Cursor
-	viewers   map[*sbViewer]struct{}
-	viewerCap int
-	seq       int64
-	stop      chan struct{}
-	stopOnce  sync.Once
-	loopOnce  sync.Once
-	kick      chan struct{}
+	// Live plane (live.go): the one fold, fed under mu as batches arrive,
+	// and the viewer connections Close must end.
+	rollup   *Rollup
+	localCur Cursor
+	viewers  map[net.Conn]struct{}
+	seq      int64
+	stop     chan struct{}
+	stopOnce sync.Once
+	loopOnce sync.Once
 }
 
 // sbSession is one shipper's lifecycle record, created at hello.
@@ -363,12 +356,10 @@ type SessionInfo struct {
 // Serve, or use ListenAndCollect.
 func NewCollector() *Collector {
 	c := &Collector{
-		epoch:     time.Now(),
-		rollup:    NewRollup(),
-		viewers:   make(map[*sbViewer]struct{}),
-		viewerCap: defaultViewerQueue,
-		stop:      make(chan struct{}),
-		kick:      make(chan struct{}, 1),
+		epoch:   time.Now(),
+		rollup:  NewRollup(),
+		viewers: make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	c.health = NewHealth(c.now)
 	return c
@@ -431,13 +422,13 @@ func (c *Collector) Serve(ln net.Listener) {
 	c.mu.Lock()
 	c.ln = ln
 	c.mu.Unlock()
-	// The live plane runs for the listener's whole life so the attribution
+	// The local drain runs for the listener's whole life so the attribution
 	// engine sees local events even before any viewer attaches.
 	c.loopOnce.Do(func() {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			c.updateLoop()
+			c.drainLoop()
 		}()
 	})
 	for {
@@ -454,12 +445,17 @@ func (c *Collector) Serve(ln net.Listener) {
 }
 
 // serveSession runs one connection to completion — a shipper's session, or
-// a viewer's subscription once it sends sbWatch.
+// a viewer's polls once it sends sbWatch.
 func (c *Collector) serveSession(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		c.mu.Lock()
+		delete(c.viewers, conn)
+		c.mu.Unlock()
+	}()
 	var sess *sbSession
 	sawBye := false
-	var viewer *sbViewer
+	watching := false
 	// fail marks the session errored with a reason; the record is the
 	// terminal state gluon-trace top renders as "disconnected" and the analyzer
 	// surfaces in its header.
@@ -474,13 +470,11 @@ func (c *Collector) serveSession(conn net.Conn) {
 			c.foldLocked(nil, 0) // an ended session releases its hold
 		}
 		c.mu.Unlock()
-		c.kickLive()
 	}
 	for {
 		typ, body, err := readFrame(conn)
 		if err != nil {
-			if viewer != nil {
-				c.dropViewer(viewer)
+			if watching {
 				return
 			}
 			if !sawBye {
@@ -577,7 +571,6 @@ func (c *Collector) serveSession(conn net.Conn) {
 				hb.BeatNs += sess.clock.OffsetNs
 				c.health.Update(hb)
 			}
-			c.kickLive()
 		case sbBye:
 			sawBye = true
 			c.mu.Lock()
@@ -586,7 +579,6 @@ func (c *Collector) serveSession(conn net.Conn) {
 				c.foldLocked(nil, 0) // an ended session releases its hold
 			}
 			c.mu.Unlock()
-			c.kickLive()
 			return
 		case sbWatch:
 			if sess != nil {
@@ -594,12 +586,15 @@ func (c *Collector) serveSession(conn net.Conn) {
 				fail("watch frame on shipper session")
 				return
 			}
-			// The conn is a viewer: register it, push a snapshot, and keep
-			// reading only to notice when it goes away.
-			viewer = c.addViewer(conn)
-			if viewer == nil {
+			// The conn is a viewer: register it at its first poll, and
+			// answer every poll with one update, the first the snapshot.
+			if !watching && !c.watch(conn) {
 				return // collector shutting down
 			}
+			if err := c.reply(conn, !watching); err != nil {
+				return
+			}
+			watching = true
 		default:
 			c.addErr(fmt.Errorf("trace: unknown sideband frame type %d", typ))
 			fail(fmt.Sprintf("unknown frame type %d", typ))
@@ -640,7 +635,7 @@ func (c *Collector) Errs() []error {
 }
 
 // Sessions returns (announced, cleanly completed) shipper session counts.
-// A session is counted when its hello arrives — viewer subscriptions
+// A session is counted when its hello arrives — viewer connections
 // (gluon-trace top) never count — and completes on an orderly bye.
 func (c *Collector) Sessions() (accepted, completed int) {
 	c.mu.Lock()
@@ -682,9 +677,9 @@ func (c *Collector) sessionInfosLocked() []SessionInfo {
 // collector process also runs hosts).
 func (c *Collector) Health() *Health { return c.health }
 
-// Close stops accepting, detaches every live viewer, and waits for in-flight
-// sessions to finish. Call after the shippers have Closed (each Close drains
-// and says bye).
+// Close stops accepting, closes every viewer connection, and waits for
+// in-flight sessions to finish. Call after the shippers have Closed (each
+// Close drains and says bye).
 func (c *Collector) Close() error {
 	c.mu.Lock()
 	ln := c.ln
@@ -693,7 +688,11 @@ func (c *Collector) Close() error {
 		ln.Close()
 	}
 	c.stopOnce.Do(func() { close(c.stop) })
-	c.dropAllViewers()
+	c.mu.Lock()
+	for conn := range c.viewers {
+		conn.Close()
+	}
+	c.mu.Unlock()
 	c.wg.Wait()
 	return nil
 }
@@ -732,8 +731,7 @@ func (c *Collector) Merged() ([]Event, Meta) {
 	return mergeAligned(srcs), Meta{Label: c.label, Dropped: dropped + c.missed, Clocks: clocks, Sessions: c.sessionInfosLocked()}
 }
 
-// WriteFile exports the merged cluster timeline, format by extension as in
-// Trace.WriteFile.
+// WriteFile exports the merged cluster timeline as a Chrome trace.
 func (c *Collector) WriteFile(path string) error {
 	events, meta := c.Merged()
 	return WriteFileMeta(path, meta, events)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -213,29 +214,6 @@ func testEvents() []Event {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	events := testEvents()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, Meta{Label: "rt", Dropped: 7}, events); err != nil {
-		t.Fatal(err)
-	}
-	got, meta, err := ReadEvents(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Dropped != 7 {
-		t.Errorf("dropped = %d, want 7", meta.Dropped)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("got %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], events[i])
-		}
-	}
-}
-
 func TestChromeRoundTrip(t *testing.T) {
 	events := testEvents()
 	var buf bytes.Buffer
@@ -267,6 +245,8 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileFormats: a trace file is a Chrome trace whatever its path is
+// called.
 func TestWriteFileFormats(t *testing.T) {
 	tr := New(Config{Label: "file"})
 	r := tr.Recorder(0)
@@ -277,6 +257,14 @@ func TestWriteFileFormats(t *testing.T) {
 		path := dir + "/" + name
 		if err := tr.WriteFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil || doc["traceEvents"] == nil {
+			t.Fatalf("%s is not a Chrome trace (%v):\n%s", name, err, raw)
 		}
 		got, _, err := ReadFile(path)
 		if err != nil {
@@ -299,25 +287,18 @@ func TestReadEventsErrors(t *testing.T) {
 	if _, _, err := ReadEvents(strings.NewReader(`{"garbage": true}`)); err == nil {
 		t.Error("foreign JSON accepted as a trace")
 	}
-	if _, _, err := ReadEvents(strings.NewReader("{\"host\":1,\"phase\":\"encode\"}\n")); err == nil {
-		t.Error("headerless JSONL accepted")
-	}
 }
 
-// FuzzReadEvents drives both export formats through the auto-detector: no
-// input may panic the readers, and whatever they accept must fold and
-// re-export.
+// FuzzReadEvents: no input may panic the reader, and whatever it accepts
+// must fold and re-export.
 func FuzzReadEvents(f *testing.F) {
-	var chrome, jsonl bytes.Buffer
+	var chrome bytes.Buffer
 	if err := WriteChrome(&chrome, Meta{Label: "seed", Dropped: 1}, testEvents()); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteJSONL(&jsonl, Meta{Label: "seed", Dropped: 1}, testEvents()); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(chrome.Bytes())
-	f.Add(jsonl.Bytes())
-	f.Add([]byte("{\"host\":1,\"phase\":\"encode\"}\n")) // JSONL without its header
+	f.Add([]byte(`{"traceEvents":[{"name":"encode","ph":"X","ts":1.5,"pid":1,"args":{"round":2,"peer":0}}]}`))
+	f.Add([]byte(`{"garbage": true}`)) // JSON that is not an export
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, meta, err := ReadEvents(bytes.NewReader(data))
 		if err != nil {
@@ -326,7 +307,7 @@ func FuzzReadEvents(f *testing.F) {
 		SummarizeMeta(meta, events).WriteTables(io.Discard)
 		ComputeCriticalPath(meta, events).WriteTables(io.Discard)
 		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, meta, events); err != nil {
+		if err := WriteChrome(&buf, meta, events); err != nil {
 			t.Fatal(err)
 		}
 		again, _, err := ReadEvents(&buf)
