@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build loc test test-matrix race race-fault restore-gate bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build loc test test-matrix race race-fault restore-gate soak bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gate: it measures wall time, and the
 # race suites leave the machine hot enough to skew it. `race` (through
@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 3435
-ROOT_LOC_MAX = 14759
+TRACE_LOC_MAX = 3432
+ROOT_LOC_MAX = 14806
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -74,6 +74,16 @@ race-fault:
 restore-gate:
 	$(GO) test -race -count=1 -run 'TestCrashMatrix|TestRejoinTCP|TestRestoreRequiresCheckpointable|TestPoolBalanceUnderFaults' ./internal/dsys/
 	$(GO) test -race -count=1 ./internal/ckpt/
+
+# Soak: the concurrent packages (transport, sync pipeline, BSP runner,
+# trace plane) under the race detector, in shuffled order, SOAK_COUNT times
+# at each of 1, 2 and 4 cores, to shake out races that one pass at one width
+# misses. Not part of `check`: it takes minutes (see CHANGES.md for a
+# recorded wall time).
+SOAK_COUNT ?= 10
+
+soak:
+	$(GO) test -race -shuffle=on -count=$(SOAK_COUNT) -cpu 1,2,4 ./internal/comm/ ./internal/gluon/ ./internal/dsys/ ./internal/trace/
 
 # The microbenchmarks straight from go test: the sync hot path end to end
 # on the fixture behind BENCH_sync.json (BenchmarkSyncHotPath*, in

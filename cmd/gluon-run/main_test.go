@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"gluon"
 )
 
 // TestOversizedScaleFails: a scale whose node count does not fit in 64 bits
@@ -29,25 +31,41 @@ func TestOversizedScaleFails(t *testing.T) {
 	}
 }
 
-// TestBCValidateRefused: bc has no validator, so -validate is refused before
-// anything runs instead of reporting a correct run as a failed validation.
-func TestBCValidateRefused(t *testing.T) {
+// TestBCValidate: -validate checks bc against sequential Brandes. A small
+// run passes through the CLI, and the same run's values with one dependency
+// corrupted fail.
+func TestBCValidate(t *testing.T) {
+	args := []string{"-bench", "bc", "-scale", "8", "-edgefactor", "4", "-hosts", "2", "-validate"}
 	if os.Getenv("GLUON_RUN_AS_MAIN") == "1" {
-		os.Args = []string{"gluon-run", "-bench", "bc", "-scale", "8", "-edgefactor", "4", "-hosts", "2", "-validate"}
+		os.Args = append([]string{"gluon-run"}, args...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestBCValidateRefused$")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBCValidate$")
 	cmd.Env = append(os.Environ(), "GLUON_RUN_AS_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) {
-		t.Fatalf("gluon-run -bench bc -validate: err %v, want a non-zero exit; output:\n%s", err, out)
+	if out, err := cmd.CombinedOutput(); err != nil || !strings.Contains(string(out), "validation passed") {
+		t.Fatalf("gluon-run %s: err %v, output:\n%s", strings.Join(args, " "), err, out)
 	}
-	if strings.Contains(string(out), "system=") {
-		t.Fatalf("gluon-run -bench bc -validate ran before refusing:\n%s", out)
+
+	numNodes, edges, err := gluon.Generate(gluon.GraphConfig{Kind: "rmat", Scale: 8, EdgeFactor: 4, Seed: 2018})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "bc has no validator") {
-		t.Fatalf("gluon-run -bench bc -validate did not say why:\n%s", out)
+	csr, err := gluon.BuildCSR(numNodes, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := csr.MaxOutDegreeNode()
+	res, err := gluon.Run(numNodes, edges, gluon.RunConfig{Hosts: 2, Policy: gluon.PolicyKind("cvc"),
+		Opt: gluon.Opt(), CollectValues: true, MaxRounds: 100000}, gluon.NewBC(uint64(source), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateResult("bc", csr, source, 0, res.Values); err != nil {
+		t.Fatalf("a correct bc run failed validation: %v", err)
+	}
+	res.Values[source] *= 1.001
+	if err := validateResult("bc", csr, source, 0, res.Values); err == nil {
+		t.Fatal("a corrupted dependency passed validation")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"gluon/internal/bitset"
+	"gluon/internal/comm"
 	"gluon/internal/dsys"
 	"gluon/internal/engine/galois"
 	"gluon/internal/fields"
@@ -228,7 +229,7 @@ func (pr *program) Sync(updated *bitset.Bitset) error {
 			return err
 		}
 		pr.fwdLevel++
-		active, err := pr.g.AllReduceSum(uint64(updated.Count()))
+		active, err := comm.AllReduceSum(pr.g.T, uint64(updated.Count()))
 		if err != nil {
 			return err
 		}
@@ -281,7 +282,7 @@ func (pr *program) startBackward(updated *bitset.Bitset) error {
 			localMax = l
 		}
 	}
-	gm, err := pr.g.AllReduceMax(uint64(localMax))
+	gm, err := comm.AllReduceMax(pr.g.T, uint64(localMax))
 	if err != nil {
 		return err
 	}

@@ -7,52 +7,12 @@ import (
 
 	"gluon/internal/algorithms/bc"
 	"gluon/internal/dsys"
-	"gluon/internal/fields"
 	"gluon/internal/generate"
 	"gluon/internal/gluon"
 	"gluon/internal/graph"
 	"gluon/internal/partition"
+	"gluon/internal/ref"
 )
-
-// refBC computes single-source dependencies with sequential Brandes
-// (unweighted; parallel edges count as distinct paths, matching the
-// distributed implementation).
-func refBC(g *graph.CSR, source uint32) []float64 {
-	n := g.NumNodes()
-	level := make([]uint32, n)
-	sigma := make([]float64, n)
-	for i := range level {
-		level[i] = fields.InfinityU32
-	}
-	level[source] = 0
-	sigma[source] = 1
-	var order []uint32
-	queue := []uint32{source}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, w := range g.Neighbors(u) {
-			if level[w] == fields.InfinityU32 {
-				level[w] = level[u] + 1
-				queue = append(queue, w)
-			}
-			if level[w] == level[u]+1 {
-				sigma[w] += sigma[u]
-			}
-		}
-	}
-	delta := make([]float64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		for _, w := range g.Neighbors(v) {
-			if level[w] == level[v]+1 && sigma[w] > 0 {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-			}
-		}
-	}
-	return delta
-}
 
 func input(t *testing.T, kind string, scale uint) (uint64, []graph.Edge, *graph.CSR) {
 	t.Helper()
@@ -71,7 +31,7 @@ func input(t *testing.T, kind string, scale uint) (uint64, []graph.Edge, *graph.
 func TestBCMatrix(t *testing.T) {
 	numNodes, edges, g := input(t, "rmat", 9)
 	source := g.MaxOutDegreeNode()
-	want := refBC(g, source)
+	want := ref.BC(g, source)
 	for _, pol := range partition.AllKinds() {
 		for _, hosts := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/h%d", pol, hosts), func(t *testing.T) {
@@ -122,7 +82,7 @@ func TestAccumulateMultiSource(t *testing.T) {
 	sources := []uint64{uint64(g.MaxOutDegreeNode()), 1, 7}
 	want := make([]float64, numNodes)
 	for _, s := range sources {
-		for u, d := range refBC(g, uint32(s)) {
+		for u, d := range ref.BC(g, uint32(s)) {
 			want[u] += d
 		}
 	}
@@ -149,7 +109,7 @@ func TestAccumulateMultiSource(t *testing.T) {
 func TestBCUnoptMatches(t *testing.T) {
 	numNodes, edges, g := input(t, "webcrawl", 8)
 	source := g.MaxOutDegreeNode()
-	want := refBC(g, source)
+	want := ref.BC(g, source)
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 		Hosts: 4, Policy: partition.HVC, Opt: gluon.Unopt(),
 		CollectValues: true, MaxRounds: 10000,

@@ -246,7 +246,7 @@ func NewLigra(tol float64, workers int) dsys.ProgramFactory {
 	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		return &ligraProgram{
 			common:  newCommon(p, g, tol),
-			lg:      ligra.NewGraph(p.Graph, true),
+			lg:      &ligra.Graph{Out: p.Graph, In: p.InGraph()},
 			workers: workers,
 		}, nil
 	}

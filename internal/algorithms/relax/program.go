@@ -12,7 +12,6 @@ import (
 	"gluon/internal/engine/irgl"
 	"gluon/internal/fields"
 	"gluon/internal/gluon"
-	"gluon/internal/graph"
 	"gluon/internal/partition"
 )
 
@@ -63,7 +62,7 @@ func deviceStore(dev *irgl.Device, n uint32) store {
 
 // factory builds the family's ProgramFactory; build supplies what differs
 // between engines — where the labels live and the schedule over them.
-func (alg Algorithm) factory(source uint64, build func(g *graph.CSR) (store, Schedule)) dsys.ProgramFactory {
+func (alg Algorithm) factory(source uint64, build func(p *partition.Partition) (store, Schedule)) dsys.ProgramFactory {
 	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		if alg.Step == Weight && !p.Graph.HasWeights {
 			return nil, fmt.Errorf("%s: partition graph has no edge weights", alg.Name)
@@ -71,7 +70,7 @@ func (alg Algorithm) factory(source uint64, build func(g *graph.CSR) (store, Sch
 		if alg.SeedIDs && p.GlobalNodes > 1<<32-1 {
 			return nil, fmt.Errorf("%s: global IDs exceed 32-bit labels", alg.Name)
 		}
-		st, round := build(p.Graph)
+		st, round := build(p)
 		return &program{
 			alg: alg, source: source, p: p, g: g, labels: st.labels, round: round,
 			// Push-style: the operator writes a label at an edge's
@@ -89,28 +88,29 @@ func (alg Algorithm) factory(source uint64, build func(g *graph.CSR) (store, Sch
 	}
 }
 
-// NewLigra builds the level-synchronous, direction-optimising program.
+// NewLigra builds the level-synchronous, direction-optimising program; its
+// pull reads the partition's cached transpose.
 func NewLigra(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(g *graph.CSR) (store, Schedule) {
-		st := hostStore(g.NumNodes())
-		return st, Ligra(g, st.labels, alg.Step, workers)
+	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
+		st := hostStore(p.Graph.NumNodes())
+		return st, Ligra(p.Graph, p.InGraph, st.labels, alg.Step, workers)
 	})
 }
 
 // NewGalois builds the asynchronous worklist program.
 func NewGalois(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(g *graph.CSR) (store, Schedule) {
-		st := hostStore(g.NumNodes())
-		return st, Galois(g, st.labels, alg.Step, workers)
+	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
+		st := hostStore(p.Graph.NumNodes())
+		return st, Galois(p.Graph, st.labels, alg.Step, workers)
 	})
 }
 
 // NewIrGL builds the bulk-synchronous device program; the labels live in a
 // device buffer.
 func NewIrGL(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(g *graph.CSR) (store, Schedule) {
-		dev := irgl.New(g, workers)
-		st := deviceStore(dev, g.NumNodes())
+	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
+		dev := irgl.New(p.Graph, workers)
+		st := deviceStore(dev, p.Graph.NumNodes())
 		return st, IrGL(dev, st.labels, alg.Step)
 	})
 }

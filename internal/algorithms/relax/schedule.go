@@ -21,10 +21,14 @@ type Schedule func(frontier *bitset.Bitset) *bitset.Bitset
 
 // Ligra is the level-synchronous schedule: one direction-optimising edgeMap
 // per round, pushing from a sparse frontier and pulling into every vertex
-// from a dense one. The transpose pull needs is built for the unweighted
-// steps only; sssp stays push-only.
-func Ligra(g *graph.CSR, labels []uint32, step Step, workers int) Schedule {
-	lg := ligra.NewGraph(g, step != Weight)
+// from a dense one. transpose supplies g's in-edge CSR, which the pull
+// reads; it is called for the unweighted steps only (sssp stays push-only),
+// so a caller can hand in a cached transpose or build one on demand.
+func Ligra(g *graph.CSR, transpose func() *graph.CSR, labels []uint32, step Step, workers int) Schedule {
+	lg := &ligra.Graph{Out: g}
+	if step != Weight {
+		lg.In = transpose()
+	}
 	cfg := ligra.EdgeMapConfig{
 		Workers: workers,
 		Push: func(s uint32, activate func(uint32)) {

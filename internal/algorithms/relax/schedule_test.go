@@ -49,7 +49,7 @@ func TestLigraDensePassIsLabelCorrecting(t *testing.T) {
 			labels[i] = 7
 		}
 		labels[0], labels[n/2] = c.centre, 3 // the frontier's least label sits mid-scan
-		next := Ligra(starIn(n), labels, c.step, 2)(leaves(n))
+		next := Ligra(starIn(n), starIn(n).Transpose, labels, c.step, 2)(leaves(n))
 		if labels[0] != c.want || next.Test(0) != c.active || next.Count() > 1 {
 			t.Errorf("%s: node 0 = %d (active %v, %d updated), want %d (active %v)",
 				c.name, labels[0], next.Test(0), next.Count(), c.want, c.active)
@@ -66,7 +66,7 @@ func TestLigraDenseUnreachedFrontier(t *testing.T) {
 	for i := range labels {
 		labels[i] = Infinity
 	}
-	if next := Ligra(starIn(n), labels, Hop, 2)(leaves(n)); next.Any() || labels[0] != Infinity {
+	if next := Ligra(starIn(n), starIn(n).Transpose, labels, Hop, 2)(leaves(n)); next.Any() || labels[0] != Infinity {
 		t.Fatalf("unreached frontier produced label %d, %d updates", labels[0], next.Count())
 	}
 }

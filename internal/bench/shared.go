@@ -57,7 +57,7 @@ func sharedLabels(engine, benchmark string, g *graph.CSR, source uint32, workers
 	}
 	switch engine {
 	case "ligra":
-		round := relax.Ligra(g, labels, step, workers)
+		round := relax.Ligra(g, g.Transpose, labels, step, workers)
 		for frontier.Any() {
 			frontier = round(frontier)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"gluon/internal/engine/ligra"
 	"gluon/internal/gemini"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
@@ -81,7 +80,7 @@ func timePartition(wl *Workload, kind partition.Kind, hosts int, popt partition.
 	}
 	if buildIn {
 		for _, part := range parts {
-			ligra.NewGraph(part.Graph, true)
+			part.InGraph()
 		}
 	}
 	return time.Since(start), nil

@@ -494,59 +494,80 @@ func Barrier(t Transport) error {
 	return nil
 }
 
-// AllReduceUint64 combines each host's value with op (must be associative
-// and commutative) and returns the combined value on every host. Host 0
-// gathers, reduces, and broadcasts.
-func AllReduceUint64(t Transport, val uint64, op func(a, b uint64) uint64) (uint64, error) {
-	n := t.NumHosts()
-	if n == 1 {
-		return val, nil
+// StartAllReduce is the split-phase all-reduce: it posts val and returns, so
+// the caller can work while the other hosts arrive, and Pending.Wait
+// collects the result. op must be associative and commutative. Host 0
+// gathers, reduces and broadcasts: a non-root host sends its value here and
+// receives the total in Wait; host 0 does its gather-and-reply in Wait, so
+// every transport call stays on the calling goroutine. The messages are
+// the same whenever Wait is called.
+func StartAllReduce(t Transport, val uint64, op func(a, b uint64) uint64) Pending {
+	p := Pending{t: t, val: val, op: op}
+	if t.NumHosts() > 1 && t.HostID() != 0 {
+		p.err = sendOperand(t, 0, val)
 	}
-	me := t.HostID()
-	if me == 0 {
-		acc := val
-		for h := 1; h < n; h++ {
-			p, err := t.Recv(h, TagAllReduce)
-			if err != nil {
-				return 0, err
-			}
-			acc = op(acc, binary.LittleEndian.Uint64(p))
-			PutBuf(p)
-		}
-		for h := 1; h < n; h++ {
-			out := GetBuf(8)
-			binary.LittleEndian.PutUint64(out, acc)
-			if err := t.Send(h, TagAllReduce, out); err != nil {
-				return 0, err
-			}
-		}
-		return acc, nil
+	return p
+}
+
+// Pending is an all-reduce started by StartAllReduce whose result has not
+// been collected. Call Wait exactly once.
+type Pending struct {
+	t   Transport
+	val uint64
+	op  func(a, b uint64) uint64
+	err error // from posting val
+}
+
+// Wait blocks until the collective completes and returns the combined
+// value. Close or FailPeer while it blocks make it return an error matching
+// ErrClosed or a *PeerError, as a blocked Recv does.
+func (p Pending) Wait() (uint64, error) {
+	n := p.t.NumHosts()
+	switch {
+	case p.err != nil:
+		return 0, p.err
+	case n == 1:
+		return p.val, nil
+	case p.t.HostID() != 0:
+		return recvOperand(p.t, 0)
 	}
+	for h := 1; h < n; h++ {
+		v, err := recvOperand(p.t, h)
+		if err != nil {
+			return 0, err
+		}
+		p.val = p.op(p.val, v)
+	}
+	for h := 1; h < n; h++ {
+		if err := sendOperand(p.t, h, p.val); err != nil {
+			return 0, err
+		}
+	}
+	return p.val, nil
+}
+
+// sendOperand and recvOperand move one all-reduce value, 8 bytes little
+// endian under TagAllReduce.
+func sendOperand(t Transport, to int, v uint64) error {
 	buf := GetBuf(8)
-	binary.LittleEndian.PutUint64(buf, val)
-	if err := t.Send(0, TagAllReduce, buf); err != nil {
-		return 0, err
-	}
-	p, err := t.Recv(0, TagAllReduce)
+	binary.LittleEndian.PutUint64(buf, v)
+	return t.Send(to, TagAllReduce, buf)
+}
+
+func recvOperand(t Transport, from int) (uint64, error) {
+	p, err := t.Recv(from, TagAllReduce)
 	if err != nil {
 		return 0, err
 	}
-	v := binary.LittleEndian.Uint64(p)
-	PutBuf(p)
-	return v, nil
+	defer PutBuf(p)
+	return binary.LittleEndian.Uint64(p), nil
 }
 
-// AllReduceSum is AllReduceUint64 with addition.
-func AllReduceSum(t Transport, val uint64) (uint64, error) {
-	return AllReduceUint64(t, val, func(a, b uint64) uint64 { return a + b })
-}
+// Sum and Max are the all-reduce operators the runtime uses.
+func Sum(a, b uint64) uint64 { return a + b }
+func Max(a, b uint64) uint64 { return max(a, b) }
 
-// AllReduceMax is AllReduceUint64 with max.
-func AllReduceMax(t Transport, val uint64) (uint64, error) {
-	return AllReduceUint64(t, val, func(a, b uint64) uint64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+// AllReduceSum and AllReduceMax are the blocking all-reduces:
+// StartAllReduce, then Wait.
+func AllReduceSum(t Transport, val uint64) (uint64, error) { return StartAllReduce(t, val, Sum).Wait() }
+func AllReduceMax(t Transport, val uint64) (uint64, error) { return StartAllReduce(t, val, Max).Wait() }

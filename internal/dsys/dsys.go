@@ -34,6 +34,11 @@ type Program interface {
 	Init() (*bitset.Bitset, error)
 	// Round applies the operator over the frontier and returns the set of
 	// locally updated proxies.
+	//
+	// The runner calls Round once per round, but on a host whose frontier
+	// is non-empty it calls it while the previous round's termination
+	// all-reduce is still in flight, so Round must not start a collective
+	// of its own (the runner's all-reduces share one tag).
 	Round(frontier *bitset.Bitset) (*bitset.Bitset, error)
 	// Sync synchronizes the program's fields through Gluon. On return,
 	// updated holds the next frontier (Gluon consumes shipped mirror bits
@@ -54,8 +59,10 @@ type HostResult struct {
 	Host        int
 	Rounds      int
 	ComputeTime time.Duration
-	SyncTime    time.Duration // Gluon sync + termination detection
-	Gluon       gluon.Stats
+	// SyncTime is Gluon sync plus the termination wait that the next
+	// round's compute, run while the verdict was in flight, did not cover.
+	SyncTime time.Duration
+	Gluon    gluon.Stats
 }
 
 // Result aggregates a distributed run.
@@ -78,8 +85,8 @@ type Result struct {
 	// RoundCompute[r] is the max-across-hosts compute time of round r (the
 	// per-round series behind MaxCompute, for figure-style traces).
 	RoundCompute []time.Duration
-	// RoundComm[r] is the max-across-hosts sync time (Gluon sync +
-	// termination detection) of round r, the series behind MaxComm.
+	// RoundComm[r] is the max-across-hosts sync time (HostResult.SyncTime)
+	// of round r, the series behind MaxComm.
 	RoundComm []time.Duration
 	Hosts     []HostResult
 	// Values holds the converged labels indexed by global ID (collected
@@ -493,20 +500,19 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 	// rejoin is the recovery path for a *comm.PeerError when rejoin is
 	// enabled: hold at the rendezvous (watchdog suspended so the stalled
 	// cluster is not escalated while it recovers), agree on the newest
-	// epoch every host can load, reload state, and rewind the cursor.
-	rejoin := func(cause error) (ok bool, rerr error) {
+	// epoch every host can load, reload state, and rewind the cursor. It
+	// returns nil once the host has rolled back, and otherwise the error
+	// the run fails with: cause itself when rejoin does not apply.
+	rejoin := func(cause error) (rerr error) {
+		var pe *comm.PeerError
+		if !cfg.Rejoin || cw == nil || !errors.As(cause, &pe) {
+			return cause
+		}
 		defer func() {
 			if rerr != nil {
 				dumpRestoreFailure(p.HostID, rec, rerr)
 			}
 		}()
-		if !cfg.Rejoin || cw == nil {
-			return false, nil
-		}
-		var pe *comm.PeerError
-		if !errors.As(cause, &pe) {
-			return false, nil
-		}
 		cfg.wd.suspendWatch()
 		defer cfg.wd.resumeWatch()
 		// The newest epoch may still be with the asynchronous writer: a peer
@@ -515,32 +521,28 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		cw.Wait()
 		snap, err := ckpt.Latest(cfg.Checkpoint.Dir, p.HostID)
 		if err != nil {
-			return false, fmt.Errorf("dsys: rejoin after %v: %w", cause, err)
+			return fmt.Errorf("dsys: rejoin after %v: %w", cause, err)
 		}
 		epoch, err := rejoinRendezvous(t, g, snap.Epoch, cfg.rejoinTimeout())
 		if err != nil {
-			return false, err
+			return err
 		}
 		if epoch != snap.Epoch {
 			if snap, err = ckpt.Load(cfg.Checkpoint.Dir, p.HostID, epoch); err != nil {
-				return false, err
+				return err
 			}
 		}
 		if frontier, err = restoreSnapshot(p, cp, snap); err != nil {
-			return false, err
+			return err
 		}
 		round = int(epoch)
 		cfg.Trace.CountCkptRestore()
 		// Re-executed rounds would misalign the per-round series with the
 		// round index; drop entries past the rollback point (cumulative
 		// totals keep the re-executed work — it was really spent).
-		if len(hr.perRoundComp) > round {
-			hr.perRoundComp = hr.perRoundComp[:round]
-		}
-		if len(hr.perRoundSync) > round {
-			hr.perRoundSync = hr.perRoundSync[:round]
-		}
-		return true, nil
+		hr.perRoundComp = hr.perRoundComp[:min(round, len(hr.perRoundComp))]
+		hr.perRoundSync = hr.perRoundSync[:min(round, len(hr.perRoundSync))]
+		return nil
 	}
 
 	if restored != nil {
@@ -575,62 +577,90 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			}
 		}
 	}
+	// compute runs one Round and keeps when it started on the trace clock,
+	// for the caller to emit its span once the round is known to count.
+	type computed struct {
+		updated *bitset.Bitset
+		t0      int64
+		dur     time.Duration
+	}
+	compute := func(frontier *bitset.Bitset) (c computed, err error) {
+		rec.SetLivePhase(trace.PhaseCompute)
+		c.t0 = rec.Now()
+		start := time.Now()
+		c.updated, err = prog.Round(frontier)
+		c.dur = time.Since(start)
+		return c, err
+	}
+	// next is the round computed while the previous round's termination
+	// all-reduce was in flight; nil updated when there is none.
+	var next computed
 	for {
 		if cfg.MaxRounds > 0 && round >= cfg.MaxRounds {
 			break
 		}
 		rec.SetRound(int32(round))
-		rec.SetLivePhase(trace.PhaseCompute)
-		compStart := time.Now()
-		var t0 int64
-		if tr {
-			t0 = rec.Now()
-		}
-		updated, err := prog.Round(frontier)
-		if err != nil {
-			return nil, err
+		cur := next
+		next = computed{}
+		if cur.updated == nil {
+			var err error
+			if cur, err = compute(frontier); err != nil {
+				return nil, err
+			}
 		}
 		if tr {
-			rec.Emit(trace.Event{Phase: trace.PhaseCompute, Start: t0, Dur: rec.Now() - t0, Peer: -1})
+			rec.Emit(trace.Event{Phase: trace.PhaseCompute, Start: cur.t0, Dur: int64(cur.dur), Peer: -1})
 		}
-		comp := time.Since(compStart)
-		hr.res.ComputeTime += comp
-		hr.perRoundComp = append(hr.perRoundComp, comp)
+		hr.res.ComputeTime += cur.dur
+		hr.perRoundComp = append(hr.perRoundComp, cur.dur)
+		updated := cur.updated
 
 		syncStart := time.Now()
 		rec.SetLivePhase(trace.PhaseSync)
 		if err := prog.Sync(updated); err != nil {
-			if ok, rerr := rejoin(err); ok {
-				continue
-			} else if rerr != nil {
-				return nil, rerr
+			if err = rejoin(err); err != nil {
+				return nil, err
 			}
-			return nil, err
+			continue
 		}
-		active := uint64(updated.Count())
 		rec.SetLivePhase(trace.PhaseBarrier)
+		var t0 int64
 		if tr {
 			t0 = rec.Now()
 		}
-		global, err := g.AllReduceSum(active)
-		if err != nil {
-			if ok, rerr := rejoin(err); ok {
-				continue
-			} else if rerr != nil {
-				return nil, rerr
+		// The termination all-reduce doubles as the round barrier. Post the
+		// count, then run the next round while the verdict is in flight. A
+		// host with work of its own knows the verdict cannot be "stop", so
+		// the round it computes always counts. It does not compute ahead a
+		// round past MaxRounds, nor after a round that ends at a checkpoint,
+		// whose snapshot must see the state before the next compute.
+		active := uint64(updated.Count())
+		pending := comm.StartAllReduce(t, active, comm.Sum)
+		if active > 0 && (cfg.MaxRounds == 0 || round+1 < cfg.MaxRounds) && (cw == nil || (round+1)%every != 0) {
+			var err error
+			if next, err = compute(updated); err != nil {
+				return nil, err
 			}
-			return nil, err
+			rec.SetLivePhase(trace.PhaseBarrier)
+		}
+		global, err := pending.Wait()
+		if err != nil {
+			if err = rejoin(err); err != nil {
+				return nil, err
+			}
+			next = computed{}
+			continue
 		}
 		if tr {
-			// The termination all-reduce doubles as the round barrier, so
-			// this span is the host's straggler wait.
+			// Posting to verdict: the host's straggler wait, part of which
+			// the next round's compute may have covered.
 			rec.Emit(trace.Event{Phase: trace.PhaseBarrier, Start: t0, Dur: rec.Now() - t0,
 				Peer: -1, Detail: "termination"})
 		}
-		syncDur := time.Since(syncStart)
+		syncDur := time.Since(syncStart) - next.dur
 		hr.res.SyncTime += syncDur
 		hr.perRoundSync = append(hr.perRoundSync, syncDur)
-		cfg.Trace.ObserveRound(comp + syncDur)
+		cfg.Trace.ObserveRound(cur.dur + syncDur)
 		round++
 		if global == 0 {
 			break
@@ -638,12 +668,10 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		frontier = updated
 		if cw != nil && round%every == 0 {
 			if err := checkpoint(round); err != nil {
-				if ok, rerr := rejoin(err); ok {
-					continue
-				} else if rerr != nil {
-					return nil, rerr
+				if err = rejoin(err); err != nil {
+					return nil, err
 				}
-				return nil, err
+				continue
 			}
 		}
 	}

@@ -21,15 +21,6 @@ type Graph struct {
 	In  *graph.CSR // required for pull mode; may be nil to disable pulling
 }
 
-// NewGraph wraps a CSR, building the transpose eagerly when pull is wanted.
-func NewGraph(out *graph.CSR, buildIn bool) *Graph {
-	g := &Graph{Out: out}
-	if buildIn {
-		g.In = out.Transpose()
-	}
-	return g
-}
-
 // EdgeMapConfig configures one edgeMap application. Both traversals hand
 // the operator a whole vertex: the operator walks that vertex's edges
 // itself, so the per-edge work is a loop the compiler sees rather than an

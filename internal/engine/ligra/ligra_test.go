@@ -76,8 +76,8 @@ func TestPushPullEquivalence(t *testing.T) {
 	source := csr.MaxOutDegreeNode()
 	want := ref.BFS(csr, source)
 
-	gPushOnly := NewGraph(csr, false)
-	gBoth := NewGraph(csr, true)
+	gPushOnly := &Graph{Out: csr}
+	gBoth := &Graph{Out: csr, In: csr.Transpose()}
 
 	push := bfsWith(gPushOnly, source, 0, false)
 	hybrid := bfsWith(gBoth, source, 0, true)        // Ligra default 1/20
@@ -97,7 +97,7 @@ func TestPushPullEquivalence(t *testing.T) {
 }
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
-	g := NewGraph(rmatCSR(t, 8), false)
+	g := &Graph{Out: rmatCSR(t, 8)}
 	next := EdgeMap(g, bitset.New(g.Out.NumNodes()), EdgeMapConfig{
 		Push: func(s uint32, activate func(uint32)) { t.Fatal("push called") },
 	})
@@ -131,7 +131,8 @@ func TestDenseCalledOncePerDensePass(t *testing.T) {
 	for i := uint32(1); i < n; i++ {
 		edges = append(edges, graph.LocalEdge{Src: i, Dst: 0})
 	}
-	g := NewGraph(graph.Build(n, edges, false), true)
+	out := graph.Build(n, edges, false)
+	g := &Graph{Out: out, In: out.Transpose()}
 
 	frontier := bitset.New(n)
 	for i := uint32(1); i < n; i++ {
@@ -172,7 +173,7 @@ func TestDenseCalledOncePerDensePass(t *testing.T) {
 
 func BenchmarkEdgeMapPush(b *testing.B) {
 	csr := rmatCSR(b, 12)
-	g := NewGraph(csr, false)
+	g := &Graph{Out: csr}
 	frontier := bitset.New(csr.NumNodes())
 	for i := uint32(0); i < csr.NumNodes(); i += 16 {
 		frontier.Set(i)

@@ -488,14 +488,6 @@ func (g *Gluon) HostID() int { return g.Part.HostID }
 // NumHosts returns the communicator size.
 func (g *Gluon) NumHosts() int { return g.Part.NumHosts }
 
-// AllReduceSum sums val across hosts and returns the total on every host.
-// Engines use it for termination detection (global quiescence: total
-// active-work count reaches zero).
-func (g *Gluon) AllReduceSum(val uint64) (uint64, error) { return comm.AllReduceSum(g.T, val) }
-
-// AllReduceMax returns the maximum of val across hosts on every host.
-func (g *Gluon) AllReduceMax(val uint64) (uint64, error) { return comm.AllReduceMax(g.T, val) }
-
 // Stats returns a snapshot of the substrate's communication counters.
 func (g *Gluon) Stats() Stats {
 	g.statsMu.Lock()

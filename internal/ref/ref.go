@@ -171,6 +171,48 @@ func PageRank(g *graph.CSR, alpha, tol float64, maxIter int) []float64 {
 	return rank
 }
 
+// BC returns each node's single-source dependency δ from source, by
+// sequential Brandes: a BFS that counts shortest paths σ, then a sweep in
+// reverse BFS order accumulating δ(v) = Σ σ(v)/σ(w)·(1+δ(w)) over the
+// successors w one level deeper. Unweighted; parallel edges count as
+// distinct paths, as they do in the distributed program.
+func BC(g *graph.CSR, source uint32) []float64 {
+	n := g.NumNodes()
+	level := make([]uint32, n)
+	sigma := make([]float64, n)
+	for i := range level {
+		level[i] = fields.InfinityU32
+	}
+	level[source] = 0
+	sigma[source] = 1
+	var order []uint32
+	queue := []uint32{source}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		order = append(order, u)
+		for _, w := range g.Neighbors(u) {
+			if level[w] == fields.InfinityU32 {
+				level[w] = level[u] + 1
+				queue = append(queue, w)
+			}
+			if level[w] == level[u]+1 {
+				sigma[w] += sigma[u]
+			}
+		}
+	}
+	delta := make([]float64, n)
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		for _, w := range g.Neighbors(v) {
+			if level[w] == level[v]+1 && sigma[w] > 0 {
+				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+			}
+		}
+	}
+	return delta
+}
+
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

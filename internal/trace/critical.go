@@ -15,16 +15,23 @@ package trace
 //     axis). Comparing two hosts' aligned timestamps is then correct to
 //     within the sum of their offset uncertainties; every verdict carries
 //     that bound.
-//   - Per (host, round) the driver emits three *sequential* spans — compute,
-//     sync, barrier — so they tile the host's round wall time. The gating
-//     host is the one whose barrier span *starts* last (the last arrival);
-//     its margin is how much later it arrived than the runner-up.
+//   - Per (host, round) the driver emits three spans in order — compute,
+//     sync, barrier — that never overlap each other. The barrier runs from
+//     posting the termination count to the verdict, and the host computes
+//     the next round while it waits, so round r+1's compute span lies
+//     inside round r's barrier (and is emitted, stamped r+1, only once the
+//     verdict confirms the round). The three spans therefore tile the
+//     host's round wall except for the rest of the previous verdict wait
+//     after an early compute. The gating host is the one whose barrier
+//     span *starts* last (the last arrival); its margin is how much later
+//     it arrived than the runner-up.
 //   - The gating phase refines the verdict with the sync sub-phase sums
 //     (encode / wire / recvwait / fold / apply, plus compute and the
 //     barrier's straggler-wait): the largest bucket on the gating host's
-//     path. Encode/wire run on parallel worker lanes, so those buckets are
-//     worker time, not wall time — good enough for dominance, and stated as
-//     such.
+//     path. The straggler-wait bucket is the barrier minus the part the
+//     host's next compute covers. Encode/wire run on parallel worker lanes,
+//     so those buckets are worker time, not wall time — good enough for
+//     dominance, and stated as such.
 //
 // The optimization-effectiveness ledger models what the paper's Figure 10
 // measures between configurations, from one run's trace alone: for every
@@ -56,7 +63,7 @@ const (
 	CritFold
 	CritApply
 	// CritWait is the straggler wait: time parked in the termination
-	// barrier behind slower hosts.
+	// barrier behind slower hosts, not covered by the next round's compute.
 	CritWait
 	NumCritPhases
 )
@@ -109,8 +116,8 @@ type HostRound struct {
 	// ArriveNs is when the host reached the termination barrier (the start
 	// of its barrier span); EndNs when no barrier span was recorded.
 	ArriveNs int64 `json:"arrive_ns"`
-	// ComputeNs/SyncNs/BarrierNs are the sequential driver segments; they
-	// tile the host's round wall time.
+	// ComputeNs/SyncNs/BarrierNs are the sequential driver segments (see
+	// the model above for how they cover the host's round wall time).
 	ComputeNs int64 `json:"compute_ns"`
 	SyncNs    int64 `json:"sync_ns"`
 	BarrierNs int64 `json:"barrier_ns"`
@@ -122,9 +129,6 @@ type HostRound struct {
 
 	arrived bool
 }
-
-// WallNs is the host's own round wall time.
-func (h *HostRound) WallNs() int64 { return h.EndNs - h.StartNs }
 
 // RoundPath is one round's critical-path verdict.
 type RoundPath struct {

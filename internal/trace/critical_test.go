@@ -230,6 +230,51 @@ func TestCriticalFinalizeFrontier(t *testing.T) {
 	}
 }
 
+// TestCriticalWaitExcludesNextCompute: the runner computes round r+1 while
+// round r's termination verdict is in flight, so r+1's compute span lies
+// inside r's barrier span. The barrier keeps its full duration and the
+// arrival stays its start, but the straggler-wait bucket counts only the
+// part of the barrier that the host's next compute does not cover.
+func TestCriticalWaitExcludesNextCompute(t *testing.T) {
+	ev := func(h, r int32, ph Phase, start, dur int64) Event {
+		return Event{Host: h, Round: r, Phase: ph, Start: start, Dur: dur, Peer: -1}
+	}
+	// Emission order per host: round 0's barrier, then round 1's compute.
+	events := []Event{
+		ev(0, 0, PhaseCompute, 0, 100), ev(0, 0, PhaseSync, 100, 100), ev(0, 0, PhaseBarrier, 200, 810),
+		ev(1, 0, PhaseCompute, 0, 800), ev(1, 0, PhaseSync, 800, 100), ev(1, 0, PhaseBarrier, 900, 110),
+		ev(0, 1, PhaseCompute, 200, 300), ev(0, 1, PhaseSync, 1010, 100), ev(0, 1, PhaseBarrier, 1110, 200),
+		ev(1, 1, PhaseCompute, 900, 300), ev(1, 1, PhaseSync, 1200, 100), ev(1, 1, PhaseBarrier, 1300, 10),
+	}
+	cp := ComputeCriticalPath(Meta{}, events)
+	if len(cp.Rounds) != 2 {
+		t.Fatalf("attributed %d rounds, want 2", len(cp.Rounds))
+	}
+	r0 := &cp.Rounds[0]
+	h0, h1 := r0.HostPath(0), r0.HostPath(1)
+	if r0.Gate != 1 || h0.ArriveNs != 200 || h1.ArriveNs != 900 {
+		t.Errorf("round 0: gate %d, arrivals %d and %d; want gate 1 arriving at 900 after 200", r0.Gate, h0.ArriveNs, h1.ArriveNs)
+	}
+	if h0.BarrierNs != 810 || h1.BarrierNs != 110 {
+		t.Errorf("round 0 barrier spans %d and %d, want 810 and 110", h0.BarrierNs, h1.BarrierNs)
+	}
+	// Host 0's next compute [200, 500) lies wholly inside its barrier
+	// [200, 1010); host 1's [900, 1200) covers all of [900, 1010).
+	if got := h0.SubNs[CritWait]; got != 510 {
+		t.Errorf("host 0 straggler wait %d, want 810 - 300 = 510", got)
+	}
+	if got := h1.SubNs[CritWait]; got != 0 {
+		t.Errorf("host 1 straggler wait %d, want 0", got)
+	}
+	r1 := &cp.Rounds[1]
+	if c := r1.HostPath(0).ComputeNs; c != 300 {
+		t.Errorf("round 1 compute on host 0 = %d, want 300", c)
+	}
+	if res := r1.Residual(); res < 0 {
+		t.Errorf("round 1 residual %d, negative", res)
+	}
+}
+
 // TestCriticalPathJSONRoundTrip: the attribution (with its CritPhase names)
 // survives JSON, which gluon-trace critical -json and gluon-trace top -o jsonl
 // both rely on.

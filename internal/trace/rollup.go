@@ -161,9 +161,10 @@ type chanKey struct {
 	field      uint32
 }
 
-// top2 tracks the two largest values added: comparing two aligned stamps is
-// off by at most the sum of the two clocks' uncertainties, so the bound for a
-// set of hosts is its two largest uncertainties, summed.
+// top2 tracks the two largest values added. A round's margin is its two
+// latest arrivals' difference, and its clock bound the sum of its two
+// largest uncertainties: comparing two aligned stamps is off by at most the
+// sum of the two clocks' uncertainties.
 type top2 struct{ a, b int64 }
 
 func (t *top2) add(u int64) {
@@ -352,6 +353,11 @@ func (r *Rollup) add(e *Event, offsetNs int64) {
 	case PhaseCompute:
 		hr.ComputeNs += e.Dur
 		row.ComputeNs = max(row.ComputeNs, hr.ComputeNs)
+		// A compute run while the previous round's verdict was in flight
+		// covers part of that barrier: only the rest is straggler wait.
+		if prev := r.open[e.Round-1][e.Host]; prev != nil && prev.arrived {
+			prev.SubNs[CritWait] -= max(0, min(start+e.Dur, prev.EndNs)-max(start, prev.ArriveNs))
+		}
 	case PhaseSync:
 		hr.SyncNs += e.Dur
 		row.SyncNs = max(row.SyncNs, hr.SyncNs)
@@ -425,22 +431,17 @@ func (r *Rollup) attribute(round int32, hosts map[int32]*HostRound) RoundPath {
 		return hr.EndNs
 	}
 	var gate *HostRound
-	var runnerUp int64
+	var arrivals top2
 	for i := range rp.Hosts {
 		hr := &rp.Hosts[i]
-		a := arrive(hr)
-		if gate == nil || a > arrive(gate) {
-			if gate != nil {
-				runnerUp = arrive(gate)
-			}
+		if gate == nil || arrive(hr) > arrive(gate) {
 			gate = hr
-		} else if a > runnerUp {
-			runnerUp = a
 		}
+		arrivals.add(arrive(hr))
 	}
 	rp.Gate = gate.Host
 	if len(rp.Hosts) > 1 {
-		rp.MarginNs = arrive(gate) - runnerUp
+		rp.MarginNs = arrivals.a - arrivals.b
 	}
 	// Gating phase: the gate's largest taxonomy bucket.
 	for cp := CritPhase(0); cp < NumCritPhases; cp++ {

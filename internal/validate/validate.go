@@ -2,7 +2,9 @@
 // rather than by recomputing them sequentially — the graph500-style
 // validation discipline. Property checks run in O(|E|) and therefore work
 // at scales where a Dijkstra or power-iteration oracle would be slower
-// than the distributed run being checked.
+// than the distributed run being checked. bc is the exception: a
+// dependency has no local property to check, so BC recomputes it with
+// sequential Brandes, which is O(|E|) for one source too.
 package validate
 
 import (
@@ -11,6 +13,7 @@ import (
 
 	"gluon/internal/fields"
 	"gluon/internal/graph"
+	"gluon/internal/ref"
 )
 
 // BFS checks that dist is a valid BFS level assignment from source:
@@ -234,6 +237,22 @@ func KCore(g *graph.CSR, k uint64, inCore []bool) error {
 	for u := uint32(0); u < n; u++ {
 		if inCore[u] == dead[u] {
 			return fmt.Errorf("validate: node %d in-core=%v but peeling says dead=%v", u, inCore[u], dead[u])
+		}
+	}
+	return nil
+}
+
+// BC checks single-source dependencies against sequential Brandes (ref.BC)
+// within the relative tolerance tol: the distributed sums add in another
+// order, so low bits may differ.
+func BC(g *graph.CSR, source uint32, delta []float64, tol float64) error {
+	want := ref.BC(g, source)
+	if len(delta) != len(want) {
+		return fmt.Errorf("validate: %d dependencies for %d nodes", len(delta), len(want))
+	}
+	for v, w := range want {
+		if !(math.Abs(delta[v]-w) <= tol*(1+math.Abs(w))) { // NaN fails too
+			return fmt.Errorf("validate: node %d dependency %g, Brandes gives %g", v, delta[v], w)
 		}
 	}
 	return nil
