@@ -50,10 +50,8 @@ func main() {
 		syncTiers = flag.String("sync-tiers", "", "with -sync-record: measure only these comma-separated encodings (default: all of "+strings.Join(bench.AllSyncEncodings(), ",")+")")
 		syncHosts = flag.String("sync-hosts", "2,8", "with -sync-record: comma-separated host counts to measure")
 
-		traceOut     = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) over HTTP at this address")
-		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
-		pprofAddr    = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
+		traceOut  = flag.String("trace", "", "record every Gluon-based run into a trace file (Chrome trace_event JSON)")
+		pprofAddr = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
 	)
 	flag.Parse()
 
@@ -91,21 +89,9 @@ func main() {
 	}
 
 	var tr *trace.Trace
-	if *traceOut != "" || *metricsAddr != "" || *traceSummary > 0 {
+	if *traceOut != "" {
 		tr = trace.New(trace.Config{Label: "gluon-bench sweep"})
 		p.Trace = tr
-		if *metricsAddr != "" {
-			ms, err := trace.ServeMetrics(*metricsAddr, tr)
-			if err != nil {
-				fatal(err)
-			}
-			defer ms.Close()
-			logger.Info("serving trace metrics", "url", fmt.Sprintf("http://%s/metrics", ms.Addr()))
-		}
-		if *traceSummary > 0 {
-			stop := trace.StartSummary(os.Stderr, tr, *traceSummary)
-			defer stop()
-		}
 	}
 
 	if *syncRecord {
@@ -179,7 +165,7 @@ func main() {
 	if ran == 0 {
 		fatal(fmt.Errorf("no experiment matched -table %d -figure %q", *table, *figure))
 	}
-	if tr != nil && *traceOut != "" {
+	if tr != nil {
 		if err := tr.WriteFile(*traceOut); err != nil {
 			fatal(err)
 		}

@@ -45,15 +45,13 @@ func main() {
 		verify   = flag.Bool("verify", false, "collect values and print a result digest")
 		check    = flag.Bool("validate", false, "check the result: bfs, cc, pr, sssp and kcore by their defining properties (graph500-style), bc against sequential Brandes")
 
-		traceOut     = flag.String("trace", "", "write a trace of the run (Chrome trace_event JSON)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live trace counters (Prometheus text at /metrics) and pprof capture over HTTP at this address")
-		traceSummary = flag.Duration("trace-summary", 0, "print periodic trace summaries to stderr at this interval")
-		traceShip    = flag.String("trace-ship", "", "stream the trace to a collector at this address (gluon-trace serve)")
-		topAddr      = flag.String("top-addr", "", "embed a live collector at this address so gluon-trace top can attach to this run")
-		pprofAddr    = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
-		watchdog     = flag.Bool("watchdog", false, "run the straggler/stall watchdog (reports to stderr)")
-		wdStall      = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long (0 = warn only)")
-		pmDir        = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
+		traceOut  = flag.String("trace", "", "write a trace of the run (Chrome trace_event JSON)")
+		traceShip = flag.String("trace-ship", "", "stream the trace to a collector at this address (gluon-trace serve)")
+		topAddr   = flag.String("top-addr", "", "embed a live collector at this address so gluon-trace top can attach to this run")
+		pprofAddr = flag.String("pprof-addr", "", "serve /debug/pprof/ at this address with sync phases labeled in CPU profiles")
+		watchdog  = flag.Bool("watchdog", false, "run the straggler/stall watchdog (reports to stderr)")
+		wdStall   = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long (0 = warn only)")
+		pmDir     = flag.String("postmortem-dir", "", "arm the black-box flight recorder: failures write postmortem bundles (gluon-trace doctor input) under this directory")
 
 		ckptDir   = flag.String("ckpt-dir", "", "write periodic per-host checkpoints under this directory (bfs, cc, sssp and pr checkpoint; kcore and bc do not)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N rounds (0 = ckpt package default)")
@@ -71,24 +69,11 @@ func main() {
 	}
 
 	// Any observability flag turns tracing on; the trace object is shared by
-	// the substrate, the metrics endpoint, the periodic summary, and the
-	// collection sideband.
+	// the substrate, the embedded collector and the collection sideband.
 	var tr *trace.Trace
 	var shipClock trace.ClockInfo
-	if *traceOut != "" || *metricsAddr != "" || *traceSummary > 0 || *traceShip != "" || *topAddr != "" {
+	if *traceOut != "" || *traceShip != "" || *topAddr != "" {
 		tr = trace.New(trace.Config{Label: fmt.Sprintf("gluon-run %s/%s", *system, *benchFlg)})
-		if *metricsAddr != "" {
-			ms, err := trace.ServeMetrics(*metricsAddr, tr)
-			if err != nil {
-				fatal(err)
-			}
-			defer ms.Close()
-			logger.Info("serving trace metrics", "url", fmt.Sprintf("http://%s/metrics", ms.Addr()))
-		}
-		if *traceSummary > 0 {
-			stop := trace.StartSummary(os.Stderr, tr, *traceSummary)
-			defer stop()
-		}
 		if *topAddr != "" {
 			// An embedded collector makes this single process watchable: the
 			// local trace feeds the collector's fold directly, and any

@@ -133,6 +133,12 @@ func Decode(data []byte) (*Snapshot, error) {
 	p += alen
 	nsec := int(binary.LittleEndian.Uint32(body[p:]))
 	p += 4
+	// Every section takes at least 5 bytes (name length, data length), so a
+	// count the remaining bytes cannot hold is refused before it sizes an
+	// allocation: the CRC guards against corruption, not a crafted file.
+	if nsec > (len(body)-p)/5 {
+		return nil, fmt.Errorf("ckpt: %d sections cannot fit in %d bytes", nsec, len(body)-p)
+	}
 	s.Sections = make([]Section, 0, nsec)
 	for i := 0; i < nsec; i++ {
 		if p+1 > len(body) {
@@ -140,6 +146,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		nlen := int(body[p])
 		p++
+		if nlen == 0 {
+			return nil, errors.New("ckpt: empty section name")
+		}
 		if p+nlen+4 > len(body) {
 			return nil, errors.New("ckpt: truncated section name")
 		}
@@ -353,7 +362,7 @@ type Writer struct {
 }
 
 // NewWriter starts the single-writer goroutine. onDone, if non-nil, is
-// called after each write attempt with the byte count (trace accounting).
+// called after each write attempt with the byte count written.
 func NewWriter(opt Options, host int, onDone func(bytes int, err error)) *Writer {
 	w := &Writer{
 		dir:    opt.Dir,

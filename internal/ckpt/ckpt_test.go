@@ -1,7 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,6 +71,63 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing byte went undetected")
 	}
+	if _, err := Decode(oversizedCount(t)); err == nil {
+		t.Fatal("a section count the file cannot hold went undetected")
+	}
+}
+
+// withCRC returns data with its last four bytes replaced by the CRC of the
+// rest, so an input reaches the parser behind the checksum.
+func withCRC(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// oversizedCount is a 50-byte checkpoint with a valid CRC whose section
+// count is 0xFFFFFFFF: sizing the section slice by that count asks the
+// runtime for ~170 GB, which no recover can catch.
+func oversizedCount(t testing.TB) []byte {
+	data, err := (&Snapshot{Algorithm: "pr", NumHosts: 1}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(data[:len(data)-8], 0xFF, 0xFF, 0xFF, 0xFF)
+	body = append(body, make([]byte, 50-4-len(body))...)
+	return withCRC(append(body, 0, 0, 0, 0))
+}
+
+// FuzzDecode: a checkpoint is read back from disk after a crash, so no file
+// may panic Decode or make it allocate past what the file can hold, and a
+// file it accepts re-encodes to the same bytes. Each input is tried as
+// given and with its CRC made valid, so the fuzzer reaches the parser.
+func FuzzDecode(f *testing.F) {
+	good, err := sampleSnapshot(7).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(oversizedCount(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, withCRC(data))
+		}
+		for _, in := range inputs {
+			s, err := Decode(in)
+			if err != nil {
+				continue
+			}
+			again, err := s.Encode()
+			if err != nil {
+				t.Fatalf("Decode accepted a snapshot Encode refuses: %v", err)
+			}
+			if !bytes.Equal(again, in) {
+				t.Fatalf("re-encoding changed the file:\n got %x\nwant %x", again, in)
+			}
+		}
+	})
 }
 
 func TestWriteLoadLatest(t *testing.T) {

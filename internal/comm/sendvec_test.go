@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"syscall"
 	"testing"
 
 	"gluon/internal/trace"
@@ -122,8 +123,16 @@ func TestTCPSelfSendFrameTracing(t *testing.T) {
 
 // TestSendTooLarge: both transports reject oversized frames at send time
 // with the typed error, without poisoning the peer — the link stays usable.
+//
+// huge is an anonymous read-only mapping rather than a heap buffer: the send
+// paths check only its length, so no page is ever touched, and a 1 GiB heap
+// allocation per run gets the binary killed for memory under -race.
 func TestSendTooLarge(t *testing.T) {
-	huge := make([]byte, MaxFrameSize+1)
+	huge, err := syscall.Mmap(-1, 0, MaxFrameSize+1, syscall.PROT_READ, syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
+	if err != nil {
+		t.Fatalf("mapping %d bytes: %v", MaxFrameSize+1, err)
+	}
+	t.Cleanup(func() { syscall.Munmap(huge) })
 
 	t.Run("tcp", func(t *testing.T) {
 		eps := dialMesh(t, 2)

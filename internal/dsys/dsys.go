@@ -442,8 +442,7 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			sync.Mutex
 			q []uint64
 		}
-		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(bytes int, err error) {
-			cfg.Trace.CountCkptWrite(bytes, err)
+		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(_ int, err error) {
 			ckq.Lock()
 			var epoch uint64
 			if len(ckq.q) > 0 {
@@ -536,7 +535,6 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			return err
 		}
 		round = int(epoch)
-		cfg.Trace.CountCkptRestore()
 		// Re-executed rounds would misalign the per-round series with the
 		// round index; drop entries past the rollback point (cumulative
 		// totals keep the re-executed work — it was really spent).
@@ -560,7 +558,6 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			return nil, err
 		}
 		round = int(restored.Epoch)
-		cfg.Trace.CountCkptRestore()
 		rec.SetRound(int32(round))
 	} else {
 		if err := comm.Barrier(t); err != nil {
@@ -660,7 +657,6 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		syncDur := time.Since(syncStart) - next.dur
 		hr.res.SyncTime += syncDur
 		hr.perRoundSync = append(hr.perRoundSync, syncDur)
-		cfg.Trace.ObserveRound(cur.dur + syncDur)
 		round++
 		if global == 0 {
 			break

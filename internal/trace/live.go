@@ -55,7 +55,7 @@ type ViewUpdate struct {
 	// Hearts is the latest heartbeat per host, on the collector clock.
 	Hearts []Heartbeat `json:"heartbeats,omitempty"`
 	// Stats merges the collector-local rollup with every session's last
-	// shipped rollup (histograms omitted; counters summed, MaxRound maxed) —
+	// shipped rollup (counters summed, MaxRound maxed) —
 	// the shippers' own totals, so they stay exact when a ring wrapped
 	// before its events could be shipped.
 	Stats LiveStats `json:"stats"`
@@ -160,8 +160,7 @@ func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
 }
 
 // liveLocked merges the local rollup with every session's last shipped
-// rollup, the way Trace.Live merges recorders. Histograms are omitted (their
-// bucket layouts belong to the build that filled them). Caller holds c.mu.
+// rollup, the way Trace.Live merges recorders. Caller holds c.mu.
 func (c *Collector) liveLocked() LiveStats {
 	parts := make([]LiveStats, 0, len(c.sess)+1)
 	if c.local != nil {
@@ -176,14 +175,9 @@ func (c *Collector) liveLocked() LiveStats {
 		tot.merge(&t)
 	}
 	out := tot.LiveStats()
-	out.Label, out.Dropped, out.SyncMsgBytes = c.label, c.missed, nil
-	// The counters no event carries add up the same way.
+	out.Label, out.Dropped = c.label, c.missed
 	for i := range parts {
 		out.Dropped += parts[i].Dropped
-		out.CkptWrites += parts[i].CkptWrites
-		out.CkptBytes += parts[i].CkptBytes
-		out.CkptErrors += parts[i].CkptErrors
-		out.CkptRestores += parts[i].CkptRestores
 	}
 	return out
 }

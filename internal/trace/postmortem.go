@@ -62,22 +62,6 @@ const (
 	TriggerManual Trigger = "manual"
 )
 
-// Triggers enumerates the taxonomy (stable order, used by the Prometheus
-// exposition so every label value exists from the first scrape).
-var Triggers = []Trigger{
-	TriggerPeerPoison, TriggerDeadHost, TriggerInjectedFault, TriggerStall,
-	TriggerPanic, TriggerRestoreFailed, TriggerSyncInvariant, TriggerManual,
-}
-
-func triggerIndex(tr Trigger) int {
-	for i, t := range Triggers {
-		if t == tr {
-			return i
-		}
-	}
-	return len(Triggers) - 1 // unknown triggers count as manual
-}
-
 // BundleVersion is the postmortem bundle format version; bumped when the
 // JSON shape changes incompatibly.
 const BundleVersion = 1
@@ -178,10 +162,6 @@ type FlightConfig struct {
 	Host int
 }
 
-// numTriggers must equal len(Triggers); pinned by a test so the per-trigger
-// dump counters can live in a fixed-size atomic array.
-const numTriggers = 8
-
 // FlightRecorder freezes postmortem bundles on demand. All methods are safe
 // on a nil receiver and safe for concurrent use.
 type FlightRecorder struct {
@@ -190,7 +170,6 @@ type FlightRecorder struct {
 	id    string
 
 	lastCkpt atomic.Int64
-	dumps    [numTriggers]atomic.Uint64
 
 	mu         sync.Mutex
 	runConfig  string
@@ -315,19 +294,6 @@ func (fr *FlightRecorder) recentLogs() []string {
 	return out
 }
 
-// DumpCounts returns per-trigger bundle-write counts (the Prometheus
-// gluon_postmortem_dumps_total series), indexed like Triggers.
-func (fr *FlightRecorder) DumpCounts() []uint64 {
-	out := make([]uint64, len(Triggers))
-	if fr == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = fr.dumps[i].Load()
-	}
-	return out
-}
-
 // Dump freezes a bundle for info and writes it atomically, returning the
 // bundle path. Repeated dumps for the same (trigger, peer) pair and dumps
 // past MaxDumps are suppressed (a poison cascade on an 8-host cluster must
@@ -413,7 +379,6 @@ func (fr *FlightRecorder) Dump(info DumpInfo) (string, error) {
 	if err := ckpt.AtomicWriteFile(path, data); err != nil {
 		return "", fmt.Errorf("trace: write postmortem bundle: %w", err)
 	}
-	fr.dumps[triggerIndex(info.Trigger)].Add(1)
 	return path, nil
 }
 

@@ -12,6 +12,8 @@ package trace
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	rpprof "runtime/pprof"
@@ -55,26 +57,36 @@ func LabelPhase(p Phase) func() {
 	return clearLabels
 }
 
-// registerPprof mounts the net/http/pprof capture handlers on mux:
+// PprofServer is a running -pprof-addr endpoint.
+type PprofServer struct {
+	ln  net.Listener
+	srv *http.Server
+}
+
+// ServePprof starts a profiling server on addr (the -pprof-addr flag, e.g.
+// "localhost:6060" or ":0") serving the net/http/pprof capture tree —
 // /debug/pprof/ (index incl. heap, goroutine, block...), profile (CPU),
-// cmdline, symbol, trace.
-func registerPprof(mux *http.ServeMux) {
+// cmdline, symbol, trace — and enables phase labels so CPU captures are
+// stage-attributed. The server runs until Close.
+func ServePprof(addr string) (*PprofServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("trace: pprof listen %s: %w", addr, err)
+	}
+	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	ps := &PprofServer{ln: ln, srv: &http.Server{Handler: mux}}
+	go ps.srv.Serve(ln)
+	SetPhaseLabels(true)
+	return ps, nil
 }
 
-// ServePprof starts a standalone profiling server on addr (the -pprof-addr
-// flag) serving the /debug/pprof/ tree, and enables phase labels so CPU
-// captures are stage-attributed. Close the returned server to stop.
-func ServePprof(addr string) (*MetricsServer, error) {
-	mux := http.NewServeMux()
-	registerPprof(mux)
-	ms, err := serveHTTP(addr, "pprof", mux)
-	if err == nil {
-		SetPhaseLabels(true)
-	}
-	return ms, err
-}
+// Addr returns the bound address (resolves ":0" requests).
+func (p *PprofServer) Addr() string { return p.ln.Addr().String() }
+
+// Close stops the server.
+func (p *PprofServer) Close() error { return p.srv.Close() }

@@ -1,10 +1,9 @@
 package trace
 
 // The one fold. Every number the observability plane reports — the analyzer
-// tables, the critical path and its ledger, the live counters, the
-// Prometheus series — is a view of what this file accumulates from the
-// event stream, so two reports of the same events cannot disagree
-// (DESIGN.md §4.3, §4.8). Two tiers:
+// tables, the critical path and its ledger, the live counters — is a view
+// of what this file accumulates from the event stream, so two reports of
+// the same events cannot disagree (DESIGN.md §4.3, §4.8). Two tiers:
 //
 //   - Totals is the fixed-size tier: counts and sums that do not care which
 //     host or round an event belongs to. Recorder.Emit keeps one per host
@@ -27,12 +26,11 @@ type Totals struct {
 	events   uint64
 	maxRound int32 // highest Round stamped on any event; -1 in noEvents
 	phases   [NumPhases]PhaseLive
-	// Byte, mode and size-histogram tags count encode spans only: their
-	// tags are Stats deltas, so the totals match the run's volume accounting.
-	// Other phases reuse Value for wire lengths, which would double-count.
+	// Byte and mode tags count encode spans only: their tags are Stats
+	// deltas, so the totals match the run's volume accounting. Other phases
+	// reuse Value for wire lengths, which would double-count.
 	value, meta, gid uint64
 	modes            [NumModes]uint64
-	msgHist          [numMsgBuckets + 1]uint64 // last slot is the overflow (+Inf)
 }
 
 // noEvents is the Totals every fold and merge starts from: no round seen yet.
@@ -54,11 +52,6 @@ func (t *Totals) add(e *Event) {
 	t.value += e.Value
 	t.meta += e.Meta
 	t.gid += e.GID
-	n, i := e.Bytes(), 0
-	for i < numMsgBuckets && n > MsgBucketBytes(i) {
-		i++
-	}
-	t.msgHist[i]++
 	if e.Mode >= 0 && e.Mode < NumModes {
 		t.modes[e.Mode]++
 	}
@@ -78,14 +71,10 @@ func (t *Totals) merge(o *Totals) {
 	for m := range t.modes {
 		t.modes[m] += o.modes[m]
 	}
-	for i := range t.msgHist {
-		t.msgHist[i] += o.msgHist[i]
-	}
 }
 
 // LiveStats renders the totals in their external, name-keyed shape. The
-// fields no event carries (label, dropped, checkpoint counters, round
-// latency) are the caller's to fill.
+// fields no event carries (label, dropped) are the caller's to fill.
 func (t Totals) LiveStats() LiveStats {
 	s := LiveStats{
 		Events:     t.events,
@@ -107,17 +96,11 @@ func (t Totals) LiveStats() LiveStats {
 			s.Modes[ModeName(int8(m))] = n
 		}
 	}
-	if s.Messages > 0 {
-		s.SyncMsgBytes = histLive(t.msgHist[:], float64(s.TotalBytes()), s.Messages,
-			func(i int) float64 { return float64(MsgBucketBytes(i)) })
-	}
 	return s
 }
 
 // totals inverts LiveStats, for the rollups shippers send over the sideband:
-// the collector merges them exactly as Trace.Live merges recorders. The
-// size histogram stays behind; its bucket layout belongs to the sender's
-// build.
+// the collector merges them exactly as Trace.Live merges recorders.
 func (s *LiveStats) totals() Totals {
 	t := Totals{
 		events: s.Events, maxRound: s.MaxRound,
@@ -130,21 +113,6 @@ func (s *LiveStats) totals() Totals {
 		t.modes[m] = s.Modes[ModeName(int8(m))]
 	}
 	return t
-}
-
-// histLive snapshots one fixed-bucket histogram; counts carries the overflow
-// bucket last, so there is one bound fewer than counts.
-func histLive(counts []uint64, sum float64, count uint64, bound func(i int) float64) *HistLive {
-	h := &HistLive{
-		Bounds: make([]float64, len(counts)-1),
-		Counts: append([]uint64(nil), counts...),
-		Sum:    sum,
-		Count:  count,
-	}
-	for i := range h.Bounds {
-		h.Bounds[i] = bound(i)
-	}
-	return h
 }
 
 // chanStat accumulates one directed (sender, peer, field) channel.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"testing"
 )
 
@@ -59,7 +58,6 @@ func renderViews(t *testing.T, r *Rollup, meta Meta) map[string]string {
 	text("critical", func(b *bytes.Buffer) error { return cp.WriteTables(b) })
 	asJSON("critical.json", cp)
 	asJSON("live.json", live)
-	text("prometheus", func(b *bytes.Buffer) error { return WritePrometheus(b, &live) })
 	tail := r.CriticalPath("", 3)
 	asJSON("view-update", ViewUpdate{Stats: live, Hosts: tail.Hosts, Rounds: tail.Rounds, Verdict: tail.Verdict, Ledger: tail.Ledger})
 	asJSON("comm-counters", cp.Ledger.Counters())
@@ -137,29 +135,6 @@ func TestLiveMatchesRollup(t *testing.T) {
 	}
 }
 
-// TestPrometheusGolden pins the exposition of the fixtures byte for byte:
-// series names and label sets are an interface scrapers depend on.
-func TestPrometheusGolden(t *testing.T) {
-	build := regexp.MustCompile(`(?m)^gluon_build_info\{.*$`)
-	for _, f := range []string{"bfs4", "pr4z"} {
-		events, meta := fixtureTrace(t, f+".json")
-		live := rollupOf(meta, events).Totals().LiveStats()
-		var buf bytes.Buffer
-		if err := WritePrometheus(&buf, &live); err != nil {
-			t.Fatal(err)
-		}
-		// The build line names the toolchain that compiled the test.
-		got := build.ReplaceAll(buf.Bytes(), []byte(`gluon_build_info{version="X",goversion="X"} 1`))
-		want, err := os.ReadFile(filepath.Join("testdata", f+".prom"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: exposition drifted from testdata/%s.prom:\n%s", f, f, got)
-		}
-	}
-}
-
 // FuzzRollupAdd: the fold takes events from files and sideband peers, so no
 // field value may panic it, and the three places a byte total is reported
 // must agree whatever went in.
@@ -198,9 +173,6 @@ func FuzzRollupAdd(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := cp.WriteTables(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := WritePrometheus(&buf, &live); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -167,8 +167,8 @@ type Config struct {
 
 // Trace is one tracing session shared by all hosts of a run (or several
 // runs back to back). It hands out per-host Recorders, merges their running
-// Totals into the live rollup behind the metrics endpoint, and merges
-// recorded events for export. A nil *Trace is valid and permanently disabled.
+// Totals into the live rollup the sideband ships, and merges recorded events
+// for export. A nil *Trace is valid and permanently disabled.
 type Trace struct {
 	cfg     Config
 	epoch   time.Time
@@ -176,83 +176,6 @@ type Trace struct {
 
 	mu   sync.Mutex
 	recs []*Recorder // indexed by host, grown lazily
-
-	// Checkpoint plane counters (gluon_ckpt_* in the Prometheus export).
-	ckptWrites   atomic.Uint64
-	ckptBytes    atomic.Uint64
-	ckptErrors   atomic.Uint64
-	ckptRestores atomic.Uint64
-
-	// BSP round latency histogram, observed by dsys once per round: fixed
-	// exponential buckets, one atomic add per observation; the last slot is
-	// the overflow (+Inf). Nothing here is bumped per event — the
-	// event-derived counters are each Recorder's Totals (rollup.go).
-	roundHist  [numRoundBuckets + 1]atomic.Uint64
-	roundSumNs atomic.Int64
-	roundCount atomic.Uint64
-}
-
-// Round-latency buckets: 1ms·2^i for i in [0,16) — 1ms up to ~33s, then
-// overflow. Sync-message-bytes buckets: 64B·4^i for i in [0,9) — 64B up to
-// 4MiB, then overflow.
-const (
-	numRoundBuckets = 16
-	numMsgBuckets   = 9
-)
-
-// RoundBucketNs returns round-latency bucket i's upper bound in nanoseconds.
-func RoundBucketNs(i int) int64 { return int64(time.Millisecond) << i }
-
-// MsgBucketBytes returns sync-message-bytes bucket i's upper bound.
-func MsgBucketBytes(i int) uint64 { return 64 << (2 * i) }
-
-// ObserveRound records one completed BSP round's wall time into the
-// round-latency histogram. Safe on a nil Trace; called once per round by
-// the dsys runner (not on the sync hot path).
-func (t *Trace) ObserveRound(d time.Duration) {
-	if t == nil {
-		return
-	}
-	i := 0
-	for i < numRoundBuckets && int64(d) > RoundBucketNs(i) {
-		i++
-	}
-	t.roundHist[i].Add(1)
-	t.roundSumNs.Add(int64(d))
-	t.roundCount.Add(1)
-}
-
-// HistLive is one histogram's live snapshot: per-bucket counts (not
-// cumulative; the final slot is the overflow bucket) with upper Bounds in
-// base units (seconds or bytes).
-type HistLive struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  uint64    `json:"count"`
-}
-
-// CountCkptWrite records one completed checkpoint write of the given size
-// (err non-nil counts an error instead). Safe on a nil Trace.
-func (t *Trace) CountCkptWrite(bytes int, err error) {
-	if t == nil {
-		return
-	}
-	if err != nil {
-		t.ckptErrors.Add(1)
-		return
-	}
-	t.ckptWrites.Add(1)
-	t.ckptBytes.Add(uint64(bytes))
-}
-
-// CountCkptRestore records one successful restore from checkpoint. Safe on
-// a nil Trace.
-func (t *Trace) CountCkptRestore() {
-	if t == nil {
-		return
-	}
-	t.ckptRestores.Add(1)
 }
 
 // New creates an enabled tracing session whose clock starts now.
@@ -586,31 +509,20 @@ type PhaseLive struct {
 	DurNs int64  `json:"dur_ns"`
 }
 
-// LiveStats is the running rollup behind the metrics endpoint and the
-// periodic stderr summary: the fold's Totals in their external, name-keyed
-// shape, plus the counters no event carries. Reading it never copies a ring.
+// LiveStats is the running rollup a shipper sends and gluon-trace top shows:
+// the fold's Totals in their external, name-keyed shape, plus the counters
+// no event carries. Reading it never copies a ring.
 type LiveStats struct {
-	Label      string `json:"label,omitempty"`
-	Events     uint64 `json:"events"`
-	Dropped    uint64 `json:"dropped"`
-	MaxRound   int32  `json:"max_round"`
-	Messages   uint64 `json:"messages"`
-	ValueBytes uint64 `json:"value_bytes"`
-	MetaBytes  uint64 `json:"metadata_bytes"`
-	GIDBytes   uint64 `json:"gid_bytes"`
-	// Checkpoint plane: completed/failed checkpoint writes, bytes persisted,
-	// and restores performed (DESIGN.md §4.6).
-	CkptWrites   uint64               `json:"ckpt_writes,omitempty"`
-	CkptBytes    uint64               `json:"ckpt_bytes,omitempty"`
-	CkptErrors   uint64               `json:"ckpt_errors,omitempty"`
-	CkptRestores uint64               `json:"ckpt_restores,omitempty"`
-	Phases       map[string]PhaseLive `json:"phases"`
-	Modes        map[string]uint64    `json:"modes"`
-	// RoundLatency (seconds) and SyncMsgBytes (bytes) are the histogram
-	// snapshots behind the Prometheus gluon_round_latency_seconds and
-	// gluon_sync_message_bytes series.
-	RoundLatency *HistLive `json:"round_latency,omitempty"`
-	SyncMsgBytes *HistLive `json:"sync_message_bytes,omitempty"`
+	Label      string               `json:"label,omitempty"`
+	Events     uint64               `json:"events"`
+	Dropped    uint64               `json:"dropped"`
+	MaxRound   int32                `json:"max_round"`
+	Messages   uint64               `json:"messages"`
+	ValueBytes uint64               `json:"value_bytes"`
+	MetaBytes  uint64               `json:"metadata_bytes"`
+	GIDBytes   uint64               `json:"gid_bytes"`
+	Phases     map[string]PhaseLive `json:"phases"`
+	Modes      map[string]uint64    `json:"modes"`
 }
 
 // TotalBytes returns the live payload byte total.
@@ -632,17 +544,5 @@ func (t *Trace) Live() LiveStats {
 	s := tot.LiveStats()
 	s.Label = t.cfg.Label
 	s.Dropped = dropped
-	s.CkptWrites = t.ckptWrites.Load()
-	s.CkptBytes = t.ckptBytes.Load()
-	s.CkptErrors = t.ckptErrors.Load()
-	s.CkptRestores = t.ckptRestores.Load()
-	if n := t.roundCount.Load(); n > 0 {
-		var counts [numRoundBuckets + 1]uint64
-		for i := range counts {
-			counts[i] = t.roundHist[i].Load()
-		}
-		s.RoundLatency = histLive(counts[:], float64(t.roundSumNs.Load())/1e9, n,
-			func(i int) float64 { return float64(RoundBucketNs(i)) / 1e9 })
-	}
 	return s
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilSafety: the nil *Trace and nil *Recorder are valid, permanently
@@ -375,55 +374,17 @@ func TestSummarizeMaxAcrossHosts(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheus: /metrics serves the Prometheus text exposition.
-func TestMetricsPrometheus(t *testing.T) {
-	tr := New(Config{Label: "prom"})
-	tr.Recorder(0).SetRound(3)
-	tr.Recorder(0).Emit(Event{Phase: PhaseEncode, Value: 42, Meta: 7, Mode: 1, Dur: 9})
-	tr.Recorder(0).Emit(Event{Phase: PhaseFault, Detail: "boom"})
-	ms, err := ServeMetrics("127.0.0.1:0", tr)
+// TestServePprof: the -pprof-addr endpoint serves the capture handlers and
+// turns phase labels on, so CPU captures taken from it are stage-attributed.
+func TestServePprof(t *testing.T) {
+	defer SetPhaseLabels(false)
+	ps, err := ServePprof("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Close()
-
-	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	body, ctype := string(raw), resp.Header.Get("Content-Type")
-	if !strings.Contains(ctype, "version=0.0.4") {
-		t.Errorf("content type %q, want Prometheus text exposition", ctype)
-	}
-	for _, want := range []string{
-		`gluon_sync_bytes_total{kind="value"} 42`,
-		`gluon_sync_bytes_total{kind="metadata"} 7`,
-		"gluon_round 3",
-		"gluon_sync_messages_total 1",
-		"gluon_faults_total 1",
-		"gluon_trace_dropped_total 0",
-		`gluon_encode_mode_total{mode=`,
-		"# TYPE gluon_round gauge",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("missing %q in:\n%s", want, body)
-		}
-	}
-}
-
-// TestMetricsPprof: the profiling handlers ride the metrics mux so CPU/heap
-// capture is available wherever metrics are served.
-func TestMetricsPprof(t *testing.T) {
-	tr := New(Config{})
-	ms, err := ServeMetrics("127.0.0.1:0", tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
+	defer ps.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1", "/debug/pprof/goroutine?debug=1"} {
-		resp, err := http.Get("http://" + ms.Addr() + path)
+		resp, err := http.Get("http://" + ps.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -432,6 +393,9 @@ func TestMetricsPprof(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body)
 		}
+	}
+	if !phaseLabels.Load() {
+		t.Error("ServePprof left phase labels off")
 	}
 }
 
@@ -457,31 +421,6 @@ func TestLabelPhase(t *testing.T) {
 	done := LabelPhase(PhaseFold)
 	done()
 }
-
-func TestStartSummary(t *testing.T) {
-	tr := New(Config{})
-	tr.Recorder(0).Emit(Event{Phase: PhaseEncode, Value: 10, Dur: 3})
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	stop := StartSummary(w, tr, time.Hour) // no tick fires; stop prints the final line
-	stop()
-	stop() // idempotent
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "msgs=1") || !strings.Contains(out, "events=1") {
-		t.Errorf("final summary line missing: %q", out)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestEmitNoAlloc pins the hot-path allocation contract: an enabled Emit
 // with a constant Detail performs zero heap allocations.
