@@ -73,6 +73,9 @@ type program struct {
 	maxLevel  uint32
 	// byLevel[l] lists local proxies at level l (built after forward).
 	byLevel [][]uint32
+
+	updated  *bitset.Pair   // what Round returns, alternating
+	levelUpd *bitset.Bitset // Sync's copy of updated for the level field
 }
 
 // New builds the bc program (Galois engine, as in the original suite).
@@ -85,6 +88,8 @@ func New(source uint64, workers int) dsys.ProgramFactory {
 			level:     make([]uint32, n),
 			sigmaBits: make([]uint64, n),
 			deltaBits: make([]uint64, n),
+			updated:   bitset.NewPair(n),
+			levelUpd:  bitset.New(n),
 		}
 		prog.levelField = gluon.Field[uint32]{
 			ID:   FieldIDLevel,
@@ -144,20 +149,19 @@ func (pr *program) Init() (*bitset.Bitset, error) {
 
 // Round implements dsys.Program, dispatching on phase.
 func (pr *program) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	updated := pr.updated.Next(frontier)
 	switch pr.phase {
 	case phaseForward:
-		return pr.forwardRound(frontier), nil
+		pr.forwardRound(frontier, updated)
 	case phaseBackward:
-		return pr.backwardRound(), nil
-	default:
-		return bitset.New(pr.p.NumProxies()), nil
+		pr.backwardRound(updated)
 	}
+	return updated, nil
 }
 
 // forwardRound expands BFS level fwdLevel, accumulating σ partials at
 // level fwdLevel+1 proxies.
-func (pr *program) forwardRound(frontier *bitset.Bitset) *bitset.Bitset {
-	updated := bitset.New(pr.p.NumProxies())
+func (pr *program) forwardRound(frontier, updated *bitset.Bitset) {
 	cur := pr.fwdLevel
 	pr.e.DoAllFrontier(frontier, func(e *galois.Engine, u uint32, push func(uint32)) {
 		if pr.level[u] != cur {
@@ -176,15 +180,13 @@ func (pr *program) forwardRound(frontier *bitset.Bitset) *bitset.Bitset {
 			updated.Set(w)
 		}
 	})
-	return updated
 }
 
 // backwardRound accumulates δ for nodes at backLevel from their successors
 // at backLevel+1.
-func (pr *program) backwardRound() *bitset.Bitset {
-	updated := bitset.New(pr.p.NumProxies())
+func (pr *program) backwardRound(updated *bitset.Bitset) {
 	if pr.backLevel < 0 {
-		return updated
+		return
 	}
 	lev := uint32(pr.backLevel)
 	nodes := pr.byLevel[lev]
@@ -207,7 +209,6 @@ func (pr *program) backwardRound() *bitset.Bitset {
 			updated.Set(v)
 		}
 	})
-	return updated
 }
 
 // Sync implements dsys.Program: per-phase field synchronization and phase
@@ -218,7 +219,10 @@ func (pr *program) Sync(updated *bitset.Bitset) error {
 	case phaseForward:
 		// Level claims and σ partials travel to masters; settled values
 		// come back to source-side mirrors for the next expansion.
-		levelUpd := updated.Clone()
+		levelUpd := pr.levelUpd
+		if err := levelUpd.CopyFrom(updated); err != nil {
+			return err
+		}
 		if err := gluon.Sync(pr.g, pr.levelField, levelUpd); err != nil {
 			return err
 		}

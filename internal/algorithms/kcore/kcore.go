@@ -38,10 +38,11 @@ type common struct {
 	g *gluon.Gluon
 	k uint64
 
-	deg    []uint64       // global degree, fixed after Init
-	trims  []uint64       // pending trim counts (this round's increments)
-	dead   []uint32       // 0 alive, 1 peeled
-	peeled *bitset.Bitset // proxies that already trimmed their neighbors
+	deg     []uint64       // global degree, fixed after Init
+	trims   []uint64       // pending trim counts (this round's increments)
+	dead    []uint32       // 0 alive, 1 peeled
+	peeled  *bitset.Bitset // proxies that already trimmed their neighbors
+	updated *bitset.Pair   // what Round returns, alternating
 
 	trimsField gluon.Field[uint64]
 	deadField  gluon.Field[uint32]
@@ -52,10 +53,11 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, k uint64) *common {
 	n := p.NumProxies()
 	c := &common{
 		p: p, g: g, k: k,
-		deg:    make([]uint64, n),
-		trims:  make([]uint64, n),
-		dead:   make([]uint32, n),
-		peeled: bitset.New(n),
+		deg:     make([]uint64, n),
+		trims:   make([]uint64, n),
+		dead:    make([]uint32, n),
+		peeled:  bitset.New(n),
+		updated: bitset.NewPair(n),
 	}
 	c.trimsField = gluon.Field[uint64]{
 		ID:     FieldIDTrims,
@@ -178,7 +180,7 @@ func NewGalois(k uint64, workers int) dsys.ProgramFactory {
 // Round implements dsys.Program: every proxy newly marked dead trims its
 // local neighbors once.
 func (pr *galoisProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
+	updated := pr.updated.Next(frontier)
 	pr.e.DoAllFrontier(frontier, func(e *galois.Engine, u uint32, push func(uint32)) {
 		pr.peel(u, updated)
 	})
@@ -202,7 +204,7 @@ func NewIrGL(k uint64, workers int) dsys.ProgramFactory {
 
 // Round implements dsys.Program.
 func (pr *irglProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
+	updated := pr.updated.Next(frontier)
 	pr.dev.KernelMasked(frontier, func(u uint32) {
 		pr.peel(u, updated)
 	})
@@ -225,7 +227,7 @@ func NewLigra(k uint64, workers int) dsys.ProgramFactory {
 
 // Round implements dsys.Program via vertexMap over the dead frontier.
 func (pr *ligraProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := bitset.New(pr.p.NumProxies())
+	updated := pr.updated.Next(frontier)
 	ligra.VertexMap(frontier, pr.workers, func(u uint32) {
 		pr.peel(u, updated)
 	})

@@ -162,7 +162,7 @@ func BenchmarkPRGather(b *testing.B) {
 	doAll := func(body func(lo, hi int)) { body(0, int(p.NumProxies())) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.round(in, doAll)
+		c.round(nil, in, doAll)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.NumEdges()), "ns/edge")
 }

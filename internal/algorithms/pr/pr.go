@@ -58,7 +58,8 @@ type common struct {
 	// share[u] is rank[u]/outdeg[u], what u sends along each of its
 	// out-edges this round. It is refilled from rank and outdeg at the top
 	// of every round, so it is neither synchronized nor checkpointed.
-	share []float64
+	share   []float64
+	updated *bitset.Pair
 
 	contribField gluon.Field[float64]
 	rankField    gluon.Field[float64]
@@ -76,6 +77,7 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, tol float64) *common {
 		contrib: make([]float64, n),
 		outdeg:  make([]uint64, n),
 		share:   make([]float64, n),
+		updated: bitset.NewPair(n),
 	}
 	c.contribField = gluon.Field[float64]{
 		ID:     FieldIDContrib,
@@ -191,8 +193,10 @@ func (c *common) MasterValue(lid uint32) float64 { return c.rank[lid] }
 // round runs the operator once over every proxy. doAll is the engine's
 // parallel loop over the chunks of [0, NumProxies); its join separates the
 // two passes, because gather reads share entries that other chunks wrote.
-func (c *common) round(in *graph.CSR, doAll func(body func(lo, hi int))) *bitset.Bitset {
-	updated := bitset.New(c.p.NumProxies())
+// The operator reads no frontier; round only keeps the updated set it
+// returns apart from the one it was handed.
+func (c *common) round(frontier *bitset.Bitset, in *graph.CSR, doAll func(body func(lo, hi int))) *bitset.Bitset {
+	updated := c.updated.Next(frontier)
 	doAll(c.fillShare)
 	doAll(func(lo, hi int) { c.gather(in, lo, hi, updated) })
 	return updated
@@ -253,8 +257,8 @@ func NewLigra(tol float64, workers int) dsys.ProgramFactory {
 }
 
 // Round implements dsys.Program.
-func (pr *ligraProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(pr.lg.In, func(body func(lo, hi int)) {
+func (pr *ligraProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	return pr.round(frontier, pr.lg.In, func(body func(lo, hi int)) {
 		par.Range(int(pr.p.NumProxies()), pr.workers, body)
 	}), nil
 }
@@ -280,8 +284,8 @@ func NewGalois(tol float64, workers int) dsys.ProgramFactory {
 }
 
 // Round implements dsys.Program.
-func (pr *galoisProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(pr.in, func(body func(lo, hi int)) {
+func (pr *galoisProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	return pr.round(frontier, pr.in, func(body func(lo, hi int)) {
 		par.Range(int(pr.p.NumProxies()), pr.e.Workers, body)
 	}), nil
 }
@@ -316,6 +320,6 @@ func NewIrGL(tol float64, workers int) dsys.ProgramFactory {
 
 // Round implements dsys.Program: two topology-driven kernels, share then
 // gather.
-func (pr *irglProgram) Round(_ *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(pr.in, pr.dev.KernelBlocks), nil
+func (pr *irglProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	return pr.round(frontier, pr.in, pr.dev.KernelBlocks), nil
 }

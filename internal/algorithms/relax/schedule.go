@@ -12,11 +12,13 @@ import (
 	"gluon/internal/engine/ligra"
 	"gluon/internal/fields"
 	"gluon/internal/graph"
-	"gluon/internal/par"
 )
 
 // Schedule runs the operator over the frontier on the labels it was built
-// around and returns the set of vertices whose label went down.
+// around and returns the set of vertices whose label went down. The set is
+// one of two the schedule owns and alternates between (bitset.Pair): it
+// stays valid until the call after next, and a call never writes the
+// frontier it is handed.
 type Schedule func(frontier *bitset.Bitset) *bitset.Bitset
 
 // Ligra is the level-synchronous schedule: one direction-optimising edgeMap
@@ -26,43 +28,36 @@ type Schedule func(frontier *bitset.Bitset) *bitset.Bitset
 // so a caller can hand in a cached transpose or build one on demand.
 func Ligra(g *graph.CSR, transpose func() *graph.CSR, labels []uint32, step Step, workers int) Schedule {
 	lg := &ligra.Graph{Out: g}
-	if step != Weight {
-		lg.In = transpose()
-	}
 	cfg := ligra.EdgeMapConfig{
 		Workers: workers,
 		Push: func(s uint32, activate func(uint32)) {
-			Out(lg.Out, labels, s, step, activate)
+			Out(g, labels, s, step, activate)
 		},
 	}
-	if lg.In != nil {
-		cfg.Dense = func(frontier *bitset.Bitset) func(uint32) bool {
-			least := leastLabel(labels, frontier, workers)
-			floor := least + step.min()
+	if step != Weight {
+		lg.In = transpose()
+		// The pass's frontier and floor, read by a pull built once.
+		var frontier *bitset.Bitset
+		var floor uint32
+		pull := func(d uint32) bool { return in(lg.In, labels, d, step, frontier, floor) }
+		cfg.Dense = func(f *bitset.Bitset, ids []uint32) func(uint32) bool {
+			least := uint32(Infinity)
+			for _, u := range ids {
+				least = min(least, fields.AtomicLoadU32(&labels[u]))
+			}
+			frontier, floor = f, least+step.min()
 			if floor < least { // an all-unreached frontier offers nothing
 				floor = Infinity
 			}
-			return func(d uint32) bool { return in(lg.In, labels, d, step, frontier, floor) }
+			return pull
 		}
 	}
+	em, next := ligra.NewEdgeMapper(lg, cfg), bitset.NewPair(g.NumNodes())
 	return func(frontier *bitset.Bitset) *bitset.Bitset {
-		return ligra.EdgeMap(lg, frontier, cfg)
+		out := next.Next(frontier)
+		em.EdgeMap(frontier, out)
+		return out
 	}
-}
-
-// leastLabel is the smallest label held by a frontier vertex.
-func leastLabel(labels []uint32, frontier *bitset.Bitset, workers int) uint32 {
-	least := uint32(Infinity)
-	par.Range(len(labels), workers, func(lo, hi int) {
-		m := uint32(Infinity)
-		for u := frontier.NextSet(uint32(lo)); u < uint32(hi); u = frontier.NextSet(u + 1) {
-			if l := fields.AtomicLoadU32(&labels[u]); l < m {
-				m = l
-			}
-		}
-		fields.AtomicMinU32(&least, m)
-	})
-	return least
 }
 
 // Galois is the asynchronous schedule: chaotic relaxation over a worklist
@@ -70,20 +65,28 @@ func leastLabel(labels []uint32, frontier *bitset.Bitset, workers int) uint32 {
 // edges take it within one round (§5.4). A scheduled-bit set suppresses
 // duplicate worklist entries: a vertex whose label keeps dropping is
 // re-examined once, not once per drop (Galois' standard dedup discipline).
+// The set is empty between rounds — a vertex enters it when scheduled and
+// leaves it when popped, and a round ends with the worklist drained — so a
+// round seeds it from the frontier's list and never clears it.
 func Galois(g *graph.CSR, labels []uint32, step Step, workers int) Schedule {
 	e := galois.New(g, workers)
-	return func(frontier *bitset.Bitset) *bitset.Bitset {
-		updated := bitset.New(frontier.Len())
-		inWL := frontier.Clone()
-		e.DoAllFrontier(frontier, func(e *galois.Engine, u uint32, push func(uint32)) {
-			inWL.Clear(u)
-			Out(e.Graph, labels, u, step, func(d uint32) {
-				updated.Set(d)
-				if inWL.TestAndSet(d) {
-					push(d)
-				}
-			})
+	next, inWL := bitset.NewPair(g.NumNodes()), bitset.New(g.NumNodes())
+	var seeds []uint32
+	var updated *bitset.Bitset
+	op := func(e *galois.Engine, u uint32, push func(uint32)) {
+		inWL.Clear(u)
+		Out(e.Graph, labels, u, step, func(d uint32) {
+			updated.Set(d)
+			if inWL.TestAndSet(d) {
+				push(d)
+			}
 		})
+	}
+	return func(frontier *bitset.Bitset) *bitset.Bitset {
+		updated = next.Next(frontier)
+		seeds = frontier.AppendIndices(seeds[:0])
+		inWL.SetMany(seeds)
+		e.DoAll(seeds, op)
 		return updated
 	}
 }
@@ -92,12 +95,13 @@ func Galois(g *graph.CSR, labels []uint32, step Step, workers int) Schedule {
 // round, every thread checking its vertex's active bit. labels is the
 // device buffer's array.
 func IrGL(dev *irgl.Device, labels []uint32, step Step) Schedule {
+	next := bitset.NewPair(dev.Graph.NumNodes())
+	var updated *bitset.Bitset
+	mark := func(d uint32) { updated.Set(d) }
+	body := func(u uint32) { Out(dev.Graph, labels, u, step, mark) }
 	return func(frontier *bitset.Bitset) *bitset.Bitset {
-		updated := bitset.New(frontier.Len())
-		mark := updated.Set
-		dev.KernelMasked(frontier, func(u uint32) {
-			Out(dev.Graph, labels, u, step, mark)
-		})
+		updated = next.Next(frontier)
+		dev.KernelMasked(frontier, body)
 		return updated
 	}
 }

@@ -1,9 +1,12 @@
 package relax
 
 import (
+	"slices"
 	"testing"
 
 	"gluon/internal/bitset"
+	"gluon/internal/engine/irgl"
+	"gluon/internal/generate"
 	"gluon/internal/graph"
 )
 
@@ -88,5 +91,94 @@ func TestPullStopsAtFloor(t *testing.T) {
 	}
 	if !in(g, labels, 0, Hop, frontier, 3) || labels[0] != 3 {
 		t.Fatalf("floor 3: node 0 = %d, want 3", labels[0])
+	}
+}
+
+// rmat is a small unweighted power-law graph, and a vertex of it whose
+// out-edges are well under Ligra's dense threshold.
+func rmat(t *testing.T) (*graph.CSR, uint32) {
+	t.Helper()
+	cfg := generate.Config{Kind: "rmat", Scale: 10, EdgeFactor: 8, Seed: 5}
+	edges, err := generate.Edges(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromEdges(cfg.NumNodes(), edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := uint32(0); u < g.NumNodes(); u++ {
+		if d := g.OutDegree(u); d > 0 && 100*uint64(d) < g.NumEdges() {
+			return g, u
+		}
+	}
+	t.Fatal("no sparse source")
+	return nil, 0
+}
+
+type namedSchedule struct {
+	name  string
+	round Schedule
+}
+
+// schedules builds each engine's schedule over g and labels.
+func schedules(g *graph.CSR, labels []uint32, step Step, workers int) []namedSchedule {
+	return []namedSchedule{
+		{"ligra", Ligra(g, g.Transpose, labels, step, workers)},
+		{"galois", Galois(g, labels, step, workers)},
+		{"irgl", IrGL(irgl.New(g, workers), labels, step)},
+	}
+}
+
+// TestSchedulesAllocateNothing: once its vertex list, worklist chunks and
+// output sets exist, a round on one worker allocates nothing — on Ligra's
+// push path (one sparse source), its pull path (cc's all-active start) and
+// the other two engines.
+func TestSchedulesAllocateNothing(t *testing.T) {
+	g, source := rmat(t)
+	for _, c := range []struct {
+		name string
+		step Step
+		seed func(labels []uint32) *bitset.Bitset
+	}{
+		{"push", Hop, func(l []uint32) *bitset.Bitset { return SeedSource(l, source, true) }},
+		{"pull", Same, func(l []uint32) *bitset.Bitset { return SeedIDs(l, func(u uint32) uint64 { return uint64(u) }) }},
+	} {
+		labels := make([]uint32, g.NumNodes())
+		frontier := c.seed(labels)
+		start := slices.Clone(labels)
+		for _, s := range schedules(g, labels, c.step, 1) {
+			round := func() {
+				copy(labels, start)
+				if s.round(frontier).Count() == 0 {
+					t.Fatalf("%s %s: a round from the seed lowered nothing", s.name, c.name)
+				}
+			}
+			round() // grows the lists
+			if n := testing.AllocsPerRun(10, round); n != 0 {
+				t.Errorf("%s %s: %v allocations per round, want 0", s.name, c.name, n)
+			}
+		}
+	}
+}
+
+// TestScheduleBufferLifetime replays the BSP runner's compute-ahead: b is
+// Round(a), Sync adds to b, and Round(b) runs while the runner may still
+// read a and b. That round must write neither and return a set of its own.
+func TestScheduleBufferLifetime(t *testing.T) {
+	g, source := rmat(t)
+	labels := make([]uint32, g.NumNodes())
+	for _, s := range schedules(g, labels, Hop, 2) {
+		a := SeedSource(labels, source, true)
+		b := s.round(a)
+		b.Set(g.NumNodes() - 1) // a remotely written proxy, as Sync adds one
+		wantA, wantB := slices.Clone(a.Words()), slices.Clone(b.Words())
+		c := s.round(b)
+		if b == a || c == b || c == a {
+			t.Errorf("%s: rounds returned a=%p b=%p c=%p; want three distinct sets", s.name, a, b, c)
+		}
+		if !slices.Equal(a.Words(), wantA) || !slices.Equal(b.Words(), wantB) {
+			t.Errorf("%s: Round(b) wrote its frontier or the one before", s.name)
+		}
 	}
 }

@@ -210,6 +210,30 @@ func (b *Bitset) Clone() *Bitset {
 	return c
 }
 
+// Pair is two bitsets of one length for a loop that reads one round's set
+// while it writes the next. Next hands them out in turn, so a set it
+// returned stays untouched until the call after next, and it never hands
+// out the set it is given.
+type Pair struct {
+	sets [2]*Bitset
+	last int
+}
+
+// NewPair returns a Pair of n-bit sets.
+func NewPair(n uint32) *Pair { return &Pair{sets: [2]*Bitset{New(n), New(n)}} }
+
+// Next returns the set that Next did not return last time, cleared — or
+// the other one when that set is in.
+func (p *Pair) Next(in *Bitset) *Bitset {
+	p.last ^= 1
+	if p.sets[p.last] == in {
+		p.last ^= 1
+	}
+	b := p.sets[p.last]
+	b.Reset()
+	return b
+}
+
 // ForEach calls fn for every set bit in ascending order.
 func (b *Bitset) ForEach(fn func(i uint32)) {
 	for wi, w := range b.words {
@@ -221,9 +245,16 @@ func (b *Bitset) ForEach(fn func(i uint32)) {
 	}
 }
 
-// AppendIndices appends the indices of all set bits to dst and returns it.
+// AppendIndices appends the indices of all set bits to dst, ascending, and
+// returns it: one pass over the words, so a frontier read into a reused
+// slice costs a scan and no allocation.
 func (b *Bitset) AppendIndices(dst []uint32) []uint32 {
-	b.ForEach(func(i uint32) { dst = append(dst, i) })
+	for wi, w := range b.words {
+		for w != 0 {
+			dst = append(dst, uint32(wi*wordBits+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
 	return dst
 }
 

@@ -207,6 +207,52 @@ func TestQuickForEachIsSortedMembership(t *testing.T) {
 	}
 }
 
+// TestAppendIndicesMatchesForEach: the word loop lists exactly what ForEach
+// visits, in the same order, after whatever dst already held — on lengths
+// that end mid-word, with the tail word's last bit among the candidates.
+func TestAppendIndicesMatchesForEach(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := uint32(1 + r.Intn(700))
+		b := New(n)
+		for i := r.Intn(int(n)); i > 0; i-- {
+			b.Set(uint32(r.Intn(int(n))))
+		}
+		if r.Intn(2) == 0 {
+			b.Set(n - 1)
+		}
+		want := []uint32{7}
+		b.ForEach(func(i uint32) { want = append(want, i) })
+		return slices.Equal(b.AppendIndices([]uint32{7}), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPairAlternates: Next hands the two sets out in turn, cleared, and
+// never the one it is given, whatever it is given.
+func TestPairAlternates(t *testing.T) {
+	p := NewPair(100)
+	outside := New(100)
+	a := p.Next(outside)
+	a.Set(3)
+	b := p.Next(a)
+	if b == a || b == outside || b.Any() {
+		t.Fatalf("second Next returned %p (first %p), holding %v", b, a, b)
+	}
+	b.Set(4)
+	if c := p.Next(b); c != a || c.Any() {
+		t.Fatalf("third Next did not reuse the first set, cleared: %v", c)
+	}
+	if d := p.Next(b); d != a { // the set due next is the one handed in
+		t.Fatal("Next returned the set it was given")
+	}
+	if !b.Test(4) {
+		t.Fatal("Next cleared the set it was given")
+	}
+}
+
 func TestConcurrentSet(t *testing.T) {
 	const n = 1 << 14
 	b := New(n)

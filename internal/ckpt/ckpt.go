@@ -352,7 +352,7 @@ type Writer struct {
 	keep   int
 	ch     chan *Snapshot
 	done   chan struct{}
-	onDone func(bytes int, err error)
+	onDone func(err error)
 
 	mu  sync.Mutex
 	err error
@@ -362,8 +362,8 @@ type Writer struct {
 }
 
 // NewWriter starts the single-writer goroutine. onDone, if non-nil, is
-// called after each write attempt with the byte count written.
-func NewWriter(opt Options, host int, onDone func(bytes int, err error)) *Writer {
+// called after each write attempt with its outcome.
+func NewWriter(opt Options, host int, onDone func(err error)) *Writer {
 	w := &Writer{
 		dir:    opt.Dir,
 		host:   host,
@@ -379,7 +379,7 @@ func NewWriter(opt Options, host int, onDone func(bytes int, err error)) *Writer
 func (w *Writer) run() {
 	defer close(w.done)
 	for s := range w.ch {
-		n, err := WriteFile(w.dir, s)
+		_, err := WriteFile(w.dir, s)
 		if err == nil {
 			err = Prune(w.dir, w.host, w.keep)
 		}
@@ -391,7 +391,7 @@ func (w *Writer) run() {
 			w.mu.Unlock()
 		}
 		if w.onDone != nil {
-			w.onDone(n, err)
+			w.onDone(err)
 		}
 		w.pending.Done()
 	}

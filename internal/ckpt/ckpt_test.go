@@ -227,9 +227,9 @@ func TestFileNameOrdering(t *testing.T) {
 func TestWriterAsync(t *testing.T) {
 	dir := t.TempDir()
 	var wrote int
-	w := NewWriter(Options{Dir: dir, Keep: 2}, 1, func(n int, err error) {
+	w := NewWriter(Options{Dir: dir, Keep: 2}, 1, func(err error) {
 		if err == nil {
-			wrote += n
+			wrote++
 		}
 	})
 	for epoch := uint64(0); epoch < 5; epoch++ {
@@ -243,8 +243,8 @@ func TestWriterAsync(t *testing.T) {
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if wrote == 0 {
-		t.Fatal("onDone never reported a completed write")
+	if wrote != 5 {
+		t.Fatalf("onDone reported %d completed writes, want 5", wrote)
 	}
 	got, err := epochs(dir, 1)
 	if err != nil {

@@ -35,6 +35,11 @@ var ErrClosed = errors.New("comm: transport closed")
 // still released per the ownership contract.
 var ErrFrameTooLarge = errors.New("comm: frame exceeds MaxFrameSize")
 
+// ErrConnLost is wrapped by the cause of a *PeerError raised because the
+// connection to the peer broke or was closed under it: it says that the
+// peer went away, not why.
+var ErrConnLost = errors.New("comm: connection lost")
+
 // PeerError reports that a specific peer failed: its connection died, it
 // delivered a malformed frame, or the runtime declared it dead (see
 // PeerFailer). Every Recv/RecvAny blocked on — or later directed at — a

@@ -246,7 +246,7 @@ func (e *TCPEndpoint) readLoop(from int, conn net.Conn) {
 	for {
 		if _, err := io.ReadFull(conn, hdr); err != nil {
 			if !e.closed.Load() && e.connCurrent(from, conn) {
-				e.poison(from, fmt.Errorf("connection lost: %w", err))
+				e.poison(from, fmt.Errorf("%w: %w", ErrConnLost, err))
 			}
 			return
 		}
@@ -379,8 +379,9 @@ func (e *TCPEndpoint) SendVec(to int, tag Tag, header, payload []byte) error {
 	if err != nil {
 		// The conn is shared by both directions — a failed write means the
 		// peer link is gone for reads too.
-		e.poison(to, fmt.Errorf("send failed: %w", err))
-		return &PeerError{Host: to, Err: err}
+		lost := fmt.Errorf("%w: send failed: %w", ErrConnLost, err)
+		e.poison(to, lost)
+		return &PeerError{Host: to, Err: lost}
 	}
 	e.ctr.msgsSent.Add(1)
 	e.ctr.bytesSent.Add(uint64(n))

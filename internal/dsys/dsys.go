@@ -33,7 +33,10 @@ type Program interface {
 	// returns the initially active local proxies.
 	Init() (*bitset.Bitset, error)
 	// Round applies the operator over the frontier and returns the set of
-	// locally updated proxies.
+	// locally updated proxies. Round only reads the frontier. The returned
+	// set belongs to the program, which may reuse it from the Round after
+	// next on, so it stays valid through the next Round: the runner hands
+	// it to Sync, which edits it, then to the next Round as its frontier.
 	//
 	// The runner calls Round once per round, but on a host whose frontier
 	// is non-empty it calls it while the previous round's termination
@@ -294,23 +297,46 @@ func RunSingle(p *partition.Partition, t comm.Transport, cfg RunConfig, factory 
 	return aggregate([]*partition.Partition{p}, []*hostRun{hr}, cfg)
 }
 
-// firstFailure picks the error to report for a failed run. Propagation
-// makes every surviving host fail with a derived *comm.PeerError, so prefer
-// an error that names a peer as the root cause (the host that observed the
-// fault directly); otherwise take the first host error.
+// firstFailure picks the error to report for a failed run. The host whose
+// transport saw the fault fails with a primary error: a *comm.PeerError
+// whose cause is neither another PeerError nor comm.ErrConnLost (a
+// malformed frame, an injected fault). Every other host then fails with a
+// PeerError naming a host that failed before it, because the runner said
+// so or because its connection dropped. The best report names the host
+// with the primary error and wraps it, so it says which host failed and
+// why; the primary error alone names only the peer it blames, for a
+// truncated frame the sender. Then come a primary error, any PeerError and
+// any error; the lowest host wins among equals.
 func firstFailure(errs []error) (int, error) {
-	for h, err := range errs {
+	primary := func(err error) bool {
 		var pe *comm.PeerError
-		if errors.As(err, &pe) {
-			return h, err
-		}
+		return errors.As(err, &pe) && !errors.As(pe.Err, new(*comm.PeerError)) &&
+			!errors.Is(pe.Err, comm.ErrConnLost)
 	}
+	rank := func(err error) int {
+		var pe *comm.PeerError
+		switch {
+		case err == nil:
+			return 0
+		case !errors.As(err, &pe):
+			return 1
+		case pe.Host >= 0 && pe.Host < len(errs) && primary(errs[pe.Host]):
+			return 4
+		case primary(err):
+			return 3
+		}
+		return 2
+	}
+	first, best := -1, 0
 	for h, err := range errs {
-		if err != nil {
-			return h, err
+		if r := rank(err); r > best {
+			first, best = h, r
 		}
 	}
-	return -1, nil
+	if first < 0 {
+		return -1, nil
+	}
+	return first, errs[first]
 }
 
 // adoptFlightTrace lets an untraced run ride the armed flight recorder's
@@ -442,7 +468,7 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			sync.Mutex
 			q []uint64
 		}
-		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(_ int, err error) {
+		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(err error) {
 			ckq.Lock()
 			var epoch uint64
 			if len(ckq.q) > 0 {

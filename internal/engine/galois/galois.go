@@ -13,16 +13,24 @@ import (
 	"gluon/internal/worklist"
 )
 
-// Engine holds the local graph and scheduling configuration.
+// Engine holds the local graph and scheduling configuration, and keeps its
+// worklist and seed list from one DoAll to the next. One DoAll at a time.
 type Engine struct {
 	Graph *graph.CSR
 	// Workers sizes the worker pool; 0 means GOMAXPROCS.
 	Workers int
+
+	ex    worklist.Executor
+	op    Operator
+	apply func(u uint32, push func(uint32)) // op bound to the engine, built once
+	seeds []uint32
 }
 
 // New returns an engine over the local graph.
 func New(g *graph.CSR, workers int) *Engine {
-	return &Engine{Graph: g, Workers: workers}
+	e := &Engine{Graph: g, Workers: workers}
+	e.apply = func(u uint32, push func(uint32)) { e.op(e, u, push) }
+	return e
 }
 
 // Operator is a push-style vertex operator: applied to active node u, it
@@ -35,13 +43,13 @@ type Operator func(e *Engine, u uint32, push func(uint32))
 // through op, asynchronously, until local quiescence. It returns the number
 // of operator applications.
 func (e *Engine) DoAll(initial []uint32, op Operator) uint64 {
-	ex := &worklist.Executor{Workers: e.Workers}
-	return ex.Run(initial, func(u uint32, push func(uint32)) {
-		op(e, u, push)
-	})
+	e.ex.Workers, e.op = e.Workers, op
+	return e.ex.Run(initial, e.apply)
 }
 
-// DoAllFrontier is DoAll with a bitset initial frontier.
+// DoAllFrontier is DoAll with a bitset initial frontier, read into a seed
+// list the engine reuses.
 func (e *Engine) DoAllFrontier(frontier *bitset.Bitset, op Operator) uint64 {
-	return e.DoAll(frontier.AppendIndices(nil), op)
+	e.seeds = frontier.AppendIndices(e.seeds[:0])
+	return e.DoAll(e.seeds, op)
 }

@@ -28,11 +28,19 @@ type Device struct {
 	bytesToDevice  atomic.Uint64
 	bytesFromDev   atomic.Uint64
 	kernelLaunches atomic.Uint64
+
+	// The masked kernel in flight, and its block body built once, so a
+	// launch hands par.Range no fresh closure.
+	active *bitset.Bitset
+	body   func(u uint32)
+	masked func(lo, hi int)
 }
 
 // New creates a device holding the local graph.
 func New(g *graph.CSR, workers int) *Device {
-	return &Device{Graph: g, Workers: workers}
+	d := &Device{Graph: g, Workers: workers}
+	d.masked = d.maskedBlock
+	return d
 }
 
 // TransferStats reports simulated PCIe traffic and kernel launches.
@@ -62,15 +70,18 @@ func (d *Device) KernelBlocks(body func(lo, hi int)) {
 
 // KernelMasked launches a kernel over the nodes set in active only
 // (data-driven filtering, IrGL's worklist-free form: every thread checks
-// its node's active bit).
+// its node's active bit). Masked launches on one device must not overlap.
 func (d *Device) KernelMasked(active *bitset.Bitset, body func(u uint32)) {
 	d.kernelLaunches.Add(1)
-	n := int(d.Graph.NumNodes())
-	par.Range(n, d.Workers, func(lo, hi int) {
-		for u := active.NextSet(uint32(lo)); u < uint32(hi); u = active.NextSet(u + 1) {
-			body(u)
-		}
-	})
+	d.active, d.body = active, body
+	par.Range(int(d.Graph.NumNodes()), d.Workers, d.masked)
+	d.active, d.body = nil, nil
+}
+
+func (d *Device) maskedBlock(lo, hi int) {
+	for u := d.active.NextSet(uint32(lo)); u < uint32(hi); u = d.active.NextSet(u + 1) {
+		d.body(u)
+	}
 }
 
 // Buffer is a device-resident field buffer of a fixed-width element type.

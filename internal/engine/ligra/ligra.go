@@ -21,11 +21,11 @@ type Graph struct {
 	In  *graph.CSR // required for pull mode; may be nil to disable pulling
 }
 
-// EdgeMapConfig configures one edgeMap application. Both traversals hand
-// the operator a whole vertex: the operator walks that vertex's edges
-// itself, so the per-edge work is a loop the compiler sees rather than an
-// indirect call per edge, and a smarter advance (edge-balanced, say) has one
-// loop to replace.
+// EdgeMapConfig configures an EdgeMapper. Both traversals hand the
+// operator a whole vertex: the operator walks that vertex's edges itself,
+// so the per-edge work is a loop the compiler sees rather than an indirect
+// call per edge, and a smarter advance (edge-balanced, say) has one loop to
+// replace.
 type EdgeMapConfig struct {
 	// Push is invoked in sparse (push) mode for each frontier vertex s. It
 	// applies the operator along s's out-edges and calls activate(d) for
@@ -34,12 +34,13 @@ type EdgeMapConfig struct {
 	// field).
 	Push func(s uint32, activate func(d uint32))
 	// Dense enables direction optimization when the graph has a transpose.
-	// It is called once per dense pass with that pass's frontier — the
-	// place for whatever the pass precomputes, such as an early-exit bound
-	// — and returns the pull applied to every vertex d: scan d's in-edges
-	// whose source is in the frontier and report whether d became active.
-	// Only one goroutine touches a given d. Nil means always push.
-	Dense func(frontier *bitset.Bitset) (pull func(d uint32) bool)
+	// It is called once per dense pass with that pass's frontier and its
+	// vertices in ascending order — the place for whatever the pass
+	// precomputes, such as an early-exit bound — and returns the pull
+	// applied to every vertex d: scan d's in-edges whose source is in the
+	// frontier and report whether d became active. Only one goroutine
+	// touches a given d. Nil means always push.
+	Dense func(frontier *bitset.Bitset, ids []uint32) (pull func(d uint32) bool)
 	// DenseThreshold is the fraction of |E| above which the frontier's
 	// outgoing edge count triggers dense mode. 0 means Ligra's 1/20.
 	DenseThreshold float64
@@ -47,47 +48,82 @@ type EdgeMapConfig struct {
 	Workers int
 }
 
-// EdgeMap applies cfg over the frontier and returns the next frontier.
-// It implements Ligra's direction optimization when cfg.Dense is available.
-func EdgeMap(g *Graph, frontier *bitset.Bitset, cfg EdgeMapConfig) *bitset.Bitset {
-	n := g.Out.NumNodes()
-	next := bitset.New(n)
-	if frontier == nil || !frontier.Any() {
-		return next
-	}
-	if cfg.Dense != nil && g.In != nil {
-		threshold := cfg.DenseThreshold
-		if threshold == 0 {
-			threshold = 1.0 / 20.0
-		}
-		if float64(frontierEdges(g, frontier, cfg.Workers)) > threshold*float64(g.Out.NumEdges()) {
-			pull := cfg.Dense(frontier)
-			par.Range(int(n), cfg.Workers, func(lo, hi int) {
-				for d := uint32(lo); d < uint32(hi); d++ {
-					if pull(d) {
-						next.Set(d)
-					}
-				}
-			})
-			return next
-		}
-	}
-	activate := next.Set
-	VertexMap(frontier, cfg.Workers, func(s uint32) { cfg.Push(s, activate) })
-	return next
+// EdgeMapper applies one configuration's edgeMap round after round. Each
+// call reads the frontier's words once, into a vertex list it keeps for
+// the next call, and that list serves the push/pull decision, the push
+// loop and the empty check; so a sparse round costs what its frontier
+// costs, and a round allocates nothing once the list has grown. One
+// EdgeMap at a time.
+type EdgeMapper struct {
+	g   *Graph
+	cfg EdgeMapConfig
+
+	ids  []uint32       // the frontier's vertices, ascending
+	next *bitset.Bitset // the destination of the call in progress
+	pull func(d uint32) bool
+
+	// Built once, so that a round hands par.Range no fresh closure.
+	activate             func(d uint32)
+	pushChunk, pullChunk func(lo, hi int)
 }
 
-// frontierEdges counts out-edges incident to the frontier, the quantity
-// Ligra compares against |E|/20.
-func frontierEdges(g *Graph, frontier *bitset.Bitset, workers int) uint64 {
-	n := int(g.Out.NumNodes())
-	return par.SumUint64(n, workers, func(lo, hi int) uint64 {
-		var sum uint64
-		for u := frontier.NextSet(uint32(lo)); u < uint32(hi); u = frontier.NextSet(u + 1) {
-			sum += uint64(g.Out.OutDegree(u))
+// NewEdgeMapper returns an EdgeMapper of cfg over g.
+func NewEdgeMapper(g *Graph, cfg EdgeMapConfig) *EdgeMapper {
+	m := &EdgeMapper{g: g, cfg: cfg}
+	m.activate = func(d uint32) { m.next.Set(d) }
+	m.pushChunk = func(lo, hi int) {
+		for _, s := range m.ids[lo:hi] {
+			m.cfg.Push(s, m.activate)
 		}
-		return sum
-	})
+	}
+	m.pullChunk = func(lo, hi int) {
+		mark := m.next.Marker()
+		for d := uint32(lo); d < uint32(hi); d++ {
+			if m.pull(d) {
+				mark.Set(d)
+			}
+		}
+		mark.Flush()
+	}
+	return m
+}
+
+// EdgeMap applies the operator over frontier and sets in next, which must
+// come in empty, every vertex that became active. It implements Ligra's
+// direction optimization when cfg.Dense is available. It only reads
+// frontier.
+func (m *EdgeMapper) EdgeMap(frontier, next *bitset.Bitset) {
+	m.ids = frontier.AppendIndices(m.ids[:0])
+	if len(m.ids) == 0 {
+		return
+	}
+	m.next = next
+	if m.dense() {
+		m.pull = m.cfg.Dense(frontier, m.ids)
+		par.Range(int(m.g.Out.NumNodes()), m.cfg.Workers, m.pullChunk)
+	} else {
+		par.Range(len(m.ids), m.cfg.Workers, m.pushChunk)
+	}
+}
+
+// dense reports whether the frontier's out-edges exceed the threshold
+// fraction of |E|, Ligra's switch from push to pull.
+func (m *EdgeMapper) dense() bool {
+	if m.cfg.Dense == nil || m.g.In == nil {
+		return false
+	}
+	threshold := m.cfg.DenseThreshold
+	if threshold == 0 {
+		threshold = 1.0 / 20.0
+	}
+	limit := threshold * float64(m.g.Out.NumEdges())
+	var sum uint64
+	for _, u := range m.ids {
+		if sum += uint64(m.g.Out.OutDegree(u)); float64(sum) > limit {
+			return true
+		}
+	}
+	return false
 }
 
 // VertexMap applies fn to every vertex in the frontier in parallel.

@@ -47,7 +47,7 @@ func bfsWith(g *Graph, source uint32, threshold float64, pull bool) []uint32 {
 		},
 	}
 	if pull {
-		cfg.Dense = func(frontier *bitset.Bitset) func(uint32) bool {
+		cfg.Dense = func(frontier *bitset.Bitset, _ []uint32) func(uint32) bool {
 			return func(d uint32) bool {
 				if fields.AtomicLoadU32(&dist[d]) != fields.InfinityU32 {
 					return false
@@ -62,10 +62,20 @@ func bfsWith(g *Graph, source uint32, threshold float64, pull bool) []uint32 {
 			}
 		}
 	}
+	m, next := NewEdgeMapper(g, cfg), bitset.NewPair(g.Out.NumNodes())
 	for frontier.Any() {
-		frontier = EdgeMap(g, frontier, cfg)
+		out := next.Next(frontier)
+		m.EdgeMap(frontier, out)
+		frontier = out
 	}
 	return dist
+}
+
+// edgeMap is one EdgeMap of cfg over frontier into a fresh set.
+func edgeMap(g *Graph, frontier *bitset.Bitset, cfg EdgeMapConfig) *bitset.Bitset {
+	next := bitset.New(g.Out.NumNodes())
+	NewEdgeMapper(g, cfg).EdgeMap(frontier, next)
+	return next
 }
 
 // TestPushPullEquivalence: BFS results are identical whether edgeMap runs
@@ -98,14 +108,11 @@ func TestPushPullEquivalence(t *testing.T) {
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := &Graph{Out: rmatCSR(t, 8)}
-	next := EdgeMap(g, bitset.New(g.Out.NumNodes()), EdgeMapConfig{
+	next := edgeMap(g, bitset.New(g.Out.NumNodes()), EdgeMapConfig{
 		Push: func(s uint32, activate func(uint32)) { t.Fatal("push called") },
 	})
 	if next.Any() {
 		t.Fatal("empty frontier produced output")
-	}
-	if next := EdgeMap(g, nil, EdgeMapConfig{}); next.Any() {
-		t.Fatal("nil frontier produced output")
 	}
 }
 
@@ -147,15 +154,15 @@ func TestDenseCalledOncePerDensePass(t *testing.T) {
 		{"sparse", 2, 0}, // no frontier has more than 2·|E| out-edges
 	} {
 		denseCalls, pulls, pushes := 0, 0, 0
-		next := EdgeMap(g, frontier, EdgeMapConfig{
+		next := edgeMap(g, frontier, EdgeMapConfig{
 			Workers:        1,
 			DenseThreshold: c.threshold,
 			Push: func(s uint32, activate func(uint32)) {
 				pushes++
 				activate(0)
 			},
-			Dense: func(f *bitset.Bitset) func(uint32) bool {
-				if f != frontier {
+			Dense: func(f *bitset.Bitset, ids []uint32) func(uint32) bool {
+				if f != frontier || len(ids) != n-1 || ids[0] != 1 {
 					t.Errorf("%s: Dense got a different frontier", c.name)
 				}
 				denseCalls++
@@ -179,15 +186,17 @@ func BenchmarkEdgeMapPush(b *testing.B) {
 		frontier.Set(i)
 	}
 	val := make([]uint32, csr.NumNodes())
+	m := NewEdgeMapper(g, EdgeMapConfig{
+		Workers: 4,
+		Push: func(s uint32, activate func(uint32)) {
+			for _, d := range csr.Neighbors(s) {
+				fields.AtomicMinU32(&val[d], s)
+			}
+		},
+	})
+	next := bitset.New(csr.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeMap(g, frontier, EdgeMapConfig{
-			Workers: 4,
-			Push: func(s uint32, activate func(uint32)) {
-				for _, d := range csr.Neighbors(s) {
-					fields.AtomicMinU32(&val[d], s)
-				}
-			},
-		})
+		m.EdgeMap(frontier, next)
 	}
 }

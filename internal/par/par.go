@@ -112,47 +112,3 @@ func RangeWorkers(n int, workers int, body func(w, lo, hi int) error) error {
 	}
 	return nil
 }
-
-// SumUint64 runs body over chunks of [0, n), each returning a partial
-// uint64 sum, and returns the total. Used for counting active work without
-// atomic contention.
-func SumUint64(n int, workers int, body func(lo, hi int) uint64) uint64 {
-	if n <= 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return body(0, n)
-	}
-	partial := make([]uint64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		launched++
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partial[w] = body(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total uint64
-	for _, p := range partial[:launched] {
-		total += p
-	}
-	return total
-}

@@ -3,7 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForVisitsEach(t *testing.T) {
@@ -105,45 +104,6 @@ func TestRangeWorkersError(t *testing.T) {
 type errSentinel string
 
 func (e errSentinel) Error() string { return string(e) }
-
-func TestSumUint64(t *testing.T) {
-	got := SumUint64(100, 7, func(lo, hi int) uint64 {
-		var s uint64
-		for i := lo; i < hi; i++ {
-			s += uint64(i)
-		}
-		return s
-	})
-	if got != 99*100/2 {
-		t.Fatalf("sum %d", got)
-	}
-	if SumUint64(0, 4, func(int, int) uint64 { return 99 }) != 0 {
-		t.Fatal("empty sum nonzero")
-	}
-}
-
-// TestQuickSumMatchesSequential for arbitrary sizes and worker counts.
-func TestQuickSumMatchesSequential(t *testing.T) {
-	f := func(nRaw uint16, wRaw uint8) bool {
-		n := int(nRaw) % 2000
-		w := int(wRaw)%16 + 1
-		got := SumUint64(n, w, func(lo, hi int) uint64 {
-			var s uint64
-			for i := lo; i < hi; i++ {
-				s += uint64(i) * 3
-			}
-			return s
-		})
-		var want uint64
-		for i := 0; i < n; i++ {
-			want += uint64(i) * 3
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {

@@ -48,28 +48,30 @@ func (b *Bag) PopChunk() []uint32 {
 	return c
 }
 
-// Empty reports whether the bag currently has no chunks.
-func (b *Bag) Empty() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.chunks) == 0
-}
-
-// Len returns the total number of items across all chunks.
-func (b *Bag) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	total := 0
-	for _, c := range b.chunks {
-		total += len(c)
-	}
-	return total
-}
-
-// Executor runs operator applications over a Bag until quiescence.
+// Executor runs operator applications over a Bag until quiescence. It
+// keeps its bag, its drained chunks and its workers from one Run to the
+// next, so once they have grown a Run on one worker allocates nothing. One
+// Run at a time.
 type Executor struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
+
+	bag     Bag
+	pending atomic.Int64
+	applied atomic.Uint64
+	op      func(item uint32, push func(uint32))
+	workers []*worker
+
+	freeMu sync.Mutex
+	free   [][]uint32 // drained chunks, empty, for reuse
+}
+
+// worker is one pool slot: its chunk of pushed items and the push that
+// fills it, built once.
+type worker struct {
+	x     *Executor
+	local []uint32
+	push  func(uint32)
 }
 
 // Run processes every item in initial, plus every item pushed during
@@ -82,60 +84,89 @@ type Executor struct {
 // Termination is tracked by a precise pending-item counter: an item counts
 // as pending from the moment it is pushed until its operator application
 // finishes, so pending==0 means no work exists anywhere.
-func (e *Executor) Run(initial []uint32, op func(item uint32, push func(uint32))) uint64 {
-	bag := &Bag{}
-	var pending atomic.Int64
-	pending.Store(int64(len(initial)))
+func (x *Executor) Run(initial []uint32, op func(item uint32, push func(uint32))) uint64 {
+	x.op = op
+	x.applied.Store(0)
+	x.pending.Store(int64(len(initial)))
 	for lo := 0; lo < len(initial); lo += ChunkSize {
-		hi := lo + ChunkSize
-		if hi > len(initial) {
-			hi = len(initial)
+		x.bag.PushChunk(append(x.chunk(), initial[lo:min(lo+ChunkSize, len(initial))]...))
+	}
+	n := x.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	for len(x.workers) < n {
+		w := &worker{x: x, local: x.chunk()}
+		w.push = w.pushItem
+		x.workers = append(x.workers, w)
+	}
+	if n == 1 {
+		x.workers[0].run()
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range x.workers[:n] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.run()
+			}()
 		}
-		chunk := make([]uint32, hi-lo)
-		copy(chunk, initial[lo:hi])
-		bag.PushChunk(chunk)
+		wg.Wait()
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	x.op = nil
+	return x.applied.Load()
+}
 
-	var applied atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]uint32, 0, ChunkSize)
-			push := func(item uint32) {
-				pending.Add(1)
-				local = append(local, item)
-				if len(local) >= ChunkSize {
-					bag.PushChunk(local)
-					local = make([]uint32, 0, ChunkSize)
-				}
-			}
-			for {
-				chunk := bag.PopChunk()
-				if chunk == nil {
-					if pending.Load() == 0 {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				for _, item := range chunk {
-					op(item, push)
-					applied.Add(1)
-					pending.Add(-1)
-				}
-				if len(local) > 0 {
-					bag.PushChunk(local)
-					local = make([]uint32, 0, ChunkSize)
-				}
-			}
-		}()
+// chunk returns an empty chunk of capacity ChunkSize.
+func (x *Executor) chunk() []uint32 {
+	x.freeMu.Lock()
+	defer x.freeMu.Unlock()
+	if n := len(x.free); n > 0 {
+		c := x.free[n-1]
+		x.free = x.free[:n-1]
+		return c
 	}
-	wg.Wait()
-	return applied.Load()
+	return make([]uint32, 0, ChunkSize)
+}
+
+// recycle takes back a chunk whose items have all been applied.
+func (x *Executor) recycle(c []uint32) {
+	x.freeMu.Lock()
+	x.free = append(x.free, c[:0])
+	x.freeMu.Unlock()
+}
+
+func (w *worker) pushItem(item uint32) {
+	w.x.pending.Add(1)
+	w.local = append(w.local, item)
+	if len(w.local) >= ChunkSize {
+		w.x.bag.PushChunk(w.local)
+		w.local = w.x.chunk()
+	}
+}
+
+// run pops and applies chunks until no work exists anywhere; it returns
+// with its own chunk empty.
+func (w *worker) run() {
+	x := w.x
+	for {
+		chunk := x.bag.PopChunk()
+		if chunk == nil {
+			if x.pending.Load() == 0 {
+				return
+			}
+			runtime.Gosched()
+			continue
+		}
+		for _, item := range chunk {
+			x.op(item, w.push)
+			x.applied.Add(1)
+			x.pending.Add(-1)
+		}
+		x.recycle(chunk)
+		if len(w.local) > 0 {
+			x.bag.PushChunk(w.local)
+			w.local = x.chunk()
+		}
+	}
 }

@@ -7,16 +7,12 @@ import (
 
 func TestBagPushPop(t *testing.T) {
 	var b Bag
-	if !b.Empty() || b.Len() != 0 {
+	if b.PopChunk() != nil {
 		t.Fatal("zero bag not empty")
 	}
 	b.PushChunk([]uint32{1, 2, 3})
 	b.PushChunk(nil) // no-op
-	if b.Empty() || b.Len() != 3 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	c := b.PopChunk()
-	if len(c) != 3 {
+	if c := b.PopChunk(); len(c) != 3 {
 		t.Fatalf("chunk = %v", c)
 	}
 	if b.PopChunk() != nil {
@@ -106,6 +102,37 @@ func TestRunFanOut(t *testing.T) {
 	want := uint64(1 + 64 + 64*8)
 	if total.Load() != want {
 		t.Fatalf("applied %d, want %d", total.Load(), want)
+	}
+}
+
+// TestRunReusesItsState: one Executor runs back to back, on one worker and
+// on four, reusing its chunks and workers; each run drains exactly, and on
+// one worker a run allocates nothing once the chunks exist.
+func TestRunReusesItsState(t *testing.T) {
+	initial := make([]uint32, 1000)
+	for i := range initial {
+		initial[i] = uint32(i)
+	}
+	var count atomic.Uint64
+	op := func(item uint32, push func(uint32)) {
+		count.Add(1)
+		if item < 1000 {
+			push(item + 1000)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		e := &Executor{Workers: workers}
+		for run := 0; run < 3; run++ {
+			count.Store(0)
+			if applied := e.Run(initial, op); applied != 2000 || count.Load() != 2000 {
+				t.Fatalf("%d workers, run %d: applied %d count %d", workers, run, applied, count.Load())
+			}
+		}
+		if workers == 1 {
+			if n := testing.AllocsPerRun(5, func() { e.Run(initial, op) }); n != 0 {
+				t.Errorf("one worker: %v allocations per run, want 0", n)
+			}
+		}
 	}
 }
 
