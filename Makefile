@@ -32,7 +32,7 @@ build:
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
 TRACE_LOC_MAX = 3136
-ROOT_LOC_MAX = 14541
+ROOT_LOC_MAX = 14700
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \

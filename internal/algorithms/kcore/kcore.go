@@ -97,45 +97,43 @@ func (c *common) Init() (*bitset.Bitset, error) {
 	if err := gluon.Sync(c.g, c.degField, nil); err != nil {
 		return nil, err
 	}
+	// Peel round zero — trims are all zero, so every master below k dies —
+	// and propagate the deaths to mirrors with out-edges, activating them
+	// for the first peel round.
 	frontier := bitset.New(c.p.NumProxies())
-	for m := uint32(0); m < c.p.NumMasters; m++ {
-		if c.deg[m] < c.k {
-			c.dead[m] = 1
-			frontier.SetUnsync(m)
-		}
-	}
-	// Propagate the initial deaths to mirrors with out-edges, activating
-	// them for the first peel round.
-	if err := gluon.SyncBroadcast(c.g, c.deadField, frontier); err != nil {
+	if err := gluon.SyncApply(c.g, gluon.Field[uint64]{}, c.decide(frontier), c.deadField, frontier); err != nil {
 		return nil, err
 	}
 	return frontier, nil
 }
 
 // Sync implements dsys.Program: reduce trim counts to masters, peel masters
-// that fell below k, broadcast the new deaths.
+// that fell below k, broadcast the new deaths — one streamed sync.
 func (c *common) Sync(updated *bitset.Bitset) error {
-	if err := gluon.SyncReduce(c.g, c.trimsField, updated); err != nil {
-		return err
-	}
-	updated.Reset()
-	for m := uint32(0); m < c.p.NumMasters; m++ {
-		if c.dead[m] != 0 || c.trims[m] == 0 {
+	return gluon.SyncApply(c.g, c.trimsField, c.decide(updated), c.deadField, updated)
+}
+
+// decide is the apply hook of a sync: each live master of [lo, hi) takes
+// its trims off its degree and dies, marked in updated, once the degree is
+// below k. A live master's degree is at least k (Init kills the rest, and
+// only trims lower it), so one without trims survives.
+func (c *common) decide(updated *bitset.Bitset) func(lo, hi uint32) {
+	return func(lo, hi uint32) {
+		mark := updated.Marker()
+		for m := lo; m < hi; m++ {
+			t := c.trims[m]
 			c.trims[m] = 0
-			continue
+			if c.dead[m] != 0 {
+				continue
+			}
+			c.deg[m] -= min(t, c.deg[m])
+			if c.deg[m] < c.k {
+				c.dead[m] = 1
+				mark.Set(m)
+			}
 		}
-		if c.trims[m] > c.deg[m] {
-			c.deg[m] = 0
-		} else {
-			c.deg[m] -= c.trims[m]
-		}
-		c.trims[m] = 0
-		if c.deg[m] < c.k {
-			c.dead[m] = 1
-			updated.SetUnsync(m)
-		}
+		mark.Flush()
 	}
-	return gluon.SyncBroadcast(c.g, c.deadField, updated)
 }
 
 // Finalize implements dsys.Program.

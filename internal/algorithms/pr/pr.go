@@ -165,23 +165,22 @@ func (c *common) Init() (*bitset.Bitset, error) {
 }
 
 // Sync implements dsys.Program: reduce contributions, apply the PageRank
-// update on masters, broadcast new ranks.
+// update on masters, broadcast new ranks — one streamed sync, so the ranks
+// of a master range go out as soon as its contributions are in.
 func (c *common) Sync(updated *bitset.Bitset) error {
-	if err := gluon.SyncReduce(c.g, c.contribField, updated); err != nil {
-		return err
-	}
-	// Apply on masters; track which ranks moved beyond tolerance.
-	updated.Reset()
-	for m := uint32(0); m < c.p.NumMasters; m++ {
-		newRank := (1 - Alpha) + Alpha*c.contrib[m]
-		delta := math.Abs(newRank - c.rank[m])
-		c.rank[m] = newRank
-		c.contrib[m] = 0
-		if delta > c.tol {
-			updated.SetUnsync(m)
+	return gluon.SyncApply(c.g, c.contribField, func(lo, hi uint32) {
+		mark := updated.Marker()
+		for m := lo; m < hi; m++ {
+			newRank := (1 - Alpha) + Alpha*c.contrib[m]
+			delta := math.Abs(newRank - c.rank[m])
+			c.rank[m] = newRank
+			c.contrib[m] = 0
+			if delta > c.tol {
+				mark.Set(m)
+			}
 		}
-	}
-	return gluon.SyncBroadcast(c.g, c.rankField, updated)
+		mark.Flush()
+	}, c.rankField, updated)
 }
 
 // Finalize implements dsys.Program.

@@ -94,6 +94,16 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 // Clear clears bit i. It is safe for concurrent use.
 func (b *Bitset) Clear(i uint32) { andNotWord(&b.words[i/wordBits], uint64(1)<<(i%wordBits)) }
 
+// ClearRange clears the bits [lo, hi) with one atomic update per word, so
+// concurrent Set and Clear outside the range are safe.
+func (b *Bitset) ClearRange(lo, hi uint32) {
+	for lo < hi {
+		end := min(hi, (lo/wordBits+1)*wordBits)
+		andNotWord(&b.words[lo/wordBits], ^uint64(0)>>(wordBits-(end-lo))<<(lo%wordBits))
+		lo = end
+	}
+}
+
 // SetMany sets every bit listed in idx. It is safe for concurrent use and
 // issues one atomic word update per run of consecutive entries that share a
 // word — for an ascending list, at most one per word — where a loop of Set

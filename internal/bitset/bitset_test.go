@@ -383,3 +383,19 @@ func BenchmarkForEachSparse(b *testing.B) {
 		s.ForEach(func(uint32) {})
 	}
 }
+
+// TestClearRange: ClearRange clears exactly [lo, hi), whatever words the
+// ends fall in.
+func TestClearRange(t *testing.T) {
+	const n = 200
+	for _, r := range [][2]uint32{{0, n}, {0, 64}, {3, 5}, {63, 65}, {64, 128}, {10, 190}, {130, 131}, {7, 7}} {
+		b := New(n)
+		b.SetAll()
+		b.ClearRange(r[0], r[1])
+		for i := uint32(0); i < n; i++ {
+			if want := i < r[0] || i >= r[1]; b.Test(i) != want {
+				t.Fatalf("ClearRange(%d, %d): bit %d is %v", r[0], r[1], i, b.Test(i))
+			}
+		}
+	}
+}

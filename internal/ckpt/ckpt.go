@@ -230,18 +230,13 @@ func AtomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-// WriteFile encodes the snapshot and atomically installs it under dir,
-// returning the number of bytes written.
-func WriteFile(dir string, s *Snapshot) (int, error) {
+// WriteFile encodes the snapshot and atomically installs it under dir.
+func WriteFile(dir string, s *Snapshot) error {
 	data, err := s.Encode()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	final := filepath.Join(dir, fileName(s.Host, s.Epoch))
-	if err := AtomicWriteFile(final, data); err != nil {
-		return 0, err
-	}
-	return len(data), nil
+	return AtomicWriteFile(filepath.Join(dir, fileName(s.Host, s.Epoch)), data)
 }
 
 // epochs returns the complete (renamed) epochs present for host, ascending.
@@ -379,7 +374,7 @@ func NewWriter(opt Options, host int, onDone func(err error)) *Writer {
 func (w *Writer) run() {
 	defer close(w.done)
 	for s := range w.ch {
-		_, err := WriteFile(w.dir, s)
+		err := WriteFile(w.dir, s)
 		if err == nil {
 			err = Prune(w.dir, w.host, w.keep)
 		}

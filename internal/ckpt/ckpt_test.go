@@ -133,7 +133,7 @@ func FuzzDecode(f *testing.F) {
 func TestWriteLoadLatest(t *testing.T) {
 	dir := t.TempDir()
 	for _, epoch := range []uint64{0, 4, 8} {
-		if _, err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
+		if err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestWriteLoadLatest(t *testing.T) {
 func TestLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	for _, epoch := range []uint64{2, 4} {
-		if _, err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
+		if err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,14 +182,14 @@ func TestLatestSkipsCorrupt(t *testing.T) {
 func TestPruneRetention(t *testing.T) {
 	dir := t.TempDir()
 	for epoch := uint64(1); epoch <= 6; epoch++ {
-		if _, err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
+		if err := WriteFile(dir, sampleSnapshot(epoch)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A foreign host's file must survive host 1's pruning.
 	other := sampleSnapshot(1)
 	other.Host = 2
-	if _, err := WriteFile(dir, other); err != nil {
+	if err := WriteFile(dir, other); err != nil {
 		t.Fatal(err)
 	}
 	if err := Prune(dir, 1, 3); err != nil {

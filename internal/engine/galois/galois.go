@@ -40,16 +40,15 @@ func New(g *graph.CSR, workers int) *Engine {
 type Operator func(e *Engine, u uint32, push func(uint32))
 
 // DoAll drains the initial active set plus all transitively generated work
-// through op, asynchronously, until local quiescence. It returns the number
-// of operator applications.
-func (e *Engine) DoAll(initial []uint32, op Operator) uint64 {
+// through op, asynchronously, until local quiescence.
+func (e *Engine) DoAll(initial []uint32, op Operator) {
 	e.ex.Workers, e.op = e.Workers, op
-	return e.ex.Run(initial, e.apply)
+	e.ex.Run(initial, e.apply)
 }
 
 // DoAllFrontier is DoAll with a bitset initial frontier, read into a seed
 // list the engine reuses.
-func (e *Engine) DoAllFrontier(frontier *bitset.Bitset, op Operator) uint64 {
+func (e *Engine) DoAllFrontier(frontier *bitset.Bitset, op Operator) {
 	e.seeds = frontier.AppendIndices(e.seeds[:0])
-	return e.DoAll(e.seeds, op)
+	e.DoAll(e.seeds, op)
 }

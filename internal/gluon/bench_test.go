@@ -176,7 +176,6 @@ func benchValuePath[V Value](b *testing.B, name string, g *Gluon, order []uint32
 		spec, raise := field()
 		upd, ps := bitset.New(span), &peerScratch{}
 		msg := encode(spec, upd, &encodeScratch{})
-		ph := phase[V]{reduce: spec}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -186,7 +185,7 @@ func benchValuePath[V Value](b *testing.B, name string, g *Gluon, order []uint32
 			if err != nil {
 				b.Fatal(err)
 			}
-			ph.apply(lids, vals, upd)
+			spec.Reduce(lids, vals, upd)
 			if i == 0 && int(upd.Count()) != k {
 				b.Fatalf("fold changed %d masters, want %d", upd.Count(), k)
 			}

@@ -349,7 +349,7 @@ func TestMalformedMessageAppliesNothing(t *testing.T) {
 		}
 	}()
 	updated := bitset.New(g.Part.NumProxies())
-	err := SyncReduce(g, f, updated)
+	err := Sync(g, f, updated)
 	wg.Wait()
 	g.WaitSends()
 	if err == nil {

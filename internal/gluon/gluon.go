@@ -72,28 +72,73 @@ func Opt() Options {
 	return Options{StructuralInvariants: true, TemporalInvariance: true}
 }
 
-// orderSet is a family of per-peer memoized exchange orders together with
-// their word-level masks: masks[h] is the bitset.OrderMask of the non-empty
-// lists[h], computed once at memoization time so the sync hot path can
-// intersect an order against the updated bitset a word at a time.
+// orderSet is a family of per-peer memoized exchange orders, each cut at
+// memoization into the slices a sync sends it as: whole[h] is lists[h] as
+// one slice, cut[w][h] its fixed slices for a sync with both halves over
+// values of 4<<w bytes. Every slice carries the bitset.OrderMask of its
+// members, so the sync hot path intersects it against the updated bitset a
+// word at a time.
 type orderSet struct {
 	lists [][]uint32
-	masks []*bitset.OrderMask
+	whole []orderSlice
+	cut   [2][][]orderSlice
 }
 
-// newOrderSet wraps per-peer order lists, building a mask for every
-// non-empty list. Every list must be strictly lid-ascending: mirror-side
-// lists are by construction (localMirrors), master-side lists come from a
-// peer or a checkpoint and are checked where they enter (memoize,
-// importMemo).
+// orderSlice is a run of consecutive positions of one memoized order: the
+// sub-order one §4.2 message is encoded over.
+type orderSlice struct {
+	lids []uint32
+	mask *bitset.OrderMask
+}
+
+// last is the slice's highest local ID.
+func (s orderSlice) last() uint32 { return s.lids[len(s.lids)-1] }
+
+// sliceBytes bounds the values one slice of a cut order carries. It is a
+// variable only so that tests can lower it before memoization.
+var sliceBytes = 128 << 10
+
+// slices returns the slices peer h's non-empty order is sent as: the fixed
+// cut for values of valueSize bytes when cut is set, else the whole order.
+func (s *orderSet) slices(h, valueSize int, cut bool) []orderSlice {
+	if cut {
+		return s.cut[valueSize/8][h]
+	}
+	return s.whole[h : h+1]
+}
+
+// newOrderSet wraps per-peer order lists and cuts them. An order whose
+// values take more than sliceBytes is cut into ⌈n·valueSize / sliceBytes⌉
+// slices of equal length (±1), a function of its length alone, so both ends
+// of an order cut it alike. Every list must be strictly lid-ascending:
+// mirror-side lists are by construction (localMirrors), master-side lists
+// come from a peer or a checkpoint and are checked where they enter
+// (memoize, importMemo).
 func newOrderSet(lists [][]uint32) orderSet {
-	masks := make([]*bitset.OrderMask, len(lists))
+	s := orderSet{lists: lists, whole: make([]orderSlice, len(lists))}
+	for w := range s.cut {
+		s.cut[w] = make([][]orderSlice, len(lists))
+	}
 	for h, l := range lists {
-		if len(l) > 0 {
-			masks[h] = bitset.NewOrderMask(l)
+		if len(l) == 0 {
+			continue
+		}
+		s.whole[h] = orderSlice{l, bitset.NewOrderMask(l)}
+		for w := range s.cut {
+			k := min(len(l), (len(l)*(4<<w)+sliceBytes-1)/sliceBytes)
+			if k == 1 {
+				s.cut[w][h] = s.whole[h : h+1]
+				continue
+			}
+			cuts := make([]orderSlice, k)
+			for j := range cuts {
+				sub := l[j*len(l)/k : (j+1)*len(l)/k]
+				cuts[j] = orderSlice{sub, bitset.NewOrderMask(sub)}
+			}
+			s.cut[w][h] = cuts
 		}
 	}
-	return orderSet{lists: lists, masks: masks}
+	return s
 }
 
 // Gluon is one host's communication substrate instance.
@@ -503,9 +548,6 @@ func (g *Gluon) ResetStats() {
 	memo := g.stats.MemoProxies
 	g.stats = Stats{MemoProxies: memo}
 }
-
-// MirrorCount returns the total number of mirror proxies on this host.
-func (g *Gluon) MirrorCount() uint32 { return g.Part.NumProxies() - g.Part.NumMasters }
 
 // peersForReduce returns, for the given write location, the per-peer mirror
 // orders this host must send during a reduce and the per-peer master orders

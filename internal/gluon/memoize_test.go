@@ -102,7 +102,7 @@ func TestNewRestoredRoundTripsExportMemo(t *testing.T) {
 				{"mirrors", r.mirrors, g.mirrors}, {"mirrorsIn", r.mirrorsIn, g.mirrorsIn}, {"mirrorsOut", r.mirrorsOut, g.mirrorsOut},
 				{"masters", r.masters, g.masters}, {"mastersIn", r.mastersIn, g.mastersIn}, {"mastersOut", r.mastersOut, g.mastersOut},
 			} {
-				if !sameLists(c.got.lists, c.want.lists) || !reflect.DeepEqual(c.got.masks, c.want.masks) {
+				if !sameLists(c.got.lists, c.want.lists) || !reflect.DeepEqual(c.got.whole, c.want.whole) || !reflect.DeepEqual(c.got.cut, c.want.cut) {
 					t.Fatalf("%s host %d: restored %s differs", kind, g.HostID(), c.name)
 				}
 			}

@@ -8,6 +8,7 @@ package gluon_test
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -90,68 +91,117 @@ func sumField(vals []float64) gluon.Field[float64] {
 }
 
 // TestReduceFoldsInRankOrderUnderAdversarialArrival: hosts 0, 1 and 2
-// contribute 1, 1e17 and -1e17 to one master. Folded in rank order the sum
-// is (1 + 1e17) - 1e17 = 0; in any order that takes host 0 last it is 1. With
-// every send of host 0 held back, hosts 1 and 2 arrive first — the master,
-// and the broadcast bytes that carry it the same round, must still be those
-// of the undelayed run, bit for bit.
+// contribute 1, 1e17 and -1e17 to each master of host 3 they feed. Folded in
+// rank order each sum is (1 + 1e17) - 1e17 = 0; in any order that takes host
+// 0 last it is 1. One master gets one message from each sender; 32 masters
+// get four slices from each sender (orders cut at 64 bytes). With every send
+// of host 0 held back, its messages arrive last (inverted); with every sender
+// held back by a different step, the senders' slices alternate
+// (interleaved). The masters, and every payload of the sync — the broadcast
+// carries them back the same round — must be those of the undelayed run,
+// bit for bit.
 func TestReduceFoldsInRankOrderUnderAdversarialArrival(t *testing.T) {
-	parts := fanIn(t)
-	contrib := []float64{1, 1e17, -1e17}
-	run := func(delay time.Duration) (master float64, wire uint64) {
-		hub := comm.NewHub(4)
-		defer hub.Close()
-		var acc atomic.Uint64
-		ts := make([]comm.Transport, 4)
-		for h, ep := range hub.Endpoints() {
-			if h == 0 && delay > 0 {
-				ep = comm.NewFaultTransport(ep, comm.FaultConfig{DelayEvery: 1, Delay: delay})
+	const ms = time.Millisecond
+	for _, c := range []struct {
+		name       string
+		parts      []*partition.Partition
+		fed        []uint64 // GIDs of the masters of host 3 hosts 0–2 feed
+		sliceBytes int      // 0 keeps orders whole
+		msgs       uint64   // messages one sync sends: reduce and broadcast
+		delays     map[string][3]time.Duration
+	}{
+		{"whole", fanIn(t), []uint64{6}, 0, 6,
+			map[string][3]time.Duration{"inverted": {50 * ms}}},
+		{"sliced", wideFanIn(t, 32), gidRange(96, 128), 8 * 8, 24,
+			map[string][3]time.Duration{"inverted": {20 * ms}, "interleaved": {3 * ms, 5 * ms, 7 * ms}}},
+	} {
+		run := func(delay [3]time.Duration) (masters []float64, wire, msgs uint64) {
+			if c.sliceBytes > 0 {
+				defer gluon.SetSliceBytes(c.sliceBytes)()
 			}
-			ts[h] = wireHashTransport{Transport: ep, acc: &acc}
-		}
-		gs := cluster(t, parts, ts, gluon.Opt())
-		acc.Store(0) // memoization traffic is not the subject
-		vals := make([][]float64, 4)
-		errs := make([]error, 4)
-		var wg sync.WaitGroup
-		for h := range gs {
-			wg.Add(1)
-			go func(h int) {
-				defer wg.Done()
-				vals[h] = make([]float64, parts[h].NumProxies())
-				updated := bitset.New(parts[h].NumProxies())
-				if h < 3 {
-					lid, ok := parts[h].LID(6)
-					if !ok {
-						errs[h] = errors.New("no mirror of node 6")
-						return
-					}
-					vals[h][lid] = contrib[h]
-					updated.Set(lid)
+			hub := comm.NewHub(4)
+			defer hub.Close()
+			var acc atomic.Uint64
+			ts := make([]comm.Transport, 4)
+			for h, ep := range hub.Endpoints() {
+				if h < 3 && delay[h] > 0 {
+					ep = comm.NewFaultTransport(ep, comm.FaultConfig{DelayEvery: 1, Delay: delay[h]})
 				}
-				errs[h] = gluon.Sync(gs[h], sumField(vals[h]), updated)
-			}(h)
+				ts[h] = wireHashTransport{Transport: ep, acc: &acc}
+			}
+			gs := cluster(t, c.parts, ts, gluon.Opt())
+			acc.Store(0) // memoization traffic is not the subject
+			vals := make([][]float64, 4)
+			errs := make([]error, 4)
+			var wg sync.WaitGroup
+			for h := range gs {
+				wg.Add(1)
+				go func(h int) {
+					defer wg.Done()
+					vals[h] = make([]float64, c.parts[h].NumProxies())
+					updated := bitset.New(c.parts[h].NumProxies())
+					for _, gid := range c.fed {
+						if h == 3 {
+							break
+						}
+						lid, ok := c.parts[h].LID(gid)
+						if !ok {
+							errs[h] = fmt.Errorf("no mirror of node %d", gid)
+							return
+						}
+						vals[h][lid] = contrib[h]
+						updated.Set(lid)
+					}
+					errs[h] = gluon.Sync(gs[h], sumField(vals[h]), updated)
+				}(h)
+			}
+			wg.Wait()
+			for h, err := range errs {
+				if err != nil {
+					t.Fatalf("%s: host %d: %v", c.name, h, err)
+				}
+			}
+			for _, g := range gs {
+				msgs += g.Stats().MessagesSent
+			}
+			for _, gid := range c.fed {
+				lid, _ := c.parts[3].LID(gid)
+				masters = append(masters, vals[3][lid])
+			}
+			return masters, acc.Load(), msgs
 		}
-		wg.Wait()
-		for h, err := range errs {
-			if err != nil {
-				t.Fatalf("host %d: %v", h, err)
+		masters, wire, msgs := run([3]time.Duration{})
+		if msgs != c.msgs {
+			t.Fatalf("%s: sync sent %d messages, want %d", c.name, msgs, c.msgs)
+		}
+		for i, v := range masters {
+			if v != 0 {
+				t.Fatalf("%s: undelayed master %d = %v, want 0 (the rank-order sum)", c.name, c.fed[i], v)
 			}
 		}
-		lid, _ := parts[3].LID(6)
-		return vals[3][lid], acc.Load()
+		for name, delay := range c.delays {
+			late, lateWire, _ := run(delay)
+			for i := range masters {
+				if math.Float64bits(late[i]) != math.Float64bits(masters[i]) {
+					t.Errorf("%s/%s: master %d = %v, want %v: the fold followed arrival order", c.name, name, c.fed[i], late[i], masters[i])
+				}
+			}
+			if lateWire != wire {
+				t.Errorf("%s/%s: wire digest %#x, want %#x: a payload depends on arrival order", c.name, name, lateWire, wire)
+			}
+		}
 	}
-	master, wire := run(0)
-	if master != 0 {
-		t.Fatalf("undelayed master = %v, want 0 (the rank-order sum)", master)
+}
+
+// contrib is what hosts 0, 1 and 2 add to each master they feed.
+var contrib = [3]float64{1, 1e17, -1e17}
+
+func gidRange(lo, hi uint64) []uint64 {
+	var gids []uint64
+	for gid := lo; gid < hi; gid++ {
+		gids = append(gids, gid)
 	}
-	lateMaster, lateWire := run(50 * time.Millisecond)
-	if math.Float64bits(lateMaster) != math.Float64bits(master) {
-		t.Errorf("master with host 0 arriving last = %v, want %v: the fold followed arrival order", lateMaster, master)
-	}
-	if lateWire != wire {
-		t.Errorf("wire digest with host 0 arriving last = %#x, want %#x: a payload depends on arrival order", lateWire, wire)
-	}
+	return gids
 }
 
 // TestEarlyArrivalsReleasedWhenPhaseFails: host 0 dies before it sends, so
@@ -172,7 +222,9 @@ func TestEarlyArrivalsReleasedWhenPhaseFails(t *testing.T) {
 			vals[lid] = 1
 			updated.Set(lid)
 		}
-		return gluon.SyncReduce(gs[h], sumField(vals), updated)
+		f := sumField(vals)
+		f.Broadcast = nil
+		return gluon.Sync(gs[h], f, updated)
 	}
 	// Hosts 1 and 2 only send (nobody mirrors their masters), so their
 	// messages are in host 3's mailbox once they return.

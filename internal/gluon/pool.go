@@ -7,7 +7,10 @@ package gluon
 // are package-level because Gluon instances of many hosts share one process
 // in the in-memory cluster.
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // encodeScratch holds one encoder's reusable buffers. A worker checks one
 // out for its whole chunk of peers; the slices grow to the largest message
@@ -37,29 +40,60 @@ func scratchVals[V Value](cache *any, n int) []V {
 	return vs
 }
 
-// peerScratch holds the per-sync peer work lists: the send and receive
-// peer sets and the mutable remaining-peer set RecvAny consumes. lids and
-// vals are where the receive loop decodes the one message it is applying:
-// the local IDs its positions resolve to and its values as a typed slice.
+// peerScratch holds one sync's work lists: the peer lists (reduce send
+// and receive, broadcast send and receive, and the broadcast peers still
+// to be heard from), the per-peer slice counters of the two senders and of
+// the receive loop, the senders' error channel, and the final-master prefix
+// the receive loop releases to the broadcast sender. lids and vals are
+// where the receive loop decodes the one message it is applying: the local
+// IDs its positions resolve to and its values as a typed slice.
 type peerScratch struct {
-	send, recv, rem []int
-	errCh           chan error
-	lids            []uint32
-	vals            any
+	lists [5][]int
+	cnt   [3][]int
+	errCh chan error
+	// final is the prefix of masters released to the broadcast sender, -1
+	// once the sync is abandoned; wake tells the sender it moved.
+	final atomic.Int64
+	wake  chan struct{}
+	lids  []uint32
+	vals  any
 }
 
-var peerScratchPool = sync.Pool{New: func() any { return new(peerScratch) }}
+var peerScratchPool = sync.Pool{New: func() any {
+	return &peerScratch{errCh: make(chan error, 2), wake: make(chan struct{}, 1)}
+}}
 
-func getPeerScratch() *peerScratch   { return peerScratchPool.Get().(*peerScratch) }
+// getPeerScratch returns a scratch with no masters released and no wake-up
+// pending. Its error channel is empty: the success path always drains it,
+// and error paths leak the scratch instead of pooling it.
+func getPeerScratch() *peerScratch {
+	ps := peerScratchPool.Get().(*peerScratch)
+	ps.final.Store(0)
+	select {
+	case <-ps.wake:
+	default:
+	}
+	return ps
+}
+
 func putPeerScratch(ps *peerScratch) { peerScratchPool.Put(ps) }
 
-// errChan returns the scratch's reusable one-slot error channel for the
-// send-side goroutine join. It is empty whenever the scratch is pooled: the
-// success path always drains it, and error paths leak the scratch instead
-// of pooling it.
-func (ps *peerScratch) errChan() chan error {
-	if ps.errCh == nil {
-		ps.errCh = make(chan error, 1)
+// publish sets the released prefix and wakes the broadcast sender without
+// ever blocking: one pending wake-up covers any number of releases.
+func (ps *peerScratch) publish(final int64) {
+	ps.final.Store(final)
+	select {
+	case ps.wake <- struct{}{}:
+	default:
 	}
-	return ps.errCh
+}
+
+// counters returns counter set i, zeroed at length n.
+func (ps *peerScratch) counters(i, n int) []int {
+	if cap(ps.cnt[i]) < n {
+		ps.cnt[i] = make([]int, n)
+	}
+	c := ps.cnt[i][:n]
+	clear(c)
+	return c
 }

@@ -2,11 +2,13 @@ package gluon
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
 	"gluon/internal/par"
+	"gluon/internal/partition"
 	"gluon/internal/trace"
 )
 
@@ -104,128 +106,142 @@ func (g *Gluon) broadcastTag(fieldID uint32) comm.Tag {
 	return comm.TagUser + comm.Tag(fieldID)*2 + 1
 }
 
-// Sync synchronizes one field across all hosts: a reduce phase (mirror
-// values folded into masters) followed by a broadcast phase (canonical
-// values pushed back to mirrors), each restricted to the structurally
-// necessary proxy subsets. For OEC partitions of push-style fields the
-// broadcast phase is empty; for IEC the reduce phase is empty; CVC uses
-// proper subsets of mirrors in both; unconstrained cuts use all mirrors.
+// Sync synchronizes one field across all hosts: a reduce half (mirror
+// values folded into masters) followed by a broadcast half (canonical values
+// pushed back to mirrors), each restricted to the structurally necessary
+// proxy subsets. For OEC partitions of push-style fields the broadcast half
+// is empty; for IEC the reduce half is empty; CVC uses proper subsets of
+// mirrors in both; unconstrained cuts use all mirrors. It is
+// SyncApply(g, f, nil, f, updated).
 //
 // updated tracks which local proxies changed this round; Sync consumes
 // mirror bits it ships (resetting those mirrors), adds bits for masters
 // changed by reduce and mirrors changed by broadcast, so that on return
 // updated holds exactly the proxies whose values are new — the engine's
 // next frontier. A nil updated means "assume everything changed".
-//
-// Both phases are pipelined: per-peer messages are encoded by parallel
-// workers (one per CPU) into pooled buffers while the receive loop
-// applies what has arrived — broadcast in arrival order, reduce in ascending
-// sender rank. Neither changes what is sent: per-peer payload bytes and
-// encoding-mode choices are identical to a serial, fixed-order sync.
 func Sync[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
-	if f.Reduce != nil {
-		if err := SyncReduce(g, f, updated); err != nil {
-			return err
-		}
-	}
-	if f.Broadcast != nil {
-		if err := SyncBroadcast(g, f, updated); err != nil {
-			return err
-		}
-	}
-	return nil
+	return SyncApply(g, f, nil, f, updated)
 }
 
-// phase is what differs between the two halves of a sync (§3.3): which
-// memoized orders are sent and received into, and which spec values are
-// read out of and meet on arrival. runPhase is everything else.
+// SyncApply runs the reduce half of rf and the broadcast half of bf as one
+// streamed pipeline with the program's apply hook between them: once every
+// reduce sender has delivered the contributions to a range of masters
+// [lo, hi), apply(lo, hi) turns them into the values bf broadcasts, and the
+// broadcast messages covering only final masters go out while the rest of
+// the reduce is still arriving (DESIGN.md §4.1). A nil rf.Reduce or
+// bf.Broadcast drops that half.
 //
-// It travels by value into runPhase's goroutine closures; keeping it under
-// the compiler's 128-byte limit for by-value capture (orders by pointer)
-// is what keeps a sync from allocating its descriptor.
-type phase[V Value] struct {
-	field      uint32   // Field.ID, for spans
-	name       string   // Field.Name, for spans and errors
-	word       string   // "reduce" / "broadcast", for errors
-	tag        comm.Tag // namespaces this field and direction on the wire
-	send, recv *orderSet
-	// Exactly one of reduce and set is non-nil. Reduce also returns each
-	// mirror whose value was shipped to the reduction identity; its
-	// "changed" bit migrates to the master with the value.
-	reduce ReduceSpec[V]
-	set    BroadcastSpec[V]
-	// ordered makes arrivals fold in ascending host order instead of on
-	// arrival. Reduce needs it: a master receives contributions from several
-	// peers, and order-sensitive reductions (floating-point sums) must fold
-	// them in the same sequence every run to keep later rounds' payload
-	// bytes deterministic. A broadcast value has exactly one sender — the
-	// owner — so arrival order cannot show.
-	ordered bool
-	applied trace.Phase // PhaseFold / PhaseApply: the span of one applied message
-}
-
-// src is the spec sent values are read from.
-func (ph phase[V]) src() extractor[V] {
-	if ph.reduce != nil {
-		return ph.reduce
+// Without a hook, reduce marks in updated the masters it changed, as Sync
+// describes. With one, a master's mark is the hook's to give: the pipeline
+// clears updated on each range before apply runs and reduce marks nothing,
+// so apply marks the masters whose values the broadcast must carry, with
+// atomic word updates (Set or a Marker: encoders read and clear neighbouring
+// words concurrently). apply runs on the calling goroutine, once per range,
+// the ranges ascending and together covering every master.
+//
+// Messages for different peers are encoded by parallel workers into pooled
+// buffers while the calling goroutine applies arrivals: reduce in ascending
+// sender rank, broadcast in arrival order. None of this changes a value:
+// every message is the one a serial, fixed-order sync sends, except that in
+// a sync with both halves an order whose values exceed sliceBytes goes out
+// as fixed slices, each an ordinary message over its sub-order with its own
+// encoding mode.
+func SyncApply[R, B Value](g *Gluon, rf Field[R], apply func(lo, hi uint32), bf Field[B], updated *bitset.Bitset) error {
+	var red half[R]
+	if rf.Reduce != nil {
+		send, recv := g.peersForReduce(rf.Write, g.Opt.StructuralInvariants)
+		red = half[R]{field: rf.ID, name: rf.Name, word: "reduce", tag: g.reduceTag(rf.ID),
+			send: send, recv: recv, reduce: rf.Reduce, applied: trace.PhaseFold}
 	}
-	return ph.set
-}
-
-// apply meets one decoded message with the local state.
-func (ph phase[V]) apply(lids []uint32, vals []V, updated *bitset.Bitset) {
-	if ph.reduce != nil {
-		ph.reduce.Reduce(lids, vals, updated)
-		return
+	var bc half[B]
+	if bf.Broadcast != nil {
+		bc = broadcastHalf(g, bf, g.Opt.StructuralInvariants)
 	}
-	ph.set.Set(lids, vals)
-	// Delivery activates the mirror even when the value is unchanged: the
-	// mirror that originated this round's best value has the value already,
-	// but its outgoing edges have not been processed with it yet (matters
-	// for unconstrained vertex cuts, where a mirror can have both incoming
-	// and outgoing edges).
-	if updated != nil {
-		updated.SetMany(lids)
-	}
-}
-
-// SyncReduce runs only the reduce pattern for f.
-func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
-	send, recv := g.peersForReduce(f.Write, g.Opt.StructuralInvariants)
-	return runPhase(g, updated, phase[V]{
-		field: f.ID, name: f.Name, word: "reduce", tag: g.reduceTag(f.ID),
-		send: send, recv: recv, reduce: f.Reduce,
-		ordered: true, applied: trace.PhaseFold,
-	})
-}
-
-// SyncBroadcast runs only the broadcast pattern for f.
-func SyncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
-	return syncBroadcast(g, f, updated, g.Opt.StructuralInvariants)
+	cut := rf.Reduce != nil && bf.Broadcast != nil && g.twoHalves(rf.Write, bf.Read)
+	return runSync(g, red, apply, bc, cut, updated)
 }
 
 // BroadcastAll pushes masters' canonical values to every mirror regardless
 // of structural pattern or update tracking: a full reconciliation, used to
 // finalize results before output or verification.
 func BroadcastAll[V Value](g *Gluon, f Field[V]) error {
-	return syncBroadcast(g, f, nil, false)
+	return runSync(g, half[V]{}, nil, broadcastHalf(g, f, false), false, nil)
 }
 
-// syncBroadcast builds the broadcast phase with the structural-invariant
+// broadcastHalf builds f's broadcast half with the structural-invariant
 // choice made explicit, so BroadcastAll can run unconstrained without
 // mutating shared options.
-func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, structural bool) error {
+func broadcastHalf[V Value](g *Gluon, f Field[V], structural bool) half[V] {
 	send, recv := g.peersForBroadcast(f.Read, structural)
-	return runPhase(g, updated, phase[V]{
-		field: f.ID, name: f.Name, word: "broadcast", tag: g.broadcastTag(f.ID),
-		send: send, recv: recv, set: f.Broadcast,
-		applied: trace.PhaseApply,
-	})
+	return half[V]{field: f.ID, name: f.Name, word: "broadcast", tag: g.broadcastTag(f.ID),
+		send: send, recv: recv, set: f.Broadcast, applied: trace.PhaseApply}
 }
 
-// runPhase is the one sync pipeline: peer lists → parallel encode → send →
-// receive → decode → apply, for whichever direction ph describes.
-func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
+// twoHalves reports whether a sync that writes at write and reads at read
+// has both halves under the structural plan, the only kind whose orders go
+// out in slices. Both ends of an order must agree on that without a
+// message, so it asks the policy, which every host knows alike, rather than
+// this host's own orders: an OEC mirror has no out-edges and an IEC mirror
+// no in-edges, so under structural invariants those policies leave nothing
+// to reduce or broadcast at that endpoint anywhere.
+func (g *Gluon) twoHalves(write, read Location) bool {
+	if !g.Opt.StructuralInvariants {
+		return true
+	}
+	switch partition.Kind(g.Part.Policy.Name()) {
+	case partition.OEC:
+		return write != AtSource && read != AtSource
+	case partition.IEC:
+		return write != AtDestination && read != AtDestination
+	}
+	return true
+}
+
+// half is one direction of a sync (§3.3): which memoized orders are sent
+// and received into, and which spec values are read out of and meet on
+// arrival. A half that exists has exactly one of reduce and set; the zero
+// half has neither, and no orders.
+//
+// It travels by value into the sender goroutines' closures; keeping it
+// under the compiler's 128-byte limit for by-value capture (orders by
+// pointer) is what keeps a sync from allocating its descriptor.
+type half[V Value] struct {
+	field      uint32   // Field.ID, for spans
+	name       string   // Field.Name, for spans and errors
+	word       string   // "reduce" / "broadcast", for errors
+	tag        comm.Tag // namespaces this field and direction on the wire
+	send, recv *orderSet
+	// reduce also returns each mirror whose value was shipped to the
+	// reduction identity; its "changed" bit migrates to the master with the
+	// value.
+	reduce  ReduceSpec[V]
+	set     BroadcastSpec[V]
+	applied trace.Phase // PhaseFold / PhaseApply: the span of one applied message
+}
+
+// src is the spec sent values are read from.
+func (hf *half[V]) src() extractor[V] {
+	if hf.reduce != nil {
+		return hf.reduce
+	}
+	return hf.set
+}
+
+// runSync is the one sync pipeline: peer lists → parallel encode → send →
+// receive → decode → fold → apply → encode → send → receive → set.
+//
+// A master is final once every reduce sender has delivered the slice that
+// covers it. Senders are taken one at a time in ascending rank and each
+// sender's slices in order — early arrivals wait in the transport's
+// per-(sender, tag) mailbox, which is the queue — so every master folds its
+// contributions in the same sequence every run, and the final masters are
+// always a prefix: those below the first master of the next slice due and
+// of every later sender's order. Each time the prefix grows, apply runs on
+// the new range and the broadcast sender is woken to ship every slice now
+// wholly below it. Broadcasts are received once the reduce is in, in
+// arrival order: a broadcast value has exactly one sender, the owner, so
+// arrival order cannot show.
+func runSync[R, B Value](g *Gluon, red half[R], apply func(lo, hi uint32), bc half[B], cut bool, updated *bitset.Bitset) error {
 	g.syncBegin()
 	rec := g.rec
 	tr := rec.Enabled()
@@ -235,143 +251,285 @@ func runPhase[V Value](g *Gluon, updated *bitset.Bitset, ph phase[V]) error {
 	}
 	defer func() {
 		if tr {
+			field, name := red.field, red.name
+			if red.reduce == nil {
+				field, name = bc.field, bc.name
+			}
 			rec.Emit(trace.Event{Phase: trace.PhaseSync, Start: syncT0, Dur: rec.Now() - syncT0,
-				Field: ph.field, Peer: -1, Detail: ph.name})
+				Field: field, Peer: -1, Detail: name})
 		}
 		g.syncEnd()
 	}()
 
+	n, me, nm := g.NumHosts(), g.HostID(), g.Part.NumMasters
 	ps := getPeerScratch()
-	sendPeers, recvPeers := ps.peerLists(g.NumHosts(), g.HostID(), ph.send, ph.recv)
+	redSend, redRecv := ps.peersOf(0, n, me, red.send), ps.peersOf(1, n, me, red.recv)
+	bcSend, bcRecv := ps.peersOf(2, n, me, bc.send), ps.peersOf(3, n, me, bc.recv)
+	redNext, bcNext, taken := ps.counters(0, len(redSend)), ps.counters(1, len(bcSend)), ps.counters(2, n)
+	errs := ps.errCh
 
-	// Encoding fans out across workers. Reduce sends per-peer mirror sets,
+	// Mirrors are ready to ship at once. Reduce sends per-peer mirror sets,
 	// which are disjoint, so encode and Reset for different peers touch
 	// disjoint lids, and updated is read and cleared a word at a time,
-	// atomically; broadcast's master orders overlap, but it only reads them.
-	// Sends run off the receive path so that large bidirectional exchanges
-	// cannot deadlock on transport buffering.
-	sendErr := ps.errChan()
-	g.sendWG.Add(1)
-	go func() {
-		defer g.sendWG.Done()
-		sendErr <- par.RangeWorkers(len(sendPeers), 0, func(w, lo, hi int) error {
-			defer trace.LabelPhase(trace.PhaseEncode)()
-			sc := getEncodeScratch()
-			defer putEncodeScratch(sc)
-			var st Stats
-			defer g.foldStats(&st)
-			lane := int32(1 + w)
-			src := ph.src()
-			for _, h := range sendPeers[lo:hi] {
-				var t0 int64
-				if tr {
-					t0 = rec.Now()
-				}
-				payload, sent, ms := encodeMsg(g, ph.send.lists[h], ph.send.masks[h], updated, src, sc)
-				st.addMsg(&ms)
-				if tr {
-					rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: ph.field, Lane: lane, Mode: int8(ms.mode),
-						Value: ms.value, Meta: ms.meta, GID: ms.gid})
-				}
-				if ph.reduce != nil {
-					// What was shipped is every updated member of the order,
-					// so consuming the bits clears the whole order.
-					ph.reduce.Reset(sent)
-					if updated != nil {
-						ph.send.masks[h].ClearIn(updated)
-					}
-				}
-				if tr {
-					t0 = rec.Now()
-				}
-				if err := g.T.Send(h, ph.tag, payload); err != nil {
-					return fmt.Errorf("gluon: %s %s to host %d: %w", ph.word, ph.name, h, err)
-				}
-				if tr {
-					rec.Emit(trace.Event{Phase: trace.PhaseSend, Start: t0, Dur: rec.Now() - t0,
-						Peer: int32(h), Field: ph.field, Lane: lane})
-				}
-			}
-			return nil
-		})
-	}()
+	// atomically. Sends run off the receive path so that large bidirectional
+	// exchanges cannot deadlock on transport buffering.
+	senders := 0
+	if len(redSend) > 0 {
+		senders++
+		g.sendWG.Add(1)
+		go func() {
+			defer g.sendWG.Done()
+			errs <- red.sendReady(g, redSend, redNext, math.MaxInt64, cut, updated)
+		}()
+	}
 
-	// A broadcast applies messages in arrival order; an ordered phase asks
-	// for them one sender at a time, in ascending rank. Receiving in order
-	// loses nothing to waiting: an early arrival sits in the transport's
-	// per-(sender, tag) mailbox, which is the queue, until its turn. Each
-	// message is decoded out of its receive buffer into the scratch's (lids,
-	// values) pair — checked as a whole first, so a malformed message applies
-	// nothing — and handed to the spec in one call: the copy is a sequential
-	// pass over bytes already in cache, and it buys the spec a typed loop
-	// instead of a call chain per value.
-	remaining := append(ps.rem[:0], recvPeers...)
-	ps.rem = remaining
-	defer trace.LabelPhase(ph.applied)()
-	for len(remaining) > 0 {
-		from := remaining
-		if ph.ordered {
-			from = remaining[:1] // recvPeers ascends and removePeer keeps order
+	// release makes the masters below to final: apply, then publish.
+	var final uint32
+	release := func(to uint32) {
+		if to <= final {
+			return
 		}
-		var t0 int64
-		if tr {
-			t0 = rec.Now()
+		if apply != nil {
+			if updated != nil {
+				updated.ClearRange(final, to)
+			}
+			apply(final, to)
 		}
-		// The live-phase flips cost two atomic stores per message (nil-safe,
-		// alloc-free); they let the watchdog tell a host blocked waiting on a
-		// peer (a victim) from one still producing (a suspect).
-		rec.SetLivePhase(trace.PhaseRecvWait)
-		h, payload, err := g.T.RecvAny(ph.tag, from)
-		rec.SetLivePhase(ph.applied)
-		if err != nil {
-			return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
+		final = to
+		ps.publish(int64(to))
+	}
+	// firstFrom is the lowest master that the senders from the i-th on may
+	// still have to contribute to.
+	firstFrom := func(i int) uint32 {
+		first := nm
+		for _, h := range redRecv[i:] {
+			first = min(first, red.recv.lists[h][0])
 		}
-		if tr {
-			rec.Emit(trace.Event{Phase: trace.PhaseRecvWait, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: ph.field, Value: uint64(len(payload))})
-			t0 = rec.Now()
-		}
-		remaining = removePeer(remaining, h)
-		lids, vals, err := decodeBody[V](g, payload, ph.recv.lists[h], ps)
-		if err != nil {
-			comm.PutBuf(payload)
-			g.dumpInvariant(h, err)
-			return fmt.Errorf("gluon: %s %s from host %d: %w", ph.word, ph.name, h, err)
-		}
-		ph.apply(lids, vals, updated)
-		comm.PutBuf(payload)
-		if tr {
-			rec.Emit(trace.Event{Phase: ph.applied, Start: t0, Dur: rec.Now() - t0,
-				Peer: int32(h), Field: ph.field})
+		return first
+	}
+	abort := func(err error) error {
+		ps.publish(-1)
+		return err // not pooled: senders may still hold the scratch
+	}
+	release(firstFrom(0))
+	if len(bcSend) > 0 {
+		senders++
+		g.sendWG.Add(1)
+		go func() {
+			defer g.sendWG.Done()
+			errs <- bc.stream(g, ps, bcSend, bcNext, cut, updated)
+		}()
+	}
+
+	changed := updated
+	if apply != nil {
+		changed = nil
+	}
+	restore := trace.LabelPhase(trace.PhaseFold)
+	for i, h := range redRecv {
+		sl := red.recv.slices(h, wireSize[R](), cut)
+		for taken[h] < len(sl) {
+			if _, err := red.take(g, ps, redRecv[i:i+1], taken, cut, changed); err != nil {
+				restore()
+				return abort(err)
+			}
+			next := firstFrom(i + 1)
+			if taken[h] < len(sl) {
+				next = min(next, sl[taken[h]].lids[0])
+			}
+			release(next)
 		}
 	}
-	err := <-sendErr
-	putPeerScratch(ps) // not pooled on the error returns above: senders may still hold the lists
+	release(nm)
+	restore()
+
+	defer trace.LabelPhase(trace.PhaseApply)()
+	clear(taken)
+	remaining := append(ps.lists[4][:0], bcRecv...)
+	ps.lists[4] = remaining
+	for len(remaining) > 0 {
+		h, err := bc.take(g, ps, remaining, taken, cut, updated)
+		if err != nil {
+			return abort(err)
+		}
+		if taken[h] == len(bc.recv.slices(h, wireSize[B](), cut)) {
+			remaining = removePeer(remaining, h)
+		}
+	}
+	var err error
+	for ; senders > 0; senders-- {
+		if e := <-errs; err == nil {
+			err = e
+		}
+	}
+	putPeerScratch(ps)
 	return err
 }
 
-// peerLists fills the scratch with the peers this sync sends to and
-// receives from, skipping self and empty orders.
-func (ps *peerScratch) peerLists(hosts, me int, send, recv *orderSet) (sendPeers, recvPeers []int) {
-	sendPeers, recvPeers = ps.send[:0], ps.recv[:0]
-	for h := 0; h < hosts; h++ {
-		if h == me {
-			continue
+// stream is the broadcast sender: it ships every slice the released prefix
+// of final masters covers, then waits for the receive loop to release more,
+// until every master is final or the sync is abandoned.
+func (hf *half[V]) stream(g *Gluon, ps *peerScratch, peers, next []int, cut bool, updated *bitset.Bitset) error {
+	for {
+		limit := ps.final.Load()
+		if limit < 0 {
+			return nil
 		}
-		if len(send.lists[h]) > 0 {
-			sendPeers = append(sendPeers, h)
+		if err := hf.sendReady(g, peers, next, limit, cut, updated); err != nil {
+			return err
 		}
-		if len(recv.lists[h]) > 0 {
-			recvPeers = append(recvPeers, h)
+		if limit == int64(g.Part.NumMasters) {
+			return nil
 		}
+		<-ps.wake
 	}
-	ps.send, ps.recv = sendPeers, recvPeers
-	return sendPeers, recvPeers
 }
 
-// removePeer deletes h from peers in place, keeping the rest in order (an
-// ordered phase reads its next sender off the front).
+// sendReady encodes and sends, in order, each peer's slices whose members
+// all lie below limit, starting at the peer's count in next and advancing
+// it past what it sends. Peers fan out across workers when more than one
+// has a slice ready; otherwise the call allocates nothing.
+func (hf *half[V]) sendReady(g *Gluon, peers, next []int, limit int64, cut bool, updated *bitset.Bitset) error {
+	ready := 0
+	for i, h := range peers {
+		if sl := hf.send.slices(h, wireSize[V](), cut); next[i] < len(sl) && int64(sl[next[i]].last()) < limit {
+			ready++
+		}
+	}
+	if ready == 0 {
+		return nil
+	}
+	if min(par.DefaultWorkers(), ready) == 1 {
+		return hf.sendRange(g, peers, next, limit, cut, updated, 0, 0, len(peers))
+	}
+	return par.RangeWorkers(len(peers), 0, func(w, lo, hi int) error {
+		return hf.sendRange(g, peers, next, limit, cut, updated, w, lo, hi)
+	})
+}
+
+// sendRange is worker w's share of sendReady: peers[lo:hi].
+func (hf *half[V]) sendRange(g *Gluon, peers, next []int, limit int64, cut bool, updated *bitset.Bitset, w, lo, hi int) error {
+	defer trace.LabelPhase(trace.PhaseEncode)()
+	rec := g.rec
+	tr := rec.Enabled()
+	sc := getEncodeScratch()
+	defer putEncodeScratch(sc)
+	var st Stats
+	defer g.foldStats(&st)
+	lane := int32(1 + w)
+	src := hf.src()
+	for i := lo; i < hi; i++ {
+		h := peers[i]
+		sl := hf.send.slices(h, wireSize[V](), cut)
+		for ; next[i] < len(sl) && int64(sl[next[i]].last()) < limit; next[i]++ {
+			s := sl[next[i]]
+			var t0 int64
+			if tr {
+				t0 = rec.Now()
+			}
+			payload, sent, ms := encodeMsg(g, s.lids, s.mask, updated, src, sc)
+			st.addMsg(&ms)
+			if tr {
+				rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
+					Peer: int32(h), Field: hf.field, Lane: lane, Mode: int8(ms.mode),
+					Value: ms.value, Meta: ms.meta, GID: ms.gid})
+			}
+			if hf.reduce != nil {
+				// What was shipped is every updated member of the slice,
+				// so consuming the bits clears the whole slice.
+				hf.reduce.Reset(sent)
+				if updated != nil {
+					s.mask.ClearIn(updated)
+				}
+			}
+			if tr {
+				t0 = rec.Now()
+			}
+			if err := g.T.Send(h, hf.tag, payload); err != nil {
+				return fmt.Errorf("gluon: %s %s to host %d: %w", hf.word, hf.name, h, err)
+			}
+			if tr {
+				rec.Emit(trace.Event{Phase: trace.PhaseSend, Start: t0, Dur: rec.Now() - t0,
+					Peer: int32(h), Field: hf.field, Lane: lane})
+			}
+		}
+	}
+	return nil
+}
+
+// take receives this half's next message from one of the peers in from,
+// decodes it against the next slice of its sender's order (taken counts,
+// per host, the slices already taken) and meets it with the local state;
+// it returns the sender. The message is checked as a whole first, so a
+// malformed one applies nothing, and decoded out of its receive buffer into
+// the scratch's (lids, values) pair, handed to the spec in one call: the
+// copy is a sequential pass over bytes already in cache, and it buys the
+// spec a typed loop instead of a call chain per value.
+//
+// changed is what Reduce marks; a broadcast marks it with every mirror it
+// delivers to, even when the value is unchanged: the mirror that originated
+// this round's best value has the value already, but its outgoing edges have
+// not been processed with it yet (matters for unconstrained vertex cuts,
+// where a mirror can have both incoming and outgoing edges).
+func (hf *half[V]) take(g *Gluon, ps *peerScratch, from, taken []int, cut bool, changed *bitset.Bitset) (int, error) {
+	rec := g.rec
+	tr := rec.Enabled()
+	var t0 int64
+	if tr {
+		t0 = rec.Now()
+	}
+	// The live-phase flips cost two atomic stores per message (nil-safe,
+	// alloc-free); they let the watchdog tell a host blocked waiting on a
+	// peer (a victim) from one still producing (a suspect).
+	rec.SetLivePhase(trace.PhaseRecvWait)
+	h, payload, err := g.T.RecvAny(hf.tag, from)
+	rec.SetLivePhase(hf.applied)
+	if err != nil {
+		return h, fmt.Errorf("gluon: %s %s from host %d: %w", hf.word, hf.name, h, err)
+	}
+	if tr {
+		rec.Emit(trace.Event{Phase: trace.PhaseRecvWait, Start: t0, Dur: rec.Now() - t0,
+			Peer: int32(h), Field: hf.field, Value: uint64(len(payload))})
+		t0 = rec.Now()
+	}
+	sl := hf.recv.slices(h, wireSize[V](), cut)[taken[h]]
+	taken[h]++
+	lids, vals, err := decodeBody[V](g, payload, sl.lids, ps)
+	if err != nil {
+		comm.PutBuf(payload)
+		g.dumpInvariant(h, err)
+		return h, fmt.Errorf("gluon: %s %s from host %d: %w", hf.word, hf.name, h, err)
+	}
+	if hf.reduce != nil {
+		hf.reduce.Reduce(lids, vals, changed)
+	} else {
+		hf.set.Set(lids, vals)
+		if changed != nil {
+			changed.SetMany(lids)
+		}
+	}
+	comm.PutBuf(payload)
+	if tr {
+		rec.Emit(trace.Event{Phase: hf.applied, Start: t0, Dur: rec.Now() - t0,
+			Peer: int32(h), Field: hf.field})
+	}
+	return h, nil
+}
+
+// peersOf fills list i of the scratch with the peers whose order in set is
+// non-empty, ascending and skipping self; none when set is nil.
+func (ps *peerScratch) peersOf(i, hosts, me int, set *orderSet) []int {
+	peers := ps.lists[i][:0]
+	for h := 0; set != nil && h < hosts; h++ {
+		if h != me && len(set.lists[h]) > 0 {
+			peers = append(peers, h)
+		}
+	}
+	ps.lists[i] = peers
+	return peers
+}
+
+// removePeer deletes h from peers in place, keeping the rest in order.
 func removePeer(peers []int, h int) []int {
 	for i, p := range peers {
 		if p == h {

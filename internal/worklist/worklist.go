@@ -58,7 +58,6 @@ type Executor struct {
 
 	bag     Bag
 	pending atomic.Int64
-	applied atomic.Uint64
 	op      func(item uint32, push func(uint32))
 	workers []*worker
 
@@ -77,16 +76,14 @@ type worker struct {
 // Run processes every item in initial, plus every item pushed during
 // processing, using op. op receives the item and a push function that
 // schedules more work in the same invocation (push is only safe to call
-// from inside op, on the worker that received it). Run returns the number
-// of operator applications performed and blocks until the worklist is
-// fully drained (local quiescence).
+// from inside op, on the worker that received it). Run blocks until the
+// worklist is fully drained (local quiescence).
 //
 // Termination is tracked by a precise pending-item counter: an item counts
 // as pending from the moment it is pushed until its operator application
 // finishes, so pending==0 means no work exists anywhere.
-func (x *Executor) Run(initial []uint32, op func(item uint32, push func(uint32))) uint64 {
+func (x *Executor) Run(initial []uint32, op func(item uint32, push func(uint32))) {
 	x.op = op
-	x.applied.Store(0)
 	x.pending.Store(int64(len(initial)))
 	for lo := 0; lo < len(initial); lo += ChunkSize {
 		x.bag.PushChunk(append(x.chunk(), initial[lo:min(lo+ChunkSize, len(initial))]...))
@@ -114,7 +111,6 @@ func (x *Executor) Run(initial []uint32, op func(item uint32, push func(uint32))
 		wg.Wait()
 	}
 	x.op = nil
-	return x.applied.Load()
 }
 
 // chunk returns an empty chunk of capacity ChunkSize.
@@ -160,7 +156,6 @@ func (w *worker) run() {
 		}
 		for _, item := range chunk {
 			x.op(item, w.push)
-			x.applied.Add(1)
 			x.pending.Add(-1)
 		}
 		x.recycle(chunk)
