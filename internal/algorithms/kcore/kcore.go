@@ -73,13 +73,12 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, k uint64) *common {
 		Read:      gluon.AtSource,
 		Broadcast: fields.Set[uint32](c.dead),
 	}
+	// Only masters read deg (decide), so the degree sync is reduce-only.
 	c.degField = gluon.Field[uint64]{
-		ID:        FieldIDTrims + 100,
-		Name:      "kcore-deg",
-		Write:     gluon.AtSource,
-		Read:      gluon.AtDestination,
-		Reduce:    fields.Sum[uint64](c.deg),
-		Broadcast: fields.Set[uint64](c.deg),
+		ID:     FieldIDTrims + 100,
+		Name:   "kcore-deg",
+		Write:  gluon.AtSource,
+		Reduce: fields.Sum[uint64](c.deg),
 	}
 	return c
 }
@@ -87,9 +86,9 @@ func newCommon(p *partition.Partition, g *gluon.Gluon, k uint64) *common {
 // Name implements dsys.Program.
 func (c *common) Name() string { return "kcore" }
 
-// Init computes global degrees (one-time sync of local out-degrees, which
-// on a symmetrized graph equal undirected degrees) and peels round zero:
-// every master with degree < k dies immediately.
+// Init computes masters' global degrees (one-time reduce of local
+// out-degrees, which on a symmetrized graph equal undirected degrees) and
+// peels round zero: every master with degree < k dies immediately.
 func (c *common) Init() (*bitset.Bitset, error) {
 	for lid := uint32(0); lid < c.p.NumProxies(); lid++ {
 		c.deg[lid] = uint64(c.p.Graph.OutDegree(lid))

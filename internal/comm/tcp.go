@@ -92,16 +92,11 @@ type DialConfig struct {
 	Timeout time.Duration
 }
 
-// DialTCP creates host id's endpoint of an n-host TCP communicator with the
-// default mesh-establishment timeout. addrs[i] is the listen address of
-// host i; addrs[id] is where this endpoint listens. DialTCP blocks until
-// the full connection mesh is established: each endpoint accepts
-// connections from lower-ranked hosts and dials higher-ranked hosts.
-func DialTCP(id int, addrs []string) (*TCPEndpoint, error) {
-	return DialTCPConfig(id, addrs, DialConfig{})
-}
-
-// DialTCPConfig is DialTCP with explicit establishment parameters.
+// DialTCPConfig creates host id's endpoint of an n-host TCP communicator.
+// addrs[i] is the listen address of host i; addrs[id] is where this
+// endpoint listens. It blocks until the full connection mesh is
+// established, or cfg.Timeout passes: each endpoint accepts connections
+// from lower-ranked hosts and dials higher-ranked hosts.
 func DialTCPConfig(id int, addrs []string, cfg DialConfig) (*TCPEndpoint, error) {
 	n := len(addrs)
 	if id < 0 || id >= n {

@@ -135,7 +135,7 @@ func TestTCPCloseUnblocks(t *testing.T) {
 }
 
 func TestTCPBadRank(t *testing.T) {
-	if _, err := DialTCP(5, []string{"127.0.0.1:41260"}); err == nil {
+	if _, err := DialTCPConfig(5, []string{"127.0.0.1:41260"}, DialConfig{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
 }

@@ -92,15 +92,6 @@ func Edges(c Config) ([]graph.Edge, error) {
 	return edges, nil
 }
 
-// CSR generates the configured graph and assembles it into CSR form.
-func CSR(c Config) (*graph.CSR, error) {
-	edges, err := Edges(c)
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromEdges(c.NumNodes(), edges, c.Weighted)
-}
-
 // rmat generates 2^scale nodes with edgeFactor*2^scale edges using the
 // recursive matrix method of Chakrabarti et al. When noise is true a small
 // deterministic perturbation is applied to the quadrant probabilities at

@@ -159,20 +159,16 @@ func ReadBinary(r io.Reader) (*graph.CSR, error) {
 	if numNodes > 1<<32-1 {
 		return nil, fmt.Errorf("gio: %d nodes exceeds local ID space", numNodes)
 	}
-	g := &graph.CSR{
-		Offsets:    make([]uint64, numNodes+1),
-		Dst:        make([]uint32, numEdges),
-		HasWeights: flags&flagWeighted != 0,
-	}
-	if err := readUint64s(br, g.Offsets); err != nil {
+	g := &graph.CSR{HasWeights: flags&flagWeighted != 0}
+	var err error
+	if g.Offsets, err = readInts[uint64](br, numNodes+1); err != nil {
 		return nil, err
 	}
-	if err := readUint32s(br, g.Dst); err != nil {
+	if g.Dst, err = readInts[uint32](br, numEdges); err != nil {
 		return nil, err
 	}
 	if g.HasWeights {
-		g.Weights = make([]uint32, numEdges)
-		if err := readUint32s(br, g.Weights); err != nil {
+		if g.Weights, err = readInts[uint32](br, numEdges); err != nil {
 			return nil, err
 		}
 	}
@@ -218,38 +214,18 @@ func writeUint32s(w io.Writer, vals []uint32) error {
 	return nil
 }
 
-func readUint64s(r io.Reader, dst []uint64) error {
-	buf := make([]byte, 8*4096)
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > 4096 {
-			n = 4096
+// readInts reads n little-endian values. The slice grows as the bytes
+// arrive, so a count from a corrupt header ends in an error where the input
+// ends, not in an allocation of the size it claims.
+func readInts[T uint32 | uint64](r io.Reader, n uint64) ([]T, error) {
+	const chunk = 4096
+	out := make([]T, 0, min(n, chunk))
+	for uint64(len(out)) < n {
+		k := int(min(n-uint64(len(out)), chunk))
+		out = append(out, make([]T, k)...)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
 		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-		dst = dst[n:]
 	}
-	return nil
-}
-
-func readUint32s(r io.Reader, dst []uint32) error {
-	buf := make([]byte, 4*8192)
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > 8192 {
-			n = 8192
-		}
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-		dst = dst[n:]
-	}
-	return nil
+	return out, nil
 }

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,20 @@ func TestBinaryTruncated(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestBinaryHugeCountRefused: a header may claim any edge count; the reader
+// fails where the bytes run out instead of allocating what it claims.
+func TestBinaryHugeCountRefused(t *testing.T) {
+	data := binary.LittleEndian.AppendUint32(nil, Magic)
+	data = binary.LittleEndian.AppendUint32(data, Version)
+	data = binary.LittleEndian.AppendUint32(data, flagWeighted)
+	data = binary.LittleEndian.AppendUint64(data, 2)     // nodes
+	data = binary.LittleEndian.AppendUint64(data, 1<<62) // edges
+	data = append(data, make([]byte, 3*8+16)...)         // offsets, then four edges
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		t.Fatal("a graph claiming 1<<62 edges in a few bytes was accepted")
 	}
 }
 

@@ -96,11 +96,11 @@ func ReadPartition(r io.Reader) (*partition.Partition, error) {
 	if err := binary.Read(br, binary.LittleEndian, &boundsLen); err != nil {
 		return nil, err
 	}
-	if boundsLen != numHosts+1 {
+	if uint64(boundsLen) != uint64(numHosts)+1 {
 		return nil, fmt.Errorf("gio: %d bounds for %d hosts", boundsLen, numHosts)
 	}
-	bounds := make([]uint64, boundsLen)
-	if err := readUint64s(br, bounds); err != nil {
+	bounds, err := readInts[uint64](br, uint64(boundsLen))
+	if err != nil {
 		return nil, err
 	}
 	pol, err := partition.Frozen(string(nameBuf), bounds)
@@ -112,8 +112,8 @@ func ReadPartition(r io.Reader) (*partition.Partition, error) {
 	if err := binary.Read(br, binary.LittleEndian, &gidCount); err != nil {
 		return nil, err
 	}
-	gids := make([]uint64, gidCount)
-	if err := readUint64s(br, gids); err != nil {
+	gids, err := readInts[uint64](br, uint64(gidCount))
+	if err != nil {
 		return nil, err
 	}
 	g, err := ReadBinary(br)

@@ -127,3 +127,47 @@ func TestReadPartitionRejectsGarbage(t *testing.T) {
 		t.Fatal("truncated partition accepted")
 	}
 }
+
+// FuzzReadPartition: a partition file decodes to a partition or an error,
+// whatever its header claims — through ReadBinary for the local graph and
+// partition.Reassemble for the layout checks — and a partition it accepts
+// writes back to bytes that read again to the same bytes.
+func FuzzReadPartition(f *testing.F) {
+	pol, err := partition.NewPolicy(partition.OEC, 8, 2, partition.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	parts, err := partition.PartitionAll(8, []graph.Edge{{Src: 0, Dst: 5, Weight: 3}, {Src: 6, Dst: 1}, {Src: 2, Dst: 7}}, pol)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range parts {
+		var buf bytes.Buffer
+		if err := gio.WritePartition(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-3])
+	}
+	f.Add([]byte("GLPT"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := gio.ReadPartition(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := gio.WritePartition(&once, p); err != nil {
+			t.Fatal(err)
+		}
+		q, err := gio.ReadPartition(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted partition does not read back: %v", err)
+		}
+		if err := gio.WritePartition(&twice, q); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("write → read → write changed the bytes")
+		}
+	})
+}

@@ -540,15 +540,6 @@ func (g *Gluon) Stats() Stats {
 	return g.stats
 }
 
-// ResetStats zeroes the communication counters (partition-time counters
-// like MemoProxies are preserved).
-func (g *Gluon) ResetStats() {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	memo := g.stats.MemoProxies
-	g.stats = Stats{MemoProxies: memo}
-}
-
 // peersForReduce returns, for the given write location, the per-peer mirror
 // orders this host must send during a reduce and the per-peer master orders
 // it receives into, honoring or ignoring structural invariants per the
@@ -583,42 +574,6 @@ func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, 
 	default:
 		return &g.masters, &g.mirrors
 	}
-}
-
-// BroadcastNeeded reports whether, under the current options and the
-// field's read location, any broadcast communication exists for this host
-// pair set. The distributed runners use it to skip no-op phases.
-func (g *Gluon) BroadcastNeeded(read Location) bool {
-	send, recv := g.peersForBroadcast(read, g.Opt.StructuralInvariants)
-	return countAll(send.lists)+countAll(recv.lists) > 0
-}
-
-// ReduceNeeded is the reduce-side analogue of BroadcastNeeded.
-func (g *Gluon) ReduceNeeded(write Location) bool {
-	send, recv := g.peersForReduce(write, g.Opt.StructuralInvariants)
-	return countAll(send.lists)+countAll(recv.lists) > 0
-}
-
-// Partners reports how many peers this host exchanges field values with
-// for a (write, read) location pair under the current options — the §5.6
-// metric ("UNOPT results in broadcasting updated values to at most 22
-// hosts while OPT broadcasts to at most 7"): structural invariants shrink
-// the partner sets, CVC bounds them to a grid row/column.
-func (g *Gluon) Partners(write, read Location) (reducePeers, broadcastPeers int) {
-	sendMirrors, recvMasters := g.peersForReduce(write, g.Opt.StructuralInvariants)
-	sendMasters, recvMirrors := g.peersForBroadcast(read, g.Opt.StructuralInvariants)
-	for h := 0; h < g.NumHosts(); h++ {
-		if h == g.HostID() {
-			continue
-		}
-		if len(sendMirrors.lists[h]) > 0 || len(recvMasters.lists[h]) > 0 {
-			reducePeers++
-		}
-		if len(sendMasters.lists[h]) > 0 || len(recvMirrors.lists[h]) > 0 {
-			broadcastPeers++
-		}
-	}
-	return reducePeers, broadcastPeers
 }
 
 // VerifyMemoization cross-checks the memoized orders between all hosts by

@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Edge is a single directed edge in global-ID space, the unit the
@@ -61,14 +60,6 @@ func (g *CSR) EdgeWeights(u uint32) []uint32 {
 		return nil
 	}
 	return g.Weights[g.Offsets[u]:g.Offsets[u+1]]
-}
-
-// Weight returns the weight of the i'th edge of node u (1 if unweighted).
-func (g *CSR) Weight(u uint32, i int) uint32 {
-	if !g.HasWeights {
-		return 1
-	}
-	return g.Weights[g.Offsets[u]+uint64(i)]
 }
 
 // LocalEdge is an edge in local-ID space, used when constructing partitions.
@@ -182,31 +173,6 @@ func (g *CSR) Validate() error {
 		return fmt.Errorf("graph: %d weights for %d edges", len(g.Weights), len(g.Dst))
 	}
 	return nil
-}
-
-// SortNeighbors sorts each node's adjacency list by destination (weights
-// follow). Useful for canonical comparisons in tests.
-func (g *CSR) SortNeighbors() {
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		if g.HasWeights {
-			idx := make([]int, hi-lo)
-			for i := range idx {
-				idx[i] = int(lo) + i
-			}
-			sort.Slice(idx, func(a, b int) bool { return g.Dst[idx[a]] < g.Dst[idx[b]] })
-			ds := make([]uint32, hi-lo)
-			ws := make([]uint32, hi-lo)
-			for i, j := range idx {
-				ds[i], ws[i] = g.Dst[j], g.Weights[j]
-			}
-			copy(g.Dst[lo:hi], ds)
-			copy(g.Weights[lo:hi], ws)
-		} else {
-			s := g.Dst[lo:hi]
-			sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		}
-	}
 }
 
 // Properties summarizes a graph the way the paper's Table 1 does.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -35,18 +36,17 @@ func TestBuildBasics(t *testing.T) {
 	if !reflect.DeepEqual(g.EdgeWeights(0), []uint32{10, 20}) {
 		t.Fatalf("weights(0) = %v", g.EdgeWeights(0))
 	}
-	if g.Weight(1, 0) != 30 {
-		t.Fatalf("Weight(1,0) = %d", g.Weight(1, 0))
+	if !reflect.DeepEqual(g.EdgeWeights(1), []uint32{30}) {
+		t.Fatalf("weights(1) = %v", g.EdgeWeights(1))
 	}
 }
 
+// TestUnweightedWeightIsOne: an unweighted graph stores no weights, and its
+// readers (ref, validate) take a nil EdgeWeights as weight 1 on every edge.
 func TestUnweightedWeightIsOne(t *testing.T) {
-	g := Build(2, []LocalEdge{{Src: 0, Dst: 1}}, false)
-	if g.EdgeWeights(0) != nil {
+	g := Build(2, []LocalEdge{{Src: 0, Dst: 1, Weight: 7}}, false)
+	if g.EdgeWeights(0) != nil || g.Weights != nil {
 		t.Fatal("unweighted graph has weights")
-	}
-	if g.Weight(0, 0) != 1 {
-		t.Fatalf("Weight = %d, want 1", g.Weight(0, 0))
 	}
 }
 
@@ -60,7 +60,7 @@ func TestTranspose(t *testing.T) {
 		t.Fatalf("transpose edge count %d", tr.NumEdges())
 	}
 	// In-edges of 2 are from 0 (w 20) and 1 (w 30).
-	tr.SortNeighbors()
+	sortNeighbors(tr)
 	if !reflect.DeepEqual(tr.Neighbors(2), []uint32{0, 1}) {
 		t.Fatalf("transpose neighbors(2) = %v", tr.Neighbors(2))
 	}
@@ -146,8 +146,8 @@ func TestQuickTransposeInvolution(t *testing.T) {
 		}
 		g := Build(n, edges, true)
 		tt := g.Transpose().Transpose()
-		g.SortNeighbors()
-		tt.SortNeighbors()
+		sortNeighbors(g)
+		sortNeighbors(tt)
 		if !reflect.DeepEqual(g.Offsets, tt.Offsets) || !reflect.DeepEqual(g.Dst, tt.Dst) {
 			return false
 		}
@@ -163,6 +163,24 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sortNeighbors sorts each node's adjacency list of a weighted graph by
+// destination, weights following, for canonical comparisons.
+func sortNeighbors(g *CSR) {
+	for u := uint32(0); u < g.NumNodes(); u++ {
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		sort.Sort(adjacency{g.Dst[lo:hi], g.Weights[lo:hi]})
+	}
+}
+
+type adjacency struct{ dst, w []uint32 }
+
+func (a adjacency) Len() int           { return len(a.dst) }
+func (a adjacency) Less(i, j int) bool { return a.dst[i] < a.dst[j] }
+func (a adjacency) Swap(i, j int) {
+	a.dst[i], a.dst[j] = a.dst[j], a.dst[i]
+	a.w[i], a.w[j] = a.w[j], a.w[i]
 }
 
 func weightSum(g *CSR, u uint32) uint64 {

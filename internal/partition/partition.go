@@ -84,19 +84,6 @@ func (p *Partition) MirrorRange(owner int) (lo, hi uint32) {
 	return lo, lo + uint32(n)
 }
 
-// MirrorGIDsByOwner groups this host's mirror global IDs by their master's
-// host, each group sorted ascending. This is the "mirrors" array each host
-// sends during Gluon's memoization exchange (§4.1). The groups alias GIDs;
-// callers must not modify them.
-func (p *Partition) MirrorGIDsByOwner() [][]uint64 {
-	out := make([][]uint64, p.NumHosts)
-	for h := range out {
-		lo, hi := p.MirrorRange(h)
-		out[h] = p.GIDs[lo:hi:hi]
-	}
-	return out
-}
-
 // Stats summarizes a set of partitions.
 type Stats struct {
 	Policy            string
@@ -144,8 +131,7 @@ func ComputeStats(parts []*Partition) Stats {
 }
 
 // EdgeRangeError reports an edge with an endpoint outside [0, NumNodes).
-// Index is the edge's position in the list handed to PartitionAll (or in
-// the shard handed to Distribute).
+// Index is the edge's position in the list handed to PartitionAll.
 type EdgeRangeError struct {
 	Index    int
 	Src, Dst uint64
@@ -164,29 +150,11 @@ func (e *EdgeRangeError) Error() string {
 // there mentions it, so isolated nodes and remote-only nodes still have a
 // canonical location.
 func PartitionAll(numNodes uint64, edges []graph.Edge, pol Policy) ([]*Partition, error) {
-	hosts := make([]int, pol.NumHosts())
-	for h := range hosts {
-		hosts[h] = h
-	}
-	r, err := routeEdges(numNodes, edges, pol, hosts, pol.EdgeHost)
+	r, err := routeEdges(numNodes, edges, pol)
 	if err != nil {
 		return nil, err
 	}
-	// Weightedness is decided globally so every host builds the same schema.
-	return r.build(edges, r.anyWeight)
-}
-
-// buildLocal constructs host h's Partition from the edges assigned to it.
-func buildLocal(h int, numNodes uint64, edges []graph.Edge, pol Policy, weighted bool) (*Partition, error) {
-	r, err := routeEdges(numNodes, edges, pol, []int{h}, func(_, _ uint64) int { return h })
-	if err != nil {
-		return nil, err
-	}
-	parts, err := r.build(edges, weighted)
-	if err != nil {
-		return nil, err
-	}
-	return parts[h], nil
+	return r.build(edges)
 }
 
 // routing is the state between the two passes of partition construction:
@@ -195,8 +163,7 @@ func buildLocal(h int, numNodes uint64, edges []graph.Edge, pol Policy, weighted
 type routing struct {
 	numNodes uint64
 	pol      Policy
-	hosts    []int        // the partitions being built
-	tables   []proxyTable // by host; only the entries named in hosts are live
+	tables   []proxyTable // by host
 	hostOf   []uint16     // hostOf[i] is edge i's host, computed once in pass 1
 	workers  int
 	// cursor[w*NumHosts+h] is where worker w's first edge for host h lands
@@ -205,20 +172,19 @@ type routing struct {
 	// host's edges keep the order of the global edge list.
 	cursor    []int
 	start     []int
-	anyWeight bool // some edge carries a non-zero weight
+	anyWeight bool // some edge carries a non-zero weight, so every host's CSR has weights
 }
 
 // routeEdges is pass 1, parallel over chunks of the edge list: validate the
-// endpoints, ask assign for the edge's host once, count edges per (worker,
-// host), mark non-owned endpoints as mirrors of that host, and note whether
-// any edge carries a weight. The closing prefix scan fixes every worker's
-// write cursor for pass 2.
-func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy, hosts []int, assign func(src, dst uint64) int) (*routing, error) {
+// endpoints, ask the policy for the edge's host once, count edges per
+// (worker, host), mark non-owned endpoints as mirrors of that host, and note
+// whether any edge carries a weight. The closing prefix scan fixes every
+// worker's write cursor for pass 2.
+func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy) (*routing, error) {
 	nh := pol.NumHosts()
 	r := &routing{
 		numNodes: numNodes,
 		pol:      pol,
-		hosts:    hosts,
 		tables:   make([]proxyTable, nh),
 		hostOf:   make([]uint16, len(edges)),
 		workers:  min(par.DefaultWorkers(), len(edges)/1024+1),
@@ -227,9 +193,9 @@ func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy, hosts []int, as
 	r.cursor = make([]int, r.workers*nh) // per-(worker, host) counts until the scan
 	bounds := pol.Bounds()
 	words := int((numNodes + 63) / 64)
-	slab := make([]uint64, len(hosts)*words)
-	for i, h := range hosts {
-		r.tables[h] = proxyTable{lo: bounds[h], masters: bounds[h+1] - bounds[h], mirror: slab[i*words : (i+1)*words]}
+	slab := make([]uint64, nh*words)
+	for h := range r.tables {
+		r.tables[h] = proxyTable{lo: bounds[h], masters: bounds[h+1] - bounds[h], mirror: slab[h*words : (h+1)*words]}
 	}
 	weights := make([]bool, r.workers)
 	hostOf, tables := r.hostOf, r.tables
@@ -241,7 +207,7 @@ func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy, hosts []int, as
 			if e.Src >= numNodes || e.Dst >= numNodes {
 				return &EdgeRangeError{Index: i, Src: e.Src, Dst: e.Dst, NumNodes: numNodes}
 			}
-			h := assign(e.Src, e.Dst)
+			h := pol.EdgeHost(e.Src, e.Dst)
 			hostOf[i] = uint16(h)
 			mine[h]++
 			t := &tables[h]
@@ -274,16 +240,15 @@ func routeEdges(numNodes uint64, edges []graph.Edge, pol Policy, hosts []int, as
 // scatter the edges — already translated to local IDs — to their host's
 // region of one exactly-sized array, then assemble each host's CSR and
 // structural flags. All scratch (host array, proxy tables, local edges) is
-// garbage on return. The result is indexed by host; hosts not being built
-// stay nil.
-func (r *routing) build(edges []graph.Edge, weighted bool) ([]*Partition, error) {
+// garbage on return. The result is indexed by host.
+func (r *routing) build(edges []graph.Edge) ([]*Partition, error) {
 	nh := r.pol.NumHosts()
 	parts := make([]*Partition, nh)
-	for _, h := range r.hosts {
+	for h := range parts {
 		parts[h] = &Partition{HostID: h, NumHosts: nh, Policy: r.pol, GlobalNodes: r.numNodes}
 	}
-	err := par.RangeWorkers(len(r.hosts), 0, func(_, lo, hi int) error {
-		for _, h := range r.hosts[lo:hi] {
+	err := par.RangeWorkers(nh, 0, func(_, lo, hi int) error {
+		for h := lo; h < hi; h++ {
 			gids, err := r.tables[h].seal()
 			if err != nil {
 				return fmt.Errorf("partition: host %d: %w", h, err)
@@ -312,9 +277,9 @@ func (r *routing) build(edges []graph.Edge, weighted bool) ([]*Partition, error)
 		return nil
 	})
 
-	par.For(len(r.hosts), 0, func(i int) {
-		p := parts[r.hosts[i]]
-		p.Graph = graph.Build(p.NumProxies(), local[r.start[p.HostID]:r.start[p.HostID+1]], weighted)
+	par.For(nh, 0, func(h int) {
+		p := parts[h]
+		p.Graph = graph.Build(p.NumProxies(), local[r.start[h]:r.start[h+1]], r.anyWeight)
 		p.HasOut, p.HasIn = structuralFlags(p.Graph)
 	})
 	return parts, nil
@@ -323,9 +288,9 @@ func (r *routing) build(edges []graph.Edge, weighted bool) ([]*Partition, error)
 // proxyTable discovers one host's proxies while its edges are routed and
 // then translates their endpoints. Masters are the owned range
 // [lo, lo+masters), so lid = gid − lo; mirrors are marked in a bitset over
-// global IDs (GlobalNodes/8 bytes per host being built, freed with the
-// table) and numbered by ascending GID after the masters, so a mirror's lid
-// is masters plus its rank in the bitset.
+// global IDs (GlobalNodes/8 bytes per host, freed with the table) and
+// numbered by ascending GID after the masters, so a mirror's lid is masters
+// plus its rank in the bitset.
 type proxyTable struct {
 	lo, masters uint64
 	mirror      []uint64 // bit g set ⇔ g is a mirror here

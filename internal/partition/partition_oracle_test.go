@@ -211,28 +211,3 @@ func TestBuilderMatchesOracle(t *testing.T) {
 		t.Fatalf("matrix missed a corner: empty owned range seen=%v, edgeless host seen=%v", sawEmptyRange, sawNoEdges)
 	}
 }
-
-// TestBuildLocalMatchesOracle: the single-host entry point Distribute uses
-// agrees with the oracle on the same bucket, whatever order it arrives in.
-func TestBuildLocalMatchesOracle(t *testing.T) {
-	numNodes, edges, g := genEdges(t, 9)
-	for _, kind := range AllKinds() {
-		pol, err := NewPolicy(kind, numNodes, 3, options(g, numNodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for h := 0; h < 3; h++ {
-			var mine []graph.Edge
-			for i := len(edges) - 1; i >= 0; i-- { // reversed: not PartitionAll's order
-				if e := edges[i]; pol.EdgeHost(e.Src, e.Dst) == h {
-					mine = append(mine, e)
-				}
-			}
-			got, err := buildLocal(h, numNodes, mine, pol, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSamePartition(t, got, oracleBuildLocal(h, numNodes, mine, pol, false))
-		}
-	}
-}

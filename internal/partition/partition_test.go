@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gluon/internal/comm"
 	"gluon/internal/generate"
 	"gluon/internal/graph"
 )
@@ -267,8 +266,8 @@ func FuzzLID(f *testing.F) {
 }
 
 // TestEdgeRangeError: an endpoint outside [0, numNodes) is a typed error
-// from PartitionAll and from Distribute — not a panic in a worker goroutine
-// (source) or a mirror owned by a host that does not exist (destination).
+// from PartitionAll — not a panic in a worker goroutine (source) or a
+// mirror owned by a host that does not exist (destination).
 func TestEdgeRangeError(t *testing.T) {
 	pol, err := NewPolicy(OEC, 8, 2, Options{})
 	if err != nil {
@@ -283,22 +282,12 @@ func TestEdgeRangeError(t *testing.T) {
 		if !errors.As(err, &rangeErr) || *rangeErr != want {
 			t.Fatalf("PartitionAll(%v): error %v, want %v", bad, err, &want)
 		}
-
-		// DistributeAll shards contiguously: the bad edge is host 1's
-		// first. Host 0 must fail too (abort marker), not hang.
-		hub := comm.NewHub(2)
-		_, err = DistributeAll(8, edges, pol, hub, false)
-		hub.Close()
-		want.Index = 0
-		if !errors.As(err, &rangeErr) || *rangeErr != want {
-			t.Fatalf("DistributeAll(%v): error %v, want %v", bad, err, &want)
-		}
 	}
 }
 
-// TestMirrorGIDsByOwnerSorted: memoization order is ascending GIDs per
-// owner, and all mirrors are covered.
-func TestMirrorGIDsByOwnerSorted(t *testing.T) {
+// TestMirrorRangeSorted: each owner's mirror range holds ascending GIDs of
+// that owner — the memoization order — and the ranges cover all mirrors.
+func TestMirrorRangeSorted(t *testing.T) {
 	numNodes, edges, g := genEdges(t, 8)
 	opt := options(g, numNodes)
 	pol, err := NewPolicy(HVC, numNodes, 4, opt)
@@ -310,9 +299,10 @@ func TestMirrorGIDsByOwnerSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		byOwner := p.MirrorGIDsByOwner()
 		total := 0
-		for h, gids := range byOwner {
+		for h := 0; h < p.NumHosts; h++ {
+			lo, hi := p.MirrorRange(h)
+			gids := p.GIDs[lo:hi]
 			for i, gid := range gids {
 				if pol.Owner(gid) != h {
 					t.Fatalf("mirror %d listed under host %d, owner %d", gid, h, pol.Owner(gid))

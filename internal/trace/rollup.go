@@ -420,9 +420,6 @@ func (r *Rollup) attribute(round int32, hosts map[int32]*HostRound) RoundPath {
 	return rp
 }
 
-// Totals returns the fixed-size tier of the fold.
-func (r *Rollup) Totals() Totals { return r.totals }
-
 // Summary renders the analyzer tables, carrying the export metadata (label,
 // dropped count, clock table, sessions) through for display.
 func (r *Rollup) Summary(meta Meta) *Summary {

@@ -672,11 +672,6 @@ func (c *Collector) sessionInfosLocked() []SessionInfo {
 	return out
 }
 
-// Health returns the cluster heartbeat table fed by shipped stats frames
-// (remote hosts only; register local hosts' heartbeats separately if the
-// collector process also runs hosts).
-func (c *Collector) Health() *Health { return c.health }
-
 // Close stops accepting, closes every viewer connection, and waits for
 // in-flight sessions to finish. Call after the shippers have Closed (each
 // Close drains and says bye).
@@ -729,10 +724,4 @@ func (c *Collector) Merged() ([]Event, Meta) {
 	}
 	sort.Slice(clocks, func(i, j int) bool { return clocks[i].Host < clocks[j].Host })
 	return mergeAligned(srcs), Meta{Label: c.label, Dropped: dropped + c.missed, Clocks: clocks, Sessions: c.sessionInfosLocked()}
-}
-
-// WriteFile exports the merged cluster timeline as a Chrome trace.
-func (c *Collector) WriteFile(path string) error {
-	events, meta := c.Merged()
-	return WriteFileMeta(path, meta, events)
 }

@@ -102,7 +102,7 @@ func TestSidebandRoundTrip(t *testing.T) {
 		}
 	}
 	// Heartbeats made it into the collector's health table.
-	hbs := col.Health().Snapshot()
+	hbs := col.buildUpdate(true).Hearts
 	if len(hbs) != 2 {
 		t.Fatalf("health table has %d hosts, want 2", len(hbs))
 	}

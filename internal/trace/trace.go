@@ -204,9 +204,6 @@ func (t *Trace) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether the session is recording.
-func (t *Trace) Enabled() bool { return t != nil && t.enabled.Load() }
-
 // Recorder returns host's recorder, creating it on first use. It is safe to
 // call concurrently from every host's driver. On a nil Trace it returns
 // nil — a valid, permanently disabled recorder.
@@ -524,9 +521,6 @@ type LiveStats struct {
 	Phases     map[string]PhaseLive `json:"phases"`
 	Modes      map[string]uint64    `json:"modes"`
 }
-
-// TotalBytes returns the live payload byte total.
-func (s *LiveStats) TotalBytes() uint64 { return s.ValueBytes + s.MetaBytes + s.GIDBytes }
 
 // Live merges every recorder's running Totals into one rollup.
 func (t *Trace) Live() LiveStats {

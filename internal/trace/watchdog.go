@@ -201,9 +201,6 @@ type Watchdog struct {
 
 	// suspended counts declared checkpoint/rejoin windows (see Suspend).
 	suspended atomic.Int32
-
-	mu      sync.Mutex
-	reports []*StallReport
 }
 
 // Suspend pauses stall detection for a declared checkpoint barrier or
@@ -239,13 +236,6 @@ func StartWatchdog(health *Health, cfg WatchdogConfig) *Watchdog {
 func (w *Watchdog) Stop() {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
-}
-
-// Reports returns every report raised so far, in order.
-func (w *Watchdog) Reports() []*StallReport {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]*StallReport(nil), w.reports...)
 }
 
 // run is the monitor loop: track the cluster round (minimum across hosts),
@@ -333,9 +323,6 @@ func (w *Watchdog) report(round int32, waited, threshold, median time.Duration, 
 		Escalated:  escalated,
 		Heartbeats: append([]Heartbeat(nil), hbs...),
 	}
-	w.mu.Lock()
-	w.reports = append(w.reports, r)
-	w.mu.Unlock()
 	if w.cfg.Log != nil {
 		fmt.Fprintln(w.cfg.Log, r)
 	}
