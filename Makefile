@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 3118
-ROOT_LOC_MAX = 14251
+TRACE_LOC_MAX = 2983
+ROOT_LOC_MAX = 14069
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -220,3 +220,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRollupAdd -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzReadPartition -fuzztime 10s -fuzzminimizetime 1s ./internal/gio/
+	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s -fuzzminimizetime 1s ./internal/perfdb/

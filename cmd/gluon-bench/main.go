@@ -166,10 +166,11 @@ func main() {
 		fatal(fmt.Errorf("no experiment matched -table %d -figure %q", *table, *figure))
 	}
 	if tr != nil {
-		if err := tr.WriteFile(*traceOut); err != nil {
+		events, err := tr.WriteFile(*traceOut)
+		if err != nil {
 			fatal(err)
 		}
-		logger.Info("wrote trace", "events", tr.Live().Events, "path", *traceOut, "analyze", "gluon-trace tables "+*traceOut)
+		logger.Info("wrote trace", "events", events, "path", *traceOut, "analyze", "gluon-trace tables "+*traceOut)
 		trace.LogDropped(logger, tr.Dropped())
 	}
 }

@@ -287,10 +287,10 @@ func writeTrace(tr *trace.Trace, path string) {
 	if tr == nil || path == "" {
 		return
 	}
-	if err := tr.WriteFile(path); err != nil {
+	events, err := tr.WriteFile(path)
+	if err != nil {
 		fatal(err)
 	}
-	events := tr.Live().Events
 	logger.Info("wrote trace", "events", events, "path", path, "analyze", "gluon-trace tables "+path)
 	trace.LogDropped(logger, tr.Dropped())
 }

@@ -83,7 +83,7 @@ func TestCommands(t *testing.T) {
 			if err := json.Unmarshal([]byte(out), &u); err != nil {
 				t.Fatalf("update is not one JSON line: %v\n%s", err, out)
 			}
-			if !u.Snapshot || u.Stats.Events == 0 || u.Stats.ValueBytes+u.Stats.MetaBytes+u.Stats.GIDBytes != 64 || len(u.Rounds) != 1 {
+			if !u.Snapshot || u.Events == 0 || u.ValueBytes+u.MetaBytes+u.GIDBytes != 64 || len(u.Rounds) != 1 {
 				t.Errorf("snapshot = %+v, want the local trace's one closed round and 64 bytes", u)
 			}
 		}},

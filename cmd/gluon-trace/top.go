@@ -91,7 +91,7 @@ type board struct {
 
 // observe folds an update into the rate history.
 func (b *board) observe(u *trace.ViewUpdate) {
-	total := u.Stats.ValueBytes + u.Stats.MetaBytes + u.Stats.GIDBytes
+	total := u.ValueBytes + u.MetaBytes + u.GIDBytes
 	if b.lastNs != 0 && u.NowNs > b.lastNs && total >= b.lastBytes {
 		dt := float64(u.NowNs-b.lastNs) / 1e9
 		b.rates = append(b.rates, float64(total-b.lastBytes)/dt)
@@ -115,7 +115,7 @@ func (b *board) draw(out io.Writer, u *trace.ViewUpdate) {
 		label = "gluon"
 	}
 	line("gluon-trace top — %s @ %s    round %d    seq %d    %s",
-		label, b.addr, u.Stats.MaxRound, u.Seq, time.Now().Format("15:04:05"))
+		label, b.addr, u.MaxRound, u.Seq, time.Now().Format("15:04:05"))
 	line("")
 
 	// Session states: a disconnected shipper is the load-bearing fact.

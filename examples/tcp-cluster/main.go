@@ -358,7 +358,7 @@ func writeTrace(tr *trace.Trace, path, prefix string) {
 	if tr == nil || path == "" {
 		return
 	}
-	if err := tr.WriteFile(path); err != nil {
+	if _, err := tr.WriteFile(path); err != nil {
 		log.Fatal(prefix, err)
 	}
 	log.Printf("%swrote trace to %s", prefix, path)

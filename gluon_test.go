@@ -62,8 +62,8 @@ func TestPublicAPISSSPAndCC(t *testing.T) {
 			t.Fatalf("sssp node %d = %v, want %d", i, res.Values[i], w)
 		}
 	}
-	if res.Rounds == 0 || len(res.RoundCompute) != res.Rounds {
-		t.Fatalf("round trace: %d entries for %d rounds", len(res.RoundCompute), res.Rounds)
+	if res.Rounds == 0 {
+		t.Fatal("sssp ran no rounds")
 	}
 
 	sym := gluon.Symmetrize(edges)

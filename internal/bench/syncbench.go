@@ -316,10 +316,10 @@ func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
 	if ledger.Rounds == 0 || ledger.ShippedBytes == 0 {
 		return nil, errors.New("bench: comm probe recorded no attributable rounds")
 	}
-	counters := ledger.Counters()
+	// Shipped bytes came through a channel, so Channels > 0 as well.
 	return &perfdb.Comm{
-		BytesPerRound:      counters.BytesPerRound,
-		InvariantSkipShare: counters.InvariantSkipShare,
+		BytesPerRound:      float64(ledger.ShippedBytes) / float64(ledger.Rounds),
+		InvariantSkipShare: float64(ledger.SilentChannelRounds) / float64(uint64(ledger.Channels)*uint64(ledger.Rounds)),
 	}, nil
 }
 

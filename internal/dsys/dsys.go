@@ -85,13 +85,7 @@ type Result struct {
 	// communication analogue of MaxCompute, so compute/comm skew is
 	// visible without tracing.
 	MaxComm time.Duration
-	// RoundCompute[r] is the max-across-hosts compute time of round r (the
-	// per-round series behind MaxCompute, for figure-style traces).
-	RoundCompute []time.Duration
-	// RoundComm[r] is the max-across-hosts sync time (HostResult.SyncTime)
-	// of round r, the series behind MaxComm.
-	RoundComm []time.Duration
-	Hosts     []HostResult
+	Hosts   []HostResult
 	// Values holds the converged labels indexed by global ID (collected
 	// from masters) when CollectValues was set.
 	Values []float64
@@ -744,8 +738,6 @@ func aggregate(parts []*partition.Partition, runs []*hostRun, cfg RunConfig) (*R
 	// Per-round max across hosts, summed: the paper's max-compute metric,
 	// and the same aggregation for sync time so the compute/comm skew per
 	// round is visible side by side.
-	res.RoundCompute = make([]time.Duration, maxRounds)
-	res.RoundComm = make([]time.Duration, maxRounds)
 	for round := 0; round < maxRounds; round++ {
 		var mc, ms time.Duration
 		for _, r := range runs {
@@ -756,9 +748,7 @@ func aggregate(parts []*partition.Partition, runs []*hostRun, cfg RunConfig) (*R
 				ms = r.perRoundSync[round]
 			}
 		}
-		res.RoundCompute[round] = mc
 		res.MaxCompute += mc
-		res.RoundComm[round] = ms
 		res.MaxComm += ms
 	}
 	if cfg.CollectValues {

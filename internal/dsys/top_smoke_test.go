@@ -73,10 +73,10 @@ func TestTopSmoke(t *testing.T) {
 	// shipper session.
 	deadline := time.Now().Add(30 * time.Second)
 	var u trace.ViewUpdate
-	for u.Stats.MaxRound < 1 || u.Verdict.Rounds < 1 || len(u.Hosts) == 0 || len(u.Sessions) == 0 {
+	for u.MaxRound < 1 || u.Verdict.Rounds < 1 || len(u.Hosts) == 0 || len(u.Sessions) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no converged live update: maxRound=%d verdictRounds=%d hosts=%d sessions=%d",
-				u.Stats.MaxRound, u.Verdict.Rounds, len(u.Hosts), len(u.Sessions))
+				u.MaxRound, u.Verdict.Rounds, len(u.Hosts), len(u.Sessions))
 		}
 		time.Sleep(5 * time.Millisecond)
 		if u, err = w.Poll(); err != nil {

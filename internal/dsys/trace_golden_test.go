@@ -196,18 +196,6 @@ func TestTraceSumsEqualStats(t *testing.T) {
 	if tot.modes != modes {
 		t.Errorf("trace mode histogram = %v, Stats.ModeCounts = %v", tot.modes, modes)
 	}
-
-	// RoundComm mirrors RoundCompute: one entry per round, summing to MaxComm.
-	if len(res.RoundComm) != res.Rounds {
-		t.Errorf("len(RoundComm) = %d, rounds = %d", len(res.RoundComm), res.Rounds)
-	}
-	var sum int64
-	for _, d := range res.RoundComm {
-		sum += int64(d)
-	}
-	if sum != int64(res.MaxComm) {
-		t.Errorf("sum(RoundComm) = %d, MaxComm = %d", sum, int64(res.MaxComm))
-	}
 }
 
 // TestSidebandMergedMatchesGoldenVolumes is the collection-plane golden

@@ -101,9 +101,10 @@ func ReadEdgeList(r io.Reader) ([]graph.Edge, uint64, error) {
 	return edges, n, nil
 }
 
-// WriteBinary writes g in the binary CSR format.
+// WriteBinary writes g in the binary CSR format. The arrays go out in
+// chunk-sized writes, which bypass the default-size buffer.
 func WriteBinary(w io.Writer, g *graph.CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriter(w)
 	flags := uint32(0)
 	if g.HasWeights {
 		flags |= flagWeighted
@@ -120,14 +121,15 @@ func WriteBinary(w io.Writer, g *graph.CSR) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.NumEdges()); err != nil {
 		return err
 	}
-	if err := writeUint64s(bw, g.Offsets); err != nil {
+	scratch := new(chunk)
+	if err := writeUint64s(bw, g.Offsets, scratch); err != nil {
 		return err
 	}
-	if err := writeUint32s(bw, g.Dst); err != nil {
+	if err := writeUint32s(bw, g.Dst, scratch); err != nil {
 		return err
 	}
 	if g.HasWeights {
-		if err := writeUint32s(bw, g.Weights); err != nil {
+		if err := writeUint32s(bw, g.Weights, scratch); err != nil {
 			return err
 		}
 	}
@@ -136,7 +138,7 @@ func WriteBinary(w io.Writer, g *graph.CSR) error {
 
 // ReadBinary reads a graph written by WriteBinary.
 func ReadBinary(r io.Reader) (*graph.CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r)
 	var magic, version, flags uint32
 	for _, p := range []*uint32{&magic, &version, &flags} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
@@ -178,15 +180,15 @@ func ReadBinary(r io.Reader) (*graph.CSR, error) {
 	return g, nil
 }
 
-func writeUint64s(w io.Writer, vals []uint64) error {
-	buf := make([]byte, 8*4096)
+// chunk is the scratch the array writers encode through; each exported
+// write call allocates one and hands it to every array it writes.
+type chunk [32 << 10]byte
+
+func writeUint64s(w io.Writer, vals []uint64, buf *chunk) error {
 	for len(vals) > 0 {
-		n := len(vals)
-		if n > 4096 {
-			n = 4096
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], vals[i])
+		n := min(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
 		}
 		if _, err := w.Write(buf[:n*8]); err != nil {
 			return err
@@ -196,15 +198,11 @@ func writeUint64s(w io.Writer, vals []uint64) error {
 	return nil
 }
 
-func writeUint32s(w io.Writer, vals []uint32) error {
-	buf := make([]byte, 4*8192)
+func writeUint32s(w io.Writer, vals []uint32, buf *chunk) error {
 	for len(vals) > 0 {
-		n := len(vals)
-		if n > 8192 {
-			n = 8192
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], vals[i])
+		n := min(len(vals), len(buf)/4)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[i*4:], v)
 		}
 		if _, err := w.Write(buf[:n*4]); err != nil {
 			return err

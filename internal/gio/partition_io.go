@@ -26,7 +26,7 @@ const PartitionMagic uint32 = 0x54504c47
 // WritePartition serializes one host's partition.
 func WritePartition(w io.Writer, p *partition.Partition) error {
 	bounds := p.Policy.Bounds()
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriter(w)
 	for _, v := range []uint32{PartitionMagic, Version, uint32(p.HostID), uint32(p.NumHosts), p.NumMasters} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
@@ -45,13 +45,14 @@ func WritePartition(w io.Writer, p *partition.Partition) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(bounds))); err != nil {
 		return err
 	}
-	if err := writeUint64s(bw, bounds); err != nil {
+	scratch := new(chunk)
+	if err := writeUint64s(bw, bounds, scratch); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.GIDs))); err != nil {
 		return err
 	}
-	if err := writeUint64s(bw, p.GIDs); err != nil {
+	if err := writeUint64s(bw, p.GIDs, scratch); err != nil {
 		return err
 	}
 	if err := WriteBinary(bw, p.Graph); err != nil {
@@ -64,7 +65,7 @@ func WritePartition(w io.Writer, p *partition.Partition) error {
 // partition carries a frozen policy: it can run programs but not assign
 // new edges.
 func ReadPartition(r io.Reader) (*partition.Partition, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r)
 	var magic, version, hostID, numHosts, numMasters uint32
 	for _, p := range []*uint32{&magic, &version, &hostID, &numHosts, &numMasters} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {

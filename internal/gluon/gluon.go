@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
@@ -172,11 +171,6 @@ type Gluon struct {
 	// concurrently with the senders.
 	statsMu sync.Mutex
 	stats   Stats
-	// syncDepth and syncEnter implement the TimeInSync contract: wall time
-	// accumulates once while at least one Sync* call is active, so nested
-	// or concurrent syncs on the same host never double-count.
-	syncDepth int
-	syncEnter time.Time
 
 	// sendWG tracks the pipelined sync send goroutines. A sync that fails
 	// mid-flight (peer death) returns before its sender finishes; the
@@ -213,28 +207,6 @@ func (g *Gluon) dumpInvariant(peer int, cause error) {
 		Phase:   g.rec.LivePhase(),
 		Cause:   cause,
 	})
-}
-
-// syncBegin opens one Sync* call for stats purposes. Paired with syncEnd.
-func (g *Gluon) syncBegin() {
-	g.statsMu.Lock()
-	if g.syncDepth == 0 {
-		g.syncEnter = time.Now()
-	}
-	g.syncDepth++
-	g.statsMu.Unlock()
-}
-
-// syncEnd closes one Sync* call: the outermost close banks the wall time
-// since the first concurrent open, so overlapping calls count once.
-func (g *Gluon) syncEnd() {
-	g.statsMu.Lock()
-	g.syncDepth--
-	if g.syncDepth == 0 {
-		g.stats.TimeInSync += time.Since(g.syncEnter)
-	}
-	g.stats.Syncs++
-	g.statsMu.Unlock()
 }
 
 // foldStats merges a worker's local counters into the shared stats.
@@ -360,7 +332,6 @@ func (g *Gluon) memoize() error {
 	g.masters = newOrderSet(masters)
 	g.mastersIn = newOrderSet(mastersIn)
 	g.mastersOut = newOrderSet(mastersOut)
-	g.stats.MemoProxies = countAll(mirrors) + countAll(masters)
 	return nil
 }
 
@@ -523,7 +494,6 @@ func NewRestored(p *partition.Partition, t comm.Transport, opt Options, memo []b
 	if err := g.importMemo(memo); err != nil {
 		return nil, err
 	}
-	g.stats.MemoProxies = countAll(mirrors) + countAll(g.masters.lists)
 	return g, nil
 }
 

@@ -1,13 +1,9 @@
 package gluon
 
-import "time"
-
 // Stats counts this host's substrate traffic, split the way the paper's
 // Figure 10 reports it: value payload versus metadata (bit-vectors, index
 // lists, global IDs), plus per-encoding-mode message counts.
 type Stats struct {
-	// Syncs is the number of Sync* calls completed.
-	Syncs uint64
 	// MessagesSent counts field-synchronization messages (not barriers or
 	// memoization).
 	MessagesSent uint64
@@ -21,18 +17,6 @@ type Stats struct {
 	GIDBytes uint64
 	// ModeCounts counts messages by encoding mode.
 	ModeCounts [5]uint64
-	// TimeInSync is wall time during which at least one Sync* call was
-	// active on this host (communication time in the paper's breakdown).
-	//
-	// Contract: this is a wall-clock measure, not a sum of per-call
-	// durations. Nested or concurrent Sync calls on the same instance
-	// accumulate their overlapped wall time exactly once (the two notions
-	// coincide in the common BSP case where syncs never overlap), so
-	// TimeInSync never exceeds the host's elapsed run time.
-	TimeInSync time.Duration
-	// MemoProxies is the total number of (mirror + master) entries in the
-	// memoized exchange orders — the one-time memory overhead of §4.1.
-	MemoProxies uint64
 }
 
 // msgStats is the accounting record of one encoded message: its mode and
@@ -58,7 +42,6 @@ func (s Stats) BytesSent() uint64 { return s.ValueBytes + s.MetadataBytes + s.GI
 
 // Add accumulates other into s and returns the sum, for cross-host rollups.
 func (s Stats) Add(other Stats) Stats {
-	s.Syncs += other.Syncs
 	s.MessagesSent += other.MessagesSent
 	s.ValueBytes += other.ValueBytes
 	s.MetadataBytes += other.MetadataBytes
@@ -66,7 +49,5 @@ func (s Stats) Add(other Stats) Stats {
 	for i := range s.ModeCounts {
 		s.ModeCounts[i] += other.ModeCounts[i]
 	}
-	s.TimeInSync += other.TimeInSync
-	s.MemoProxies += other.MemoProxies
 	return s
 }

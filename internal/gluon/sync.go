@@ -242,24 +242,17 @@ func (hf *half[V]) src() extractor[V] {
 // arrival order: a broadcast value has exactly one sender, the owner, so
 // arrival order cannot show.
 func runSync[R, B Value](g *Gluon, red half[R], apply func(lo, hi uint32), bc half[B], cut bool, updated *bitset.Bitset) error {
-	g.syncBegin()
-	rec := g.rec
-	tr := rec.Enabled()
-	var syncT0 int64
-	if tr {
-		syncT0 = rec.Now()
-	}
-	defer func() {
-		if tr {
+	if rec := g.rec; rec.Enabled() {
+		syncT0 := rec.Now()
+		defer func() {
 			field, name := red.field, red.name
 			if red.reduce == nil {
 				field, name = bc.field, bc.name
 			}
 			rec.Emit(trace.Event{Phase: trace.PhaseSync, Start: syncT0, Dur: rec.Now() - syncT0,
 				Field: field, Peer: -1, Detail: name})
-		}
-		g.syncEnd()
-	}()
+		}()
+	}
 
 	n, me, nm := g.NumHosts(), g.HostID(), g.Part.NumMasters
 	ps := getPeerScratch()

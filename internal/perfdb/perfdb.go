@@ -46,7 +46,7 @@ type BenchResult struct {
 
 // Comm carries the comm-volume trajectory alongside the time trajectory:
 // counters distilled from the trace ledger of an instrumented probe run
-// (trace.Ledger.Counters), so the history shows when a change moved bytes
+// (bench.CommProbe), so the history shows when a change moved bytes
 // as well as when it moved nanoseconds.
 type Comm struct {
 	// BytesPerRound is shipped wire bytes per attributed BSP round.

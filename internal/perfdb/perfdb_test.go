@@ -1,6 +1,8 @@
 package perfdb
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,4 +218,34 @@ func TestReadKeepsOlderLines(t *testing.T) {
 	if r.Comm == nil || r.Comm.BytesPerRound != 191.5 || r.Comm.InvariantSkipShare != 0.33 {
 		t.Errorf("comm = %+v, want bytes/round 191.5 and skip share 0.33", r.Comm)
 	}
+}
+
+// FuzzRead: a history file is whatever a crash or a stray edit left, so no
+// byte string may panic Read, and the records it accepts must go through
+// every reader of a history — the series, the regression check and the
+// trend report — without panicking either.
+func FuzzRead(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_history.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	line, _, _ := bytes.Cut(data, []byte("\n"))
+	f.Add(line)
+	f.Add(line[:len(line)/2]) // a torn append
+	f.Add([]byte{})
+	path := filepath.Join(f.TempDir(), "history.jsonl") // one worker runs one input at a time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SeriesOf(recs)
+		Check(recs, CheckOptions{})
+		if err := WriteTrends(io.Discard, recs, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -363,27 +363,3 @@ func (l *Ledger) WriteTable(w io.Writer) error {
 	fmt.Fprintln(w, "  (channels structurally elided never appear in a trace; the model undercounts those)")
 	return nil
 }
-
-// CommCounters is the compact comm-volume summary a perf-history record
-// carries alongside its timings: the ledger distilled to two trajectory
-// numbers, so `gluon-perf` can show whether a change moved bytes as well
-// as nanoseconds (DESIGN.md §4.9).
-type CommCounters struct {
-	// BytesPerRound is shipped wire bytes per attributed round.
-	BytesPerRound float64 `json:"bytes_per_round"`
-	// InvariantSkipShare is the fraction of channel-rounds that shipped
-	// nothing, in [0,1].
-	InvariantSkipShare float64 `json:"invariant_skip_share"`
-}
-
-// Counters distills the ledger into its perf-history record form.
-func (l *Ledger) Counters() CommCounters {
-	var c CommCounters
-	if l.Rounds > 0 {
-		c.BytesPerRound = float64(l.ShippedBytes) / float64(l.Rounds)
-	}
-	if cr := uint64(l.Channels) * uint64(l.Rounds); cr > 0 {
-		c.InvariantSkipShare = float64(l.SilentChannelRounds) / float64(cr)
-	}
-	return c
-}

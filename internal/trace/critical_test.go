@@ -325,8 +325,9 @@ func TestCriticalWriteTables(t *testing.T) {
 	}
 }
 
-// TestLedgerCounters: the perf-history distillation of the ledger —
-// bytes/round and the silent share over channel-rounds — matches the golden timeline's hand-computed model.
+// TestLedgerCounters: the ledger fields a perf-history record distills
+// (bench.CommProbe: bytes/round and the silent share over channel-rounds)
+// match the golden timeline's hand-computed model.
 func TestLedgerCounters(t *testing.T) {
 	ev := goldenTimeline()
 	// 4th channel h0 -> 2 (field 7) shipping only in round 0, as in the
@@ -334,18 +335,12 @@ func TestLedgerCounters(t *testing.T) {
 	ev = append(ev, Event{Start: 120, Dur: 5, Host: 0, Round: 0, Phase: PhaseEncode,
 		Peer: 2, Field: 7, Lane: 2, Value: 500, Mode: 1})
 	l := ComputeCriticalPath(Meta{}, ev).Ledger
-	c := l.Counters()
-	wantBPR := float64(l.ShippedBytes) / 2
-	if c.BytesPerRound != wantBPR {
-		t.Fatalf("bytes/round = %v, want %v", c.BytesPerRound, wantBPR)
+	if l.Rounds != 2 || l.ShippedBytes == 0 {
+		t.Fatalf("ledger over %d rounds shipped %d bytes, want 2 rounds and some bytes", l.Rounds, l.ShippedBytes)
 	}
 	// 4 channels × 2 rounds, 1 silent.
-	if want := 1.0 / 8.0; c.InvariantSkipShare != want {
-		t.Fatalf("invariant skip share = %v, want %v", c.InvariantSkipShare, want)
-	}
-	var empty Ledger
-	if z := empty.Counters(); z != (CommCounters{}) {
-		t.Fatalf("zero ledger counters = %+v, want zeros", z)
+	if l.Channels != 4 || l.SilentChannelRounds != 1 {
+		t.Fatalf("%d channels with %d silent channel-rounds, want 4 and 1", l.Channels, l.SilentChannelRounds)
 	}
 }
 

@@ -300,8 +300,8 @@ func Diagnose(bundles []*Bundle) *Diagnosis {
 		if b.Round > maxRound {
 			maxRound = b.Round
 		}
-		if b.Live.MaxRound > maxRound {
-			maxRound = b.Live.MaxRound
+		for i := range b.Events {
+			maxRound = max(maxRound, b.Events[i].Round)
 		}
 	}
 	if d.LastCkptEpoch >= 0 && maxRound >= 0 {

@@ -169,10 +169,11 @@ func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 	return bw.Flush()
 }
 
-// WriteFile exports the session to path as a Chrome trace.
-func (t *Trace) WriteFile(path string) error {
+// WriteFile exports the session to path as a Chrome trace and returns the
+// number of events written.
+func (t *Trace) WriteFile(path string) (int, error) {
 	events, dropped := t.Snapshot()
-	return WriteFileMeta(path, Meta{Label: t.Label(), Dropped: dropped}, events)
+	return len(events), WriteFileMeta(path, Meta{Label: t.Label(), Dropped: dropped}, events)
 }
 
 // WriteFileMeta exports events with meta to path as a Chrome trace.

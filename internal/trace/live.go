@@ -5,8 +5,8 @@ package trace
 // is still going. A viewer (gluon-trace top, or AttachWatcher
 // programmatically) dials the collector's sideband port and polls: each
 // sbWatch frame it sends is answered by exactly one sbUpdate frame on the
-// same connection — a self-contained ViewUpdate of the cluster: merged
-// rollup counters, per-host heartbeats, shipper session states, and the
+// same connection — a self-contained ViewUpdate of the cluster: the fold's
+// totals, per-host heartbeats, shipper session states, and the
 // critical-path verdict the collector computes incrementally as batches
 // arrive. Self-contained replies make the attach semantics trivial: the
 // first reply IS the consistent snapshot (it carries every round attributed
@@ -54,12 +54,17 @@ type ViewUpdate struct {
 	Sessions []SessionInfo `json:"sessions,omitempty"`
 	// Hearts is the latest heartbeat per host, on the collector clock.
 	Hearts []Heartbeat `json:"heartbeats,omitempty"`
-	// Stats merges the collector-local rollup with every session's last
-	// shipped rollup (counters summed, MaxRound maxed) —
-	// the shippers' own totals, so they stay exact when a ring wrapped
-	// before its events could be shipped.
-	Stats LiveStats `json:"stats"`
-	// Hosts / Rounds / Verdict / Ledger are views of the collector's fold
+	// Events, MaxRound and the byte totals (the encode spans' tags) are the
+	// collector's fold's own totals; Dropped counts the events missing from
+	// that fold, those a ring overwrote before a shipper or the local drain
+	// read them.
+	Events     uint64 `json:"events"`
+	Dropped    uint64 `json:"dropped"`
+	MaxRound   int32  `json:"max_round"`
+	ValueBytes uint64 `json:"value_bytes"`
+	MetaBytes  uint64 `json:"metadata_bytes"`
+	GIDBytes   uint64 `json:"gid_bytes"`
+	// Hosts / Rounds / Verdict / Ledger are the same fold's attribution
 	// (rollup.go), fed incrementally as batches arrive.
 	Hosts   []HostPhaseSum `json:"hosts,omitempty"`
 	Rounds  []RoundPath    `json:"rounds,omitempty"`
@@ -120,6 +125,7 @@ func (c *Collector) drainLocal() {
 	local := c.local
 	if local != nil {
 		for _, b := range local.SnapshotNew(&c.localCur) {
+			c.localMissed += b.Missed
 			c.foldLocked(b.Events, 0)
 		}
 	}
@@ -137,18 +143,10 @@ func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
 	}
 	c.mu.Lock()
 	c.seq++
-	cp := c.rollup.CriticalPath("", tail)
-	u := &ViewUpdate{
-		Seq:      c.seq,
-		Snapshot: snapshot,
-		Label:    c.label,
-		Sessions: c.sessionInfosLocked(),
-		Stats:    c.liveLocked(),
-		Hosts:    cp.Hosts,
-		Rounds:   cp.Rounds,
-		Verdict:  cp.Verdict,
-		Ledger:   cp.Ledger,
-	}
+	u := c.rollup.view(tail)
+	u.Seq, u.Snapshot, u.Label = c.seq, snapshot, c.label
+	u.Sessions = c.sessionInfosLocked()
+	u.Dropped = c.missed + c.localMissed
 	local := c.local
 	c.mu.Unlock()
 	if local != nil && u.Label == "" {
@@ -159,27 +157,15 @@ func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
 	return u
 }
 
-// liveLocked merges the local rollup with every session's last shipped
-// rollup, the way Trace.Live merges recorders. Caller holds c.mu.
-func (c *Collector) liveLocked() LiveStats {
-	parts := make([]LiveStats, 0, len(c.sess)+1)
-	if c.local != nil {
-		parts = append(parts, c.local.Live())
+// view renders the fold's part of a ViewUpdate: its totals and the
+// attribution of the newest tail closed rounds.
+func (r *Rollup) view(tail int) *ViewUpdate {
+	cp, t := r.CriticalPath("", tail), &r.totals
+	return &ViewUpdate{
+		Events: t.events, MaxRound: t.maxRound,
+		ValueBytes: t.value, MetaBytes: t.meta, GIDBytes: t.gid,
+		Hosts: cp.Hosts, Rounds: cp.Rounds, Verdict: cp.Verdict, Ledger: cp.Ledger,
 	}
-	for _, s := range c.sess {
-		parts = append(parts, s.stats)
-	}
-	tot := noEvents
-	for i := range parts {
-		t := parts[i].totals()
-		tot.merge(&t)
-	}
-	out := tot.LiveStats()
-	out.Label, out.Dropped = c.label, c.missed
-	for i := range parts {
-		out.Dropped += parts[i].Dropped
-	}
-	return out
 }
 
 // Watcher polls a collector for its live dashboard state, as gluon-trace top

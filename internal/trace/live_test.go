@@ -26,7 +26,7 @@ func pollUntil(t *testing.T, w *Watcher, u *ViewUpdate, what string, done func(*
 	deadline := time.Now().Add(10 * time.Second)
 	for !done(u) {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s: %d rounds, max round %d", what, len(u.Rounds), u.Stats.MaxRound)
+			t.Fatalf("timed out waiting for %s: %d rounds, max round %d", what, len(u.Rounds), u.MaxRound)
 		}
 		time.Sleep(2 * time.Millisecond)
 		nu, err := w.Poll()
@@ -84,7 +84,7 @@ func TestLiveWatcherMidRunAttach(t *testing.T) {
 	// The pre-attach history must arrive — in the snapshot itself if the
 	// shipper had flushed by then, otherwise in the next few polls.
 	pollUntil(t, w, &u, "the pre-attach history", func(u *ViewUpdate) bool {
-		return len(u.Rounds) >= 4 && u.Stats.MaxRound >= 4
+		return len(u.Rounds) >= 4 && u.MaxRound >= 4
 	})
 	if u.Rounds[0].Round != 0 || u.Rounds[len(u.Rounds)-1].Round < 3 {
 		t.Fatalf("history rounds span %d..%d, want 0..3", u.Rounds[0].Round, u.Rounds[len(u.Rounds)-1].Round)
@@ -102,7 +102,7 @@ func TestLiveWatcherMidRunAttach(t *testing.T) {
 		emitLiveRound(rec, r, int64(r)*1000)
 	}
 	pollUntil(t, w, &u, "the run to advance past round 4", func(u *ViewUpdate) bool {
-		return u.Stats.MaxRound >= 6 && len(u.Rounds) > 0 && u.Rounds[len(u.Rounds)-1].Round >= 5
+		return u.MaxRound >= 6 && len(u.Rounds) > 0 && u.Rounds[len(u.Rounds)-1].Round >= 5
 	})
 }
 
@@ -164,7 +164,7 @@ func TestLiveStalledViewer(t *testing.T) {
 		t.Fatalf("second viewer's poll: %v", err)
 	}
 	pollUntil(t, w, &u, "the shipped rounds", func(u *ViewUpdate) bool {
-		return u.Stats.MaxRound >= 4 && len(u.Rounds) >= 4 && len(u.Hearts) == 1
+		return u.MaxRound >= 4 && len(u.Rounds) >= 4 && len(u.Hearts) == 1
 	})
 	select {
 	case <-served:

@@ -63,7 +63,8 @@ const (
 )
 
 // BundleVersion is the postmortem bundle format version; bumped when the
-// JSON shape changes incompatibly.
+// JSON shape changes incompatibly. Dropping a key is compatible: the
+// "live" rollup bundles once carried still loads, ignored.
 const BundleVersion = 1
 
 // Bundle is one host's frozen postmortem: everything Dump could gather at
@@ -113,8 +114,6 @@ type Bundle struct {
 	// Heartbeats is the watchdog Health table (cluster view) when one is
 	// wired, else the local session's liveness snapshot.
 	Heartbeats []Heartbeat `json:"heartbeats,omitempty"`
-	// Live is the live rollup at dump time.
-	Live LiveStats `json:"live"`
 	// PoolGets/PoolPuts are the bufpool accounting counters (equal in a
 	// leak-free run; only meaningful when accounting was enabled).
 	PoolGets int64 `json:"pool_gets"`
@@ -343,7 +342,6 @@ func (fr *FlightRecorder) Dump(info DumpInfo) (string, error) {
 		WallUnixNano:  time.Now().UnixNano(),
 		SessionNs:     fr.trace.Now(),
 		Clock:         clock,
-		Live:          fr.trace.Live(),
 		LastCkptEpoch: fr.lastCkpt.Load(),
 		RecentLogs:    fr.recentLogs(),
 		Detail:        info.Detail,

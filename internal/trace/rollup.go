@@ -6,9 +6,7 @@ package trace
 // the same events cannot disagree (DESIGN.md §4.3, §4.8). Two tiers:
 //
 //   - Totals is the fixed-size tier: counts and sums that do not care which
-//     host or round an event belongs to. Recorder.Emit keeps one per host
-//     under the ring mutex it already holds; Trace.Live and the collector
-//     merge them.
+//     host or round an event belongs to.
 //   - Rollup adds the keyed tier — per round, per (round, host), per peer
 //     pair, per (sender, peer, field) channel — and the incremental
 //     critical-path attribution over it.
@@ -24,8 +22,8 @@ func (e *Event) Bytes() uint64 { return e.Value + e.Meta + e.GID }
 // Totals is the allocation-free tier of the fold.
 type Totals struct {
 	events   uint64
-	maxRound int32 // highest Round stamped on any event; -1 in noEvents
-	phases   [NumPhases]PhaseLive
+	maxRound int32 // highest Round stamped on any event; -1 before the first
+	phases   [NumPhases]phaseSum
 	// Byte and mode tags count encode spans only: their tags are Stats
 	// deltas, so the totals match the run's volume accounting. Other phases
 	// reuse Value for wire lengths, which would double-count.
@@ -33,8 +31,11 @@ type Totals struct {
 	modes            [NumModes]uint64
 }
 
-// noEvents is the Totals every fold and merge starts from: no round seen yet.
-var noEvents = Totals{maxRound: -1}
+// phaseSum counts one phase's events and their summed duration.
+type phaseSum struct {
+	count uint64
+	durNs int64
+}
 
 // add folds one event. It does not allocate.
 func (t *Totals) add(e *Event) {
@@ -43,8 +44,8 @@ func (t *Totals) add(e *Event) {
 		t.maxRound = e.Round
 	}
 	if e.Phase < NumPhases {
-		t.phases[e.Phase].Count++
-		t.phases[e.Phase].DurNs += e.Dur
+		t.phases[e.Phase].count++
+		t.phases[e.Phase].durNs += e.Dur
 	}
 	if e.Phase != PhaseEncode {
 		return
@@ -55,64 +56,6 @@ func (t *Totals) add(e *Event) {
 	if e.Mode >= 0 && e.Mode < NumModes {
 		t.modes[e.Mode]++
 	}
-}
-
-// merge adds o's counts into t.
-func (t *Totals) merge(o *Totals) {
-	t.events += o.events
-	t.maxRound = max(t.maxRound, o.maxRound)
-	for p := range t.phases {
-		t.phases[p].Count += o.phases[p].Count
-		t.phases[p].DurNs += o.phases[p].DurNs
-	}
-	t.value += o.value
-	t.meta += o.meta
-	t.gid += o.gid
-	for m := range t.modes {
-		t.modes[m] += o.modes[m]
-	}
-}
-
-// LiveStats renders the totals in their external, name-keyed shape. The
-// fields no event carries (label, dropped) are the caller's to fill.
-func (t Totals) LiveStats() LiveStats {
-	s := LiveStats{
-		Events:     t.events,
-		MaxRound:   t.maxRound,
-		Messages:   t.phases[PhaseEncode].Count,
-		ValueBytes: t.value,
-		MetaBytes:  t.meta,
-		GIDBytes:   t.gid,
-		Phases:     make(map[string]PhaseLive, NumPhases),
-		Modes:      make(map[string]uint64, NumModes),
-	}
-	for p, pl := range t.phases {
-		if pl.Count > 0 {
-			s.Phases[Phase(p).String()] = pl
-		}
-	}
-	for m, n := range t.modes {
-		if n > 0 {
-			s.Modes[ModeName(int8(m))] = n
-		}
-	}
-	return s
-}
-
-// totals inverts LiveStats, for the rollups shippers send over the sideband:
-// the collector merges them exactly as Trace.Live merges recorders.
-func (s *LiveStats) totals() Totals {
-	t := Totals{
-		events: s.Events, maxRound: s.MaxRound,
-		value: s.ValueBytes, meta: s.MetaBytes, gid: s.GIDBytes,
-	}
-	for p := range t.phases {
-		t.phases[p] = s.Phases[Phase(p).String()]
-	}
-	for m := range t.modes {
-		t.modes[m] = s.Modes[ModeName(int8(m))]
-	}
-	return t
 }
 
 // chanStat accumulates one directed (sender, peer, field) channel.
@@ -188,7 +131,7 @@ type Rollup struct {
 // NewRollup returns an empty fold.
 func NewRollup() *Rollup {
 	return &Rollup{
-		totals:   noEvents,
+		totals:   Totals{maxRound: -1},
 		hosts:    make(map[int32]struct{}),
 		rounds:   make(map[int32]*RoundStat),
 		peers:    make(map[[2]int32]*PeerStat),
@@ -430,7 +373,7 @@ func (r *Rollup) Summary(meta Meta) *Summary {
 	}
 	s.Hosts = len(r.hosts)
 	s.WallNs = r.maxEnd - r.minStart
-	s.Messages = t.phases[PhaseEncode].Count
+	s.Messages = t.phases[PhaseEncode].count
 	s.ValueBytes, s.MetaBytes, s.GIDBytes = t.value, t.meta, t.gid
 	s.Modes = t.modes
 	for _, row := range r.rounds {
@@ -438,8 +381,8 @@ func (r *Rollup) Summary(meta Meta) *Summary {
 	}
 	sort.Slice(s.Rounds, func(i, j int) bool { return s.Rounds[i].Round < s.Rounds[j].Round })
 	for p, pl := range t.phases {
-		if pl.Count > 0 {
-			s.Phases = append(s.Phases, PhaseStat{Phase: Phase(p), Count: pl.Count, TotalNs: pl.DurNs})
+		if pl.count > 0 {
+			s.Phases = append(s.Phases, PhaseStat{Phase: Phase(p), Count: pl.count, TotalNs: pl.durNs})
 		}
 	}
 	for _, p := range r.peers {
@@ -531,7 +474,7 @@ func (r *Rollup) ledger() Ledger {
 		l.InvariantSavedBytes += silent * cs.capacity
 	}
 	l.BaselineBytes = l.ShippedBytes + l.SparsitySavedBytes + l.InvariantSavedBytes
-	if sendNs := r.totals.phases[PhaseSend].DurNs; l.ShippedBytes > 0 && sendNs > 0 {
+	if sendNs := r.totals.phases[PhaseSend].durNs; l.ShippedBytes > 0 && sendNs > 0 {
 		l.WireNsPerByte = float64(sendNs) / float64(l.ShippedBytes)
 	}
 	return l

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -52,15 +51,11 @@ func renderViews(t *testing.T, r *Rollup, meta Meta) map[string]string {
 		text(name, func(b *bytes.Buffer) error { return json.NewEncoder(b).Encode(v) })
 	}
 	s, cp := r.Summary(meta), r.CriticalPath(meta.Label, 0)
-	live := r.totals.LiveStats()
 	text("tables", func(b *bytes.Buffer) error { return s.WriteTables(b) })
 	asJSON("tables.json", s)
 	text("critical", func(b *bytes.Buffer) error { return cp.WriteTables(b) })
 	asJSON("critical.json", cp)
-	asJSON("live.json", live)
-	tail := r.CriticalPath("", 3)
-	asJSON("view-update", ViewUpdate{Stats: live, Hosts: tail.Hosts, Rounds: tail.Rounds, Verdict: tail.Verdict, Ledger: tail.Ledger})
-	asJSON("comm-counters", cp.Ledger.Counters())
+	asJSON("view-update", r.view(3))
 	return out
 }
 
@@ -112,29 +107,6 @@ func TestRollupBatchesMatchWhole(t *testing.T) {
 	}
 }
 
-// TestLiveMatchesRollup: the totals Emit keeps per recorder, merged by Live,
-// equal the totals of folding the session's own snapshot.
-func TestLiveMatchesRollup(t *testing.T) {
-	for _, f := range []string{"bfs4.json", "pr4z.json"} {
-		events, meta := fixtureTrace(t, f)
-		tr := New(Config{Label: meta.Label, Capacity: len(events)})
-		for _, e := range events {
-			rec := tr.Recorder(int(e.Host))
-			rec.SetRound(e.Round)
-			rec.Emit(e)
-		}
-		snap, dropped := tr.Snapshot()
-		if dropped != 0 {
-			t.Fatalf("%s: dropped %d events; the comparison needs all of them", f, dropped)
-		}
-		want := rollupOf(Meta{}, snap).totals.LiveStats()
-		want.Label = meta.Label
-		if got := tr.Live(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Live() = %+v\nrollup over Snapshot() = %+v", f, got, want)
-		}
-	}
-}
-
 // FuzzRollupAdd: the fold takes events from files and sideband peers, so no
 // field value may panic it, and the three places a byte total is reported
 // must agree whatever went in.
@@ -157,17 +129,17 @@ func FuzzRollupAdd(f *testing.F) {
 		r.Add([]Event{other, next}, -start)
 		r.Finish()
 
-		live, s, cp := r.totals.LiveStats(), r.Summary(Meta{}), r.CriticalPath("", 0)
-		var initBytes uint64
+		s, cp := r.Summary(Meta{}), r.CriticalPath("", 0)
+		var initBytes, rowBytes uint64
 		for _, row := range s.Rounds {
+			rowBytes += row.Value + row.Meta + row.GID
 			if row.Round < 0 {
 				initBytes += row.Value + row.Meta + row.GID
 			}
 		}
-		liveBytes := live.ValueBytes + live.MetaBytes + live.GIDBytes
-		if liveBytes != s.TotalBytes() || s.TotalBytes() != cp.Ledger.ShippedBytes+initBytes {
-			t.Fatalf("byte totals disagree: live %d, summary %d, ledger %d + init %d",
-				liveBytes, s.TotalBytes(), cp.Ledger.ShippedBytes, initBytes)
+		if rowBytes != s.TotalBytes() || s.TotalBytes() != cp.Ledger.ShippedBytes+initBytes {
+			t.Fatalf("byte totals disagree: summary %d, its round rows %d, ledger %d + init %d",
+				s.TotalBytes(), rowBytes, cp.Ledger.ShippedBytes, initBytes)
 		}
 		var buf bytes.Buffer
 		if err := s.WriteTables(&buf); err != nil {

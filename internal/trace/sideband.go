@@ -21,15 +21,15 @@ package trace
 //	sbPong  (3): 24B LE t0,t1,t2 — t0 echoed; t1 recv, t2 send on collector clock
 //	sbHello (1): JSON shipperHello — label + the client's measured ClockInfo
 //	sbBatch (4): JSON HostBatch — one host's new events since the last flush
-//	sbStats (5): JSON statsFrame — LiveStats rollup + per-host heartbeats
+//	sbBeats (5): JSON beatFrame — the per-host heartbeat table
 //	sbBye   (6): empty — orderly end of session
 //	sbWatch (7): empty — a viewer's poll; the connection is a viewer, not a shipper (live.go)
 //	sbUpdate(8): JSON ViewUpdate — the collector's reply to one sbWatch (live.go)
 //
 // A shipper session is: pings (clock probes, answered statelessly), hello,
-// then any interleaving of batch/stats frames, then bye. The client measures
-// the collector-minus-client clock offset from the minimum-RTT probe
-// (clock.go) and declares it in the hello; the collector rebases that
+// then any interleaving of batch/heartbeat frames, then bye. The client
+// measures the collector-minus-client clock offset from the minimum-RTT
+// probe (clock.go) and declares it in the hello; the collector rebases that
 // session's event timestamps and heartbeats by the declared offset when
 // merging, so spans from different processes land on one time axis within
 // ±uncertainty. A viewer session (gluon-trace top) is a sequence of sbWatch
@@ -58,7 +58,7 @@ const (
 	sbPing   byte = 2
 	sbPong   byte = 3
 	sbBatch  byte = 4
-	sbStats  byte = 5
+	sbBeats  byte = 5
 	sbBye    byte = 6
 	sbWatch  byte = 7
 	sbUpdate byte = 8
@@ -125,9 +125,10 @@ type shipperHello struct {
 	Clock ClockInfo `json:"clock"`
 }
 
-// statsFrame is the periodic rollup a shipper sends alongside event batches.
-type statsFrame struct {
-	Stats      LiveStats   `json:"stats"`
+// beatFrame is the heartbeat table a shipper sends after each flush's
+// batches. The events themselves are the only counts it ships: the
+// collector folds them, and a batch's Missed says what a ring lost.
+type beatFrame struct {
 	Heartbeats []Heartbeat `json:"heartbeats,omitempty"`
 }
 
@@ -249,7 +250,7 @@ func (s *Shipper) run(interval time.Duration) {
 }
 
 // flush ships everything emitted since the previous flush plus a fresh
-// rollup/heartbeat frame.
+// heartbeat frame.
 func (s *Shipper) flush() error {
 	for _, b := range s.tr.SnapshotNew(&s.cur) {
 		body, err := json.Marshal(&b)
@@ -260,11 +261,11 @@ func (s *Shipper) flush() error {
 			return err
 		}
 	}
-	body, err := json.Marshal(&statsFrame{Stats: s.tr.Live(), Heartbeats: s.tr.Heartbeats()})
+	body, err := json.Marshal(&beatFrame{Heartbeats: s.tr.Heartbeats()})
 	if err != nil {
 		return err
 	}
-	return writeFrame(s.conn, sbStats, body)
+	return writeFrame(s.conn, sbBeats, body)
 }
 
 // Close stops the flush loop, drains the trace tail, sends bye, and closes
@@ -289,8 +290,8 @@ func (s *Shipper) Close() error {
 	return s.Err()
 }
 
-// Collector accepts sideband sessions and accumulates their events,
-// rollups, and heartbeats into one cluster-wide view. A process that also
+// Collector accepts sideband sessions and accumulates their events and
+// heartbeats into one cluster-wide view. A process that also
 // records locally (the embedded host-0 collector) registers its own Trace
 // with SetLocal; local events need no clock correction because the collector
 // answers probes on that same session clock.
@@ -305,8 +306,11 @@ type Collector struct {
 	sess   []*sbSession // shipper sessions in hello order
 	health *Health
 	label  string
-	missed uint64
-	errs   []error
+	// missed and localMissed count the events rings overwrote before the
+	// shippers' batches and the local drain could read them: the events
+	// missing from the fold.
+	missed, localMissed uint64
+	errs                []error
 
 	// Live plane (live.go): the one fold, fed under mu as batches arrive,
 	// and the viewer connections Close must end.
@@ -332,7 +336,6 @@ type sbSession struct {
 	// clock, until a merge rebases them (clock.go).
 	clock  ClockInfo
 	events []Event
-	stats  LiveStats
 	lastNs int64 // collector clock at the last frame received
 }
 
@@ -490,9 +493,9 @@ func (c *Collector) serveSession(conn net.Conn) {
 			c.mu.Lock()
 			sess.lastNs = now
 			c.mu.Unlock()
-		} else if typ == sbBatch || typ == sbStats {
-			// Batches and rollups are stored per session, under the clock its
-			// hello declared.
+		} else if typ == sbBatch || typ == sbBeats {
+			// Batches and heartbeats are stored per session, under the clock
+			// its hello declared.
 			c.addErr(fmt.Errorf("trace: sideband session %s sent frame type %d before hello", conn.RemoteAddr(), typ))
 			return
 		}
@@ -554,15 +557,14 @@ func (c *Collector) serveSession(conn net.Conn) {
 			c.rollup.SetHostClock(b.Host, sess.clock.UncertaintyNs)
 			c.foldLocked(b.Events, sess.clock.OffsetNs)
 			c.mu.Unlock()
-		case sbStats:
-			var f statsFrame
+		case sbBeats:
+			var f beatFrame
 			if err := json.Unmarshal(body, &f); err != nil {
-				c.addErr(fmt.Errorf("trace: bad stats: %w", err))
-				fail("malformed stats frame")
+				c.addErr(fmt.Errorf("trace: bad heartbeats: %w", err))
+				fail("malformed heartbeat frame")
 				return
 			}
 			c.mu.Lock()
-			sess.stats = f.Stats
 			for _, hb := range f.Heartbeats {
 				sess.hosts[hb.Host] = struct{}{}
 			}
@@ -695,8 +697,9 @@ func (c *Collector) Close() error {
 // Merged returns the cluster-wide timeline: local events (if a local trace
 // is registered) plus every shipped batch, remote timestamps rebased by the
 // declared per-session clock offsets, sorted on the collector time axis.
-// Meta carries the label, the cluster-wide dropped/missed total, and the
-// per-host clock table.
+// Meta carries the label, the events missing from the timeline (local ring
+// overwrites plus the sessions' missed counts), and the per-host clock
+// table.
 func (c *Collector) Merged() ([]Event, Meta) {
 	c.mu.Lock()
 	local := c.local
@@ -711,7 +714,6 @@ func (c *Collector) Merged() ([]Event, Meta) {
 	byHost := make(map[int32]ClockInfo)
 	for _, s := range c.sess {
 		srcs = append(srcs, clockedEvents{events: s.events, offsetNs: s.clock.OffsetNs})
-		dropped += s.stats.Dropped
 		for h := range s.hosts {
 			byHost[h] = s.clock
 		}

@@ -281,7 +281,8 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // TestShipperMissedCounts: a ring smaller than the emission burst reports
-// the overwritten prefix as missed, which the collector folds into dropped.
+// the overwritten prefix as missed, which the collector counts as dropped —
+// once: the events missing from the merged timeline are exactly those.
 func TestShipperMissedCounts(t *testing.T) {
 	col, err := ListenAndCollect("127.0.0.1:0")
 	if err != nil {
@@ -303,10 +304,99 @@ func TestShipperMissedCounts(t *testing.T) {
 	if len(events) != 8 {
 		t.Fatalf("merged %d events, want the 8 ring survivors", len(events))
 	}
-	// Dropped counts the wrap both via batch.Missed and the shipped
-	// LiveStats rollup; it must at least cover the 12 lost events.
-	if meta.Dropped < 12 {
-		t.Fatalf("meta.Dropped = %d, want >= 12", meta.Dropped)
+	if meta.Dropped != 12 {
+		t.Fatalf("meta.Dropped = %d, want the 12 lost events", meta.Dropped)
+	}
+}
+
+// TestShipperWrapAfterFlushLosesNothing: a ring that wraps only after each
+// flush has drained it loses no event the collector needed, so the merged
+// timeline holds every emit and reports none dropped.
+func TestShipperWrapAfterFlushLosesNothing(t *testing.T) {
+	col, err := ListenAndCollect("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	tr := New(Config{Capacity: 8})
+	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tr.Recorder(0)
+	for i := 0; i < 40; i++ {
+		r.Emit(Event{Start: int64(i), Dur: 1, Phase: PhaseCompute})
+		if i%8 == 7 {
+			if err := sh.flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	col.Close()
+	events, meta := col.Merged()
+	if len(events) != 40 || meta.Dropped != 0 {
+		t.Fatalf("merged %d events with %d dropped, want all 40 and none dropped", len(events), meta.Dropped)
+	}
+}
+
+// TestViewMatchesMergedAfterWrap: when a ring wraps between flushes, a
+// viewer's counts are those of the merged timeline — the same events, bytes
+// and newest round — and its dropped count is the events that timeline
+// misses.
+func TestViewMatchesMergedAfterWrap(t *testing.T) {
+	col, err := ListenAndCollect("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	tr := New(Config{Capacity: 8})
+	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tr.Recorder(0)
+	for round := int32(0); round < 3; round++ { // 12 emits a flush: 4 lost each
+		r.SetRound(round)
+		for i := int64(0); i < 12; i++ {
+			r.Emit(Event{Start: int64(round)*100 + i, Dur: 1, Phase: PhaseEncode, Peer: 1, Value: 8, Meta: 2, GID: 1, Mode: 1})
+		}
+		if err := sh.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, done := col.Sessions(); done == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("collector never saw the session end")
+		}
+	}
+	w, err := AttachWatcher(col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	u, err := w.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, meta := col.Merged()
+	s := SummarizeMeta(meta, events)
+	if s.Events != 24 || s.Dropped != 12 || len(s.Rounds) != 3 {
+		t.Fatalf("merged summary: %d events, %d dropped, %d rounds; want 24, 12, 3", s.Events, s.Dropped, len(s.Rounds))
+	}
+	if u.Events != uint64(s.Events) || u.Dropped != s.Dropped || u.MaxRound != s.Rounds[len(s.Rounds)-1].Round ||
+		u.ValueBytes != s.ValueBytes || u.MetaBytes != s.MetaBytes || u.GIDBytes != s.GIDBytes {
+		t.Errorf("view: %d events, %d dropped, max round %d, bytes %d/%d/%d; merged: %d, %d, %d, %d/%d/%d",
+			u.Events, u.Dropped, u.MaxRound, u.ValueBytes, u.MetaBytes, u.GIDBytes,
+			s.Events, s.Dropped, s.Rounds[len(s.Rounds)-1].Round, s.ValueBytes, s.MetaBytes, s.GIDBytes)
 	}
 }
 

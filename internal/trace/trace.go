@@ -166,9 +166,9 @@ type Config struct {
 }
 
 // Trace is one tracing session shared by all hosts of a run (or several
-// runs back to back). It hands out per-host Recorders, merges their running
-// Totals into the live rollup the sideband ships, and merges recorded events
-// for export. A nil *Trace is valid and permanently disabled.
+// runs back to back). It hands out per-host Recorders and merges their
+// recorded events for export and shipping. A nil *Trace is valid and
+// permanently disabled.
 type Trace struct {
 	cfg     Config
 	epoch   time.Time
@@ -217,7 +217,7 @@ func (t *Trace) Recorder(host int) *Recorder {
 		t.recs = append(t.recs, nil)
 	}
 	if t.recs[host] == nil {
-		t.recs[host] = &Recorder{t: t, host: int32(host), buf: make([]Event, 0, t.cfg.Capacity), totals: noEvents}
+		t.recs[host] = &Recorder{t: t, host: int32(host), buf: make([]Event, 0, t.cfg.Capacity)}
 		t.recs[host].round.Store(-1)
 		t.recs[host].phase.Store(int32(NumPhases))
 	}
@@ -247,9 +247,9 @@ func (t *Trace) Snapshot() ([]Event, uint64) {
 	var out []Event
 	var dropped uint64
 	for _, r := range t.recorders() {
-		ev, d := r.snapshot()
+		ev, _, missed := r.snapshotSince(0)
 		out = append(out, ev...)
-		dropped += d
+		dropped += missed
 	}
 	sortEventsByStart(out)
 	return out, dropped
@@ -260,7 +260,7 @@ func (t *Trace) Dropped() uint64 {
 	var dropped uint64
 	for _, r := range t.recorders() {
 		r.mu.Lock()
-		dropped += r.dropped
+		dropped += r.seq - uint64(len(r.buf))
 		r.mu.Unlock()
 	}
 	return dropped
@@ -283,12 +283,12 @@ type Recorder struct {
 	bytes atomic.Uint64 // cumulative encode payload bytes (heartbeat counter)
 	beat  atomic.Int64  // session-clock ns of the last liveness touch
 
-	mu      sync.Mutex
-	buf     []Event // ring storage; len grows to cap, then next wraps
-	next    int     // overwrite cursor once len(buf) == cap(buf)
-	seq     uint64  // total events ever emitted (ring-independent cursor)
-	dropped uint64
-	totals  Totals // fold of every event ever emitted, ring-independent
+	// The ring: seq counts every event ever emitted, so seq - len(buf) of
+	// them have been overwritten.
+	mu   sync.Mutex
+	buf  []Event // ring storage; len grows to cap, then next wraps
+	next int     // overwrite cursor once len(buf) == cap(buf)
+	seq  uint64  // total events ever emitted (ring-independent cursor)
 }
 
 // Host returns the rank this recorder stamps onto events.
@@ -383,13 +383,8 @@ func (r *Recorder) Emit(e Event) {
 		if r.next == len(r.buf) {
 			r.next = 0
 		}
-		r.dropped++
 	}
 	r.seq++
-	// The fold rides the lock the ring already needs: plain adds on memory
-	// only this host's goroutines touch, not atomics on lines shared by
-	// every host of the session.
-	r.totals.add(&e)
 	r.mu.Unlock()
 	r.beat.Store(e.Start + e.Dur)
 	if e.Phase == PhaseEncode {
@@ -397,26 +392,12 @@ func (r *Recorder) Emit(e Event) {
 	}
 }
 
-// snapshot copies the ring out in emission order.
-func (r *Recorder) snapshot() ([]Event, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if r.dropped > 0 {
-		// Ring has wrapped: oldest surviving event is at the cursor.
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out, r.dropped
-}
-
 // snapshotSince copies the events emitted after sequence number since (the
 // value a previous call returned), in emission order. When the ring has
 // wrapped past the cursor, the overwritten prefix is unrecoverable and is
-// reported in missed. It is the incremental drain behind the sideband's
-// periodic flushes.
+// reported in missed. It is the ring's one reader: the sideband's periodic
+// flushes drain it incrementally, Snapshot whole (since 0, so missed is
+// every overwrite).
 func (r *Recorder) snapshotSince(since uint64) (out []Event, newSeq, missed uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -433,18 +414,13 @@ func (r *Recorder) snapshotSince(since uint64) (out []Event, newSeq, missed uint
 		return nil, r.seq, missed
 	}
 	out = make([]Event, 0, n)
-	// Ring layout: emission order is buf[next:] ++ buf[:next] once wrapped,
-	// plain buf before. The newest n events are the tail of that order.
-	if r.dropped > 0 {
-		start := r.next - n
-		if start < 0 {
-			out = append(out, r.buf[len(r.buf)+start:]...)
-			out = append(out, r.buf[:r.next]...)
-		} else {
-			out = append(out, r.buf[start:r.next]...)
-		}
+	// Ring layout: emission order is buf[next:] ++ buf[:next] (next stays 0
+	// until the ring wraps). The newest n events are the tail of that order.
+	if start := r.next - n; start < 0 {
+		out = append(out, r.buf[len(r.buf)+start:]...)
+		out = append(out, r.buf[:r.next]...)
 	} else {
-		out = append(out, r.buf[len(r.buf)-n:]...)
+		out = append(out, r.buf[start:r.next]...)
 	}
 	return out, r.seq, missed
 }
@@ -498,45 +474,4 @@ func (t *Trace) Heartbeats() []Heartbeat {
 		out = append(out, HeartbeatOf(r))
 	}
 	return out
-}
-
-// PhaseLive is one phase's live rollup.
-type PhaseLive struct {
-	Count uint64 `json:"count"`
-	DurNs int64  `json:"dur_ns"`
-}
-
-// LiveStats is the running rollup a shipper sends and gluon-trace top shows:
-// the fold's Totals in their external, name-keyed shape, plus the counters
-// no event carries. Reading it never copies a ring.
-type LiveStats struct {
-	Label      string               `json:"label,omitempty"`
-	Events     uint64               `json:"events"`
-	Dropped    uint64               `json:"dropped"`
-	MaxRound   int32                `json:"max_round"`
-	Messages   uint64               `json:"messages"`
-	ValueBytes uint64               `json:"value_bytes"`
-	MetaBytes  uint64               `json:"metadata_bytes"`
-	GIDBytes   uint64               `json:"gid_bytes"`
-	Phases     map[string]PhaseLive `json:"phases"`
-	Modes      map[string]uint64    `json:"modes"`
-}
-
-// Live merges every recorder's running Totals into one rollup.
-func (t *Trace) Live() LiveStats {
-	if t == nil {
-		return Totals{}.LiveStats()
-	}
-	tot := noEvents
-	var dropped uint64
-	for _, r := range t.recorders() {
-		r.mu.Lock()
-		tot.merge(&r.totals)
-		dropped += r.dropped
-		r.mu.Unlock()
-	}
-	s := tot.LiveStats()
-	s.Label = t.cfg.Label
-	s.Dropped = dropped
-	return s
 }

@@ -29,10 +29,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.Dropped() != 0 {
 		t.Error("nil Trace dropped != 0")
 	}
-	live := tr.Live()
-	if live.Events != 0 || live.Phases == nil || live.Modes == nil {
-		t.Error("nil Trace Live() not an initialized zero rollup")
-	}
 
 	var r *Recorder
 	if r.Enabled() {
@@ -58,8 +54,8 @@ func TestDisabledDiscards(t *testing.T) {
 	if ev, _ := tr.Snapshot(); len(ev) != 0 {
 		t.Errorf("disabled emit recorded %d events", len(ev))
 	}
-	if tr.Live().Events != 0 {
-		t.Error("disabled emit bumped live counters")
+	if tr.Dropped() != 0 {
+		t.Error("disabled emit counted as dropped")
 	}
 	tr.SetEnabled(true)
 	r.Emit(Event{Phase: PhaseEncode, Value: 100, Mode: 1})
@@ -91,8 +87,8 @@ func TestRingOverflow(t *testing.T) {
 			t.Errorf("ev[%d].Start = %d, want %d (oldest-first suffix)", i, e.Start, want)
 		}
 	}
-	if live := tr.Live(); live.Events != 10 {
-		t.Errorf("live events = %d, want 10 (rollup counts all emits)", live.Events)
+	if n := uint64(len(ev)) + dropped; n != 10 {
+		t.Errorf("kept + dropped = %d, want the 10 emits", n)
 	}
 }
 
@@ -126,7 +122,7 @@ func TestSnapshotMergeOrder(t *testing.T) {
 	}
 }
 
-// TestLiveRollup: the per-recorder totals behind the metrics endpoint track
+// TestLiveRollup: the fold's totals — what the live view reports — track
 // emits, byte tags, phase durations, and the encode-only mode histogram.
 func TestLiveRollup(t *testing.T) {
 	tr := New(Config{Label: "roll"})
@@ -137,17 +133,18 @@ func TestLiveRollup(t *testing.T) {
 	// A non-encode event's Value is a wire length and its Mode slot is
 	// meaningless — neither may pollute the byte or mode rollups.
 	r.Emit(Event{Phase: PhaseRecvWait, Dur: 100, Value: 34, Mode: 1})
-	s := tr.Live()
-	if s.Label != "roll" || s.Events != 3 || s.MaxRound != 3 || s.Messages != 2 {
+	events, _ := tr.Snapshot()
+	s := SummarizeMeta(Meta{Label: tr.Label()}, events)
+	if s.Label != "roll" || s.Events != 3 || s.Messages != 2 || len(s.Rounds) != 1 || s.Rounds[0].Round != 3 {
 		t.Errorf("rollup header wrong: %+v", s)
 	}
 	if s.ValueBytes != 30 || s.MetaBytes != 4 || s.GIDBytes != 2 {
 		t.Errorf("byte rollup wrong: %+v", s)
 	}
-	if s.Modes["bitvec"] != 2 || s.Modes["dense"] != 0 {
+	if s.Modes[2] != 2 || s.Modes[1] != 0 {
 		t.Errorf("mode rollup wrong: %v", s.Modes)
 	}
-	if p := s.Phases["encode"]; p.Count != 2 || p.DurNs != 12 {
+	if p := s.Phases[0]; p.Phase != PhaseEncode || p.Count != 2 || p.TotalNs != 12 {
 		t.Errorf("encode phase rollup wrong: %+v", p)
 	}
 }
@@ -170,11 +167,11 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		tr.Snapshot()
-		tr.Live()
+		tr.Dropped()
 	}
 	wg.Wait()
-	if got := tr.Live().Events; got != 2000 {
-		t.Errorf("events = %d, want 2000", got)
+	if ev, dropped := tr.Snapshot(); uint64(len(ev))+dropped != 2000 {
+		t.Errorf("kept %d + dropped %d events, want 2000", len(ev), dropped)
 	}
 }
 
@@ -251,7 +248,7 @@ func TestWriteFileFormats(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"out.json", "out.jsonl"} {
 		path := dir + "/" + name
-		if err := tr.WriteFile(path); err != nil {
+		if _, err := tr.WriteFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		raw, err := os.ReadFile(path)
