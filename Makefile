@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 2983
-ROOT_LOC_MAX = 14069
+TRACE_LOC_MAX = 2891
+ROOT_LOC_MAX = 13986
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -162,9 +162,10 @@ bench-pin: sync-bench
 # allocs/op must never regress either, but the count depends on the
 # scheduler width, so it is only held against a pin taken at the same
 # GOMAXPROCS — hence GOMAXPROCS=1 here, the width bench-pin pins at. Each
-# run appends its measurement to BENCH_history.jsonl for gluon-perf.
+# run appends its measurement to a scratch history, so a check leaves the
+# tree as it found it; `make sync-bench` records into BENCH_history.jsonl.
 trace-guard:
-	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-guard BENCH_sync.json -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7
+	GOMAXPROCS=1 $(GO) run ./cmd/gluon-bench -sync-guard BENCH_sync.json -perfdb /tmp/gluon-trace-guard.jsonl -scale 12 -edgefactor 8 -seed 7
 
 # Trend smoke gate: build a short throwaway history at a small scale and run
 # the gluon-perf regression check over it — proves the record → history →
@@ -215,6 +216,7 @@ trace-smoke:
 # stalling the run at "0/sec" while it is minimized.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
+	$(GO) test -run '^$$' -fuzz FuzzReadLoop -fuzztime 10s -fuzzminimizetime 1s ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzRollupAdd -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/

@@ -69,35 +69,42 @@ func main() {
 	}
 
 	// Any observability flag turns tracing on; the trace object is shared by
-	// the substrate, the embedded collector and the collection sideband.
+	// the substrate and the collection sideband.
 	var tr *trace.Trace
 	var shipClock trace.ClockInfo
 	if *traceOut != "" || *traceShip != "" || *topAddr != "" {
 		tr = trace.New(trace.Config{Label: fmt.Sprintf("gluon-run %s/%s", *system, *benchFlg)})
+		// ship streams the trace to a collector, each shipper through its
+		// own cursor; the caller defers the returned Close.
+		ship := func(addr string) (*trace.Shipper, func()) {
+			sh, err := trace.StartShipper(trace.ShipperConfig{Addr: addr, Trace: tr})
+			if err != nil {
+				fatal(err)
+			}
+			logger.Info("shipping trace", "to", addr, "clock", fmt.Sprint(sh.Clock()))
+			return sh, func() {
+				if err := sh.Close(); err != nil {
+					logger.Error("trace shipper failed", "to", addr, "err", err)
+				}
+			}
+		}
 		if *topAddr != "" {
 			// An embedded collector makes this single process watchable: the
-			// local trace feeds the collector's fold directly, and any
-			// gluon-trace top (or remote shipper) can attach at this address.
+			// local trace reaches it through a loopback shipper like any
+			// remote one, and gluon-trace top can attach at this address.
 			col, err := trace.ListenAndCollect(*topAddr)
 			if err != nil {
 				fatal(err)
 			}
-			col.SetLocal(tr)
-			defer col.Close()
+			defer col.Close() // after the shipper's drain and bye: defers run last-in first-out
 			logger.Info("live dashboard collector listening", "addr", col.Addr(), "watch", "gluon-trace top "+col.Addr())
+			_, closeShip := ship(col.Addr())
+			defer closeShip()
 		}
 		if *traceShip != "" {
-			sh, err := trace.StartShipper(trace.ShipperConfig{Addr: *traceShip, Trace: tr})
-			if err != nil {
-				fatal(err)
-			}
-			defer func() {
-				if err := sh.Close(); err != nil {
-					logger.Error("trace shipper failed", "err", err)
-				}
-			}()
+			sh, closeShip := ship(*traceShip)
+			defer closeShip()
 			shipClock = sh.Clock()
-			logger.Info("shipping trace", "to", *traceShip, "clock", fmt.Sprint(shipClock))
 		}
 	}
 

@@ -201,7 +201,8 @@ func writeBundles(t *testing.T, dir string) string {
 	return dir
 }
 
-// localCollector serves a collector whose own trace holds one closed round.
+// localCollector serves a collector that a shipper has fed one closed round
+// and then left with an orderly bye.
 func localCollector(t *testing.T) *trace.Collector {
 	t.Helper()
 	col, err := trace.ListenAndCollect("127.0.0.1:0")
@@ -210,7 +211,6 @@ func localCollector(t *testing.T) *trace.Collector {
 	}
 	t.Cleanup(func() { col.Close() })
 	tr := trace.New(trace.Config{Capacity: 64, Label: "top-test"})
-	col.SetLocal(tr)
 	r := tr.Recorder(0)
 	for round := int32(0); round < 2; round++ {
 		base := int64(round) * 1000
@@ -220,5 +220,20 @@ func localCollector(t *testing.T) *trace.Collector {
 		r.Emit(trace.Event{Start: base + 160, Dur: 40, Phase: trace.PhaseBarrier, Peer: -1})
 	}
 	r.Emit(trace.Event{Start: 1100, Dur: 40, Phase: trace.PhaseEncode, Peer: 1, Value: 64, Mode: 1, Lane: 1})
-	return col
+	sh, err := trace.StartShipper(trace.ShipperConfig{Addr: col.Addr(), Trace: tr, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The session is folded once the collector has read its bye.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, done := col.Sessions(); done == 1 {
+			return col
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shipper session never completed: %+v", col.SessionInfos())
+		}
+	}
 }

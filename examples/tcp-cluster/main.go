@@ -54,7 +54,7 @@ func main() {
 		addrsCSV = flag.String("addrs", "", "comma-separated host:port list, one per rank (its length is the cluster size)")
 		collect  = flag.String("collect", "", "stream this process's trace to a `gluon-trace serve` collector at this address")
 		traceOut = flag.String("trace", "", "write this process's trace to a file")
-		watchdog = flag.Bool("watchdog", false, "run the straggler watchdog over heartbeat gossip")
+		watchdog = flag.Bool("watchdog", false, "run the straggler watchdog (heartbeats gossiped between -host processes)")
 		wdStall  = flag.Duration("watchdog-stall", 0, "escalate a flagged stall to a cluster failure after this long")
 		scale    = flag.Uint("scale", 13, "generated graph has 2^scale nodes")
 

@@ -108,9 +108,9 @@ const (
 	TagAllReduce Tag = 0xFFFF0002
 	TagMemo      Tag = 0xFFFF0004
 	TagTerm      Tag = 0xFFFF0005
-	// TagHeartbeat carries the watchdog's liveness gossip (see dsys); it
-	// rides the data transport but never blocks a sync: heartbeats are
-	// fire-and-forget and drained by a dedicated goroutine per host.
+	// TagHeartbeat carries the watchdog's liveness gossip between processes
+	// (see dsys); it rides the data transport but never blocks a sync:
+	// heartbeats are fire-and-forget and drained by a dedicated goroutine.
 	TagHeartbeat Tag = 0xFFFF0006
 	// TagRejoin carries the checkpoint/restore rendezvous (HOLD/RESUME
 	// frames, see dsys and DESIGN.md §4.6). It is exempt from poison

@@ -255,9 +255,8 @@ func (e *TCPEndpoint) readLoop(from int, conn net.Conn) {
 			conn.Close()
 			return
 		}
-		payload := GetBuf(int(length))
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			PutBuf(payload)
+		payload, err := readPayload(conn, int(length))
+		if err != nil {
 			if !e.closed.Load() && e.connCurrent(from, conn) {
 				e.poison(from, fmt.Errorf("truncated frame (wanted %d payload bytes): %w", length, err))
 			}
@@ -278,6 +277,33 @@ func (e *TCPEndpoint) readLoop(from int, conn net.Conn) {
 		if hold {
 			e.poison(from, ErrRejoinHold)
 		}
+	}
+}
+
+// payloadChunk is the most a frame's header alone makes readPayload
+// reserve.
+const payloadChunk = 1 << 20
+
+// readPayload reads a length-byte payload into a pooled buffer. A payload
+// above payloadChunk is read into a buffer that doubles as its bytes
+// arrive, so a corrupt header claiming up to MaxFrameSize costs about the
+// bytes its sender actually sent, not the bytes it promised.
+func readPayload(r io.Reader, length int) ([]byte, error) {
+	buf := GetBuf(min(length, payloadChunk))
+	n := 0
+	for {
+		m, err := io.ReadFull(r, buf[n:])
+		if err != nil {
+			PutBuf(buf)
+			return nil, err
+		}
+		if n += m; n == length {
+			return buf, nil
+		}
+		next := GetBuf(min(2*n, length))
+		copy(next, buf)
+		PutBuf(buf)
+		buf = next
 	}
 }
 

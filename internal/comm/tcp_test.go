@@ -1,7 +1,13 @@
 package comm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -138,4 +144,121 @@ func TestTCPBadRank(t *testing.T) {
 	if _, err := DialTCPConfig(5, []string{"127.0.0.1:41260"}, DialConfig{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
+}
+
+// readStream runs host 0's read loop to the end of a stream that carries
+// data from host 1 through a pipe, and returns the endpoint.
+func readStream(data []byte) *TCPEndpoint {
+	local, remote := net.Pipe()
+	e := &TCPEndpoint{addrs: make([]string, 2), mbox: newMailbox(), conns: []*tcpConn{{}, {conn: local}}}
+	wrote := make(chan struct{})
+	go func() {
+		remote.Write(data) // fails once the loop stops reading at a malformed header
+		remote.Close()
+		close(wrote)
+	}()
+	e.wg.Add(1)
+	e.readLoop(1, local)
+	local.Close()
+	<-wrote
+	return e
+}
+
+// TestReadLoopLargeFrames: a frame above payloadChunk arrives whole, and a
+// header that claims 256 MiB but is followed by 16 bytes poisons the peer
+// as a truncated frame without reserving the 256 MiB.
+func TestReadLoopLargeFrames(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(TagUser))
+	frame = binary.LittleEndian.AppendUint32(frame, 2*payloadChunk+payloadChunk/2)
+	for i := 0; i < 2*payloadChunk+payloadChunk/2; i++ {
+		frame = append(frame, byte(i*7))
+	}
+	e := readStream(frame)
+	if got, err := e.mbox.get(1, TagUser); err != nil || !bytes.Equal(got, frame[tcpHeaderLen:]) {
+		t.Fatalf("large frame: read %d of %d bytes (%v), or they differ", len(got), len(frame)-tcpHeaderLen, err)
+	}
+
+	claim := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(TagUser)), 256<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e = readStream(append(claim, make([]byte, 16)...))
+	runtime.ReadMemStats(&after)
+	if err := e.mbox.dead[1]; err == nil || !strings.HasPrefix(err.Error(), "truncated frame") {
+		t.Fatalf("short frame left host 1 poisoned with %v, want a truncated frame", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+		t.Fatalf("a 16-byte stream behind a 256 MiB header allocated %d MiB", n>>20)
+	}
+}
+
+// FuzzReadLoop feeds arbitrary bytes through a pipe into the read loop of a
+// two-host endpoint, as if host 1 had sent them. Every frame the loop
+// delivers must be the bytes that framed it, in order, and the stream must
+// end with host 1 poisoned as the bytes dictate: a lost connection, a
+// truncated frame or a malformed header, or the rejoin hold when a frame
+// was one.
+func FuzzReadLoop(f *testing.F) {
+	frame := func(tag Tag, payload ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(tag))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+		return append(b, payload...)
+	}
+	f.Add([]byte{})
+	f.Add(frame(TagUser, []byte("hello")...))
+	f.Add(append(frame(TagUser, 'a'), frame(TagBarrier)...))
+	f.Add(frame(TagUser, []byte("hello")...)[:10])
+	f.Add(frame(TagRejoin, RejoinHold, 0, 0, 0, 0, 0, 0, 0, 7))
+	f.Add(binary.LittleEndian.AppendUint32(frame(TagUser)[:4], MaxFrameSize+1))
+	f.Add(binary.LittleEndian.AppendUint32(frame(TagUser)[:4], 3*payloadChunk)) // promised, never sent
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The frames the bytes hold, and how the stream must end.
+		type msg struct {
+			tag     Tag
+			payload []byte
+		}
+		var want []msg
+		var hold bool
+		end := "lost"
+		for rest := data; len(rest) >= tcpHeaderLen; {
+			tag := Tag(binary.LittleEndian.Uint32(rest))
+			n := binary.LittleEndian.Uint32(rest[4:])
+			rest = rest[tcpHeaderLen:]
+			if n > MaxFrameSize {
+				end = "malformed"
+				break
+			}
+			if uint32(len(rest)) < n {
+				end = "truncated"
+				break
+			}
+			want = append(want, msg{tag, rest[:n]})
+			hold = hold || tag == TagRejoin && n == rejoinFrameLen && rest[0] == RejoinHold
+			rest = rest[n:]
+		}
+
+		e := readStream(data)
+		for i, m := range want {
+			got, err := e.mbox.get(1, m.tag)
+			if err != nil || !bytes.Equal(got, m.payload) {
+				t.Fatalf("frame %d (tag %#x): delivered %x, %v; want %x", i, m.tag, got, err, m.payload)
+			}
+		}
+		if len(e.mbox.queues) != 0 || e.Stats().MessagesRecvd != uint64(len(want)) {
+			t.Fatalf("delivered %d frames (%d still queued), the bytes frame %d",
+				e.Stats().MessagesRecvd, len(e.mbox.queues), len(want))
+		}
+		cause := e.mbox.dead[1]
+		var ok bool
+		switch {
+		case hold:
+			ok = errors.Is(cause, ErrRejoinHold)
+		case end == "lost":
+			ok = errors.Is(cause, ErrConnLost)
+		default:
+			ok = cause != nil && strings.HasPrefix(cause.Error(), end+" frame")
+		}
+		if !ok {
+			t.Fatalf("stream of %d frames ending %s (hold %v) left host 1 poisoned with %v", len(want), end, hold, cause)
+		}
+	})
 }

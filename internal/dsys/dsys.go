@@ -110,11 +110,12 @@ type RunConfig struct {
 	// Trace.WriteFile, analyze with cmd/gluon-trace). Nil disables tracing.
 	Trace *trace.Trace
 	// Watchdog, when non-nil, runs the straggler/stall watchdog over the
-	// run: hosts gossip heartbeats on comm.TagHeartbeat, rounds exceeding
-	// Factor× the trailing-median round time are flagged with the suspect
-	// host and phase named, and a stall persisting past StallTimeout fails
-	// the cluster through the PeerError path with a *trace.StallError
-	// diagnosis attached. Nil disables the watchdog entirely (no gossip, no
+	// run: heartbeats are read from the local hosts' recorders (and, under
+	// RunSingle, gossiped with the other processes on comm.TagHeartbeat),
+	// rounds exceeding Factor× the trailing-median round time are flagged
+	// with the suspect host and phase named, and a stall persisting past
+	// StallTimeout fails the cluster through the PeerError path with a
+	// *trace.StallError diagnosis attached. Nil disables the watchdog entirely (no gossip, no
 	// goroutines). Works with or without Trace: without, a hidden disabled
 	// session carries the liveness counters at zero event cost.
 	Watchdog *trace.WatchdogConfig

@@ -1,13 +1,16 @@
 package dsys
 
-// Cluster watchdog wiring: heartbeat gossip over the data transport plus a
-// trace.Watchdog monitoring the gossip. Hosts periodically broadcast a
-// compact fixed-size liveness frame (round, live phase, cumulative encode
-// bytes, last-touch time) on the reserved TagHeartbeat; every endpoint also
-// drains incoming heartbeats into a shared Health table. The watchdog flags
-// a round that exceeds the trailing-median threshold, names the suspect
-// host and phase, and — when the stall persists — escalates through the
-// comm.PeerFailer path so every blocked receive in the cluster fails with a
+// Cluster watchdog wiring: a trace.Watchdog monitoring a Health table that
+// reads this process's hosts straight from their recorders. Hosts in other
+// processes are known only by gossip: a process that drives one host of a
+// larger cluster (RunSingle) periodically sends a compact fixed-size
+// liveness frame (round, live phase, cumulative encode bytes, last-touch
+// time) to every peer on the reserved TagHeartbeat and drains the peers'
+// frames into the table. A run whose hosts are all local
+// (RunWithTransports) gossips nothing. The watchdog flags a round that
+// exceeds the trailing-median threshold, names the suspect host and phase,
+// and — when the stall persists — escalates through the comm.PeerFailer
+// path so every blocked receive in the cluster fails with a
 // *comm.PeerError wrapping the *trace.StallError diagnosis instead of
 // hanging forever.
 //
@@ -62,102 +65,37 @@ type wdEndpoint struct {
 	t    comm.Transport
 }
 
-// runWatchdog is the per-run (per-process) watchdog instance: gossip
-// goroutines for every local endpoint plus the monitor.
+// runWatchdog is the per-run (per-process) watchdog instance: the monitor,
+// plus the gossip goroutines when the cluster has hosts in other processes.
 type runWatchdog struct {
-	w      *trace.Watchdog
-	health *trace.Health
-	stops  []chan struct{}
-	wg     sync.WaitGroup
+	w    *trace.Watchdog
+	quit chan struct{} // closed by stop: ends the gossip
+	wg   sync.WaitGroup
 }
 
-// startRunWatchdog wires gossip and monitoring over the given local
-// endpoints. numHosts is the cluster size (endpoints may be a subset when
-// each process drives one host). The returned runWatchdog must be stopped
-// after the BSP drivers return.
+// startRunWatchdog wires monitoring over the given local endpoints.
+// numHosts is the cluster size; when the endpoints are a subset (each
+// process drives one host), each also gossips with the hosts outside this
+// process. The returned runWatchdog must be stopped after the BSP drivers
+// return.
 func startRunWatchdog(tr *trace.Trace, eps []wdEndpoint, numHosts int, wcfg trace.WatchdogConfig) *runWatchdog {
-	health := trace.NewHealth(tr.Now)
-	rw := &runWatchdog{health: health}
+	recs := make([]*trace.Recorder, len(eps))
+	for i, ep := range eps {
+		recs[i] = tr.Recorder(ep.host)
+	}
+	health := trace.NewHealth(tr.Now, recs...)
+	rw := &runWatchdog{quit: make(chan struct{})}
 	// Postmortem bundles carry the cluster-wide heartbeat table when the
 	// flight recorder is armed (nil-safe when disarmed).
 	trace.Armed().SetHealth(health)
-
-	gossipEvery := wcfg.Poll
-	if gossipEvery <= 0 {
-		gossipEvery = 50 * time.Millisecond
-	}
-	for _, ep := range eps {
-		ep := ep
-		rec := tr.Recorder(ep.host)
-		stop := make(chan struct{})
-		rw.stops = append(rw.stops, stop)
-		// Publisher: this host's liveness into the local table every tick,
-		// on its own goroutine so a slow outbound link never leaves the
-		// watchdog looking at a stale heartbeat of a host in this process.
-		rw.wg.Add(1)
-		go func() {
-			defer rw.wg.Done()
-			tick := time.NewTicker(gossipEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					health.Update(trace.HeartbeatOf(rec))
-				}
-			}
-		}()
-		// Sender: gossip this host's liveness to every peer.
-		rw.wg.Add(1)
-		go func() {
-			defer rw.wg.Done()
-			tick := time.NewTicker(gossipEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					// Wake the drain loop with a bye-to-self; Send-to-self
-					// loops back locally on every transport.
-					buf := comm.GetBuf(hbFrameLen)
-					encodeHeartbeat(buf, trace.HeartbeatOf(rec), hbFlagBye)
-					_ = ep.t.Send(ep.host, comm.TagHeartbeat, buf)
-					return
-				case <-tick.C:
-					hb := trace.HeartbeatOf(rec)
-					for peer := 0; peer < numHosts; peer++ {
-						if peer == ep.host {
-							continue
-						}
-						buf := comm.GetBuf(hbFrameLen)
-						encodeHeartbeat(buf, hb, 0)
-						// Fire-and-forget: a failed peer's heartbeats simply
-						// stop; the watchdog notices the silence, not the error.
-						_ = ep.t.Send(peer, comm.TagHeartbeat, buf)
-					}
-				}
-			}
-		}()
-		// Drain: fold incoming gossip into the shared health table.
-		rw.wg.Add(1)
-		go func() {
-			defer rw.wg.Done()
-			for {
-				from, payload, err := ep.t.RecvAny(comm.TagHeartbeat, nil)
-				if err != nil {
-					return // transport closed or peer poisoned; gossip is over
-				}
-				hb, flags, derr := decodeHeartbeat(payload)
-				comm.PutBuf(payload)
-				if derr != nil {
-					continue
-				}
-				if flags&hbFlagBye != 0 && from == ep.host {
-					return
-				}
-				health.Update(hb)
-			}
-		}()
+	if len(eps) < numHosts {
+		gossipEvery := wcfg.Poll
+		if gossipEvery <= 0 {
+			gossipEvery = 50 * time.Millisecond
+		}
+		for i, ep := range eps {
+			rw.gossip(ep, recs[i], health, numHosts, gossipEvery)
+		}
 	}
 
 	// Escalated stalls fail the cluster through the PeerError path: the
@@ -211,12 +149,63 @@ func startRunWatchdog(tr *trace.Trace, eps []wdEndpoint, numHosts int, wcfg trac
 	return rw
 }
 
+// gossip starts ep's two goroutines: a sender that broadcasts the host's
+// liveness to every peer each tick, and a drain that writes the peers'
+// heartbeats into health.
+func (rw *runWatchdog) gossip(ep wdEndpoint, rec *trace.Recorder, health *trace.Health, numHosts int, every time.Duration) {
+	rw.wg.Add(2)
+	go func() {
+		defer rw.wg.Done()
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-rw.quit:
+				// Wake the drain loop with a bye-to-self; Send-to-self
+				// loops back locally on every transport.
+				buf := comm.GetBuf(hbFrameLen)
+				encodeHeartbeat(buf, trace.HeartbeatOf(rec), hbFlagBye)
+				_ = ep.t.Send(ep.host, comm.TagHeartbeat, buf)
+				return
+			case <-tick.C:
+				hb := trace.HeartbeatOf(rec)
+				for peer := 0; peer < numHosts; peer++ {
+					if peer == ep.host {
+						continue
+					}
+					buf := comm.GetBuf(hbFrameLen)
+					encodeHeartbeat(buf, hb, 0)
+					// Fire-and-forget: a failed peer's heartbeats simply
+					// stop; the watchdog notices the silence, not the error.
+					_ = ep.t.Send(peer, comm.TagHeartbeat, buf)
+				}
+			}
+		}
+	}()
+	go func() {
+		defer rw.wg.Done()
+		for {
+			from, payload, err := ep.t.RecvAny(comm.TagHeartbeat, nil)
+			if err != nil {
+				return // transport closed or peer poisoned; gossip is over
+			}
+			hb, flags, derr := decodeHeartbeat(payload)
+			comm.PutBuf(payload)
+			if derr != nil {
+				continue
+			}
+			if flags&hbFlagBye != 0 && from == ep.host {
+				return
+			}
+			health.Update(hb)
+		}
+	}()
+}
+
 // stop shuts the gossip down (bye-to-self wakes each drain) and stops the
 // monitor. Safe to call with transports already closed.
 func (rw *runWatchdog) stop() {
-	for _, ch := range rw.stops {
-		close(ch)
-	}
+	close(rw.quit)
 	rw.wg.Wait()
 	rw.w.Stop()
 }
@@ -233,14 +222,13 @@ func (rw *runWatchdog) suspendWatch() {
 	rw.w.Suspend()
 }
 
-// resumeWatch reverses suspendWatch and clears the health table: after a
-// rollback, hosts legitimately gossip SMALLER round numbers, which the
-// table's stale-heartbeat filter would otherwise discard forever.
+// resumeWatch reverses suspendWatch. After a rollback every host reports
+// its smaller round from its next heartbeat on: each slot has one writer,
+// so nothing in the table needs clearing.
 func (rw *runWatchdog) resumeWatch() {
 	if rw == nil {
 		return
 	}
-	rw.health.Reset()
 	rw.w.Resume()
 }
 

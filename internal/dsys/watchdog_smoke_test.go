@@ -190,3 +190,113 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatalf("healthy run raised %d stall reports; first: %v", len(reports), reports[0])
 	}
 }
+
+// TestWatchdogLeavesRunUnperturbed: in a run whose hosts all share one
+// process the watchdog reads every heartbeat from the hosts' recorders, so
+// attaching it sends nothing. The same traced run with and without a
+// watchdog moves the same messages and bytes on every endpoint, and the
+// watched run's trace holds no heartbeat frame.
+func TestWatchdogLeavesRunUnperturbed(t *testing.T) {
+	const hosts = 3
+	_, parts, source := faultParts(t, hosts)
+	run := func(wcfg *trace.WatchdogConfig) ([]comm.Stats, []trace.Event) {
+		hub := comm.NewHub(hosts)
+		defer hub.Close()
+		tr := trace.New(trace.Config{})
+		ts := hub.Endpoints()
+		if _, err := dsys.RunWithTransports(parts, ts, dsys.RunConfig{
+			Hosts: hosts, Policy: partition.CVC, Opt: gluon.Opt(), Trace: tr, Watchdog: wcfg,
+		}, bfs.NewGalois(uint64(source), 2)); err != nil {
+			t.Fatal(err)
+		}
+		stats := make([]comm.Stats, hosts)
+		for h, ep := range ts {
+			stats[h] = ep.Stats()
+		}
+		events, _ := tr.Snapshot()
+		return stats, events
+	}
+	plain, _ := run(nil)
+	watched, events := run(&trace.WatchdogConfig{Poll: time.Millisecond, Log: io.Discard})
+	for h := range plain {
+		if plain[h] != watched[h] {
+			t.Errorf("host %d: comm.Stats %+v with the watchdog, %+v without", h, watched[h], plain[h])
+		}
+	}
+	for _, e := range events {
+		if (e.Phase == trace.PhaseFrameSend || e.Phase == trace.PhaseFrameRecv) && e.Field == uint32(comm.TagHeartbeat) {
+			t.Fatalf("watched run traced a heartbeat frame: %+v", e)
+		}
+	}
+}
+
+// TestWatchdogGossipAcrossProcesses: three hosts over a loopback TCP mesh,
+// each driven by its own RunSingle with its own trace and watchdog, as three
+// processes would be. Host 1 is wedged as in TestWatchdogNamesStalledHost,
+// and its own watchdog only warns, so the escalation that ends the run comes
+// from a healthy host, which knows host 1 only from its gossip: one of them
+// must name host 1 in a non-waiting phase and fail with a *comm.PeerError
+// carrying the *trace.StallError.
+func TestWatchdogGossipAcrossProcesses(t *testing.T) {
+	const hosts = 3
+	_, parts, source := faultParts(t, hosts)
+	ts, _ := tcpMesh(t, hosts)
+	ts[1] = comm.NewFaultTransport(ts[1], comm.FaultConfig{DelayEvery: 1, Delay: 500 * time.Millisecond})
+
+	var mu sync.Mutex
+	reports := make([][]*trace.StallReport, hosts)
+	errs := make([]error, hosts)
+	var wg sync.WaitGroup
+	for h := 0; h < hosts; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			stallTimeout := 250 * time.Millisecond
+			if h == 1 {
+				stallTimeout = 0 // warn only
+			}
+			_, errs[h] = dsys.RunSingle(parts[h], ts[h], dsys.RunConfig{
+				Hosts: hosts, Policy: partition.CVC, Opt: gluon.Opt(),
+				Trace: trace.New(trace.Config{}),
+				Watchdog: &trace.WatchdogConfig{
+					MinRound:     100 * time.Millisecond,
+					Poll:         5 * time.Millisecond,
+					StallTimeout: stallTimeout,
+					Log:          io.Discard,
+					OnReport: func(r *trace.StallReport) {
+						mu.Lock()
+						reports[h] = append(reports[h], r)
+						mu.Unlock()
+					},
+				},
+			}, bfs.NewGalois(uint64(source), 2))
+		}(h)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a RunSingle still blocked after 30s — the gossiped stall was never escalated")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, h := range []int{0, 2} {
+		if len(reports[h]) == 0 {
+			continue
+		}
+		first := reports[h][0]
+		if first.Suspect != 1 || first.Phase == trace.PhaseRecvWait || first.Phase == trace.PhaseBarrier {
+			t.Errorf("host %d's first report names host %d in phase %q, want host 1 in a non-waiting phase", h, first.Suspect, first.Phase)
+			continue
+		}
+		var pe *comm.PeerError
+		var se *trace.StallError
+		if errors.As(errs[h], &pe) && errors.As(errs[h], &se) && se.Report.Suspect == 1 {
+			return
+		}
+	}
+	t.Fatalf("no healthy host escalated a diagnosis of host 1 (errors %v; report counts %d, %d, %d)",
+		errs, len(reports[0]), len(reports[1]), len(reports[2]))
+}

@@ -24,10 +24,6 @@ import (
 	"time"
 )
 
-// localDrainInterval is the cadence of the collector-local trace's drain into
-// the fold.
-const localDrainInterval = 250 * time.Millisecond
-
 // snapshotRounds caps the rounds a viewer's first reply replays; later
 // replies carry tailRounds.
 const (
@@ -56,8 +52,7 @@ type ViewUpdate struct {
 	Hearts []Heartbeat `json:"heartbeats,omitempty"`
 	// Events, MaxRound and the byte totals (the encode spans' tags) are the
 	// collector's fold's own totals; Dropped counts the events missing from
-	// that fold, those a ring overwrote before a shipper or the local drain
-	// read them.
+	// that fold, those a ring overwrote before a shipper read them.
 	Events     uint64 `json:"events"`
 	Dropped    uint64 `json:"dropped"`
 	MaxRound   int32  `json:"max_round"`
@@ -93,46 +88,11 @@ func (c *Collector) watch(conn net.Conn) bool {
 // without holding c.mu, so a viewer that stops reading blocks only the
 // goroutine serving its own connection.
 func (c *Collector) reply(conn net.Conn, snapshot bool) error {
-	c.drainLocal()
 	b, err := json.Marshal(c.buildUpdate(snapshot))
 	if err != nil {
 		return err
 	}
 	return writeFrame(conn, sbUpdate, b)
-}
-
-// drainLoop drains the local trace into the fold every localDrainInterval
-// until the collector closes. It runs for the whole listener lifetime
-// (started by Serve) so local rounds are attributed before any viewer asks.
-func (c *Collector) drainLoop() {
-	tick := time.NewTicker(localDrainInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			c.drainLocal()
-		}
-	}
-}
-
-// drainLocal feeds the collector-local trace (if any) into the fold and the
-// health table. Local events are already on the reference clock, so the
-// offset is zero and the uncertainty the undeclared hosts' default: exact.
-func (c *Collector) drainLocal() {
-	c.mu.Lock()
-	local := c.local
-	if local != nil {
-		for _, b := range local.SnapshotNew(&c.localCur) {
-			c.localMissed += b.Missed
-			c.foldLocked(b.Events, 0)
-		}
-	}
-	c.mu.Unlock()
-	for _, hb := range local.Heartbeats() {
-		c.health.Update(hb)
-	}
 }
 
 // buildUpdate assembles the current dashboard state.
@@ -146,13 +106,9 @@ func (c *Collector) buildUpdate(snapshot bool) *ViewUpdate {
 	u := c.rollup.view(tail)
 	u.Seq, u.Snapshot, u.Label = c.seq, snapshot, c.label
 	u.Sessions = c.sessionInfosLocked()
-	u.Dropped = c.missed + c.localMissed
-	local := c.local
+	u.Dropped = c.missed
 	c.mu.Unlock()
-	if local != nil && u.Label == "" {
-		u.Label = local.Label()
-	}
-	u.NowNs = c.now()
+	u.NowNs = c.health.Now()
 	u.Hearts = c.health.Snapshot()
 	return u
 }

@@ -291,36 +291,29 @@ func (s *Shipper) Close() error {
 }
 
 // Collector accepts sideband sessions and accumulates their events and
-// heartbeats into one cluster-wide view. A process that also
-// records locally (the embedded host-0 collector) registers its own Trace
-// with SetLocal; local events need no clock correction because the collector
-// answers probes on that same session clock.
+// heartbeats into one cluster-wide view. Every source reaches it the same
+// way: a process that runs the collector and records hosts of its own ships
+// them over a loopback session like any other (gluon-run -top-addr).
 type Collector struct {
-	ln    net.Listener
-	local *Trace
-	epoch time.Time // probe clock when no local trace is set
-
+	ln net.Listener
 	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	sess   []*sbSession // shipper sessions in hello order
-	health *Health
+	health *Health      // its clock is the collector's reference clock
 	label  string
-	// missed and localMissed count the events rings overwrote before the
-	// shippers' batches and the local drain could read them: the events
-	// missing from the fold.
-	missed, localMissed uint64
-	errs                []error
+	// missed counts the events rings overwrote before the shippers' batches
+	// could read them: the events missing from the fold.
+	missed uint64
+	errs   []error
 
 	// Live plane (live.go): the one fold, fed under mu as batches arrive,
 	// and the viewer connections Close must end.
 	rollup   *Rollup
-	localCur Cursor
 	viewers  map[net.Conn]struct{}
 	seq      int64
 	stop     chan struct{}
 	stopOnce sync.Once
-	loopOnce sync.Once
 }
 
 // sbSession is one shipper's lifecycle record, created at hello.
@@ -355,97 +348,40 @@ type SessionInfo struct {
 	LastNs int64 `json:"last_ns,omitempty"`
 }
 
-// NewCollector creates a collector that is not yet listening; combine with
-// Serve, or use ListenAndCollect.
-func NewCollector() *Collector {
-	c := &Collector{
-		epoch:   time.Now(),
-		rollup:  NewRollup(),
-		viewers: make(map[net.Conn]struct{}),
-		stop:    make(chan struct{}),
-	}
-	c.health = NewHealth(c.now)
-	return c
-}
-
 // ListenAndCollect starts a collector on addr (e.g. ":9123" or
-// "127.0.0.1:0") and begins accepting sessions in the background.
+// "127.0.0.1:0") and accepts sessions in the background until Close.
 func ListenAndCollect(addr string) (*Collector, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("trace: collector listen %s: %w", addr, err)
 	}
-	c := NewCollector()
-	c.ln = ln
+	c := &Collector{
+		ln:      ln,
+		health:  NewHealth(nil),
+		rollup:  NewRollup(),
+		viewers: make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.Serve(ln)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.wg.Add(1)
+			go func() {
+				defer c.wg.Done()
+				c.serveSession(conn)
+			}()
+		}
 	}()
 	return c, nil
 }
 
-// SetLocal registers the collector process's own Trace: its events join the
-// merge uncorrected and its clock becomes the reference the probes answer
-// with.
-func (c *Collector) SetLocal(tr *Trace) {
-	c.mu.Lock()
-	c.local = tr
-	if tr != nil && c.label == "" {
-		c.label = tr.Label()
-	}
-	c.mu.Unlock()
-}
-
-// now is the collector's reference clock: the local trace's session clock
-// when one is registered, its own epoch otherwise.
-func (c *Collector) now() int64 {
-	c.mu.Lock()
-	tr := c.local
-	c.mu.Unlock()
-	if tr != nil {
-		return tr.Now()
-	}
-	return int64(time.Since(c.epoch))
-}
-
-// Addr returns the listening address ("" before Serve/ListenAndCollect).
-func (c *Collector) Addr() string {
-	c.mu.Lock()
-	ln := c.ln
-	c.mu.Unlock()
-	if ln == nil {
-		return ""
-	}
-	return ln.Addr().String()
-}
-
-// Serve accepts sessions until the listener is closed.
-func (c *Collector) Serve(ln net.Listener) {
-	c.mu.Lock()
-	c.ln = ln
-	c.mu.Unlock()
-	// The local drain runs for the listener's whole life so the attribution
-	// engine sees local events even before any viewer attaches.
-	c.loopOnce.Do(func() {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.drainLoop()
-		}()
-	})
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.serveSession(conn)
-		}()
-	}
-}
+// Addr returns the listening address.
+func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
 // serveSession runs one connection to completion — a shipper's session, or
 // a viewer's polls once it sends sbWatch.
@@ -489,9 +425,8 @@ func (c *Collector) serveSession(conn net.Conn) {
 			break
 		}
 		if sess != nil {
-			now := c.now() // before taking c.mu: now() locks it too
 			c.mu.Lock()
-			sess.lastNs = now
+			sess.lastNs = c.health.Now()
 			c.mu.Unlock()
 		} else if typ == sbBatch || typ == sbBeats {
 			// Batches and heartbeats are stored per session, under the clock
@@ -506,11 +441,11 @@ func (c *Collector) serveSession(conn net.Conn) {
 				fail("malformed ping frame")
 				return
 			}
-			t1 := c.now()
+			t1 := c.health.Now()
 			var pong [24]byte
 			copy(pong[0:8], body)
 			binary.LittleEndian.PutUint64(pong[8:16], uint64(t1))
-			binary.LittleEndian.PutUint64(pong[16:24], uint64(c.now()))
+			binary.LittleEndian.PutUint64(pong[16:24], uint64(c.health.Now()))
 			if err := writeFrame(conn, sbPong, pong[:]); err != nil {
 				c.addErr(err)
 				fail("pong write failed")
@@ -522,7 +457,6 @@ func (c *Collector) serveSession(conn net.Conn) {
 				c.addErr(fmt.Errorf("trace: bad hello: %w", err))
 				return
 			}
-			now := c.now()
 			c.mu.Lock()
 			if c.label == "" {
 				c.label = h.Label
@@ -537,7 +471,7 @@ func (c *Collector) serveSession(conn net.Conn) {
 				// offset to client timestamps rebases them onto the collector
 				// clock.
 				clock:  h.Clock,
-				lastNs: now,
+				lastNs: c.health.Now(),
 			}
 			c.sess = append(c.sess, sess)
 			c.mu.Unlock()
@@ -678,12 +612,7 @@ func (c *Collector) sessionInfosLocked() []SessionInfo {
 // in-flight sessions to finish. Call after the shippers have Closed (each
 // Close drains and says bye).
 func (c *Collector) Close() error {
-	c.mu.Lock()
-	ln := c.ln
-	c.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	c.ln.Close()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.mu.Lock()
 	for conn := range c.viewers {
@@ -694,21 +623,14 @@ func (c *Collector) Close() error {
 	return nil
 }
 
-// Merged returns the cluster-wide timeline: local events (if a local trace
-// is registered) plus every shipped batch, remote timestamps rebased by the
-// declared per-session clock offsets, sorted on the collector time axis.
-// Meta carries the label, the events missing from the timeline (local ring
-// overwrites plus the sessions' missed counts), and the per-host clock
-// table.
+// Merged returns the cluster-wide timeline: every shipped batch, its
+// timestamps rebased by the declared per-session clock offsets, sorted on
+// the collector time axis. Meta carries the label, the events missing from
+// the timeline (the sessions' missed counts), and the per-host clock table.
 func (c *Collector) Merged() ([]Event, Meta) {
 	c.mu.Lock()
-	local := c.local
-	c.mu.Unlock()
-	// Local events are already on the reference axis: offset zero.
-	localEvents, dropped := local.Snapshot()
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	srcs := make([]clockedEvents, 0, len(c.sess)+1)
+	srcs := make([]clockedEvents, 0, len(c.sess))
 	// The clock table is per host: every host a session shipped for runs on
 	// that session's clock (a replaced rank keeps its newest).
 	byHost := make(map[int32]ClockInfo)
@@ -718,12 +640,11 @@ func (c *Collector) Merged() ([]Event, Meta) {
 			byHost[h] = s.clock
 		}
 	}
-	srcs = append(srcs, clockedEvents{events: localEvents})
 	clocks := make([]ClockInfo, 0, len(byHost))
 	for h, ci := range byHost {
 		ci.Host = h
 		clocks = append(clocks, ci)
 	}
 	sort.Slice(clocks, func(i, j int) bool { return clocks[i].Host < clocks[j].Host })
-	return mergeAligned(srcs), Meta{Label: c.label, Dropped: dropped + c.missed, Clocks: clocks, Sessions: c.sessionInfosLocked()}
+	return mergeAligned(srcs), Meta{Label: c.label, Dropped: c.missed, Clocks: clocks, Sessions: c.sessionInfosLocked()}
 }

@@ -147,47 +147,6 @@ func TestSidebandAppliesOffsets(t *testing.T) {
 	}
 }
 
-// TestSidebandLocalTrace: the embedded-collector mode merges the collector
-// process's own events without any clock correction.
-func TestSidebandLocalTrace(t *testing.T) {
-	col, err := ListenAndCollect("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	local := New(Config{Capacity: 64, Label: "local"})
-	col.SetLocal(local)
-	local.Recorder(0).Emit(Event{Start: 500, Dur: 1, Phase: PhaseCompute})
-
-	remote := New(Config{Capacity: 64})
-	remote.Recorder(1).Emit(Event{Start: 600, Dur: 1, Phase: PhaseCompute})
-	sh, err := StartShipper(ShipperConfig{Addr: col.Addr(), Trace: remote, Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.Close()
-	col.Close()
-	events, meta := col.Merged()
-	if len(events) != 2 {
-		t.Fatalf("merged %d events, want 2", len(events))
-	}
-	var sawLocal bool
-	for _, e := range events {
-		if e.Host == 0 {
-			sawLocal = true
-			if e.Start != 500 {
-				t.Fatalf("local event rebased to %d; must stay on the reference axis", e.Start)
-			}
-		}
-	}
-	if !sawLocal {
-		t.Fatal("local event missing from merge")
-	}
-	if meta.Label != "local" {
-		t.Fatalf("label = %q, want the local trace's", meta.Label)
-	}
-}
-
 func TestSidebandFraming(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, sbBatch, []byte(`{"host":3}`)); err != nil {

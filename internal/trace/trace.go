@@ -274,7 +274,7 @@ func (t *Trace) Dropped() uint64 {
 // Beyond the ring, a Recorder keeps a few liveness atomics — the current BSP
 // round, the phase the host is executing right now, cumulative encode bytes,
 // and the time of the last touch — which together form the compact heartbeat
-// the cluster watchdog and the sideband gossip read without locking the ring.
+// the cluster watchdog and the sideband shipper read without locking the ring.
 type Recorder struct {
 	t     *Trace
 	host  int32
@@ -466,8 +466,8 @@ func (t *Trace) Now() int64 {
 	return int64(time.Since(t.epoch))
 }
 
-// Heartbeats snapshots every host's liveness atomics — the local view the
-// watchdog and the sideband gossip publish.
+// Heartbeats snapshots every host's liveness atomics — the local view a
+// shipper sends and a postmortem bundle keeps.
 func (t *Trace) Heartbeats() []Heartbeat {
 	var out []Heartbeat
 	for _, r := range t.recorders() {

@@ -6,8 +6,8 @@ package trace
 // progress entirely and the cluster hangs at the next rendezvous. The
 // watchdog turns both into a named diagnosis: hosts publish compact
 // heartbeats (round, live phase, byte counters) into a Health table — local
-// hosts straight from their Recorders, remote ones via transport gossip or
-// the collection sideband — and a monitor goroutine flags any round that
+// hosts read straight from their Recorders, remote ones via transport gossip
+// or the collection sideband — and a monitor goroutine flags any round that
 // exceeds Factor× the trailing-median round time, naming the suspect host
 // and the phase it is stuck in. If the stall persists past StallTimeout the
 // report escalates, and the dsys runner feeds it into the comm.PeerError
@@ -48,59 +48,54 @@ func HeartbeatOf(r *Recorder) Heartbeat {
 	}
 }
 
-// Health is the cluster-wide heartbeat table a watchdog monitors: one slot
-// per host, updated lock-free by whoever observes that host (the host's own
-// gossip loop, a drain loop receiving remote heartbeats, or the collector's
-// sideband sessions).
+// Health is the cluster-wide heartbeat table a watchdog monitors. Each host
+// has one writer: hosts of this process are read from their recorders at
+// every Snapshot, and every other host is written by Update from the one
+// link that carries its heartbeats (a gossip drain, or its shipper's
+// sideband session), so a slot only ever moves forward in that link's order.
 type Health struct {
 	mu    sync.RWMutex
 	slots map[int32]Heartbeat
+	local []*Recorder
 	clock func() int64 // observer clock, ns
 }
 
-// NewHealth creates an empty table stamping receipt times from clock (nil
-// means a wall-clock-based monotonic source).
-func NewHealth(clock func() int64) *Health {
+// NewHealth creates a table stamping receipt times from clock (nil means a
+// wall-clock-based monotonic source) that reads the hosts of the given
+// recorders directly.
+func NewHealth(clock func() int64, local ...*Recorder) *Health {
 	if clock == nil {
 		epoch := time.Now()
 		clock = func() int64 { return int64(time.Since(epoch)) }
 	}
-	return &Health{slots: make(map[int32]Heartbeat), clock: clock}
+	return &Health{slots: make(map[int32]Heartbeat), local: local, clock: clock}
 }
 
-// Update records a host's latest heartbeat. Stale updates (an older round
-// than the slot already holds) are ignored so out-of-order gossip cannot
-// roll a host backwards.
+// Update records the latest heartbeat of a host in another process.
 func (h *Health) Update(hb Heartbeat) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if cur, ok := h.slots[hb.Host]; ok && (hb.Round < cur.Round || (hb.Round == cur.Round && hb.BeatNs < cur.BeatNs)) {
-		return
-	}
 	hb.AtNs = h.clock()
+	h.mu.Lock()
 	h.slots[hb.Host] = hb
+	h.mu.Unlock()
 }
 
-// Snapshot returns the current table, ordered by host.
+// Snapshot returns the current table, ordered by host: the local hosts as
+// their recorders read now, the others as last updated.
 func (h *Health) Snapshot() []Heartbeat {
+	now := h.clock()
 	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]Heartbeat, 0, len(h.slots))
+	out := make([]Heartbeat, 0, len(h.slots)+len(h.local))
 	for _, hb := range h.slots {
+		out = append(out, hb)
+	}
+	h.mu.RUnlock()
+	for _, r := range h.local {
+		hb := HeartbeatOf(r)
+		hb.AtNs = now
 		out = append(out, hb)
 	}
 	slices.SortFunc(out, func(a, b Heartbeat) int { return cmp.Compare(a.Host, b.Host) })
 	return out
-}
-
-// Reset clears the table. A checkpoint rollback legitimately moves every
-// host's round backwards; without a reset, Update's stale-gossip filter
-// would discard all post-rollback heartbeats and the watchdog would starve
-// on pre-rollback state.
-func (h *Health) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	clear(h.slots)
 }
 
 // Now returns the table's observer clock reading.

@@ -54,17 +54,22 @@ func TestSuspectHost(t *testing.T) {
 	}
 }
 
-func TestHealthStaleUpdatesIgnored(t *testing.T) {
-	h := NewHealth(nil)
-	h.Update(Heartbeat{Host: 0, Round: 5, Phase: PhaseCompute, BeatNs: 100})
-	h.Update(Heartbeat{Host: 0, Round: 3, Phase: PhaseEncode, BeatNs: 200}) // out-of-order gossip
-	snap := h.Snapshot()
-	if len(snap) != 1 || snap[0].Round != 5 {
-		t.Fatalf("stale round must not roll the slot back: %+v", snap)
+// TestHealthOneWriterPerHost: a local host is read from its recorder at
+// every Snapshot, and a remote host's slot takes each update in the order
+// its one link delivers it, a rollback to a smaller round included.
+func TestHealthOneWriterPerHost(t *testing.T) {
+	tr := New(Config{Capacity: 16})
+	rec := tr.Recorder(0)
+	h := NewHealth(nil, rec)
+	rec.SetRound(3)
+	h.Update(Heartbeat{Host: 1, Round: 5, Phase: PhaseCompute, BeatNs: 100})
+	if snap := h.Snapshot(); len(snap) != 2 || snap[0].Host != 0 || snap[0].Round != 3 || snap[1].Round != 5 {
+		t.Fatalf("snapshot = %+v, want host 0 at round 3 and host 1 at round 5", snap)
 	}
-	h.Update(Heartbeat{Host: 0, Round: 5, Phase: PhaseRecvWait, BeatNs: 300})
-	if got := h.Snapshot()[0].Phase; got != PhaseRecvWait {
-		t.Fatalf("same-round newer beat should update, phase = %v", got)
+	rec.SetRound(4)
+	h.Update(Heartbeat{Host: 1, Round: 2, Phase: PhaseEncode, BeatNs: 200}) // rolled back
+	if snap := h.Snapshot(); snap[0].Round != 4 || snap[1].Round != 2 || snap[1].Phase != PhaseEncode {
+		t.Fatalf("snapshot = %+v, want host 0 read at round 4 and host 1's rollback to round 2", snap)
 	}
 }
 
@@ -194,13 +199,12 @@ func TestWatchdogSuspendedNeverReports(t *testing.T) {
 		t.Fatalf("suspended watchdog reported a stall: %+v", r)
 	default:
 	}
-	// After a rollback the hosts gossip smaller rounds; Reset lets the
-	// table accept them (Update ignores round regressions otherwise).
-	h.Reset()
+	// After a rollback the hosts report smaller rounds; each slot takes
+	// them from its one writer.
 	w.Resume()
 	beat(0, 2, PhaseCompute)
-	if snap := h.Snapshot(); len(snap) != 1 || snap[0].Round != 2 {
-		t.Fatalf("post-Reset rollback heartbeat not accepted: %+v", snap)
+	if snap := h.Snapshot(); len(snap) != 3 || snap[0].Round != 2 {
+		t.Fatalf("rollback heartbeat not accepted: %+v", snap)
 	}
 	// Resumed and genuinely stalled: the watchdog must report again.
 	beat(0, 2, PhaseRecvWait)
