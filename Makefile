@@ -32,7 +32,7 @@ build:
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
 TRACE_LOC_MAX = 2891
-ROOT_LOC_MAX = 13986
+ROOT_LOC_MAX = 13878
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -216,6 +216,7 @@ trace-smoke:
 # stalling the run at "0/sec" while it is minimized.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
+	$(GO) test -run '^$$' -fuzz FuzzMemo -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
 	$(GO) test -run '^$$' -fuzz FuzzReadLoop -fuzztime 10s -fuzzminimizetime 1s ./internal/comm/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/

@@ -3,9 +3,10 @@
 // (ROADMAP "self-healing clusters", DESIGN.md §4.6).
 //
 // A checkpoint is taken at a round boundary: every host captures its own
-// master-owned field sections (the program's ExportState), the current
-// frontier, and the memoized address-translation tables, all stamped with
-// the round cursor as the epoch. Capture is synchronous and cheap (a copy
+// master-owned field sections (the program's ExportState) and the current
+// frontier, stamped with the round cursor as the epoch. The memoized
+// exchange orders are not saved: a recovering cluster runs the
+// memoization exchange again. Capture is synchronous and cheap (a copy
 // of the per-host arrays); the write happens on a dedicated goroutine so
 // compute never waits on the filesystem ("asynchronous" in the Gemini
 // sense of chunk-based state shipping staying off the hot path).
@@ -45,9 +46,9 @@ var magic = [8]byte{'G', 'L', 'U', 'C', 'K', 'P', 'T', 1}
 // ErrNoCheckpoint reports that no complete checkpoint exists for a host.
 var ErrNoCheckpoint = errors.New("ckpt: no complete checkpoint found")
 
-// Section is one named blob inside a snapshot: a program field array, the
-// frontier bitset, or the memoized translation tables. Names must be
-// non-empty and at most 255 bytes.
+// Section is one named blob inside a snapshot: a program field array or
+// the frontier bitset. Readers look sections up by name and skip the rest.
+// Names must be non-empty and at most 255 bytes.
 type Section struct {
 	Name string
 	Data []byte
@@ -347,7 +348,7 @@ type Writer struct {
 	keep   int
 	ch     chan *Snapshot
 	done   chan struct{}
-	onDone func(err error)
+	onDone func(epoch uint64, err error)
 
 	mu  sync.Mutex
 	err error
@@ -357,8 +358,9 @@ type Writer struct {
 }
 
 // NewWriter starts the single-writer goroutine. onDone, if non-nil, is
-// called after each write attempt with its outcome.
-func NewWriter(opt Options, host int, onDone func(err error)) *Writer {
+// called after each write attempt with the epoch of the snapshot it wrote
+// and its outcome.
+func NewWriter(opt Options, host int, onDone func(epoch uint64, err error)) *Writer {
 	w := &Writer{
 		dir:    opt.Dir,
 		host:   host,
@@ -386,7 +388,7 @@ func (w *Writer) run() {
 			w.mu.Unlock()
 		}
 		if w.onDone != nil {
-			w.onDone(err)
+			w.onDone(s.Epoch, err)
 		}
 		w.pending.Done()
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -226,10 +227,10 @@ func TestFileNameOrdering(t *testing.T) {
 
 func TestWriterAsync(t *testing.T) {
 	dir := t.TempDir()
-	var wrote int
-	w := NewWriter(Options{Dir: dir, Keep: 2}, 1, func(err error) {
+	var wrote []uint64
+	w := NewWriter(Options{Dir: dir, Keep: 2}, 1, func(epoch uint64, err error) {
 		if err == nil {
-			wrote++
+			wrote = append(wrote, epoch)
 		}
 	})
 	for epoch := uint64(0); epoch < 5; epoch++ {
@@ -243,8 +244,8 @@ func TestWriterAsync(t *testing.T) {
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if wrote != 5 {
-		t.Fatalf("onDone reported %d completed writes, want 5", wrote)
+	if !slices.Equal(wrote, []uint64{0, 1, 2, 3, 4}) {
+		t.Fatalf("onDone reported writes of epochs %v, want 0 through 4", wrote)
 	}
 	got, err := epochs(dir, 1)
 	if err != nil {

@@ -15,7 +15,11 @@ package dsys
 // at startup with its newest on-disk epoch; a live rejoin is survivors
 // entering it from a *comm.PeerError while a replacement host enters it
 // from startup. Either way the cluster agrees on the newest epoch every
-// host can load, flushes stale traffic, and resumes the loop from there.
+// host can load and flushes stale traffic; then every host runs the
+// memoization exchange (gluon.New on a host that starts, Memoize on a
+// survivor), loads that epoch, and resumes the loop from there. A
+// checkpoint holds field state and the frontier only: the exchange orders
+// always come from the exchange.
 
 import (
 	"fmt"
@@ -44,41 +48,25 @@ type Checkpointable interface {
 	ImportState(secs []ckpt.Section) error
 }
 
-// Reserved section names the runner adds next to the program's own.
-const (
-	// secFrontier holds the BSP frontier bitset's words (fields.EncodeVals).
-	secFrontier = "dsys-frontier"
-	// secGluonMemo holds the substrate's memoized master-side exchange
-	// orders (gluon.ExportMemo), so a replacement host can rebuild its
-	// Gluon without the memoization exchange the survivors cannot answer.
-	secGluonMemo = "dsys-gluon-memo"
-)
+// secFrontier is the reserved section the runner adds next to the
+// program's own: the BSP frontier bitset's words (fields.EncodeVals).
+const secFrontier = "dsys-frontier"
 
-// defaultRejoinTimeout bounds how long the rendezvous waits for each peer
+// rejoinTimeout bounds how long the rendezvous waits for each peer
 // (survivors waiting out a kill -9 need to outlive operator reaction time).
-const defaultRejoinTimeout = 120 * time.Second
-
-func (cfg *RunConfig) rejoinTimeout() time.Duration {
-	if cfg.RejoinTimeout > 0 {
-		return cfg.RejoinTimeout
-	}
-	return defaultRejoinTimeout
-}
+const rejoinTimeout = 120 * time.Second
 
 // captureSnapshot assembles one host's checkpoint: the program's sections
-// plus the runner's frontier and the substrate's memo. Everything is copied
-// before return, so the caller may hand the snapshot to a background writer
-// and immediately resume mutating program state.
-func captureSnapshot(p *partition.Partition, g *gluon.Gluon, cp Checkpointable,
+// plus the runner's frontier. Everything is copied before return, so the
+// caller may hand the snapshot to a background writer and immediately
+// resume mutating program state.
+func captureSnapshot(p *partition.Partition, cp Checkpointable,
 	alg string, epoch uint64, frontier *bitset.Bitset) (*ckpt.Snapshot, error) {
 	secs, err := cp.ExportState()
 	if err != nil {
 		return nil, fmt.Errorf("dsys: checkpoint export: %w", err)
 	}
-	secs = append(secs,
-		ckpt.Section{Name: secFrontier, Data: fields.EncodeVals(nil, frontier.Words())},
-		ckpt.Section{Name: secGluonMemo, Data: g.ExportMemo()},
-	)
+	secs = append(secs, ckpt.Section{Name: secFrontier, Data: fields.EncodeVals(nil, frontier.Words())})
 	return &ckpt.Snapshot{
 		Algorithm: alg,
 		Host:      p.HostID,
@@ -110,11 +98,12 @@ func restoreSnapshot(p *partition.Partition, cp Checkpointable, snap *ckpt.Snaps
 	return frontier, nil
 }
 
-// recvRejoinFrame receives one TagRejoin frame from a specific peer with a
-// deadline. Transports have no timed receive, so the blocking Recv runs on
-// a helper goroutine; on timeout the goroutine parks until the transport
-// closes (the run is failing anyway) and releases any late payload.
-func recvRejoinFrame(t comm.Transport, from int, timeout time.Duration) (kind byte, epoch uint64, err error) {
+// recvRejoinFrame receives one TagRejoin frame from a specific peer within
+// rejoinTimeout. Transports have no timed receive, so the blocking Recv
+// runs on a helper goroutine; on timeout the goroutine parks until the
+// transport closes (the run is failing anyway) and releases any late
+// payload.
+func recvRejoinFrame(t comm.Transport, from int) (kind byte, epoch uint64, err error) {
 	type result struct {
 		payload []byte
 		err     error
@@ -124,7 +113,7 @@ func recvRejoinFrame(t comm.Transport, from int, timeout time.Duration) (kind by
 		p, err := t.Recv(from, comm.TagRejoin)
 		ch <- result{p, err}
 	}()
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(rejoinTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
@@ -140,7 +129,7 @@ func recvRejoinFrame(t comm.Transport, from int, timeout time.Duration) (kind by
 				comm.PutBuf(r.payload)
 			}
 		}()
-		return 0, 0, fmt.Errorf("dsys: rejoin: no answer from host %d within %v", from, timeout)
+		return 0, 0, fmt.Errorf("dsys: rejoin: no answer from host %d within %v", from, rejoinTimeout)
 	}
 }
 
@@ -148,7 +137,8 @@ func recvRejoinFrame(t comm.Transport, from int, timeout time.Duration) (kind by
 // every host — survivors, restarted hosts, and a freshly dialed replacement
 // — to the same checkpoint epoch with clean mailboxes. localEpoch is this
 // host's newest complete on-disk epoch; the return value is the cluster
-// minimum, the newest epoch every host can load.
+// minimum, the newest epoch every host can load. g is nil on a host that
+// has not built its substrate yet.
 //
 // The protocol leans on per-(sender,tag) FIFO ordering:
 //
@@ -171,8 +161,9 @@ func recvRejoinFrame(t comm.Transport, from int, timeout time.Duration) (kind by
 //  5. Send RESUME to all, then receive RESUME from all. A peer leaves the
 //     rendezvous — and may send post-rollback data — only after it has
 //     received this host's RESUME, which follows this host's flush, so
-//     fresh data can never race into a queue about to be flushed.
-func rejoinRendezvous(t comm.Transport, g *gluon.Gluon, localEpoch uint64, timeout time.Duration) (uint64, error) {
+//     fresh data — first of all the memoization exchange every host runs
+//     next — can never race into a queue about to be flushed.
+func rejoinRendezvous(t comm.Transport, g *gluon.Gluon, localEpoch uint64) (uint64, error) {
 	me, n := t.HostID(), t.NumHosts()
 	if g != nil {
 		g.WaitSends()
@@ -198,7 +189,7 @@ func rejoinRendezvous(t comm.Transport, g *gluon.Gluon, localEpoch uint64, timeo
 		if h == me {
 			continue
 		}
-		kind, e, err := recvRejoinFrame(t, h, timeout)
+		kind, e, err := recvRejoinFrame(t, h)
 		if err != nil {
 			return 0, err
 		}
@@ -239,7 +230,7 @@ func rejoinRendezvous(t comm.Transport, g *gluon.Gluon, localEpoch uint64, timeo
 		kind := byte(0)
 		for tries := 0; tries < 3; tries++ {
 			var err error
-			kind, _, err = recvRejoinFrame(t, h, timeout)
+			kind, _, err = recvRejoinFrame(t, h)
 			if err != nil {
 				return 0, err
 			}

@@ -6,13 +6,16 @@ package dsys_test
 // run's converged values must be byte-identical to the fault-free golden.
 // The label family (bfs, cc, sssp — one Checkpointable program) rides the
 // same harness as further rows, one per engine.
-// A TCP variant kills one rank for real (transport close, like kill -9 as
-// seen from the peers) and rejoins a replacement process into the held
-// survivors. The buffer-accounting test pins gets == puts across the
+// Further rows crash and cold-restore pr over loopback TCP meshes, and
+// restore checkpoints that carry the exchange-order section older builds
+// wrote. A TCP variant kills one rank for real (transport close, like
+// kill -9 as seen from the peers) and rejoins a replacement process into
+// the held survivors. The buffer-accounting test pins gets == puts across the
 // injected-fault scenarios, and the self-poison regression pins that a
 // failing host unblocks its OWN parked receivers, not just its peers'.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -162,6 +165,14 @@ func mustMatchGolden(t *testing.T, got, want []float64) {
 // directory and returns the recovered values.
 func crashThenRestore(t *testing.T, job cmJob, dir string, mkTransports func() []comm.Transport, killAt int) []float64 {
 	t.Helper()
+	crash(t, job, dir, mkTransports, killAt)
+	return restore(t, job, dir, mkTransports)
+}
+
+// crash runs the job over fresh transports until it fails (see
+// crashThenRestore), leaving its checkpoints in dir.
+func crash(t *testing.T, job cmJob, dir string, mkTransports func() []comm.Transport, killAt int) {
+	t.Helper()
 	parts, prog := job.parts(t)
 	faulty := prog
 	if killAt >= 0 {
@@ -175,11 +186,16 @@ func crashThenRestore(t *testing.T, job cmJob, dir string, mkTransports func() [
 	for _, tr := range ts {
 		tr.Close()
 	}
+}
 
-	parts, prog = job.parts(t)
+// restore runs the job restored from dir over fresh transports and returns
+// the recovered values.
+func restore(t *testing.T, job cmJob, dir string, mkTransports func() []comm.Transport) []float64 {
+	t.Helper()
+	parts, prog := job.parts(t)
 	cfg := cmConfig(dir)
 	cfg.Restore = true
-	ts = mkTransports()
+	ts := mkTransports()
 	defer func() {
 		for _, tr := range ts {
 			tr.Close()
@@ -190,6 +206,41 @@ func crashThenRestore(t *testing.T, job cmJob, dir string, mkTransports func() [
 		t.Fatalf("restore run: %v", rerr)
 	}
 	return res.Values
+}
+
+// legacyMemo is the dsys-gluon-memo section that older builds added to
+// every checkpoint: host me's master-side exchange orders toward each
+// peer — all of them, those whose mirror has in-edges, those whose mirror
+// has out-edges — laid out as a u32 host count, then per order and host a
+// u32 count and that many u32 local IDs.
+func legacyMemo(parts []*partition.Partition, me int) []byte {
+	var orders [3][][]uint32
+	for i := range orders {
+		orders[i] = make([][]uint32, len(parts))
+	}
+	for h, q := range parts {
+		for mlid := q.NumMasters; h != me && mlid < q.NumProxies(); mlid++ {
+			if q.Policy.Owner(q.GID(mlid)) != me {
+				continue
+			}
+			lid, _ := parts[me].LID(q.GID(mlid))
+			for i, has := range []bool{true, q.HasIn.Test(mlid), q.HasOut.Test(mlid)} {
+				if has {
+					orders[i][h] = append(orders[i][h], lid)
+				}
+			}
+		}
+	}
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(parts)))
+	for _, order := range orders {
+		for _, lids := range order {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(lids)))
+			for _, lid := range lids {
+				out = binary.LittleEndian.AppendUint32(out, lid)
+			}
+		}
+	}
+	return out
 }
 
 // TestCrashMatrix kills host 1 at every round boundary of the run, then at
@@ -244,6 +295,53 @@ func TestCrashMatrix(t *testing.T) {
 			mustMatchGolden(t, got, golden)
 		})
 	}
+
+	// Over sockets: the crash and the cold restore each on a loopback TCP
+	// mesh of their own, so the rendezvous and the memoization exchange
+	// that follows it cross a real wire.
+	for _, at := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pr/tcp/round-%d", at), func(t *testing.T) {
+			mk := func() []comm.Transport {
+				ts, _ := tcpMesh(t, cmHosts)
+				return ts
+			}
+			mustMatchGolden(t, crashThenRestore(t, cmPR, t.TempDir(), mk, at), golden)
+		})
+	}
+
+	// Checkpoints written by older builds carry a dsys-gluon-memo section
+	// with the exchange orders; a restore must ignore it and run the
+	// exchange as every restore does.
+	t.Run("legacy-memo-section", func(t *testing.T) {
+		var hubs []*comm.Hub
+		mk := func() []comm.Transport {
+			h := comm.NewHub(cmHosts)
+			hubs = append(hubs, h)
+			return h.Endpoints()
+		}
+		defer func() {
+			for _, h := range hubs {
+				h.Close()
+			}
+		}()
+		dir := t.TempDir()
+		crash(t, cmPR, dir, mk, 3)
+		parts, _ := cmPR.parts(t)
+		for h := range parts {
+			snap, err := ckpt.Latest(dir, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Epoch != 2 {
+				t.Fatalf("host %d: newest epoch %d, want 2 (the one the restore loads)", h, snap.Epoch)
+			}
+			snap.Sections = append(snap.Sections, ckpt.Section{Name: "dsys-gluon-memo", Data: legacyMemo(parts, h)})
+			if err := ckpt.WriteFile(dir, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMatchGolden(t, restore(t, cmPR, dir, mk), golden)
+	})
 }
 
 // TestRestoreRequiresCheckpointable: enabling checkpointing for a program
@@ -279,7 +377,6 @@ func TestRejoinTCP(t *testing.T) {
 
 	cfg := cmConfig(dir)
 	cfg.Rejoin = true
-	cfg.RejoinTimeout = 60 * time.Second
 
 	inner := pr.NewGalois(cmTol, 2)
 	type outcome struct {

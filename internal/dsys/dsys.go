@@ -122,30 +122,27 @@ type RunConfig struct {
 	// Checkpoint, when non-nil, enables periodic asynchronous checkpoints:
 	// at every Every-th round boundary the cluster agrees on the epoch via
 	// a round-cursor all-reduce (the barrier token), each host copies its
-	// program field state + frontier + substrate memo, and a background
+	// program field state + frontier, and a background
 	// writer persists the snapshot (versioned binary format, CRC, atomic
 	// rename, last-Keep retention). Requires the program to implement
 	// Checkpointable. Nil disables checkpointing entirely: the BSP loop is
 	// untouched and costs nothing extra.
 	Checkpoint *ckpt.Options
 	// Restore starts the host from its newest complete on-disk checkpoint
-	// instead of Init: it rebuilds the substrate from the checkpointed
-	// memo, rendezvouses with its peers on a common epoch (the cluster
-	// minimum), imports field state, and resumes the loop at the
-	// checkpointed round. Requires Checkpoint. Used both for cold cluster
-	// restarts (every host restores) and for a replacement host rejoining
-	// survivors (see Rejoin).
+	// instead of Init: it rendezvouses with its peers on a common epoch
+	// (the cluster minimum), runs the memoization exchange with them,
+	// imports field state, and resumes the loop at the checkpointed round.
+	// Requires Checkpoint. Used both for cold cluster restarts (every host
+	// restores) and for a replacement host rejoining survivors (see
+	// Rejoin).
 	Restore bool
 	// Rejoin lets a survivor of a peer failure hold at the rejoin
 	// rendezvous and roll back to the newest cluster-wide checkpoint
 	// epoch instead of failing the run, resuming once a replacement host
 	// dials back in (comm.RejoinTCP) and restores. Effective on transports
 	// that propagate the HOLD announcement by poisoning (TCP); requires
-	// Checkpoint.
+	// Checkpoint. The rendezvous waits up to 120 s for each peer.
 	Rejoin bool
-	// RejoinTimeout bounds the per-peer wait at the rejoin rendezvous
-	// (how long survivors hold for a replacement). 0 means 120s.
-	RejoinTimeout time.Duration
 
 	// wd is the process-local watchdog handle, plumbed by
 	// RunWithTransports/RunSingle so the driver can suspend stall
@@ -400,7 +397,9 @@ type hostRun struct {
 
 // runHost is the per-host BSP driver.
 func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory ProgramFactory) (*hostRun, error) {
+	rec := cfg.Trace.Recorder(p.HostID)
 	var restored *ckpt.Snapshot
+	var agreed uint64
 	if cfg.Restore {
 		if cfg.Checkpoint == nil {
 			return nil, errors.New("dsys: Restore requires Checkpoint options")
@@ -416,17 +415,21 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			dumpRestoreFailure(p.HostID, nil, err)
 			return nil, err
 		}
+		// The rendezvous comes before the memoization exchange in gluon.New:
+		// survivors of a live failure can only answer the exchange once they
+		// have left it (they run Memoize there too). The watchdog sleeps
+		// until the exchange is over.
+		cfg.wd.suspendWatch()
+		if agreed, err = rejoinRendezvous(t, nil, snap.Epoch); err != nil {
+			cfg.wd.resumeWatch()
+			dumpRestoreFailure(p.HostID, rec, err)
+			return nil, err
+		}
 		restored = snap
 	}
-	var g *gluon.Gluon
-	var err error
+	g, err := gluon.New(p, t, cfg.Opt)
 	if restored != nil {
-		// The survivors are holding at the rendezvous, not in gluon.New,
-		// so the memoization exchange cannot run; the checkpoint carries
-		// the master-side orders it would have produced.
-		g, err = gluon.NewRestored(p, t, cfg.Opt, restored.Section(secGluonMemo))
-	} else {
-		g, err = gluon.New(p, t, cfg.Opt)
+		cfg.wd.resumeWatch()
 	}
 	if err != nil {
 		return nil, err
@@ -434,7 +437,6 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 	// Attach this host's trace recorder to the substrate and, when the
 	// transport can carry frame-level events, to the transport too. Events
 	// emitted before the first round (Init syncs) are stamped round -1.
-	rec := cfg.Trace.Recorder(p.HostID)
 	if rec != nil {
 		g.SetRecorder(rec)
 		if tc, ok := t.(comm.TraceCarrier); ok {
@@ -448,7 +450,6 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 	}
 	var cp Checkpointable
 	var cw *ckpt.Writer
-	var submitEpoch func(uint64)
 	every := 0
 	if cfg.Checkpoint != nil {
 		var ok bool
@@ -456,29 +457,13 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			return nil, fmt.Errorf("dsys: checkpointing enabled but program %q does not implement Checkpointable",
 				prog.Name())
 		}
-		// Track which epoch each completed write belongs to (the writer
-		// drains submissions in order) so the flight recorder's "last
-		// checkpoint epoch" reflects durable state, not submissions.
-		var ckq struct {
-			sync.Mutex
-			q []uint64
-		}
-		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(err error) {
-			ckq.Lock()
-			var epoch uint64
-			if len(ckq.q) > 0 {
-				epoch, ckq.q = ckq.q[0], ckq.q[1:]
-			}
-			ckq.Unlock()
+		// The flight recorder's "last checkpoint epoch" is durable state,
+		// not a submission.
+		cw = ckpt.NewWriter(*cfg.Checkpoint, p.HostID, func(epoch uint64, err error) {
 			if err == nil {
 				trace.Armed().SetLastCheckpoint(epoch)
 			}
 		})
-		submitEpoch = func(epoch uint64) {
-			ckq.Lock()
-			ckq.q = append(ckq.q, epoch)
-			ckq.Unlock()
-		}
 		defer cw.Close()
 		every = cfg.Checkpoint.EveryOrDefault()
 	}
@@ -505,7 +490,7 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		if tok != uint64(epoch) {
 			return fmt.Errorf("dsys: checkpoint token mismatch at epoch %d: cluster max %d", epoch, tok)
 		}
-		snap, err := captureSnapshot(p, g, cp, hr.name, uint64(epoch), frontier)
+		snap, err := captureSnapshot(p, cp, hr.name, uint64(epoch), frontier)
 		if err != nil {
 			return err
 		}
@@ -513,16 +498,37 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 			rec.Emit(trace.Event{Phase: trace.PhaseCkpt, Start: t0, Dur: rec.Now() - t0,
 				Peer: -1, Detail: fmt.Sprintf("epoch %d", epoch)})
 		}
-		submitEpoch(uint64(epoch))
 		return cw.Submit(snap)
+	}
+
+	// rollBack is what every recovery does once the exchange orders are
+	// built: load the agreed epoch when it is not snap's, restore the
+	// program and the frontier from it, and rewind the cursor.
+	rollBack := func(snap *ckpt.Snapshot, epoch uint64) (err error) {
+		if epoch != snap.Epoch {
+			if snap, err = ckpt.Load(cfg.Checkpoint.Dir, p.HostID, epoch); err != nil {
+				return err
+			}
+		}
+		if frontier, err = restoreSnapshot(p, cp, snap); err != nil {
+			return err
+		}
+		round = int(epoch)
+		// Re-executed rounds would misalign the per-round series with the
+		// round index; drop entries past the rollback point (cumulative
+		// totals keep the re-executed work — it was really spent).
+		hr.perRoundComp = hr.perRoundComp[:min(round, len(hr.perRoundComp))]
+		hr.perRoundSync = hr.perRoundSync[:min(round, len(hr.perRoundSync))]
+		return nil
 	}
 
 	// rejoin is the recovery path for a *comm.PeerError when rejoin is
 	// enabled: hold at the rendezvous (watchdog suspended so the stalled
 	// cluster is not escalated while it recovers), agree on the newest
-	// epoch every host can load, reload state, and rewind the cursor. It
-	// returns nil once the host has rolled back, and otherwise the error
-	// the run fails with: cause itself when rejoin does not apply.
+	// epoch every host can load, re-run the memoization exchange with the
+	// replacement, and roll back. It returns nil once the host has rolled
+	// back, and otherwise the error the run fails with: cause itself when
+	// rejoin does not apply.
 	rejoin := func(cause error) (rerr error) {
 		var pe *comm.PeerError
 		if !cfg.Rejoin || cw == nil || !errors.As(cause, &pe) {
@@ -543,42 +549,21 @@ func runHost(p *partition.Partition, t comm.Transport, cfg RunConfig, factory Pr
 		if err != nil {
 			return fmt.Errorf("dsys: rejoin after %v: %w", cause, err)
 		}
-		epoch, err := rejoinRendezvous(t, g, snap.Epoch, cfg.rejoinTimeout())
+		epoch, err := rejoinRendezvous(t, g, snap.Epoch)
 		if err != nil {
 			return err
 		}
-		if epoch != snap.Epoch {
-			if snap, err = ckpt.Load(cfg.Checkpoint.Dir, p.HostID, epoch); err != nil {
-				return err
-			}
-		}
-		if frontier, err = restoreSnapshot(p, cp, snap); err != nil {
+		if err := g.Memoize(); err != nil {
 			return err
 		}
-		round = int(epoch)
-		// Re-executed rounds would misalign the per-round series with the
-		// round index; drop entries past the rollback point (cumulative
-		// totals keep the re-executed work — it was really spent).
-		hr.perRoundComp = hr.perRoundComp[:min(round, len(hr.perRoundComp))]
-		hr.perRoundSync = hr.perRoundSync[:min(round, len(hr.perRoundSync))]
-		return nil
+		return rollBack(snap, epoch)
 	}
 
 	if restored != nil {
-		cfg.wd.suspendWatch()
-		epoch, err := rejoinRendezvous(t, g, restored.Epoch, cfg.rejoinTimeout())
-		if err == nil && epoch != restored.Epoch {
-			restored, err = ckpt.Load(cfg.Checkpoint.Dir, p.HostID, epoch)
-		}
-		if err == nil {
-			frontier, err = restoreSnapshot(p, cp, restored)
-		}
-		cfg.wd.resumeWatch()
-		if err != nil {
+		if err := rollBack(restored, agreed); err != nil {
 			dumpRestoreFailure(p.HostID, rec, err)
 			return nil, err
 		}
-		round = int(restored.Epoch)
 		rec.SetRound(int32(round))
 	} else {
 		if err := comm.Barrier(t); err != nil {

@@ -111,8 +111,7 @@ func (s *orderSet) slices(h, valueSize int, cut bool) []orderSlice {
 // slices of equal length (±1), a function of its length alone, so both ends
 // of an order cut it alike. Every list must be strictly lid-ascending:
 // mirror-side lists are by construction (localMirrors), master-side lists
-// come from a peer or a checkpoint and are checked where they enter
-// (memoize, importMemo).
+// come from a peer and are checked where they enter (decodeMemo).
 func newOrderSet(lists [][]uint32) orderSet {
 	s := orderSet{lists: lists, whole: make([]orderSlice, len(lists))}
 	for w := range s.cut {
@@ -216,8 +215,8 @@ func (g *Gluon) foldStats(st *Stats) {
 	g.statsMu.Unlock()
 }
 
-// New builds the substrate for one host and performs the memoization
-// exchange with all peers. All hosts of the communicator must call New
+// New builds the substrate for one host and runs the memoization exchange
+// (Memoize) with all peers. All hosts of the communicator must call New
 // concurrently (it communicates).
 func New(p *partition.Partition, t comm.Transport, opt Options) (*Gluon, error) {
 	if p.HostID != t.HostID() || p.NumHosts != t.NumHosts() {
@@ -225,21 +224,24 @@ func New(p *partition.Partition, t comm.Transport, opt Options) (*Gluon, error) 
 			p.HostID, p.NumHosts, t.HostID(), t.NumHosts())
 	}
 	g := &Gluon{Part: p, T: t, Opt: opt}
-	if err := g.memoize(); err != nil {
+	if err := g.Memoize(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// memoize runs the §4.1 exchange: each host informs every other host of the
+// Memoize runs the §4.1 exchange: each host informs every other host of the
 // global IDs of its mirrors owned by that host, together with the mirrors'
 // structural flags; both sides then translate to local IDs once and never
-// exchange IDs again.
+// exchange IDs again. It is the one source of the exchange orders: every
+// host of the communicator calls New or Memoize together, so a host that
+// recovers from a checkpoint runs it again after the rejoin rendezvous,
+// with no sync in flight.
 //
 // The exchange always runs — even under UNOPT options — because the runtime
 // needs to know which host pairs communicate; UNOPT merely ignores the
 // memoized ordering when encoding messages.
-func (g *Gluon) memoize() error {
+func (g *Gluon) Memoize() error {
 	p := g.Part
 	me := p.HostID
 	n := p.NumHosts
@@ -249,28 +251,11 @@ func (g *Gluon) memoize() error {
 	mastersIn := make([][]uint32, n)
 	mastersOut := make([][]uint32, n)
 
-	// Send to each peer: count, then per mirror its gid and in/out flag byte.
 	for h := 0; h < n; h++ {
 		if h == me {
 			continue
 		}
-		lids := mirrors[h]
-		payload := comm.GetBuf(4 + len(lids)*memoEntry)
-		binary.LittleEndian.PutUint32(payload, uint32(len(lids)))
-		off := 4
-		for _, lid := range lids {
-			binary.LittleEndian.PutUint64(payload[off:], p.GIDs[lid])
-			var flags byte
-			if p.HasIn.Test(lid) {
-				flags |= memoHasIn
-			}
-			if p.HasOut.Test(lid) {
-				flags |= memoHasOut
-			}
-			payload[off+8] = flags
-			off += memoEntry
-		}
-		if err := g.T.Send(h, comm.TagMemo, payload); err != nil {
+		if err := g.T.Send(h, comm.TagMemo, encodeMemo(p, mirrors[h])); err != nil {
 			return err
 		}
 	}
@@ -283,48 +268,11 @@ func (g *Gluon) memoize() error {
 		if err != nil {
 			return err
 		}
-		if len(payload) < 4 || len(payload) != 4+int(binary.LittleEndian.Uint32(payload))*memoEntry {
-			return fmt.Errorf("gluon: host %d: malformed memoization message from peer %d (%d bytes)", me, h, len(payload))
-		}
-		entries := payload[4:]
-		var numIn, numOut int
-		for off := 8; off < len(entries); off += memoEntry {
-			if entries[off]&memoHasIn != 0 {
-				numIn++
-			}
-			if entries[off]&memoHasOut != 0 {
-				numOut++
-			}
-		}
-		masters[h] = make([]uint32, 0, len(entries)/memoEntry)
-		if numIn > 0 {
-			mastersIn[h] = make([]uint32, 0, numIn)
-		}
-		if numOut > 0 {
-			mastersOut[h] = make([]uint32, 0, numOut)
-		}
-		for off := 0; off < len(entries); off += memoEntry {
-			gid := binary.LittleEndian.Uint64(entries[off:])
-			flags := entries[off+8]
-			// For a master LID is offset arithmetic in my owned range.
-			lid, ok := p.LID(gid)
-			if !ok || !p.IsMaster(lid) {
-				return fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, h, gid)
-			}
-			// Master lids ascend with their gids, so this is the agreed
-			// GID-ascending order — and what the order masks are built on.
-			if k := len(masters[h]); k > 0 && lid <= masters[h][k-1] {
-				return fmt.Errorf("gluon: host %d: peer %d lists its mirrors out of order (gid %d not above its predecessor)", me, h, gid)
-			}
-			masters[h] = append(masters[h], lid)
-			if flags&memoHasIn != 0 {
-				mastersIn[h] = append(mastersIn[h], lid)
-			}
-			if flags&memoHasOut != 0 {
-				mastersOut[h] = append(mastersOut[h], lid)
-			}
-		}
+		masters[h], mastersIn[h], mastersOut[h], err = decodeMemo(p, h, payload)
 		comm.PutBuf(payload)
+		if err != nil {
+			return err
+		}
 	}
 	g.mirrors = newOrderSet(mirrors)
 	g.mirrorsIn = newOrderSet(mirrorsIn)
@@ -336,26 +284,93 @@ func (g *Gluon) memoize() error {
 }
 
 // TagMemo wire format: a u32 count, then per mirror its u64 global ID and a
-// flag byte.
+// flag byte holding memoHasIn and memoHasOut and no other bit.
 const (
 	memoEntry       = 9
 	memoHasIn  byte = 1
 	memoHasOut byte = 2
 )
 
-func countAll(lists [][]uint32) uint64 {
-	var c uint64
-	for _, l := range lists {
-		c += uint64(len(l))
+// encodeMemo builds the TagMemo payload for one peer: p's mirrors lids,
+// all owned by that peer, with their structural flags.
+func encodeMemo(p *partition.Partition, lids []uint32) []byte {
+	payload := comm.GetBuf(4 + len(lids)*memoEntry)
+	binary.LittleEndian.PutUint32(payload, uint32(len(lids)))
+	off := 4
+	for _, lid := range lids {
+		binary.LittleEndian.PutUint64(payload[off:], p.GIDs[lid])
+		var flags byte
+		if p.HasIn.Test(lid) {
+			flags |= memoHasIn
+		}
+		if p.HasOut.Test(lid) {
+			flags |= memoHasOut
+		}
+		payload[off+8] = flags
+		off += memoEntry
 	}
-	return c
+	return payload
+}
+
+// decodeMemo translates peer from's TagMemo payload into the master-side
+// orders of p toward that peer: every lid a master of p, each order strictly
+// ascending (the agreed GID order every mask is built on), in and out the
+// subsets whose mirror has in- or out-edges. A payload that breaks any of
+// this is an error.
+func decodeMemo(p *partition.Partition, from int, payload []byte) (all, in, out []uint32, err error) {
+	me := p.HostID
+	if len(payload) < 4 || len(payload) != 4+int(binary.LittleEndian.Uint32(payload))*memoEntry {
+		return nil, nil, nil, fmt.Errorf("gluon: host %d: malformed memoization message from peer %d (%d bytes)", me, from, len(payload))
+	}
+	entries := payload[4:]
+	var numIn, numOut int
+	for off := 8; off < len(entries); off += memoEntry {
+		if entries[off]&^(memoHasIn|memoHasOut) != 0 {
+			return nil, nil, nil, fmt.Errorf("gluon: host %d: peer %d sends unknown mirror flags %#x", me, from, entries[off])
+		}
+		if entries[off]&memoHasIn != 0 {
+			numIn++
+		}
+		if entries[off]&memoHasOut != 0 {
+			numOut++
+		}
+	}
+	all = make([]uint32, 0, len(entries)/memoEntry)
+	if numIn > 0 {
+		in = make([]uint32, 0, numIn)
+	}
+	if numOut > 0 {
+		out = make([]uint32, 0, numOut)
+	}
+	for off := 0; off < len(entries); off += memoEntry {
+		gid := binary.LittleEndian.Uint64(entries[off:])
+		flags := entries[off+8]
+		// For a master LID is offset arithmetic in my owned range.
+		lid, ok := p.LID(gid)
+		if !ok || !p.IsMaster(lid) {
+			return nil, nil, nil, fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, from, gid)
+		}
+		// Master lids ascend with their gids, so this is the agreed
+		// GID-ascending order — and what the order masks are built on.
+		if k := len(all); k > 0 && lid <= all[k-1] {
+			return nil, nil, nil, fmt.Errorf("gluon: host %d: peer %d lists its mirrors out of order (gid %d not above its predecessor)", me, from, gid)
+		}
+		all = append(all, lid)
+		if flags&memoHasIn != 0 {
+			in = append(in, lid)
+		}
+		if flags&memoHasOut != 0 {
+			out = append(out, lid)
+		}
+	}
+	return all, in, out, nil
 }
 
 // localMirrors computes the mirror-side exchange orders — which of my
 // proxies are mirrors owned by each peer, in agreed GID order, plus the
 // structural In/Out subsets. Pure local computation over the partition; the
-// master-side orders are the part that requires either the memoization
-// exchange (New) or a checkpointed import (NewRestored).
+// master-side orders are the part that requires the memoization exchange
+// (Memoize).
 //
 // Mirrors are numbered in ascending GID and every peer owns one contiguous
 // GID range, so a peer's mirrors are one contiguous local-ID range: no
@@ -392,109 +407,6 @@ func setBitsIn(b *bitset.Bitset, lo, hi uint32) []uint32 {
 		out = append(out, i)
 	}
 	return out
-}
-
-// ExportMemo serializes the master-side memoized orders (masters,
-// mastersIn, mastersOut) for checkpointing. A replacement host cannot
-// re-run the memoization exchange — the survivors are holding at the
-// rendezvous, not in New — so the checkpoint carries the only state the
-// exchange would have produced; the mirror side is recomputed locally.
-// Layout: u32 numHosts, then for each of the three sets, per host a u32
-// count followed by that many u32 local IDs.
-func (g *Gluon) ExportMemo() []byte {
-	n := g.Part.NumHosts
-	size := 4
-	for _, set := range []*orderSet{&g.masters, &g.mastersIn, &g.mastersOut} {
-		size += 4 * n
-		size += 4 * int(countAll(set.lists))
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	for _, set := range []*orderSet{&g.masters, &g.mastersIn, &g.mastersOut} {
-		for h := 0; h < n; h++ {
-			lids := set.lists[h]
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(lids)))
-			for _, lid := range lids {
-				out = binary.LittleEndian.AppendUint32(out, lid)
-			}
-		}
-	}
-	return out
-}
-
-// importMemo inverts ExportMemo, validating every local ID against the
-// partition (it must name a master proxy) and every order as strictly
-// ascending, so a stale or foreign checkpoint fails loudly instead of
-// corrupting the exchange orders.
-func (g *Gluon) importMemo(data []byte) error {
-	p := g.Part
-	n := p.NumHosts
-	if len(data) < 4 {
-		return fmt.Errorf("gluon: memo section too short (%d bytes)", len(data))
-	}
-	if got := int(binary.LittleEndian.Uint32(data)); got != n {
-		return fmt.Errorf("gluon: memo section is for %d hosts, cluster has %d", got, n)
-	}
-	off := 4
-	sets := make([][][]uint32, 3)
-	for s := 0; s < 3; s++ {
-		lists := make([][]uint32, n)
-		for h := 0; h < n; h++ {
-			if off+4 > len(data) {
-				return fmt.Errorf("gluon: memo section truncated at host %d", h)
-			}
-			cnt := int(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			if off+4*cnt > len(data) {
-				return fmt.Errorf("gluon: memo section truncated in host %d order", h)
-			}
-			if cnt == 0 {
-				continue
-			}
-			lids := make([]uint32, cnt)
-			for i := range lids {
-				lid := binary.LittleEndian.Uint32(data[off:])
-				off += 4
-				if lid >= p.NumProxies() || !p.IsMaster(lid) {
-					return fmt.Errorf("gluon: memo section names lid %d which is not a master here", lid)
-				}
-				if i > 0 && lid <= lids[i-1] {
-					return fmt.Errorf("gluon: memo section order for host %d is not strictly ascending (lid %d after %d)", h, lid, lids[i-1])
-				}
-				lids[i] = lid
-			}
-			lists[h] = lids
-		}
-		sets[s] = lists
-	}
-	if off != len(data) {
-		return fmt.Errorf("gluon: %d trailing bytes in memo section", len(data)-off)
-	}
-	g.masters = newOrderSet(sets[0])
-	g.mastersIn = newOrderSet(sets[1])
-	g.mastersOut = newOrderSet(sets[2])
-	return nil
-}
-
-// NewRestored builds the substrate for a host resuming from a checkpoint:
-// the mirror-side orders are recomputed locally and the master-side orders
-// come from the checkpoint's memo section (ExportMemo), so no memoization
-// exchange runs — the peers are holding at the rejoin rendezvous and could
-// not answer one.
-func NewRestored(p *partition.Partition, t comm.Transport, opt Options, memo []byte) (*Gluon, error) {
-	if p.HostID != t.HostID() || p.NumHosts != t.NumHosts() {
-		return nil, fmt.Errorf("gluon: partition host %d/%d does not match transport %d/%d",
-			p.HostID, p.NumHosts, t.HostID(), t.NumHosts())
-	}
-	g := &Gluon{Part: p, T: t, Opt: opt}
-	mirrors, mirrorsIn, mirrorsOut := g.localMirrors()
-	g.mirrors = newOrderSet(mirrors)
-	g.mirrorsIn = newOrderSet(mirrorsIn)
-	g.mirrorsOut = newOrderSet(mirrorsOut)
-	if err := g.importMemo(memo); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // HostID returns this instance's host rank.
@@ -546,8 +458,9 @@ func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, 
 	}
 }
 
-// VerifyMemoization cross-checks the memoized orders between all hosts by
-// re-exchanging GID digests; used by tests and the partition inspector.
+// VerifyMemoization checks that every mirror order lists its proxies in
+// ascending GID, the order both ends of a pair agree on. It is a local check
+// and exchanges nothing.
 func (g *Gluon) VerifyMemoization() error {
 	p := g.Part
 	for h := 0; h < p.NumHosts; h++ {

@@ -62,6 +62,15 @@ func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*
 	return gs
 }
 
+// countAll is the number of entries over all per-peer lists.
+func countAll(lists [][]uint32) uint64 {
+	var c uint64
+	for _, l := range lists {
+		c += uint64(len(l))
+	}
+	return c
+}
+
 // TestMemoizationAlignment: for every host pair, the sender's mirror list
 // and the receiver's master list have identical lengths and refer to the
 // same global IDs in the same order — the §4.1 contract that lets values

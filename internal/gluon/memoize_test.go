@@ -3,7 +3,6 @@ package gluon
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 // perGIDOrders is the memoization this package used before mirrors became
 // contiguous LID ranges: group mirror GIDs by Owner(), translate each one
 // through Partition.LID, and look each peer's claimed GID up on the master
-// side. The range-based memoize must produce the same six order families.
+// side. The range-based Memoize must produce the same six order families.
 func perGIDOrders(gs []*Gluon, me int) (mirrors, mirrorsIn, mirrorsOut, masters, mastersIn, mastersOut [][]uint32) {
 	n := len(gs)
 	lists := func() [][]uint32 { return make([][]uint32, n) }
@@ -83,70 +82,12 @@ func TestMemoizeMatchesPerGIDTranslation(t *testing.T) {
 	}
 }
 
-// TestNewRestoredRoundTripsExportMemo: a substrate rebuilt from its own
-// exported memo section has the same exchange orders and re-exports the
-// same bytes — and a section that was tampered with is refused, not turned
-// into exchange orders the masks cannot represent.
-func TestNewRestoredRoundTripsExportMemo(t *testing.T) {
-	for _, kind := range partition.AllKinds() {
-		for _, g := range buildCluster(t, kind, 4, Opt()) {
-			memo := g.ExportMemo()
-			r, err := NewRestored(g.Part, g.T, g.Opt, memo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				name      string
-				got, want orderSet
-			}{
-				{"mirrors", r.mirrors, g.mirrors}, {"mirrorsIn", r.mirrorsIn, g.mirrorsIn}, {"mirrorsOut", r.mirrorsOut, g.mirrorsOut},
-				{"masters", r.masters, g.masters}, {"mastersIn", r.mastersIn, g.mastersIn}, {"mastersOut", r.mastersOut, g.mastersOut},
-			} {
-				if !sameLists(c.got.lists, c.want.lists) || !reflect.DeepEqual(c.got.whole, c.want.whole) || !reflect.DeepEqual(c.got.cut, c.want.cut) {
-					t.Fatalf("%s host %d: restored %s differs", kind, g.HostID(), c.name)
-				}
-			}
-			if !bytes.Equal(r.ExportMemo(), memo) {
-				t.Fatalf("%s host %d: re-exported memo differs", kind, g.HostID())
-			}
-		}
-	}
-
-	g := buildCluster(t, partition.OEC, 2, Opt())[1]
-	memo := g.ExportMemo()
-	// Layout: u32 hosts, then host 0's masters order: u32 count, u32 lids.
-	const first = 4 + 4
-	if binary.LittleEndian.Uint32(memo[4:]) < 2 {
-		t.Fatal("fixture: host 1 has fewer than two masters mirrored on host 0")
-	}
-	edit := func(f func(m []byte) []byte) []byte { return f(bytes.Clone(memo)) }
-	for name, bad := range map[string][]byte{
-		"unsorted order": edit(func(m []byte) []byte {
-			copy(m[first:], memo[first+4:first+8])
-			copy(m[first+4:], memo[first:first+4])
-			return m
-		}),
-		"duplicate lid": edit(func(m []byte) []byte { copy(m[first+4:], memo[first:first+4]); return m }),
-		"mirror lid": edit(func(m []byte) []byte {
-			binary.LittleEndian.PutUint32(m[first:], g.Part.NumMasters)
-			return m
-		}),
-		"wrong host count": edit(func(m []byte) []byte { m[0]++; return m }),
-		"truncated":        memo[:len(memo)-2],
-		"trailing bytes":   append(bytes.Clone(memo), 0),
-	} {
-		if _, err := NewRestored(g.Part, g.T, g.Opt, bad); err == nil {
-			t.Errorf("tampered memo section (%s) accepted", name)
-		}
-	}
-}
-
-// TestMemoizeRejectsBadPeerMessage: the master side's range check (which
-// replaced a map lookup) rejects a GID this host does not own, GIDs that do
-// not strictly ascend (the agreed order every mask is built on), and a
-// count that disagrees with the message length is an error, not a panic.
-func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
-	part := buildCluster(t, partition.OEC, 2, Opt())[0].Part
+// badMemoMessages are TagMemo payloads that host 0 of part's cluster must
+// refuse from host 1: a GID this host does not own, GIDs that do not
+// strictly ascend (the agreed order every mask is built on), a count that
+// disagrees with the message length either way, and a flag byte the
+// encoder never writes.
+func badMemoMessages(part *partition.Partition) map[string][]byte {
 	foreign := part.Policy.Bounds()[1] // first node of host 1's range
 	entry := func(count uint32, gids ...uint64) []byte {
 		msg := binary.LittleEndian.AppendUint32(nil, count)
@@ -155,14 +96,26 @@ func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
 		}
 		return msg
 	}
-	for name, msg := range map[string][]byte{
-		"foreign gid":     entry(1, foreign),
-		"gid past graph":  entry(1, part.GlobalNodes+3),
-		"count too big":   entry(5, 0),
-		"no count":        {1, 0},
-		"descending gids": entry(2, 1, 0),
-		"duplicate gid":   entry(2, 1, 1),
-	} {
+	unknownFlag := entry(1, 0)
+	unknownFlag[len(unknownFlag)-1] = memoHasIn | memoHasOut | 4
+	return map[string][]byte{
+		"foreign gid":       entry(1, foreign),
+		"gid past graph":    entry(1, part.GlobalNodes+3),
+		"count too big":     entry(5, 0),
+		"trailing bytes":    append(entry(1, 0), 0),
+		"no count":          {1, 0},
+		"descending gids":   entry(2, 1, 0),
+		"duplicate gid":     entry(2, 1, 1),
+		"unknown flag bits": unknownFlag,
+	}
+}
+
+// TestMemoizeRejectsBadPeerMessage: the master side's range check (which
+// replaced a map lookup) and the order, length and flag checks turn every
+// bad message into an error, not a panic or an order.
+func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
+	part := buildCluster(t, partition.OEC, 2, Opt())[0].Part
+	for name, msg := range badMemoMessages(part) {
 		hub := comm.NewHub(2)
 		if err := hub.Endpoint(1).Send(0, comm.TagMemo, msg); err != nil {
 			t.Fatal(err)
@@ -172,4 +125,57 @@ func TestMemoizeRejectsBadPeerMessage(t *testing.T) {
 		}
 		hub.Close()
 	}
+}
+
+// FuzzMemo feeds arbitrary bytes to host 0 of a 2-host cluster as host 1's
+// memoization message. No input may panic. An accepted one decodes into
+// orders of masters that strictly ascend, with in and out subsets of all,
+// and re-encoding those orders (GID and flag byte per entry) gives back the
+// input bytes exactly.
+func FuzzMemo(f *testing.F) {
+	gs := buildCluster(f, partition.OEC, 2, Opt())
+	part := gs[0].Part
+	f.Add(encodeMemo(gs[1].Part, gs[1].mirrors.lists[0]))
+	for _, msg := range badMemoMessages(part) {
+		f.Add(msg)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		all, in, out, err := decodeMemo(part, 1, payload)
+		if err != nil {
+			return
+		}
+		for _, order := range [][]uint32{all, in, out} {
+			for i, lid := range order {
+				if !part.IsMaster(lid) {
+					t.Fatalf("lid %d is not a master", lid)
+				}
+				if i > 0 && lid <= order[i-1] {
+					t.Fatalf("order not strictly ascending: %v", order)
+				}
+			}
+		}
+		has := func(order []uint32, lid uint32) bool {
+			_, ok := slices.BinarySearch(order, lid)
+			return ok
+		}
+		for _, lid := range append(slices.Clone(in), out...) {
+			if !has(all, lid) {
+				t.Fatalf("lid %d in a subset but not in all", lid)
+			}
+		}
+		msg := binary.LittleEndian.AppendUint32(nil, uint32(len(all)))
+		for _, lid := range all {
+			var flags byte
+			if has(in, lid) {
+				flags |= memoHasIn
+			}
+			if has(out, lid) {
+				flags |= memoHasOut
+			}
+			msg = append(binary.LittleEndian.AppendUint64(msg, part.GID(lid)), flags)
+		}
+		if !bytes.Equal(msg, payload) {
+			t.Fatalf("re-encoded %x, input %x", msg, payload)
+		}
+	})
 }
