@@ -7,14 +7,14 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build loc census test test-matrix race race-fault race-peerdeath restore-gate soak bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build loc census docnames test test-matrix race race-fault race-peerdeath restore-gate soak bench bench-e2e bench-e2e-quick sync-bench bench-pin perf perf-trend trace-guard trace-smoke fuzz-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gate: it measures wall time, and the
 # race suites leave the machine hot enough to skew it. `race` (through
 # race-fault) runs every suite under the race detector exactly once, so the
 # named dsys subsets below (watchdog-smoke, doctor-smoke, top-smoke,
 # restore-gate) are for running one scenario by hand, not part of the chain.
-check: fmt vet build loc census trace-guard perf-trend bench-e2e-quick trace-smoke test-matrix race race-peerdeath
+check: fmt vet build loc census docnames trace-guard perf-trend bench-e2e-quick trace-smoke test-matrix race race-peerdeath
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 2891
-ROOT_LOC_MAX = 13878
+TRACE_LOC_MAX = 2887
+ROOT_LOC_MAX = 13675
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -42,6 +42,30 @@ loc:
 				printf "internal/trace: %d lines > bound %d\n", n["./internal/trace"], $(TRACE_LOC_MAX); exit 1 } \
 			if (total > $(ROOT_LOC_MAX)) { \
 				printf "root module: %d lines > bound %d\n", total, $(ROOT_LOC_MAX); exit 1 } }'
+
+# Declaration scan shared by census and docnames: one line per Go
+# declaration in the files it is given, "kind dir package test name".
+# kind is func, method, type, const, var or field (a struct field or an
+# interface method); test is 1 in a _test.go file; name is Name, T.M (a
+# value receiver, field or interface method) or (*T).M (a pointer receiver).
+DECLS = awk '\
+	FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); test = FILENAME ~ /_test\.go$$/; typ = ""; blk = "" } \
+	/^package / { pkg = $$2; sub(/_test$$/, "", pkg) } \
+	/^[)}]/ { typ = ""; blk = "" } \
+	/^func / { s = substr($$0, 6); recv = ""; kind = "func"; \
+		if (s ~ /^\(/) { recv = s; sub(/\).*/, "", recv); n = split(recv, a, " "); recv = a[n]; sub(/\[.*/, "", recv); \
+			if (recv ~ /^\*/) recv = "(" recv ")"; recv = recv "."; sub(/^\([^)]*\) */, "", s); kind = "method" } \
+		name = s; sub(/[[(].*/, "", name); print kind, dir, pkg, test, recv name } \
+	/^type [A-Za-z_]/ { name = $$2; sub(/\[.*/, "", name); print "type", dir, pkg, test, name; if ($$0 ~ /(struct|interface) \{$$/) typ = name } \
+	/^(const|var|type) \($$/ { blk = $$1 } \
+	/^(const|var) [A-Za-z_]/ { kind = $$1; s = substr($$0, length($$1) + 2); names() } \
+	blk != "" && /^\t[A-Za-z_]/ { kind = blk; s = substr($$0, 2); names() } \
+	typ != "" && /^\t[*A-Za-z_]/ { kind = "field"; s = substr($$0, 2); \
+		if (s ~ /^[^ ]*\./ || s ~ /^\*/ || s !~ / /) { sub(/[ ([].*/, "", s); sub(/^.*[.*]/, "", s); print kind, dir, pkg, test, typ "." s } \
+		else { s = typ "." s; sub(/\(.*/, "", s); names(); } } \
+	function names(   pre) { pre = ""; if (kind == "field") { pre = s; sub(/\..*/, ".", pre); s = substr(s, length(pre) + 1) } \
+		while (match(s, /^[A-Za-z_][A-Za-z0-9_]*/)) { print kind, dir, pkg, test, pre substr(s, 1, RLENGTH); \
+			s = substr(s, RLENGTH + 1); if (s !~ /^, */) break; sub(/^, */, "", s) } }'
 
 # Census of dead API: the exported functions and methods of internal/...
 # that no binary reaches. Every cmd/*, examples/* and the benchmark is built
@@ -58,13 +82,52 @@ census:
 	$(GO) build -C benchmark -gcflags=all=-l -o $$d/bin/benchmark . || exit 1; \
 	for b in $$d/bin/*; do $(GO) tool nm $$b; done | awk '$$2 ~ /^[Tt]$$/ { print $$3 }' | \
 		sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' | sort -u > $$d/used; \
-	find ./internal -name '*.go' ! -name '*_test.go' | xargs awk '/^func / { \
-		pkg = FILENAME; sub(/^\./, "gluon", pkg); sub(/\/[^\/]*$$/, "", pkg); s = substr($$0, 6); recv = ""; \
-		if (s ~ /^\(/) { recv = s; sub(/\).*/, "", recv); n = split(recv, a, " "); recv = a[n]; sub(/\[.*/, "", recv); \
-			if (recv ~ /^\*/) recv = "(" recv ")"; recv = recv "."; sub(/^\([^)]*\) */, "", s) } \
-		name = s; sub(/[[(].*/, "", name); if (name ~ /^[A-Z]/) print pkg "." recv name }' | sort -u > $$d/declared; \
+	find ./internal -name '*.go' ! -name '*_test.go' | xargs $(DECLS) | \
+		awk '$$1 ~ /^(func|method)$$/ && $$5 ~ /(^|\.)[A-Z][^.]*$$/ { print "gluon" substr($$2, 2) "." $$5 }' | sort -u > $$d/declared; \
 	comm -23 $$d/declared $$d/used > $$d/unreached; cat $$d/unreached; n=$$(wc -l < $$d/unreached); \
 	echo "$$n exported names no binary reaches (bound $(CENSUS_MAX))"; [ $$n -le $(CENSUS_MAX) ]
+
+# Stale names in the docs: every backticked Go name of the form pkg.Name,
+# pkg.T.Member, T.Member or (*T).M in DOCS must be declared somewhere in the
+# repository (tests included; DECLS above). A lowercase head that is
+# neither a package nor a type of the repository must be a standard-library
+# package in DOCNAMES_STDLIB. Not scanned: CHANGES.md and ROADMAP.md, which
+# name deleted and planned code on purpose; PAPER.md, PAPERS.md and
+# SNIPPETS.md, which are external text; benchmark/README.md, which joins in
+# a change to the benchmark (`make docnames DOCS=benchmark/README.md` runs
+# it by hand).
+DOCS = README.md DESIGN.md EXPERIMENTS.md examples/tcp-cluster/README.md .claude/skills/verify/SKILL.md
+# The standard-library packages the docs name (atomic.Pointer, io.Writer,
+# net.Buffers, net.Pipe, slog.TextHandler, testing.B).
+DOCNAMES_STDLIB = atomic io net slog testing
+
+docnames:
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	find . -name '*.go' ! -path './.*' | xargs $(DECLS) > $$d/decls; \
+	awk -v stdlib="$(DOCNAMES_STDLIB)" ' \
+		BEGIN { n = split(stdlib, a, " "); for (i = 1; i <= n; i++) allow[a[i]] = 1 } \
+		FNR == NR { pkgs[$$3] = 1; n = $$5; if ($$1 == "type") types[n] = 1; \
+			if ($$1 ~ /^(func|type|const|var)$$/) known[$$3 "." n] = 1; \
+			else { sub(/^\(\*/, "", n); sub(/\)\./, ".", n); known[n] = 1; known[$$3 "." n] = 1 } next } \
+		FNR == 1 { check(); file = FILENAME; buf = ""; fence = 0 } \
+		/^[ \t]*```/ { fence = !fence; buf = buf "\n"; next } \
+		{ buf = buf (fence ? "" : $$0) "\n" } \
+		END { check(); if (bad) exit 1 } \
+		function check(   rest, line, c, tok, t, p, np, key, pre) { \
+			rest = buf; line = 1; \
+			while (match(rest, /`[^`]+`/)) { \
+				pre = substr(rest, 1, RSTART - 1); line += gsub(/\n/, "", pre); \
+				c = substr(rest, RSTART + 1, RLENGTH - 2); rest = substr(rest, RSTART + RLENGTH); line += gsub(/\n/, " ", c); \
+				if (!match(c, /^(\(\*?[A-Za-z_][A-Za-z0-9_]*\)|[A-Za-z_][A-Za-z0-9_]*)(\.[A-Za-z_][A-Za-z0-9_]*)+/)) continue; \
+				tok = substr(c, 1, RLENGTH); if (substr(c, RLENGTH + 1, 1) ~ /[\/-]/) continue; \
+				t = tok; gsub(/[()*]/, "", t); np = split(t, p, "."); \
+				if (p[np] ~ /^(go|md|json|jsonl|txt|sh|mod|sum|yml|yaml|out|log|pprof|prof|csv|html|svg|png)$$/) continue; \
+				if (tok ~ /^\(/ || (!(p[1] in pkgs) && (p[1] in types))) key = p[1] "." p[2]; \
+				else if (p[1] in pkgs) key = p[1] "." p[2] (np > 2 && (p[2] in types) ? "." p[3] : ""); \
+				else if (p[1] in allow) continue; \
+				else key = tok; \
+				if (!(key in known)) { printf "%s:%d: %s is declared nowhere\n", file, line, tok; bad++ } } }' \
+		$$d/decls $(DOCS)
 
 test:
 	$(GO) test ./...
@@ -218,6 +281,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
 	$(GO) test -run '^$$' -fuzz FuzzMemo -fuzztime 10s -fuzzminimizetime 1s ./internal/gluon/
 	$(GO) test -run '^$$' -fuzz FuzzReadLoop -fuzztime 10s -fuzzminimizetime 1s ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzOperand -fuzztime 10s -fuzzminimizetime 1s ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzRejoinFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/comm/
+	$(GO) test -run '^$$' -fuzz FuzzHeartbeat -fuzztime 10s -fuzzminimizetime 1s ./internal/dsys/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzRollupAdd -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/

@@ -176,7 +176,7 @@ func main() {
 }
 
 // runSyncBench measures the requested sync tiers × host counts (defaults:
-// every encoding, the pinned {2,8}) and attaches the comm-probe counters.
+// every encoding, the pinned {2,8}).
 func runSyncBench(p bench.Params, tiersCSV, hostsCSV string) (*perfdb.Record, error) {
 	hosts, err := parseInts(hostsCSV)
 	if err != nil {
@@ -189,16 +189,7 @@ func runSyncBench(p bench.Params, tiersCSV, hostsCSV string) (*perfdb.Record, er
 			names = append(names, strings.TrimSpace(t))
 		}
 	}
-	rec, err := bench.SyncBenchTiers(p, hosts, names)
-	if err != nil {
-		return nil, err
-	}
-	if comm, err := bench.CommProbe(p, hosts[0]); err == nil {
-		rec.Comm = comm
-	} else {
-		logger.Warn("comm probe failed; record carries timings only", "err", err)
-	}
-	return rec, nil
+	return bench.SyncBenchTiers(p, hosts, names)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -94,12 +94,7 @@ func OptConfigs() []OptConfig {
 // partitioning is built per policy and reused across all four settings,
 // exactly as in the paper.
 func Figure10(w io.Writer, p Params) error {
-	return Figure10System(w, p, DGalois, "rmat")
-}
-
-// Figure10System is Figure10 parameterized by system and graph kind (the
-// paper's 10a-10f panels vary these).
-func Figure10System(w io.Writer, p Params, sys SystemID, kind string) error {
+	const sys, kind = DGalois, "rmat"
 	hosts := p.Hosts[len(p.Hosts)-1]
 	fmt.Fprintf(w, "Figure 10: communication optimizations — %s on %s, %d hosts\n", sys, kind, hosts)
 	// comm(s) is the modeled estimate (wall minus max-compute); sync(s) is
@@ -113,23 +108,13 @@ func Figure10System(w io.Writer, p Params, sys SystemID, kind string) error {
 		if err != nil {
 			return err
 		}
-		edges := wl.Edges
-		popt := wl.PolicyOptions()
-		if benchName == "cc" {
-			edges, _ = wl.Symmetrized()
-			popt = wl.SymPolicyOptions()
-		}
 		for _, polKind := range []partition.Kind{partition.CVC, partition.OEC} {
-			pol, err := partition.NewPolicy(polKind, wl.NumNodes, hosts, popt)
-			if err != nil {
-				return err
-			}
-			parts, err := partition.PartitionAll(wl.NumNodes, edges, pol)
+			parts, err := wl.partition(benchName, polKind, hosts)
 			if err != nil {
 				return err
 			}
 			for _, oc := range OptConfigs() {
-				m, err := RunSpecPartitioned(Spec{System: sys, Benchmark: benchName,
+				m, err := runPartitioned(Spec{System: sys, Benchmark: benchName,
 					Hosts: hosts, Policy: polKind, Opt: oc.Opt}, wl, p, parts)
 				if err != nil {
 					return err

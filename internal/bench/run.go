@@ -5,24 +5,22 @@ import (
 	"math"
 	"time"
 
-	"gluon/internal/algorithms/bfs"
-	"gluon/internal/algorithms/cc"
-	"gluon/internal/algorithms/pr"
-	"gluon/internal/algorithms/sssp"
+	facade "gluon"
 	"gluon/internal/dsys"
 	"gluon/internal/gemini"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
 )
 
-// SystemID names a system under test.
-type SystemID string
+// SystemID names a system under test: one of the facade's Gluon-based
+// systems, or the Gemini-style baseline.
+type SystemID = facade.System
 
 // The systems of the evaluation.
 const (
-	DLigra  SystemID = "d-ligra"
-	DGalois SystemID = "d-galois"
-	DIrGL   SystemID = "d-irgl"
+	DLigra           = facade.DLigra
+	DGalois          = facade.DGalois
+	DIrGL            = facade.DIrGL
 	Gemini  SystemID = "gemini"
 )
 
@@ -59,65 +57,10 @@ func (m Measurement) CommTime() time.Duration {
 	return m.Time - m.MaxCompute
 }
 
-// factoryFor builds the program factory for a Gluon-based spec.
-func factoryFor(s Spec, w *Workload, p Params) (dsys.ProgramFactory, error) {
-	workers := p.Workers
-	switch s.Benchmark {
-	case "bfs":
-		switch s.System {
-		case DLigra:
-			return bfs.NewLigra(uint64(w.Source), workers), nil
-		case DGalois:
-			return bfs.NewGalois(uint64(w.Source), workers), nil
-		case DIrGL:
-			return bfs.NewIrGL(uint64(w.Source), workers), nil
-		}
-	case "sssp":
-		switch s.System {
-		case DLigra:
-			return sssp.NewLigra(uint64(w.Source), workers), nil
-		case DGalois:
-			return sssp.NewGalois(uint64(w.Source), workers), nil
-		case DIrGL:
-			return sssp.NewIrGL(uint64(w.Source), workers), nil
-		}
-	case "cc":
-		switch s.System {
-		case DLigra:
-			return cc.NewLigra(workers), nil
-		case DGalois:
-			return cc.NewGalois(workers), nil
-		case DIrGL:
-			return cc.NewIrGL(workers), nil
-		}
-	case "pr":
-		switch s.System {
-		case DLigra:
-			return pr.NewLigra(p.PRTolerance, workers), nil
-		case DGalois:
-			return pr.NewGalois(p.PRTolerance, workers), nil
-		case DIrGL:
-			return pr.NewIrGL(p.PRTolerance, workers), nil
-		}
-	}
-	return nil, fmt.Errorf("bench: no factory for %s/%s", s.System, s.Benchmark)
-}
-
 // RunSpec executes one configuration and returns the measurement.
 func RunSpec(s Spec, w *Workload, p Params) (Measurement, error) {
-	m := Measurement{Spec: s}
-	edges := w.Edges
-	popt := w.PolicyOptions()
-	if s.Benchmark == "cc" {
-		edges, _ = w.Symmetrized()
-		popt = w.SymPolicyOptions()
-	}
-	maxRounds := 0
-	if s.Benchmark == "pr" {
-		maxRounds = p.PRMaxIters
-	}
-
 	if s.System == Gemini {
+		edges, _ := w.input(s.Benchmark)
 		res, err := gemini.Run(w.NumNodes, edges, gemini.Algorithm(s.Benchmark), gemini.Config{
 			Hosts:     s.Hosts,
 			Workers:   p.Workers,
@@ -127,50 +70,35 @@ func RunSpec(s Spec, w *Workload, p Params) (Measurement, error) {
 			Net:       p.Net,
 		})
 		if err != nil {
-			return m, err
+			return Measurement{Spec: s}, err
 		}
-		m.Time = res.Time
-		m.CommBytes = res.TotalCommBytes
-		m.Rounds = res.Rounds
-		return m, nil
+		return Measurement{Spec: s, Time: res.Time, CommBytes: res.TotalCommBytes, Rounds: res.Rounds}, nil
 	}
-
-	factory, err := factoryFor(s, w, p)
+	parts, err := w.partition(s.Benchmark, s.Policy, s.Hosts)
 	if err != nil {
-		return m, err
+		return Measurement{Spec: s}, err
 	}
-	res, err := dsys.Run(w.NumNodes, edges, dsys.RunConfig{
-		Hosts:         s.Hosts,
-		Policy:        s.Policy,
-		Opt:           s.Opt,
-		PolicyOptions: popt,
-		MaxRounds:     maxRounds,
-		Net:           p.Net,
-		Trace:         p.Trace,
-	}, factory)
-	if err != nil {
-		return m, err
-	}
-	m.Time = res.Time
-	m.MaxCompute = res.MaxCompute
-	m.MaxComm = res.MaxComm
-	m.CommBytes = res.TotalCommBytes
-	m.Rounds = res.Rounds
-	return m, nil
+	return runPartitioned(s, w, p, parts)
 }
 
-// RunSpecPartitioned executes a Gluon-based configuration over pre-built
-// partitions (Figure 10 reuses one partitioning across optimization
-// settings).
-func RunSpecPartitioned(s Spec, w *Workload, p Params, parts []*partition.Partition) (Measurement, error) {
+// runPartitioned runs a Gluon-based configuration over built partitions
+// (Figure 10 reuses one partitioning across optimization settings).
+func runPartitioned(s Spec, w *Workload, p Params, parts []*partition.Partition) (Measurement, error) {
 	m := Measurement{Spec: s}
-	factory, err := factoryFor(s, w, p)
-	if err != nil {
-		return m, err
-	}
+	var factory dsys.ProgramFactory
 	maxRounds := 0
-	if s.Benchmark == "pr" {
+	switch s.Benchmark {
+	case "bfs":
+		factory = facade.NewBFS(s.System, uint64(w.Source), p.Workers)
+	case "sssp":
+		factory = facade.NewSSSP(s.System, uint64(w.Source), p.Workers)
+	case "cc":
+		factory = facade.NewCC(s.System, p.Workers)
+	case "pr":
+		factory = facade.NewPageRank(s.System, p.PRTolerance, p.Workers)
 		maxRounds = p.PRMaxIters
+	default:
+		return m, fmt.Errorf("bench: unknown benchmark %q", s.Benchmark)
 	}
 	res, err := dsys.RunPartitioned(parts, dsys.RunConfig{
 		Hosts:     s.Hosts,

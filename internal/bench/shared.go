@@ -7,13 +7,15 @@ import (
 	"gluon/internal/algorithms/relax"
 	"gluon/internal/bitset"
 	"gluon/internal/graph"
+	"gluon/internal/ref"
 )
 
 // Shared-memory (single-host, no partitioning, no Gluon) runs of the
 // engines, used by Table 4 to measure the overhead the distributed layer
 // adds on one host — the paper's Ligra-vs-D-Ligra / Galois-vs-D-Galois
 // comparison. The label benchmarks run the very schedules the distributed
-// programs run (internal/algorithms/relax), on the raw CSR.
+// programs run (internal/algorithms/relax), on the raw CSR; pagerank is the
+// sequential reference (ref.PageRank) on one worker, whatever p.Workers says.
 
 // RunShared runs the benchmark on the raw engine and returns the elapsed
 // time. engine is "ligra" or "galois".
@@ -28,7 +30,7 @@ func RunShared(engine, benchmark string, w *Workload, p Params) (time.Duration, 
 	case benchmark != "pr":
 		_, err = sharedLabels(engine, benchmark, g, w.Source, p.Workers)
 	case engine == "ligra" || engine == "galois":
-		sharedPR(g, p.PRTolerance, p.PRMaxIters, p.Workers)
+		ref.PageRank(g, 0.85, p.PRTolerance, p.PRMaxIters)
 	default:
 		err = fmt.Errorf("bench: unknown shared engine %q", engine)
 	}
@@ -67,46 +69,4 @@ func sharedLabels(engine, benchmark string, g *graph.CSR, source uint32, workers
 		return nil, fmt.Errorf("bench: unknown shared engine %q", engine)
 	}
 	return labels, nil
-}
-
-// sharedPR is the engine-independent pull pagerank on one CSR.
-func sharedPR(g *graph.CSR, tol float64, maxIters, workers int) []float64 {
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	if maxIters <= 0 {
-		maxIters = 100
-	}
-	const alpha = 0.85
-	in := g.Transpose()
-	n := g.NumNodes()
-	outdeg := make([]float64, n)
-	for u := uint32(0); u < n; u++ {
-		outdeg[u] = float64(g.OutDegree(u))
-	}
-	rank := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 - alpha
-	}
-	next := make([]float64, n)
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		for v := uint32(0); v < n; v++ {
-			var sum float64
-			for _, u := range in.Neighbors(v) {
-				if outdeg[u] > 0 {
-					sum += rank[u] / outdeg[u]
-				}
-			}
-			next[v] = (1 - alpha) + alpha*sum
-			if d := next[v] - rank[v]; d > tol || d < -tol {
-				changed = true
-			}
-		}
-		rank, next = next, rank
-		if !changed {
-			break
-		}
-	}
-	return rank
 }

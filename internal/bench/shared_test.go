@@ -8,10 +8,10 @@ import (
 	"gluon/internal/validate"
 )
 
-// TestSharedEnginesCorrect: the Table 4 shared-memory baselines compute
-// the same answers as the sequential references (they feed a comparison
-// table, so silent wrongness would poison it), and pass the O(|E|)
-// property oracles.
+// TestSharedEnginesCorrect: the Table 4 shared-memory label baselines
+// compute the same answers as the sequential references (they feed a
+// comparison table, so silent wrongness would poison it), and pass the
+// O(|E|) property oracles. Its pagerank row is ref.PageRank itself.
 func TestSharedEnginesCorrect(t *testing.T) {
 	p := TestParams()
 	wl, err := NewWorkload("rmat", p, true)
@@ -42,16 +42,6 @@ func TestSharedEnginesCorrect(t *testing.T) {
 			if err := c.check(got); err != nil {
 				t.Fatalf("%s/%s: %v", engine, c.bench, err)
 			}
-		}
-	}
-
-	// pr against the reference power iteration.
-	wantPR := ref.PageRank(wl.CSR, 0.85, 1e-9, 100)
-	gotPR := sharedPR(wl.CSR, 1e-9, 100, 2)
-	for u := range wantPR {
-		d := gotPR[u] - wantPR[u]
-		if d > 1e-9 || d < -1e-9 {
-			t.Fatalf("pr node %d: %g, want %g", u, gotPR[u], wantPR[u])
 		}
 	}
 }

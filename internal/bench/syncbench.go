@@ -34,7 +34,6 @@ import (
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
 	"gluon/internal/perfdb"
-	"gluon/internal/trace"
 )
 
 // syncName is the perfdb series key of one (hosts, tier) row.
@@ -273,56 +272,6 @@ func withEncoding(enc gluon.Encoding) gluon.Options {
 	return opt
 }
 
-// commProbeRounds is how many BSP rounds the traced probe runs; every
-// third round ships nothing, exercising the temporal-invariance silent
-// path so the invariant-skip share is a live number, not a constant zero.
-const commProbeRounds = 6
-
-// CommProbe runs a small instrumented cluster for a few rounds and
-// distills the trace ledger into the comm-volume counters a perf-history
-// record carries. Timing is irrelevant here — tracing overhead doesn't
-// matter, only bytes and round structure do.
-func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
-	c, err := newSyncBenchCluster(p, hosts, gluon.Opt())
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
-	tr := trace.New(trace.Config{Label: "syncbench comm probe"})
-	recs := make([]*trace.Recorder, hosts)
-	for h := 0; h < hosts; h++ {
-		recs[h] = tr.Recorder(h)
-		c.gs[h].SetRecorder(recs[h])
-	}
-	for round := 0; round < commProbeRounds; round++ {
-		for _, rec := range recs {
-			rec.SetRound(int32(round))
-		}
-		if round%3 == 2 {
-			// Silent round: the fields converged, no host ships. A barrier
-			// span marks the round's existence so the ledger charges every
-			// channel one round of invariant savings.
-			for _, rec := range recs {
-				rec.Emit(trace.Event{Start: rec.Now(), Dur: 1, Phase: trace.PhaseBarrier, Peer: -1})
-			}
-			continue
-		}
-		c.markUpdates(round + 1)
-		if err := c.syncAll(); err != nil {
-			return nil, err
-		}
-	}
-	ledger := trace.LedgerOf(tr)
-	if ledger.Rounds == 0 || ledger.ShippedBytes == 0 {
-		return nil, errors.New("bench: comm probe recorded no attributable rounds")
-	}
-	// Shipped bytes came through a channel, so Channels > 0 as well.
-	return &perfdb.Comm{
-		BytesPerRound:      float64(ledger.ShippedBytes) / float64(ledger.Rounds),
-		InvariantSkipShare: float64(ledger.SilentChannelRounds) / float64(uint64(ledger.Channels)*uint64(ledger.Rounds)),
-	}, nil
-}
-
 // refEncoding is the denominator of every ratio: the unoptimized
 // reference wire format, measured in the same process as the optimized
 // tiers.
@@ -531,11 +480,6 @@ func GuardSyncBench(w io.Writer, p Params, baselinePath string, perfDB string) e
 		}
 	}
 	if perfDB != "" {
-		if comm, err := CommProbe(p, 2); err == nil {
-			cur.Comm = comm
-		} else {
-			fmt.Fprintf(w, "comm probe failed (history record carries timings only): %v\n", err)
-		}
 		cur.Label = "sync-guard"
 		if err := perfdb.Append(perfDB, cur); err != nil {
 			return fmt.Errorf("bench: recording guard measurement: %w", err)

@@ -197,22 +197,3 @@ func TestCommittedBaseline(t *testing.T) {
 		t.Fatalf("committed baseline does not gate clean against itself: %v", err)
 	}
 }
-
-// TestCommProbe: the traced probe yields live counters — nonzero
-// bytes/round and the deliberate silent rounds
-// (every third) surfacing as a nonzero invariant-skip share.
-func TestCommProbe(t *testing.T) {
-	p := TestParams()
-	c, err := CommProbe(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.BytesPerRound <= 0 {
-		t.Fatalf("bytes/round = %v, want > 0", c.BytesPerRound)
-	}
-	// 2 silent rounds of 6; allow slack for round attribution at the edges
-	// but the share must be clearly nonzero.
-	if c.InvariantSkipShare < 0.2 || c.InvariantSkipShare > 0.5 {
-		t.Fatalf("invariant skip share = %v, want ~1/3", c.InvariantSkipShare)
-	}
-}

@@ -166,12 +166,26 @@ func (w *Workload) PolicyOptions() partition.Options {
 	return w.popt
 }
 
-// SymPolicyOptions returns policy options for the symmetrized graph.
-func (w *Workload) SymPolicyOptions() partition.Options {
-	_, sg := w.Symmetrized()
+// input returns the edge list a benchmark runs on and its degree-based
+// policy options: cc reads the symmetrized graph, the others the raw one.
+func (w *Workload) input(benchmark string) ([]graph.Edge, partition.Options) {
+	if benchmark != "cc" {
+		return w.Edges, w.PolicyOptions()
+	}
+	edges, sg := w.Symmetrized()
 	out := make([]uint32, w.NumNodes)
 	for u := uint32(0); u < sg.NumNodes(); u++ {
 		out[u] = sg.OutDegree(u)
 	}
-	return partition.Options{OutDegrees: out, InDegrees: sg.InDegrees()}
+	return edges, partition.Options{OutDegrees: out, InDegrees: sg.InDegrees()}
+}
+
+// partition splits a benchmark's input among hosts under one policy.
+func (w *Workload) partition(benchmark string, kind partition.Kind, hosts int) ([]*partition.Partition, error) {
+	edges, popt := w.input(benchmark)
+	pol, err := partition.NewPolicy(kind, w.NumNodes, hosts, popt)
+	if err != nil {
+		return nil, err
+	}
+	return partition.PartitionAll(w.NumNodes, edges, pol)
 }

@@ -220,3 +220,41 @@ func TestPendingAllReduceUnblocks(t *testing.T) {
 		})
 	}
 }
+
+// TestShortOperandIsPeerError: an all-reduce operand that is not 8 bytes
+// makes the receiver's Wait return a *PeerError naming the sender — no
+// panic — and its buffer still goes back to the pool.
+func TestShortOperandIsPeerError(t *testing.T) {
+	SetPoolAccounting(true)
+	defer SetPoolAccounting(false)
+	hub := NewHub(2)
+	defer hub.Close()
+	if err := hub.Endpoint(1).Send(0, TagAllReduce, GetBuf(3)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := AllReduceSum(hub.Endpoint(0), 1)
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Host != 1 {
+		t.Fatalf("AllReduceSum = %v, want a *PeerError naming host 1", err)
+	}
+	if gets, puts := PoolCounters(); gets != puts {
+		t.Fatalf("buffer pool: %d gets, %d puts", gets, puts)
+	}
+}
+
+// FuzzOperand: no payload panics decodeOperand, and an accepted one is the
+// 8 bytes sendOperand writes for its value.
+func FuzzOperand(f *testing.F) {
+	f.Add(binary.LittleEndian.AppendUint64(nil, 42))
+	f.Add([]byte{1, 2, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		v, err := decodeOperand(p)
+		if err != nil {
+			return
+		}
+		if got := binary.LittleEndian.AppendUint64(nil, v); string(got) != string(p) {
+			t.Fatalf("decoded %d from %x, which encodes as %x", v, p, got)
+		}
+	})
+}

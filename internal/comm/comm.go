@@ -552,7 +552,8 @@ func (p Pending) Wait() (uint64, error) {
 }
 
 // sendOperand and recvOperand move one all-reduce value, 8 bytes little
-// endian under TagAllReduce.
+// endian under TagAllReduce. An operand of another length is the sender's
+// fault: a *PeerError naming it.
 func sendOperand(t Transport, to int, v uint64) error {
 	buf := GetBuf(8)
 	binary.LittleEndian.PutUint64(buf, v)
@@ -565,6 +566,17 @@ func recvOperand(t Transport, from int) (uint64, error) {
 		return 0, err
 	}
 	defer PutBuf(p)
+	v, err := decodeOperand(p)
+	if err != nil {
+		return 0, &PeerError{Host: from, Err: err}
+	}
+	return v, nil
+}
+
+func decodeOperand(p []byte) (uint64, error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("comm: all-reduce operand is %d bytes, want 8", len(p))
+	}
 	return binary.LittleEndian.Uint64(p), nil
 }
 

@@ -115,7 +115,7 @@ func extractF64Bits(bits []uint64, lids []uint32, dst []float64) {
 // it mirrors gluon.Value, which this package cannot import (the substrate's
 // tests use these structures).
 type Value interface {
-	uint32 | uint64 | int32 | int64 | float32 | float64
+	uint32 | uint64 | float64
 }
 
 // Min is the Gluon reduce structure for a min-combined label slice (bfs

@@ -27,14 +27,8 @@ func getOne[V Value](b []byte) V {
 	switch any(*new(V)).(type) {
 	case uint32:
 		v = le.Uint32(b)
-	case int32:
-		v = int32(le.Uint32(b))
-	case float32:
-		v = math.Float32frombits(le.Uint32(b))
 	case uint64:
 		v = le.Uint64(b)
-	case int64:
-		v = int64(le.Uint64(b))
 	default:
 		v = math.Float64frombits(le.Uint64(b))
 	}

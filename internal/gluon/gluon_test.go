@@ -462,10 +462,7 @@ func TestStatsAccounting(t *testing.T) {
 // its wire size, at a stride wider than the value (the gid-pairs layout).
 func TestValueCodec(t *testing.T) {
 	checkCodec[uint32](t, []uint32{0xdeadbeef, 7}, 4)
-	checkCodec[int32](t, []int32{-7, 1 << 30}, 4)
-	checkCodec[float32](t, []float32{1.5, float32(math.Inf(-1))}, 4)
 	checkCodec[uint64](t, []uint64{1 << 60, 3}, 8)
-	checkCodec[int64](t, []int64{-1 << 40, 5}, 8)
 	checkCodec[float64](t, []float64{3.14159, math.Copysign(0, -1)}, 8)
 }
 

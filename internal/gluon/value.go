@@ -5,12 +5,11 @@ import (
 	"math"
 )
 
-// Value constrains the node-field element types Gluon can synchronize:
-// fixed-width numerics with a defined little-endian wire encoding. The
-// paper's benchmarks all use 32-bit labels; 64-bit and float fields are
-// supported for pagerank-style algorithms.
+// Value constrains the node-field element types Gluon can synchronize: the
+// three the programs sync (32-bit labels, 64-bit counts and float64
+// values), each with a little-endian wire encoding.
 type Value interface {
-	uint32 | uint64 | int32 | int64 | float32 | float64
+	uint32 | uint64 | float64
 }
 
 // putVals writes vals little-endian at b[off], b[off+stride], …: one type
@@ -21,21 +20,9 @@ func putVals[V Value](b []byte, off, stride int, vals []V) {
 		for i, v := range vals {
 			le.PutUint32(b[off+i*stride:], v)
 		}
-	case []int32:
-		for i, v := range vals {
-			le.PutUint32(b[off+i*stride:], uint32(v))
-		}
-	case []float32:
-		for i, v := range vals {
-			le.PutUint32(b[off+i*stride:], math.Float32bits(v))
-		}
 	case []uint64:
 		for i, v := range vals {
 			le.PutUint64(b[off+i*stride:], v)
-		}
-	case []int64:
-		for i, v := range vals {
-			le.PutUint64(b[off+i*stride:], uint64(v))
 		}
 	case []float64:
 		for i, v := range vals {
@@ -53,21 +40,9 @@ func getVals[V Value](b []byte, off, stride int, dst []V) {
 		for i := range dst {
 			dst[i] = le.Uint32(b[off+i*stride:])
 		}
-	case []int32:
-		for i := range dst {
-			dst[i] = int32(le.Uint32(b[off+i*stride:]))
-		}
-	case []float32:
-		for i := range dst {
-			dst[i] = math.Float32frombits(le.Uint32(b[off+i*stride:]))
-		}
 	case []uint64:
 		for i := range dst {
 			dst[i] = le.Uint64(b[off+i*stride:])
-		}
-	case []int64:
-		for i := range dst {
-			dst[i] = int64(le.Uint64(b[off+i*stride:]))
 		}
 	case []float64:
 		for i := range dst {
@@ -81,7 +56,7 @@ var le = binary.LittleEndian
 // wireSize returns the number of wire bytes one V occupies.
 func wireSize[V Value]() int {
 	switch any(*new(V)).(type) {
-	case uint32, int32, float32:
+	case uint32:
 		return 4
 	default:
 		return 8

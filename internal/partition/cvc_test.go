@@ -64,6 +64,8 @@ func TestQuickCVCCommunicationPartners(t *testing.T) {
 
 // TestQuickHVCEdgePlacement: the hybrid vertex-cut routes low-in-degree
 // destinations to their owner and spreads high-in-degree hubs by source.
+// The default threshold, 4 × the average in-degree, is 412 here: hubs
+// (1000) are above it and the rest (2) below.
 func TestQuickHVCEdgePlacement(t *testing.T) {
 	const numNodes = 256
 	inDeg := make([]uint32, numNodes)
@@ -74,7 +76,7 @@ func TestQuickHVCEdgePlacement(t *testing.T) {
 			inDeg[i] = 2
 		}
 	}
-	pol, err := NewPolicy(HVC, numNodes, 4, Options{InDegrees: inDeg, HVCThreshold: 100})
+	pol, err := NewPolicy(HVC, numNodes, 4, Options{InDegrees: inDeg})
 	if err != nil {
 		t.Fatal(err)
 	}

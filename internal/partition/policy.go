@@ -187,13 +187,11 @@ func (p *hvcPolicy) EdgeHost(src, dst uint64) int {
 type Options struct {
 	// OutDegrees / InDegrees enable degree-balanced chunking and the HVC
 	// threshold. They are indexed by global ID. InDegrees is required for
-	// HVC; both are optional otherwise (node-balanced chunks are used when
-	// absent).
+	// HVC, whose threshold between low- and high-in-degree nodes is 4 × the
+	// average in-degree, PowerLyra's recommended regime; both are optional
+	// otherwise (node-balanced chunks are used when absent).
 	OutDegrees []uint32
 	InDegrees  []uint32
-	// HVCThreshold separates low- from high-in-degree nodes. 0 means
-	// "4 × average degree", PowerLyra's recommended regime.
-	HVCThreshold uint32
 }
 
 // NewPolicy constructs the named policy for a graph of numNodes nodes.
@@ -219,25 +217,18 @@ func NewPolicy(kind Kind, numNodes uint64, hosts int, opt Options) (Policy, erro
 		if opt.InDegrees == nil {
 			return nil, fmt.Errorf("partition: HVC requires in-degrees")
 		}
-		th := opt.HVCThreshold
-		if th == 0 {
-			var total uint64
-			for _, d := range opt.InDegrees {
-				total += uint64(d)
-			}
-			avg := uint32(1)
-			if numNodes > 0 {
-				avg = uint32(total / numNodes)
-				if avg == 0 {
-					avg = 1
-				}
-			}
-			th = 4 * avg
+		var total uint64
+		for _, d := range opt.InDegrees {
+			total += uint64(d)
+		}
+		avg := uint32(1)
+		if numNodes > 0 {
+			avg = max(uint32(total/numNodes), 1)
 		}
 		return &hvcPolicy{
 			base:      base{own: nodeOwner(opt.InDegrees), hosts: hosts},
 			inDeg:     opt.InDegrees,
-			threshold: th,
+			threshold: 4 * avg,
 		}, nil
 	default:
 		return nil, fmt.Errorf("partition: unknown policy kind %q", kind)

@@ -1,11 +1,10 @@
 // Package perfdb is the machine-fingerprinted, append-only benchmark
 // history behind the perf observability plane: every gluon-bench sync
-// measurement appends one schema-versioned JSONL record — host fingerprint,
-// per-benchmark min-over-reps timing with a noise estimate, and the
-// comm-volume counters lifted from the trace ledger — and cmd/gluon-perf
-// reads the accumulated history back for trend tables and regression
-// checks. BENCH_sync.json, the ratio gate's baseline, is one of these
-// records pinned to its own file. Appends are single-write lines so a crash
+// measurement appends one schema-versioned JSONL record — host fingerprint
+// and per-benchmark min-over-reps timing with a noise estimate — and
+// cmd/gluon-perf reads the accumulated history back for trend tables and
+// regression checks. BENCH_sync.json, the ratio gate's baseline, is one of
+// these records pinned to its own file. Appends are single-write lines so a crash
 // mid-append tears at most the trailing record, which Read tolerates.
 package perfdb
 
@@ -44,18 +43,6 @@ type BenchResult struct {
 	Reps int `json:"reps,omitempty"`
 }
 
-// Comm carries the comm-volume trajectory alongside the time trajectory:
-// counters distilled from the trace ledger of an instrumented probe run
-// (bench.CommProbe), so the history shows when a change moved bytes
-// as well as when it moved nanoseconds.
-type Comm struct {
-	// BytesPerRound is shipped wire bytes per attributed BSP round.
-	BytesPerRound float64 `json:"bytes_per_round"`
-	// InvariantSkipShare is the fraction of channel-rounds that shipped
-	// nothing (temporal invariance / empty updates), in [0,1].
-	InvariantSkipShare float64 `json:"invariant_skip_share"`
-}
-
 // Record is one appended history entry: everything measured in one
 // gluon-bench invocation on one machine.
 type Record struct {
@@ -72,7 +59,6 @@ type Record struct {
 	// configurations are not comparable.
 	Graph      string        `json:"graph,omitempty"`
 	Benchmarks []BenchResult `json:"benchmarks"`
-	Comm       *Comm         `json:"comm,omitempty"`
 }
 
 // Append writes rec as one JSONL line at the end of path, creating the

@@ -19,7 +19,6 @@ func testRecord(fp Fingerprint, t0 time.Time, nsAuto, nsUnopt int64) *Record {
 			{Name: "sync/h=2/auto", Hosts: 2, Encoding: "auto", NsPerOp: nsAuto, AllocsPerOp: 26, NoiseNs: nsAuto / 100, Reps: 8},
 			{Name: "sync/h=2/unopt", Hosts: 2, Encoding: "unopt", NsPerOp: nsUnopt, AllocsPerOp: 30, NoiseNs: nsUnopt / 100, Reps: 8},
 		},
-		Comm: &Comm{BytesPerRound: 2048, InvariantSkipShare: 0.33},
 	}
 }
 
@@ -59,9 +58,6 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		}
 		if len(g.Benchmarks) != 2 || g.Benchmarks[0] != w.Benchmarks[0] || g.Benchmarks[1] != w.Benchmarks[1] {
 			t.Errorf("record %d benchmarks mismatch: %+v", i, g.Benchmarks)
-		}
-		if g.Comm == nil || *g.Comm != *w.Comm {
-			t.Errorf("record %d comm mismatch: %+v", i, g.Comm)
 		}
 	}
 }
@@ -198,9 +194,9 @@ func TestLatest(t *testing.T) {
 }
 
 // TestReadKeepsOlderLines: a line written before the DEFLATE tier left the
-// substrate — comp-* benchmark rows, a comm.compression_ratio key — and
-// before the sync_workers field went still loads: the row names are data
-// and the keys are ignored.
+// substrate — comp-* benchmark rows — before the sync_workers field went
+// and while records still carried a comm block still loads: the row names
+// are data and the keys are ignored.
 func TestReadKeepsOlderLines(t *testing.T) {
 	const old = `{"schema":1,"time":"2026-08-08T20:54:19Z","label":"sync-bench","fp":"bf68d75a39bd","graph":"rmat scale=12 ef=8 seed=7 cvc","sync_workers":0,"benchmarks":[{"name":"sync/h=2/auto","hosts":2,"encoding":"auto","ns_per_op":20617},{"name":"sync/h=2/comp-static","hosts":2,"encoding":"comp-static","ns_per_op":49214}],"comm":{"bytes_per_round":191.5,"compression_ratio":6.7,"invariant_skip_share":0.33}}` + "\n"
 	path := filepath.Join(t.TempDir(), "db.jsonl")
@@ -214,9 +210,6 @@ func TestReadKeepsOlderLines(t *testing.T) {
 	r := recs[0]
 	if len(r.Benchmarks) != 2 || r.Benchmarks[1].Encoding != "comp-static" {
 		t.Errorf("benchmarks = %+v, want both rows kept", r.Benchmarks)
-	}
-	if r.Comm == nil || r.Comm.BytesPerRound != 191.5 || r.Comm.InvariantSkipShare != 0.33 {
-		t.Errorf("comm = %+v, want bytes/round 191.5 and skip share 0.33", r.Comm)
 	}
 }
 

@@ -278,19 +278,6 @@ func WriteTrends(w io.Writer, recs []Record, window int) error {
 				return err
 			}
 		}
-		if comm := latestComm(recs, fp); comm != nil {
-			fmt.Fprintf(w, "  comm: %.0f bytes/round, invariant skips %.0f%%\n",
-				comm.BytesPerRound, 100*comm.InvariantSkipShare)
-		}
-	}
-	return nil
-}
-
-func latestComm(recs []Record, fp string) *Comm {
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].FingerprintID == fp && recs[i].Comm != nil {
-			return recs[i].Comm
-		}
 	}
 	return nil
 }

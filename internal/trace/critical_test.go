@@ -325,9 +325,8 @@ func TestCriticalWriteTables(t *testing.T) {
 	}
 }
 
-// TestLedgerCounters: the ledger fields a perf-history record distills
-// (bench.CommProbe: bytes/round and the silent share over channel-rounds)
-// match the golden timeline's hand-computed model.
+// TestLedgerCounters: the ledger's round, channel and silent
+// channel-round counts match the golden timeline's hand-computed model.
 func TestLedgerCounters(t *testing.T) {
 	ev := goldenTimeline()
 	// 4th channel h0 -> 2 (field 7) shipping only in round 0, as in the
@@ -341,25 +340,5 @@ func TestLedgerCounters(t *testing.T) {
 	// 4 channels × 2 rounds, 1 silent.
 	if l.Channels != 4 || l.SilentChannelRounds != 1 {
 		t.Fatalf("%d channels with %d silent channel-rounds, want 4 and 1", l.Channels, l.SilentChannelRounds)
-	}
-}
-
-// TestLedgerOf: the Trace -> Ledger convenience path used by the perf
-// probe attributes a live session the same as the offline compute.
-func TestLedgerOf(t *testing.T) {
-	tr := New(Config{Label: "ledgerof"})
-	for _, e := range goldenTimeline() {
-		rec := tr.Recorder(int(e.Host))
-		rec.SetRound(e.Round)
-		rec.Emit(e)
-	}
-	l := LedgerOf(tr)
-	events, _ := tr.Snapshot()
-	want := ComputeCriticalPath(Meta{}, events).Ledger
-	if l != want {
-		t.Fatalf("LedgerOf = %+v, want %+v", l, want)
-	}
-	if l.ShippedBytes == 0 || l.Rounds != 2 {
-		t.Fatalf("LedgerOf missed the session: %+v", l)
 	}
 }

@@ -490,11 +490,3 @@ func SummarizeMeta(meta Meta, events []Event) *Summary {
 func ComputeCriticalPath(meta Meta, events []Event) *CriticalPath {
 	return rollupOf(meta, events).CriticalPath(meta.Label, 0)
 }
-
-// LedgerOf attributes a live single-process session offline and returns
-// its effectiveness ledger — the plumbing from an instrumented probe run
-// to a perf-history record.
-func LedgerOf(t *Trace) Ledger {
-	events, _ := t.Snapshot()
-	return rollupOf(Meta{}, events).ledger()
-}
