@@ -32,7 +32,7 @@ build:
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
 TRACE_LOC_MAX = 2887
-ROOT_LOC_MAX = 13675
+ROOT_LOC_MAX = 13509
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -74,7 +74,7 @@ DECLS = awk '\
 # symbols. Prints the names none holds and fails above CENSUS_MAX, a ratchet
 # like the loc bounds; the names it allows are test fakes, fixtures and
 # oracles, listed with the reason each stays in CHANGES.md.
-CENSUS_MAX = 25
+CENSUS_MAX = 23
 
 census:
 	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; mkdir $$d/bin; \

@@ -36,10 +36,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := make([]uint32, numNodes)
-	for u := uint32(0); u < csr.NumNodes(); u++ {
-		out[u] = csr.OutDegree(u)
-	}
 
 	// Phase 1 (offline): partition and save, one file per host.
 	dir, err := os.MkdirTemp("", "gluon-parts-*")
@@ -49,8 +45,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	start := time.Now()
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts,
-		partition.Options{OutDegrees: out, InDegrees: csr.InDegrees()})
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		log.Fatal(err)
 	}

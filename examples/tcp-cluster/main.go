@@ -6,7 +6,8 @@
 // Two modes:
 //
 //   - Demo (default): all hosts live in one process, dialing each other on
-//     localhost. Self-contained, verifies against sequential Dijkstra.
+//     localhost ports the kernel picks (-addrs, when given, only sets how
+//     many). Self-contained, verifies against sequential Dijkstra.
 //
 //     go run ./examples/tcp-cluster
 //
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"sync"
 	"time"
 
 	"gluon"
@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		host     = flag.Int("host", -1, "drive only this rank (multi-process mode; requires -addrs)")
-		addrsCSV = flag.String("addrs", "", "comma-separated host:port list, one per rank (its length is the cluster size)")
+		addrsCSV = flag.String("addrs", "", "comma-separated host:port list, one per rank (its length is the cluster size; the demo takes only the size)")
 		collect  = flag.String("collect", "", "stream this process's trace to a `gluon-trace serve` collector at this address")
 		traceOut = flag.String("trace", "", "write this process's trace to a file")
 		watchdog = flag.Bool("watchdog", false, "run the straggler watchdog (heartbeats gossiped between -host processes)")
@@ -88,22 +88,14 @@ func main() {
 	if *addrsCSV != "" {
 		addrs = strings.Split(*addrsCSV, ",")
 		hosts = len(addrs)
-	} else {
-		addrs = make([]string, hosts)
-		for h := range addrs {
-			addrs[h] = fmt.Sprintf("127.0.0.1:%d", 39200+h)
-		}
+	} else if *host >= 0 {
+		log.Fatal("-host requires -addrs")
 	}
 
 	// Partition for the cluster with the hybrid vertex-cut. In multi-process
 	// mode every process runs this full partitioning and keeps one slice —
 	// wasteful but simple, and bitwise identical across processes.
-	out := make([]uint32, numNodes)
-	for u := uint32(0); u < csr.NumNodes(); u++ {
-		out[u] = csr.OutDegree(u)
-	}
-	pol, err := partition.NewPolicy(partition.HVC, numNodes, hosts,
-		partition.Options{OutDegrees: out, InDegrees: csr.InDegrees()})
+	pol, err := partition.NewPolicy(partition.HVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +120,7 @@ func main() {
 		runOneHost(*host, addrs, parts, csr, source, wcfg, *collect, *traceOut, *pmDir, ckptOpts, *restore, *cold, *rejoin, *delay)
 		return
 	}
-	runDemo(addrs, parts, csr, source, wcfg, *collect, *traceOut, *pmDir)
+	runDemo(hosts, parts, csr, source, wcfg, *collect, *traceOut, *pmDir)
 }
 
 // armRecorder arms the process-global flight recorder when the operator
@@ -262,47 +254,25 @@ func runOneHost(host int, addrs []string, parts []*partition.Partition, csr *glu
 }
 
 // runDemo is the self-contained mode: every rank lives in this process.
-func runDemo(addrs []string, parts []*partition.Partition, csr *gluon.CSR, source uint32, wcfg *trace.WatchdogConfig, collect, traceOut, pmDir string) {
-	hosts := len(addrs)
-
+func runDemo(hosts int, parts []*partition.Partition, csr *gluon.CSR, source uint32, wcfg *trace.WatchdogConfig, collect, traceOut, pmDir string) {
 	var tr *trace.Trace
 	if collect != "" || traceOut != "" {
 		tr = trace.New(trace.Config{Label: fmt.Sprintf("tcp-cluster demo %d hosts", hosts)})
 	}
 	armRecorder(pmDir, tr, 0, fmt.Sprintf("tcp-cluster demo, %d in-process ranks", hosts))
 
-	// Bring up the TCP mesh on localhost. Mesh establishment is bounded: a
-	// host that never comes up fails the dial with an error naming it,
-	// instead of blocking Accept forever.
+	// Bring up the TCP mesh on localhost ports the kernel picks. Mesh
+	// establishment is bounded: a host that never comes up fails the dial
+	// instead of a wait forever.
+	eps, _, err := comm.DialLoopbackMesh(hosts, comm.DialConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		log.Fatal(err)
+	}
 	endpoints := make([]comm.Transport, hosts)
-	var wg sync.WaitGroup
-	var dialErr error
-	var mu sync.Mutex
-	for h := 0; h < hosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			ep, err := comm.DialTCPConfig(h, addrs, comm.DialConfig{Timeout: 10 * time.Second})
-			if err != nil {
-				mu.Lock()
-				dialErr = err
-				mu.Unlock()
-				return
-			}
-			endpoints[h] = ep
-		}(h)
+	for h, ep := range eps {
+		endpoints[h] = ep
+		defer ep.Close()
 	}
-	wg.Wait()
-	if dialErr != nil {
-		log.Fatal(dialErr)
-	}
-	defer func() {
-		for _, ep := range endpoints {
-			if ep != nil {
-				ep.Close()
-			}
-		}
-	}()
 
 	if collect != "" {
 		sh, err := trace.StartShipper(trace.ShipperConfig{Addr: collect, Trace: tr})

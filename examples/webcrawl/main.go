@@ -76,16 +76,7 @@ func main() {
 // replicationFactor partitions the graph to measure the average number of
 // proxies per node under a policy.
 func replicationFactor(numNodes uint64, edges []gluon.Edge, kind gluon.PolicyKind) float64 {
-	g, err := gluon.BuildCSR(numNodes, edges, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out := make([]uint32, numNodes)
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		out[u] = g.OutDegree(u)
-	}
-	pol, err := partition.NewPolicy(kind, numNodes, hosts,
-		partition.Options{OutDegrees: out, InDegrees: g.InDegrees()})
+	pol, err := partition.NewPolicy(kind, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,8 +41,6 @@ type Config struct {
 	// Candidates restricts the policies tried (nil = all four).
 	Candidates []partition.Kind
 	Criterion  Criterion
-	// PolicyOptions may carry degree tables; when empty they are derived.
-	PolicyOptions partition.Options
 	// Net forwards a link-cost model into probe runs.
 	Net comm.NetModel
 }
@@ -71,16 +69,7 @@ func Pick(numNodes uint64, edges []graph.Edge, cfg Config, factory dsys.ProgramF
 	if candidates == nil {
 		candidates = partition.AllKinds()
 	}
-	popt := cfg.PolicyOptions
-	if popt.OutDegrees == nil && popt.InDegrees == nil {
-		outDeg := make([]uint32, numNodes)
-		inDeg := make([]uint32, numNodes)
-		for _, e := range edges {
-			outDeg[e.Src]++
-			inDeg[e.Dst]++
-		}
-		popt = partition.Options{OutDegrees: outDeg, InDegrees: inDeg}
-	}
+	popt := partition.Degrees(numNodes, edges)
 
 	probes := make([]Probe, 0, len(candidates))
 	for _, kind := range candidates {

@@ -60,7 +60,7 @@ func (m Measurement) CommTime() time.Duration {
 // RunSpec executes one configuration and returns the measurement.
 func RunSpec(s Spec, w *Workload, p Params) (Measurement, error) {
 	if s.System == Gemini {
-		edges, _ := w.input(s.Benchmark)
+		edges := w.input(s.Benchmark)
 		res, err := gemini.Run(w.NumNodes, edges, gemini.Algorithm(s.Benchmark), gemini.Config{
 			Hosts:     s.Hosts,
 			Workers:   p.Workers,

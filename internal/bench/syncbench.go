@@ -60,14 +60,7 @@ func newSyncBenchCluster(p Params, hosts int, opt gluon.Options) (*syncBenchClus
 		return nil, err
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts,
-		partition.Options{OutDegrees: outDeg, InDegrees: inDeg})
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		return nil, err
 	}

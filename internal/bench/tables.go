@@ -41,7 +41,7 @@ func Table2(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		popt := wl.PolicyOptions()
+		popt := partition.Degrees(wl.NumNodes, wl.Edges)
 		for _, hosts := range p.Hosts {
 			if hosts < 2 {
 				continue

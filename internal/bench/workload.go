@@ -102,9 +102,6 @@ type Workload struct {
 	symOnce  sync.Once
 	symEdges []graph.Edge
 	symCSR   *graph.CSR
-
-	poptOnce sync.Once
-	popt     partition.Options
 }
 
 // workloadKinds are the graph families standing in for the paper's inputs
@@ -154,36 +151,21 @@ func (w *Workload) Symmetrized() ([]graph.Edge, *graph.CSR) {
 	return w.symEdges, w.symCSR
 }
 
-// PolicyOptions returns degree-based policy options (built once).
-func (w *Workload) PolicyOptions() partition.Options {
-	w.poptOnce.Do(func() {
-		out := make([]uint32, w.NumNodes)
-		for u := uint32(0); u < w.CSR.NumNodes(); u++ {
-			out[u] = w.CSR.OutDegree(u)
-		}
-		w.popt = partition.Options{OutDegrees: out, InDegrees: w.CSR.InDegrees()}
-	})
-	return w.popt
-}
-
-// input returns the edge list a benchmark runs on and its degree-based
-// policy options: cc reads the symmetrized graph, the others the raw one.
-func (w *Workload) input(benchmark string) ([]graph.Edge, partition.Options) {
+// input returns the edge list a benchmark runs on: cc reads the
+// symmetrized graph, the others the raw one.
+func (w *Workload) input(benchmark string) []graph.Edge {
 	if benchmark != "cc" {
-		return w.Edges, w.PolicyOptions()
+		return w.Edges
 	}
-	edges, sg := w.Symmetrized()
-	out := make([]uint32, w.NumNodes)
-	for u := uint32(0); u < sg.NumNodes(); u++ {
-		out[u] = sg.OutDegree(u)
-	}
-	return edges, partition.Options{OutDegrees: out, InDegrees: sg.InDegrees()}
+	edges, _ := w.Symmetrized()
+	return edges
 }
 
-// partition splits a benchmark's input among hosts under one policy.
+// partition splits a benchmark's input among hosts under one policy, with
+// the degree tables of that input.
 func (w *Workload) partition(benchmark string, kind partition.Kind, hosts int) ([]*partition.Partition, error) {
-	edges, popt := w.input(benchmark)
-	pol, err := partition.NewPolicy(kind, w.NumNodes, hosts, popt)
+	edges := w.input(benchmark)
+	pol, err := partition.NewPolicy(kind, w.NumNodes, hosts, partition.Degrees(w.NumNodes, edges))
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,6 @@ const (
 	TagBarrier   Tag = 0xFFFF0001
 	TagAllReduce Tag = 0xFFFF0002
 	TagMemo      Tag = 0xFFFF0004
-	TagTerm      Tag = 0xFFFF0005
 	// TagHeartbeat carries the watchdog's liveness gossip between processes
 	// (see dsys); it rides the data transport but never blocks a sync:
 	// heartbeats are fire-and-forget and drained by a dedicated goroutine.

@@ -2,16 +2,13 @@ package comm
 
 // Checkpoint-rendezvous wire support (DESIGN.md §4.6). The rendezvous
 // itself — who sends HOLD/RESUME when, and how the rollback epoch is
-// agreed — lives in dsys; this file owns the frame format, the TCP-side
-// HOLD interception, and the replacement-host handshake that re-forms the
-// mesh around a restored rank.
+// agreed — lives in dsys; this file owns the frame format and the
+// replacement host's entry point, RejoinTCP. The TCP side intercepts HOLD
+// frames in readLoop and accepts a replacement's links in acceptLoop.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
-	"time"
 )
 
 // Rejoin frame kinds, carried in the first payload byte on TagRejoin.
@@ -54,72 +51,10 @@ func DecodeRejoinFrame(p []byte) (kind byte, epoch uint64, err error) {
 	return k, binary.LittleEndian.Uint64(p[1:]), nil
 }
 
-// rejoinBit marks a rank handshake as a post-establishment rejoin dial
-// rather than a mesh-formation dial. Mesh formation only ever carries
+// rejoinBit marks a rank handshake as a replacement host's dial rather than
+// a mesh-formation dial (see acceptLoop). Mesh formation only ever carries
 // ranks below the acceptor's id, so the bit is unambiguous.
 const rejoinBit = uint32(1) << 31
-
-// rejoinHandshakeTimeout bounds the rank read on an accepted rejoin
-// connection; a half-open dialer must not wedge the accept loop.
-const rejoinHandshakeTimeout = 10 * time.Second
-
-// acceptRejoins runs for the life of the endpoint, accepting replacement
-// hosts on the (still open) mesh listener. A replacement dials every
-// survivor with rejoinBit|rank; the survivor installs the connection over
-// the dead peer's slot and starts a fresh read loop. Poisons are NOT
-// cleared here — that happens in FlushAndCure once the dsys rendezvous has
-// collected HOLD frames from everyone — but the new read loop delivers the
-// replacement's TagRejoin frames immediately (TagRejoin is exempt from
-// poison fail-fast).
-func (e *TCPEndpoint) acceptRejoins() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.listener.Accept()
-		if err != nil {
-			// Closed endpoint (or a transient accept error after close).
-			if e.closed.Load() {
-				return
-			}
-			// Transient error on a live endpoint: keep accepting.
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		conn.SetDeadline(time.Now().Add(rejoinHandshakeTimeout))
-		var rank [4]byte
-		if _, err := io.ReadFull(conn, rank[:]); err != nil {
-			conn.Close()
-			continue
-		}
-		raw := binary.LittleEndian.Uint32(rank[:])
-		if raw&rejoinBit == 0 {
-			// A stray mesh-formation dial arriving after establishment.
-			conn.Close()
-			continue
-		}
-		peer := int(raw &^ rejoinBit)
-		if peer < 0 || peer >= len(e.addrs) || peer == e.id {
-			conn.Close()
-			continue
-		}
-		conn.SetDeadline(time.Time{})
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		c := e.conns[peer]
-		c.mu.Lock()
-		if old := c.conn; old != nil {
-			// Sever the dead incarnation; its read loop exits (the peer is
-			// already poisoned, so the duplicate poison is a no-op).
-			old.Close()
-		}
-		c.conn = conn
-		c.gen++
-		c.mu.Unlock()
-		traceFaultf(e.rec(), peer, "replacement connection accepted")
-		e.wg.Add(1)
-		go e.readLoop(peer, conn)
-	}
-}
 
 // FlushAndCure implements Rejoiner (see comm.go).
 func (e *TCPEndpoint) FlushAndCure() {
@@ -145,61 +80,10 @@ func (e *TCPEndpoint) ConnGeneration(peer int) int {
 // RejoinTCP builds the replacement host's endpoint of an existing n-host
 // mesh: it listens on addrs[id] (the dead rank's address, so later
 // replacements can find it) and dials every survivor with the rejoin
-// handshake, reusing the DialTCPConfig hardening (deadline-bounded dial
-// retries with backoff). The caller is expected to have loaded a
-// checkpoint and to enter the dsys rendezvous immediately; survivors hold
-// there until this endpoint's HOLD frames arrive.
+// handshake, through the same deadline-bounded dial as DialTCPConfig. The
+// caller is expected to have loaded a checkpoint and to enter the dsys
+// rendezvous immediately; survivors hold there until this endpoint's HOLD
+// frames arrive.
 func RejoinTCP(id int, addrs []string, cfg DialConfig) (*TCPEndpoint, error) {
-	n := len(addrs)
-	if id < 0 || id >= n {
-		return nil, fmt.Errorf("comm: host id %d out of range [0,%d)", id, n)
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
-
-	e := &TCPEndpoint{id: id, addrs: addrs, mbox: newMailbox(), conns: make([]*tcpConn, n)}
-	for i := range e.conns {
-		e.conns[i] = &tcpConn{}
-	}
-	ln, err := net.Listen("tcp", addrs[id])
-	if err != nil {
-		return nil, fmt.Errorf("comm: rejoin listen %s: %w", addrs[id], err)
-	}
-	e.listener = ln
-
-	for i := 0; i < n; i++ {
-		if i == id {
-			continue
-		}
-		conn, err := dialRetry(addrs[i], deadline)
-		if err != nil {
-			e.Close()
-			return nil, fmt.Errorf("comm: rejoin dial host %d (%s): %w", i, addrs[i], err)
-		}
-		conn.SetDeadline(deadline)
-		var rank [4]byte
-		binary.LittleEndian.PutUint32(rank[:], rejoinBit|uint32(id))
-		if _, err := conn.Write(rank[:]); err != nil {
-			conn.Close()
-			e.Close()
-			return nil, fmt.Errorf("comm: rejoin handshake to host %d: %w", i, err)
-		}
-		conn.SetDeadline(time.Time{})
-		e.conns[i].mu.Lock()
-		e.conns[i].conn = conn
-		e.conns[i].mu.Unlock()
-	}
-	for i, c := range e.conns {
-		if i == id || c.conn == nil {
-			continue
-		}
-		e.wg.Add(1)
-		go e.readLoop(i, c.conn)
-	}
-	e.wg.Add(1)
-	go e.acceptRejoins()
-	return e, nil
+	return listenTCP(id, addrs, cfg, true)
 }

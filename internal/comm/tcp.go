@@ -37,6 +37,7 @@ type TCPEndpoint struct {
 
 	conns    []*tcpConn // conns[i] carries traffic to/from host i; conns[id] unused
 	listener net.Listener
+	joined   chan struct{} // one value per formation link accepted; buffered for all id of them
 	wg       sync.WaitGroup
 	closed   atomic.Bool
 }
@@ -62,7 +63,7 @@ func (e *TCPEndpoint) poison(from int, err error) {
 type tcpConn struct {
 	mu     sync.Mutex
 	conn   net.Conn // nil until the mesh handshake installs it
-	gen    int      // bumped when acceptRejoins replaces conn (see ConnGeneration)
+	gen    int      // bumped when a replacement host's link supersedes conn (see ConnGeneration)
 	hdr    [tcpHeaderLen]byte
 	vecArr [3][]byte // frame header + optional caller header + payload
 	vec    net.Buffers
@@ -87,148 +88,185 @@ type DialConfig struct {
 	// Timeout bounds the whole mesh establishment — dialing higher-ranked
 	// peers (with backoff retries) and accepting lower-ranked ones,
 	// handshakes included. A peer that never appears fails the dial with an
-	// error naming it, instead of blocking Accept forever. Zero means
-	// DefaultDialTimeout.
+	// error instead of a wait forever. Zero means DefaultDialTimeout.
 	Timeout time.Duration
 }
 
 // DialTCPConfig creates host id's endpoint of an n-host TCP communicator.
 // addrs[i] is the listen address of host i; addrs[id] is where this
 // endpoint listens. It blocks until the full connection mesh is
-// established, or cfg.Timeout passes: each endpoint accepts connections
-// from lower-ranked hosts and dials higher-ranked hosts.
+// established, or cfg.Timeout passes: each endpoint dials the higher-ranked
+// hosts and waits for the lower-ranked ones to dial in.
 func DialTCPConfig(id int, addrs []string, cfg DialConfig) (*TCPEndpoint, error) {
-	n := len(addrs)
-	if id < 0 || id >= n {
-		return nil, fmt.Errorf("comm: host id %d out of range [0,%d)", id, n)
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
+	return listenTCP(id, addrs, cfg, false)
+}
 
-	e := &TCPEndpoint{id: id, addrs: addrs, mbox: newMailbox(), conns: make([]*tcpConn, n)}
-	for i := range e.conns {
-		e.conns[i] = &tcpConn{}
+// listenTCP listens on addrs[id] and opens the endpoint on that listener.
+func listenTCP(id int, addrs []string, cfg DialConfig, rejoin bool) (*TCPEndpoint, error) {
+	if id < 0 || id >= len(addrs) {
+		return nil, fmt.Errorf("comm: host id %d out of range [0,%d)", id, len(addrs))
 	}
 	ln, err := net.Listen("tcp", addrs[id])
 	if err != nil {
 		return nil, fmt.Errorf("comm: listen %s: %w", addrs[id], err)
 	}
-	e.listener = ln
-	if tl, ok := ln.(*net.TCPListener); ok {
-		// Bound Accept by the mesh deadline so a lower-ranked peer that
-		// never dials fails the whole establishment instead of hanging.
-		tl.SetDeadline(deadline)
+	return openTCP(id, addrs, ln, cfg, rejoin)
+}
+
+// openTCP builds host id's endpoint around ln, a listener already bound to
+// addrs[id], which the endpoint owns from here on (it is closed on failure
+// and by Close). The listener's accept loop is the endpoint's only way in,
+// for its life. A forming endpoint (rejoin false) dials the higher ranks
+// and waits for its id lower ranks to be accepted; a replacement (rejoin
+// true) dials every peer with the rejoin handshake and waits for nobody.
+// Either way the mesh must be up before cfg.Timeout passes.
+func openTCP(id int, addrs []string, ln net.Listener, cfg DialConfig, rejoin bool) (*TCPEndpoint, error) {
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = DefaultDialTimeout
 	}
-
-	errc := make(chan error, 2)
-	var setup sync.WaitGroup
-
-	// Accept connections from lower-ranked peers; each sends its rank first.
-	setup.Add(1)
-	go func() {
-		defer setup.Done()
-		for i := 0; i < id; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				errc <- fmt.Errorf("comm: accept (waiting for %d lower-ranked peers): %w", id-i, err)
-				return
-			}
-			conn.SetDeadline(deadline)
-			var rank [4]byte
-			if _, err := io.ReadFull(conn, rank[:]); err != nil {
-				errc <- fmt.Errorf("comm: handshake read: %w", err)
-				return
-			}
-			peer := int(binary.LittleEndian.Uint32(rank[:]))
-			if peer >= id || peer < 0 || peer >= n {
-				errc <- fmt.Errorf("comm: unexpected peer rank %d", peer)
-				return
-			}
-			conn.SetDeadline(time.Time{})
-			e.conns[peer].mu.Lock()
-			e.conns[peer].conn = conn
-			e.conns[peer].mu.Unlock()
-		}
-	}()
-
-	// Dial higher-ranked peers, announcing our rank.
-	setup.Add(1)
-	go func() {
-		defer setup.Done()
-		for i := id + 1; i < n; i++ {
-			conn, err := dialRetry(addrs[i], deadline)
-			if err != nil {
-				errc <- fmt.Errorf("comm: dial host %d (%s): %w", i, addrs[i], err)
-				return
-			}
-			conn.SetDeadline(deadline)
-			var rank [4]byte
-			binary.LittleEndian.PutUint32(rank[:], uint32(id))
-			if _, err := conn.Write(rank[:]); err != nil {
-				errc <- fmt.Errorf("comm: handshake write to host %d: %w", i, err)
-				return
-			}
-			conn.SetDeadline(time.Time{})
-			e.conns[i].mu.Lock()
-			e.conns[i].conn = conn
-			e.conns[i].mu.Unlock()
-		}
-	}()
-
-	setup.Wait()
-	select {
-	case err := <-errc:
+	deadline := time.Now().Add(timeout)
+	e := &TCPEndpoint{id: id, addrs: addrs, mbox: newMailbox(), conns: make([]*tcpConn, len(addrs)),
+		listener: ln, joined: make(chan struct{}, id)}
+	for i := range e.conns {
+		e.conns[i] = &tcpConn{}
+	}
+	e.wg.Add(1)
+	go e.acceptLoop()
+	fail := func(err error) (*TCPEndpoint, error) {
 		e.Close()
 		return nil, err
-	default:
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Time{})
 	}
 
-	for i, c := range e.conns {
-		if i == id || c.conn == nil {
+	first, rank, lower := id+1, uint32(id), id
+	if rejoin {
+		first, rank, lower = 0, rejoinBit|uint32(id), 0
+	}
+	for i := first; i < len(addrs); i++ {
+		if i == id {
 			continue
 		}
-		e.wg.Add(1)
-		go e.readLoop(i, c.conn)
+		if err := e.dial(i, rank, deadline); err != nil {
+			return fail(err)
+		}
 	}
-	// The listener stays open for the life of the endpoint: replacement
-	// hosts for a dead rank dial back in with the rejoin handshake
-	// (DESIGN.md §4.6) and are accepted here.
-	e.wg.Add(1)
-	go e.acceptRejoins()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for ; lower > 0; lower-- {
+		select {
+		case <-e.joined:
+		case <-timer.C:
+			return fail(fmt.Errorf("comm: host %d: %d lower-ranked peers never dialed in", id, lower))
+		}
+	}
 	return e, nil
 }
 
-// dialRetry dials addr until it succeeds or the deadline expires, backing
-// off exponentially between refused attempts (a peer's listener may simply
-// not be up yet) instead of hammering the address in a busy-loop.
-func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
+// dial connects to peer, dialing until it succeeds or the deadline expires
+// and backing off exponentially between refused attempts (the peer's
+// listener may simply not be up yet), sends the 4-byte rank word and
+// installs the link.
+func (e *TCPEndpoint) dial(peer int, rank uint32, deadline time.Time) error {
 	backoff := time.Millisecond
 	const maxBackoff = 250 * time.Millisecond
-	var lastErr error
 	for {
 		d := net.Dialer{Deadline: deadline}
-		conn, err := d.Dial("tcp", addr)
+		conn, err := d.Dial("tcp", e.addrs[peer])
 		if err == nil {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
+			conn.SetDeadline(deadline)
+			if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, rank)); err != nil {
+				conn.Close()
+				return fmt.Errorf("comm: handshake to host %d: %w", peer, err)
 			}
-			return conn, nil
+			conn.SetDeadline(time.Time{})
+			if !e.install(peer, conn, false) {
+				return fmt.Errorf("comm: link to host %d refused: endpoint closed or link already up", peer)
+			}
+			return nil
 		}
-		lastErr = err
 		if !time.Now().Add(backoff).Before(deadline) {
-			return nil, fmt.Errorf("deadline exceeded, last attempt: %w", lastErr)
+			return fmt.Errorf("comm: dial host %d (%s): deadline exceeded, last attempt: %w", peer, e.addrs[peer], err)
 		}
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}
 	}
+}
+
+// handshakeTimeout bounds the rank read on an accepted connection; a
+// half-open dialer must not wedge the accept loop.
+const handshakeTimeout = 10 * time.Second
+
+// acceptLoop runs for the life of the endpoint and is its only way in.
+// Every connection opens with a 4-byte rank word. A plain rank is a
+// mesh-formation link, taken only into the empty slot of a lower rank. A
+// rank with rejoinBit set is a replacement host for that rank (DESIGN.md
+// §4.6): it supersedes the dead incarnation's link. Poisons are NOT cleared
+// here — FlushAndCure does that once the dsys rendezvous has collected HOLD
+// frames from everyone — but the new read loop delivers the replacement's
+// TagRejoin frames at once (TagRejoin is exempt from poison fail-fast).
+// Anything else is closed.
+func (e *TCPEndpoint) acceptLoop() {
+	defer e.wg.Done()
+	for {
+		conn, err := e.listener.Accept()
+		if err != nil {
+			if e.closed.Load() {
+				return
+			}
+			// Transient error on a live endpoint: keep accepting.
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		conn.SetDeadline(time.Now().Add(handshakeTimeout))
+		var word [4]byte
+		if _, err := io.ReadFull(conn, word[:]); err != nil {
+			conn.Close()
+			continue
+		}
+		conn.SetDeadline(time.Time{})
+		rank := binary.LittleEndian.Uint32(word[:])
+		peer := int(rank &^ rejoinBit)
+		switch {
+		case rank&rejoinBit == 0 && peer < e.id:
+			if e.install(peer, conn, false) {
+				e.joined <- struct{}{}
+			}
+		case rank&rejoinBit != 0 && peer < len(e.addrs) && peer != e.id:
+			if e.install(peer, conn, true) {
+				traceFaultf(e.rec(), peer, "replacement connection accepted")
+			}
+		default:
+			conn.Close()
+		}
+	}
+}
+
+// install makes conn the link to peer and starts its read loop, both under
+// the slot lock: Close sets closed before it takes each slot lock to close
+// the link, so a link is either installed in time to be closed by Close or
+// refused here. A new link takes only an empty slot; a replacement closes
+// the dead incarnation (whose read loop then exits without poisoning, see
+// connCurrent) and bumps the slot's generation. A refused conn is closed.
+func (e *TCPEndpoint) install(peer int, conn net.Conn, replace bool) bool {
+	c := e.conns[peer]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.closed.Load() || c.conn != nil && !replace {
+		conn.Close()
+		return false
+	}
+	if replace {
+		if c.conn != nil {
+			c.conn.Close()
+		}
+		c.gen++
+	}
+	c.conn = conn
+	e.wg.Add(1)
+	go e.readLoop(peer, conn)
+	return true
 }
 
 // readLoop drains one peer connection into the mailbox. Any read error or
@@ -309,7 +347,7 @@ func readPayload(r io.Reader, length int) ([]byte, error) {
 
 // connCurrent reports whether conn is still the installed link for the
 // peer. A read loop whose connection was superseded by a replacement
-// (acceptRejoins) must exit without poisoning: the poison may have already
+// (see install) must exit without poisoning: the poison may have already
 // been cured by the rendezvous, and re-poisoning would wedge the cluster.
 func (e *TCPEndpoint) connCurrent(from int, conn net.Conn) bool {
 	c := e.conns[from]
@@ -441,15 +479,6 @@ func (e *TCPEndpoint) FailPeer(host int, err error) {
 	c.mu.Unlock()
 }
 
-// Addr returns the address this endpoint is actually listening on (useful
-// when the configured address used port 0).
-func (e *TCPEndpoint) Addr() string {
-	if e.listener == nil {
-		return ""
-	}
-	return e.listener.Addr().String()
-}
-
 // Close implements Transport. It is safe during in-flight collectives:
 // every blocked Recv/RecvAny unblocks with an error wrapping ErrClosed, and
 // further Sends fail.
@@ -457,9 +486,7 @@ func (e *TCPEndpoint) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if e.listener != nil {
-		e.listener.Close()
-	}
+	e.listener.Close()
 	for i, c := range e.conns {
 		if i == e.id {
 			continue

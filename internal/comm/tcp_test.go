@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // dialMesh brings up an n-host TCP mesh on loopback, on kernel-chosen
@@ -143,6 +145,102 @@ func TestTCPCloseUnblocks(t *testing.T) {
 func TestTCPBadRank(t *testing.T) {
 	if _, err := DialTCPConfig(5, []string{"127.0.0.1:41260"}, DialConfig{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
+	}
+}
+
+// TestTCPAcceptHandshake fences the accept side of the rank handshake on a
+// formed 3-host mesh. A connection host 2 must refuse — a formation dial for
+// a slot already filled, a rejoin rank out of range or its own, a handshake
+// cut short — is closed and leaves the live links working; a rejoin dial
+// for rank 1 replaces host 2's link to rank 1 and carries frames.
+func TestTCPAcceptHandshake(t *testing.T) {
+	eps, addrs, err := DialLoopbackMesh(3, DialConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	})
+	rank := func(r uint32) []byte { return binary.LittleEndian.AppendUint32(nil, r) }
+	dial := func(handshake []byte) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addrs[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(handshake); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	for _, tc := range []struct {
+		name      string
+		handshake []byte
+	}{
+		{"filled formation slot", rank(0)},
+		{"rejoin out of range", rank(rejoinBit | 7)},
+		{"rejoin own rank", rank(rejoinBit | 2)},
+		{"short handshake", []byte{1, 0}},
+	} {
+		conn := dial(tc.handshake)
+		if tc.name == "short handshake" {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: read %d bytes, %v; want host 2 to close the connection", tc.name, n, err)
+		}
+	}
+	for _, link := range [][2]int{{0, 2}, {2, 0}} {
+		from, to := link[0], link[1]
+		if err := eps[from].Send(to, TagUser, []byte("still here")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := eps[to].Recv(from, TagUser); err != nil || string(got) != "still here" {
+			t.Fatalf("link %d->%d after refused handshakes: %q, %v", from, to, got, err)
+		}
+	}
+
+	conn := dial(rank(rejoinBit | 1))
+	for start := time.Now(); eps[2].ConnGeneration(1) != 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("rejoin dial for rank 1 not installed: generation %d", eps[2].ConnGeneration(1))
+		}
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(TagUser))
+	frame = binary.LittleEndian.AppendUint32(frame, 5)
+	if _, err := conn.Write(append(frame, "fresh"...)); err != nil {
+		t.Fatal(err)
+	}
+	err = waitErr(t, 5*time.Second, "Recv over the replacement link", func() error {
+		got, err := eps[2].Recv(1, TagUser)
+		if err == nil && string(got) != "fresh" {
+			err = fmt.Errorf("got %q", got)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("frame over the replacement link: %v", err)
+	}
+}
+
+// TestTCPInstallAfterClose: a link that reaches install after Close has
+// closed the endpoint's links is refused and closed, so no read loop is
+// left running against a remote that keeps its end open.
+func TestTCPInstallAfterClose(t *testing.T) {
+	eps := dialMesh(t, 2)
+	eps[0].Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	if eps[0].install(1, local, true) {
+		t.Fatal("closed endpoint installed a replacement link")
+	}
+	if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused link left open: read returned %v", err)
 	}
 }
 

@@ -108,10 +108,11 @@ var cmJobs = []cmJob{
 func (j cmJob) parts(t *testing.T) ([]*partition.Partition, dsys.ProgramFactory) {
 	t.Helper()
 	numNodes, edges, g := testGraph(t, 6, j.weighted)
+	popt := partition.Degrees(numNodes, edges)
 	if j.symmetrize {
 		edges = ref.Symmetrize(edges)
 	}
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, cmHosts, policyOptions(numNodes, g))
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, cmHosts, popt)
 	if err != nil {
 		t.Fatal(err)
 	}

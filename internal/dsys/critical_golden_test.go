@@ -28,21 +28,14 @@ func TestCriticalPathGoldenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
 
 	tr := trace.New(trace.Config{Label: "critical-golden"})
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
-		Hosts:         hosts,
-		Policy:        partition.CVC,
-		Opt:           goldenOpt("osti"),
-		PolicyOptions: partition.Options{OutDegrees: outDeg, InDegrees: inDeg},
-		MaxRounds:     50,
-		Trace:         tr,
+		Hosts:     hosts,
+		Policy:    partition.CVC,
+		Opt:       goldenOpt("osti"),
+		MaxRounds: 50,
+		Trace:     tr,
 	}, bfs.NewLigra(0, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -93,10 +93,9 @@ type Result struct {
 
 // RunConfig configures a distributed run on the in-process transport.
 type RunConfig struct {
-	Hosts         int
-	Policy        partition.Kind
-	Opt           gluon.Options
-	PolicyOptions partition.Options
+	Hosts  int
+	Policy partition.Kind
+	Opt    gluon.Options
 	// CollectValues gathers converged per-node values into Result.Values.
 	CollectValues bool
 	// MaxRounds aborts runaway programs; 0 means no limit.
@@ -153,23 +152,11 @@ type RunConfig struct {
 // Run partitions the graph, spins up one goroutine per host over an
 // in-process hub, runs the program to global quiescence, and aggregates
 // results. It is the all-in-one entry point used by tests, examples, and
-// the benchmark harness.
-//
-// When cfg.PolicyOptions carries no degree tables, Run derives them from
-// the edge list so that degree-balanced chunking and the HVC threshold work
-// out of the box.
+// the benchmark harness. The policy's degree tables come from the edge
+// list (partition.Degrees); a caller that wants other ones partitions
+// itself and calls RunPartitioned.
 func Run(numNodes uint64, edges []graph.Edge, cfg RunConfig, factory ProgramFactory) (*Result, error) {
-	if cfg.PolicyOptions.OutDegrees == nil && cfg.PolicyOptions.InDegrees == nil {
-		outDeg := make([]uint32, numNodes)
-		inDeg := make([]uint32, numNodes)
-		for _, e := range edges {
-			outDeg[e.Src]++
-			inDeg[e.Dst]++
-		}
-		cfg.PolicyOptions.OutDegrees = outDeg
-		cfg.PolicyOptions.InDegrees = inDeg
-	}
-	pol, err := partition.NewPolicy(cfg.Policy, numNodes, cfg.Hosts, cfg.PolicyOptions)
+	pol, err := partition.NewPolicy(cfg.Policy, numNodes, cfg.Hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		return nil, err
 	}

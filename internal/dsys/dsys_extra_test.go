@@ -22,8 +22,7 @@ func TestRunOverTCP(t *testing.T) {
 	source := g.MaxOutDegreeNode()
 	want := ref.BFS(g, source)
 
-	popt := policyOptions(numNodes, g)
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, popt)
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +90,10 @@ func TestGaloisFewerRoundsThanLigra(t *testing.T) {
 // rely on.
 func TestNetModelSlowsVolume(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 10, false)
-	popt := policyOptions(numNodes, g)
 	run := func(net comm.NetModel) *dsys.Result {
 		res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 			Hosts: 4, Policy: partition.CVC, Opt: gluon.Opt(),
-			PolicyOptions: popt, MaxRounds: 10, Net: net,
+			MaxRounds: 10, Net: net,
 		}, bfs.NewGalois(uint64(g.MaxOutDegreeNode()), 2))
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +112,6 @@ func TestLoadImbalanceMetric(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, false)
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 		Hosts: 4, Policy: partition.OEC, Opt: gluon.Opt(),
-		PolicyOptions: policyOptions(numNodes, g),
 	}, bfs.NewGalois(uint64(g.MaxOutDegreeNode()), 2))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +131,6 @@ func TestHostResultsPopulated(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, false)
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 		Hosts: 3, Policy: partition.HVC, Opt: gluon.Opt(),
-		PolicyOptions: policyOptions(numNodes, g),
 	}, bfs.NewGalois(uint64(g.MaxOutDegreeNode()), 2))
 	if err != nil {
 		t.Fatal(err)

@@ -69,21 +69,12 @@ var systems = map[string]factories{
 	},
 }
 
-func policyOptions(numNodes uint64, g *graph.CSR) partition.Options {
-	out := make([]uint32, numNodes)
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		out[u] = g.OutDegree(u)
-	}
-	return partition.Options{OutDegrees: out, InDegrees: g.InDegrees()}
-}
-
 // TestBFSMatrix validates bfs across systems, policies, host counts, and
 // optimization configurations against sequential BFS.
 func TestBFSMatrix(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, false)
 	source := g.MaxOutDegreeNode()
 	want := ref.BFS(g, source)
-	popt := policyOptions(numNodes, g)
 
 	for sysName, f := range systems {
 		for _, pol := range partition.AllKinds() {
@@ -92,7 +83,7 @@ func TestBFSMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 						Hosts: hosts, Policy: pol, Opt: gluon.Opt(),
-						PolicyOptions: popt, CollectValues: true,
+						CollectValues: true,
 					}, f.bfs(uint64(source)))
 					if err != nil {
 						t.Fatalf("run: %v", err)
@@ -110,14 +101,13 @@ func TestBFSOptimizationConfigs(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, false)
 	source := g.MaxOutDegreeNode()
 	want := ref.BFS(g, source)
-	popt := policyOptions(numNodes, g)
 
 	for optName, opt := range optConfigs {
 		for _, pol := range partition.AllKinds() {
 			t.Run(fmt.Sprintf("%s/%s", optName, pol), func(t *testing.T) {
 				res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 					Hosts: 4, Policy: pol, Opt: opt,
-					PolicyOptions: popt, CollectValues: true,
+					CollectValues: true,
 				}, bfs.NewGalois(uint64(source), 2))
 				if err != nil {
 					t.Fatalf("run: %v", err)
@@ -133,7 +123,6 @@ func TestSSSPMatrix(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, true)
 	source := g.MaxOutDegreeNode()
 	want := ref.SSSP(g, source)
-	popt := policyOptions(numNodes, g)
 
 	for sysName, f := range systems {
 		for _, pol := range partition.AllKinds() {
@@ -141,7 +130,7 @@ func TestSSSPMatrix(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 					Hosts: 3, Policy: pol, Opt: gluon.Opt(),
-					PolicyOptions: popt, CollectValues: true,
+					CollectValues: true,
 				}, f.sssp(uint64(source)))
 				if err != nil {
 					t.Fatalf("run: %v", err)
@@ -161,7 +150,6 @@ func TestCCMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.CC(symG)
-	popt := policyOptions(numNodes, symG)
 
 	for sysName, f := range systems {
 		for _, pol := range partition.AllKinds() {
@@ -169,7 +157,7 @@ func TestCCMatrix(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				res, err := dsys.Run(numNodes, symEdges, dsys.RunConfig{
 					Hosts: 4, Policy: pol, Opt: gluon.Opt(),
-					PolicyOptions: popt, CollectValues: true,
+					CollectValues: true,
 				}, f.cc())
 				if err != nil {
 					t.Fatalf("run: %v", err)
@@ -185,7 +173,6 @@ func TestCCMatrix(t *testing.T) {
 func TestPageRankMatrix(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 9, false)
 	want := ref.PageRank(g, pr.Alpha, 1e-9, 100)
-	popt := policyOptions(numNodes, g)
 
 	for sysName, f := range systems {
 		for _, pol := range partition.AllKinds() {
@@ -193,7 +180,7 @@ func TestPageRankMatrix(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 					Hosts: 4, Policy: pol, Opt: gluon.Opt(),
-					PolicyOptions: popt, CollectValues: true, MaxRounds: 100,
+					CollectValues: true, MaxRounds: 100,
 				}, f.pr())
 				if err != nil {
 					t.Fatalf("run: %v", err)

@@ -18,7 +18,7 @@ func faultParts(t *testing.T, hosts int) (uint64, []*partition.Partition, uint32
 	t.Helper()
 	numNodes, edges, g := testGraph(t, 8, false)
 	source := g.MaxOutDegreeNode()
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, policyOptions(numNodes, g))
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBSPDelayFaultStillCorrect(t *testing.T) {
 	numNodes, edges, g := testGraph(t, 8, false)
 	source := g.MaxOutDegreeNode()
 	want := ref.BFS(g, source)
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, policyOptions(numNodes, g))
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		t.Fatal(err)
 	}

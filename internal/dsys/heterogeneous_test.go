@@ -127,7 +127,7 @@ func TestHeterogeneousPR(t *testing.T) {
 	}
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 		Hosts: 4, Policy: partition.CVC, Opt: gluon.Opt(),
-		PolicyOptions: policyOptions(numNodes, g), CollectValues: true, MaxRounds: 100,
+		CollectValues: true, MaxRounds: 100,
 	}, mixed)
 	if err != nil {
 		t.Fatal(err)

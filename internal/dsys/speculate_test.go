@@ -130,8 +130,8 @@ func TestRoundRunsOncePerRound(t *testing.T) {
 // must come out identical to the undelayed run.
 func TestSlowRootChangesNothing(t *testing.T) {
 	const hosts = 3
-	numNodes, edges, g := testGraph(t, 9, false)
-	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, policyOptions(numNodes, g))
+	numNodes, edges, _ := testGraph(t, 9, false)
+	pol, err := partition.NewPolicy(partition.CVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,6 @@ func TestTopSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
 
 	col, err := trace.ListenAndCollect("127.0.0.1:0")
 	if err != nil {
@@ -58,12 +52,11 @@ func TestTopSmoke(t *testing.T) {
 	defer sh.Close()
 
 	if _, err := dsys.Run(numNodes, edges, dsys.RunConfig{
-		Hosts:         hosts,
-		Policy:        partition.CVC,
-		Opt:           goldenOpt("osti"),
-		PolicyOptions: partition.Options{OutDegrees: outDeg, InDegrees: inDeg},
-		MaxRounds:     50,
-		Trace:         tr,
+		Hosts:     hosts,
+		Policy:    partition.CVC,
+		Opt:       goldenOpt("osti"),
+		MaxRounds: 50,
+		Trace:     tr,
 	}, bfs.NewLigra(0, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -67,21 +67,14 @@ func TestTraceMatchesGoldenVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
 
 	tr := trace.New(trace.Config{Label: "golden"})
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
-		Hosts:         8,
-		Policy:        row.policy,
-		Opt:           goldenOpt(row.config),
-		PolicyOptions: partition.Options{OutDegrees: outDeg, InDegrees: inDeg},
-		MaxRounds:     50,
-		Trace:         tr,
+		Hosts:     8,
+		Policy:    row.policy,
+		Opt:       goldenOpt(row.config),
+		MaxRounds: 50,
+		Trace:     tr,
 	}, bfs.NewLigra(0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -144,21 +137,14 @@ func TestTraceSumsEqualStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
 
 	tr := trace.New(trace.Config{Label: "stats-equality"})
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
-		Hosts:         2,
-		Policy:        partition.CVC,
-		Opt:           gluon.Opt(),
-		PolicyOptions: partition.Options{OutDegrees: outDeg, InDegrees: inDeg},
-		MaxRounds:     50,
-		Trace:         tr,
+		Hosts:     2,
+		Policy:    partition.CVC,
+		Opt:       gluon.Opt(),
+		MaxRounds: 50,
+		Trace:     tr,
 	}, bfs.NewLigra(0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -220,14 +206,7 @@ func TestSidebandMergedMatchesGoldenVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	outDeg := make([]uint32, numNodes)
-	inDeg := make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
-	pol, err := partition.NewPolicy(row.policy, numNodes, hosts,
-		partition.Options{OutDegrees: outDeg, InDegrees: inDeg})
+	pol, err := partition.NewPolicy(row.policy, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,7 @@ func buildParts(t *testing.T, hosts int) (uint64, []graph.Edge, *graph.CSR, []*p
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]uint32, cfg.NumNodes())
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		out[u] = g.OutDegree(u)
-	}
-	pol, err := partition.NewPolicy(partition.CVC, cfg.NumNodes(), hosts,
-		partition.Options{OutDegrees: out, InDegrees: g.InDegrees()})
+	pol, err := partition.NewPolicy(partition.CVC, cfg.NumNodes(), hosts, partition.Degrees(cfg.NumNodes(), edges))
 	if err != nil {
 		t.Fatal(err)
 	}

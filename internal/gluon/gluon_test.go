@@ -24,16 +24,7 @@ func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromEdges(cfg.NumNodes(), edges, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]uint32, cfg.NumNodes())
-	for u := uint32(0); u < g.NumNodes(); u++ {
-		out[u] = g.OutDegree(u)
-	}
-	pol, err := partition.NewPolicy(kind, cfg.NumNodes(), hosts,
-		partition.Options{OutDegrees: out, InDegrees: g.InDegrees()})
+	pol, err := partition.NewPolicy(kind, cfg.NumNodes(), hosts, partition.Degrees(cfg.NumNodes(), edges))
 	if err != nil {
 		t.Fatal(err)
 	}

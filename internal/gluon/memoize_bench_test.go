@@ -18,13 +18,8 @@ func BenchmarkMemoize(b *testing.B) {
 		b.Fatal(err)
 	}
 	numNodes := cfg.NumNodes()
-	popt := partition.Options{OutDegrees: make([]uint32, numNodes), InDegrees: make([]uint32, numNodes)}
-	for _, e := range edges {
-		popt.OutDegrees[e.Src]++
-		popt.InDegrees[e.Dst]++
-	}
 	const hosts = 4
-	pol, err := partition.NewPolicy(partition.HVC, numNodes, hosts, popt)
+	pol, err := partition.NewPolicy(partition.HVC, numNodes, hosts, partition.Degrees(numNodes, edges))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,15 +56,9 @@ func streamRun(t *testing.T, numNodes uint64, edges []graph.Edge, kind partition
 	if sliceBytes > 0 {
 		defer gluon.SetSliceBytes(sliceBytes)()
 	}
-	outDeg, inDeg := make([]uint32, numNodes), make([]uint32, numNodes)
-	for _, e := range edges {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
-	}
 	sets := make([][]*bitset.Bitset, hosts)
 	res, err := dsys.Run(numNodes, edges, dsys.RunConfig{
 		Hosts: hosts, Policy: kind, Opt: opt, CollectValues: true, MaxRounds: 40,
-		PolicyOptions: partition.Options{OutDegrees: outDeg, InDegrees: inDeg},
 	}, func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		prog, err := factory(p, g)
 		return syncLog{prog, &sets[p.HostID]}, err

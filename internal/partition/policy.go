@@ -18,6 +18,8 @@ package partition
 import (
 	"fmt"
 	"math"
+
+	"gluon/internal/graph"
 )
 
 // Policy assigns nodes (masters) and edges to hosts.
@@ -192,6 +194,19 @@ type Options struct {
 	// otherwise (node-balanced chunks are used when absent).
 	OutDegrees []uint32
 	InDegrees  []uint32
+}
+
+// Degrees returns the Options of the graph the edge list holds: each edge
+// counts once toward its source's out-degree and its destination's
+// in-degree, duplicates and self-loops included, as in the CSR built from
+// the same list.
+func Degrees(numNodes uint64, edges []graph.Edge) Options {
+	opt := Options{OutDegrees: make([]uint32, numNodes), InDegrees: make([]uint32, numNodes)}
+	for _, e := range edges {
+		opt.OutDegrees[e.Src]++
+		opt.InDegrees[e.Dst]++
+	}
+	return opt
 }
 
 // NewPolicy constructs the named policy for a graph of numNodes nodes.
