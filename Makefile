@@ -31,8 +31,8 @@ build:
 # failure when the instrument, internal/trace, outgrows TRACE_LOC_MAX or
 # the whole root module outgrows ROOT_LOC_MAX. Both are ratchets: lower
 # them with each cut; raise one only with a CHANGES.md line saying why.
-TRACE_LOC_MAX = 2887
-ROOT_LOC_MAX = 13509
+TRACE_LOC_MAX = 2895
+ROOT_LOC_MAX = 13334
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs awk \
@@ -74,7 +74,7 @@ DECLS = awk '\
 # symbols. Prints the names none holds and fails above CENSUS_MAX, a ratchet
 # like the loc bounds; the names it allows are test fakes, fixtures and
 # oracles, listed with the reason each stays in CHANGES.md.
-CENSUS_MAX = 23
+CENSUS_MAX = 22
 
 census:
 	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; mkdir $$d/bin; \
@@ -287,6 +287,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzRollupAdd -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzBundle -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz FuzzReadPartition -fuzztime 10s -fuzzminimizetime 1s ./internal/gio/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s -fuzzminimizetime 1s ./internal/perfdb/

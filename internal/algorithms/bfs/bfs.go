@@ -28,8 +28,7 @@ func NewGalois(source uint64, workers int) dsys.ProgramFactory {
 	return relax.NewGalois(alg, source, workers)
 }
 
-// NewIrGL builds the bulk-synchronous device program; the dist field lives
-// in a device buffer.
+// NewIrGL builds the bulk-synchronous device program.
 func NewIrGL(source uint64, workers int) dsys.ProgramFactory {
 	return relax.NewIrGL(alg, source, workers)
 }

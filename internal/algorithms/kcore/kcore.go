@@ -33,10 +33,16 @@ const (
 	FieldIDDead  = 10
 )
 
-type common struct {
-	p *partition.Partition
-	g *gluon.Gluon
-	k uint64
+// visitor is all an engine contributes to the program: a loop that calls fn
+// on every proxy set in the frontier.
+type visitor func(frontier *bitset.Bitset, fn func(u uint32))
+
+// program is k-core peeling on every engine.
+type program struct {
+	p     *partition.Partition
+	g     *gluon.Gluon
+	k     uint64
+	visit visitor
 
 	deg     []uint64       // global degree, fixed after Init
 	trims   []uint64       // pending trim counts (this round's increments)
@@ -49,47 +55,78 @@ type common struct {
 	degField   gluon.Field[uint64]
 }
 
-func newCommon(p *partition.Partition, g *gluon.Gluon, k uint64) *common {
-	n := p.NumProxies()
-	c := &common{
-		p: p, g: g, k: k,
-		deg:     make([]uint64, n),
-		trims:   make([]uint64, n),
-		dead:    make([]uint32, n),
-		peeled:  bitset.New(n),
-		updated: bitset.NewPair(n),
+// factory builds the program around the visitor an engine builds over the
+// local graph.
+func factory(k uint64, engine func(p *partition.Partition) visitor) dsys.ProgramFactory {
+	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
+		n := p.NumProxies()
+		c := &program{
+			p: p, g: g, k: k, visit: engine(p),
+			deg:     make([]uint64, n),
+			trims:   make([]uint64, n),
+			dead:    make([]uint32, n),
+			peeled:  bitset.New(n),
+			updated: bitset.NewPair(n),
+		}
+		c.trimsField = gluon.Field[uint64]{
+			ID:     FieldIDTrims,
+			Name:   "kcore-trims",
+			Write:  gluon.AtDestination,
+			Read:   gluon.AtDestination,
+			Reduce: fields.Sum[uint64](c.trims),
+		}
+		c.deadField = gluon.Field[uint32]{
+			ID:        FieldIDDead,
+			Name:      "kcore-dead",
+			Write:     gluon.AtDestination,
+			Read:      gluon.AtSource,
+			Broadcast: fields.Set[uint32](c.dead),
+		}
+		// Only masters read deg (decide), so the degree sync is reduce-only.
+		c.degField = gluon.Field[uint64]{
+			ID:     FieldIDTrims + 100,
+			Name:   "kcore-deg",
+			Write:  gluon.AtSource,
+			Reduce: fields.Sum[uint64](c.deg),
+		}
+		return c, nil
 	}
-	c.trimsField = gluon.Field[uint64]{
-		ID:     FieldIDTrims,
-		Name:   "kcore-trims",
-		Write:  gluon.AtDestination,
-		Read:   gluon.AtDestination,
-		Reduce: fields.Sum[uint64](c.trims),
-	}
-	c.deadField = gluon.Field[uint32]{
-		ID:        FieldIDDead,
-		Name:      "kcore-dead",
-		Write:     gluon.AtDestination,
-		Read:      gluon.AtSource,
-		Broadcast: fields.Set[uint32](c.dead),
-	}
-	// Only masters read deg (decide), so the degree sync is reduce-only.
-	c.degField = gluon.Field[uint64]{
-		ID:     FieldIDTrims + 100,
-		Name:   "kcore-deg",
-		Write:  gluon.AtSource,
-		Reduce: fields.Sum[uint64](c.deg),
-	}
-	return c
+}
+
+// NewGalois builds the worklist peeling program: a do_all over the newly
+// dead proxies, which push no further work.
+func NewGalois(k uint64, workers int) dsys.ProgramFactory {
+	return factory(k, func(p *partition.Partition) visitor {
+		e := galois.New(p.Graph, workers)
+		return func(frontier *bitset.Bitset, fn func(uint32)) {
+			e.DoAllFrontier(frontier, func(_ *galois.Engine, u uint32, _ func(uint32)) { fn(u) })
+		}
+	})
+}
+
+// NewLigra builds the frontier-based peeling program: a vertexMap over the
+// newly dead proxies.
+func NewLigra(k uint64, workers int) dsys.ProgramFactory {
+	return factory(k, func(*partition.Partition) visitor {
+		return func(frontier *bitset.Bitset, fn func(uint32)) { ligra.VertexMap(frontier, workers, fn) }
+	})
+}
+
+// NewIrGL builds the device peeling program: one masked kernel per round
+// over the newly dead proxies.
+func NewIrGL(k uint64, workers int) dsys.ProgramFactory {
+	return factory(k, func(p *partition.Partition) visitor {
+		return irgl.New(p.Graph, workers).KernelMasked
+	})
 }
 
 // Name implements dsys.Program.
-func (c *common) Name() string { return "kcore" }
+func (c *program) Name() string { return "kcore" }
 
 // Init computes masters' global degrees (one-time reduce of local
 // out-degrees, which on a symmetrized graph equal undirected degrees) and
 // peels round zero: every master with degree < k dies immediately.
-func (c *common) Init() (*bitset.Bitset, error) {
+func (c *program) Init() (*bitset.Bitset, error) {
 	for lid := uint32(0); lid < c.p.NumProxies(); lid++ {
 		c.deg[lid] = uint64(c.p.Graph.OutDegree(lid))
 	}
@@ -108,7 +145,7 @@ func (c *common) Init() (*bitset.Bitset, error) {
 
 // Sync implements dsys.Program: reduce trim counts to masters, peel masters
 // that fell below k, broadcast the new deaths — one streamed sync.
-func (c *common) Sync(updated *bitset.Bitset) error {
+func (c *program) Sync(updated *bitset.Bitset) error {
 	return gluon.SyncApply(c.g, c.trimsField, c.decide(updated), c.deadField, updated)
 }
 
@@ -116,7 +153,7 @@ func (c *common) Sync(updated *bitset.Bitset) error {
 // its trims off its degree and dies, marked in updated, once the degree is
 // below k. A live master's degree is at least k (Init kills the rest, and
 // only trims lower it), so one without trims survives.
-func (c *common) decide(updated *bitset.Bitset) func(lo, hi uint32) {
+func (c *program) decide(updated *bitset.Bitset) func(lo, hi uint32) {
 	return func(lo, hi uint32) {
 		mark := updated.Marker()
 		for m := lo; m < hi; m++ {
@@ -136,10 +173,10 @@ func (c *common) decide(updated *bitset.Bitset) func(lo, hi uint32) {
 }
 
 // Finalize implements dsys.Program.
-func (c *common) Finalize() error { return gluon.BroadcastAll(c.g, c.deadField) }
+func (c *program) Finalize() error { return gluon.BroadcastAll(c.g, c.deadField) }
 
 // MasterValue implements dsys.Program: 1 if the node is in the k-core.
-func (c *common) MasterValue(lid uint32) float64 {
+func (c *program) MasterValue(lid uint32) float64 {
 	if c.dead[lid] == 0 {
 		return 1
 	}
@@ -150,7 +187,7 @@ func (c *common) MasterValue(lid uint32) float64 {
 // proxy. Guards make peeling exactly-once per proxy: a dense-mode dead
 // broadcast may redeliver old deaths (or alive zeros), and delivery
 // activates the receiving mirror unconditionally.
-func (c *common) peel(u uint32, updated *bitset.Bitset) {
+func (c *program) peel(u uint32, updated *bitset.Bitset) {
 	if c.dead[u] == 0 || !c.peeled.TestAndSet(u) {
 		return
 	}
@@ -160,73 +197,10 @@ func (c *common) peel(u uint32, updated *bitset.Bitset) {
 	}
 }
 
-// ---------- D-Galois ----------
-
-type galoisProgram struct {
-	*common
-	e *galois.Engine
-}
-
-// NewGalois builds the worklist peeling program.
-func NewGalois(k uint64, workers int) dsys.ProgramFactory {
-	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		return &galoisProgram{common: newCommon(p, g, k), e: galois.New(p.Graph, workers)}, nil
-	}
-}
-
 // Round implements dsys.Program: every proxy newly marked dead trims its
 // local neighbors once.
-func (pr *galoisProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := pr.updated.Next(frontier)
-	pr.e.DoAllFrontier(frontier, func(e *galois.Engine, u uint32, push func(uint32)) {
-		pr.peel(u, updated)
-	})
-	return updated, nil
-}
-
-// ---------- D-IrGL ----------
-
-type irglProgram struct {
-	*common
-	dev *irgl.Device
-}
-
-// NewIrGL builds the device peeling program: one masked kernel per round
-// over the newly dead proxies.
-func NewIrGL(k uint64, workers int) dsys.ProgramFactory {
-	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		return &irglProgram{common: newCommon(p, g, k), dev: irgl.New(p.Graph, workers)}, nil
-	}
-}
-
-// Round implements dsys.Program.
-func (pr *irglProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := pr.updated.Next(frontier)
-	pr.dev.KernelMasked(frontier, func(u uint32) {
-		pr.peel(u, updated)
-	})
-	return updated, nil
-}
-
-// ---------- D-Ligra ----------
-
-type ligraProgram struct {
-	*common
-	workers int
-}
-
-// NewLigra builds the frontier-based peeling program.
-func NewLigra(k uint64, workers int) dsys.ProgramFactory {
-	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		return &ligraProgram{common: newCommon(p, g, k), workers: workers}, nil
-	}
-}
-
-// Round implements dsys.Program via vertexMap over the dead frontier.
-func (pr *ligraProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	updated := pr.updated.Next(frontier)
-	ligra.VertexMap(frontier, pr.workers, func(u uint32) {
-		pr.peel(u, updated)
-	})
+func (c *program) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	updated := c.updated.Next(frontier)
+	c.visit(frontier, func(u uint32) { c.peel(u, updated) })
 	return updated, nil
 }

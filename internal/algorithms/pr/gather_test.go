@@ -87,9 +87,9 @@ func TestGatherBitIdenticalToPerEdgeDivision(t *testing.T) {
 		factory dsys.ProgramFactory
 		common  func(dsys.Program) *common
 	}{
-		{"ligra", NewLigra(1e-9, 2), func(p dsys.Program) *common { return p.(*ligraProgram).common }},
-		{"galois", NewGalois(1e-9, 2), func(p dsys.Program) *common { return p.(*galoisProgram).common }},
-		{"irgl", NewIrGL(1e-9, 2), func(p dsys.Program) *common { return p.(*irglProgram).common }},
+		{"ligra", NewLigra(1e-9, 2), func(p dsys.Program) *common { return p.(*program).common }},
+		{"galois", NewGalois(1e-9, 2), func(p dsys.Program) *common { return p.(*program).common }},
+		{"irgl", NewIrGL(1e-9, 2), func(p dsys.Program) *common { return p.(*program).common }},
 	}
 	for _, cfg := range []generate.Config{
 		{Kind: "rmat", Scale: 9, EdgeFactor: 8, Seed: 61},
@@ -158,11 +158,10 @@ func BenchmarkPRGather(b *testing.B) {
 		c.outdeg[lid] = outdeg[p.GID(uint32(lid))]
 		c.rank[lid] = 1 - Alpha + float64(lid%97)/97
 	}
-	in := p.InGraph()
-	doAll := func(body func(lo, hi int)) { body(0, int(p.NumProxies())) }
+	prog := &program{common: c, in: p.InGraph(), workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.round(nil, in, doAll)
+		prog.Round(nil)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.NumEdges()), "ns/edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prog.in.NumEdges()), "ns/edge")
 }

@@ -24,9 +24,6 @@ import (
 	"gluon/internal/bitset"
 	"gluon/internal/ckpt"
 	"gluon/internal/dsys"
-	"gluon/internal/engine/galois"
-	"gluon/internal/engine/irgl"
-	"gluon/internal/engine/ligra"
 	"gluon/internal/fields"
 	"gluon/internal/gluon"
 	"gluon/internal/graph"
@@ -124,9 +121,9 @@ func (c *common) ExportState() ([]ckpt.Section, error) {
 	}, nil
 }
 
-// ImportState implements dsys.Checkpointable. Decoding is in place — into
-// the same arrays the gluon.Field accessors (and the IrGL device buffers)
-// alias — so every engine variant observes the restored values.
+// ImportState implements dsys.Checkpointable. Decoding is in place, into
+// the arrays the gluon.Field specs were built over, so the next round and
+// the next sync see the restored values.
 func (c *common) ImportState(secs []ckpt.Section) error {
 	snap := &ckpt.Snapshot{Sections: secs}
 	for _, s := range []struct {
@@ -189,18 +186,6 @@ func (c *common) Finalize() error { return gluon.BroadcastAll(c.g, c.rankField) 
 // MasterValue implements dsys.Program.
 func (c *common) MasterValue(lid uint32) float64 { return c.rank[lid] }
 
-// round runs the operator once over every proxy. doAll is the engine's
-// parallel loop over the chunks of [0, NumProxies); its join separates the
-// two passes, because gather reads share entries that other chunks wrote.
-// The operator reads no frontier; round only keeps the updated set it
-// returns apart from the one it was handed.
-func (c *common) round(frontier *bitset.Bitset, in *graph.CSR, doAll func(body func(lo, hi int))) *bitset.Bitset {
-	updated := c.updated.Next(frontier)
-	doAll(c.fillShare)
-	doAll(func(lo, hi int) { c.gather(in, lo, hi, updated) })
-	return updated
-}
-
 // fillShare recomputes share over the proxies [lo, hi): one divide per
 // vertex, where dividing inside gather costs one per edge for a quotient
 // that does not change during the round. A proxy without out-edges anywhere
@@ -235,90 +220,39 @@ func (c *common) gather(in *graph.CSR, lo, hi int, updated *bitset.Bitset) {
 	mark.Flush()
 }
 
-// ---------- D-Ligra ----------
-
-type ligraProgram struct {
+// program is pull pagerank on every engine. A Ligra dense vertexMap, a
+// Galois topology-driven do_all and an IrGL kernel over every node all come
+// to the same loop here — par.Range over the NumProxies rows of the
+// in-graph — so the three engines run one Round.
+type program struct {
 	*common
-	lg      *ligra.Graph
+	in      *graph.CSR
 	workers int
 }
 
-// NewLigra builds the pull PageRank program over the Ligra engine's dense
-// (in-edge) traversal.
-func NewLigra(tol float64, workers int) dsys.ProgramFactory {
-	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		return &ligraProgram{
-			common:  newCommon(p, g, tol),
-			lg:      &ligra.Graph{Out: p.Graph, In: p.InGraph()},
-			workers: workers,
-		}, nil
-	}
-}
-
-// Round implements dsys.Program.
-func (pr *ligraProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(frontier, pr.lg.In, func(body func(lo, hi int)) {
-		par.Range(int(pr.p.NumProxies()), pr.workers, body)
-	}), nil
-}
-
-// ---------- D-Galois ----------
-
-type galoisProgram struct {
-	*common
-	e  *galois.Engine
-	in *graph.CSR
-}
-
-// NewGalois builds the pull PageRank program over the Galois engine's
-// topology-driven do_all.
+// NewGalois builds pull PageRank as D-Galois runs it: a topology-driven
+// do_all.
 func NewGalois(tol float64, workers int) dsys.ProgramFactory {
 	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		return &galoisProgram{
-			common: newCommon(p, g, tol),
-			e:      galois.New(p.Graph, workers),
-			in:     p.InGraph(),
-		}, nil
+		return &program{common: newCommon(p, g, tol), in: p.InGraph(), workers: workers}, nil
 	}
 }
 
-// Round implements dsys.Program.
-func (pr *galoisProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(frontier, pr.in, func(body func(lo, hi int)) {
-		par.Range(int(pr.p.NumProxies()), pr.e.Workers, body)
-	}), nil
-}
+// NewLigra builds pull PageRank as D-Ligra runs it: a dense vertexMap over
+// the in-edges.
+func NewLigra(tol float64, workers int) dsys.ProgramFactory { return NewGalois(tol, workers) }
 
-// ---------- D-IrGL ----------
+// NewIrGL builds pull PageRank as D-IrGL runs it: topology-driven kernels
+// over every node.
+func NewIrGL(tol float64, workers int) dsys.ProgramFactory { return NewGalois(tol, workers) }
 
-type irglProgram struct {
-	*common
-	dev *irgl.Device
-	in  *graph.CSR
-
-	rankBuf    *irgl.Buffer[float64]
-	contribBuf *irgl.Buffer[float64]
-}
-
-// NewIrGL builds the pull PageRank program over the device engine; rank and
-// contrib live in device buffers.
-func NewIrGL(tol float64, workers int) dsys.ProgramFactory {
-	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
-		c := newCommon(p, g, tol)
-		dev := irgl.New(p.Graph, workers)
-		prog := &irglProgram{common: c, dev: dev, in: p.InGraph()}
-		prog.rankBuf = irgl.NewBuffer[float64](dev, p.NumProxies())
-		prog.contribBuf = irgl.NewBuffer[float64](dev, p.NumProxies())
-		prog.rank = prog.rankBuf.Data()
-		prog.contrib = prog.contribBuf.Data()
-		prog.contribField.Reduce = irgl.SumBuf(prog.contribBuf)
-		prog.rankField.Broadcast = irgl.SetBuf(prog.rankBuf)
-		return prog, nil
-	}
-}
-
-// Round implements dsys.Program: two topology-driven kernels, share then
-// gather.
-func (pr *irglProgram) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
-	return pr.round(frontier, pr.in, pr.dev.KernelBlocks), nil
+// Round implements dsys.Program: the operator once over every proxy, in two
+// passes whose join separates them, because gather reads share entries that
+// other chunks wrote. The operator reads no frontier; Round only keeps the
+// updated set it returns apart from the one it was handed.
+func (pr *program) Round(frontier *bitset.Bitset) (*bitset.Bitset, error) {
+	n, updated := int(pr.p.NumProxies()), pr.updated.Next(frontier)
+	par.Range(n, pr.workers, pr.fillShare)
+	par.Range(n, pr.workers, func(lo, hi int) { pr.gather(pr.in, lo, hi, updated) })
+	return updated, nil
 }

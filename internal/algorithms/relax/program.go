@@ -39,30 +39,10 @@ type program struct {
 	round  Schedule
 }
 
-// store is where a program's labels live and how Gluon reaches them.
-type store struct {
-	labels    []uint32
-	reduce    gluon.ReduceSpec[uint32]
-	broadcast gluon.BroadcastSpec[uint32]
-}
-
-// hostStore keeps the labels in an ordinary slice.
-func hostStore(n uint32) store {
-	labels := make([]uint32, n)
-	return store{labels, fields.Min[uint32](labels), fields.Set[uint32](labels)}
-}
-
-// deviceStore keeps the labels in a device buffer: the buffer specs provide
-// the bulk extract variant and account every host/device staging copy, the
-// transfers a GPU plugin performs.
-func deviceStore(dev *irgl.Device, n uint32) store {
-	buf := irgl.NewBuffer[uint32](dev, n)
-	return store{buf.Data(), irgl.MinBuf(buf), irgl.SetBuf(buf)}
-}
-
-// factory builds the family's ProgramFactory; build supplies what differs
-// between engines — where the labels live and the schedule over them.
-func (alg Algorithm) factory(source uint64, build func(p *partition.Partition) (store, Schedule)) dsys.ProgramFactory {
+// factory builds the family's ProgramFactory: it allocates the labels and
+// the Gluon min-field over them, and build supplies the one thing engines
+// differ in — the schedule over those labels.
+func (alg Algorithm) factory(source uint64, build func(p *partition.Partition, labels []uint32) Schedule) dsys.ProgramFactory {
 	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		if alg.Step == Weight && !p.Graph.HasWeights {
 			return nil, fmt.Errorf("%s: partition graph has no edge weights", alg.Name)
@@ -70,9 +50,9 @@ func (alg Algorithm) factory(source uint64, build func(p *partition.Partition) (
 		if alg.SeedIDs && p.GlobalNodes > 1<<32-1 {
 			return nil, fmt.Errorf("%s: global IDs exceed 32-bit labels", alg.Name)
 		}
-		st, round := build(p)
+		labels := make([]uint32, p.Graph.NumNodes())
 		return &program{
-			alg: alg, source: source, p: p, g: g, labels: st.labels, round: round,
+			alg: alg, source: source, p: p, g: g, labels: labels, round: build(p, labels),
 			// Push-style: the operator writes a label at an edge's
 			// destination and reads it at the source, so OEC partitions need
 			// only the reduce pattern and IEC only the broadcast (§3.2).
@@ -81,8 +61,8 @@ func (alg Algorithm) factory(source uint64, build func(p *partition.Partition) (
 				Name:      alg.FieldName,
 				Write:     gluon.AtDestination,
 				Read:      gluon.AtSource,
-				Reduce:    st.reduce,
-				Broadcast: st.broadcast,
+				Reduce:    fields.Min[uint32](labels),
+				Broadcast: fields.Set[uint32](labels),
 			},
 		}, nil
 	}
@@ -91,27 +71,22 @@ func (alg Algorithm) factory(source uint64, build func(p *partition.Partition) (
 // NewLigra builds the level-synchronous, direction-optimising program; its
 // pull reads the partition's cached transpose.
 func NewLigra(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
-		st := hostStore(p.Graph.NumNodes())
-		return st, Ligra(p.Graph, p.InGraph, st.labels, alg.Step, workers)
+	return alg.factory(source, func(p *partition.Partition, labels []uint32) Schedule {
+		return Ligra(p.Graph, p.InGraph, labels, alg.Step, workers)
 	})
 }
 
 // NewGalois builds the asynchronous worklist program.
 func NewGalois(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
-		st := hostStore(p.Graph.NumNodes())
-		return st, Galois(p.Graph, st.labels, alg.Step, workers)
+	return alg.factory(source, func(p *partition.Partition, labels []uint32) Schedule {
+		return Galois(p.Graph, labels, alg.Step, workers)
 	})
 }
 
-// NewIrGL builds the bulk-synchronous device program; the labels live in a
-// device buffer.
+// NewIrGL builds the bulk-synchronous device program.
 func NewIrGL(alg Algorithm, source uint64, workers int) dsys.ProgramFactory {
-	return alg.factory(source, func(p *partition.Partition) (store, Schedule) {
-		dev := irgl.New(p.Graph, workers)
-		st := deviceStore(dev, p.Graph.NumNodes())
-		return st, IrGL(dev, st.labels, alg.Step)
+	return alg.factory(source, func(p *partition.Partition, labels []uint32) Schedule {
+		return IrGL(irgl.New(p.Graph, workers), labels, alg.Step)
 	})
 }
 
@@ -150,8 +125,8 @@ func (pr *program) ExportState() ([]ckpt.Section, error) {
 	return []ckpt.Section{{Name: pr.alg.FieldName, Data: fields.EncodeVals(nil, pr.labels)}}, nil
 }
 
-// ImportState implements dsys.Checkpointable, decoding in place so a device
-// buffer (which labels then aliases) sees the restored labels.
+// ImportState implements dsys.Checkpointable, decoding in place into the
+// labels the field and the schedule were built around.
 func (pr *program) ImportState(secs []ckpt.Section) error {
 	snap := ckpt.Snapshot{Sections: secs}
 	data := snap.Section(pr.alg.FieldName)

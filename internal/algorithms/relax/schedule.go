@@ -92,8 +92,7 @@ func Galois(g *graph.CSR, labels []uint32, step Step, workers int) Schedule {
 }
 
 // IrGL is the bulk-synchronous device schedule: one data-driven kernel per
-// round, every thread checking its vertex's active bit. labels is the
-// device buffer's array.
+// round, every thread checking its vertex's active bit.
 func IrGL(dev *irgl.Device, labels []uint32, step Step) Schedule {
 	next := bitset.NewPair(dev.Graph.NumNodes())
 	var updated *bitset.Bitset

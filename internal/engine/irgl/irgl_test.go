@@ -25,25 +25,6 @@ func rmatCSR(t testing.TB) *graph.CSR {
 	return g
 }
 
-func TestKernelVisitsAllNodes(t *testing.T) {
-	g := rmatCSR(t)
-	d := New(g, 4)
-	seen := make([]uint32, g.NumNodes())
-	d.KernelBlocks(func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			atomic.AddUint32(&seen[u], 1)
-		}
-	})
-	for u, c := range seen {
-		if c != 1 {
-			t.Fatalf("node %d visited %d times", u, c)
-		}
-	}
-	if d.Stats().KernelLaunches != 1 {
-		t.Fatalf("launches %d", d.Stats().KernelLaunches)
-	}
-}
-
 func TestKernelMasked(t *testing.T) {
 	g := rmatCSR(t)
 	d := New(g, 4)
@@ -69,8 +50,7 @@ func TestLevelSyncBFS(t *testing.T) {
 	want := ref.BFS(g, source)
 
 	d := New(g, 4)
-	buf := NewBuffer[uint32](d, g.NumNodes())
-	dist := buf.Data()
+	dist := make([]uint32, g.NumNodes())
 	for i := range dist {
 		dist[i] = fields.InfinityU32
 	}
@@ -93,28 +73,5 @@ func TestLevelSyncBFS(t *testing.T) {
 		if dist[u] != want[u] {
 			t.Fatalf("node %d: %d, want %d", u, dist[u], want[u])
 		}
-	}
-}
-
-func TestBufferBulkTransfersAccounted(t *testing.T) {
-	g := rmatCSR(t)
-	d := New(g, 2)
-	buf := NewBuffer[uint32](d, 100)
-	if buf.Len() != 100 {
-		t.Fatalf("len %d", buf.Len())
-	}
-	lids := []uint32{1, 5, 9}
-	buf.BulkScatter(lids, []uint32{10, 50, 90})
-	st := d.Stats()
-	if st.BytesToDevice != 12 {
-		t.Fatalf("to-device %d, want 12", st.BytesToDevice)
-	}
-	out := buf.BulkGather(lids, make([]uint32, 3))
-	if out[0] != 10 || out[1] != 50 || out[2] != 90 {
-		t.Fatalf("gathered %v", out)
-	}
-	st = d.Stats()
-	if st.BytesFromDevice != 12 {
-		t.Fatalf("from-device %d, want 12", st.BytesFromDevice)
 	}
 }

@@ -3,8 +3,8 @@
 // reduce/broadcast synchronization structures over label slices — the
 // Figure 5 structs of the paper. The generics are those structs — the
 // boilerplate the paper's compiler emits per field — in their one copy:
-// Min, Sum and Set are generic over the element type and the device engine
-// decorates them (irgl.MinBuf and friends) without restating a reduction.
+// Min, Sum and Set are generic over the element type, and every engine's
+// fields use them, the device engine's included.
 package fields
 
 import (

@@ -62,7 +62,6 @@ type Result struct {
 	NumHosts       int
 	Rounds         int
 	Time           time.Duration
-	PartitionTime  time.Duration
 	TotalCommBytes uint64
 	Values         []float64
 }
@@ -86,17 +85,11 @@ func Partition(numNodes uint64, edges []graph.Edge, hosts int, outDeg []uint32) 
 
 // Run partitions (edge-cut only) and executes the algorithm to convergence.
 func Run(numNodes uint64, edges []graph.Edge, alg Algorithm, cfg Config) (*Result, error) {
-	pstart := time.Now()
 	parts, err := Partition(numNodes, edges, cfg.Hosts, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunPartitioned(parts, alg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.PartitionTime = time.Since(pstart) - res.Time
-	return res, nil
+	return RunPartitioned(parts, alg, cfg)
 }
 
 // RunPartitioned executes over pre-built partitions.

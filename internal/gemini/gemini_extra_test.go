@@ -72,14 +72,3 @@ func TestBaselineUnderNetModel(t *testing.T) {
 		t.Fatalf("modeled %v not slower than unmodeled %v", slow, fast)
 	}
 }
-
-func TestBaselinePartitionTimeRecorded(t *testing.T) {
-	numNodes, edges, _ := testInput(t, false)
-	res, err := gemini.Run(numNodes, edges, gemini.CC, gemini.Config{Hosts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PartitionTime <= 0 {
-		t.Fatalf("partition time %v", res.PartitionTime)
-	}
-}

@@ -45,14 +45,12 @@ func LoadBundles(dir string) ([]*Bundle, []error, error) {
 		if ent.IsDir() || !isBundleFileName(ent.Name()) {
 			continue
 		}
-		path := filepath.Join(dir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			bad = append(bad, fmt.Errorf("%s: %w", ent.Name(), err))
-			continue
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		var b *Bundle
+		if err == nil {
+			b, err = decodeBundle(data)
 		}
-		b := &Bundle{}
-		if err := json.Unmarshal(data, b); err != nil {
+		if err != nil {
 			bad = append(bad, fmt.Errorf("%s: %w", ent.Name(), err))
 			continue
 		}
@@ -65,6 +63,20 @@ func LoadBundles(dir string) ([]*Bundle, []error, error) {
 		return nil, nil, fmt.Errorf("trace: no postmortem bundles in %s", dir)
 	}
 	return bundles, bad, nil
+}
+
+// decodeBundle reads one bundle file. JSON of another shape decodes to a
+// zero Bundle, which would diagnose host 0 as the failure, so a version
+// other than BundleVersion is refused.
+func decodeBundle(data []byte) (*Bundle, error) {
+	b := &Bundle{}
+	if err := json.Unmarshal(data, b); err != nil {
+		return nil, err
+	}
+	if b.Version != BundleVersion {
+		return nil, fmt.Errorf("not a postmortem bundle of version %d (version %d)", BundleVersion, b.Version)
+	}
+	return b, nil
 }
 
 // ChainEntry is one link of the failure cascade, on the aligned time axis.

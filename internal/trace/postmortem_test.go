@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +108,55 @@ func TestFlightRecorderDumpAndLoad(t *testing.T) {
 	if b.TraceID == "" {
 		t.Error("bundle has no trace id")
 	}
+}
+
+// TestLoadBundlesRefusesForeignJSON: a file named like a bundle that holds
+// JSON of another shape lands in the corrupt list, not in the diagnosis,
+// where its zero fields would read as "host 0 failed first".
+func TestLoadBundlesRefusesForeignJSON(t *testing.T) {
+	dir := t.TempDir()
+	fr := NewFlightRecorder(FlightConfig{Dir: dir, Host: 1})
+	if _, err := fr.Dump(DumpInfo{Trigger: TriggerManual, Host: 1, Peer: -1, Round: 2, Phase: NumPhases}); err != nil {
+		t.Fatal(err)
+	}
+	foreign := "postmortem-h003-x-01.json"
+	if err := os.WriteFile(filepath.Join(dir, foreign), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bundles, bad, err := LoadBundles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bundles) != 1 || bundles[0].Host != 1 {
+		t.Fatalf("loaded %d bundles (want only host 1's)", len(bundles))
+	}
+	if len(bad) != 1 || !strings.Contains(bad[0].Error(), foreign) {
+		t.Fatalf("corrupt list %v, want %s alone", bad, foreign)
+	}
+}
+
+// FuzzBundle: no bytes may panic the decoder, and whatever it accepts must
+// diagnose and render.
+func FuzzBundle(f *testing.F) {
+	fr := NewFlightRecorder(FlightConfig{Dir: f.TempDir(), Trace: New(Config{Capacity: 8}), Host: 2})
+	path, err := fr.Dump(DumpInfo{Trigger: TriggerDeadHost, Host: 2, Peer: 0, Round: 3, Phase: PhaseRecvWait})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"version":1,"host":-7,"peer":99,"round":-1,"clock":{"samples":3}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeBundle(data)
+		if err != nil {
+			return
+		}
+		Diagnose([]*Bundle{b}).WriteReport(io.Discard)
+	})
 }
 
 // TestFlightRecorderMaxDumps caps cascade flooding.
